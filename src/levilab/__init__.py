@@ -31,6 +31,7 @@ from .wirtinger import (
 )
 from .surfaces import (
     Cylinder,
+    DirichletQuadratic,
     Ellipsoid,
     ExpReparam,
     Jet2,
@@ -47,7 +48,6 @@ from .reinhardt import ReinhardtProfile, reinhardt_profile
 from .curvature import FrameBatch, bordered_minor, levi, levi_at, mean_curvature, mean_curvature_at
 from .quadrature import IntegralResult, QuadratureSpec, bulk_integral, surface_integral, volume
 from .verify import (
-    DirichletQuadratic,
     VerificationReport,
     alexandrov_check,
     dirichlet_chain,

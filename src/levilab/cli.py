@@ -181,7 +181,7 @@ def _run_verification(identity: str, spec, j: int, q, tol, f_choice: str) -> vf.
     if identity == "alexandrov":
         return vf.alexandrov_check(spec, j, q, **kw)
     if identity == "dirichlet":
-        if isinstance(spec, vf.DirichletQuadratic):
+        if isinstance(spec, sf.DirichletQuadratic):
             axes = spec.axes
         elif isinstance(spec, sf.Ellipsoid) and not np.any(spec.center):
             axes = spec.axes

@@ -122,8 +122,6 @@ class FrameBatch:
             pts = pts[None, :]
         j = eval_jets(spec, pts)
         value, rgrad, rhess = j.val, j.grad, j.hess
-        if np.iscomplexobj(value):
-            value, rgrad, rhess = value.real, rgrad.real, rhess.real
         tol = boundary_tol if boundary_tol is not None else BOUNDARY_VALUE_TOL * max(1.0, spec.scale**2)
         off = np.abs(value) > tol
         if np.any(off):

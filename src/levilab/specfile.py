@@ -28,6 +28,7 @@ from .errors import SpecParseError
 from .quadrature import QuadratureSpec
 from .surfaces import (
     Cylinder,
+    DirichletQuadratic,
     Ellipsoid,
     PerturbedQuadric,
     ReinhardtSurface,
@@ -35,7 +36,6 @@ from .surfaces import (
     SurfaceSpec,
     UserPolynomial,
 )
-from .verify import DirichletQuadratic
 
 FAMILIES = ("sphere", "ellipsoid", "quadric", "cylinder", "reinhardt", "poly", "dirichlet")
 

@@ -2,9 +2,13 @@
 
 Real coordinates are interleaved as (x1, y1, ..., x_{n+1}, y_{n+1}) with
 z_k = x_k + i y_k. Every family produces a smooth real defining function f
-with f < 0 inside, f = 0 on the boundary, and provides exact-to-rounding
-value/gradient/Hessian data through the second-order jet engine; no finite
-differencing happens on the default path.
+with f < 0 inside, f = 0 on the boundary, and gives its value, gradient and
+Hessian exact to rounding, as float64 arrays, from derivatives(pts, order).
+The polynomial families (Sphere, Ellipsoid, PerturbedQuadric, Cylinder,
+UserPolynomial, DirichletQuadratic) expand f once into a RealPolynomial and
+evaluate closed-form derivatives from it. ReinhardtSurface and ExpReparam
+apply a one-variable chain rule to such derivatives. No finite differencing
+happens on the default path.
 
 Star-shaped families declare a star center and are validated at construction
 on a coarse direction grid: every ray from the center must cross the boundary
@@ -18,9 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import jets
 from .errors import DegenerateGradientError, DomainError, StarShapeError, TransversalityError
 from .jets import Jet
+from .polynomial import RealPolynomial
 from .reinhardt import ReinhardtProfile, reinhardt_profile
 
 ROOT_ABS_TOL = 1e-12        # |f| at a radial root
@@ -44,18 +48,27 @@ class Jet2:
 
 
 class SurfaceSpec:
-    """Base class: a named defining-function family over C^{n+1}."""
+    """Base class: a named defining-function family over C^{n+1}.
+
+    Polynomial families set poly at construction and inherit derivatives();
+    the other families override it.
+    """
 
     n: int
     star_center: np.ndarray | None
     scale: float
+    poly: RealPolynomial
 
     @property
     def m(self) -> int:
         return 2 * (self.n + 1)
 
-    def build(self, coords: list[Jet]) -> Jet:
-        raise NotImplementedError
+    def derivatives(self, pts: np.ndarray, order: int) -> Jet:
+        """Value, gradient (order >= 1) and Hessian (order 2) at points (B, m).
+
+        The fields of the returned Jet above the order are None.
+        """
+        return Jet(*self.poly.evaluate(pts, order))
 
     def canonical(self) -> str:
         raise NotImplementedError
@@ -77,6 +90,21 @@ def _center_array(center, m: int) -> np.ndarray:
     return c
 
 
+def _diagonal_quadratic(weights, constant: float, center=None) -> RealPolynomial:
+    """sum_i weights[i] * d_i^2 + constant with d = x - center (default 0)."""
+    m = len(weights)
+    terms = {tuple(2 * (k == i) for k in range(m)): w for i, w in enumerate(weights)}
+    terms[(0,) * m] = constant
+    return RealPolynomial(terms, np.zeros(m) if center is None else center)
+
+
+def _chain(inner: Jet, f0, f1, f2) -> Jet:
+    """phi(inner) from phi, phi', phi'' at inner.val; fields inner lacks stay None."""
+    if inner.hess is not None:
+        return inner.apply(f0, f1, f2)
+    return Jet(f0, None if inner.grad is None else f1[:, None] * inner.grad, None)
+
+
 class Sphere(SurfaceSpec):
     """|z - z0|^2 = R^2."""
 
@@ -88,15 +116,8 @@ class Sphere(SurfaceSpec):
         self.center = _center_array(center, self.m)
         self.star_center = self.center
         self.scale = self.radius
+        self.poly = _diagonal_quadratic(np.ones(self.m), -self.radius**2, self.center)
         _validate_star_family(self)
-
-    def build(self, coords):
-        total = None
-        for i, x in enumerate(coords):
-            d = x - self.center[i]
-            sq = d * d
-            total = sq if total is None else total + sq
-        return total - self.radius**2
 
     def canonical(self):
         return f"sphere:R={self.radius!r},center={_fmt_vec(self.center)}"
@@ -116,15 +137,8 @@ class Ellipsoid(SurfaceSpec):
         self.center = _center_array(center, self.m)
         self.star_center = self.center
         self.scale = float(np.max(a))
+        self.poly = _diagonal_quadratic((1.0 / a) ** 2, -1.0, self.center)
         _validate_star_family(self)
-
-    def build(self, coords):
-        total = None
-        for i, x in enumerate(coords):
-            d = (x - self.center[i]) * (1.0 / self.axes[i])
-            sq = d * d
-            total = sq if total is None else total + sq
-        return total - 1.0
 
     def canonical(self):
         return f"ellipsoid:axes={_fmt_vec(self.axes)},center={_fmt_vec(self.center)}"
@@ -157,27 +171,12 @@ class PerturbedQuadric(SurfaceSpec):
         self.hterms = dict(sorted(terms.items()))
         self.star_center = np.zeros(self.m)
         self.scale = math.sqrt(self.c * (self.n + 1))
+        w = self.n + 1
+        zzbar = {(0,) * (2 * w): -self.c}
+        zzbar.update({tuple(int(i % w == k) for i in range(2 * w)): 1.0 / w for k in range(w)})  # |z_k|^2
+        zzbar.update({exps + (0,) * w: coeff for exps, coeff in self.hterms.items()})
+        self.poly = RealPolynomial.from_zzbar(self.n, zzbar)
         _validate_star_family(self)
-
-    def build(self, coords):
-        quad = None
-        for x in coords:
-            sq = x * x
-            quad = sq if quad is None else quad + sq
-        f = quad * (1.0 / (self.n + 1)) - self.c
-        if self.hterms:
-            zs, _ = jets.complex_coords(coords)
-            h = None
-            for exps, coeff in self.hterms.items():
-                term = None
-                for i, e in enumerate(exps):
-                    if e:
-                        p = zs[i] ** e
-                        term = p if term is None else term * p
-                term = term * coeff
-                h = term if h is None else h + term
-            f = f + h.real
-        return f
 
     def canonical(self):
         ht = ";".join(f"{coeff!r}:{','.join(str(e) for e in exps)}" for exps, coeff in self.hterms.items())
@@ -201,13 +200,7 @@ class Cylinder(SurfaceSpec):
         self.kind = kind
         self.star_center = None
         self.scale = self.radius
-
-    def build(self, coords):
-        x1, y1, x2, _y2 = coords
-        f = x1 * x1 + y1 * y1 - self.radius**2
-        if self.kind == "curved":
-            f = f + x2 * x2
-        return f
+        self.poly = _diagonal_quadratic([1.0, 1.0, float(kind == "curved"), 0.0], -self.radius**2)
 
     def canonical(self):
         return f"cylinder:kind={self.kind},R={self.radius!r}"
@@ -228,15 +221,18 @@ class ReinhardtSurface(SurfaceSpec):
         self.k = float(k)
         self.scale = math.sqrt(max(self.profile.f0, self.profile.s_end))
         self.star_center = np.zeros(4) if self.profile.closed else None
+        self._r1sq = _diagonal_quadratic([1.0, 1.0, 0.0, 0.0], 0.0)
+        self._s = _diagonal_quadratic([0.0, 0.0, 1.0, 1.0], 0.0)
         if self.profile.closed:
             _validate_star_family(self)
 
-    def build(self, coords):
-        x1, y1, x2, y2 = coords
-        r1sq = x1 * x1 + y1 * y1
-        s = x2 * x2 + y2 * y2
+    def derivatives(self, pts, order):
+        """r1^2 - F(s) with s = |z2|^2: the chain rule through the profile F."""
+        s = Jet(*self._s.evaluate(pts, order))
         fval, fp, fpp = self.profile.eval(s.val)
-        return r1sq - s.apply(fval, fp, fpp)
+        neg_f = _chain(s, -fval, -fp, -fpp)
+        r1sq = self._r1sq.evaluate(pts, order)
+        return Jet(*(a if a is None else a + b for a, b in zip(r1sq, (neg_f.val, neg_f.grad, neg_f.hess))))
 
     def boundary_point(self, s: float, phase1: float = 0.0, phase2: float = 0.0) -> np.ndarray:
         """A point on the surface at profile parameter s and torus phases."""
@@ -279,24 +275,9 @@ class UserPolynomial(SurfaceSpec):
         self.coeffs = dict(sorted(clean.items()))
         self.star_center = _center_array(center, self.m)
         self.scale = float(scale)
+        self.poly = RealPolynomial.from_zzbar(self.n, self.coeffs)
         if validate:
             _validate_star_family(self)
-
-    def build(self, coords):
-        zs, zbs = jets.complex_coords(coords)
-        total = None
-        for exps, c in self.coeffs.items():
-            term = None
-            for i in range(self.n + 1):
-                for var, e in ((zs[i], exps[i]), (zbs[i], exps[self.n + 1 + i])):
-                    if e:
-                        p = var ** e
-                        term = p if term is None else term * p
-            if term is None:
-                term = Jet.constant(1.0 + 0j, coords[0])
-            term = term * c
-            total = term if total is None else total + term
-        return total.real
 
     def canonical(self):
         ts = ";".join(f"{c!r}:{','.join(str(e) for e in exps)}" for exps, c in self.coeffs.items())
@@ -312,11 +293,43 @@ class ExpReparam(SurfaceSpec):
         self.star_center = base.star_center
         self.scale = base.scale
 
-    def build(self, coords):
-        return jets.exp(self.base.build(coords)) - 1.0
+    def derivatives(self, pts, order):
+        f = self.base.derivatives(pts, order)
+        e = np.exp(f.val)
+        return _chain(f, e - 1.0, e, e)
 
     def canonical(self):
         return f"exp({self.base.canonical()})"
+
+
+class DirichletQuadratic(SurfaceSpec):
+    """Quadratic with unit-trace mixed Hessian vanishing on an axis ellipsoid.
+
+    f(x) = (sum x_k^2 / a_k^2 - 1) * 2 / sum(1/a_k^2). The full Laplacian is 4,
+    so the mixed complex Hessian has trace exactly 1; it is constant and
+    diagonal, with entry k pairing the two real semi-axes of z_k.
+    """
+
+    def __init__(self, axes):
+        a = np.asarray(axes, dtype=float)
+        if a.ndim != 1 or len(a) < 4 or len(a) % 2:
+            raise ValueError("axes must list 2(n+1) >= 4 semi-axes")
+        if np.any(a <= 0):
+            raise ValueError("all semi-axes must be positive")
+        self.n = len(a) // 2 - 1
+        self.axes = a
+        self.cfactor = 2.0 / float(np.sum(1.0 / a**2))
+        self.star_center = np.zeros(self.m)
+        self.scale = float(np.max(a))
+        self.poly = _diagonal_quadratic(self.cfactor * (1.0 / a) ** 2, -self.cfactor)
+
+    def hessian_diagonal(self) -> np.ndarray:
+        """The constant diagonal of the mixed complex Hessian."""
+        inv2 = 1.0 / self.axes**2
+        return self.cfactor / 2.0 * (inv2[0::2] + inv2[1::2])
+
+    def canonical(self):
+        return f"dirichlet:axes={','.join(repr(float(a)) for a in self.axes)}"
 
 
 # -- evaluation ----------------------------------------------------------------
@@ -335,31 +348,30 @@ def _check_points(pts, m: int) -> np.ndarray:
 
 def eval_jets(spec: SurfaceSpec, pts) -> Jet:
     """Full value/gradient/Hessian jets of the defining function at points (B, m)."""
-    pts = _check_points(pts, spec.m)
-    return spec.build(Jet.variables(pts))
+    return spec.derivatives(_check_points(pts, spec.m), 2)
 
 
 def eval_values(spec: SurfaceSpec, pts) -> np.ndarray:
-    """Values only, via width-0 jets (near-scalar cost)."""
-    pts = _check_points(pts, spec.m)
-    b = pts.shape[0]
-    coords = [Jet(pts[:, i].copy(), np.zeros((b, 0)), np.zeros((b, 0, 0))) for i in range(spec.m)]
-    out = spec.build(coords).val
-    return out.real if np.iscomplexobj(out) else out
+    """Values only: the order-0 evaluation reads no derivative terms."""
+    return spec.derivatives(_check_points(pts, spec.m), 0).val
 
 
 def eval_ray(spec: SurfaceSpec, center: np.ndarray, dirs: np.ndarray, rho: np.ndarray) -> Jet:
-    """Width-1 jets along rays center + rho * dir; grad/hess are directional."""
-    return spec.build(Jet.ray_variables(center, dirs, rho))
+    """Value and slope along rays center + rho * dir, as a width-1 Jet.
+
+    grad[:, 0] is the directional derivative <grad f, dir>; hess is None,
+    because the root finder reads only the value and the slope.
+    """
+    dirs = np.asarray(dirs, dtype=float)
+    pts = np.asarray(center, dtype=float)[None, :] + np.asarray(rho, dtype=float)[:, None] * dirs
+    d = spec.derivatives(pts, 1)
+    return Jet(d.val, np.einsum("bi,bi->b", d.grad, dirs)[:, None], None)
 
 
 def jet(spec: SurfaceSpec, p) -> Jet2:
     """Second-order jet of the defining function at a single point."""
     j = eval_jets(spec, np.asarray(p, dtype=float)[None, :])
-    val, grad, hess = j.val[0], j.grad[0], j.hess[0]
-    if np.iscomplexobj(val):
-        val, grad, hess = val.real, grad.real, hess.real
-    return Jet2(float(val), grad.copy(), hess.copy())
+    return Jet2(float(j.val[0]), j.grad[0].copy(), j.hess[0].copy())
 
 
 # -- radial roots ---------------------------------------------------------------
@@ -414,8 +426,8 @@ def radial_roots(spec: SurfaceSpec, dirs, center=None) -> tuple[np.ndarray, np.n
     active = np.ones(b, dtype=bool)
     for _ in range(200):
         rj = eval_ray(spec, center, dirs[active], rho[active])
-        g[active] = rj.val.real if np.iscomplexobj(rj.val) else rj.val
-        gp[active] = rj.grad[:, 0].real if np.iscomplexobj(rj.grad) else rj.grad[:, 0]
+        g[active] = rj.val
+        gp[active] = rj.grad[:, 0]
         pos = g > 0
         hi = np.where(active & pos, rho, hi)
         lo = np.where(active & ~pos, rho, lo)
@@ -434,8 +446,8 @@ def radial_roots(spec: SurfaceSpec, dirs, center=None) -> tuple[np.ndarray, np.n
 
     # one clean evaluation at the final roots for the returned slope
     rj = eval_ray(spec, center, dirs, rho)
-    gv = rj.val.real if np.iscomplexobj(rj.val) else rj.val
-    gs = rj.grad[:, 0].real if np.iscomplexobj(rj.grad) else rj.grad[:, 0]
+    gv = rj.val
+    gs = rj.grad[:, 0]
     if np.any(gs <= 0):
         idx = int(np.argmin(gs))
         raise TransversalityError(
@@ -484,11 +496,9 @@ def _validate_star_family(spec: SurfaceSpec) -> None:
     rho, _ = radial_roots(spec, dirs)
     pts = spec.star_center[None, :] + rho[:, None] * dirs
     j = eval_jets(spec, pts)
-    vals = j.val.real if np.iscomplexobj(j.val) else j.val
-    grads = j.grad.real if np.iscomplexobj(j.grad) else j.grad
-    if np.any(np.abs(vals) > BOUNDARY_VALUE_TOL * max(1.0, spec.scale**2)):
-        raise StarShapeError(f"boundary residual {np.max(np.abs(vals)):.3e} too large at validation points")
-    gn = np.linalg.norm(grads, axis=1)
+    if np.any(np.abs(j.val) > BOUNDARY_VALUE_TOL * max(1.0, spec.scale**2)):
+        raise StarShapeError(f"boundary residual {np.max(np.abs(j.val)):.3e} too large at validation points")
+    gn = np.linalg.norm(j.grad, axis=1)
     if np.any(gn <= GRADIENT_FLOOR):
         raise DegenerateGradientError(
             f"gradient norm {np.min(gn):.3e} at a validation boundary point"

@@ -34,43 +34,6 @@ NEWTON_GAP_TOL = 1e-10
 FLUX_TOL = 1e-7
 
 
-class DirichletQuadratic(sf.SurfaceSpec):
-    """Quadratic with unit-trace mixed Hessian vanishing on an axis ellipsoid.
-
-    f(x) = (sum x_k^2 / a_k^2 - 1) * 2 / sum(1/a_k^2). The full Laplacian is 4,
-    so the mixed complex Hessian has trace exactly 1; it is constant and
-    diagonal, with entry k pairing the two real semi-axes of z_k.
-    """
-
-    def __init__(self, axes):
-        a = np.asarray(axes, dtype=float)
-        if a.ndim != 1 or len(a) < 4 or len(a) % 2:
-            raise ValueError("axes must list 2(n+1) >= 4 semi-axes")
-        if np.any(a <= 0):
-            raise ValueError("all semi-axes must be positive")
-        self.n = len(a) // 2 - 1
-        self.axes = a
-        self.cfactor = 2.0 / float(np.sum(1.0 / a**2))
-        self.star_center = np.zeros(self.m)
-        self.scale = float(np.max(a))
-
-    def build(self, coords):
-        total = None
-        for i, x in enumerate(coords):
-            d = x * (1.0 / self.axes[i])
-            sq = d * d
-            total = sq if total is None else total + sq
-        return (total - 1.0) * self.cfactor
-
-    def hessian_diagonal(self) -> np.ndarray:
-        """The constant diagonal of the mixed complex Hessian."""
-        inv2 = 1.0 / self.axes**2
-        return self.cfactor / 2.0 * (inv2[0::2] + inv2[1::2])
-
-    def canonical(self):
-        return f"dirichlet:axes={','.join(repr(float(a)) for a in self.axes)}"
-
-
 @dataclass(frozen=True)
 class VerificationReport:
     """One identity check: both sides, errors, verdict, and run metadata."""
@@ -132,9 +95,7 @@ def _quad_meta(q: qd.QuadratureSpec, *results: qd.IntegralResult) -> dict:
 
 def _sigma_field(spec: sf.SurfaceSpec, j: int):
     def fn(pts):
-        jt = sf.eval_jets(spec, pts)
-        h = jt.hess.real if np.iscomplexobj(jt.hess) else jt.hess
-        return sigma_batch(cv.complex_hessian(h), j + 1)
+        return sigma_batch(cv.complex_hessian(sf.eval_jets(spec, pts).hess), j + 1)
 
     return fn
 
@@ -186,13 +147,13 @@ def resolve_defining_function(spec: sf.SurfaceSpec, f_choice: str) -> sf.Surface
         return sf.ExpReparam(spec)
     if f_choice == "dirichlet":
         base = spec.base if isinstance(spec, sf.ExpReparam) else spec
-        if isinstance(base, DirichletQuadratic):
+        if isinstance(base, sf.DirichletQuadratic):
             return base
         if not isinstance(base, sf.Ellipsoid):
             raise ValueError("the quadratic defining function is available only for ellipsoids")
         if np.any(base.center != 0):
             raise ValueError("the quadratic defining function requires a centered ellipsoid")
-        return DirichletQuadratic(base.axes)
+        return sf.DirichletQuadratic(base.axes)
     raise ValueError(f"unknown f_choice {f_choice!r}")
 
 
@@ -382,7 +343,7 @@ def dirichlet_chain(
     identity, the pointwise product K^{1/j} (n+1) |del f| is 1 on the whole
     boundary.
     """
-    dspec = DirichletQuadratic(axes)
+    dspec = sf.DirichletQuadratic(axes)
     _check_j(dspec, j)
     n = dspec.n
     vol_r = qd.volume(dspec, q)
@@ -461,9 +422,7 @@ def newton_sweep(
     gaps_b, _, _ = qd.scan_boundary(spec, q, lambda fr: newton_gap_batch(fr.whess, j + 1))
 
     def interior(pts):
-        jt = sf.eval_jets(spec, pts)
-        h = jt.hess.real if np.iscomplexobj(jt.hess) else jt.hess
-        return newton_gap_batch(cv.complex_hessian(h), j + 1)
+        return newton_gap_batch(cv.complex_hessian(sf.eval_jets(spec, pts).hess), j + 1)
 
     gaps_i = qd.scan_bulk(spec, q, interior, shells=shells)
     min_gap = float(min(np.min(gaps_b), np.min(gaps_i)))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levilab import curvature as cv
 from levilab import surfaces as sf
@@ -141,6 +143,38 @@ class TestInvariance:
         h0 = cv.mean_curvature(cv.FrameBatch.at_points(s0, pts))
         h1 = cv.mean_curvature(cv.FrameBatch.at_points(s1, pts + shift))
         assert np.max(np.abs(h0 - h1)) < 1e-13
+
+    @settings(max_examples=20)
+    @given(lam=st.floats(0.25, 4.0), seed=st.integers(0, 2**16))
+    def test_dilation(self, lam, seed):
+        # K_j has the dimension of length^-j: K_j(lam Omega, lam p) = K_j(Omega, p) / lam^j
+        axes = np.array([1.0, 1.3, 0.8, 1.1, 0.9, 1.2])
+        base, big = sf.Ellipsoid(axes), sf.Ellipsoid(lam * axes)
+        d = np.random.default_rng(seed).standard_normal((8, 6))
+        pts = sf.boundary_points(base, d / np.linalg.norm(d, axis=1)[:, None])
+        fr0 = cv.FrameBatch.at_points(base, pts)
+        fr1 = cv.FrameBatch.at_points(big, lam * pts)
+        for j in (1, 2):
+            k0 = cv.levi(fr0, j)
+            assert np.max(np.abs(cv.levi(fr1, j) * lam**j - k0)) < 1e-11 * np.max(np.abs(k0))
+
+    @settings(max_examples=20)
+    @given(t1=st.floats(0.0, 2 * math.pi), t2=st.floats(0.0, 2 * math.pi), seed=st.integers(0, 2**16))
+    def test_unitary_phase_invariance(self, t1, t2, seed):
+        # z_k -> e^{i t_k} z_k carries the coefficient c_e of z^e to c_e e^{-i e.t}
+        hterms = {(2, 0): 0.15 + 0.05j, (1, 1): -0.1j, (0, 3): 0.02 - 0.03j}
+        theta = np.array([t1, t2])
+        rotated = {e: c * np.exp(-1j * np.dot(e, theta)) for e, c in hterms.items()}
+        base = sf.PerturbedQuadric(1, c=1.0, hterms=hterms)
+        turned = sf.PerturbedQuadric(1, c=1.0, hterms=rotated)
+        d = np.random.default_rng(seed).standard_normal((8, 4))
+        pts = sf.boundary_points(base, d / np.linalg.norm(d, axis=1)[:, None])
+        z = (pts[:, 0::2] + 1j * pts[:, 1::2]) * np.exp(1j * theta)
+        moved = np.empty_like(pts)
+        moved[:, 0::2], moved[:, 1::2] = z.real, z.imag
+        k0 = cv.levi(cv.FrameBatch.at_points(base, pts), 1)
+        k1 = cv.levi(cv.FrameBatch.at_points(turned, moved), 1)
+        assert np.max(np.abs(k1 - k0)) < 1e-10 * np.max(np.abs(k0))
 
 
 class TestLemmaConsistency:

@@ -1,0 +1,67 @@
+"""Golden reports: a fixed corpus of verifications at gauss order 16.
+
+tests/golden/reports.json holds the JSON reports of the corpus as recorded
+before the polynomial families moved off the jet engine. Every verdict kind
+must match, and lhs and rhs must agree to GOLDEN_RTOL relative: the compiled
+evaluators sum the same terms in a different order, so the last bits may move.
+
+To record the file from a given checkout of the program:
+
+    PYTHONPATH=<checkout>/src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+import pytest
+
+from levilab import quadrature as qd
+from levilab import surfaces as sf
+from levilab import verify as vf
+
+GOLDEN = Path(__file__).parent / "golden" / "reports.json"
+GOLDEN_RTOL = 1e-13
+
+Q16 = qd.QuadratureSpec(order=16)
+ELLIPSOID_AXES = [1.0, 1.3, 0.8, 1.1]
+QUADRIC_HTERMS = {(2, 0): 0.15 + 0.05j, (1, 1): -0.1j}
+
+CORPUS = {
+    "integral_formula:ellipsoid_n1": lambda: vf.verify_integral_formula(sf.Ellipsoid(ELLIPSOID_AXES), 1, Q16),
+    "isoperimetric:quadric": lambda: vf.isoperimetric_ratio(
+        sf.PerturbedQuadric(1, c=1.0, hterms=QUADRIC_HTERMS), 1, Q16),
+    "alexandrov:reinhardt": lambda: vf.alexandrov_check(sf.ReinhardtSurface(0.5, 4.0), 1, Q16),
+    "dirichlet_chain:n1": lambda: vf.dirichlet_chain([1.0, 1.0, 1.0, 2.0], 1, Q16),
+    "minkowski:ellipsoid": lambda: vf.minkowski_residual(sf.Ellipsoid(ELLIPSOID_AXES), Q16),
+}
+
+
+def _report(name: str) -> dict:
+    return json.loads(CORPUS[name]().to_json())
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    return json.loads(GOLDEN.read_text())
+
+
+def test_corpus_matches_file(golden):
+    assert sorted(golden) == sorted(CORPUS)
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_golden_report(name, golden):
+    want = golden[name]
+    got = _report(name)
+    assert got["verdict"]["kind"] == want["verdict"]["kind"]
+    assert got["surface"] == want["surface"]
+    for side in ("lhs", "rhs"):
+        scale = max(abs(want[side]), 1e-300)
+        assert abs(got[side] - want[side]) <= GOLDEN_RTOL * scale, (side, got[side], want[side])
+
+
+if __name__ == "__main__":
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps({name: _report(name) for name in sorted(CORPUS)}, indent=2) + "\n")

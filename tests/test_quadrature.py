@@ -8,7 +8,7 @@ from levilab import curvature as cv
 from levilab import quadrature as qd
 from levilab import surfaces as sf
 from levilab.errors import StarShapeError
-from levilab.verify import DirichletQuadratic
+from levilab.surfaces import DirichletQuadratic
 
 
 def ones(frames):

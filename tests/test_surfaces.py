@@ -191,6 +191,28 @@ class TestReinhardtProfile:
             reinhardt_profile(0.5, 4.0, fp0=-1.0, s0=0.0)
 
 
+class TestRealOutput:
+    @pytest.mark.parametrize("make", [
+        lambda: sf.Sphere(1.5, n=2),
+        lambda: sf.Ellipsoid([1.0, 1.3, 0.8, 1.1]),
+        lambda: sf.PerturbedQuadric(1, c=1.0, hterms={(2, 0): 0.15 + 0.05j, (1, 1): -0.1j}),
+        lambda: sf.Cylinder(2.0, kind="curved"),
+        lambda: sf.ReinhardtSurface(0.5, 4.0),
+        lambda: sf.UserPolynomial(1, {(1, 0, 1, 0): 1.0, (0, 1, 0, 1): 1.0, (0, 0, 0, 0): -4.0}, scale=2.0),
+        lambda: sf.ExpReparam(sf.Sphere(2.0)),
+        lambda: sf.DirichletQuadratic([1.0, 1.0, 1.0, 2.0]),
+    ])
+    def test_every_family_returns_float64(self, make):
+        spec = make()
+        rng = np.random.default_rng(5)
+        pts = 0.5 * rng.standard_normal((16, spec.m))
+        dirs = pts / np.linalg.norm(pts, axis=1)[:, None]
+        jt = sf.eval_jets(spec, pts)
+        ray = sf.eval_ray(spec, np.zeros(spec.m), dirs, np.full(16, 0.5))
+        for arr in (jt.val, jt.grad, jt.hess, sf.eval_values(spec, pts), ray.val, ray.grad):
+            assert arr.dtype == np.float64
+
+
 class TestValidationErrors:
     def test_negative_radius(self):
         with pytest.raises(ValueError):
