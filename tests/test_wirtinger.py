@@ -12,6 +12,7 @@ from levilab.wirtinger import (
     WPoly,
     check_euler_sigma,
     check_lemma_identity,
+    DEFAULT_SEED,
     check_null_lagrangian,
     complex_hessian,
     generic_poly,
@@ -200,6 +201,25 @@ class TestIdentityChecks:
     def test_j_range(self):
         with pytest.raises(ValueError):
             check_euler_sigma(2, 3)
+
+    def test_suite_pinned_at_default_seed(self):
+        # the exact expansion is deterministic: names, verdicts, the largest
+        # intermediate term count and the residual sizes are fixed at the default seed
+        results = run_identity_suite(2) + run_identity_suite(3, j=1)
+        got = [(r.name, r.n, r.j, r.seed, r.ok, r.max_terms, [p.n_terms for p in r.residuals])
+               for r in results]
+        s = DEFAULT_SEED
+        assert got == [
+            ("null_lagrangian", 2, 1, s, True, 84, [0, 0, 0]),
+            ("lemma_contraction", 2, 1, s, True, 462, [0]),
+            ("euler_homogeneity", 2, 1, s, True, 84, [0]),
+            ("null_lagrangian", 2, 2, s, True, 84, [0, 0, 0]),
+            ("lemma_contraction", 2, 2, s, True, 924, [0]),
+            ("euler_homogeneity", 2, 2, s, True, 84, [0]),
+            ("null_lagrangian", 3, 1, s, True, 165, [0, 0, 0, 0]),
+            ("lemma_contraction", 3, 1, s, True, 1287, [0]),
+            ("euler_homogeneity", 3, 1, s, True, 165, [0]),
+        ]
 
     def test_suite_runner(self):
         results = run_identity_suite(1)
