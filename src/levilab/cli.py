@@ -60,7 +60,7 @@ def _build_parser() -> _Parser:
     c.add_argument("--out", default="-", help="output path, '-' for stdout (default)")
 
     i = sub.add_parser("identities", help="exact polynomial identity checks")
-    i.add_argument("--n", type=int, required=True, help="complex dimension minus one (1, 2, or 3)")
+    i.add_argument("--n", type=int, required=True, help=f"complex dimension minus one (1..{wt.MAX_NVARS - 1})")
     i.add_argument("--j", type=int, default=None, help="single index to check (default: all admissible)")
     i.add_argument("--seed", type=int, default=wt.DEFAULT_SEED, help="seed of the generic polynomial")
 
@@ -151,8 +151,8 @@ def _cmd_curvature(args) -> int:
 
 
 def _cmd_identities(args) -> int:
-    if args.n + 1 > 4:
-        print(f"levilab identities: n={args.n} exceeds the cost bound (n+1 <= 4)", file=sys.stderr)
+    if args.n + 1 > wt.MAX_NVARS:
+        print(f"levilab identities: n={args.n} exceeds the cost bound (n+1 <= {wt.MAX_NVARS})", file=sys.stderr)
         return USAGE_EXIT
     if args.j is not None and not 1 <= args.j <= args.n:
         print(f"levilab identities: j={args.j} out of range 1..{args.n}", file=sys.stderr)

@@ -37,10 +37,9 @@ class HermitianMatrix:
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
         dev = np.max(np.abs(a - a.conj().T))
-        if dev > HERMITIAN_TOL:
-            raise NotHermitianError(
-                f"matrix deviates from conjugate symmetry by {dev:.3e} (tolerance {HERMITIAN_TOL:.0e})"
-            )
+        tol = HERMITIAN_TOL * max(1.0, float(np.max(np.abs(a))))
+        if dev > tol:
+            raise NotHermitianError(f"matrix deviates from conjugate symmetry by {dev:.3e} (tolerance {tol:.3e})")
         # symmetrize away the sub-tolerance noise so downstream algebra sees an exact Hermitian,
         # then clear real and imaginary parts below the tolerance relative to the largest entry
         # (subnormals always): LU pivots made of such noise overflow and turn det into nan

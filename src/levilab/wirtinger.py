@@ -1,8 +1,13 @@
 """Exact polynomial calculus in z_1..z_N, zbar_1..zbar_N over rational-complex coefficients.
 
 z_i and zbar_i are independent variables; no rounding ever happens here.
-Coefficients are pairs (re, im) of fractions.Fraction. Exponent vectors are
-dense tuples of length 2N, z-block first. Determinants are expanded by
+Coefficients are Gaussian-integer numerators (re, im) over one positive common
+denominator, reduced by the gcd of the denominator and every numerator: the
+form is canonical, so equality and hashing are exact. Exponent vectors are
+packed into one int, 16 bits per slot in tuple order (z block in the low
+slots), so a monomial product adds keys. Each polynomial keeps an upper bound
+on its total degree; an operation that could push a slot past 2^16 - 1 raises
+ValueError instead of carrying into the next slot. Determinants are expanded by
 cofactors, which is fine at the sizes this module is used for (<= 5).
 
 The identity checks at the bottom instantiate a divergence-type identity, a
@@ -19,62 +24,66 @@ the z_1..z_N naming.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import CostLimitError
 
 Coeff = tuple[Fraction, Fraction]
 
-_ZERO = (Fraction(0), Fraction(0))
-
-
-def _cadd(a: Coeff, b: Coeff) -> Coeff:
-    return (a[0] + b[0], a[1] + b[1])
-
-
-def _cmul(a: Coeff, b: Coeff) -> Coeff:
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
-def _cneg(a: Coeff) -> Coeff:
-    return (-a[0], -a[1])
-
-
-def _cconj(a: Coeff) -> Coeff:
-    return (a[0], -a[1])
+_SLOT_BITS = 16
+_SLOT_MAX = (1 << _SLOT_BITS) - 1
 
 
 def _as_coeff(c) -> Coeff:
     if isinstance(c, tuple) and len(c) == 2:
         return (Fraction(c[0]), Fraction(c[1]))
     if isinstance(c, complex):
-        re, im = Fraction(c.real), Fraction(c.imag)
-        return (re, im)
+        return (Fraction(c.real), Fraction(c.imag))
     return (Fraction(c), Fraction(0))
+
+
+def _check_degree(deg: int) -> int:
+    if deg > _SLOT_MAX:
+        raise ValueError(f"total degree {deg} exceeds the packed exponent bound {_SLOT_MAX}")
+    return deg
+
+
+def _make(nvars: int, num: dict[int, tuple[int, int]], den: int, deg: int) -> "WPoly":
+    p = WPoly.__new__(WPoly)
+    p._set(nvars, num, den, deg)
+    return p
 
 
 class WPoly:
     """Polynomial in z_1..z_N and zbar_1..zbar_N with exact rational-complex coefficients."""
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "_num", "_den", "_deg")
 
     def __init__(self, nvars: int, terms: Mapping[tuple[int, ...], Coeff] | None = None):
         if nvars < 1:
             raise ValueError("nvars must be >= 1")
-        self.nvars = nvars
-        clean: dict[tuple[int, ...], Coeff] = {}
-        if terms:
-            width = 2 * nvars
-            for exps, c in terms.items():
-                if len(exps) != width or any(e < 0 for e in exps):
-                    raise ValueError(f"bad exponent vector {exps} for nvars={nvars}")
-                c = _as_coeff(c)
-                if c[0] or c[1]:
-                    clean[tuple(exps)] = c
-        self.terms = clean
+        width = 2 * nvars
+        clean: dict[int, Coeff] = {}
+        deg = 0
+        for exps, c in (terms or {}).items():
+            if len(exps) != width or any(e < 0 for e in exps):
+                raise ValueError(f"bad exponent vector {exps} for nvars={nvars}")
+            c = _as_coeff(c)
+            if c[0] or c[1]:
+                deg = max(deg, _check_degree(sum(exps)))
+                clean[sum(e << (_SLOT_BITS * p) for p, e in enumerate(exps))] = c
+        den = math.lcm(*(x.denominator for c in clean.values() for x in c))
+        self._set(nvars, {k: (int(re * den), int(im * den)) for k, (re, im) in clean.items()}, den, deg)
+
+    def _set(self, nvars: int, num: dict[int, tuple[int, int]], den: int, deg: int) -> None:
+        """Store numerators over den, reduced to lowest terms."""
+        g = math.gcd(den, *itertools.chain.from_iterable(num.values()))
+        self.nvars, self._deg, self._den = nvars, deg, den // g
+        self._num = num if g == 1 else {k: (a // g, b // g) for k, (a, b) in num.items()}
 
     # -- constructors ------------------------------------------------------
 
@@ -103,25 +112,24 @@ class WPoly:
         if not isinstance(other, WPoly):
             other = WPoly.constant(self.nvars, other)
         self._check_same(other)
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
-            acc = _cadd(out.get(exps, _ZERO), c)
-            if acc[0] or acc[1]:
-                out[exps] = acc
+        d1, d2 = self._den, other._den
+        g = math.gcd(d1, d2)
+        s1, s2 = d2 // g, d1 // g
+        out = {k: (a * s1, b * s1) for k, (a, b) in self._num.items()} if s1 != 1 else dict(self._num)
+        for k, (a, b) in other._num.items():
+            c, d = out.get(k, (0, 0))
+            a, b = c + a * s2, d + b * s2
+            if a or b:
+                out[k] = (a, b)
             else:
-                out.pop(exps, None)
-        p = WPoly.__new__(WPoly)
-        p.nvars = self.nvars
-        p.terms = out
-        return p
+                del out[k]
+        return _make(self.nvars, out, d1 * s1, max(self._deg, other._deg))
 
     __radd__ = __add__
 
     def __neg__(self):
-        p = WPoly.__new__(WPoly)
-        p.nvars = self.nvars
-        p.terms = {e: _cneg(c) for e, c in self.terms.items()}
-        return p
+        num = {k: (-a, -b) for k, (a, b) in self._num.items()}
+        return _make(self.nvars, num, self._den, self._deg)
 
     def __sub__(self, other):
         if not isinstance(other, WPoly):
@@ -133,28 +141,18 @@ class WPoly:
 
     def __mul__(self, other):
         if not isinstance(other, WPoly):
-            c = _as_coeff(other)
-            if not (c[0] or c[1]):
-                return WPoly.zero(self.nvars)
-            p = WPoly.__new__(WPoly)
-            p.nvars = self.nvars
-            p.terms = {e: _cmul(cc, c) for e, cc in self.terms.items()}
-            return p
+            other = WPoly.constant(self.nvars, other)
         self._check_same(other)
-        out: dict[tuple[int, ...], Coeff] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                prod = _cmul(c1, c2)
-                acc = _cadd(out.get(e, _ZERO), prod)
-                if acc[0] or acc[1]:
-                    out[e] = acc
-                else:
-                    out.pop(e, None)
-        p = WPoly.__new__(WPoly)
-        p.nvars = self.nvars
-        p.terms = out
-        return p
+        deg = _check_degree(self._deg + other._deg)
+        re: dict[int, int] = {}
+        im: dict[int, int] = {}
+        for k1, (a, b) in self._num.items():
+            for k2, (c, d) in other._num.items():
+                k = k1 + k2
+                re[k] = re.get(k, 0) + a * c - b * d
+                im[k] = im.get(k, 0) + a * d + b * c
+        out = {k: (r, im[k]) for k, r in re.items() if r or im[k]}
+        return _make(self.nvars, out, self._den * other._den, deg)
 
     __rmul__ = __mul__
 
@@ -173,52 +171,54 @@ class WPoly:
     def __eq__(self, other):
         if not isinstance(other, WPoly):
             return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        return self.nvars == other.nvars and self._den == other._den and self._num == other._num
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
+        return hash((self.nvars, self._den, frozenset(self._num.items())))
 
     # -- calculus ----------------------------------------------------------
 
     def conj(self) -> "WPoly":
         """Swap the z and zbar exponent blocks and conjugate every coefficient."""
-        n = self.nvars
-        out = {e[n:] + e[:n]: _cconj(c) for e, c in self.terms.items()}
-        p = WPoly.__new__(WPoly)
-        p.nvars = n
-        p.terms = out
-        return p
+        shift = _SLOT_BITS * self.nvars
+        low = (1 << shift) - 1
+        num = {(k >> shift) | ((k & low) << shift): (a, -b) for k, (a, b) in self._num.items()}
+        return _make(self.nvars, num, self._den, self._deg)
 
     def wd(self, which: str, i: int) -> "WPoly":
         """Exact partial derivative with respect to z_i or zbar_i (1-based)."""
-        pos = _var_pos(which, i, self.nvars)
-        out: dict[tuple[int, ...], Coeff] = {}
-        for exps, c in self.terms.items():
-            e = exps[pos]
-            if e == 0:
-                continue
-            new = list(exps)
-            new[pos] = e - 1
-            out[tuple(new)] = (c[0] * e, c[1] * e)
-        p = WPoly.__new__(WPoly)
-        p.nvars = self.nvars
-        p.terms = out
-        return p
+        shift = _SLOT_BITS * _var_pos(which, i, self.nvars)
+        unit = 1 << shift
+        num = {}
+        for k, (a, b) in self._num.items():
+            e = (k >> shift) & _SLOT_MAX
+            if e:
+                num[k - unit] = (a * e, b * e)
+        return _make(self.nvars, num, self._den, max(self._deg - 1, 0))
 
     # -- queries -----------------------------------------------------------
 
+    @property
+    def terms(self) -> dict[tuple[int, ...], Coeff]:
+        """Exponent tuple -> (re, im) Fractions; a fresh dict on every access."""
+        return {self._exps(k): (Fraction(a, self._den), Fraction(b, self._den))
+                for k, (a, b) in self._num.items()}
+
+    def _exps(self, key: int) -> tuple[int, ...]:
+        return tuple((key >> (_SLOT_BITS * p)) & _SLOT_MAX for p in range(2 * self.nvars))
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def is_real(self) -> bool:
         return self.conj() == self
 
     @property
     def n_terms(self) -> int:
-        return len(self.terms)
+        return len(self._num)
 
     def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
+        return max((sum(self._exps(k)) for k in self._num), default=0)
 
     def eval(self, zvals: Sequence[complex]) -> complex:
         """Evaluate at floating z values (zbar values are their conjugates)."""
@@ -228,8 +228,7 @@ class WPoly:
         zb = [v.conjugate() for v in z]
         total = 0j
         n = self.nvars
-        for exps, c in self.terms.items():
-            mono = complex(float(c[0]), float(c[1]))
+        for exps, mono in self.coefficients_as_complex().items():
             for i in range(n):
                 if exps[i]:
                     mono *= z[i] ** exps[i]
@@ -239,7 +238,7 @@ class WPoly:
         return total
 
     def coefficients_as_complex(self) -> dict[tuple[int, ...], complex]:
-        return {e: complex(float(c[0]), float(c[1])) for e, c in self.terms.items()}
+        return {self._exps(k): complex(a / self._den, b / self._den) for k, (a, b) in self._num.items()}
 
     def __repr__(self):
         return f"WPoly(nvars={self.nvars}, n_terms={self.n_terms})"
@@ -386,7 +385,7 @@ def sym_bordered_det(f: WPoly, indices: Sequence[int]) -> WPoly:
 
 # -- identity checks ---------------------------------------------------------
 
-_MAX_NVARS = 4
+MAX_NVARS = 4
 _GENERIC_DEGREE = 3
 DEFAULT_SEED = 20240901
 
@@ -408,8 +407,8 @@ class IdentityCheck:
 
 
 def _guard_cost(n: int, j: int) -> None:
-    if n + 1 > _MAX_NVARS:
-        raise CostLimitError(f"n={n} exceeds the supported bound n+1 <= {_MAX_NVARS}")
+    if n + 1 > MAX_NVARS:
+        raise CostLimitError(f"n={n} exceeds the supported bound n+1 <= {MAX_NVARS}")
     if not 1 <= j <= n:
         raise ValueError(f"j={j} out of range 1..{n}")
 

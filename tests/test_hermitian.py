@@ -78,6 +78,17 @@ class TestSigma:
         with pytest.raises(NotHermitianError):
             HermitianMatrix(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("asym,ok", [(1e-8, True), (1e-3, False)])
+    def test_symmetry_tolerance_scales_with_entries(self, asym, ok):
+        # the tolerance is HERMITIAN_TOL times max(1, max|a|): 1e-6 at entries near 1e6
+        a = np.array([[1e6, 2e5 + 3e5j], [2e5 - 3e5j, 7e5]])
+        a[0, 1] += asym
+        if ok:
+            assert HermitianMatrix(a).entries[0, 1] == pytest.approx(2e5 + 3e5j, abs=1e-7)
+        else:
+            with pytest.raises(NotHermitianError):
+                HermitianMatrix(a)
+
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(3)
         mats = np.stack([random_hermitian(rng, 3) for _ in range(4)])

@@ -115,6 +115,96 @@ class TestRingAxioms:
         assert (a - a).is_zero()
 
 
+# -- a plain Fraction-dict reference for the packed representation -----------
+
+
+def ref_clean(t):
+    return {e: (Fraction(c[0]), Fraction(c[1])) for e, c in t.items() if c[0] or c[1]}
+
+
+def ref_add(p, q):
+    out = dict(p)
+    for e, (re, im) in q.items():
+        a, b = out.get(e, (Fraction(0), Fraction(0)))
+        out[e] = (a + re, b + im)
+    return ref_clean(out)
+
+
+def ref_mul(p, q):
+    out = {}
+    for e1, (a, b) in p.items():
+        for e2, (c, d) in q.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            re, im = out.get(e, (Fraction(0), Fraction(0)))
+            out[e] = (re + a * c - b * d, im + a * d + b * c)
+    return ref_clean(out)
+
+
+def ref_wd(p, pos):
+    return ref_clean({e[:pos] + (e[pos] - 1,) + e[pos + 1:]: (re * e[pos], im * e[pos])
+                      for e, (re, im) in p.items() if e[pos]})
+
+
+def ref_conj(p, n):
+    return {e[n:] + e[:n]: (re, -im) for e, (re, im) in p.items()}
+
+
+@st.composite
+def term_dicts(draw, n=2):
+    """Exponents up to 3 and coefficients with non-unit denominators."""
+    rational = st.builds(Fraction, st.integers(-12, 12), st.integers(2, 12))
+    exps = st.tuples(*[st.integers(0, 3)] * (2 * n))
+    return ref_clean(draw(st.dictionaries(exps, st.tuples(rational, rational), max_size=6)))
+
+
+class TestExactRepresentation:
+    @given(term_dicts(), term_dicts(), st.integers(0, 3))
+    @settings(max_examples=60)
+    def test_ops_match_fraction_reference(self, ta, tb, pos):
+        a, b = WPoly(2, ta), WPoly(2, tb)
+        assert (a + b).terms == ref_add(ta, tb)
+        assert (a - b).terms == ref_add(ta, {e: (-re, -im) for e, (re, im) in tb.items()})
+        assert (a * b).terms == ref_mul(ta, tb)
+        assert a.wd("z" if pos < 2 else "zbar", pos % 2 + 1).terms == ref_wd(ta, pos)
+        assert a.conj().terms == ref_conj(ta, 2)
+
+    @given(term_dicts())
+    @settings(max_examples=30)
+    def test_terms_round_trip_and_canonical_form(self, ta):
+        a = WPoly(2, ta)
+        assert a.terms == ta
+        assert a.n_terms == len(ta)
+        for b in (a * Fraction(1, 2) * 2, (a * 3 + a) * Fraction(1, 4), a.conj().conj(), a + 0):
+            assert b == a
+            assert hash(b) == hash(a)
+
+    def test_int_complex_and_fraction_coefficients(self):
+        p = WPoly(1, {(1, 0): 3, (0, 1): 0.5 - 2j, (1, 1): Fraction(2, 6), (2, 2): 0})
+        assert p.terms == {(1, 0): (3, 0), (0, 1): (Fraction(1, 2), -2), (1, 1): (Fraction(1, 3), 0)}
+        assert p.coefficients_as_complex() == {(1, 0): 3, (0, 1): 0.5 - 2j, (1, 1): 1 / 3}
+
+    def test_exponent_slot_bound(self):
+        z = WPoly.variable(1, "z", 1)
+        assert (z ** (2**16 - 1)).terms == {(2**16 - 1, 0): (1, 0)}
+        with pytest.raises(ValueError):
+            z ** (2**16)
+        with pytest.raises(ValueError):
+            WPoly(1, {(2**15, 2**15): 1})
+
+    @pytest.mark.parametrize("j", [1, 2])
+    def test_nonzero_residual_is_exact(self, j):
+        # Euler with multiplier j - 1 instead of j leaves exactly -sigma_j
+        h = complex_hessian(generic_real_poly(2, 3, seed=55))
+        sig = sym_sigma(h, j)
+        grad = sym_sigma_grad(h, j)
+        total = sig * (j - 1)
+        for l in range(2):
+            for k in range(2):
+                total = total - grad[l][k] * h.entries[l][k]
+        assert not sig.is_zero()
+        assert total == -sig
+
+
 class TestBorderedDeterminant:
     def test_sphere_hand_expansion(self):
         # defining polynomial of the round sphere: border kills the constant,
