@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from levilab.errors import CostLimitError
 from levilab.wirtinger import (
+    DEFAULT_SEED,
     WMatrix,
     WPoly,
     check_euler_sigma,
     check_lemma_identity,
-    DEFAULT_SEED,
     check_null_lagrangian,
     complex_hessian,
     generic_poly,
