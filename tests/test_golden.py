@@ -1,11 +1,15 @@
-"""Golden reports: a fixed corpus of verifications at gauss order 16.
+"""Golden reports: a fixed corpus of verifications.
 
-tests/golden/reports.json holds the JSON reports of the corpus as recorded
-before the polynomial families moved off the jet engine. Every verdict kind
-must match, and lhs and rhs must agree to GOLDEN_RTOL relative: the compiled
-evaluators sum the same terms in a different order, so the last bits may move.
+tests/golden/reports.json holds the JSON reports of the corpus. The first
+five entries (gauss order 16) were recorded before the polynomial families
+moved off the jet engine; the Monte Carlo entries, the one with a separate
+radial order and the Newton sweep were recorded before the quadrature passes
+were folded into one core. Every verdict kind must match, and lhs and rhs
+must agree to GOLDEN_RTOL relative: the compiled evaluators sum the same
+terms in a different order, so the last bits may move.
 
-To record the file from a given checkout of the program:
+To record the entries missing from the file with a given checkout of the
+program (entries already in the file are left as they are):
 
     PYTHONPATH=<checkout>/src python tests/test_golden.py
 """
@@ -25,8 +29,13 @@ GOLDEN = Path(__file__).parent / "golden" / "reports.json"
 GOLDEN_RTOL = 1e-13
 
 Q16 = qd.QuadratureSpec(order=16)
+Q16_RADIAL5 = qd.QuadratureSpec(order=16, radial_order=5)
+QMC = qd.QuadratureSpec(method="mc", samples=20_000, seed=7)
 ELLIPSOID_AXES = [1.0, 1.3, 0.8, 1.1]
 QUADRIC_HTERMS = {(2, 0): 0.15 + 0.05j, (1, 1): -0.1j}
+# Complex Hessian diag(2 + 2|z1|^2, 1 - 0.4|z2|^2): the Newton gap is at least
+# 1/4 and smallest near the center, so the sweep's minimum is an interior node.
+NEWTON_TERMS = {(1, 0, 1, 0): 2.0, (2, 0, 2, 0): 0.5, (0, 1, 0, 1): 1.0, (0, 2, 0, 2): -0.1, (0, 0, 0, 0): -1.0}
 
 CORPUS = {
     "integral_formula:ellipsoid_n1": lambda: vf.verify_integral_formula(sf.Ellipsoid(ELLIPSOID_AXES), 1, Q16),
@@ -35,6 +44,11 @@ CORPUS = {
     "alexandrov:reinhardt": lambda: vf.alexandrov_check(sf.ReinhardtSurface(0.5, 4.0), 1, Q16),
     "dirichlet_chain:n1": lambda: vf.dirichlet_chain([1.0, 1.0, 1.0, 2.0], 1, Q16),
     "minkowski:ellipsoid": lambda: vf.minkowski_residual(sf.Ellipsoid(ELLIPSOID_AXES), Q16),
+    "minkowski:ellipsoid_mc": lambda: vf.minkowski_residual(sf.Ellipsoid(ELLIPSOID_AXES), QMC),
+    "integral_formula:ellipsoid_n1_mc": lambda: vf.verify_integral_formula(sf.Ellipsoid(ELLIPSOID_AXES), 1, QMC),
+    "integral_formula:ellipsoid_n1_radial5": lambda: vf.verify_integral_formula(
+        sf.Ellipsoid(ELLIPSOID_AXES), 1, Q16_RADIAL5),
+    "newton_sweep:poly_interior_min": lambda: vf.newton_sweep(sf.UserPolynomial(1, NEWTON_TERMS), 1, Q16),
 }
 
 
@@ -64,4 +78,8 @@ def test_golden_report(name, golden):
 
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps({name: _report(name) for name in sorted(CORPUS)}, indent=2) + "\n")
+    recorded = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    for name in CORPUS:
+        if name not in recorded:
+            recorded[name] = _report(name)
+    GOLDEN.write_text(json.dumps(dict(sorted(recorded.items())), indent=2) + "\n")
