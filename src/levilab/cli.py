@@ -37,8 +37,27 @@ SURFACE_HELP = (
     "cylinder (R, kind), reinhardt (k, f0, fp0, s0, smax), poly (n, terms, center, scale), "
     "dirichlet (axes). Example: sphere:R=2 or ellipsoid:axes=1,1,1,2"
 )
-QUAD_HELP = "quadrature: gauss:order=N or mc:samples=N,seed=S (default gauss, order 24 for n=1, 12 for n=2)"
-IDENTITIES = ("integral", "isoperimetric", "minkowski", "alexandrov", "dirichlet", "newton")
+QUAD_HELP = ("quadrature: gauss:order=N[,radial_order=K] or mc:samples=N,seed=S "
+             "(default gauss, order 24 for n=1, 12 for n=2)")
+
+
+def _dirichlet_axes(spec) -> np.ndarray:
+    if isinstance(spec, sf.DirichletQuadratic) or (isinstance(spec, sf.Ellipsoid) and not np.any(spec.center)):
+        return spec.axes
+    raise ValueError("dirichlet verification needs a centered ellipsoid (or dirichlet:axes=...)")
+
+
+# identity -> (run(spec, j, q, **kw), the keyword of run that takes --tol). The
+# lambdas look the verifier up at call time, so a rebinding of vf.<name> is seen.
+VERIFIERS = {
+    "integral": (lambda spec, j, q, **kw: vf.verify_integral_formula(spec, j, q, **kw), "tol"),
+    "isoperimetric": (lambda spec, j, q, **kw: vf.isoperimetric_ratio(spec, j, q, **kw), "tol"),
+    "minkowski": (lambda spec, j, q, **kw: vf.minkowski_residual(spec, q, **kw), "tol"),
+    "alexandrov": (lambda spec, j, q, **kw: vf.alexandrov_check(spec, j, q, **kw), "tol"),
+    "dirichlet": (lambda spec, j, q, **kw: vf.dirichlet_chain(_dirichlet_axes(spec), j, q, **kw), "tol"),
+    "newton": (lambda spec, j, q, **kw: vf.newton_sweep(spec, j, q, **kw), "gap_tol"),
+}
+IDENTITIES = tuple(VERIFIERS)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -71,7 +90,8 @@ def _build_parser() -> _Parser:
     v.add_argument("--quad", default=None, help=QUAD_HELP)
     v.add_argument("--f-choice", default="default", choices=("default", "exp", "dirichlet"),
                    help="defining function for the integral formula (default: the family's own)")
-    v.add_argument("--tol", type=float, default=None, help="verdict tolerance override")
+    v.add_argument("--tol", type=float, default=None,
+                   help="verdict tolerance override (for newton: the gap tolerance)")
     v.add_argument("--out", default="-", help="report path, '-' for stdout (default)")
 
     b = sub.add_parser("batch", help="one verification across a directory of surface files")
@@ -98,10 +118,6 @@ def _write_output(path: str, text: str) -> None:
     except BaseException:
         os.unlink(tmp)
         raise
-
-
-def _threads() -> str:
-    return os.environ.get("LEVILAB_THREADS", "1")
 
 
 def _resolve_quad(arg, n: int):
@@ -139,7 +155,7 @@ def _cmd_curvature(args) -> int:
             "surface": spec.canonical(),
             "point": [float(x) for x in point],
             "j": args.j,
-            "threads": _threads(),
+            "threads": str(qd.worker_threads()),
         },
         "K": float(cv.levi(frames, args.j)[0]),
         "H": float(cv.mean_curvature(frames)[0]),
@@ -171,31 +187,19 @@ def _cmd_identities(args) -> int:
 
 
 def _run_verification(identity: str, spec, j: int, q, tol, f_choice: str) -> vf.VerificationReport:
-    kw = {} if tol is None else {"tol": tol}
-    if identity == "integral":
-        return vf.verify_integral_formula(spec, j, q, f_choice=f_choice, **kw)
-    if identity == "isoperimetric":
-        return vf.isoperimetric_ratio(spec, j, q, **kw)
-    if identity == "minkowski":
-        return vf.minkowski_residual(spec, q, **kw)
-    if identity == "alexandrov":
-        return vf.alexandrov_check(spec, j, q, **kw)
-    if identity == "dirichlet":
-        if isinstance(spec, sf.DirichletQuadratic):
-            axes = spec.axes
-        elif isinstance(spec, sf.Ellipsoid) and not np.any(spec.center):
-            axes = spec.axes
-        else:
-            raise ValueError("dirichlet verification needs a centered ellipsoid (or dirichlet:axes=...)")
-        return vf.dirichlet_chain(axes, j, q, **kw)
-    if identity == "newton":
-        return vf.newton_sweep(spec, j, q)
-    raise ValueError(f"unknown identity {identity!r}")
+    run, tol_key = VERIFIERS[identity]
+    kw = {} if tol is None else {tol_key: tol}
+    if f_choice != "default":
+        kw["f_choice"] = f_choice
+    return run(spec, j, q, **kw)
 
 
 def _cmd_verify(args) -> int:
     from .specfile import parse_surface
 
+    if args.f_choice != "default" and args.identity != "integral":
+        print("levilab verify: --f-choice applies only to the integral identity", file=sys.stderr)
+        return USAGE_EXIT
     spec = parse_surface(args.surface)
     q = _resolve_quad(args.quad, spec.n)
     config = {
@@ -206,7 +210,7 @@ def _cmd_verify(args) -> int:
         "quad": q.describe(),
         "tol": args.tol,
         "f_choice": args.f_choice,
-        "threads": _threads(),
+        "threads": str(qd.worker_threads()),
     }
     report = _run_verification(args.identity, spec, args.j, q, args.tol, args.f_choice)
     _write_output(args.out, report.to_json(config))
@@ -238,7 +242,7 @@ def _cmd_batch(args) -> int:
                 "j": args.j,
                 "quad": q.describe(),
                 "tol": args.tol,
-                "threads": _threads(),
+                "threads": str(qd.worker_threads()),
             }
             report = _run_verification(args.identity, spec, args.j, q, args.tol, "default")
             _write_output(os.path.join(args.out_dir, stem + ".report.json"), report.to_json(config))

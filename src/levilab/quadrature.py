@@ -10,6 +10,11 @@ along each ray. Directions come from a spherical product rule (Gauss-Jacobi
 in the polar cosines, trapezoid in the azimuth) or a seeded Monte Carlo
 sampler.
 
+All passes share one core: `_nodes(spec, q, order)` gives a pass's center,
+directions, weights and cached radial roots, and maps a function over its
+chunks; `_integral(spec, q, node_values)` reduces a per-node integrand and
+attaches the error estimate. The integrals supply only their integrand.
+
 Reproducibility contract: node order is fixed, nodes are processed in fixed
 chunks whose partial sums are combined with compensated summation in fixed
 order, and the optional thread pool (LEVILAB_THREADS) only distributes whole
@@ -23,11 +28,13 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .curvature import FrameBatch
-from .surfaces import SurfaceSpec, eval_values, radial_roots
+from .errors import StarShapeError
+from .surfaces import SurfaceSpec, radial_roots
 
 CHUNK = 8192  # fixed, independent of worker count; part of the determinism contract
 _ERROR_ORDER_DROP = 4
@@ -42,20 +49,22 @@ class QuadratureSpec:
     samples: int = 100_000         # Monte Carlo sample count
     seed: int = 0                  # Monte Carlo stream seed
     radial_order: int | None = None  # Gauss points along each ray (default: order)
-    center: tuple | None = None    # override of the surface's star center
 
     def __post_init__(self):
         if self.method not in ("gauss", "mc"):
             raise ValueError(f"method must be 'gauss' or 'mc', got {self.method!r}")
-        if self.method == "gauss" and self.order < 2:
-            raise ValueError(f"order must be >= 2, got {self.order}")
+        if self.method == "gauss" and self.order < 3:  # order 2 is its own error-estimate rule
+            raise ValueError(f"order must be >= 3, got {self.order}")
+        if self.radial_order is not None and self.radial_order < 1:
+            raise ValueError(f"radial_order must be >= 1, got {self.radial_order}")
         if self.method == "mc" and self.samples < 1000:
             raise ValueError(f"samples must be >= 1000, got {self.samples}")
 
     def describe(self) -> str:
-        if self.method == "gauss":
-            return f"gauss:order={self.order}"
-        return f"mc:samples={self.samples},seed={self.seed}"
+        if self.method == "mc":
+            return f"mc:samples={self.samples},seed={self.seed}"
+        radial = "" if self.radial_order is None else f",radial_order={self.radial_order}"
+        return f"gauss:order={self.order}{radial}"
 
 
 @dataclass(frozen=True)
@@ -140,11 +149,12 @@ def mc_directions(m: int, samples: int, seed: int) -> tuple[np.ndarray, np.ndarr
     return d, wts
 
 
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("LEVILAB_THREADS", "1")))
-    except ValueError:
-        return 1
+def worker_threads() -> int:
+    """Worker threads from LEVILAB_THREADS (default 1); the only reader of that variable."""
+    raw = os.environ.get("LEVILAB_THREADS", "1")
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise ValueError(f"LEVILAB_THREADS must be an integer >= 1, got {raw!r}")
+    return int(raw)
 
 
 def _neumaier(values) -> float:
@@ -160,22 +170,27 @@ def _neumaier(values) -> float:
     return total + comp
 
 
-def _map_chunks(fn, nchunks: int) -> list:
-    workers = _workers()
-    if workers == 1 or nchunks == 1:
-        return [fn(i) for i in range(nchunks)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(nchunks)))
+class _Nodes(NamedTuple):
+    """One pass's node set: rays center + t * rho * dirs, t in [0, 1]."""
 
+    center: np.ndarray
+    dirs: np.ndarray
+    wts: np.ndarray
+    rho: np.ndarray
+    slope: np.ndarray
+    order: int  # angular order of the pass; the default radial order of bulk passes
 
-def _center_of(spec: SurfaceSpec, q: QuadratureSpec) -> np.ndarray:
-    if q.center is not None:
-        return np.asarray(q.center, dtype=float)
-    from .errors import StarShapeError
+    def points(self, sl: slice, r: np.ndarray) -> np.ndarray:
+        return self.center[None, :] + r[:, None] * self.dirs[sl]
 
-    if spec.star_center is None:
-        raise StarShapeError(f"{type(spec).__name__} has no star center; cannot integrate")
-    return spec.star_center
+    def map(self, fn) -> list:
+        """fn(slice) over the fixed CHUNK slices of the nodes, results in node order."""
+        slices = [slice(i, i + CHUNK) for i in range(0, self.dirs.shape[0], CHUNK)]
+        workers = worker_threads()
+        if workers == 1 or len(slices) == 1:
+            return [fn(sl) for sl in slices]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, slices))
 
 
 # roots are the expensive part of every pass; cache them per (surface, grid)
@@ -183,155 +198,103 @@ _ROOT_CACHE: dict = {}
 _ROOT_CACHE_CAP = 16
 
 
-def _roots_on_grid(spec: SurfaceSpec, center: np.ndarray, dirs: np.ndarray, key) -> tuple[np.ndarray, np.ndarray]:
-    cache_key = (spec.canonical(), tuple(center.tolist()), key)
-    hit = _ROOT_CACHE.get(cache_key)
-    if hit is not None:
-        return hit
-    nchunks = (dirs.shape[0] + CHUNK - 1) // CHUNK
-
-    def job(i):
-        sl = slice(i * CHUNK, (i + 1) * CHUNK)
-        return radial_roots(spec, dirs[sl], center=center)
-
-    parts = _map_chunks(job, nchunks)
-    rho = np.concatenate([p[0] for p in parts])
-    slope = np.concatenate([p[1] for p in parts])
-    if len(_ROOT_CACHE) >= _ROOT_CACHE_CAP:
-        _ROOT_CACHE.pop(next(iter(_ROOT_CACHE)))
-    _ROOT_CACHE[cache_key] = (rho, slope)
-    return rho, slope
-
-
-def _grid_for(spec: SurfaceSpec, q: QuadratureSpec, order: int | None = None):
-    m = spec.m
+def _nodes(spec: SurfaceSpec, q: QuadratureSpec, order: int | None = None) -> _Nodes:
+    """Directions, weights and (cached) radial roots of one pass at the given order."""
+    if spec.star_center is None:
+        raise StarShapeError(f"{type(spec).__name__} has no star center; cannot integrate")
+    center = spec.star_center
+    order = q.order if order is None else order
     if q.method == "gauss":
-        o = order if order is not None else q.order
-        dirs, wts = sphere_grid(m, o)
-        return dirs, wts, ("gauss", m, o)
-    dirs, wts = mc_directions(m, q.samples, q.seed)
-    return dirs, wts, ("mc", m, q.samples, q.seed)
+        dirs, wts = sphere_grid(spec.m, order)
+        key = ("gauss", spec.m, order)
+    else:
+        dirs, wts = mc_directions(spec.m, q.samples, q.seed)
+        key = ("mc", spec.m, q.samples, q.seed)
+    nodes = _Nodes(center, dirs, wts, None, None, order)
+    cache_key = (spec.canonical(), tuple(center.tolist()), key)
+    roots = _ROOT_CACHE.get(cache_key)
+    if roots is None:
+        parts = nodes.map(lambda sl: radial_roots(spec, dirs[sl], center=center))
+        roots = tuple(np.concatenate([p[k] for p in parts]) for k in (0, 1))
+        if len(_ROOT_CACHE) >= _ROOT_CACHE_CAP:
+            _ROOT_CACHE.pop(next(iter(_ROOT_CACHE)))
+        _ROOT_CACHE[cache_key] = roots
+    return nodes._replace(rho=roots[0], slope=roots[1])
 
 
-def _surface_pass(spec: SurfaceSpec, field, q: QuadratureSpec, order: int | None = None):
-    """One full surface quadrature pass; returns (value, per-node values, weights)."""
-    center = _center_of(spec, q)
-    dirs, wts, key = _grid_for(spec, q, order)
-    rho, slope = _roots_on_grid(spec, center, dirs, key)
-    m = spec.m
-    nchunks = (dirs.shape[0] + CHUNK - 1) // CHUNK
+def _integral(spec: SurfaceSpec, q: QuadratureSpec, node_values) -> IntegralResult:
+    """Weighted sum of per-node values with its error estimate.
 
-    def job(i):
-        sl = slice(i * CHUNK, (i + 1) * CHUNK)
-        pts = center[None, :] + rho[sl, None] * dirs[sl]
-        frames = FrameBatch.at_points(spec, pts)
-        gnorm = 2.0 * frames.pgrad_norm
-        jac = rho[sl] ** (m - 1) * gnorm / slope[sl]
-        vals = np.asarray(field(frames), dtype=float) * jac
-        return float(np.dot(vals, wts[sl])), vals
+    node_values(nodes) returns the per-chunk integrand, a function of the
+    chunk's slice. The product rule reports |value(order) - value(order-4)|;
+    Monte Carlo reports the standard error of the weighted estimator.
+    """
 
-    parts = _map_chunks(job, nchunks)
-    value = _neumaier(p[0] for p in parts)
-    node_vals = np.concatenate([p[1] for p in parts])
-    return value, node_vals, wts
+    def run(order=None):
+        nodes = _nodes(spec, q, order)
+        at = node_values(nodes)
+
+        def job(sl):
+            vals = at(sl)
+            return float(np.dot(vals, nodes.wts[sl])), vals
+
+        parts = nodes.map(job)
+        return _neumaier(p[0] for p in parts), parts, nodes.wts
+
+    value, parts, wts = run()
+    if q.method == "gauss":
+        err = abs(value - run(max(2, q.order - _ERROR_ORDER_DROP))[0])
+    else:
+        est = np.concatenate([p[1] for p in parts]) * wts * wts.shape[0]  # per-sample estimator of the total
+        err = float(np.std(est, ddof=1) / math.sqrt(est.shape[0]))
+    return IntegralResult(value, err, wts.shape[0], q.describe())
 
 
 def surface_integral(spec: SurfaceSpec, field, q: QuadratureSpec) -> IntegralResult:
-    """Integral of a boundary scalar over the surface.
-
-    field maps a FrameBatch to one value per point. The product rule reports
-    |value(order) - value(order-4)| as its error estimate; Monte Carlo reports
-    the standard error of the weighted estimator.
-    """
-    value, node_vals, wts = _surface_pass(spec, field, q)
-    if q.method == "gauss":
-        low, _, _ = _surface_pass(spec, field, q, order=max(2, q.order - _ERROR_ORDER_DROP))
-        err = abs(value - low)
-        nodes = wts.shape[0]
-    else:
-        est = node_vals * wts * node_vals.shape[0]  # per-sample estimator of the total
-        err = float(np.std(est, ddof=1) / math.sqrt(est.shape[0]))
-        nodes = node_vals.shape[0]
-    return IntegralResult(value, err, nodes, q.describe())
-
-
-def _volume_pass(spec: SurfaceSpec, q: QuadratureSpec, order: int | None = None):
-    center = _center_of(spec, q)
-    dirs, wts, key = _grid_for(spec, q, order)
-    rho, _ = _roots_on_grid(spec, center, dirs, key)
+    """Integral of a boundary scalar over the surface; field maps a FrameBatch to one value per point."""
     m = spec.m
-    vals = rho**m / m
-    nchunks = (dirs.shape[0] + CHUNK - 1) // CHUNK
-    value = _neumaier(
-        float(np.dot(vals[i * CHUNK:(i + 1) * CHUNK], wts[i * CHUNK:(i + 1) * CHUNK])) for i in range(nchunks)
-    )
-    return value, vals, wts
+
+    def node_values(nodes):
+        def at(sl):
+            frames = FrameBatch.at_points(spec, nodes.points(sl, nodes.rho[sl]))
+            jac = nodes.rho[sl] ** (m - 1) * (2.0 * frames.pgrad_norm) / nodes.slope[sl]
+            return np.asarray(field(frames), dtype=float) * jac
+
+        return at
+
+    return _integral(spec, q, node_values)
 
 
 def volume(spec: SurfaceSpec, q: QuadratureSpec) -> IntegralResult:
     """Lebesgue measure of the enclosed domain via the radial formula."""
-    value, vals, wts = _volume_pass(spec, q)
-    if q.method == "gauss":
-        low, _, _ = _volume_pass(spec, q, order=max(2, q.order - _ERROR_ORDER_DROP))
-        err = abs(value - low)
-    else:
-        est = vals * wts * vals.shape[0]
-        err = float(np.std(est, ddof=1) / math.sqrt(est.shape[0]))
-    return IntegralResult(value, err, wts.shape[0], q.describe())
-
-
-def _bulk_pass(spec: SurfaceSpec, field, q: QuadratureSpec, order: int | None = None):
-    center = _center_of(spec, q)
-    dirs, wts, key = _grid_for(spec, q, order)
-    rho, _ = _roots_on_grid(spec, center, dirs, key)
-    m = spec.m
-    nchunks = (dirs.shape[0] + CHUNK - 1) // CHUNK
-
-    if q.method == "gauss":
-        r_order = q.radial_order if q.radial_order is not None else (order if order is not None else q.order)
-        t, u = np.polynomial.legendre.leggauss(r_order)
-        t = (t + 1) / 2
-        u = u / 2
-
-        def job(i):
-            sl = slice(i * CHUNK, (i + 1) * CHUNK)
-            acc = np.zeros(min(CHUNK, dirs.shape[0] - i * CHUNK))
-            for t_i, u_i in zip(t, u):
-                r = rho[sl] * t_i
-                pts = center[None, :] + r[:, None] * dirs[sl]
-                acc += u_i * r ** (m - 1) * rho[sl] * np.asarray(field(pts), dtype=float)
-            return float(np.dot(acc, wts[sl])), acc
-
-        parts = _map_chunks(job, nchunks)
-        return _neumaier(p[0] for p in parts), np.concatenate([p[1] for p in parts]), wts
-
-    rng = np.random.default_rng(q.seed + 1)  # radial stream distinct from the direction sampler
-    uu = rng.random(dirs.shape[0]) ** (1.0 / m)
-
-    def job(i):
-        sl = slice(i * CHUNK, (i + 1) * CHUNK)
-        r = rho[sl] * uu[sl]
-        pts = center[None, :] + r[:, None] * dirs[sl]
-        vals = rho[sl] ** m / m * np.asarray(field(pts), dtype=float)
-        return float(np.dot(vals, wts[sl])), vals
-
-    parts = _map_chunks(job, nchunks)
-    return _neumaier(p[0] for p in parts), np.concatenate([p[1] for p in parts]), wts
+    return _integral(spec, q, lambda nodes: lambda sl: nodes.rho[sl] ** spec.m / spec.m)
 
 
 def bulk_integral(spec: SurfaceSpec, field, q: QuadratureSpec) -> IntegralResult:
-    """Integral of an interior scalar over the domain by radial layering.
+    """Integral of an interior scalar over the domain by radial layering: radial_order
+    Gauss points per ray (default: the pass order), or one random radius for Monte Carlo.
+    field maps an array of points (B, m) to one value per point."""
+    m = spec.m
 
-    field maps an array of points (B, m) to one value per point.
-    """
-    value, vals, wts = _bulk_pass(spec, field, q)
-    if q.method == "gauss":
-        low, _, _ = _bulk_pass(spec, field, q, order=max(2, q.order - _ERROR_ORDER_DROP))
-        err = abs(value - low)
-    else:
-        est = vals * wts * vals.shape[0]
-        err = float(np.std(est, ddof=1) / math.sqrt(est.shape[0]))
-    return IntegralResult(value, err, wts.shape[0], q.describe())
+    def node_values(nodes):
+        rho = nodes.rho
+        if q.method == "mc":
+            rng = np.random.default_rng(q.seed + 1)  # radial stream distinct from the direction sampler
+            uu = rng.random(rho.shape[0]) ** (1.0 / m)
+            return lambda sl: rho[sl] ** m / m * np.asarray(field(nodes.points(sl, rho[sl] * uu[sl])), dtype=float)
+        t, u = np.polynomial.legendre.leggauss(q.radial_order if q.radial_order is not None else nodes.order)
+        t, u = (t + 1) / 2, u / 2
+
+        def at(sl):
+            acc = np.zeros(rho[sl].shape[0])
+            for t_i, u_i in zip(t, u):
+                r = rho[sl] * t_i
+                acc += u_i * r ** (m - 1) * rho[sl] * np.asarray(field(nodes.points(sl, r)), dtype=float)
+            return acc
+
+        return at
+
+    return _integral(spec, q, node_values)
 
 
 def scan_boundary(spec: SurfaceSpec, q: QuadratureSpec, fn, order: int | None = None):
@@ -341,43 +304,24 @@ def scan_boundary(spec: SurfaceSpec, q: QuadratureSpec, fn, order: int | None = 
     node weights and boundary points; used for node sweeps (extrema, defects)
     that are not integrals.
     """
-    center = _center_of(spec, q)
-    dirs, wts, key = _grid_for(spec, q, order)
-    rho, _ = _roots_on_grid(spec, center, dirs, key)
-    nchunks = (dirs.shape[0] + CHUNK - 1) // CHUNK
+    nodes = _nodes(spec, q, order)
 
-    def job(i):
-        sl = slice(i * CHUNK, (i + 1) * CHUNK)
-        pts = center[None, :] + rho[sl, None] * dirs[sl]
-        frames = FrameBatch.at_points(spec, pts)
-        out = fn(frames)
-        return (out if isinstance(out, tuple) else (out,)), pts
+    def job(sl):
+        pts = nodes.points(sl, nodes.rho[sl])
+        out = fn(FrameBatch.at_points(spec, pts))
+        return (*(out if isinstance(out, tuple) else (out,)), pts)
 
-    parts = _map_chunks(job, nchunks)
-    nfields = len(parts[0][0])
-    gathered = tuple(np.concatenate([p[0][k] for p in parts]) for k in range(nfields))
-    points = np.concatenate([p[1] for p in parts])
-    return (gathered[0] if nfields == 1 else gathered), wts, points
+    *outs, points = (np.concatenate(k) for k in zip(*nodes.map(job)))
+    return (outs[0] if len(outs) == 1 else tuple(outs)), nodes.wts, points
 
 
 def scan_bulk(spec: SurfaceSpec, q: QuadratureSpec, fn, shells: int = 4):
     """Apply fn(points) over an interior sample: a few radial shells of the
     direction grid, strictly inside the boundary. Returns concatenated outputs."""
-    center = _center_of(spec, q)
-    dirs, _, key = _grid_for(spec, q)
-    rho, _ = _roots_on_grid(spec, center, dirs, key)
-    fracs = (np.arange(1, shells + 1) - 0.5) / shells
+    nodes = _nodes(spec, q)
     outs = []
-    for fr in fracs:
-        r = rho * fr
-        nchunks = (dirs.shape[0] + CHUNK - 1) // CHUNK
-
-        def job(i):
-            sl = slice(i * CHUNK, (i + 1) * CHUNK)
-            pts = center[None, :] + r[sl, None] * dirs[sl]
-            return np.asarray(fn(pts))
-
-        outs.append(np.concatenate(_map_chunks(job, nchunks)))
+    for fr in (np.arange(1, shells + 1) - 0.5) / shells:
+        outs.extend(nodes.map(lambda sl: np.asarray(fn(nodes.points(sl, nodes.rho[sl] * fr)))))
     return np.concatenate(outs)
 
 

@@ -299,14 +299,19 @@ def random_rational(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
 
 
+def _exponents(width: int, degree: int):
+    """Exponent tuples of the given width and total degree <= degree, in lexicographic order."""
+    if width == 0:
+        yield ()
+        return
+    for e in range(degree + 1):
+        for rest in _exponents(width - 1, degree - e):
+            yield (e, *rest)
+
+
 def generic_poly(nvars: int, degree: int, rng: random.Random) -> WPoly:
     """Dense polynomial of the given total degree with random rational-complex coefficients."""
-    terms: dict[tuple[int, ...], Coeff] = {}
-    width = 2 * nvars
-    for exps in itertools.product(range(degree + 1), repeat=width):
-        if sum(exps) > degree:
-            continue
-        terms[exps] = (random_rational(rng), random_rational(rng))
+    terms = {exps: (random_rational(rng), random_rational(rng)) for exps in _exponents(2 * nvars, degree)}
     return WPoly(nvars, terms)
 
 

@@ -7,7 +7,8 @@ import pytest
 from levilab import curvature as cv
 from levilab import quadrature as qd
 from levilab import surfaces as sf
-from levilab.errors import StarShapeError
+from levilab.errors import SpecParseError, StarShapeError
+from levilab.specfile import parse_quadrature
 from levilab.surfaces import DirichletQuadratic
 
 
@@ -192,3 +193,38 @@ class TestErrors:
             qd.QuadratureSpec(method="simpson")
         with pytest.raises(ValueError):
             qd.QuadratureSpec(method="mc", samples=10)
+
+    @pytest.mark.parametrize("text", ["gauss:order=2", "gauss:order=12,radial_order=0"])
+    def test_invalid_orders_are_parse_errors(self, text):
+        # order 2 is its own error-estimate rule (the estimate would read 0.0);
+        # radial_order 0 used to fail inside numpy instead of at the spec
+        with pytest.raises(SpecParseError):
+            parse_quadrature(text)
+
+    @pytest.mark.parametrize("raw", ["abc", "0", "-2", "1.5", ""])
+    def test_bad_thread_count_raises(self, raw, monkeypatch):
+        monkeypatch.setenv("LEVILAB_THREADS", raw)
+        with pytest.raises(ValueError, match="LEVILAB_THREADS"):
+            qd.worker_threads()
+        with pytest.raises(ValueError, match="LEVILAB_THREADS"):
+            qd.volume(sf.Sphere(1.0), Q16)
+
+    def test_thread_count(self, monkeypatch):
+        monkeypatch.delenv("LEVILAB_THREADS", raising=False)
+        assert qd.worker_threads() == 1
+        monkeypatch.setenv("LEVILAB_THREADS", " 3 ")
+        assert qd.worker_threads() == 3
+
+
+class TestDescribe:
+    @pytest.mark.parametrize("q", [
+        qd.QuadratureSpec(order=12),
+        qd.QuadratureSpec(order=7, radial_order=3),
+        qd.QuadratureSpec(method="mc", samples=20_000, seed=5),
+    ], ids=["gauss", "gauss-radial", "mc"])
+    def test_parse_round_trip(self, q):
+        assert parse_quadrature(q.describe()) == q
+
+    def test_radial_order_is_named(self):
+        assert qd.QuadratureSpec(order=7, radial_order=3).describe() == "gauss:order=7,radial_order=3"
+        assert qd.QuadratureSpec(order=7).describe() == "gauss:order=7"

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from levilab.wirtinger import (
     complex_hessian,
     generic_poly,
     generic_real_poly,
+    random_rational,
     run_identity_suite,
     sym_bordered_det,
     sym_sigma,
@@ -310,6 +312,19 @@ class TestIdentityChecks:
             ("lemma_contraction", 3, 1, s, True, 1287, [0]),
             ("euler_homogeneity", 3, 1, s, True, 165, [0]),
         ]
+
+    @pytest.mark.parametrize("nvars,degree", [(1, 3), (2, 2), (3, 3), (4, 3)])
+    def test_generic_poly_matches_dense_walk(self, nvars, degree):
+        # reference: walk every tuple of range(degree+1)^(2 nvars) in lexicographic
+        # order and keep those of total degree <= degree; the seeded stream then
+        # gives every monomial the same coefficient
+        rng = random.Random(DEFAULT_SEED)
+        terms = {
+            exps: (random_rational(rng), random_rational(rng))
+            for exps in itertools.product(range(degree + 1), repeat=2 * nvars)
+            if sum(exps) <= degree
+        }
+        assert generic_poly(nvars, degree, random.Random(DEFAULT_SEED)) == WPoly(nvars, terms)
 
     def test_suite_runner(self):
         results = run_identity_suite(1)
