@@ -10,9 +10,13 @@ Conventions fixed here and relied on everywhere else:
   under which a sphere of radius R has mean curvature 1/R.
 
 Every function operates on batches; a FrameBatch of size one is the per-point
-case. Real input is assumed (all defining functions here are real-valued), so
+case. K_j is defined by gradient-bordered minors: one (j+2) x (j+2)
+determinant per (j+1)-index set, each taken over the whole batch by
+hermitian.det_batch (closed forms up to 4 x 4, so n <= 2 never reaches LAPACK).
+Real input is assumed (all defining functions here are real-valued), so
 bordered determinants are real and their rounding-level imaginary parts are
-checked and dropped.
+checked and dropped. With nu = FrameBatch.nu and P = I - nu nu*, K_j equals
+sigma_j(P H P) / (C(n, j) |del f|^j); the tests check levi against that form.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGradientError
+from .hermitian import det_batch
 from .surfaces import BOUNDARY_VALUE_TOL, GRADIENT_FLOOR, SurfaceSpec, eval_jets
 
 _IMAG_DROP_TOL = 1e-10
@@ -70,7 +75,7 @@ def bordered_minor(wgrad: np.ndarray, whess: np.ndarray, indices) -> np.ndarray:
     mat[:, 0, 1:] = np.conj(wgrad[:, sel])
     mat[:, 1:, 0] = wgrad[:, sel]
     mat[:, 1:, 1:] = whess[:, sel][:, :, sel]
-    det = np.linalg.det(mat)
+    det = det_batch(mat)
     scale = np.maximum(1.0, np.max(np.abs(mat), axis=(1, 2)) ** size)
     bad = np.abs(det.imag) > _IMAG_DROP_TOL * scale
     if np.any(bad):

@@ -1,13 +1,14 @@
 """Hermitian matrices and elementary symmetric functions of their eigenvalues.
 
-sigma_j is evaluated algebraically, never through an eigendecomposition: as the
-sum of all j x j principal minors for dimensions up to 6, and through the
-Faddeev-LeVerrier characteristic-polynomial recursion above that. Entry (l, k)
-of a matrix is a_{l kbar} (row l, column k); when differentiating sigma_j the
-entries are treated as independent complex variables, so the gradient entry
-(l, k) is the generalized cofactor d sigma_j / d a_{l kbar}. For j = dim this
-is the transpose of the adjugate, which for Hermitian input equals its
-entrywise conjugate.
+Every determinant of the numeric pipeline goes through det_batch: explicit
+products of 2 x 2 minors for sizes up to 4, LAPACK above. sigma_j is the sum of
+all j x j principal minors, gathered into one det_batch call, never an
+eigendecomposition. Entry (l, k) of a matrix is a_{l kbar} (row l, column k);
+when differentiating sigma_j the entries are treated as independent complex
+variables, so the gradient entry (l, k) is the generalized cofactor
+d sigma_j / d a_{l kbar}, built from sigma_1 .. sigma_{j-1} by the Newton
+transformation (matrix products only). For j = dim this is the transpose of
+the adjugate, which for Hermitian input equals its entrywise conjugate.
 """
 
 from __future__ import annotations
@@ -21,9 +22,6 @@ import numpy as np
 from .errors import NotHermitianError
 
 HERMITIAN_TOL = 1e-12
-
-# Largest dimension for which principal-minor expansion is used directly.
-_MINOR_EXPANSION_MAX_DIM = 6
 
 
 @dataclass(frozen=True)
@@ -73,27 +71,38 @@ def _check_j(j: int, dim: int, lo: int = 1) -> None:
         raise ValueError(f"j={j} out of range [{lo}, {dim}]")
 
 
-def _sigma_minors(a: np.ndarray, j: int) -> complex:
-    n = a.shape[0]
-    total = 0.0 + 0.0j
-    for idx in itertools.combinations(range(n), j):
-        sub = a[np.ix_(idx, idx)]
-        total += np.linalg.det(sub)
-    return total
+def _minor2(a: np.ndarray, r: int, s: int, i: int, k: int) -> np.ndarray:
+    """2 x 2 minor on rows (r, s) and columns (i, k), over the batch."""
+    return a[..., r, i] * a[..., s, k] - a[..., r, k] * a[..., s, i]
 
 
-def _sigma_all_faddeev(a: np.ndarray) -> np.ndarray:
-    """All sigma_1..sigma_dim via the Faddeev-LeVerrier recursion."""
-    n = a.shape[0]
-    out = np.empty(n, dtype=complex)
-    m = np.eye(n, dtype=complex)
-    c = 1.0 + 0.0j
-    for k in range(1, n + 1):
-        am = a @ m
-        c = -am.trace() / k
-        out[k - 1] = (-1) ** k * c
-        m = am + c * np.eye(n, dtype=complex)
-    return out
+def det_batch(a) -> np.ndarray:
+    """Determinants over a stack of square matrices, shape (..., k, k) -> (...).
+
+    Closed forms for k <= 4: Laplace expansion into 2 x 2 minors (along the
+    first row for k = 3, along the first two rows for k = 4), so the small
+    minors of the pipeline never reach LAPACK. np.linalg.det above that.
+    """
+    a = np.asarray(a)
+    k = a.shape[-1]
+    if k == 1:
+        return a[..., 0, 0].copy()
+    if k == 2:
+        return _minor2(a, 0, 1, 0, 1)
+    if k == 3:
+        return (a[..., 0, 0] * _minor2(a, 1, 2, 1, 2) - a[..., 0, 1] * _minor2(a, 1, 2, 0, 2)
+                + a[..., 0, 2] * _minor2(a, 1, 2, 0, 1))
+    if k == 4:
+        return (_minor2(a, 0, 1, 0, 1) * _minor2(a, 2, 3, 2, 3) - _minor2(a, 0, 1, 0, 2) * _minor2(a, 2, 3, 1, 3)
+                + _minor2(a, 0, 1, 0, 3) * _minor2(a, 2, 3, 1, 2) + _minor2(a, 0, 1, 1, 2) * _minor2(a, 2, 3, 0, 3)
+                - _minor2(a, 0, 1, 1, 3) * _minor2(a, 2, 3, 0, 2) + _minor2(a, 0, 1, 2, 3) * _minor2(a, 2, 3, 0, 1))
+    return np.linalg.det(a)
+
+
+def _minor_sum(mats: np.ndarray, j: int) -> np.ndarray:
+    """Sum of all j x j principal minors, gathered into one det_batch call."""
+    idx = np.array(list(itertools.combinations(range(mats.shape[-1]), j)))
+    return det_batch(mats[..., idx[:, :, None], idx[:, None, :]]).sum(axis=-1)
 
 
 def _discard_imag(value: complex, scale: float) -> float:
@@ -112,59 +121,34 @@ def sigma(a, j: int) -> float:
     """
     m = _as_matrix(a)
     _check_j(j, m.shape[0])
-    if m.shape[0] <= _MINOR_EXPANSION_MAX_DIM:
-        val = _sigma_minors(m, j)
-    else:
-        val = _sigma_all_faddeev(m)[j - 1]
-    scale = float(np.sum(np.abs(m))) ** j if m.size else 1.0
-    return _discard_imag(val, scale)
+    return _discard_imag(complex(_minor_sum(m, j)), float(np.sum(np.abs(m))) ** j)
 
 
 def sigma_batch(mats: np.ndarray, j: int) -> np.ndarray:
     """sigma_j over a stack of matrices, shape (..., d, d) -> (...).
 
     Assumes the inputs are Hermitian by construction (no per-matrix validation);
-    returns the real part after the same sum-of-principal-minors expansion.
+    returns the real part of the sum of principal minors.
     """
     mats = np.asarray(mats)
-    d = mats.shape[-1]
-    _check_j(j, d)
-    total = np.zeros(mats.shape[:-2], dtype=complex)
-    for idx in itertools.combinations(range(d), j):
-        ix = np.ix_(idx, idx)
-        total += np.linalg.det(mats[..., ix[0], ix[1]])
-    return total.real
+    _check_j(j, mats.shape[-1])
+    return _minor_sum(mats, j).real
 
 
 def sigma_grad(a, j: int) -> np.ndarray:
     """Entrywise gradient of sigma_j: entry (l, k) is d sigma_j / d a_{l kbar}.
 
-    Computed as the signed sum over all j-subsets containing both l and k of the
-    (j-1) x (j-1) cofactor minors, i.e. the generalized cofactors. Entries are
-    treated as independent variables when differentiating.
+    The generalized cofactors (the signed sum over all j-subsets containing l
+    and k of the (j-1) x (j-1) cofactor minors), computed through the Newton
+    transformation T_0 = I, T_i = sigma_i I - A T_{i-1}: the gradient is
+    T_{j-1} transposed. Entries are treated as independent variables.
     """
     m = _as_matrix(a)
     n = m.shape[0]
     _check_j(j, n)
-    if n <= _MINOR_EXPANSION_MAX_DIM:
-        grad = np.zeros((n, n), dtype=complex)
-        for idx in itertools.combinations(range(n), j):
-            for pl, l in enumerate(idx):
-                rows = [r for r in idx if r != l]
-                for pk, k in enumerate(idx):
-                    cols = [c for c in idx if c != k]
-                    if rows:
-                        minor = np.linalg.det(m[np.ix_(rows, cols)])
-                    else:
-                        minor = 1.0 + 0.0j
-                    grad[l, k] += (-1) ** (pl + pk) * minor
-        return grad
-    # Newton transformation T_0 = I, T_i = sigma_i I - A T_{i-1};
-    # the gradient of sigma_j is T_{j-1} transposed.
-    sig = _sigma_all_faddeev(m)
     t = np.eye(n, dtype=complex)
     for i in range(1, j):
-        t = sig[i - 1] * np.eye(n, dtype=complex) - m @ t
+        t = sigma_batch(m, i) * np.eye(n) - m @ t
     return t.T
 
 
@@ -177,11 +161,7 @@ def newton_gap(a, j: int) -> float:
     diag(-1, -1, 2) with j = 3 has gap -2, so the gap is returned signed and
     callers assert nonnegativity only where the hypothesis holds.
     """
-    m = _as_matrix(a)
-    n = m.shape[0]
-    _check_j(j, n, lo=2)
-    tr = float(m.trace().real)
-    return math.comb(n, j) * (tr / n) ** j - sigma(m, j)
+    return float(newton_gap_batch(_as_matrix(a), j))
 
 
 def newton_gap_batch(mats: np.ndarray, j: int) -> np.ndarray:

@@ -381,9 +381,10 @@ def radial_roots(spec: SurfaceSpec, dirs, center=None) -> tuple[np.ndarray, np.n
     """Boundary crossings along rays from the star center, vectorized.
 
     Returns (rho, slope) with f(center + rho * dir) = 0 to ROOT_ABS_TOL and
-    slope = <grad f, dir> > 0 at each root. Safeguarded Newton inside a
-    bracket obtained by doubling; failure to bracket within the configured
-    search radius means the domain is not star-shaped about the center.
+    slope = <grad f, dir> > 0 at each root. Safeguarded Newton, started at the
+    false-position point, inside a bracket obtained by doubling; failure to
+    bracket within the configured search radius means the domain is not
+    star-shaped about the center.
     """
     if center is None:
         center = spec.star_center
@@ -405,12 +406,14 @@ def radial_roots(spec: SurfaceSpec, dirs, center=None) -> tuple[np.ndarray, np.n
     max_radius = MAX_RADIUS_FACTOR * spec.scale
     lo = np.zeros(b)
     hi = np.full(b, spec.scale)
+    flo = np.full(b, fc)
     for _ in range(64):
         fhi = eval_values(spec, center[None, :] + hi[:, None] * dirs)
         neg = fhi <= 0
         if not np.any(neg):
             break
         lo = np.where(neg, hi, lo)
+        flo = np.where(neg, fhi, flo)
         hi = np.where(neg, hi * 2.0, hi)
         if np.any(hi > max_radius):
             idx = int(np.argmax(hi))
@@ -420,7 +423,9 @@ def radial_roots(spec: SurfaceSpec, dirs, center=None) -> tuple[np.ndarray, np.n
     else:
         raise StarShapeError("bracketing did not terminate")
 
-    rho = 0.5 * (lo + hi)
+    # false-position start: on a convex ray whose root lies at the bracket's edge (a sphere
+    # whose radius is the family scale), Newton from the midpoint lands past hi every step
+    rho = lo + (hi - lo) * flo / (flo - fhi)
     g = np.empty(b)
     gp = np.empty(b)
     active = np.ones(b, dtype=bool)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from levilab import curvature as cv
 from levilab import surfaces as sf
 from levilab.errors import DegenerateGradientError
-from levilab.hermitian import sigma_grad
+from levilab.hermitian import sigma_batch, sigma_grad
 
 
 def sphere_points(rng, radius, m, count):
@@ -200,6 +200,64 @@ class TestLemmaConsistency:
                             contraction += grad[l, k] * fr.wgrad[b, l] * np.conj(fr.wgrad[b, k])
                     assert abs(contraction.imag) < 1e-10
                     assert contraction.real == pytest.approx(lhs[b], abs=1e-9, rel=1e-9)
+
+
+KERNEL_SURFACES = {
+    "quadric_complex_n2": lambda: sf.PerturbedQuadric(
+        2, c=1.0, hterms={(2, 0, 0): 0.1 + 0.05j, (1, 1, 0): -0.1j, (0, 1, 1): 0.05, (0, 0, 3): 0.02 - 0.03j}
+    ),
+    "ellipsoid_n3": lambda: sf.Ellipsoid([1.0, 1.3, 0.8, 1.1, 0.9, 1.2, 1.05, 0.95]),
+    # |z|^2 - 1 - 3|z1 z2|^2 + 4|z1 z2|^4: K_1 changes sign, and its complex Hessian is not real
+    "levi_indefinite": lambda: sf.UserPolynomial(
+        1, {(1, 0, 1, 0): 1, (0, 1, 0, 1): 1, (0, 0, 0, 0): -1, (1, 1, 1, 1): -3, (2, 2, 2, 2): 4}, scale=1.2
+    ),
+}
+
+
+def boundary_frames(spec, seed, count=24):
+    d = np.random.default_rng(seed).standard_normal((count, spec.m))
+    d /= np.linalg.norm(d, axis=1)[:, None]
+    return cv.FrameBatch.at_points(spec, sf.boundary_points(spec, d))
+
+
+def projected_levi(fr, j, nu):
+    """sigma_j(P H P) / (C(n, j) |del f|^j) with P = I - nu nu*: K_j without a bordered minor."""
+    p = np.eye(fr.n + 1) - nu[:, :, None] * np.conj(nu)[:, None, :]
+    return sigma_batch(p @ fr.whess @ p, j) / (math.comb(fr.n, j) * fr.pgrad_norm**j)
+
+
+class TestDeterminantKernel:
+    @pytest.mark.parametrize("name", sorted(KERNEL_SURFACES))
+    def test_levi_matches_lapack_bordered_sum(self, name, monkeypatch):
+        spec = KERNEL_SURFACES[name]()
+        fr = boundary_frames(spec, 50)
+        got = {j: cv.levi(fr, j) for j in range(1, spec.n + 1)}
+        monkeypatch.setattr(cv, "det_batch", np.linalg.det)
+        for j, k in got.items():
+            ref = -cv.bordered_sum(fr.wgrad, fr.whess, j) / (math.comb(spec.n, j) * fr.pgrad_norm ** (j + 2))
+            assert np.max(np.abs(k - ref)) < 1e-13 * np.max(np.abs(ref))
+
+    @settings(max_examples=10, deadline=None)
+    @given(name=st.sampled_from(sorted(KERNEL_SURFACES)), seed=st.integers(0, 2**16))
+    def test_levi_is_sigma_of_projected_hessian(self, name, seed):
+        spec = KERNEL_SURFACES[name]()
+        fr = boundary_frames(spec, seed, count=8)
+        for j in range(1, spec.n + 1):
+            k = cv.levi(fr, j)
+            assert np.max(np.abs(projected_levi(fr, j, fr.nu) - k)) < 1e-12 * np.max(np.abs(k))
+
+    def test_projection_uses_nu_not_its_conjugate(self):
+        # pins the convention nu = del f / |del f|: with conj(nu) the identity holds only for real H
+        fr = boundary_frames(KERNEL_SURFACES["levi_indefinite"](), 51)
+        k = cv.levi(fr, 1)
+        assert np.max(np.abs(projected_levi(fr, 1, np.conj(fr.nu)) - k)) > 0.5 * np.max(np.abs(k))
+
+    def test_levi_bypasses_lapack(self, forbid_lapack_det):
+        # perf guard: bordered minors up to 4 x 4 (n <= 2, every j) use the closed forms only
+        for spec in (KERNEL_SURFACES["levi_indefinite"](), sf.Sphere(1.5, n=2), KERNEL_SURFACES["quadric_complex_n2"]()):
+            fr = boundary_frames(spec, 52)
+            for j in range(1, spec.n + 1):
+                assert np.all(np.isfinite(cv.levi(fr, j)))
 
 
 class TestMeanCurvatureOracle:

@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 from levilab.errors import NotHermitianError
 from levilab.hermitian import (
     HermitianMatrix,
+    det_batch,
     newton_gap,
     newton_gap_batch,
     sigma,
@@ -95,6 +96,39 @@ class TestSigma:
         got = sigma_batch(mats, 2)
         for i in range(4):
             assert got[i] == pytest.approx(sigma(mats[i], 2), abs=1e-12)
+
+
+class TestDetBatch:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    def test_matches_lapack(self, k):
+        # closed forms up to k = 4, LAPACK above; entries spread over six decades,
+        # so the tolerance is scaled by max|a|^k per matrix
+        rng = np.random.default_rng(40 + k)
+        size = 10.0 ** rng.uniform(-3, 3, (2, 60, 1, 1))
+        general = size * (rng.standard_normal((2, 60, k, k)) + 1j * rng.standard_normal((2, 60, k, k)))
+        bordered = np.zeros_like(general)
+        g = rng.standard_normal((2, 60, k - 1)) + 1j * rng.standard_normal((2, 60, k - 1))
+        bordered[..., 0, 1:] = np.conj(g)
+        bordered[..., 1:, 0] = g
+        bordered[..., 1:, 1:] = general[..., 1:, 1:] + np.conj(np.swapaxes(general[..., 1:, 1:], -1, -2))
+        for a in (general, bordered):
+            got = det_batch(a)
+            assert got.shape == a.shape[:-2]
+            tol = 1e-13 * np.max(np.abs(a), axis=(-2, -1)) ** k
+            assert np.all(np.abs(got - np.linalg.det(a)) <= tol)
+
+    def test_small_sizes_bypass_lapack(self, forbid_lapack_det):
+        # perf guard: sigma and the Newton gap of matrices up to 4 x 4 use the closed forms only
+        rng = np.random.default_rng(41)
+        mats = {d: np.stack([random_hermitian(rng, d) for _ in range(6)]) for d in (1, 2, 3, 4)}
+        for d, m in mats.items():
+            for j in range(1, d + 1):
+                ref = sigma_eig_oracle(m[0], j)
+                assert sigma(m[0], j) == pytest.approx(ref, abs=1e-12, rel=1e-12)
+                assert sigma_batch(m, j)[0] == pytest.approx(ref, abs=1e-12, rel=1e-12)
+            for j in range(2, d + 1):
+                assert np.all(np.isfinite(newton_gap_batch(m, j)))
+                assert math.isfinite(newton_gap(m[0], j))
 
 
 class TestSigmaGrad:

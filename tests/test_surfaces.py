@@ -11,6 +11,7 @@ from levilab.errors import (
     StarShapeError,
     TransversalityError,
 )
+from levilab.quadrature import sphere_grid
 from levilab.reinhardt import ode_residual, reinhardt_profile, series_coeffs
 
 FAMILIES = {}
@@ -118,6 +119,25 @@ class TestRadialRoots:
             rho, _ = sf.radial_roots(spec, d)
             vals = sf.eval_values(spec, spec.star_center[None] + rho[:, None] * d)
             assert np.max(np.abs(vals)) < 1e-11
+
+    @pytest.mark.parametrize("name,most", [("reinhardt", 4), ("ellipsoid_generic", 8)])
+    def test_newton_start_needs_few_sweeps(self, name, most, monkeypatch):
+        # ReinhardtSurface(0.5, 4.0) is the radius-2 sphere, and its scale (the first bracket
+        # end) lies one ulp above every root; a midpoint start took 48 ray evaluations there
+        spec = {"reinhardt": _families()["reinhardt"], "ellipsoid_generic": sf.Ellipsoid([0.8, 1.0, 1.2, 1.4])}[name]
+        dirs, _ = sphere_grid(spec.m, 32)
+        calls = []
+        real = sf.eval_ray
+
+        def counting(*args):
+            calls.append(len(args[2]))
+            return real(*args)
+
+        monkeypatch.setattr(sf, "eval_ray", counting)
+        rho, _ = sf.radial_roots(spec, dirs)
+        assert len(calls) <= most
+        vals = sf.eval_values(spec, spec.star_center[None] + rho[:, None] * dirs)
+        assert np.max(np.abs(vals)) < 1e-11
 
     def test_cylinder_has_no_star_center(self):
         with pytest.raises(StarShapeError):
