@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -76,10 +76,10 @@ def bordered_minor(wgrad: np.ndarray, whess: np.ndarray, indices) -> np.ndarray:
     mat[:, 1:, 0] = wgrad[:, sel]
     mat[:, 1:, 1:] = whess[:, sel][:, :, sel]
     det = det_batch(mat)
-    scale = np.maximum(1.0, np.max(np.abs(mat), axis=(1, 2)) ** size)
-    bad = np.abs(det.imag) > _IMAG_DROP_TOL * scale
-    if np.any(bad):
-        i = int(np.argmax(np.abs(det.imag) / scale))
+    rows = np.flatnonzero(np.abs(det.imag) > _IMAG_DROP_TOL)  # the scale is >= 1: no other row can fail
+    scale = np.maximum(1.0, np.max(np.abs(mat[rows]), axis=(1, 2)) ** size)
+    if np.any(np.abs(det.imag[rows]) > _IMAG_DROP_TOL * scale):
+        i = rows[int(np.argmax(np.abs(det.imag[rows]) / scale))]
         raise ValueError(f"bordered minor has imaginary part {det.imag[i]:.3e}; input not a real function?")
     return det.real
 
@@ -112,6 +112,7 @@ class FrameBatch:
     pgrad_norm: np.ndarray  # (B,)  |complex gradient|
     normal: np.ndarray      # (B, 2N) outward unit normal
     nu: np.ndarray          # (B, N)  wgrad / pgrad_norm
+    _levi: dict = field(default_factory=dict, repr=False, compare=False)  # j -> K_j, kept by levi(j)
 
     @property
     def n(self) -> int:
@@ -153,7 +154,10 @@ class FrameBatch:
         return bordered_minor(self.wgrad, self.whess, indices)
 
     def levi(self, j: int) -> np.ndarray:
-        return levi(self, j)
+        if j not in self._levi:
+            self._levi[j] = k = levi(self, j)
+            k.setflags(write=False)  # one array for every reader of the batch
+        return self._levi[j]
 
     def mean_curvature(self) -> np.ndarray:
         return mean_curvature(self)

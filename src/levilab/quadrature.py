@@ -12,8 +12,12 @@ sampler.
 
 All passes share one core: `_nodes(spec, q, order)` gives a pass's center,
 directions, weights and cached radial roots, and maps a function over its
-chunks; `_integral(spec, q, node_values)` reduces a per-node integrand and
-attaches the error estimate. The integrals supply only their integrand.
+chunks; `_integral(spec, q, node_values)` reduces k per-node integrands and
+attaches their error estimates. The boundary has one pass, reached through
+`surface_integral` (a field or a tuple of fields, plus an optional scan) and
+`scan_boundary`: each chunk builds one FrameBatch per order, every integrand
+and the scan read it, and it is dropped before the next chunk. A suite asks
+for all its boundary quantities in one call.
 
 Reproducibility contract: node order is fixed, nodes are processed in fixed
 chunks whose partial sums are combined with compensated summation in fixed
@@ -222,52 +226,80 @@ def _nodes(spec: SurfaceSpec, q: QuadratureSpec, order: int | None = None) -> _N
     return nodes._replace(rho=roots[0], slope=roots[1])
 
 
-def _integral(spec: SurfaceSpec, q: QuadratureSpec, node_values) -> IntegralResult:
-    """Weighted sum of per-node values with its error estimate.
+def _integral(spec: SurfaceSpec, q: QuadratureSpec, node_values, order: int | None = None):
+    """Weighted sums of k per-node integrands with their error estimates.
 
-    node_values(nodes) returns the per-chunk integrand, a function of the
-    chunk's slice. The product rule reports |value(order) - value(order-4)|;
-    Monte Carlo reports the standard error of the weighted estimator.
+    node_values(nodes, main) returns a function of a chunk's slice giving the
+    k integrands and, at the main order, per-node scan outputs (else None).
+    Each integrand has its own per-chunk np.dot and Neumaier sum. The product
+    rule reports |value(order) - value(order-4)| (no re-pass when k = 0);
+    Monte Carlo the standard error of the weighted estimator. Returns the
+    results, the scan outputs in node order, and the weights.
     """
 
-    def run(order=None):
+    def run(order, main):
         nodes = _nodes(spec, q, order)
-        at = node_values(nodes)
+        at = node_values(nodes, main)
 
-        def job(sl):
-            vals = at(sl)
-            return float(np.dot(vals, nodes.wts[sl])), vals
+        def job(sl):  # only Monte Carlo's error estimate reads the per-node values again
+            vals, out = at(sl)
+            return [float(np.dot(v, nodes.wts[sl])) for v in vals], vals if q.method == "mc" else (), out
 
-        parts = nodes.map(job)
-        return _neumaier(p[0] for p in parts), parts, nodes.wts
+        sums, vals, outs = zip(*nodes.map(job))
+        return [_neumaier(s) for s in zip(*sums)], vals, outs, nodes.wts
 
-    value, parts, wts = run()
+    values, vals, outs, wts = run(order, True)
     if q.method == "gauss":
-        err = abs(value - run(max(2, q.order - _ERROR_ORDER_DROP))[0])
+        lower = run(max(2, q.order - _ERROR_ORDER_DROP), False)[0] if values else []
+        errs = [abs(v - w) for v, w in zip(values, lower)]
     else:
-        est = np.concatenate([p[1] for p in parts]) * wts * wts.shape[0]  # per-sample estimator of the total
-        err = float(np.std(est, ddof=1) / math.sqrt(est.shape[0]))
-    return IntegralResult(value, err, wts.shape[0], q.describe())
+        ests = (np.concatenate(v) * wts * wts.shape[0] for v in zip(*vals))  # per-sample estimators of the totals
+        errs = [float(np.std(e, ddof=1) / math.sqrt(e.shape[0])) for e in ests]
+    results = tuple(IntegralResult(v, e, wts.shape[0], q.describe()) for v, e in zip(values, errs))
+    scanned = None if outs[0] is None else tuple(np.concatenate(k) for k in zip(*outs))
+    return results, scanned, wts
 
 
-def surface_integral(spec: SurfaceSpec, field, q: QuadratureSpec) -> IntegralResult:
-    """Integral of a boundary scalar over the surface; field maps a FrameBatch to one value per point."""
+def _boundary(spec: SurfaceSpec, q: QuadratureSpec, fields: tuple, scan=None, order: int | None = None):
+    """The one boundary pass: each chunk builds one FrameBatch per order. Every
+    field (times the surface Jacobian) reads it, and at the main order so does
+    scan. Returns the field results and the scan_boundary triple, or None."""
     m = spec.m
 
-    def node_values(nodes):
+    def node_values(nodes, main):
         def at(sl):
             frames = FrameBatch.at_points(spec, nodes.points(sl, nodes.rho[sl]))
             jac = nodes.rho[sl] ** (m - 1) * (2.0 * frames.pgrad_norm) / nodes.slope[sl]
-            return np.asarray(field(frames), dtype=float) * jac
+            vals = tuple(np.asarray(f(frames), dtype=float) * jac for f in fields)
+            if not main or scan is None:
+                return vals, None
+            out = scan(frames)
+            return vals, (*(out if isinstance(out, tuple) else (out,)), frames.points)
 
         return at
 
-    return _integral(spec, q, node_values)
+    results, scanned, wts = _integral(spec, q, node_values, order)
+    if scanned is None:
+        return results, None
+    *outs, points = scanned
+    return results, ((outs[0] if len(outs) == 1 else tuple(outs)), wts, points)
+
+
+def surface_integral(spec: SurfaceSpec, field, q: QuadratureSpec, scan=None):
+    """Integral of a boundary scalar over the surface; field maps a FrameBatch to one value per point.
+
+    A tuple of fields gives a tuple of IntegralResult from one boundary pass,
+    each equal to its single-field call. With scan=fn the call returns
+    (result, scan_boundary(spec, q, fn)), the scan read from that same pass.
+    """
+    results, scanned = _boundary(spec, q, field if isinstance(field, tuple) else (field,), scan)
+    result = results if isinstance(field, tuple) else results[0]
+    return result if scan is None else (result, scanned)
 
 
 def volume(spec: SurfaceSpec, q: QuadratureSpec) -> IntegralResult:
     """Lebesgue measure of the enclosed domain via the radial formula."""
-    return _integral(spec, q, lambda nodes: lambda sl: nodes.rho[sl] ** spec.m / spec.m)
+    return _integral(spec, q, lambda nodes, main: lambda sl: ((nodes.rho[sl] ** spec.m / spec.m,), None))[0][0]
 
 
 def bulk_integral(spec: SurfaceSpec, field, q: QuadratureSpec) -> IntegralResult:
@@ -276,12 +308,12 @@ def bulk_integral(spec: SurfaceSpec, field, q: QuadratureSpec) -> IntegralResult
     field maps an array of points (B, m) to one value per point."""
     m = spec.m
 
-    def node_values(nodes):
+    def node_values(nodes, main):
         rho = nodes.rho
         if q.method == "mc":
             rng = np.random.default_rng(q.seed + 1)  # radial stream distinct from the direction sampler
             uu = rng.random(rho.shape[0]) ** (1.0 / m)
-            return lambda sl: rho[sl] ** m / m * np.asarray(field(nodes.points(sl, rho[sl] * uu[sl])), dtype=float)
+            return lambda sl: ((rho[sl] ** m / m * np.asarray(field(nodes.points(sl, rho[sl] * uu[sl])), dtype=float),), None)
         t, u = np.polynomial.legendre.leggauss(q.radial_order if q.radial_order is not None else nodes.order)
         t, u = (t + 1) / 2, u / 2
 
@@ -290,11 +322,11 @@ def bulk_integral(spec: SurfaceSpec, field, q: QuadratureSpec) -> IntegralResult
             for t_i, u_i in zip(t, u):
                 r = rho[sl] * t_i
                 acc += u_i * r ** (m - 1) * rho[sl] * np.asarray(field(nodes.points(sl, r)), dtype=float)
-            return acc
+            return (acc,), None
 
         return at
 
-    return _integral(spec, q, node_values)
+    return _integral(spec, q, node_values)[0][0]
 
 
 def scan_boundary(spec: SurfaceSpec, q: QuadratureSpec, fn, order: int | None = None):
@@ -304,15 +336,7 @@ def scan_boundary(spec: SurfaceSpec, q: QuadratureSpec, fn, order: int | None = 
     node weights and boundary points; used for node sweeps (extrema, defects)
     that are not integrals.
     """
-    nodes = _nodes(spec, q, order)
-
-    def job(sl):
-        pts = nodes.points(sl, nodes.rho[sl])
-        out = fn(FrameBatch.at_points(spec, pts))
-        return (*(out if isinstance(out, tuple) else (out,)), pts)
-
-    *outs, points = (np.concatenate(k) for k in zip(*nodes.map(job)))
-    return (outs[0] if len(outs) == 1 else tuple(outs)), nodes.wts, points
+    return _boundary(spec, q, (), fn, order)[1]
 
 
 def scan_bulk(spec: SurfaceSpec, q: QuadratureSpec, fn, shells: int = 4):

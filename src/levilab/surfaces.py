@@ -449,20 +449,17 @@ def radial_roots(spec: SurfaceSpec, dirs, center=None) -> tuple[np.ndarray, np.n
         worst = int(np.argmax(np.abs(g)))
         raise StarShapeError(f"radial root failed to converge along direction {dirs[worst].tolist()}")
 
-    # one clean evaluation at the final roots for the returned slope
-    rj = eval_ray(spec, center, dirs, rho)
-    gv = rj.val
-    gs = rj.grad[:, 0]
-    if np.any(gs <= 0):
-        idx = int(np.argmin(gs))
+    # a ray stops at the rho of its last evaluation, where g and gp hold f and the returned slope
+    if np.any(gp <= 0):
+        idx = int(np.argmin(gp))
         raise TransversalityError(
-            f"<grad f, direction> = {gs[idx]!r} <= 0 at the root along {dirs[idx].tolist()}"
+            f"<grad f, direction> = {gp[idx]!r} <= 0 at the root along {dirs[idx].tolist()}"
         )
-    bad = np.abs(gv) > ROOT_ABS_TOL * np.maximum(1.0, np.abs(gs) * rho)
+    bad = np.abs(g) > ROOT_ABS_TOL * np.maximum(1.0, np.abs(gp) * rho)
     if np.any(bad):
-        idx = int(np.argmax(np.abs(gv)))
-        raise StarShapeError(f"residual {gv[idx]!r} at radial root along {dirs[idx].tolist()}")
-    return rho, gs
+        idx = int(np.argmax(np.abs(g)))
+        raise StarShapeError(f"residual {g[idx]!r} at radial root along {dirs[idx].tolist()}")
+    return rho, gp
 
 
 def radial_root(spec: SurfaceSpec, direction) -> tuple[float, float]:

@@ -3,13 +3,15 @@ identity, the constant-curvature chain, and the Dirichlet-solution chain.
 
 Each operation runs the relevant quadratures, compares the two sides at an
 explicit tolerance, and returns a machine-readable VerificationReport whose
-JSON form is byte-stable for fixed inputs. Inequalities report their margin;
-identities report both sides and the relative error. The Dirichlet chain's
-gradient-flux sub-check allows a gap of FLUX_TOL plus the quadratures' own
-error estimates, so a gap the rule cannot resolve is not reported as a
-violation. Hypothesis failures (nonpositive curvature at a node, non-constant
-curvature where constancy is assumed) are never silently absorbed: they raise
-or downgrade the verdict.
+JSON form is byte-stable for fixed inputs. Each operation makes one boundary
+pass: its boundary integrals and node scans come from one surface_integral
+(or scan_boundary) call, so each chunk's frames are built once per order.
+Inequalities report their margin; identities report both sides and the
+relative error. The Dirichlet chain's gradient-flux sub-check allows a gap of
+FLUX_TOL plus the quadratures' own error estimates, so a gap the rule cannot
+resolve is not reported as a violation. Hypothesis failures (nonpositive
+curvature at a node, non-constant curvature where constancy is assumed) are
+never silently absorbed: they raise or downgrade the verdict.
 """
 
 from __future__ import annotations
@@ -102,14 +104,14 @@ def _sigma_field(spec: sf.SurfaceSpec, j: int):
 
 def _levi_flux_field(j: int):
     def fn(frames):
-        return cv.levi(frames, j) * frames.pgrad_norm ** (j + 1)
+        return frames.levi(j) * frames.pgrad_norm ** (j + 1)
 
     return fn
 
 
 def _inv_levi_field(j: int):
     def fn(frames):
-        k = cv.levi(frames, j)
+        k = frames.levi(j)
         if np.any(k <= 0):
             i = int(np.argmin(k))
             raise HypothesisViolationError(
@@ -232,8 +234,7 @@ def minkowski_residual(
     from the star center; the identity is translation invariant because the
     mean-curvature vector field integrates to zero over a closed surface.
     """
-    area_r = qd.surface_integral(spec, _ones, q)
-    mink_r = qd.surface_integral(spec, _mean_curv_flux, q)
+    area_r, mink_r = qd.surface_integral(spec, (_ones, _mean_curv_flux), q)
     lhs, rhs = area_r.value, mink_r.value
     rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
     verdict = {"kind": "equal", "tol": tol} if rel <= tol else {"kind": "violated", "tol": tol}
@@ -263,10 +264,9 @@ def alexandrov_check(
     """
     _check_j(spec, j)
     n = spec.n
-    (k_vals, h_vals), _, _ = qd.scan_boundary(
-        spec, q, lambda fr: (cv.levi(fr, j), cv.mean_curvature(fr))
+    area_r, ((k_vals, h_vals), _, _) = qd.surface_integral(
+        spec, _ones, q, scan=lambda fr: (fr.levi(j), cv.mean_curvature(fr))
     )
-    area_r = qd.surface_integral(spec, _ones, q)
     vol_r = qd.volume(spec, q)
     k_lo, k_hi = float(np.min(k_vals)), float(np.max(k_vals))
     defect = k_hi - k_lo
@@ -351,26 +351,20 @@ def dirichlet_chain(
     rhs1 = math.comb(n + 1, j + 1) * vol_r.value / (n + 1) ** (j + 1)
     margin1 = rhs1 - lhs1_r.value
 
-    pg_r = qd.surface_integral(dspec, _pgrad, q)
+    diag = dspec.hessian_diagonal()
+    proportional = float(np.max(diag) - np.min(diag)) <= 1e-12 * float(np.max(diag))
+    # one pass, one K_j per chunk for the flux and K^{-1/j}; the pointwise product is read when proportional
+    (pg_r, flux_w_r, inv_r), (dev, _, _) = qd.surface_integral(
+        dspec, (_pgrad, _levi_flux_field(j), _inv_levi_field(j)), q,
+        scan=lambda fr: np.abs(fr.levi(j) ** (1.0 / j) * (n + 1) * fr.pgrad_norm - 1.0),
+    )
+    gradc_dev = float(np.max(dev)) if proportional else None
     flux_scale = max(abs(2 * vol_r.value), 1e-300)
     flux_rel = abs(pg_r.value - 2 * vol_r.value) / flux_scale
     flux_rel_bound = FLUX_TOL + (pg_r.error_estimate + 2 * vol_r.error_estimate) / flux_scale
 
-    flux_w_r = qd.surface_integral(dspec, _levi_flux_field(j), q)
-    inv_r = qd.surface_integral(dspec, _inv_levi_field(j), q)
     holder_bound = pg_r.value ** (j + 1) / inv_r.value**j
     margin3 = flux_w_r.value - holder_bound
-
-    diag = dspec.hessian_diagonal()
-    proportional = float(np.max(diag) - np.min(diag)) <= 1e-12 * float(np.max(diag))
-    gradc_dev = None
-    if proportional:
-        dev, _, _ = qd.scan_boundary(
-            dspec,
-            q,
-            lambda fr: np.abs(cv.levi(fr, j) ** (1.0 / j) * (n + 1) * fr.pgrad_norm - 1.0),
-        )
-        gradc_dev = float(np.max(dev))
 
     ok1 = margin1 >= -tol * max(rhs1, 1e-300)
     ok2 = flux_rel <= flux_rel_bound

@@ -14,3 +14,20 @@ def forbid_lapack_det(monkeypatch):
         raise AssertionError(f"np.linalg.det called on shape {np.shape(a)}")
 
     monkeypatch.setattr(np.linalg, "det", no_lapack)
+
+
+@pytest.fixture
+def frame_calls(monkeypatch):
+    """Record the batch size of every FrameBatch.at_points call: a perf guard for
+    suites that must build each chunk's boundary frames once per order."""
+    from levilab.curvature import FrameBatch
+
+    calls = []
+    real = FrameBatch.at_points.__func__
+
+    def counting(cls, spec, pts, *args, **kwargs):
+        calls.append(len(pts))
+        return real(cls, spec, pts, *args, **kwargs)
+
+    monkeypatch.setattr(FrameBatch, "at_points", classmethod(counting))
+    return calls

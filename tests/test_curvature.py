@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from levilab import curvature as cv
 from levilab import surfaces as sf
 from levilab.errors import DegenerateGradientError
-from levilab.hermitian import sigma_batch, sigma_grad
+from levilab.hermitian import det_batch, sigma_batch, sigma_grad
 
 
 def sphere_points(rng, radius, m, count):
@@ -71,6 +72,48 @@ class TestBorderedMinors:
         fr = cv.FrameBatch.at_point(spec, [1.0, 0.0, 0.0, 0.0])
         with pytest.raises(ValueError):
             fr.bordered_minor((1, 1))
+
+
+def _bordered_frames(seed: int, count: int, big: float):
+    """Hermitian Hessians and gradients of size big: a real function's bordered-minor inputs."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((count, 3, 3)) + 1j * rng.standard_normal((count, 3, 3))
+    grad = rng.standard_normal((count, 3)) + 1j * rng.standard_normal((count, 3))
+    return big * grad, big * (a + np.conj(np.swapaxes(a, 1, 2)))
+
+
+class TestImaginaryPartCheck:
+    def test_large_entries_with_rounding_imaginary_parts_pass(self):
+        wgrad, whess = _bordered_frames(3, 200, 1e4)
+        mat = np.zeros((200, 4, 4), dtype=complex)
+        mat[:, 0, 1:], mat[:, 1:, 0], mat[:, 1:, 1:] = np.conj(wgrad), wgrad, whess
+        # rounding leaves |Im det| far above the bare tolerance; only the entry scale forgives it
+        assert np.max(np.abs(det_batch(mat).imag)) > 1e3 * cv._IMAG_DROP_TOL
+        assert np.all(np.isfinite(cv.bordered_minor(wgrad, whess, (1, 2, 3))))
+
+    def test_complex_function_raises(self):
+        wgrad, whess = _bordered_frames(4, 50, 1.0)
+        whess[17, 0, 1] += 0.5j  # no longer Hermitian: not the Hessian of a real function
+        with pytest.raises(ValueError, match="imaginary part"):
+            cv.bordered_minor(wgrad, whess, (1, 2))
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**16), big=st.sampled_from([1e-3, 1.0, 1e3, 1e5]))
+    def test_same_rows_fail_as_with_the_scale_of_every_row(self, seed, big):
+        wgrad, whess = _bordered_frames(seed, 40, big)
+        rng = np.random.default_rng(seed)
+        whess[rng.integers(0, 40, 3), 0, 2] += 1e-9 * big**2 * rng.standard_normal(3) * 1j
+        idx = (1, 3)
+        mat = np.zeros((40, 3, 3), dtype=complex)
+        mat[:, 0, 1:], mat[:, 1:, 0], mat[:, 1:, 1:] = np.conj(wgrad[:, [0, 2]]), wgrad[:, [0, 2]], whess[:, [0, 2]][:, :, [0, 2]]
+        det = det_batch(mat)
+        scale = np.maximum(1.0, np.max(np.abs(mat), axis=(1, 2)) ** 3)
+        if np.any(np.abs(det.imag) > cv._IMAG_DROP_TOL * scale):
+            worst = det.imag[int(np.argmax(np.abs(det.imag) / scale))]
+            with pytest.raises(ValueError, match=re.escape(f"imaginary part {worst:.3e};")):
+                cv.bordered_minor(wgrad, whess, idx)
+        else:
+            assert np.array_equal(cv.bordered_minor(wgrad, whess, idx), det.real)
 
 
 class TestCylinderRemark:

@@ -68,6 +68,37 @@ class TestSurfaceIntegral:
         assert np.max(np.abs(jac - 1.3**3)) < 1e-11
 
 
+FIELDS = (
+    ones,
+    lambda fr: cv.levi(fr, 1),
+    lambda fr: cv.mean_curvature(fr) * np.einsum("bi,bi->b", fr.normal, fr.points),
+)
+
+
+class TestFusedPass:
+    @pytest.mark.parametrize("q", [Q16, qd.QuadratureSpec(order=18), qd.QuadratureSpec(method="mc", samples=20_000, seed=7)])
+    def test_tuple_call_equals_separate_calls(self, q):
+        spec = sf.Ellipsoid([1.0, 1.3, 0.8, 1.1])
+        fused = qd.surface_integral(spec, FIELDS, q)
+        assert isinstance(fused, tuple) and len(fused) == len(FIELDS)
+        for field, got in zip(FIELDS, fused):
+            alone = qd.surface_integral(spec, field, q)
+            assert got.value == alone.value
+            assert got.error_estimate == alone.error_estimate
+            assert got.nodes_used == alone.nodes_used
+            assert got == alone
+
+    @pytest.mark.parametrize("q", [Q16, qd.QuadratureSpec(method="mc", samples=20_000, seed=7)])
+    def test_scan_equals_scan_boundary(self, q):
+        spec = sf.ReinhardtSurface(0.5, 4.0)
+        scan = lambda fr: (cv.levi(fr, 1), cv.mean_curvature(fr))  # noqa: E731
+        res, ((k, h), w, pts) = qd.surface_integral(spec, ones, q, scan=scan)
+        (k0, h0), w0, pts0 = qd.scan_boundary(spec, q, scan)
+        assert res == qd.surface_integral(spec, ones, q)
+        for a, b in ((k, k0), (h, h0), (w, w0), (pts, pts0)):
+            assert np.array_equal(a, b)
+
+
 class TestVolume:
     def test_ball(self):
         res = qd.volume(sf.Sphere(2.0), Q24)
@@ -153,15 +184,17 @@ class TestDeterminism:
     def test_bitwise_identical_across_runs_and_workers(self):
         spec = sf.Ellipsoid([1.0, 1.3, 0.8, 1.1])
         field = lambda fr: cv.levi(fr, 1)
-        qd.clear_root_cache()
-        v1 = qd.surface_integral(spec, field, Q16).value
-        qd.clear_root_cache()
-        v2 = qd.surface_integral(spec, field, Q16).value
+        q = qd.QuadratureSpec(order=20)  # two chunks, so three workers split the pass
+
+        def values():
+            qd.clear_root_cache()
+            return qd.surface_integral(spec, field, Q16).value, qd.surface_integral(spec, FIELDS, q)
+
+        v1, v2 = values(), values()
         old = os.environ.get("LEVILAB_THREADS")
         try:
             os.environ["LEVILAB_THREADS"] = "3"
-            qd.clear_root_cache()
-            v3 = qd.surface_integral(spec, field, Q16).value
+            v3 = values()
         finally:
             if old is None:
                 os.environ.pop("LEVILAB_THREADS", None)

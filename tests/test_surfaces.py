@@ -120,10 +120,20 @@ class TestRadialRoots:
             vals = sf.eval_values(spec, spec.star_center[None] + rho[:, None] * d)
             assert np.max(np.abs(vals)) < 1e-11
 
-    @pytest.mark.parametrize("name,most", [("reinhardt", 4), ("ellipsoid_generic", 8)])
+    @pytest.mark.parametrize("name", ["sphere", "sphere3", "ellipsoid", "quadric", "reinhardt", "poly"])
+    def test_slope_is_a_fresh_evaluation_at_the_root(self, name):
+        # the slope comes from the last Newton evaluation; it must equal a clean one bit for bit
+        spec = _families()[name]
+        dirs, _ = sphere_grid(spec.m, 12 if spec.m == 4 else 5)
+        rho, slope = sf.radial_roots(spec, dirs)
+        fresh = sf.eval_ray(spec, spec.star_center, dirs, rho)
+        assert np.array_equal(slope, fresh.grad[:, 0])
+
+    @pytest.mark.parametrize("name,most", [("reinhardt", 1), ("ellipsoid_generic", 6)])
     def test_newton_start_needs_few_sweeps(self, name, most, monkeypatch):
         # ReinhardtSurface(0.5, 4.0) is the radius-2 sphere, and its scale (the first bracket
-        # end) lies one ulp above every root; a midpoint start took 48 ray evaluations there
+        # end) lies one ulp above every root; a midpoint start took 48 ray evaluations there.
+        # The bounds are the counts since the slope at the roots is no longer evaluated again.
         spec = {"reinhardt": _families()["reinhardt"], "ellipsoid_generic": sf.Ellipsoid([0.8, 1.0, 1.2, 1.4])}[name]
         dirs, _ = sphere_grid(spec.m, 32)
         calls = []

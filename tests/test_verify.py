@@ -223,3 +223,60 @@ class TestReports:
         assert ok.exit_code == 0
         hyp = vf.alexandrov_check(sf.Ellipsoid([1.0, 1.0, 1.0, 2.0]), 1, Q12)
         assert hyp.exit_code == 3
+
+
+class TestOneBoundaryPass:
+    # perf guard: each suite builds one FrameBatch per chunk and order. Order 16 in R^4 is
+    # one chunk of 8192 nodes and its error re-pass at order 12 another; order 20 has two chunks.
+    @pytest.mark.parametrize("order,calls", [(16, 2), (20, 3)])
+    def test_one_frame_batch_per_chunk_and_order(self, order, calls, frame_calls):
+        q = qd.QuadratureSpec(order=order)
+        runs = {
+            "minkowski": lambda: vf.minkowski_residual(sf.Ellipsoid([1.0, 1.3, 0.8, 1.1]), q),
+            "alexandrov": lambda: vf.alexandrov_check(sf.ReinhardtSurface(0.5, 4.0), 1, q),
+            "dirichlet": lambda: vf.dirichlet_chain([1.0, 1.0, 1.0, 2.0], 1, q),
+            "dirichlet_proportional": lambda: vf.dirichlet_chain([2.0, 1.0, 1.0, 2.0], 1, q),
+            "isoperimetric": lambda: vf.isoperimetric_ratio(sf.Ellipsoid([1.0, 1.3, 0.8, 1.1]), 1, q),
+        }
+        for name, run in runs.items():
+            frame_calls.clear()
+            run()
+            assert len(frame_calls) == calls, name
+
+    def test_dirichlet_computes_each_levi_once_per_frame_batch(self, monkeypatch):
+        seen = []  # the batches themselves, so no id is reused
+        real = cv.levi
+        monkeypatch.setattr(cv, "levi", lambda fr, j: (seen.append(fr), real(fr, j))[1])
+        vf.dirichlet_chain([2.0, 1.0, 1.0, 2.0], 1, qd.QuadratureSpec(order=16))
+        assert len(seen) == len({id(fr) for fr in seen}) == 2
+
+
+def _forced_nonpositive(monkeypatch, mask):
+    """Make K_j = -1 at the boundary points selected by mask(points)."""
+    real = cv.levi
+
+    def levi(frames, j):
+        k = real(frames, j).copy()
+        k[mask(frames.points)] = -1.0
+        return k
+
+    monkeypatch.setattr(cv, "levi", levi)
+
+
+class TestNonpositiveCurvatureNode:
+    # the error names the first node, in node order at the main order, whose K_j is <= 0
+    @pytest.mark.parametrize("suite", ["isoperimetric", "dirichlet"])
+    def test_raises_at_first_nonpositive_node(self, suite, monkeypatch):
+        axes = [1.0, 1.0, 1.0, 2.0]
+        spec = sf.DirichletQuadratic(axes)
+        q = qd.QuadratureSpec(order=20)  # two chunks
+        mask = lambda pts: pts[:, 3] < -1.2  # noqa: E731
+        _, _, pts = qd.scan_boundary(spec, q, lambda fr: fr.pgrad_norm)
+        first = pts[np.flatnonzero(mask(pts))[0]]
+        _forced_nonpositive(monkeypatch, mask)
+        with pytest.raises(HypothesisViolationError) as info:
+            if suite == "isoperimetric":
+                vf.isoperimetric_ratio(spec, 1, q)
+            else:
+                vf.dirichlet_chain(axes, 1, q)
+        assert np.array_equal(info.value.point, first)
