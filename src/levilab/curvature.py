@@ -65,19 +65,18 @@ def bordered_minor(wgrad: np.ndarray, whess: np.ndarray, indices) -> np.ndarray:
 
     Zero corner, conjugate gradient along the border row, gradient down the
     border column, Hessian block inside. Real for real f; the imaginary part
-    is verified below tolerance and dropped.
+    is verified below tolerance and dropped. The matrix is built entry-major,
+    (k, k, B) seen as (B, k, k), so that det_batch reads each entry as one
+    contiguous row over the batch.
     """
-    idx = _check_indices(indices, wgrad.shape[-1])
-    sel = [i - 1 for i in idx]
-    b = wgrad.shape[0]
-    size = len(sel) + 1
-    mat = np.zeros((b, size, size), dtype=complex)
-    mat[:, 0, 1:] = np.conj(wgrad[:, sel])
-    mat[:, 1:, 0] = wgrad[:, sel]
-    mat[:, 1:, 1:] = whess[:, sel][:, :, sel]
+    sel = [i - 1 for i in _check_indices(indices, wgrad.shape[-1])]
+    g = wgrad.T[sel]
+    mat = np.empty((len(sel) + 1, len(sel) + 1, wgrad.shape[0]), dtype=complex)
+    mat[0, 0], mat[0, 1:], mat[1:, 0], mat[1:, 1:] = 0.0, np.conj(g), g, whess.transpose(1, 2, 0)[np.ix_(sel, sel)]
+    mat = mat.transpose(2, 0, 1)
     det = det_batch(mat)
     rows = np.flatnonzero(np.abs(det.imag) > _IMAG_DROP_TOL)  # the scale is >= 1: no other row can fail
-    scale = np.maximum(1.0, np.max(np.abs(mat[rows]), axis=(1, 2)) ** size)
+    scale = np.maximum(1.0, np.max(np.abs(mat[rows]), axis=(1, 2)) ** mat.shape[-1])
     if np.any(np.abs(det.imag[rows]) > _IMAG_DROP_TOL * scale):
         i = rows[int(np.argmax(np.abs(det.imag[rows]) / scale))]
         raise ValueError(f"bordered minor has imaginary part {det.imag[i]:.3e}; input not a real function?")
@@ -133,7 +132,7 @@ class FrameBatch:
         if np.any(off):
             i = int(np.argmax(np.abs(value)))
             raise ValueError(f"point {pts[i].tolist()} is off the boundary: f = {value[i]!r}")
-        gnorm = np.linalg.norm(rgrad, axis=1)
+        gnorm = np.sqrt(np.add.reduce(rgrad * rgrad, axis=1))  # np.linalg.norm without its copies
         if np.any(gnorm <= GRADIENT_FLOOR):
             i = int(np.argmin(gnorm))
             raise DegenerateGradientError(f"|grad f| = {gnorm[i]:.3e} at {pts[i].tolist()}")
@@ -190,9 +189,11 @@ def mean_curvature(frames: FrameBatch) -> np.ndarray:
         )
     g = frames.rgrad
     h = frames.rhess
-    gnorm = np.linalg.norm(g, axis=1)
+    gnorm = 2.0 * frames.pgrad_norm  # |grad f|, exactly: pgrad_norm is half of it
     lap = np.trace(h, axis1=1, axis2=2)
-    quad = np.einsum("bi,bij,bj->b", g, h, g)
+    quad = np.zeros(len(g))  # g^T h g, summed in the order np.einsum("bi,bij,bj->b") sums it
+    for i, j in itertools.product(range(g.shape[1]), repeat=2):
+        quad += g[:, i] * h[:, i, j] * g[:, j]
     div_normal = lap / gnorm - quad / gnorm**3
     return div_normal / (2 * frames.n + 1)
 

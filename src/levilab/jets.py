@@ -6,11 +6,11 @@ val has shape (B,), grad (B, m), hess (B, m, m). Building an expression from
 the seed jets with +, -, *, /, ** and the function hooks below yields exact
 derivatives up to rounding; there is no truncation error anywhere.
 
-The polynomial surface families do not go through this engine: they compile
-to closed-form evaluators (polynomial.py). Jet is the container their
-derivatives come back in, and Jet.apply is the one-variable chain rule of the
-non-polynomial families (the Reinhardt profile r1^2 - F(s), the exp(f) - 1
-reparametrisation). The seeds and the arithmetic serve expressions built by
+The surface families do not go through this engine: the polynomial ones
+compile to closed-form evaluators (polynomial.py), and ReinhardtSurface writes
+the jets of r1^2 - F(s) in closed form. Jet is the container their derivatives
+come back in, and Jet.apply is the one-variable chain rule of the exp(f) - 1
+reparametrisation. The seeds and the arithmetic serve expressions built by
 hand, chiefly the reference expressions of the tests. m = 0 jets evaluate
 values only, and m = 1 jets seeded along a ray give directional derivatives.
 Complex dtypes are allowed (polynomials in z and zbar are built from x + iy

@@ -88,9 +88,7 @@ class ReinhardtProfile:
             raise DomainError(f"s={bad} below the profile validity range [{self.s_lo}, {self.s_end}]")
         np.clip(s, self.s_lo, None, out=s)
 
-        f = np.empty_like(s)
-        fp = np.empty_like(s)
-        fpp = np.empty_like(s)
+        f, fp, fpp = np.empty((3, s.size))
 
         slack = 1e-12 * max(1.0, self.s_end)
         if not self.closed:
@@ -111,15 +109,15 @@ class ReinhardtProfile:
 
         if np.any(mid):
             ss = s[mid]
-            y = self._sol(ss)
+            y = _dense(self._sol, ss)
             f[mid], fp[mid] = y[0], y[1]
             denom = ss * y[0]
             floor = _DENOM_FLOOR * max(self.f0, self.s_end) * self.s_end
-            use_formula = denom > floor
-            vals = np.where(use_formula, denom, 1.0)
-            raw = (ss * y[1] ** 2 - self.k * _pow32(y[0] + ss * y[1] ** 2) - y[0] * y[1]) / vals
-            fallback = self._fpp_fallback(ss) if self._fpp_fallback is not None else np.zeros_like(ss)
-            fpp[mid] = np.where(use_formula, raw, fallback)
+            low = denom <= floor
+            raw = (ss * y[1] ** 2 - self.k * _pow32(y[0] + ss * y[1] ** 2) - y[0] * y[1]) / np.where(low, 1.0, denom)
+            if np.any(low):
+                raw[low] = self._fpp_fallback(ss[low])
+            fpp[mid] = raw
 
         beyond = ~inside
         if np.any(beyond):
@@ -142,6 +140,17 @@ class ReinhardtProfile:
     def residual(self, s) -> np.ndarray:
         f, fp, fpp = self.eval(s)
         return ode_residual(np.asarray(s, dtype=float), f, fp, fpp, self.k)
+
+
+def _dense(sol, t: np.ndarray) -> np.ndarray:
+    """OdeSolution sol(t), bit for bit, with one interpolant call per segment t reaches
+    and without sorting t (RK solutions choose segments with side 'left')."""
+    seg = np.clip(np.searchsorted(sol.ts, t, side="left") - 1, 0, sol.n_segments - 1)
+    y = np.empty((2, t.size))
+    for k in np.flatnonzero(np.bincount(seg, minlength=sol.n_segments)):
+        rows = np.flatnonzero(seg == k)
+        y[:, rows] = sol.interpolants[k](t[rows])
+    return y
 
 
 def _pow32(arg):

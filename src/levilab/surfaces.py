@@ -6,9 +6,9 @@ with f < 0 inside, f = 0 on the boundary, and gives its value, gradient and
 Hessian exact to rounding, as float64 arrays, from derivatives(pts, order).
 The polynomial families (Sphere, Ellipsoid, PerturbedQuadric, Cylinder,
 UserPolynomial, DirichletQuadratic) expand f once into a RealPolynomial and
-evaluate closed-form derivatives from it. ReinhardtSurface and ExpReparam
-apply a one-variable chain rule to such derivatives. No finite differencing
-happens on the default path.
+evaluate closed-form derivatives from it. ReinhardtSurface writes the chain
+rule through its profile in closed form; ExpReparam composes its base family's
+derivatives with Jet.apply. No finite differencing happens on the default path.
 
 Star-shaped families declare a star center and are validated at construction
 on a coarse direction grid: every ray from the center must cross the boundary
@@ -221,18 +221,28 @@ class ReinhardtSurface(SurfaceSpec):
         self.k = float(k)
         self.scale = math.sqrt(max(self.profile.f0, self.profile.s_end))
         self.star_center = np.zeros(4) if self.profile.closed else None
-        self._r1sq = _diagonal_quadratic([1.0, 1.0, 0.0, 0.0], 0.0)
-        self._s = _diagonal_quadratic([0.0, 0.0, 1.0, 1.0], 0.0)
         if self.profile.closed:
             _validate_star_family(self)
 
     def derivatives(self, pts, order):
-        """r1^2 - F(s) with s = |z2|^2: the chain rule through the profile F."""
-        s = Jet(*self._s.evaluate(pts, order))
-        fval, fp, fpp = self.profile.eval(s.val)
-        neg_f = _chain(s, -fval, -fp, -fpp)
-        r1sq = self._r1sq.evaluate(pts, order)
-        return Jet(*(a if a is None else a + b for a, b in zip(r1sq, (neg_f.val, neg_f.grad, neg_f.hess))))
+        """r1^2 - F(s), s = |z2|^2, in closed form: with g = (2 x2, 2 y2), gradient (2 x1, 2 y1, -F' g),
+        Hessian diag(2, 2) + (-2 F' I - F'' g g^T). Products are formed as Jet.apply forms them, and
+        + 0.0 turns -0.0 into the +0.0 its sums give, so the jets are bit-identical to that chain rule."""
+        x1, y1, x2, y2 = np.ascontiguousarray(pts.T)
+        fval, fp, fpp = self.profile.eval(x2 * x2 + y2 * y2)
+        val = (x1 * x1 + y1 * y1) - fval
+        if order == 0:
+            return Jet(val, None, None)
+        g2, g3 = 2.0 * x2, 2.0 * y2
+        grad = np.stack([2.0 * x1, 2.0 * y1, -fp * g2, -fp * g3], axis=1) + 0.0
+        if order == 1:
+            return Jet(val, grad, None)
+        hess = np.zeros((4, 4, len(pts)))  # entry-major, like RealPolynomial's Hessians
+        hess[0, 0] = hess[1, 1] = 2.0
+        hess[2, 2] = -fpp * (g2 * g2) - 2.0 * fp + 0.0
+        hess[3, 3] = -fpp * (g3 * g3) - 2.0 * fp + 0.0
+        hess[2, 3] = hess[3, 2] = -fpp * (g2 * g3) + 0.0
+        return Jet(val, grad, hess.transpose(2, 0, 1))
 
     def boundary_point(self, s: float, phase1: float = 0.0, phase2: float = 0.0) -> np.ndarray:
         """A point on the surface at profile parameter s and torus phases."""

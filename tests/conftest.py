@@ -17,6 +17,17 @@ def forbid_lapack_det(monkeypatch):
 
 
 @pytest.fixture
+def forbid_jet_apply(monkeypatch):
+    """Make Jet.apply raise: a perf guard for jets that must be formed in closed form."""
+    from levilab.jets import Jet
+
+    def no_apply(self, *args):
+        raise AssertionError(f"Jet.apply called on a batch of {len(self.val)}")
+
+    monkeypatch.setattr(Jet, "apply", no_apply)
+
+
+@pytest.fixture
 def frame_calls(monkeypatch):
     """Record the batch size of every FrameBatch.at_points call: a perf guard for
     suites that must build each chunk's boundary frames once per order."""

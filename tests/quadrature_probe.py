@@ -2,8 +2,10 @@
 
 Prints one JSON line per probe: the float.hex of value and error estimate
 plus nodes_used for surface_integral, volume and bulk_integral, a sha256 of
-the raw bytes returned by scan_boundary and scan_bulk, and a sha256 of a few
-verification reports. A change that must keep the arithmetic order is
+the raw bytes returned by scan_boundary and scan_bulk, a sha256 of a K_1 and
+K_2 scan on an n=2 quadric with complex holomorphic terms, a sha256 of the
+Reinhardt jets at orders 0, 1 and 2 on every branch of the profile, and a
+sha256 of a few verification reports. A change that must keep the arithmetic order is
 bit-identical when the two outputs are equal:
 
     PYTHONPATH=<old>/src python tests/quadrature_probe.py > old.jsonl
@@ -31,6 +33,7 @@ SURFACES = {
     "reinhardt": lambda: sf.ReinhardtSurface(0.5, 4.0),
     "dirichlet": lambda: sf.DirichletQuadratic([1.0, 1.0, 1.0, 2.0]),
 }
+QUADRIC_N2 = {(2, 0, 0): 0.1 + 0.05j, (1, 1, 0): -0.1j, (0, 1, 1): 0.05, (0, 0, 3): 0.02 - 0.03j}
 RULES = {
     "gauss_o12": qd.QuadratureSpec(order=12),
     "gauss_o18": qd.QuadratureSpec(order=18),  # two chunks of CHUNK nodes
@@ -49,6 +52,26 @@ def _sha(*arrays) -> str:
     for a in arrays:
         h.update(np.ascontiguousarray(a).tobytes())
     return h.hexdigest()[:16]
+
+
+def _reinhardt_points(spec: sf.ReinhardtSurface) -> np.ndarray:
+    """Points whose s = |z2|^2 falls on every branch of ReinhardtProfile.eval."""
+    p = spec.profile
+    lo = max(p.s_lo, p._s_switch)
+    s = [np.linspace(p.s_lo, lo, 40, endpoint=p.s_lo == lo)]  # series zone (regular start)
+    s.append(lo + np.geomspace(1e-9, 1e-3, 60) * p.s_end)     # s*f below the f'' formula's floor
+    s.append(np.linspace(lo, p.s_end, 300))                   # dense ODE output
+    s.append(p.s_end - np.geomspace(1e-9, 1e-4, 40) * p.s_end)
+    if p.closed:
+        w = p._cap[2]
+        s.append(p.s_end + np.linspace(0.0, w, 40))           # quadratic cap
+        s.append(p.s_end + w * np.linspace(1.0, 50.0, 40))    # linear tail
+    s = np.concatenate(s)
+    rng = np.random.default_rng(5)
+    r1 = rng.uniform(0.0, 2.5, s.size)
+    t1, t2 = rng.uniform(0.0, 2 * np.pi, (2, s.size))
+    r2 = np.sqrt(s)
+    return np.stack([r1 * np.cos(t1), r1 * np.sin(t1), r2 * np.cos(t2), r2 * np.sin(t2)], axis=1)
 
 
 def main() -> None:
@@ -75,6 +98,20 @@ def main() -> None:
             row["scan_boundary_o4"] = _sha(*qd.scan_boundary(spec, q, lambda fr: fr.pgrad_norm, order=4))
             row["scan_bulk"] = _sha(qd.scan_bulk(spec, q, gap, shells=3))
             print(json.dumps(row, sort_keys=True))
+    quadric = sf.PerturbedQuadric(2, c=1.0, hterms=QUADRIC_N2)
+    (k1, k2), w, pts = qd.scan_boundary(quadric, qd.QuadratureSpec(order=6), lambda fr: (cv.levi(fr, 1), cv.levi(fr, 2)))
+    print(json.dumps({"levi_scan": "quadric_complex_n2_o6", "sha256": _sha(k1, k2, w, pts)}))
+    bands = {
+        "regular": SURFACES["reinhardt"](),
+        "band": sf.ReinhardtSurface(0.5, 3.5, fp0=-1.1, s0=0.8, smax=3.0),
+    }
+    for name, spec in bands.items():
+        pts = _reinhardt_points(spec)
+        row = {"reinhardt_derivatives": name}
+        for order in (0, 1, 2):
+            d = spec.derivatives(pts, order)
+            row[f"order{order}"] = _sha(*(a for a in (d.val, d.grad, d.hess) if a is not None))
+        print(json.dumps(row, sort_keys=True))
     ell = SURFACES["ellipsoid"]()
     reports = {
         "integral_gauss": lambda: vf.verify_integral_formula(ell, 1, RULES["gauss_o12"]),

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -74,12 +75,44 @@ class TestBorderedMinors:
             fr.bordered_minor((1, 1))
 
 
-def _bordered_frames(seed: int, count: int, big: float):
+def _bordered_frames(seed: int, count: int, big: float, size: int = 3):
     """Hermitian Hessians and gradients of size big: a real function's bordered-minor inputs."""
     rng = np.random.default_rng(seed)
-    a = rng.standard_normal((count, 3, 3)) + 1j * rng.standard_normal((count, 3, 3))
-    grad = rng.standard_normal((count, 3)) + 1j * rng.standard_normal((count, 3))
+    a = rng.standard_normal((count, size, size)) + 1j * rng.standard_normal((count, size, size))
+    grad = rng.standard_normal((count, size)) + 1j * rng.standard_normal((count, size))
     return big * grad, big * (a + np.conj(np.swapaxes(a, 1, 2)))
+
+
+def reference_minor(wgrad, whess, indices):
+    """bordered_minor as first written: a zero-filled (B, k, k) matrix, its check scaled on every row."""
+    sel = [i - 1 for i in indices]
+    mat = np.zeros((wgrad.shape[0], len(sel) + 1, len(sel) + 1), dtype=complex)
+    mat[:, 0, 1:], mat[:, 1:, 0], mat[:, 1:, 1:] = np.conj(wgrad[:, sel]), wgrad[:, sel], whess[:, sel][:, :, sel]
+    det = det_batch(mat)
+    scale = np.maximum(1.0, np.max(np.abs(mat), axis=(1, 2)) ** (len(sel) + 1))
+    if np.any(np.abs(det.imag) > cv._IMAG_DROP_TOL * scale):
+        worst = det.imag[int(np.argmax(np.abs(det.imag) / scale))]
+        raise ValueError(f"bordered minor has imaginary part {worst:.3e}; input not a real function?")
+    return det.real
+
+
+def reference_sum(wgrad, whess, j):
+    total = np.zeros(wgrad.shape[0])
+    for idx in itertools.combinations(range(1, wgrad.shape[1] + 1), j + 1):
+        total += reference_minor(wgrad, whess, idx)
+    return total
+
+
+def raw_frames(wgrad, whess):
+    """A FrameBatch over given Wirtinger data, for levi's algebra alone (no surface points)."""
+    b, nvars = wgrad.shape
+    pn = np.sqrt(np.sum(np.abs(wgrad) ** 2, axis=1))
+    zeros = np.zeros((b, 2 * nvars))
+    return cv.FrameBatch(
+        spec=sf.Sphere(1.0, n=nvars - 1), points=zeros, value=np.zeros(b), rgrad=zeros,
+        rhess=np.zeros((b, 2 * nvars, 2 * nvars)), wgrad=wgrad, whess=whess, pgrad_norm=pn,
+        normal=zeros, nu=wgrad / pn[:, None],
+    )
 
 
 class TestImaginaryPartCheck:
@@ -114,6 +147,28 @@ class TestImaginaryPartCheck:
                 cv.bordered_minor(wgrad, whess, idx)
         else:
             assert np.array_equal(cv.bordered_minor(wgrad, whess, idx), det.real)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**16), big=st.sampled_from([1e-3, 1.0, 1e3, 1e5]), j=st.sampled_from([1, 2]))
+    def test_levi_fails_on_the_rows_of_the_reference(self, seed, big, j):
+        # through levi and the entry-major matrices, the same index set and row fail with the same message
+        wgrad, whess = _bordered_frames(seed, 40, big)
+        rng = np.random.default_rng(seed)
+        whess[rng.integers(0, 40, 3), 0, 2] += 1e-9 * big**2 * rng.standard_normal(3) * 1j
+        fr = raw_frames(wgrad, whess)
+        try:
+            ref = -reference_sum(wgrad, whess, j) / (math.comb(2, j) * fr.pgrad_norm ** (j + 2))
+        except ValueError as err:
+            with pytest.raises(ValueError, match=re.escape(str(err))):
+                cv.levi(fr, j)
+        else:
+            assert cv.levi(fr, j).tobytes() == ref.tobytes()
+
+    def test_levi_raises_for_a_complex_function(self):
+        wgrad, whess = _bordered_frames(4, 50, 1.0)
+        whess[17, 0, 1] += 0.5j
+        with pytest.raises(ValueError, match="imaginary part"):
+            cv.levi(raw_frames(wgrad, whess), 1)
 
 
 class TestCylinderRemark:
@@ -301,6 +356,37 @@ class TestDeterminantKernel:
             fr = boundary_frames(spec, 52)
             for j in range(1, spec.n + 1):
                 assert np.all(np.isfinite(cv.levi(fr, j)))
+
+
+class TestEntryMajorBorderedMinor:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_equals_the_reference_bitwise(self, n):
+        wgrad, whess = _bordered_frames(30 + n, 64, 1.0, size=n + 1)
+        for j in range(1, n + 1):
+            for idx in itertools.combinations(range(1, n + 2), j + 1):
+                assert cv.bordered_minor(wgrad, whess, idx).tobytes() == reference_minor(wgrad, whess, idx).tobytes()
+            assert cv.bordered_sum(wgrad, whess, j).tobytes() == reference_sum(wgrad, whess, j).tobytes()
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_SURFACES))
+    def test_levi_equals_the_reference_bitwise(self, name):
+        spec = KERNEL_SURFACES[name]()
+        fr = boundary_frames(spec, 53)
+        for j in range(1, spec.n + 1):
+            ref = -reference_sum(fr.wgrad, fr.whess, j) / (math.comb(spec.n, j) * fr.pgrad_norm ** (j + 2))
+            assert cv.levi(fr, j).tobytes() == ref.tobytes()
+
+
+class TestMeanCurvatureContraction:
+    @pytest.mark.parametrize("name", sorted(KERNEL_SURFACES) + ["reinhardt"])
+    def test_equals_the_einsum_form_bitwise(self, name):
+        spec = sf.ReinhardtSurface(0.5, 4.0) if name == "reinhardt" else KERNEL_SURFACES[name]()
+        fr = boundary_frames(spec, 54, count=4096)
+        g, h = fr.rgrad, fr.rhess
+        gnorm = np.linalg.norm(g, axis=1)
+        assert (2.0 * fr.pgrad_norm).tobytes() == gnorm.tobytes()
+        quad = np.einsum("bi,bij,bj->b", g, h, g)
+        ref = (np.trace(h, axis1=1, axis2=2) / gnorm - quad / gnorm**3) / (2 * spec.n + 1)
+        assert cv.mean_curvature(fr).tobytes() == ref.tobytes()
 
 
 class TestMeanCurvatureOracle:

@@ -1,16 +1,20 @@
 import math
+import zlib
 
 import numpy as np
 import pytest
 
+from levilab import reinhardt as rh
 from levilab import surfaces as sf
-from levilab.curvature import complex_hessian
+from levilab.curvature import FrameBatch, complex_hessian
 from levilab.errors import (
     DomainError,
     SingularityError,
     StarShapeError,
     TransversalityError,
 )
+from levilab.jets import Jet
+from levilab.polynomial import RealPolynomial
 from levilab.quadrature import sphere_grid
 from levilab.reinhardt import ode_residual, reinhardt_profile, series_coeffs
 
@@ -64,7 +68,7 @@ class TestFiniteDifferenceConsistency:
     @pytest.mark.parametrize("name", ["sphere", "ellipsoid", "quadric", "cyl", "poly", "reinhardt", "sphere3"])
     def test_jets_match_fd(self, name):
         spec = _families()[name]
-        rng = np.random.default_rng(hash(name) % 2**32)
+        rng = np.random.default_rng(zlib.crc32(name.encode()))
         if name == "reinhardt":
             # stay inside the profile validity range
             pts = np.array([spec.boundary_point(s, rng.uniform(0, 6), rng.uniform(0, 6))
@@ -219,6 +223,97 @@ class TestReinhardtProfile:
     def test_band_requires_positive_s0(self):
         with pytest.raises(ValueError):
             reinhardt_profile(0.5, 4.0, fp0=-1.0, s0=0.0)
+
+
+R1SQ = RealPolynomial({(2, 0, 0, 0): 1.0, (0, 2, 0, 0): 1.0}, np.zeros(4))
+S = RealPolynomial({(0, 0, 2, 0): 1.0, (0, 0, 0, 2): 1.0}, np.zeros(4))
+
+
+def composed_reinhardt_jets(spec, pts, order):
+    """r1^2 - F(s) through the general composition: polynomial jets of r1^2 and s,
+    the profile chained onto s by Jet.apply, then the two added."""
+    s = Jet(*S.evaluate(pts, order))
+    fval, fp, fpp = spec.profile.eval(s.val)
+    if s.hess is not None:
+        neg_f = s.apply(-fval, -fp, -fpp)
+    else:
+        neg_f = Jet(-fval, None if s.grad is None else -fp[:, None] * s.grad, None)
+    r1sq = R1SQ.evaluate(pts, order)
+    return [a if a is None else a + b for a, b in zip(r1sq, (neg_f.val, neg_f.grad, neg_f.hess))]
+
+
+def reinhardt_points(spec, seed):
+    """Points whose s = |z2|^2 covers every branch of the profile, with signed-zero coordinates."""
+    p = spec.profile
+    lo = max(p.s_lo, p._s_switch)
+    s = [np.linspace(lo, p.s_end, 200), lo + np.geomspace(1e-9, 1e-3, 40) * p.s_end]
+    if p.regular_start:
+        s.append(np.linspace(0.0, lo, 30, endpoint=False))              # series zone
+    if p.closed:
+        w = p._cap[2]
+        s += [p.s_end + np.linspace(0.0, w, 30), p.s_end + w * np.linspace(1.0, 40.0, 30)]  # cap, tail
+    s = np.concatenate(s)
+    rng = np.random.default_rng(seed)
+    r1 = rng.uniform(0.0, 2.5, s.size)
+    t1, t2 = rng.uniform(0.0, 2 * np.pi, (2, s.size))
+    pts = np.stack([r1 * np.cos(t1), r1 * np.sin(t1), np.sqrt(s) * np.cos(t2), np.sqrt(s) * np.sin(t2)], axis=1)
+    pts[::7, 0] = -0.0
+    pts[::11, 1] = 0.0
+    if p.regular_start:
+        pts[::13, 2] = -0.0
+    return pts
+
+
+class TestReinhardtClosedForm:
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    @pytest.mark.parametrize("make", [
+        lambda: sf.ReinhardtSurface(0.5, 4.0),
+        lambda: sf.ReinhardtSurface(0.5, 3.5, fp0=-1.1, s0=0.8, smax=3.0),
+    ], ids=["regular", "band"])
+    def test_bitwise_equal_to_the_composition(self, make, order):
+        spec = make()
+        pts = reinhardt_points(spec, 17)
+        got = spec.derivatives(pts, order)
+        for a, b in zip((got.val, got.grad, got.hess), composed_reinhardt_jets(spec, pts, order)):
+            if b is None:
+                assert a is None
+            else:
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_branches_are_covered(self):
+        p = sf.ReinhardtSurface(0.5, 4.0).profile
+        s = np.sum(reinhardt_points(sf.ReinhardtSurface(0.5, 4.0), 17)[:, 2:] ** 2, axis=1)
+        beyond = s - p.s_end
+        assert np.any(s < p._s_switch) and np.any((s > p._s_switch) & (s <= p.s_end))
+        assert np.any((beyond > 0) & (beyond <= p._cap[2])) and np.any(beyond > p._cap[2])
+
+    def test_no_jet_composition(self, forbid_jet_apply):
+        # perf guard: the Reinhardt jets and frames never build the general (B, m, m) outer product
+        spec = sf.ReinhardtSurface(0.5, 4.0)
+        pts = reinhardt_points(spec, 18)
+        for order in (0, 1, 2):
+            assert np.all(np.isfinite(spec.derivatives(pts, order).val))
+        d = np.random.default_rng(19).standard_normal((64, 4))
+        fr = FrameBatch.at_points(spec, sf.boundary_points(spec, d / np.linalg.norm(d, axis=1)[:, None]))
+        assert np.all(np.isfinite(fr.mean_curvature()))
+
+    def test_dense_output_matches_ode_solution_bitwise(self):
+        p = sf.ReinhardtSurface(0.5, 3.5, fp0=-1.1, s0=0.8, smax=3.0).profile
+        assert p._sol.n_segments > 3
+        rng = np.random.default_rng(20)
+        s = np.concatenate([rng.uniform(p.s_lo, p.s_end, 500), p._sol.ts])  # segment edges choose like scipy
+        assert rh._dense(p._sol, s).tobytes() == p._sol(s).tobytes()
+
+    def test_fpp_fallback_only_below_the_floor(self):
+        p = sf.ReinhardtSurface(0.5, 4.0).profile
+        s = p._s_switch + np.geomspace(1e-9, 1.0, 200) * p.s_end
+        s = s[s <= p.s_end]
+        f, fp, fpp = p.eval(s)
+        low = s * f <= rh._DENOM_FLOOR * max(p.f0, p.s_end) * p.s_end
+        assert 0 < np.sum(low) < len(s)
+        assert np.array_equal(fpp[low], p._fpp_fallback(s[low]))
+        s, f, fp = s[~low], f[~low], fp[~low]
+        assert np.array_equal(fpp[~low], (s * fp**2 - p.k * rh._pow32(f + s * fp**2) - f * fp) / (s * f))
 
 
 class TestRealOutput:
