@@ -19,7 +19,7 @@ and x - iy seeds); no operation here conjugates anything.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -144,10 +144,6 @@ class Jet:
             np.asarray(f1)[:, None] * g,
             np.asarray(f1)[:, None, None] * self.hess + np.asarray(f2)[:, None, None] * outer,
         )
-
-    def apply_fn(self, fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]) -> "Jet":
-        f0, f1, f2 = fn(self.val)
-        return self.apply(f0, f1, f2)
 
     @property
     def real(self) -> "Jet":

@@ -92,11 +92,6 @@ def sphere_area(m: int, radius: float = 1.0) -> float:
     return 2.0 * math.pi ** (m / 2) / math.gamma(m / 2) * radius ** (m - 1)
 
 
-def ball_volume(m: int, radius: float = 1.0) -> float:
-    """Volume of the radius-R ball in R^m."""
-    return math.pi ** (m / 2) / math.gamma(m / 2 + 1) * radius**m
-
-
 _AZIMUTH_FACTOR = 2  # trapezoid points per order unit; matches polar exactness degree
 
 

@@ -15,7 +15,7 @@ The profile is "closed" when f reaches 0 transversally (f' bounded away from
 zero there); then the surface is a smooth compact hypersurface. f and s f'^2
 reaching 0 together is a genuine geometric singularity (the gradient of the
 defining function vanishes on the cap circle) and is reported as such, never
-papered over.
+papered over. scipy is imported at the first integration, not with the module.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicHermiteSpline
 
 from .errors import DomainError, SingularityError, StiffnessError
 
@@ -172,8 +170,11 @@ def reinhardt_profile(
     fp0 is None for a regular start at s0 = 0 (the slope there is forced to
     -k sqrt(f0)); band data requires s0 > 0 and an explicit fp0. Integration
     stops when f reaches 0 (closed surface if transversal), at a singular cap
-    (raises), or at smax (open band).
+    (raises), or at smax (open band). scipy is imported here, on first use.
     """
+    from scipy.integrate import solve_ivp
+    from scipy.interpolate import CubicHermiteSpline
+
     if k <= 0:
         raise ValueError(f"curvature parameter must be positive, got {k}")
     if f0 <= 0:

@@ -291,7 +291,10 @@ class UserPolynomial(SurfaceSpec):
 
     def canonical(self):
         ts = ";".join(f"{c!r}:{','.join(str(e) for e in exps)}" for exps, c in self.coeffs.items())
-        return f"poly:n={self.n},terms={ts}"
+        extra = "" if self.scale == 1.0 else f",scale={self.scale!r}"
+        if np.any(self.star_center):
+            extra += f",center={_fmt_vec(self.star_center)}"
+        return f"poly:n={self.n},terms={ts}{extra}"
 
 
 class ExpReparam(SurfaceSpec):

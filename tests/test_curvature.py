@@ -274,6 +274,45 @@ class TestInvariance:
         k1 = cv.levi(cv.FrameBatch.at_points(turned, moved), 1)
         assert np.max(np.abs(k1 - k0)) < 1e-10 * np.max(np.abs(k0))
 
+    @staticmethod
+    def hermitian_quadric(a, b):
+        """Re(z* a z + z^T b z) - 1 in C^3, keys z-block first."""
+        coeffs = {(0,) * 6: -1.0}
+        for k, l in itertools.product(range(3), repeat=2):
+            for i, i2, c in ((l, 3 + k, a[k, l]), (k, l, b[k, l])):  # zbar_k a_kl z_l and b_kl z_k z_l
+                exps = [0] * 6
+                exps[i] += 1
+                exps[i2] += 1
+                key = tuple(exps)
+                coeffs[key] = coeffs.get(key, 0.0) + c
+        return sf.UserPolynomial(2, coeffs)
+
+    @settings(max_examples=20)
+    @given(seed=st.integers(0, 2**16))
+    def test_general_unitary_invariance(self, seed):
+        # f(Uw) = Re(w* (U* A U) w + w^T (U^T B U) w) - 1, so K_j(f o U)(U^-1 p) = K_j(f)(p)
+        fixed = np.random.default_rng(2024)
+        m = fixed.standard_normal((3, 3)) + 1j * fixed.standard_normal((3, 3))
+        a = m.conj().T @ m + np.eye(3)  # generic Hermitian, eigenvalues >= 1
+        s = fixed.standard_normal((3, 3)) + 1j * fixed.standard_normal((3, 3))
+        b = 0.1 * (s + s.T) / np.linalg.norm(s + s.T, 2)  # small, so the quadric is an ellipsoid
+        rng = np.random.default_rng(seed)
+        q, r = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        u = q * (np.diag(r) / np.abs(np.diag(r)))  # Haar-distributed unitary
+        base = self.hermitian_quadric(a, b)
+        turned = self.hermitian_quadric(u.conj().T @ a @ u, u.T @ b @ u)
+        d = rng.standard_normal((8, 6))
+        pts = sf.boundary_points(base, d / np.linalg.norm(d, axis=1)[:, None])
+        w = (pts[:, 0::2] + 1j * pts[:, 1::2]) @ u.conj()  # rows U^-1 z = U* z
+        moved = np.empty_like(pts)
+        moved[:, 0::2], moved[:, 1::2] = w.real, w.imag
+        fr0 = cv.FrameBatch.at_points(base, pts)
+        fr1 = cv.FrameBatch.at_points(turned, moved)
+        for before, after in [(cv.levi(fr0, j), cv.levi(fr1, j)) for j in (1, 2)] + [
+            (cv.mean_curvature(fr0), cv.mean_curvature(fr1))
+        ]:
+            assert np.max(np.abs(after - before)) < 1e-10 * np.max(np.abs(before))
+
 
 class TestLemmaConsistency:
     def test_gradient_contraction_equals_minus_bordered_sum(self):

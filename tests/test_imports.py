@@ -1,0 +1,62 @@
+"""Import guard: scipy is loaded only by the code paths that need it.
+
+Each case runs in a fresh interpreter, since this test process has long since
+imported scipy, and prints the sorted names of the loaded scipy modules.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import levilab
+
+SRC = str(Path(levilab.__file__).resolve().parent.parent)
+
+PRELUDE = """
+import json, sys
+import levilab, levilab.cli, levilab.specfile
+"""
+EPILOGUE = """
+print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+"""
+
+
+def scipy_modules_after(body: str) -> set[str]:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", PRELUDE + body + EPILOGUE],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return set(json.loads(proc.stdout.strip().splitlines()[-1]))
+
+
+def test_import_and_identity_checks_load_no_scipy():
+    loaded = scipy_modules_after(
+        """
+from levilab import wirtinger
+assert all(c.ok for c in wirtinger.run_identity_suite(1))
+assert levilab.cli.main(["identities", "--n", "1"]) == 0
+"""
+    )
+    assert loaded == set()
+
+
+def test_sphere_grid_loads_special_not_integrate():
+    loaded = scipy_modules_after(
+        """
+from levilab import quadrature
+levilab.Sphere(1.0)
+quadrature.sphere_grid(4, 8)
+"""
+    )
+    assert "scipy.special" in loaded
+    assert "scipy.integrate" not in loaded
+
+
+def test_reinhardt_surface_loads_integrate():
+    loaded = scipy_modules_after("levilab.ReinhardtSurface(0.5, 4.0)\n")
+    assert "scipy.integrate" in loaded

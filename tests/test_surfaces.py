@@ -4,6 +4,7 @@ import zlib
 import numpy as np
 import pytest
 
+from levilab import quadrature as qd
 from levilab import reinhardt as rh
 from levilab import surfaces as sf
 from levilab.curvature import FrameBatch, complex_hessian
@@ -336,6 +337,30 @@ class TestRealOutput:
         ray = sf.eval_ray(spec, np.zeros(spec.m), dirs, np.full(16, 0.5))
         for arr in (jt.val, jt.grad, jt.hess, sf.eval_values(spec, pts), ray.val, ray.grad):
             assert arr.dtype == np.float64
+
+
+class TestUserPolynomialCanonical:
+    TERMS = {(1, 0, 1, 0): 1.0, (0, 1, 0, 1): 1.0, (0, 0, 0, 0): -4.0}
+
+    def test_scale_and_center_are_named_off_their_defaults(self):
+        plain = sf.UserPolynomial(1, self.TERMS, scale=1.0).canonical()
+        scaled = sf.UserPolynomial(1, self.TERMS, scale=3.0).canonical()
+        moved = sf.UserPolynomial(1, self.TERMS, center=[0.1, 0.0, 0.0, 0.0]).canonical()
+        assert len({plain, scaled, moved}) == 3
+        assert plain == sf.UserPolynomial(1, self.TERMS).canonical()
+        assert "scale" not in plain and "center" not in plain
+        assert scaled.endswith(",scale=3.0")
+        assert moved.endswith(",center=0.1,0.0,0.0,0.0")
+
+    def test_scales_keep_separate_root_cache_entries(self):
+        qd.clear_root_cache()
+        specs = [sf.UserPolynomial(1, self.TERMS, scale=scale) for scale in (1.0, 3.0)]
+        for spec in specs:
+            qd.volume(spec, qd.QuadratureSpec(order=4))
+        # one entry per surface and pass order; the gauss error re-pass adds a second order
+        assert {key[0] for key in qd._ROOT_CACHE} == {spec.canonical() for spec in specs}
+        assert len(qd._ROOT_CACHE) == 4
+        qd.clear_root_cache()
 
 
 class TestValidationErrors:
