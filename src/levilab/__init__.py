@@ -1,7 +1,7 @@
 """Levi curvatures of real hypersurfaces in C^{n+1}.
 
 Exact symmetric-function calculus on Hermitian matrices and polynomial
-identities on one side; jet-based surface families, curvature evaluation,
+identities on one side; closed-form surface families, curvature evaluation,
 and quadrature-backed verification of the integral formula, isoperimetric
 estimate, Minkowski identity, and related chains on the other.
 """

@@ -41,12 +41,6 @@ QUAD_HELP = ("quadrature: gauss:order=N[,radial_order=K] or mc:samples=N,seed=S 
              "(default gauss, order 24 for n=1, 12 for n=2)")
 
 
-def _dirichlet_axes(spec) -> np.ndarray:
-    if isinstance(spec, sf.DirichletQuadratic) or (isinstance(spec, sf.Ellipsoid) and not np.any(spec.center)):
-        return spec.axes
-    raise ValueError("dirichlet verification needs a centered ellipsoid (or dirichlet:axes=...)")
-
-
 # identity -> (run(spec, j, q, **kw), the keyword of run that takes --tol). The
 # lambdas look the verifier up at call time, so a rebinding of vf.<name> is seen.
 VERIFIERS = {
@@ -54,7 +48,8 @@ VERIFIERS = {
     "isoperimetric": (lambda spec, j, q, **kw: vf.isoperimetric_ratio(spec, j, q, **kw), "tol"),
     "minkowski": (lambda spec, j, q, **kw: vf.minkowski_residual(spec, q, **kw), "tol"),
     "alexandrov": (lambda spec, j, q, **kw: vf.alexandrov_check(spec, j, q, **kw), "tol"),
-    "dirichlet": (lambda spec, j, q, **kw: vf.dirichlet_chain(_dirichlet_axes(spec), j, q, **kw), "tol"),
+    "dirichlet": (lambda spec, j, q, **kw:
+                  vf.dirichlet_chain(vf.resolve_defining_function(spec, "dirichlet").axes, j, q, **kw), "tol"),
     "newton": (lambda spec, j, q, **kw: vf.newton_sweep(spec, j, q, **kw), "gap_tol"),
 }
 IDENTITIES = tuple(VERIFIERS)

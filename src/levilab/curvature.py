@@ -96,21 +96,19 @@ def bordered_sum(wgrad: np.ndarray, whess: np.ndarray, j: int) -> np.ndarray:
 class FrameBatch:
     """Boundary data at a batch of on-surface points.
 
-    Carries both the raw second-order jets and the derived Wirtinger
+    Carries the real gradient and Hessian and the derived Wirtinger
     quantities; constructed through at_points/at_point, which verify that the
     points actually lie on the zero set and that the gradient is nondegenerate.
+    The unit normals normal and nu are computed on read.
     """
 
     spec: SurfaceSpec
     points: np.ndarray      # (B, 2N)
-    value: np.ndarray       # (B,)
     rgrad: np.ndarray       # (B, 2N)
     rhess: np.ndarray       # (B, 2N, 2N)
     wgrad: np.ndarray       # (B, N) complex
     whess: np.ndarray       # (B, N, N) complex
     pgrad_norm: np.ndarray  # (B,)  |complex gradient|
-    normal: np.ndarray      # (B, 2N) outward unit normal
-    nu: np.ndarray          # (B, N)  wgrad / pgrad_norm
     _levi: dict = field(default_factory=dict, repr=False, compare=False)  # j -> K_j, kept by levi(j)
 
     @property
@@ -119,6 +117,16 @@ class FrameBatch:
 
     def __len__(self) -> int:
         return self.points.shape[0]
+
+    @property
+    def normal(self) -> np.ndarray:
+        """(B, 2N) outward unit normal rgrad / |grad f|."""
+        return self.rgrad / (2.0 * self.pgrad_norm)[:, None]  # 2 pgrad_norm is |grad f| exactly
+
+    @property
+    def nu(self) -> np.ndarray:
+        """(B, N) complex unit normal wgrad / pgrad_norm."""
+        return self.wgrad / self.pgrad_norm[:, None]
 
     @classmethod
     def at_points(cls, spec: SurfaceSpec, pts, boundary_tol: float | None = None) -> "FrameBatch":
@@ -138,12 +146,7 @@ class FrameBatch:
             raise DegenerateGradientError(f"|grad f| = {gnorm[i]:.3e} at {pts[i].tolist()}")
         wgrad = wirtinger_gradient(rgrad)
         whess = complex_hessian(rhess)
-        pn = gnorm / 2.0
-        return cls(
-            spec=spec, points=pts, value=value, rgrad=rgrad, rhess=rhess,
-            wgrad=wgrad, whess=whess, pgrad_norm=pn,
-            normal=rgrad / gnorm[:, None], nu=wgrad / pn[:, None],
-        )
+        return cls(spec=spec, points=pts, rgrad=rgrad, rhess=rhess, wgrad=wgrad, whess=whess, pgrad_norm=gnorm / 2.0)
 
     @classmethod
     def at_point(cls, spec: SurfaceSpec, p, boundary_tol: float | None = None) -> "FrameBatch":

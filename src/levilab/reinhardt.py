@@ -246,11 +246,9 @@ def reinhardt_profile(
 
     if closed:
         fe_pp = float(fpp_fallback(s_end))
-        cap = (fe_p, fe_pp, 0.05 * max(s_end, 1.0))
     else:
-        arg = fe + s_end * fe_p**2
         fe_pp = float(ode_rhs_fpp(s_end, fe, fe_p, k)) if s_end * fe > 0 else 0.0
-        cap = (fe_p, fe_pp, 0.05 * max(s_end, 1.0))
+    cap = (fe_p, fe_pp, 0.05 * max(s_end, 1.0))
 
     return ReinhardtProfile(
         k=k,

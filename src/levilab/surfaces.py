@@ -8,7 +8,8 @@ The polynomial families (Sphere, Ellipsoid, PerturbedQuadric, Cylinder,
 UserPolynomial, DirichletQuadratic) expand f once into a RealPolynomial and
 evaluate closed-form derivatives from it. ReinhardtSurface writes the chain
 rule through its profile in closed form; ExpReparam composes its base family's
-derivatives with Jet.apply. No finite differencing happens on the default path.
+derivatives with _chain, the one-variable chain rule. No finite differencing
+happens on the default path.
 
 Star-shaped families declare a star center and are validated at construction
 on a coarse direction grid: every ray from the center must cross the boundary
@@ -18,12 +19,12 @@ once, transversally, with a nondegenerate gradient there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DegenerateGradientError, DomainError, StarShapeError, TransversalityError
-from .jets import Jet
 from .polynomial import RealPolynomial
 from .reinhardt import ReinhardtProfile, reinhardt_profile
 
@@ -31,6 +32,17 @@ ROOT_ABS_TOL = 1e-12        # |f| at a radial root
 BOUNDARY_VALUE_TOL = 1e-10  # |f| accepted when a point claims to be on the boundary
 GRADIENT_FLOOR = 1e-10      # |grad f| below this is a characteristic degeneracy
 MAX_RADIUS_FACTOR = 1e3     # star-shaped search radius in units of the family scale
+
+
+class Jet(NamedTuple):
+    """Value (B,), gradient (B, m) and Hessian (B, m, m) of a scalar function over B points.
+
+    The fields above the order that was asked for are None.
+    """
+
+    val: np.ndarray
+    grad: np.ndarray | None
+    hess: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -100,9 +112,12 @@ def _diagonal_quadratic(weights, constant: float, center=None) -> RealPolynomial
 
 def _chain(inner: Jet, f0, f1, f2) -> Jet:
     """phi(inner) from phi, phi', phi'' at inner.val; fields inner lacks stay None."""
-    if inner.hess is not None:
-        return inner.apply(f0, f1, f2)
-    return Jet(f0, None if inner.grad is None else f1[:, None] * inner.grad, None)
+    g, h = inner.grad, inner.hess
+    return Jet(
+        f0,
+        None if g is None else f1[:, None] * g,
+        None if h is None else f1[:, None, None] * h + f2[:, None, None] * (g[:, :, None] * g[:, None, :]),
+    )
 
 
 class Sphere(SurfaceSpec):
@@ -226,7 +241,7 @@ class ReinhardtSurface(SurfaceSpec):
 
     def derivatives(self, pts, order):
         """r1^2 - F(s), s = |z2|^2, in closed form: with g = (2 x2, 2 y2), gradient (2 x1, 2 y1, -F' g),
-        Hessian diag(2, 2) + (-2 F' I - F'' g g^T). Products are formed as Jet.apply forms them, and
+        Hessian diag(2, 2) + (-2 F' I - F'' g g^T). Products are formed as _chain forms them, and
         + 0.0 turns -0.0 into the +0.0 its sums give, so the jets are bit-identical to that chain rule."""
         x1, y1, x2, y2 = np.ascontiguousarray(pts.T)
         fval, fp, fpp = self.profile.eval(x2 * x2 + y2 * y2)

@@ -17,14 +17,14 @@ def forbid_lapack_det(monkeypatch):
 
 
 @pytest.fixture
-def forbid_jet_apply(monkeypatch):
-    """Make Jet.apply raise: a perf guard for jets that must be formed in closed form."""
-    from levilab.jets import Jet
+def forbid_chain_rule(monkeypatch):
+    """Make surfaces._chain raise: a perf guard for jets that must be formed in closed form."""
+    from levilab import surfaces
 
-    def no_apply(self, *args):
-        raise AssertionError(f"Jet.apply called on a batch of {len(self.val)}")
+    def no_chain(inner, *args):
+        raise AssertionError(f"surfaces._chain called on a batch of {len(inner.val)}")
 
-    monkeypatch.setattr(Jet, "apply", no_apply)
+    monkeypatch.setattr(surfaces, "_chain", no_chain)
 
 
 @pytest.fixture

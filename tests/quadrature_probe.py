@@ -4,8 +4,9 @@ Prints one JSON line per probe: the float.hex of value and error estimate
 plus nodes_used for surface_integral, volume and bulk_integral, a sha256 of
 the raw bytes returned by scan_boundary and scan_bulk, a sha256 of a K_1 and
 K_2 scan on an n=2 quadric with complex holomorphic terms, a sha256 of the
-Reinhardt jets at orders 0, 1 and 2 on every branch of the profile, and a
-sha256 of a few verification reports. A change that must keep the arithmetic order is
+Reinhardt jets at orders 0, 1 and 2 on every branch of the profile and of the
+exp(f) - 1 jets of an ellipsoid at the same orders, and a sha256 of a few
+verification reports. A change that must keep the arithmetic order is
 bit-identical when the two outputs are equal:
 
     PYTHONPATH=<old>/src python tests/quadrature_probe.py > old.jsonl
@@ -113,8 +114,16 @@ def main() -> None:
             row[f"order{order}"] = _sha(*(a for a in (d.val, d.grad, d.hess) if a is not None))
         print(json.dumps(row, sort_keys=True))
     ell = SURFACES["ellipsoid"]()
+    exp_ell = sf.ExpReparam(ell)
+    pts = np.random.default_rng(6).uniform(-1.5, 1.5, (500, 4))
+    row = {"exp_derivatives": "ellipsoid"}
+    for order in (0, 1, 2):
+        d = exp_ell.derivatives(pts, order)
+        row[f"order{order}"] = _sha(*(a for a in (d.val, d.grad, d.hess) if a is not None))
+    print(json.dumps(row, sort_keys=True))
     reports = {
         "integral_gauss": lambda: vf.verify_integral_formula(ell, 1, RULES["gauss_o12"]),
+        "integral_exp": lambda: vf.verify_integral_formula(ell, 1, RULES["gauss_o12"], f_choice="exp"),
         "integral_mc": lambda: vf.verify_integral_formula(ell, 1, RULES["mc"]),
         "isoperimetric": lambda: vf.isoperimetric_ratio(ell, 1, RULES["gauss_o12"]),
         "minkowski_mc": lambda: vf.minkowski_residual(ell, RULES["mc"]),

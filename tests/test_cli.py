@@ -67,3 +67,13 @@ def test_bad_threads_is_an_error(monkeypatch, capsys):
     monkeypatch.setenv("LEVILAB_THREADS", "abc")
     assert cli.main(NEWTON_ARGV) == cli.FAILURE_EXIT
     assert "LEVILAB_THREADS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("surface, codes", [
+    ("sphere:R=1", {cli.FAILURE_EXIT}),
+    ("ellipsoid:axes=1,1.3,0.8,1.1,center=0.1,0,0,0", {cli.FAILURE_EXIT}),
+    ("ellipsoid:axes=1,1.3,0.8,1.1", {0, cli.VIOLATED_EXIT}),
+])
+def test_dirichlet_needs_a_centered_ellipsoid(surface, codes, tmp_path):
+    argv = ["verify", "dirichlet", "--surface", surface, "--quad", "gauss:order=8"]
+    assert cli.main([*argv, "--out", str(tmp_path / "r.json")]) in codes

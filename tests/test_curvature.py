@@ -109,9 +109,8 @@ def raw_frames(wgrad, whess):
     pn = np.sqrt(np.sum(np.abs(wgrad) ** 2, axis=1))
     zeros = np.zeros((b, 2 * nvars))
     return cv.FrameBatch(
-        spec=sf.Sphere(1.0, n=nvars - 1), points=zeros, value=np.zeros(b), rgrad=zeros,
+        spec=sf.Sphere(1.0, n=nvars - 1), points=zeros, rgrad=zeros,
         rhess=np.zeros((b, 2 * nvars, 2 * nvars)), wgrad=wgrad, whess=whess, pgrad_norm=pn,
-        normal=zeros, nu=wgrad / pn[:, None],
     )
 
 

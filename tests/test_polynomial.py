@@ -1,48 +1,89 @@
-"""Compiled polynomial evaluators against the forward-mode jet expressions.
+"""Compiled polynomial evaluators against an exact reference in wirtinger.WPoly.
 
-Each reference below builds the family's defining function from seed jets,
-as the polynomial families did before they were compiled. The compiled
-value, gradient and Hessian must agree to RTOL relative to the largest entry
-of the reference over the batch.
+Each reference below builds the family's defining function as a WPoly in z
+and zbar, with x_k = (z_k + zbar_k)/2 and y_k = (z_k - zbar_k)/(2i), takes real
+derivatives with d/dx = d/dz + d/dzbar and d/dy = i (d/dz - d/dzbar), and
+evaluates them in exact rational arithmetic at the float test points. The
+compiled value, gradient and Hessian must agree to RTOL relative to the
+largest entry of the reference over the batch.
 """
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from levilab import jets
 from levilab import polynomial
 from levilab import surfaces as sf
-from levilab.jets import Jet
 from levilab.polynomial import RealPolynomial
+from levilab.wirtinger import WPoly
 
 RTOL = 1e-13
 
 
-def _sum(terms):
-    total = None
-    for t in terms:
-        total = t if total is None else total + t
-    return total
+def real_coords(nvars: int) -> list[WPoly]:
+    """x_1, y_1, ..., x_N, y_N as polynomials in z and zbar."""
+    out = []
+    for k in range(1, nvars + 1):
+        z, zb = WPoly.variable(nvars, "z", k), WPoly.variable(nvars, "zbar", k)
+        out += [(z + zb) * 0.5, (z - zb) * -0.5j]
+    return out
+
+
+def real_derivative(p: WPoly, a: int) -> WPoly:
+    """d/dx_k (a = 2k - 2) or d/dy_k (a = 2k - 1) of p."""
+    dz, dzb = p.wd("z", a // 2 + 1), p.wd("zbar", a // 2 + 1)
+    return dz + dzb if a % 2 == 0 else (dz - dzb) * 1j
+
+
+def exact_values(polys: list[WPoly], pts: np.ndarray) -> np.ndarray:
+    """Every polynomial at every point (x_1, y_1, ...), exactly, as floats of shape (B, len(polys)).
+
+    The polynomials are real, so each value must have no imaginary part at all.
+    """
+    terms = [list(p.terms.items()) for p in polys]
+    out = np.empty((len(pts), len(polys)))
+    for b, point in enumerate(pts):
+        xy = [Fraction(float(v)) for v in point]
+        zs = [(xy[i], xy[i + 1]) for i in range(0, len(xy), 2)]
+        variables = zs + [(x, -y) for x, y in zs]
+        monomials = {}
+        for i, poly in enumerate(terms):
+            re = im = Fraction(0)
+            for exps, (cr, ci) in poly:
+                if exps not in monomials:
+                    mr, mi = Fraction(1), Fraction(0)
+                    for (vr, vi), e in zip(variables, exps):
+                        for _ in range(e):
+                            mr, mi = mr * vr - mi * vi, mr * vi + mi * vr
+                    monomials[exps] = mr, mi
+                mr, mi = monomials[exps]
+                re += cr * mr - ci * mi
+                im += cr * mi + ci * mr
+            assert im == 0
+            out[b, i] = float(re)
+    return out
+
+
+def exact_jets(f: WPoly, pts: np.ndarray) -> sf.Jet:
+    """Value, gradient and Hessian of f at the points, each rounded once from its exact value."""
+    m = 2 * f.nvars
+    grad = [real_derivative(f, a) for a in range(m)]
+    hess = [real_derivative(grad[a], c) for a in range(m) for c in range(m)]
+    vals = exact_values([f, *grad, *hess], pts)
+    return sf.Jet(vals[:, 0], vals[:, 1:m + 1], vals[:, m + 1:].reshape(-1, m, m))
 
 
 def ref_sphere(spec, coords):
-    return _sum((x - spec.center[i]) * (x - spec.center[i]) for i, x in enumerate(coords)) - spec.radius**2
+    return sum((x - spec.center[i]) ** 2 for i, x in enumerate(coords)) - spec.radius**2
 
 
 def ref_ellipsoid(spec, coords):
-    def sq(i, x):
-        d = (x - spec.center[i]) * (1.0 / spec.axes[i])
-        return d * d
-
-    return _sum(sq(i, x) for i, x in enumerate(coords)) - 1.0
+    return sum(((x - spec.center[i]) * (1.0 / spec.axes[i])) ** 2 for i, x in enumerate(coords)) - 1.0
 
 
 def ref_dirichlet(spec, coords):
-    def sq(i, x):
-        d = x * (1.0 / spec.axes[i])
-        return d * d
-
-    return (_sum(sq(i, x) for i, x in enumerate(coords)) - 1.0) * spec.cfactor
+    return (sum((x * (1.0 / spec.axes[i])) ** 2 for i, x in enumerate(coords)) - 1.0) * spec.cfactor
 
 
 def ref_cylinder(spec, coords):
@@ -51,29 +92,21 @@ def ref_cylinder(spec, coords):
     return f + x2 * x2 if spec.kind == "curved" else f
 
 
-def _zzbar_real(coords, n, coeffs):
-    zs, zbs = jets.complex_coords(coords)
-    terms = []
-    for exps, c in coeffs.items():
-        term = Jet.constant(1.0 + 0j, coords[0])
-        for i in range(n + 1):
-            for var, e in ((zs[i], exps[i]), (zbs[i], exps[n + 1 + i])):
-                if e:
-                    term = term * var**e
-        terms.append(term * c)
-    return _sum(terms).real
+def _real_part(nvars, coeffs):
+    p = WPoly(nvars, coeffs)
+    return (p + p.conj()) * 0.5
 
 
 def ref_quadric(spec, coords):
-    f = _sum(x * x for x in coords) * (1.0 / (spec.n + 1)) - spec.c
+    f = sum(x * x for x in coords) * (1.0 / (spec.n + 1)) - spec.c
     if spec.hterms:
         w = spec.n + 1
-        f = f + _zzbar_real(coords, spec.n, {e + (0,) * w: c for e, c in spec.hterms.items()})
+        f = f + _real_part(w, {e + (0,) * w: c for e, c in spec.hterms.items()})
     return f
 
 
 def ref_user(spec, coords):
-    return _zzbar_real(coords, spec.n, spec.coeffs)
+    return _real_part(spec.n + 1, spec.coeffs)
 
 
 LEVI_INDEFINITE = {(1, 0, 1, 0): 1.0, (0, 1, 0, 1): 1.0, (0, 0, 0, 0): -1.0, (1, 1, 1, 1): -3.0, (2, 2, 2, 2): 4.0}
@@ -108,7 +141,7 @@ def test_compiled_derivatives_match_jet_reference(name):
     make, ref = CASES[name]
     spec = make()
     pts = _points(spec)
-    want = ref(spec, Jet.variables(pts))
+    want = exact_jets(ref(spec, real_coords(spec.n + 1)), pts)
     got = sf.eval_jets(spec, pts)
     _assert_close(got.val, want.val)
     _assert_close(got.grad, want.grad)

@@ -14,7 +14,6 @@ from levilab.errors import (
     StarShapeError,
     TransversalityError,
 )
-from levilab.jets import Jet
 from levilab.polynomial import RealPolynomial
 from levilab.quadrature import sphere_grid
 from levilab.reinhardt import ode_residual, reinhardt_profile, series_coeffs
@@ -180,6 +179,24 @@ class TestReparametrization:
         ng = jg.grad / np.linalg.norm(jg.grad, axis=1)[:, None]
         assert np.max(np.abs(nf - ng)) < 1e-10
 
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_jets_are_the_chain_rule_through_exp(self, order):
+        base = sf.Ellipsoid([1.0, 1.3, 0.8, 1.1], center=[0.1, -0.2, 0.0, 0.3])
+        pts = np.random.default_rng(4).uniform(-1.5, 1.5, (50, 4))
+        f = base.derivatives(pts, order)
+        got = sf.ExpReparam(base).derivatives(pts, order)
+        e = np.exp(f.val)
+        want = [e - 1.0]
+        if order >= 1:
+            want.append(e[:, None] * f.grad)
+        if order == 2:
+            want.append(e[:, None, None] * (f.hess + f.grad[:, :, None] * f.grad[:, None, :]))
+        fields = (got.val, got.grad, got.hess)
+        for a, b in zip(fields, want):
+            assert a.shape == b.shape
+            assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b))
+        assert all(a is None for a in fields[len(want):])
+
 
 class TestReinhardtProfile:
     def test_sphere_profile_closed_form_residual(self):
@@ -232,13 +249,10 @@ S = RealPolynomial({(0, 0, 2, 0): 1.0, (0, 0, 0, 2): 1.0}, np.zeros(4))
 
 def composed_reinhardt_jets(spec, pts, order):
     """r1^2 - F(s) through the general composition: polynomial jets of r1^2 and s,
-    the profile chained onto s by Jet.apply, then the two added."""
-    s = Jet(*S.evaluate(pts, order))
+    the profile chained onto s by surfaces._chain, then the two added."""
+    s = sf.Jet(*S.evaluate(pts, order))
     fval, fp, fpp = spec.profile.eval(s.val)
-    if s.hess is not None:
-        neg_f = s.apply(-fval, -fp, -fpp)
-    else:
-        neg_f = Jet(-fval, None if s.grad is None else -fp[:, None] * s.grad, None)
+    neg_f = sf._chain(s, -fval, -fp, -fpp)
     r1sq = R1SQ.evaluate(pts, order)
     return [a if a is None else a + b for a, b in zip(r1sq, (neg_f.val, neg_f.grad, neg_f.hess))]
 
@@ -288,7 +302,7 @@ class TestReinhardtClosedForm:
         assert np.any(s < p._s_switch) and np.any((s > p._s_switch) & (s <= p.s_end))
         assert np.any((beyond > 0) & (beyond <= p._cap[2])) and np.any(beyond > p._cap[2])
 
-    def test_no_jet_composition(self, forbid_jet_apply):
+    def test_no_jet_composition(self, forbid_chain_rule):
         # perf guard: the Reinhardt jets and frames never build the general (B, m, m) outer product
         spec = sf.ReinhardtSurface(0.5, 4.0)
         pts = reinhardt_points(spec, 18)
