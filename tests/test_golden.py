@@ -4,7 +4,10 @@ tests/golden/reports.json holds the JSON reports of the corpus. The first
 five entries (gauss order 16) were recorded before the polynomial families
 moved off the jet engine; the Monte Carlo entries, the one with a separate
 radial order and the Newton sweep were recorded before the quadrature passes
-were folded into one core. Every verdict kind must match, and lhs and rhs
+were folded into one core. The n = 2 quadric's Minkowski entry and the exp
+reparametrised integral formula were recorded before the jets became
+Wirtinger-native: they pin the mean curvature on a non-quadratic pure
+Hessian and a bulk sigma taken through the chain rule. Every verdict kind must match, and lhs and rhs
 must agree to GOLDEN_RTOL relative: the compiled evaluators sum the same
 terms in a different order, so the last bits may move.
 
@@ -36,6 +39,8 @@ QUADRIC_HTERMS = {(2, 0): 0.15 + 0.05j, (1, 1): -0.1j}
 # Complex Hessian diag(2 + 2|z1|^2, 1 - 0.4|z2|^2): the Newton gap is at least
 # 1/4 and smallest near the center, so the sweep's minimum is an interior node.
 NEWTON_TERMS = {(1, 0, 1, 0): 2.0, (2, 0, 2, 0): 0.5, (0, 1, 0, 1): 1.0, (0, 2, 0, 2): -0.1, (0, 0, 0, 0): -1.0}
+# A non-quadratic pure Hessian at n = 2: the Minkowski moment reads the mean curvature there.
+QUADRIC_N2_HTERMS = {(2, 0, 0): 0.1 + 0.05j, (1, 1, 0): -0.1j, (0, 1, 1): 0.05, (0, 0, 3): 0.02 - 0.03j}
 
 CORPUS = {
     "integral_formula:ellipsoid_n1": lambda: vf.verify_integral_formula(sf.Ellipsoid(ELLIPSOID_AXES), 1, Q16),
@@ -49,6 +54,10 @@ CORPUS = {
     "integral_formula:ellipsoid_n1_radial5": lambda: vf.verify_integral_formula(
         sf.Ellipsoid(ELLIPSOID_AXES), 1, Q16_RADIAL5),
     "newton_sweep:poly_interior_min": lambda: vf.newton_sweep(sf.UserPolynomial(1, NEWTON_TERMS), 1, Q16),
+    "minkowski:quadric_n2": lambda: vf.minkowski_residual(
+        sf.PerturbedQuadric(2, hterms=QUADRIC_N2_HTERMS), qd.QuadratureSpec(order=8)),
+    "integral_formula:ellipsoid_n1_exp": lambda: vf.verify_integral_formula(
+        sf.Ellipsoid(ELLIPSOID_AXES), 1, Q16, f_choice="exp"),
 }
 
 
