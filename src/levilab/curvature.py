@@ -4,10 +4,14 @@ Conventions fixed here and relied on everywhere else:
 
 * f < 0 inside, so the outward normal is grad f / |grad f| and spheres get
   positive curvatures.
+* The jets carry the real gradient, H_lk = d^2 f / dz_l dzbar_k (whess) and
+  S_lk = d^2 f / dz_l dz_k (pure); the real Hessian is never formed.
 * pgrad_norm is the norm of the complex gradient (f_1, ..., f_{n+1}), which is
   half the real gradient norm for real f.
 * The mean curvature is div(grad f / |grad f|) / (2n+1), the normalization
-  under which a sphere of radius R has mean curvature 1/R.
+  under which a sphere of radius R has mean curvature 1/R. With u the complex
+  form of grad f, it reads Laplace f = 4 tr H and (grad f)^T (D^2 f) grad f =
+  2 Re(u^T S u) + 2 u^T H conj(u).
 
 Every function operates on batches; a FrameBatch of size one is the per-point
 case. K_j is defined by gradient-bordered minors: one (j+2) x (j+2)
@@ -29,26 +33,15 @@ import numpy as np
 
 from .errors import DegenerateGradientError
 from .hermitian import det_batch
-from .surfaces import BOUNDARY_VALUE_TOL, GRADIENT_FLOOR, SurfaceSpec, eval_jets
+from .surfaces import BOUNDARY_VALUE_TOL, GRADIENT_FLOOR, SurfaceSpec, eval_jets, wirtinger_gradient
 
 _IMAG_DROP_TOL = 1e-10
 
 
-def wirtinger_gradient(rgrad: np.ndarray) -> np.ndarray:
-    """(..., 2N) real gradient -> (..., N) complex gradient f_k = (d_x - i d_y)/2."""
-    return (rgrad[..., 0::2] - 1j * rgrad[..., 1::2]) / 2.0
-
-
 def complex_hessian(rhess: np.ndarray) -> np.ndarray:
-    """(..., 2N, 2N) real Hessian -> (..., N, N) mixed Wirtinger Hessian.
-
-    Entry (l, k) is the z_l, zbar_k second derivative; Hermitian for real f.
-    """
-    hxx = rhess[..., 0::2, 0::2]
-    hyy = rhess[..., 1::2, 1::2]
-    hxy = rhess[..., 0::2, 1::2]
-    hyx = rhess[..., 1::2, 0::2]
-    return 0.25 * (hxx + hyy + 1j * (hxy - hyx))
+    """(..., 2N, 2N) real Hessian -> (..., N, N) H, entry (l, k) the z_l, zbar_k derivative."""
+    return 0.25 * (rhess[..., 0::2, 0::2] + rhess[..., 1::2, 1::2]
+                   + 1j * (rhess[..., 0::2, 1::2] - rhess[..., 1::2, 0::2]))
 
 
 def _check_indices(indices, nvars: int) -> tuple[int, ...]:
@@ -96,18 +89,18 @@ def bordered_sum(wgrad: np.ndarray, whess: np.ndarray, j: int) -> np.ndarray:
 class FrameBatch:
     """Boundary data at a batch of on-surface points.
 
-    Carries the real gradient and Hessian and the derived Wirtinger
-    quantities; constructed through at_points/at_point, which verify that the
-    points actually lie on the zero set and that the gradient is nondegenerate.
-    The unit normals normal and nu are computed on read.
+    Carries the real and complex gradients and the jets' H and S; constructed
+    through at_points/at_point, which verify that the points actually lie on
+    the zero set and that the gradient is nondegenerate. The unit normals
+    normal and nu are computed on read.
     """
 
     spec: SurfaceSpec
     points: np.ndarray      # (B, 2N)
     rgrad: np.ndarray       # (B, 2N)
-    rhess: np.ndarray       # (B, 2N, 2N)
     wgrad: np.ndarray       # (B, N) complex
-    whess: np.ndarray       # (B, N, N) complex
+    whess: np.ndarray       # (B, N, N) complex, mixed: H
+    pure: np.ndarray        # (B, N, N) complex, pure: S
     pgrad_norm: np.ndarray  # (B,)  |complex gradient|
     _levi: dict = field(default_factory=dict, repr=False, compare=False)  # j -> K_j, kept by levi(j)
 
@@ -134,7 +127,7 @@ class FrameBatch:
         if pts.ndim == 1:
             pts = pts[None, :]
         j = eval_jets(spec, pts)
-        value, rgrad, rhess = j.val, j.grad, j.hess
+        value, rgrad = j.val, j.grad
         tol = boundary_tol if boundary_tol is not None else BOUNDARY_VALUE_TOL * max(1.0, spec.scale**2)
         off = np.abs(value) > tol
         if np.any(off):
@@ -144,9 +137,8 @@ class FrameBatch:
         if np.any(gnorm <= GRADIENT_FLOOR):
             i = int(np.argmin(gnorm))
             raise DegenerateGradientError(f"|grad f| = {gnorm[i]:.3e} at {pts[i].tolist()}")
-        wgrad = wirtinger_gradient(rgrad)
-        whess = complex_hessian(rhess)
-        return cls(spec=spec, points=pts, rgrad=rgrad, rhess=rhess, wgrad=wgrad, whess=whess, pgrad_norm=gnorm / 2.0)
+        return cls(spec=spec, points=pts, rgrad=rgrad, wgrad=wirtinger_gradient(rgrad), whess=j.mixed, pure=j.pure,
+                   pgrad_norm=gnorm / 2.0)
 
     @classmethod
     def at_point(cls, spec: SurfaceSpec, p, boundary_tol: float | None = None) -> "FrameBatch":
@@ -190,13 +182,11 @@ def mean_curvature(frames: FrameBatch) -> np.ndarray:
         raise DegenerateGradientError(
             f"|del f| = {frames.pgrad_norm[i]:.3e} at {frames.points[i].tolist()}: characteristic point"
         )
-    g = frames.rgrad
-    h = frames.rhess
+    u = np.conj(frames.wgrad)  # the complex form of grad f, halved
     gnorm = 2.0 * frames.pgrad_norm  # |grad f|, exactly: pgrad_norm is half of it
-    lap = np.trace(h, axis1=1, axis2=2)
-    quad = np.zeros(len(g))  # g^T h g, summed in the order np.einsum("bi,bij,bj->b") sums it
-    for i, j in itertools.product(range(g.shape[1]), repeat=2):
-        quad += g[:, i] * h[:, i, j] * g[:, j]
+    lap = 4.0 * np.einsum("bii->b", frames.whess).real
+    quad = 8.0 * (np.einsum("bl,blk,bk->b", u, frames.pure, u)
+                  + np.einsum("bl,blk,bk->b", u, frames.whess, frames.wgrad)).real
     div_normal = lap / gnorm - quad / gnorm**3
     return div_normal / (2 * frames.n + 1)
 

@@ -1,20 +1,24 @@
 """Real polynomials compiled once into closed-form derivative evaluators.
 
 A RealPolynomial is a sum of terms c * d^e in local coordinates d = x - center,
-with e a vector of nonnegative integer exponents. At construction it expands
-the terms of f, of each first derivative and of each second derivative on or
-above the diagonal, and keeps the union of their monomials with one
-coefficient column per derivative. The monomials of f come first, those that
-only the gradient adds next, those that only the Hessian adds last, so a
-lower-order evaluation reads a leading block of monomials and columns.
+with e a vector of nonnegative integer exponents; the coordinates are
+interleaved, z_k = x_k + i y_k. At construction it expands the terms of f, of
+each first derivative, and of the Wirtinger Hessians
+H_lk = d^2 f / dz_l dzbar_k = (f_{x_l x_k} + f_{y_l y_k} + i (f_{x_l y_k} - f_{y_l x_k})) / 4 and
+S_lk = d^2 f / dz_l dz_k = (f_{x_l x_k} - f_{y_l y_k} - i (f_{x_l y_k} + f_{y_l x_k})) / 4,
+real and imaginary parts side by side (the real Hessian is never formed), and
+keeps the union of their monomials with one coefficient column per number.
+The monomials of f come first, those that only the gradient adds next, those
+that only the Hessians add last, so a lower order reads a leading block.
 
 Evaluation builds the powers d_i^1 .. d_i^deg_i of each coordinate, forms
 each monomial as a product of them, and takes one matrix product of the
-monomial table with the coefficient columns. That gives the value, the
-gradient and the upper triangle of the Hessian. This is Taylor-mode differentiation of a
-fixed polynomial (Griewank & Walther, Evaluating Derivatives, 2nd ed., 2008).
-The table is built in blocks of points, sized so that a block holds at most
-TABLE_BUDGET entries whatever the number of monomials.
+monomial table with the coefficient columns: the value, the real gradient,
+and H and S as complex views of that output (Taylor-mode differentiation of
+a fixed polynomial; Griewank & Walther, Evaluating Derivatives, 2nd ed.,
+2008). The table is built in blocks of points, each at most TABLE_BUDGET
+entries. A quadratic's H and S are constant: it reads only the order-1
+columns, and H and S are broadcast views of one matrix.
 """
 
 from __future__ import annotations
@@ -82,22 +86,35 @@ class RealPolynomial:
 
     def _compile(self) -> None:
         m = self.m
-        iu, ju = np.triu_indices(m)
-        upper = list(zip(iu.tolist(), ju.tolist()))
-        ncols = 1 + m + len(upper)
-        # (column, monomial, coefficient) for f, each d_i f and each d_i d_j f with
-        # i <= j, in that order; the i-th derivative of c d^e is c e_i d^(e - 1_i)
+        nv = m // 2
+        self._mixed, pure = 1 + m, 1 + m + 2 * nv * nv  # first columns of H and S
+        ncols = pure + 2 * nv * nv
+        # (column, monomial, coefficient) for f, each d_i f and the upper triangles of H and S,
+        # in that order; the i-th derivative of c d^e is c e_i d^(e - 1_i)
         first = [[(_lower(e, i), c * e[i]) for e, c in self.terms.items() if e[i]] for i in range(m)]
+
+        def second(a, b, w):  # w times the terms of d_a d_b f
+            return [(_lower(e, b), w * c * e[b]) for e, c in first[a] if e[b]]
+
         derived = [(0, e, c) for e, c in self.terms.items()]
         derived += [(1 + i, e, c) for i in range(m) for e, c in first[i]]
-        derived += [(col, _lower(e, j), c * e[j])
-                    for col, (i, j) in enumerate(upper, start=1 + m) for e, c in first[i] if e[j]]
+        for l, k in zip(*np.triu_indices(nv)):
+            x, y, h, s = 2 * l, 2 * k, self._mixed + 2 * (l * nv + k), pure + 2 * (l * nv + k)
+            for col, terms in ((h, second(x, y, 0.25) + second(x + 1, y + 1, 0.25)),
+                               (h + 1, second(x, y + 1, 0.25) + second(x + 1, y, -0.25) if l < k else []),
+                               (s, second(x, y, 0.25) + second(x + 1, y + 1, -0.25)),
+                               (s + 1, second(x, y + 1, -0.25) + second(x + 1, y, -0.25))):
+                derived += [(col, e, c) for e, c in terms]
         rows: dict = {}  # monomial -> row, in order of first use
         for _, e, _ in derived:
             rows.setdefault(e, len(rows))
         coefs = np.zeros((len(rows), ncols))
         for col, e, c in derived:
             coefs[rows[e], col] += c
+        for l, k in zip(*np.triu_indices(nv, 1)):  # lower triangles: the upper columns, conjugated for H
+            for base, sign in ((self._mixed, -1.0), (pure, 1.0)):
+                up, lo = base + 2 * (l * nv + k), base + 2 * (k * nv + l)
+                coefs[:, lo], coefs[:, lo + 1] = coefs[:, up], sign * coefs[:, up + 1]
         cols = (1, 1 + m, ncols)  # columns read by order 0, 1, 2
         ends = [len({e for col, e, _ in derived if col < cols[o]}) for o in range(3)]
 
@@ -110,16 +127,18 @@ class RealPolynomial:
         width = max([1] + [len(f) for f in factors])
         self._factors = np.array([f + [0] * (width - len(f)) for f in factors], dtype=np.intp).reshape(len(rows), width).T
         self._plans = [(k, coefs[:k, :ncol].copy()) for k, ncol in zip(ends, cols)]
-        # column of the evaluation output holding Hessian entry (i, j), i.e. (min, max)
-        pos = np.empty((m, m), dtype=np.intp)
-        pos[iu, ju] = pos[ju, iu] = np.arange(1 + m, ncols)
-        self._hess_cols = pos.ravel()
+        self._constant = None  # (H, S) of a quadratic, the same at every point
+        if max((sum(e) for e in self.terms), default=0) <= 2:
+            self._constant = np.stack(self.evaluate(self.center[None, :])[2:])[:, 0]
+            self._plans[2] = self._plans[1]
 
     def evaluate(self, pts: np.ndarray, order: int = 2):
-        """(value, gradient, Hessian) at points (B, m); entries above order are None.
+        """(value, gradient, H, S) at points (B, m); entries above order are None.
 
-        The value has shape (B,), the gradient (B, m) and the Hessian (B, m, m),
-        filled from its upper triangle so that it is exactly symmetric.
+        The value has shape (B,) and the real gradient (B, m). H and S are
+        complex (B, N, N) views, N = m / 2, read-only for a quadratic. Their lower
+        triangles come from copies of the upper columns (conjugated for H): H is
+        exactly Hermitian and S symmetric when the product sums every column alike.
         """
         if order not in (0, 1, 2):
             raise ValueError(f"order must be 0, 1 or 2, got {order}")
@@ -145,8 +164,12 @@ class RealPolynomial:
             np.matmul(table.T, coefs, out=out[s:s + step])
         value = out[:, 0]
         grad = out[:, 1:1 + self.m] if order >= 1 else None
-        hess = out[:, self._hess_cols].reshape(b, self.m, self.m) if order == 2 else None
-        return value, grad, hess
+        if order < 2:
+            return value, grad, None, None
+        nv = self.m // 2
+        if self._constant is not None:
+            return value, grad, *np.broadcast_to(self._constant[:, None], (2, b, nv, nv))
+        return value, grad, *out[:, self._mixed:].view(complex).reshape(b, 2, nv, nv).transpose(1, 0, 2, 3)
 
 
 def _lower(e: tuple, i: int) -> tuple:

@@ -70,8 +70,9 @@ class ReinhardtProfile:
     _s_switch: float = 0.0
     _cap: tuple[float, float, float] = (0.0, 0.0, 0.0)  # (f', f'', window) at s_end
 
-    def eval(self, s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized (f, f', f'') at the given s values.
+    def eval(self, s, order: int = 2) -> tuple:
+        """Vectorized (f, f', f'')[:order + 1] at the given s values; lower orders skip
+        the f'' formula and its spline fallback, and the rest is bit for bit the same.
 
         Tiny overshoots past s_end (root-finder roundoff) are continued with the
         endpoint Taylor quadratic; far beyond, a sign-correct linear tail keeps
@@ -109,13 +110,14 @@ class ReinhardtProfile:
             ss = s[mid]
             y = _dense(self._sol, ss)
             f[mid], fp[mid] = y[0], y[1]
-            denom = ss * y[0]
-            floor = _DENOM_FLOOR * max(self.f0, self.s_end) * self.s_end
-            low = denom <= floor
-            raw = (ss * y[1] ** 2 - self.k * _pow32(y[0] + ss * y[1] ** 2) - y[0] * y[1]) / np.where(low, 1.0, denom)
-            if np.any(low):
-                raw[low] = self._fpp_fallback(ss[low])
-            fpp[mid] = raw
+            if order == 2:
+                denom = ss * y[0]
+                floor = _DENOM_FLOOR * max(self.f0, self.s_end) * self.s_end
+                low = denom <= floor
+                raw = (ss * y[1] ** 2 - self.k * _pow32(y[0] + ss * y[1] ** 2) - y[0] * y[1]) / np.where(low, 1.0, denom)
+                if np.any(low):
+                    raw[low] = self._fpp_fallback(ss[low])
+                fpp[mid] = raw
 
         beyond = ~inside
         if np.any(beyond):
@@ -131,9 +133,8 @@ class ReinhardtProfile:
             fp[beyond] = np.where(near, quad_fp, edge_fp)
             fpp[beyond] = np.where(near, fe_pp, 0.0)
 
-        if scalar:
-            return float(f[0]), float(fp[0]), float(fpp[0])
-        return f, fp, fpp
+        out = (f, fp, fpp)[:order + 1]
+        return tuple(float(v[0]) for v in out) if scalar else out
 
     def residual(self, s) -> np.ndarray:
         f, fp, fpp = self.eval(s)

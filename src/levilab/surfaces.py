@@ -2,8 +2,9 @@
 
 Real coordinates are interleaved as (x1, y1, ..., x_{n+1}, y_{n+1}) with
 z_k = x_k + i y_k. Every family produces a smooth real defining function f
-with f < 0 inside, f = 0 on the boundary, and gives its value, gradient and
-Hessian exact to rounding, as float64 arrays, from derivatives(pts, order).
+with f < 0 inside, f = 0 on the boundary, and gives from derivatives(pts, order),
+exact to rounding, its value, its real gradient and its complex Hessians
+H_lk = d^2 f / dz_l dzbar_k and S_lk = d^2 f / dz_l dz_k, never the real one.
 The polynomial families (Sphere, Ellipsoid, PerturbedQuadric, Cylinder,
 UserPolynomial, DirichletQuadratic) expand f once into a RealPolynomial and
 evaluate closed-form derivatives from it. ReinhardtSurface writes the chain
@@ -19,7 +20,6 @@ once, transversally, with a nondegenerate gradient there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -35,28 +35,24 @@ MAX_RADIUS_FACTOR = 1e3     # star-shaped search radius in units of the family s
 
 
 class Jet(NamedTuple):
-    """Value (B,), gradient (B, m) and Hessian (B, m, m) of a scalar function over B points.
-
-    The fields above the order that was asked for are None.
+    """Value (B,), real gradient (B, m), and the complex Hessians H_lk = d^2 f / dz_l dzbar_k
+    (mixed, Hermitian) and S_lk = d^2 f / dz_l dz_k (pure, symmetric), (B, N, N) with
+    N = m / 2, of a scalar function over B points. The fields above the order asked for are None.
     """
 
     val: np.ndarray
     grad: np.ndarray | None
-    hess: np.ndarray | None
+    mixed: np.ndarray | None
+    pure: np.ndarray | None
 
 
-@dataclass(frozen=True)
-class Jet2:
+class Jet2(NamedTuple):
     """Second-order data of the defining function at one point."""
 
     value: float
     rgrad: np.ndarray
-    rhess: np.ndarray
-
-    def __post_init__(self):
-        dev = float(np.max(np.abs(self.rhess - self.rhess.T)))
-        if dev > 1e-12 * max(1.0, float(np.max(np.abs(self.rhess)))):
-            raise ValueError(f"Hessian asymmetry {dev:.3e} exceeds tolerance")
+    mixed: np.ndarray
+    pure: np.ndarray
 
 
 class SurfaceSpec:
@@ -76,7 +72,7 @@ class SurfaceSpec:
         return 2 * (self.n + 1)
 
     def derivatives(self, pts: np.ndarray, order: int) -> Jet:
-        """Value, gradient (order >= 1) and Hessian (order 2) at points (B, m).
+        """Value, real gradient (order >= 1), H and S (order 2) at points (B, m).
 
         The fields of the returned Jet above the order are None.
         """
@@ -110,14 +106,25 @@ def _diagonal_quadratic(weights, constant: float, center=None) -> RealPolynomial
     return RealPolynomial(terms, np.zeros(m) if center is None else center)
 
 
+def wirtinger_gradient(rgrad: np.ndarray) -> np.ndarray:
+    """(..., 2N) real gradient -> (..., N) complex gradient f_k = (d_x - i d_y)/2."""
+    return (rgrad[..., 0::2] - 1j * rgrad[..., 1::2]) / 2.0
+
+
 def _chain(inner: Jet, f0, f1, f2) -> Jet:
-    """phi(inner) from phi, phi', phi'' at inner.val; fields inner lacks stay None."""
-    g, h = inner.grad, inner.hess
-    return Jet(
-        f0,
-        None if g is None else f1[:, None] * g,
-        None if h is None else f1[:, None, None] * h + f2[:, None, None] * (g[:, :, None] * g[:, None, :]),
-    )
+    """phi(inner) from phi, phi', phi'' at inner.val; fields inner lacks stay None.
+
+    With w = del f, H(phi o f) = phi' H + phi'' w w* and S(phi o f) = phi' S + phi'' w w^T; the
+    outer products are built from real products of the gradient, exactly (Hermitian) symmetric.
+    """
+    grad = None if inner.grad is None else f1[:, None] * inner.grad
+    if inner.mixed is None:
+        return Jet(f0, grad, None, None)
+    gx, gy = inner.grad[:, 0::2], inner.grad[:, 1::2]
+    xx, yy, xy = (u[:, :, None] * v[:, None, :] for u, v in ((gx, gx), (gy, gy), (gx, gy)))
+    a, b = f1[:, None, None], f2[:, None, None] / 4.0  # w w* = (xx + yy + i (xy - xy^T)) / 4
+    return Jet(f0, grad, a * inner.mixed + b * ((xx + yy) + 1j * (xy - xy.transpose(0, 2, 1))),
+               a * inner.pure + b * ((xx - yy) - 1j * (xy + xy.transpose(0, 2, 1))))
 
 
 class Sphere(SurfaceSpec):
@@ -240,28 +247,27 @@ class ReinhardtSurface(SurfaceSpec):
             _validate_star_family(self)
 
     def derivatives(self, pts, order):
-        """r1^2 - F(s), s = |z2|^2, in closed form: with g = (2 x2, 2 y2), gradient (2 x1, 2 y1, -F' g),
-        Hessian diag(2, 2) + (-2 F' I - F'' g g^T). Products are formed as _chain forms them, and
-        + 0.0 turns -0.0 into the +0.0 its sums give, so the jets are bit-identical to that chain rule."""
+        """r1^2 - F(s), s = |z2|^2, in closed form: gradient (2 x1, 2 y1, -2 F' x2, -2 F' y2),
+        H = diag(1, -F' - F'' s), S = diag(0, -F'' zbar2^2), each value bit for bit as _chain's
+        composition gives it (+ 0.0 turns the gradient's -0.0 into the +0.0 its sums give)."""
         x1, y1, x2, y2 = np.ascontiguousarray(pts.T)
-        fval, fp, fpp = self.profile.eval(x2 * x2 + y2 * y2)
+        s = x2 * x2 + y2 * y2
+        fval, fp, fpp = self.profile.eval(s, order) + (None,) * (2 - order)
         val = (x1 * x1 + y1 * y1) - fval
         if order == 0:
-            return Jet(val, None, None)
-        g2, g3 = 2.0 * x2, 2.0 * y2
-        grad = np.stack([2.0 * x1, 2.0 * y1, -fp * g2, -fp * g3], axis=1) + 0.0
+            return Jet(val, None, None, None)
+        grad = np.stack([2.0 * x1, 2.0 * y1, -fp * (2.0 * x2), -fp * (2.0 * y2)], axis=1) + 0.0
         if order == 1:
-            return Jet(val, grad, None)
-        hess = np.zeros((4, 4, len(pts)))  # entry-major, like RealPolynomial's Hessians
-        hess[0, 0] = hess[1, 1] = 2.0
-        hess[2, 2] = -fpp * (g2 * g2) - 2.0 * fp + 0.0
-        hess[3, 3] = -fpp * (g3 * g3) - 2.0 * fp + 0.0
-        hess[2, 3] = hess[3, 2] = -fpp * (g2 * g3) + 0.0
-        return Jet(val, grad, hess.transpose(2, 0, 1))
+            return Jet(val, grad, None, None)
+        mixed, pure = np.zeros((2, len(pts), 2, 2), dtype=complex)
+        mixed[:, 0, 0] = 1.0
+        mixed[:, 1, 1] = -fp - fpp * s
+        pure[:, 1, 1] = -fpp * ((x2 * x2 - y2 * y2) - 2j * (x2 * y2))
+        return Jet(val, grad, mixed, pure)
 
     def boundary_point(self, s: float, phase1: float = 0.0, phase2: float = 0.0) -> np.ndarray:
         """A point on the surface at profile parameter s and torus phases."""
-        fval, _, _ = self.profile.eval(float(s))
+        fval = self.profile.eval(float(s), 0)[0]
         if fval < 0:
             raise DomainError(f"profile is negative at s={s}; no surface point there")
         r1, r2 = math.sqrt(fval), math.sqrt(s)
@@ -375,7 +381,7 @@ def _check_points(pts, m: int) -> np.ndarray:
 
 
 def eval_jets(spec: SurfaceSpec, pts) -> Jet:
-    """Full value/gradient/Hessian jets of the defining function at points (B, m)."""
+    """Value, real gradient, H and S of the defining function at points (B, m)."""
     return spec.derivatives(_check_points(pts, spec.m), 2)
 
 
@@ -387,19 +393,19 @@ def eval_values(spec: SurfaceSpec, pts) -> np.ndarray:
 def eval_ray(spec: SurfaceSpec, center: np.ndarray, dirs: np.ndarray, rho: np.ndarray) -> Jet:
     """Value and slope along rays center + rho * dir, as a width-1 Jet.
 
-    grad[:, 0] is the directional derivative <grad f, dir>; hess is None,
-    because the root finder reads only the value and the slope.
+    grad[:, 0] is the directional derivative <grad f, dir>; mixed and pure are
+    None, because the root finder reads only the value and the slope.
     """
     dirs = np.asarray(dirs, dtype=float)
     pts = np.asarray(center, dtype=float)[None, :] + np.asarray(rho, dtype=float)[:, None] * dirs
     d = spec.derivatives(pts, 1)
-    return Jet(d.val, np.einsum("bi,bi->b", d.grad, dirs)[:, None], None)
+    return Jet(d.val, np.einsum("bi,bi->b", d.grad, dirs)[:, None], None, None)
 
 
 def jet(spec: SurfaceSpec, p) -> Jet2:
     """Second-order jet of the defining function at a single point."""
     j = eval_jets(spec, np.asarray(p, dtype=float)[None, :])
-    return Jet2(float(j.val[0]), j.grad[0].copy(), j.hess[0].copy())
+    return Jet2(float(j.val[0]), j.grad[0].copy(), j.mixed[0].copy(), j.pure[0].copy())
 
 
 # -- radial roots ---------------------------------------------------------------

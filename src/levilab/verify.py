@@ -95,11 +95,9 @@ def _quad_meta(q: qd.QuadratureSpec, *results: qd.IntegralResult) -> dict:
     }
 
 
-def _sigma_field(spec: sf.SurfaceSpec, j: int):
-    def fn(pts):
-        return sigma_batch(cv.complex_hessian(sf.eval_jets(spec, pts).hess), j + 1)
-
-    return fn
+def _mixed_field(spec: sf.SurfaceSpec, fn, j: int):
+    """fn(H, j + 1) at interior points, with H the mixed Hessian of the jets."""
+    return lambda pts: fn(sf.eval_jets(spec, pts).mixed, j + 1)
 
 
 def _levi_flux_field(j: int):
@@ -171,7 +169,7 @@ def verify_integral_formula(
     _check_j(spec, j)
     fspec = resolve_defining_function(spec, f_choice)
     n = fspec.n
-    lhs_r = qd.bulk_integral(fspec, _sigma_field(fspec, j), q)
+    lhs_r = qd.bulk_integral(fspec, _mixed_field(fspec, sigma_batch, j), q)
     rhs_r = qd.surface_integral(fspec, _levi_flux_field(j), q)
     coef = math.comb(n + 1, j + 1) / (2 * (n + 1))
     lhs = lhs_r.value
@@ -347,7 +345,7 @@ def dirichlet_chain(
     _check_j(dspec, j)
     n = dspec.n
     vol_r = qd.volume(dspec, q)
-    lhs1_r = qd.bulk_integral(dspec, _sigma_field(dspec, j), q)
+    lhs1_r = qd.bulk_integral(dspec, _mixed_field(dspec, sigma_batch, j), q)
     rhs1 = math.comb(n + 1, j + 1) * vol_r.value / (n + 1) ** (j + 1)
     margin1 = rhs1 - lhs1_r.value
 
@@ -414,11 +412,7 @@ def newton_sweep(
     and an interior radial sample; nonnegative for every real surface."""
     _check_j(spec, j)
     gaps_b, _, _ = qd.scan_boundary(spec, q, lambda fr: newton_gap_batch(fr.whess, j + 1))
-
-    def interior(pts):
-        return newton_gap_batch(cv.complex_hessian(sf.eval_jets(spec, pts).hess), j + 1)
-
-    gaps_i = qd.scan_bulk(spec, q, interior, shells=shells)
+    gaps_i = qd.scan_bulk(spec, q, _mixed_field(spec, newton_gap_batch, j), shells=shells)
     min_gap = float(min(np.min(gaps_b), np.min(gaps_i)))
     ok = min_gap >= -gap_tol
     return VerificationReport(

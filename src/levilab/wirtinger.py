@@ -217,9 +217,6 @@ class WPoly:
     def n_terms(self) -> int:
         return len(self._num)
 
-    def total_degree(self) -> int:
-        return max((sum(self._exps(k)) for k in self._num), default=0)
-
     def eval(self, zvals: Sequence[complex]) -> complex:
         """Evaluate at floating z values (zbar values are their conjugates)."""
         if len(zvals) != self.nvars:

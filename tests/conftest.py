@@ -6,6 +6,24 @@ hypothesis.settings.register_profile("ci", deadline=None, max_examples=50)
 hypothesis.settings.load_profile("ci")
 
 
+def _real_hessian(mixed, pure):
+    """The (B, 2N, 2N) real Hessian from the Wirtinger Hessians H and S:
+    f_{x_l x_k} = 2 Re(H + S), f_{y_l y_k} = 2 Re(H - S), f_{x_l y_k} = 2 Im(H - S)."""
+    b, nv, _ = mixed.shape
+    out = np.empty((b, nv, 2, nv, 2))
+    out[:, :, 0, :, 0] = 2.0 * (mixed + pure).real
+    out[:, :, 1, :, 1] = 2.0 * (mixed - pure).real
+    out[:, :, 0, :, 1] = 2.0 * (mixed - pure).imag
+    out[:, :, 1, :, 0] = out[:, :, 0, :, 1].transpose(0, 2, 1)
+    return out.reshape(b, 2 * nv, 2 * nv)
+
+
+@pytest.fixture(scope="session")
+def real_hessian():
+    """The function (H, S) -> real Hessian, for checks against a real-variable oracle."""
+    return _real_hessian
+
+
 @pytest.fixture
 def forbid_lapack_det(monkeypatch):
     """Make np.linalg.det raise: a perf guard for code that must use the closed-form kernel."""

@@ -5,7 +5,8 @@ plus nodes_used for surface_integral, volume and bulk_integral, a sha256 of
 the raw bytes returned by scan_boundary and scan_bulk, a sha256 of a K_1 and
 K_2 scan on an n=2 quadric with complex holomorphic terms, a sha256 of the
 Reinhardt jets at orders 0, 1 and 2 on every branch of the profile and of the
-exp(f) - 1 jets of an ellipsoid at the same orders, and a sha256 of a few
+exp(f) - 1 jets of an ellipsoid at the same orders, a sha256 of the Wirtinger
+Hessians H and S of every family at fixed points, and a sha256 of a few
 verification reports. A change that must keep the arithmetic order is
 bit-identical when the two outputs are equal:
 
@@ -42,6 +43,18 @@ RULES = {
     "gauss_o7_radial3": qd.QuadratureSpec(order=7, radial_order=3),
     "mc": qd.QuadratureSpec(method="mc", samples=20_000, seed=3),  # three chunks
 }
+
+
+USER_QUARTIC = {(1, 0, 1, 0): 1.0, (0, 1, 0, 1): 1.0, (0, 0, 0, 0): -1.0, (1, 1, 1, 1): -3.0, (2, 2, 2, 2): 4.0,
+                (1, 0, 0, 1): 0.3 + 0.2j, (2, 0, 1, 0): 0.1j}
+
+
+def _family_points(spec) -> np.ndarray:
+    """200 fixed points: on the profile's band for a Reinhardt surface, else in a box."""
+    rng = np.random.default_rng(7)
+    if isinstance(spec, sf.ReinhardtSurface):
+        return _reinhardt_points(spec)
+    return rng.uniform(-1.2, 1.2, (200, spec.m))
 
 
 def _hex(r: qd.IntegralResult) -> list:
@@ -82,10 +95,10 @@ def main() -> None:
             qd.clear_root_cache()
 
             def sigma2(pts, spec=spec):
-                return sigma_batch(cv.complex_hessian(sf.eval_jets(spec, pts).hess), 2)
+                return sigma_batch(sf.eval_jets(spec, pts).mixed, 2)
 
             def gap(pts, spec=spec):
-                return newton_gap_batch(cv.complex_hessian(sf.eval_jets(spec, pts).hess), 2)
+                return newton_gap_batch(sf.eval_jets(spec, pts).mixed, 2)
 
             row = {
                 "surface": sname,
@@ -111,7 +124,7 @@ def main() -> None:
         row = {"reinhardt_derivatives": name}
         for order in (0, 1, 2):
             d = spec.derivatives(pts, order)
-            row[f"order{order}"] = _sha(*(a for a in (d.val, d.grad, d.hess) if a is not None))
+            row[f"order{order}"] = _sha(*(a for a in d if a is not None))
         print(json.dumps(row, sort_keys=True))
     ell = SURFACES["ellipsoid"]()
     exp_ell = sf.ExpReparam(ell)
@@ -119,8 +132,17 @@ def main() -> None:
     row = {"exp_derivatives": "ellipsoid"}
     for order in (0, 1, 2):
         d = exp_ell.derivatives(pts, order)
-        row[f"order{order}"] = _sha(*(a for a in (d.val, d.grad, d.hess) if a is not None))
+        row[f"order{order}"] = _sha(*(a for a in d if a is not None))
     print(json.dumps(row, sort_keys=True))
+    families = {
+        "ellipsoid": ell, "dirichlet": SURFACES["dirichlet"](), "sphere_n2": sf.Sphere(1.5, n=2),
+        "cylinder": sf.Cylinder(2.0, kind="curved"), "quadric_complex_n2": quadric,
+        "user_quartic": sf.UserPolynomial(1, USER_QUARTIC, scale=1.2, validate=False),
+        "reinhardt_regular": bands["regular"], "reinhardt_band": bands["band"], "exp_ellipsoid": exp_ell,
+    }
+    for name, spec in families.items():
+        d = sf.eval_jets(spec, _family_points(spec))
+        print(json.dumps({"wirtinger_hessians": name, "sha256": _sha(d.mixed, d.pure)}))
     reports = {
         "integral_gauss": lambda: vf.verify_integral_formula(ell, 1, RULES["gauss_o12"]),
         "integral_exp": lambda: vf.verify_integral_formula(ell, 1, RULES["gauss_o12"], f_choice="exp"),

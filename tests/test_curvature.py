@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import re
@@ -110,7 +111,7 @@ def raw_frames(wgrad, whess):
     zeros = np.zeros((b, 2 * nvars))
     return cv.FrameBatch(
         spec=sf.Sphere(1.0, n=nvars - 1), points=zeros, rgrad=zeros,
-        rhess=np.zeros((b, 2 * nvars, 2 * nvars)), wgrad=wgrad, whess=whess, pgrad_norm=pn,
+        wgrad=wgrad, whess=whess, pure=np.zeros_like(whess), pgrad_norm=pn,
     )
 
 
@@ -414,17 +415,52 @@ class TestEntryMajorBorderedMinor:
             assert cv.levi(fr, j).tobytes() == ref.tobytes()
 
 
+def einsum_mean_curvature(fr, real_hessian):
+    """The mean curvature as first written, on the real Hessian that the jets' H and S determine."""
+    g, h = fr.rgrad, real_hessian(fr.whess, fr.pure)
+    gnorm = np.linalg.norm(g, axis=1)
+    quad = np.einsum("bi,bij,bj->b", g, h, g)
+    return (np.trace(h, axis1=1, axis2=2) / gnorm - quad / gnorm**3) / (2 * fr.n + 1)
+
+
+MEAN_CURVATURE_SURFACES = {
+    **KERNEL_SURFACES,
+    "sphere_off_center": lambda: sf.Sphere(1.3, center=[0.4, -0.2, 0.1, 0.7]),
+    "dirichlet_n2": lambda: sf.DirichletQuadratic([1.0, 1.2, 0.9, 1.4, 1.1, 1.3]),
+    "reinhardt": lambda: sf.ReinhardtSurface(0.5, 4.0),
+    "exp_quadric_n2": lambda: sf.ExpReparam(KERNEL_SURFACES["quadric_complex_n2"]()),
+    "exp_levi_indefinite": lambda: sf.ExpReparam(KERNEL_SURFACES["levi_indefinite"]()),
+    "cylinder_curved": lambda: sf.Cylinder(2.0, kind="curved"),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def mean_curvature_surface(name):
+    return MEAN_CURVATURE_SURFACES[name]()
+
+
 class TestMeanCurvatureContraction:
+    # 4 tr H and 2 Re(v^T S v) + 2 v^T H conj(v) sum other products than the real form: not bitwise
     @pytest.mark.parametrize("name", sorted(KERNEL_SURFACES) + ["reinhardt"])
-    def test_equals_the_einsum_form_bitwise(self, name):
-        spec = sf.ReinhardtSurface(0.5, 4.0) if name == "reinhardt" else KERNEL_SURFACES[name]()
+    def test_equals_the_einsum_form(self, name, real_hessian):
+        spec = mean_curvature_surface(name)
         fr = boundary_frames(spec, 54, count=4096)
-        g, h = fr.rgrad, fr.rhess
-        gnorm = np.linalg.norm(g, axis=1)
-        assert (2.0 * fr.pgrad_norm).tobytes() == gnorm.tobytes()
-        quad = np.einsum("bi,bij,bj->b", g, h, g)
-        ref = (np.trace(h, axis1=1, axis2=2) / gnorm - quad / gnorm**3) / (2 * spec.n + 1)
-        assert cv.mean_curvature(fr).tobytes() == ref.tobytes()
+        assert (2.0 * fr.pgrad_norm).tobytes() == np.linalg.norm(fr.rgrad, axis=1).tobytes()
+        ref = einsum_mean_curvature(fr, real_hessian)
+        assert np.max(np.abs(cv.mean_curvature(fr) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(sorted(MEAN_CURVATURE_SURFACES)), seed=st.integers(0, 2**16))
+    def test_equals_the_einsum_form_on_every_family(self, name, seed, real_hessian):
+        spec = mean_curvature_surface(name)
+        if spec.star_center is None:  # the cylinder: a sphere of R^3 in (x1, y1, x2), any y2
+            rng = np.random.default_rng(seed)
+            pts = np.concatenate([sphere_points(rng, spec.radius, 3, 32), rng.uniform(-2, 2, (32, 1))], axis=1)
+            fr = cv.FrameBatch.at_points(spec, pts)
+        else:
+            fr = boundary_frames(spec, seed, count=32)
+        ref = einsum_mean_curvature(fr, real_hessian)
+        assert np.max(np.abs(cv.mean_curvature(fr) - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 class TestMeanCurvatureOracle:

@@ -1,11 +1,12 @@
 """Compiled polynomial evaluators against an exact reference in wirtinger.WPoly.
 
 Each reference below builds the family's defining function as a WPoly in z
-and zbar, with x_k = (z_k + zbar_k)/2 and y_k = (z_k - zbar_k)/(2i), takes real
-derivatives with d/dx = d/dz + d/dzbar and d/dy = i (d/dz - d/dzbar), and
-evaluates them in exact rational arithmetic at the float test points. The
-compiled value, gradient and Hessian must agree to RTOL relative to the
-largest entry of the reference over the batch.
+and zbar, with x_k = (z_k + zbar_k)/2 and y_k = (z_k - zbar_k)/(2i). It takes
+the real gradient with d/dx = d/dz + d/dzbar and d/dy = i (d/dz - d/dzbar),
+and the Wirtinger Hessians directly, H_lk = d/dz_l d/dzbar_k f and
+S_lk = d/dz_l d/dz_k f, and evaluates them in exact rational arithmetic at the
+float test points. The compiled value, gradient, H and S must agree to RTOL
+relative to the largest entry of the reference over the batch.
 """
 
 from fractions import Fraction
@@ -37,12 +38,12 @@ def real_derivative(p: WPoly, a: int) -> WPoly:
 
 
 def exact_values(polys: list[WPoly], pts: np.ndarray) -> np.ndarray:
-    """Every polynomial at every point (x_1, y_1, ...), exactly, as floats of shape (B, len(polys)).
+    """Every polynomial at every point (x_1, y_1, ...), exactly, as complex of shape (B, len(polys)).
 
-    The polynomials are real, so each value must have no imaginary part at all.
+    The real and imaginary parts are each rounded once from their exact values.
     """
     terms = [list(p.terms.items()) for p in polys]
-    out = np.empty((len(pts), len(polys)))
+    out = np.empty((len(pts), len(polys)), dtype=complex)
     for b, point in enumerate(pts):
         xy = [Fraction(float(v)) for v in point]
         zs = [(xy[i], xy[i + 1]) for i in range(0, len(xy), 2)]
@@ -60,18 +61,22 @@ def exact_values(polys: list[WPoly], pts: np.ndarray) -> np.ndarray:
                 mr, mi = monomials[exps]
                 re += cr * mr - ci * mi
                 im += cr * mi + ci * mr
-            assert im == 0
-            out[b, i] = float(re)
+            out[b, i] = complex(float(re), float(im))
     return out
 
 
 def exact_jets(f: WPoly, pts: np.ndarray) -> sf.Jet:
-    """Value, gradient and Hessian of f at the points, each rounded once from its exact value."""
-    m = 2 * f.nvars
+    """Value, real gradient, H and S of f at the points, each part rounded once from its exact value."""
+    nv, m = f.nvars, 2 * f.nvars
     grad = [real_derivative(f, a) for a in range(m)]
-    hess = [real_derivative(grad[a], c) for a in range(m) for c in range(m)]
-    vals = exact_values([f, *grad, *hess], pts)
-    return sf.Jet(vals[:, 0], vals[:, 1:m + 1], vals[:, m + 1:].reshape(-1, m, m))
+    dz = [f.wd("z", l) for l in range(1, nv + 1)]
+    mixed = [d.wd("zbar", k) for d in dz for k in range(1, nv + 1)]
+    pure = [d.wd("z", k) for d in dz for k in range(1, nv + 1)]
+    vals = exact_values([f, *grad, *mixed, *pure], pts)
+    real = vals[:, :m + 1]
+    assert not np.any(real.imag)  # f is real, and so is its real gradient
+    return sf.Jet(real[:, 0].real, real[:, 1:].real, vals[:, m + 1:m + 1 + nv * nv].reshape(-1, nv, nv),
+                  vals[:, m + 1 + nv * nv:].reshape(-1, nv, nv))
 
 
 def ref_sphere(spec, coords):
@@ -145,15 +150,29 @@ def test_compiled_derivatives_match_jet_reference(name):
     got = sf.eval_jets(spec, pts)
     _assert_close(got.val, want.val)
     _assert_close(got.grad, want.grad)
-    _assert_close(got.hess, want.hess)
+    _assert_close(got.mixed, want.mixed)
+    _assert_close(got.pure, want.pure)
     _assert_close(sf.eval_values(spec, pts), want.val)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_hessian_exactly_symmetric(name):
+    # H exactly Hermitian and S exactly symmetric, also for one point, where the
+    # matrix product takes another BLAS kernel than for a batch
     spec = CASES[name][0]()
-    h = sf.eval_jets(spec, _points(spec)).hess
-    assert np.array_equal(h, h.transpose(0, 2, 1))
+    for count in (1, 64):
+        j = sf.eval_jets(spec, _points(spec, count=count))
+        assert np.array_equal(j.mixed, np.conj(j.mixed.transpose(0, 2, 1)))
+        assert np.array_equal(j.pure, j.pure.transpose(0, 2, 1))
+
+
+def test_quadratic_hessians_are_one_broadcast_matrix():
+    # perf guard: a quadratic's H and S are constant, so order 2 reads only the order-1 columns
+    for name, quartic in (("sphere_n2", False), ("dirichlet", False), ("user_levi_indefinite", True)):
+        spec = CASES[name][0]()
+        j = sf.eval_jets(spec, _points(spec))
+        assert (j.mixed.strides[0] == 0) == (j.pure.strides[0] == 0) == (not quartic)
+        assert (spec.poly._plans[2] is spec.poly._plans[1]) == (not quartic)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -190,10 +209,10 @@ def test_from_zzbar_imaginary_coefficient():
 def test_lower_orders_are_prefixes_of_the_full_evaluation():
     spec = CASES["user_levi_indefinite"][0]()
     pts = _points(spec)
-    v0, g0, h0 = spec.poly.evaluate(pts, 0)
-    v1, g1, h1 = spec.poly.evaluate(pts, 1)
-    v2, g2, h2 = spec.poly.evaluate(pts, 2)
-    assert g0 is None and h0 is None and h1 is None
+    v0, g0, h0, s0 = spec.poly.evaluate(pts, 0)
+    v1, g1, h1, s1 = spec.poly.evaluate(pts, 1)
+    v2, g2, h2, s2 = spec.poly.evaluate(pts, 2)
+    assert g0 is None and h0 is None and h1 is None and s0 is None and s1 is None
     _assert_close(v0, v2)
     _assert_close(v1, v2)
     _assert_close(g1, g2)

@@ -7,7 +7,7 @@ import pytest
 from levilab import quadrature as qd
 from levilab import reinhardt as rh
 from levilab import surfaces as sf
-from levilab.curvature import FrameBatch, complex_hessian
+from levilab.curvature import FrameBatch
 from levilab.errors import (
     DomainError,
     SingularityError,
@@ -43,7 +43,8 @@ class TestJetExamples:
         j = sf.jet(_families()["sphere"], [2.0, 0.0, 0.0, 0.0])
         assert j.value == pytest.approx(0.0, abs=1e-14)
         assert np.allclose(j.rgrad, [4.0, 0.0, 0.0, 0.0])
-        assert np.allclose(complex_hessian(j.rhess), np.eye(2), atol=1e-14)
+        assert np.allclose(j.mixed, np.eye(2), atol=1e-14)
+        assert not np.any(j.pure)
 
     def test_ellipsoid_jet(self):
         j = sf.jet(_families()["ellipsoid"], [1.0, 0.0, 0.0, 0.0])
@@ -54,8 +55,7 @@ class TestJetExamples:
         spec = _families()["quadric"]
         rng = np.random.default_rng(0)
         pts = rng.standard_normal((40, 4))
-        jt = sf.eval_jets(spec, pts)
-        wh = complex_hessian(jt.hess)
+        wh = sf.eval_jets(spec, pts).mixed
         assert np.max(np.abs(wh - 0.5 * np.eye(2))) < 1e-14
 
     def test_quadric_boundary_value(self):
@@ -66,7 +66,7 @@ class TestJetExamples:
 
 class TestFiniteDifferenceConsistency:
     @pytest.mark.parametrize("name", ["sphere", "ellipsoid", "quadric", "cyl", "poly", "reinhardt", "sphere3"])
-    def test_jets_match_fd(self, name):
+    def test_jets_match_fd(self, name, real_hessian):
         spec = _families()[name]
         rng = np.random.default_rng(zlib.crc32(name.encode()))
         if name == "reinhardt":
@@ -77,20 +77,21 @@ class TestFiniteDifferenceConsistency:
         else:
             pts = rng.standard_normal((100, spec.m))
         jt = sf.eval_jets(spec, pts)
+        hess = real_hessian(jt.mixed, jt.pure)
         h = 1e-6
         for i in range(spec.m):
             dp = np.zeros(spec.m)
             dp[i] = h
             fd = (sf.eval_values(spec, pts + dp) - sf.eval_values(spec, pts - dp)) / (2 * h)
             assert np.max(np.abs(jt.grad[:, i].real - fd)) < 1e-5
-        # second order: FD of the gradient
+        # second order: FD of the gradient against the real Hessian that H and S determine
         for i in range(spec.m):
             dp = np.zeros(spec.m)
             dp[i] = h
             gp = sf.eval_jets(spec, pts + dp).grad.real
             gm = sf.eval_jets(spec, pts - dp).grad.real
             fd = (gp - gm) / (2 * h)
-            assert np.max(np.abs(jt.hess[:, :, i].real - fd)) < 1e-5
+            assert np.max(np.abs(hess[:, :, i] - fd)) < 1e-5
 
 
 class TestRadialRoots:
@@ -190,8 +191,10 @@ class TestReparametrization:
         if order >= 1:
             want.append(e[:, None] * f.grad)
         if order == 2:
-            want.append(e[:, None, None] * (f.hess + f.grad[:, :, None] * f.grad[:, None, :]))
-        fields = (got.val, got.grad, got.hess)
+            w = sf.wirtinger_gradient(f.grad)  # H(exp f) = e^f (H + w w*), S(exp f) = e^f (S + w w^T)
+            want.append(e[:, None, None] * (f.mixed + w[:, :, None] * np.conj(w)[:, None, :]))
+            want.append(e[:, None, None] * (f.pure + w[:, :, None] * w[:, None, :]))
+        fields = tuple(got)
         for a, b in zip(fields, want):
             assert a.shape == b.shape
             assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b))
@@ -254,7 +257,7 @@ def composed_reinhardt_jets(spec, pts, order):
     fval, fp, fpp = spec.profile.eval(s.val)
     neg_f = sf._chain(s, -fval, -fp, -fpp)
     r1sq = R1SQ.evaluate(pts, order)
-    return [a if a is None else a + b for a, b in zip(r1sq, (neg_f.val, neg_f.grad, neg_f.hess))]
+    return [a if a is None else a + b for a, b in zip(r1sq, neg_f)]
 
 
 def reinhardt_points(spec, seed):
@@ -286,14 +289,17 @@ class TestReinhardtClosedForm:
         lambda: sf.ReinhardtSurface(0.5, 3.5, fp0=-1.1, s0=0.8, smax=3.0),
     ], ids=["regular", "band"])
     def test_bitwise_equal_to_the_composition(self, make, order):
+        # value and gradient bit for bit; H and S value for value, as the closed form's
+        # zeros need not carry the signs that the composition's products give them
         spec = make()
         pts = reinhardt_points(spec, 17)
         got = spec.derivatives(pts, order)
-        for a, b in zip((got.val, got.grad, got.hess), composed_reinhardt_jets(spec, pts, order)):
+        for i, (a, b) in enumerate(zip(got, composed_reinhardt_jets(spec, pts, order))):
             if b is None:
                 assert a is None
             else:
-                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+                assert a.shape == b.shape and a.dtype == b.dtype
+                assert a.tobytes() == b.tobytes() if i < 2 else np.array_equal(a, b)
 
     def test_branches_are_covered(self):
         p = sf.ReinhardtSurface(0.5, 4.0).profile
@@ -318,6 +324,39 @@ class TestReinhardtClosedForm:
         rng = np.random.default_rng(20)
         s = np.concatenate([rng.uniform(p.s_lo, p.s_end, 500), p._sol.ts])  # segment edges choose like scipy
         assert rh._dense(p._sol, s).tobytes() == p._sol(s).tobytes()
+
+    @pytest.mark.parametrize("make", [
+        lambda: sf.ReinhardtSurface(0.5, 4.0),
+        lambda: sf.ReinhardtSurface(0.5, 3.5, fp0=-1.1, s0=0.8, smax=3.0),
+    ], ids=["regular", "band"])
+    def test_profile_orders_are_bitwise_prefixes(self, make):
+        spec = make()
+        p = spec.profile
+        s = np.sum(reinhardt_points(spec, 21)[:, 2:] ** 2, axis=1)  # every branch of eval
+        full = p.eval(s)
+        assert len(full) == 3
+        for order in (0, 1):
+            low = p.eval(s, order)
+            assert len(low) == order + 1
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(low, full))
+        assert p.eval(float(s[5]), 0) == (float(full[0][5]),)
+
+    def test_order_zero_never_calls_the_fpp_fallback(self, monkeypatch):
+        spec = sf.ReinhardtSurface(0.5, 4.0)
+        p = spec.profile
+        s = p._s_switch + np.geomspace(1e-9, 1.0, 200) * p.s_end  # reaches the fallback's zone
+
+        def no_fallback(x):
+            raise AssertionError(f"f'' spline fallback called on {len(x)} points")
+
+        monkeypatch.setattr(p, "_fpp_fallback", no_fallback)
+        p.eval(s, 0)
+        p.eval(s, 1)
+        pts = np.stack([np.zeros_like(s), np.zeros_like(s), np.sqrt(s), np.zeros_like(s)], axis=1)
+        spec.derivatives(pts, 0)
+        spec.derivatives(pts, 1)
+        with pytest.raises(AssertionError, match="fallback"):  # the zone is reached at order 2
+            p.eval(s, 2)
 
     def test_fpp_fallback_only_below_the_floor(self):
         p = sf.ReinhardtSurface(0.5, 4.0).profile
@@ -349,8 +388,9 @@ class TestRealOutput:
         dirs = pts / np.linalg.norm(pts, axis=1)[:, None]
         jt = sf.eval_jets(spec, pts)
         ray = sf.eval_ray(spec, np.zeros(spec.m), dirs, np.full(16, 0.5))
-        for arr in (jt.val, jt.grad, jt.hess, sf.eval_values(spec, pts), ray.val, ray.grad):
+        for arr in (jt.val, jt.grad, sf.eval_values(spec, pts), ray.val, ray.grad):
             assert arr.dtype == np.float64
+        assert jt.mixed.dtype == jt.pure.dtype == np.complex128
 
 
 class TestUserPolynomialCanonical:
