@@ -128,10 +128,13 @@ def sigma_batch(mats: np.ndarray, j: int) -> np.ndarray:
     """sigma_j over a stack of matrices, shape (..., d, d) -> (...).
 
     Assumes the inputs are Hermitian by construction (no per-matrix validation);
-    returns the real part of the sum of principal minors.
+    returns the real part of the sum of principal minors. A broadcast of one
+    matrix (all batch strides 0, as a quadratic's H) is reduced once.
     """
     mats = np.asarray(mats)
     _check_j(j, mats.shape[-1])
+    if mats.ndim > 2 and mats.size and not any(mats.strides[:-2]):
+        return np.broadcast_to(_minor_sum(mats[(0,) * (mats.ndim - 2)], j).real, mats.shape[:-2])
     return _minor_sum(mats, j).real
 
 

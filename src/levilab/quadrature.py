@@ -6,9 +6,9 @@ center + rho(omega) * omega, the surface measure is
     d sigma = rho^{m-1} * |grad f| / <grad f, omega> d omega      (m = 2n+2),
 
 volume is the integral of rho^m / m, and bulk integrals layer Gauss nodes
-along each ray. Directions come from a spherical product rule (Gauss-Jacobi
-in the polar cosines, trapezoid in the azimuth) or a seeded Monte Carlo
-sampler.
+along each ray. Directions come from a spherical product rule (Gauss-Gegenbauer
+in the polar cosines, computed here in numpy; trapezoid in the azimuth) or a
+seeded Monte Carlo sampler. No quadrature path imports scipy.
 
 All passes share one core: `_nodes(spec, q, order)` gives a pass's center,
 directions, weights and cached radial roots, and maps a function over its
@@ -49,7 +49,7 @@ class QuadratureSpec:
     """Integration method: deterministic product rule or seeded Monte Carlo."""
 
     method: str = "gauss"          # "gauss" | "mc"
-    order: int = 24                # Gauss-Legendre points per angle
+    order: int = 24                # Gauss-Gegenbauer points per polar angle; 2*order trapezoid points in the azimuth
     samples: int = 100_000         # Monte Carlo sample count
     seed: int = 0                  # Monte Carlo stream seed
     radial_order: int | None = None  # Gauss points along each ray (default: order)
@@ -95,24 +95,44 @@ def sphere_area(m: int, radius: float = 1.0) -> float:
 _AZIMUTH_FACTOR = 2  # trapezoid points per order unit; matches polar exactness degree
 
 
+def _recurrence(x: np.ndarray, b: np.ndarray):
+    """p_K(x), p_K'(x) and sum_{k<K} p_k(x)^2 for b_{k+1} p_{k+1} = x p_k - b_k p_{k-1}, p_0 = 1, K = len(b)."""
+    p_prev, p, d_prev, d, ssq = np.zeros_like(x), np.ones_like(x), np.zeros_like(x), np.zeros_like(x), np.zeros_like(x)
+    for b_prev, bk in zip((0.0, *b[:-1]), b):
+        ssq += p * p
+        p_prev, p, d_prev, d = p, (x * p - b_prev * p_prev) / bk, d, (p + x * d - b_prev * d_prev) / bk
+    return p, d, ssq
+
+
+def _gegenbauer_rule(order: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss rule for the weight (1 - x^2)^beta on [-1, 1] (Golub & Welsch, Math. Comp. 23, 1969): eigenvalues
+    of the Jacobi matrix of the orthonormal recurrence, one Newton step on it, and the Christoffel weights
+    mu_0 / sum_k p_k(x)^2. Nodes ascend; nodes and weights are exactly symmetric about 0."""
+    k = np.arange(1.0, order + 1)
+    b = np.sqrt(k * (k + 2 * beta) / ((2 * k + 2 * beta - 1) * (2 * k + 2 * beta + 1)))
+    x = np.linalg.eigvalsh(np.diag(b[:-1], 1) + np.diag(b[:-1], -1))
+    x = x - np.divide(*_recurrence(x, b)[:2])
+    x = (x - x[::-1]) / 2
+    w = math.sqrt(math.pi) * math.gamma(beta + 1) / math.gamma(beta + 1.5) / _recurrence(x, b)[2]
+    return x, (w + w[::-1]) / 2
+
+
 @lru_cache(maxsize=32)
 def sphere_grid(m: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Product quadrature directions and weights on the unit sphere of R^m.
 
-    Each polar angle is handled in x = cos(theta) by the Gauss-Jacobi rule
+    Each polar angle is handled in x = cos(theta) by the Gauss-Gegenbauer rule
     whose weight absorbs the sin^{m-2-i} surface factor exactly; the periodic
     azimuth uses the trapezoid rule with 2*order points (exact for trig
     polynomials of degree < 2*order). The product is exact for all spherical
     polynomials of degree <= 2*order - 1, which plain Gauss-Legendre in the
     angles is not; nodes are enumerated lexicographically and never reordered.
     """
-    from scipy.special import roots_jacobi
-
     angle_nodes = []
     angle_wts = []
     for i in range(m - 2):
         beta = (m - 2 - i - 1) / 2.0  # weight (1 - x^2)^beta from sin^{m-2-i}
-        x, w = roots_jacobi(order, beta, beta)
+        x, w = _gegenbauer_rule(order, beta)
         angle_nodes.append(x)
         angle_wts.append(w)
     naz = _AZIMUTH_FACTOR * order
@@ -180,7 +200,9 @@ class _Nodes(NamedTuple):
     order: int  # angular order of the pass; the default radial order of bulk passes
 
     def points(self, sl: slice, r: np.ndarray) -> np.ndarray:
-        return self.center[None, :] + r[:, None] * self.dirs[sl]
+        out = r[:, None] * self.dirs[sl]
+        out += self.center
+        return out
 
     def map(self, fn) -> list:
         """fn(slice) over the fixed CHUNK slices of the nodes, results in node order."""

@@ -97,6 +97,39 @@ class TestSigma:
         for i in range(4):
             assert got[i] == pytest.approx(sigma(mats[i], 2), abs=1e-12)
 
+    @pytest.mark.parametrize("shape", [(7,), (5, 3)])
+    def test_broadcast_stack_reduced_once(self, monkeypatch, shape):
+        # a quadratic's constant H arrives with batch strides 0: one minor sum, bit-identical
+        # to the materialised stack, returned as a read-only broadcast
+        from levilab import hermitian
+
+        h = random_hermitian(np.random.default_rng(8), 3)
+        stacked = np.broadcast_to(h, shape + h.shape)
+        dense = {j: sigma_batch(np.ascontiguousarray(stacked), j) for j in (1, 2, 3)}
+        gaps = {j: newton_gap_batch(np.ascontiguousarray(stacked), j) for j in (2, 3)}
+        seen = []
+
+        def recording(a):
+            seen.append(np.shape(a))
+            return det_batch(a)
+
+        monkeypatch.setattr(hermitian, "det_batch", recording)
+        for j in (1, 2, 3):
+            seen.clear()
+            got = sigma_batch(stacked, j)
+            assert seen == [(math.comb(3, j), j, j)]
+            assert got.shape == shape and not got.flags.writeable
+            assert got.tobytes() == dense[j].tobytes()
+        for j in (2, 3):
+            assert newton_gap_batch(stacked, j).tobytes() == gaps[j].tobytes()
+
+    def test_quadratic_hessian_is_a_broadcast(self):
+        # the input property the one-matrix path keys on, on a bulk integrand's H
+        from levilab import surfaces as sf
+
+        mixed = sf.eval_jets(sf.Sphere(1.5, n=2), np.full((4, 6), 0.3)).mixed
+        assert mixed.shape == (4, 3, 3) and not any(mixed.strides[:-2])
+
 
 class TestDetBatch:
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])

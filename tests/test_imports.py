@@ -1,5 +1,9 @@
 """Import guard: scipy is loaded only by the code paths that need it.
 
+Import, the identity checks, the direction grid and the quadrature-only
+verifications (sphere, Dirichlet chain) load no scipy module; only a Reinhardt
+profile loads `scipy.integrate`.
+
 Each case runs in a fresh interpreter, since this test process has long since
 imported scipy, and prints the sorted names of the loaded scipy modules.
 """
@@ -45,16 +49,18 @@ assert levilab.cli.main(["identities", "--n", "1"]) == 0
     assert loaded == set()
 
 
-def test_sphere_grid_loads_special_not_integrate():
+def test_sphere_grid_loads_no_scipy():
     loaded = scipy_modules_after(
         """
-from levilab import quadrature
+from levilab import quadrature, verify
 levilab.Sphere(1.0)
 quadrature.sphere_grid(4, 8)
+q = quadrature.QuadratureSpec(order=4)
+verify.verify_integral_formula(levilab.Sphere(1.5, n=2), 2, q)
+verify.dirichlet_chain([1.0, 1.0, 1.0, 2.0], 1, q)
 """
     )
-    assert "scipy.special" in loaded
-    assert "scipy.integrate" not in loaded
+    assert loaded == set()
 
 
 def test_reinhardt_surface_loads_integrate():

@@ -1,5 +1,7 @@
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -34,6 +36,45 @@ class TestGrid:
         assert np.dot(dirs[:, 0] ** 2, wts) == pytest.approx(area / 4, rel=1e-12)
         assert np.dot(dirs[:, 0] ** 2 * dirs[:, 2] ** 2, wts) == pytest.approx(area / 24, rel=1e-12)
         assert abs(np.dot(dirs[:, 1] * dirs[:, 3], wts)) < 1e-14
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
+    def test_gegenbauer_rule_exact_moments(self, beta):
+        # int x^{2k} (1 - x^2)^beta dx = B(k + 1/2, beta + 1), exact up to degree 2*order - 1;
+        # odd moments vanish because nodes and weights are exactly symmetric
+        for order in range(1, 65):
+            x, w = qd._gegenbauer_rule(order, beta)
+            assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+            k = np.arange(order)
+            exact = np.array([math.gamma(i + 0.5) * math.gamma(beta + 1) / math.gamma(i + beta + 1.5) for i in k])
+            got = (x[None, :] ** (2 * k[:, None])) @ w
+            assert np.max(np.abs(got - exact) / exact) <= 2e-14, order
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
+    def test_gegenbauer_rule_matches_scipy(self, beta):
+        from scipy.special import roots_jacobi
+
+        for order in range(1, 65):
+            x, w = qd._gegenbauer_rule(order, beta)
+            xs, ws = roots_jacobi(order, beta, beta)
+            assert np.max(np.abs(x - xs)) <= 4.4e-16, order
+            assert np.max(np.abs(w - ws) / ws) <= 1e-11, order
+
+    def test_grid_bytes_independent_of_blas_threads(self):
+        # eigvalsh puts LAPACK inside the determinism contract: fresh interpreters, 1 and 2 BLAS threads
+        code = (
+            "import hashlib; from levilab import quadrature as qd; h = hashlib.sha256()\n"
+            "for m, o in ((4, 32), (6, 7), (8, 3)): h.update(b''.join(a.tobytes() for a in qd.sphere_grid(m, o)))\n"
+            "for b in (0.0, 0.5, 3.0): h.update(b''.join(a.tobytes() for a in qd._gegenbauer_rule(64, b)))\n"
+            "print(h.hexdigest())"
+        )
+        src = os.path.dirname(os.path.dirname(qd.__file__))
+        digests = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+            proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr[-2000:]
+            digests.add(proc.stdout.strip())
+        assert len(digests) == 1
 
     def test_mc_directions_deterministic(self):
         d1, w1 = qd.mc_directions(4, 5000, seed=9)
