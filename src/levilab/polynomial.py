@@ -18,7 +18,7 @@ and H and S as complex views of that output (Taylor-mode differentiation of
 a fixed polynomial; Griewank & Walther, Evaluating Derivatives, 2nd ed.,
 2008). The table is built in blocks of points, each at most TABLE_BUDGET
 entries. A quadratic's H and S are constant: it reads only the order-1
-columns, and H and S are broadcast views of one matrix.
+columns, and H and S are broadcast views of one matrix. restrict gives f along rays, a polynomial in rho.
 """
 
 from __future__ import annotations
@@ -126,9 +126,12 @@ class RealPolynomial:
         factors = [[int(offsets[i]) + e[i] - 1 for i in range(m) if e[i]] for e in rows]
         width = max([1] + [len(f) for f in factors])
         self._factors = np.array([f + [0] * (width - len(f)) for f in factors], dtype=np.intp).reshape(len(rows), width).T
-        self._plans = [(k, coefs[:k, :ncol].copy()) for k, ncol in zip(ends, cols)]
+        self._plans = [coefs[:k, :ncol].copy() for k, ncol in zip(ends, cols)]
+        degree = [sum(e) for e in self.terms]  # the terms of f lead the table; restrict sums them by degree
+        self._by_degree = np.zeros((len(degree), 1 + max(degree, default=0)))
+        self._by_degree[np.arange(len(degree)), degree] = list(self.terms.values())
         self._constant = None  # (H, S) of a quadratic, the same at every point
-        if max((sum(e) for e in self.terms), default=0) <= 2:
+        if max(degree, default=0) <= 2:
             self._constant = np.stack(self.evaluate(self.center[None, :])[2:])[:, 0]
             self._plans[2] = self._plans[1]
 
@@ -144,7 +147,31 @@ class RealPolynomial:
             raise ValueError(f"order must be 0, 1 or 2, got {order}")
         dt = np.subtract(np.asarray(pts, dtype=float).T, self.center[:, None], order="C")
         b = dt.shape[1]
-        k, coefs = self._plans[order]
+        out = self._times(dt, self._plans[order])
+        value = out[:, 0]
+        grad = out[:, 1:1 + self.m] if order >= 1 else None
+        if order < 2:
+            return value, grad, None, None
+        nv = self.m // 2
+        if self._constant is not None:
+            return value, grad, *np.broadcast_to(self._constant[:, None], (2, b, nv, nv))
+        return value, grad, *out[:, self._mixed:].view(complex).reshape(b, 2, nv, nv).transpose(1, 0, 2, 3)
+
+    def restrict(self, dirs: np.ndarray, center) -> np.ndarray:
+        """a (d + 1, B) with f(center + rho * dirs[b]) = sum_k a[k, b] rho^k: a table of the directions times the terms by
+        degree, re-expanded first about another center, c (u + h)^e = sum_s c prod_i C(e_i, s_i) h_i^(e_i - s_i) u^s."""
+        h = (np.asarray(center, dtype=float) - self.center).tolist()
+        if any(h):
+            terms: dict = {}
+            for e, c in self.terms.items():
+                for s in itertools.product(*(range(k + 1) for k in e)):
+                    terms[s] = terms.get(s, 0.0) + c * math.prod(math.comb(k, j) * x ** (k - j) for k, j, x in zip(e, s, h))
+            return RealPolynomial(terms, center).restrict(dirs, center)
+        return self._times(np.array(np.asarray(dirs, dtype=float).T, order="C"), self._by_degree).T.copy()
+
+    def _times(self, dt: np.ndarray, coefs: np.ndarray) -> np.ndarray:
+        """(B, ncol): the first len(coefs) monomials at local coordinates dt (m, B), times coefs."""
+        k, b = coefs.shape[0], dt.shape[1]
         out = np.empty((b, coefs.shape[1]))
         step = max(1, TABLE_BUDGET // max(k, self._npow))
         for s in range(0, b, step):
@@ -162,14 +189,17 @@ class RealPolynomial:
             for f in self._factors[1:]:
                 table *= powers[f[:k]]
             np.matmul(table.T, coefs, out=out[s:s + step])
-        value = out[:, 0]
-        grad = out[:, 1:1 + self.m] if order >= 1 else None
-        if order < 2:
-            return value, grad, None, None
-        nv = self.m // 2
-        if self._constant is not None:
-            return value, grad, *np.broadcast_to(self._constant[:, None], (2, b, nv, nv))
-        return value, grad, *out[:, self._mixed:].view(complex).reshape(b, 2, nv, nv).transpose(1, 0, 2, 3)
+        return out
+
+
+def horner(a: np.ndarray, rho: np.ndarray, slope: bool = True):
+    """(sum_k a[k] rho^k, its rho-derivative or None without slope) by Horner's rule on B-vectors, a (d + 1, B)."""
+    val, der = a[-1].copy(), np.zeros_like(rho)
+    for ak in a[-2::-1]:
+        if slope:
+            np.add(np.multiply(der, rho, out=der), val, out=der)
+        np.add(np.multiply(val, rho, out=val), ak, out=val)
+    return val, der if slope else None
 
 
 def _lower(e: tuple, i: int) -> tuple:

@@ -214,7 +214,7 @@ class _Nodes(NamedTuple):
             return list(pool.map(fn, slices))
 
 
-# roots are the expensive part of every pass; cache them per (surface, grid)
+# every pass at an order reads the same roots; cache them per (surface, grid)
 _ROOT_CACHE: dict = {}
 _ROOT_CACHE_CAP = 16
 
@@ -266,8 +266,8 @@ def _integral(spec: SurfaceSpec, q: QuadratureSpec, node_values, order: int | No
         return [_neumaier(s) for s in zip(*sums)], vals, outs, nodes.wts
 
     values, vals, outs, wts = run(order, True)
-    if q.method == "gauss":
-        lower = run(max(2, q.order - _ERROR_ORDER_DROP), False)[0] if values else []
+    if q.method == "gauss":  # the lower rule pairs the order that ran
+        lower = run(max(2, (order or q.order) - _ERROR_ORDER_DROP), False)[0] if values else []
         errs = [abs(v - w) for v, w in zip(values, lower)]
     else:
         ests = (np.concatenate(v) * wts * wts.shape[0] for v in zip(*vals))  # per-sample estimators of the totals

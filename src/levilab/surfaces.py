@@ -14,7 +14,8 @@ happens on the default path.
 
 Star-shaped families declare a star center and are validated at construction
 on a coarse direction grid: every ray from the center must cross the boundary
-once, transversally, with a nondegenerate gradient there.
+once, transversally, with a nondegenerate gradient there. radial_roots finds
+the crossings; a polynomial family's f is restricted to each batch of rays once.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateGradientError, DomainError, StarShapeError, TransversalityError
-from .polynomial import RealPolynomial
+from .polynomial import RealPolynomial, horner
 from .reinhardt import ReinhardtProfile, reinhardt_profile
 
 ROOT_ABS_TOL = 1e-12        # |f| at a radial root
@@ -418,7 +419,8 @@ def radial_roots(spec: SurfaceSpec, dirs, center=None) -> tuple[np.ndarray, np.n
     slope = <grad f, dir> > 0 at each root. Safeguarded Newton, started at the
     false-position point, inside a bracket obtained by doubling; failure to
     bracket within the configured search radius means the domain is not
-    star-shaped about the center.
+    star-shaped about the center. On a polynomial family the sweeps run Horner's
+    rule on RealPolynomial.restrict; the other families evaluate f at points.
     """
     if center is None:
         center = spec.star_center
@@ -437,12 +439,23 @@ def radial_roots(spec: SurfaceSpec, dirs, center=None) -> tuple[np.ndarray, np.n
     if fc >= 0:
         raise StarShapeError(f"defining function is nonnegative ({fc!r}) at the star center")
 
+    coefs = spec.poly.restrict(dirs, center) if hasattr(spec, "poly") else None
+
+    def along(rho, active=None):  # f, and with the active rays df/drho, fresh on those
+        if coefs is not None:  # Horner takes every ray: a stopped ray's rho, f and slope stay put
+            return horner(coefs, rho, active is not None)
+        if active is None:
+            return eval_values(spec, center[None, :] + rho[:, None] * dirs), None
+        rj = eval_ray(spec, center, dirs[active], rho[active])
+        g[active], gp[active] = rj.val, rj.grad[:, 0]
+        return g, gp
+
     max_radius = MAX_RADIUS_FACTOR * spec.scale
     lo = np.zeros(b)
     hi = np.full(b, spec.scale)
     flo = np.full(b, fc)
     for _ in range(64):
-        fhi = eval_values(spec, center[None, :] + hi[:, None] * dirs)
+        fhi = along(hi)[0]
         neg = fhi <= 0
         if not np.any(neg):
             break
@@ -460,13 +473,10 @@ def radial_roots(spec: SurfaceSpec, dirs, center=None) -> tuple[np.ndarray, np.n
     # false-position start: on a convex ray whose root lies at the bracket's edge (a sphere
     # whose radius is the family scale), Newton from the midpoint lands past hi every step
     rho = lo + (hi - lo) * flo / (flo - fhi)
-    g = np.empty(b)
-    gp = np.empty(b)
+    g, gp = np.empty((2, b))
     active = np.ones(b, dtype=bool)
     for _ in range(200):
-        rj = eval_ray(spec, center, dirs[active], rho[active])
-        g[active] = rj.val
-        gp[active] = rj.grad[:, 0]
+        g, gp = along(rho, active)
         pos = g > 0
         hi = np.where(active & pos, rho, hi)
         lo = np.where(active & ~pos, rho, lo)

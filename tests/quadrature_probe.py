@@ -6,8 +6,9 @@ the raw bytes returned by scan_boundary and scan_bulk, a sha256 of a K_1 and
 K_2 scan on an n=2 quadric with complex holomorphic terms, a sha256 of the
 Reinhardt jets at orders 0, 1 and 2 on every branch of the profile and of the
 exp(f) - 1 jets of an ellipsoid at the same orders, a sha256 of the Wirtinger
-Hessians H and S of every family at fixed points, and a sha256 of a few
-verification reports. A change that must keep the arithmetic order is
+Hessians H and S of every family at fixed points, a sha256 of the radial
+roots and slopes of the order-12 grid for five families, and a sha256 of a
+few verification reports. A change that must keep the arithmetic order is
 bit-identical when the two outputs are equal:
 
     PYTHONPATH=<old>/src python tests/quadrature_probe.py > old.jsonl
@@ -143,6 +144,13 @@ def main() -> None:
     for name, spec in families.items():
         d = sf.eval_jets(spec, _family_points(spec))
         print(json.dumps({"wirtinger_hessians": name, "sha256": _sha(d.mixed, d.pure)}))
+    roots = {
+        "sphere": sf.Sphere(2.0), "ellipsoid": ell, "quadric_complex_n2": quadric,
+        "user_quartic": families["user_quartic"], "reinhardt": bands["regular"],
+    }
+    for name, spec in roots.items():
+        nodes = qd._nodes(spec, RULES["gauss_o12"])
+        print(json.dumps({"radial_roots": name, "sha256": _sha(nodes.rho, nodes.slope)}))
     reports = {
         "integral_gauss": lambda: vf.verify_integral_formula(ell, 1, RULES["gauss_o12"]),
         "integral_exp": lambda: vf.verify_integral_formula(ell, 1, RULES["gauss_o12"], f_choice="exp"),

@@ -139,6 +139,14 @@ class TestFusedPass:
         for a, b in ((k, k0), (h, h0), (w, w0), (pts, pts0)):
             assert np.array_equal(a, b)
 
+    def test_error_estimate_pairs_the_order_that_ran(self):
+        # a pass at order 8 under q.order = 16 reports |I(8) - I(4)|, as a plain order-8 call does
+        spec = sf.Ellipsoid([1.0, 1.3, 0.8, 1.1])
+        field = lambda fr: cv.levi(fr, 1)  # noqa: E731
+        (got,), _ = qd._boundary(spec, Q16, (field,), order=8)
+        plain = qd.surface_integral(spec, field, qd.QuadratureSpec(order=8))
+        assert (got.value, got.error_estimate, got.nodes_used) == (plain.value, plain.error_estimate, plain.nodes_used)
+
 
 class TestVolume:
     def test_ball(self):

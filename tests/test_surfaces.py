@@ -3,6 +3,9 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from quadrature_probe import QUADRIC_N2, USER_QUARTIC
 
 from levilab import quadrature as qd
 from levilab import reinhardt as rh
@@ -14,7 +17,7 @@ from levilab.errors import (
     StarShapeError,
     TransversalityError,
 )
-from levilab.polynomial import RealPolynomial
+from levilab.polynomial import RealPolynomial, horner
 from levilab.quadrature import sphere_grid
 from levilab.reinhardt import ode_residual, reinhardt_profile, series_coeffs
 
@@ -127,30 +130,44 @@ class TestRadialRoots:
 
     @pytest.mark.parametrize("name", ["sphere", "sphere3", "ellipsoid", "quadric", "reinhardt", "poly"])
     def test_slope_is_a_fresh_evaluation_at_the_root(self, name):
-        # the slope comes from the last Newton evaluation; it must equal a clean one bit for bit
+        # the slope comes from the last Newton evaluation; it must equal a clean evaluation of the
+        # same restriction (the ray polynomial, or eval_ray off the polynomial families) bit for bit
         spec = _families()[name]
         dirs, _ = sphere_grid(spec.m, 12 if spec.m == 4 else 5)
         rho, slope = sf.radial_roots(spec, dirs)
-        fresh = sf.eval_ray(spec, spec.star_center, dirs, rho)
-        assert np.array_equal(slope, fresh.grad[:, 0])
+        ray = sf.eval_ray(spec, spec.star_center, dirs, rho).grad[:, 0]
+        if name == "reinhardt":
+            assert np.array_equal(slope, ray)
+            return
+        fresh = horner(spec.poly.restrict(dirs, spec.star_center), rho)[1]
+        assert np.array_equal(slope, fresh)
+        assert np.max(np.abs(slope - ray) / np.abs(ray)) <= 1e-14
 
     @pytest.mark.parametrize("name,most", [("reinhardt", 1), ("ellipsoid_generic", 6)])
     def test_newton_start_needs_few_sweeps(self, name, most, monkeypatch):
         # ReinhardtSurface(0.5, 4.0) is the radius-2 sphere, and its scale (the first bracket
         # end) lies one ulp above every root; a midpoint start took 48 ray evaluations there.
         # The bounds are the counts since the slope at the roots is no longer evaluated again.
+        # A Newton sweep is an eval_ray call off the polynomial families, and on them a Horner
+        # pass over the ray restriction with its slope.
         spec = {"reinhardt": _families()["reinhardt"], "ellipsoid_generic": sf.Ellipsoid([0.8, 1.0, 1.2, 1.4])}[name]
         dirs, _ = sphere_grid(spec.m, 32)
         calls = []
-        real = sf.eval_ray
+        real_ray, real_horner = sf.eval_ray, sf.horner
 
-        def counting(*args):
+        def counting_ray(*args):
             calls.append(len(args[2]))
-            return real(*args)
+            return real_ray(*args)
 
-        monkeypatch.setattr(sf, "eval_ray", counting)
+        def counting_horner(a, rho, slope=True):
+            if slope:
+                calls.append(len(rho))
+            return real_horner(a, rho, slope)
+
+        monkeypatch.setattr(sf, "eval_ray", counting_ray)
+        monkeypatch.setattr(sf, "horner", counting_horner)
         rho, _ = sf.radial_roots(spec, dirs)
-        assert len(calls) <= most
+        assert 0 < len(calls) <= most
         vals = sf.eval_values(spec, spec.star_center[None] + rho[:, None] * dirs)
         assert np.max(np.abs(vals)) < 1e-11
 
@@ -161,6 +178,108 @@ class TestRadialRoots:
     def test_center_outside_fails(self):
         with pytest.raises(StarShapeError):
             sf.radial_roots(_families()["sphere"], np.eye(4)[:1], center=np.array([5.0, 0, 0, 0]))
+
+
+# every polynomial family, n = 1 and 2, off-center and with degree up to 8
+RAY_FAMILIES = {
+    "sphere": lambda: sf.Sphere(2.0),
+    "sphere_n2": lambda: sf.Sphere(1.5, n=2),
+    "sphere_off": lambda: sf.Sphere(1.3, center=[0.5, -0.2, 0.1, 0.3]),
+    "ellipsoid_off_n2": lambda: sf.Ellipsoid([0.8, 1.0, 1.2, 1.4, 0.9, 1.1], center=[0.1, 0.2, -0.3, 0.05, 0.0, 0.1]),
+    "quadric": lambda: sf.PerturbedQuadric(1, c=1.0, hterms={(2, 0): 0.25, (0, 2): 0.25}),
+    "quadric_cubic_n2": lambda: sf.PerturbedQuadric(2, c=1.0, hterms=QUADRIC_N2),
+    "user_centered": lambda: sf.UserPolynomial(
+        1, {(1, 0, 1, 0): 1.0, (0, 1, 0, 1): 1.0, (2, 0, 0, 0): 0.1, (0, 0, 2, 0): 0.1, (0, 0, 0, 0): -4.0},
+        center=[0.3, -0.2, 0.1, 0.4], scale=2.0,
+    ),
+    "user_quartic": lambda: sf.UserPolynomial(1, USER_QUARTIC, scale=1.2, validate=False),
+    "dirichlet_n2": lambda: sf.DirichletQuadratic([1.0, 1.2, 0.9, 1.1, 1.3, 1.0]),
+    "cylinder": lambda: sf.Cylinder(2.0, kind="curved"),
+}
+
+
+class _PointEvaluation(sf.SurfaceSpec):
+    """A polynomial family seen only through its derivatives: radial_roots evaluates it at points."""
+
+    def __init__(self, spec):
+        self.spec, self.n, self.star_center, self.scale = spec, spec.n, spec.star_center, spec.scale
+
+    def derivatives(self, pts, order):
+        return self.spec.derivatives(pts, order)
+
+
+def _random_dirs(rng, b, m):
+    d = rng.standard_normal((b, m))
+    return d / np.linalg.norm(d, axis=1)[:, None]
+
+
+class TestRayRestriction:
+    @settings(max_examples=60)
+    @given(name=st.sampled_from(sorted(RAY_FAMILIES)), seed=st.integers(0, 2**32 - 1))
+    def test_restriction_matches_point_evaluation(self, name, seed):
+        # about the star center and about a random one, so every family is also re-expanded
+        spec = RAY_FAMILIES[name]()
+        rng = np.random.default_rng(seed)
+        dirs = _random_dirs(rng, 32, spec.m)
+        rho = rng.uniform(0.0, 2.0 * spec.scale, 32)
+        base = np.zeros(spec.m) if spec.star_center is None else spec.star_center
+        for center in (base, base + rng.uniform(-0.5, 0.5, spec.m)):
+            a = spec.poly.restrict(dirs, center)
+            assert a.shape == (1 + max(sum(e) for e in spec.poly.terms), 32)
+            val, der = horner(a, rho)
+            size, dsize = horner(np.abs(a), rho)  # sum_k |a_k| rho^k and its derivative
+            point = sf.eval_values(spec, center + rho[:, None] * dirs)
+            slope = sf.eval_ray(spec, center, dirs, rho).grad[:, 0]
+            assert np.all(np.abs(val - point) <= 1e-13 * np.maximum(1.0, size))
+            assert np.all(np.abs(der - slope) <= 1e-13 * np.maximum(1.0, dsize))
+            assert np.array_equal(horner(a, rho, slope=False)[0], val) and horner(a, rho, slope=False)[1] is None
+
+    @settings(max_examples=40)
+    @given(name=st.sampled_from(sorted(set(RAY_FAMILIES) - {"cylinder"})), seed=st.integers(0, 2**32 - 1))
+    def test_roots_equal_the_point_evaluation_roots(self, name, seed):
+        spec = RAY_FAMILIES[name]()
+        dirs = _random_dirs(np.random.default_rng(seed), 64, spec.m)
+        rho, slope = sf.radial_roots(spec, dirs)
+        f = sf.eval_values(spec, spec.star_center + rho[:, None] * dirs)
+        assert np.all(np.abs(f) <= sf.ROOT_ABS_TOL * np.maximum(1.0, np.abs(slope) * rho))
+        rho_pt, _ = sf.radial_roots(_PointEvaluation(spec), dirs)
+        assert np.all(np.abs(rho - rho_pt) <= 1e-13 * rho)
+        assert np.all(slope > 0)
+
+    def test_only_point_families_call_eval_ray(self, monkeypatch):
+        # ReinhardtSurface and ExpReparam keep the point evaluation; polynomial families never call eval_ray
+        calls = []
+        real = sf.eval_ray
+        monkeypatch.setattr(sf, "eval_ray", lambda *args: calls.append(len(args[2])) or real(*args))
+        dirs, _ = sphere_grid(4, 8)
+        for spec in (_families()["ellipsoid"], _families()["poly"]):
+            sf.radial_roots(spec, dirs)
+        assert calls == []
+        for spec in (_families()["reinhardt"], sf.ExpReparam(_families()["ellipsoid"])):
+            sf.radial_roots(spec, dirs)
+            assert calls
+            calls.clear()
+
+    @pytest.mark.parametrize("name", ["sphere_off", "ellipsoid_off_n2", "quadric_cubic_n2", "user_centered", "user_quartic"])
+    def test_center_outside_fails(self, name):
+        spec = RAY_FAMILIES[name]()
+        with pytest.raises(StarShapeError, match="nonnegative"):
+            sf.radial_roots(spec, np.eye(spec.m)[:2], center=np.full(spec.m, 3.0))
+
+    def test_too_strong_perturbation_fails_at_the_bracket(self):
+        # f = -1 along the y1 axis: the doubling bracket passes the search radius
+        with pytest.raises(StarShapeError, match="no boundary crossing within radius"):
+            sf.PerturbedQuadric(1, c=1.0, hterms={(2, 0): 0.5})
+
+    def test_tangential_root_fails_transversality(self):
+        # f = (x1 - 1)^3 + |z2|^2 as Re of a polynomial in z, zbar: along x1 the bracket [0, 2] has
+        # f = -1 and 1 at its ends, so the false-position start is the triple root rho = 1, slope 0
+        cubic = {(3, 0, 0, 0): 0.25, (2, 0, 1, 0): 0.75, (2, 0, 0, 0): -1.5, (1, 0, 1, 0): -1.5,
+                 (1, 0, 0, 0): 3.0, (0, 0, 0, 0): -1.0, (0, 1, 0, 1): 1.0}
+        spec = sf.UserPolynomial(1, cubic, scale=2.0, validate=False)
+        assert np.array_equal(spec.poly.restrict(np.eye(4)[:1], np.zeros(4))[:, 0], [-1.0, 3.0, -3.0, 1.0])
+        with pytest.raises(TransversalityError):
+            sf.radial_roots(spec, np.eye(4)[:1])
 
 
 class TestReparametrization:
