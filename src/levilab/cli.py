@@ -37,8 +37,8 @@ SURFACE_HELP = (
     "cylinder (R, kind), reinhardt (k, f0, fp0, s0, smax), poly (n, terms, center, scale), "
     "dirichlet (axes). Example: sphere:R=2 or ellipsoid:axes=1,1,1,2"
 )
-QUAD_HELP = ("quadrature: gauss:order=N[,radial_order=K] or mc:samples=N,seed=S "
-             "(default gauss, order 24 for n=1, 12 for n=2)")
+QUAD_HELP = ("quadrature: gauss:order=N[,radial_order=K], the one spherical product rule "
+             "(default order 24 for n=1, 12 for n=2)")
 
 
 # identity -> (run(spec, j, q, **kw), the keyword of run that takes --tol). The

@@ -6,9 +6,9 @@ center + rho(omega) * omega, the surface measure is
     d sigma = rho^{m-1} * |grad f| / <grad f, omega> d omega      (m = 2n+2),
 
 volume is the integral of rho^m / m, and bulk integrals layer Gauss nodes
-along each ray. Directions come from a spherical product rule (Gauss-Gegenbauer
-in the polar cosines, computed here in numpy; trapezoid in the azimuth) or a
-seeded Monte Carlo sampler. No quadrature path imports scipy.
+along each ray. Directions come from one spherical product rule (Gauss-Gegenbauer
+in the polar cosines, computed here in numpy; trapezoid in the azimuth), with the
+error estimate |I(order) - I(order - 4)|. No quadrature path imports scipy.
 
 All passes share one core: `_nodes(spec, q, order)` gives a pass's center,
 directions, weights and cached radial roots, and maps a function over its
@@ -46,27 +46,18 @@ _ERROR_ORDER_DROP = 4
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Integration method: deterministic product rule or seeded Monte Carlo."""
+    """The spherical product rule at a given order, with an optional radial order."""
 
-    method: str = "gauss"          # "gauss" | "mc"
     order: int = 24                # Gauss-Gegenbauer points per polar angle; 2*order trapezoid points in the azimuth
-    samples: int = 100_000         # Monte Carlo sample count
-    seed: int = 0                  # Monte Carlo stream seed
     radial_order: int | None = None  # Gauss points along each ray (default: order)
 
     def __post_init__(self):
-        if self.method not in ("gauss", "mc"):
-            raise ValueError(f"method must be 'gauss' or 'mc', got {self.method!r}")
-        if self.method == "gauss" and self.order < 3:  # order 2 is its own error-estimate rule
+        if self.order < 3:  # order 2 is its own error-estimate rule
             raise ValueError(f"order must be >= 3, got {self.order}")
         if self.radial_order is not None and self.radial_order < 1:
             raise ValueError(f"radial_order must be >= 1, got {self.radial_order}")
-        if self.method == "mc" and self.samples < 1000:
-            raise ValueError(f"samples must be >= 1000, got {self.samples}")
 
     def describe(self) -> str:
-        if self.method == "mc":
-            return f"mc:samples={self.samples},seed={self.seed}"
         radial = "" if self.radial_order is None else f",radial_order={self.radial_order}"
         return f"gauss:order={self.order}{radial}"
 
@@ -159,6 +150,7 @@ def sphere_grid(m: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     return dirs, wts
 
 
+# unused in src/; kept only because perfbench/spans.py wraps it by name on every traced run
 def mc_directions(m: int, samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Uniform directions on the unit sphere of R^m with equal weights."""
     rng = np.random.default_rng(seed)
@@ -225,14 +217,9 @@ def _nodes(spec: SurfaceSpec, q: QuadratureSpec, order: int | None = None) -> _N
         raise StarShapeError(f"{type(spec).__name__} has no star center; cannot integrate")
     center = spec.star_center
     order = q.order if order is None else order
-    if q.method == "gauss":
-        dirs, wts = sphere_grid(spec.m, order)
-        key = ("gauss", spec.m, order)
-    else:
-        dirs, wts = mc_directions(spec.m, q.samples, q.seed)
-        key = ("mc", spec.m, q.samples, q.seed)
+    dirs, wts = sphere_grid(spec.m, order)
     nodes = _Nodes(center, dirs, wts, None, None, order)
-    cache_key = (spec.canonical(), tuple(center.tolist()), key)
+    cache_key = (spec.canonical(), tuple(center.tolist()), spec.m, order)
     roots = _ROOT_CACHE.get(cache_key)
     if roots is None:
         parts = nodes.map(lambda sl: radial_roots(spec, dirs[sl], center=center))
@@ -248,30 +235,25 @@ def _integral(spec: SurfaceSpec, q: QuadratureSpec, node_values, order: int | No
 
     node_values(nodes, main) returns a function of a chunk's slice giving the
     k integrands and, at the main order, per-node scan outputs (else None).
-    Each integrand has its own per-chunk np.dot and Neumaier sum. The product
-    rule reports |value(order) - value(order-4)| (no re-pass when k = 0);
-    Monte Carlo the standard error of the weighted estimator. Returns the
-    results, the scan outputs in node order, and the weights.
+    Each integrand has its own per-chunk np.dot and Neumaier sum and the error
+    estimate |value(order) - value(order-4)| of the order that ran (no re-pass
+    when k = 0). Returns the results, the scan outputs in node order, the weights.
     """
 
     def run(order, main):
         nodes = _nodes(spec, q, order)
         at = node_values(nodes, main)
 
-        def job(sl):  # only Monte Carlo's error estimate reads the per-node values again
+        def job(sl):
             vals, out = at(sl)
-            return [float(np.dot(v, nodes.wts[sl])) for v in vals], vals if q.method == "mc" else (), out
+            return [float(np.dot(v, nodes.wts[sl])) for v in vals], out
 
-        sums, vals, outs = zip(*nodes.map(job))
-        return [_neumaier(s) for s in zip(*sums)], vals, outs, nodes.wts
+        sums, outs = zip(*nodes.map(job))
+        return [_neumaier(s) for s in zip(*sums)], outs, nodes.wts
 
-    values, vals, outs, wts = run(order, True)
-    if q.method == "gauss":  # the lower rule pairs the order that ran
-        lower = run(max(2, (order or q.order) - _ERROR_ORDER_DROP), False)[0] if values else []
-        errs = [abs(v - w) for v, w in zip(values, lower)]
-    else:
-        ests = (np.concatenate(v) * wts * wts.shape[0] for v in zip(*vals))  # per-sample estimators of the totals
-        errs = [float(np.std(e, ddof=1) / math.sqrt(e.shape[0])) for e in ests]
+    values, outs, wts = run(order, True)
+    lower = run(max(2, (order or q.order) - _ERROR_ORDER_DROP), False)[0] if values else []
+    errs = [abs(v - w) for v, w in zip(values, lower)]
     results = tuple(IntegralResult(v, e, wts.shape[0], q.describe()) for v, e in zip(values, errs))
     scanned = None if outs[0] is None else tuple(np.concatenate(k) for k in zip(*outs))
     return results, scanned, wts
@@ -320,17 +302,12 @@ def volume(spec: SurfaceSpec, q: QuadratureSpec) -> IntegralResult:
 
 
 def bulk_integral(spec: SurfaceSpec, field, q: QuadratureSpec) -> IntegralResult:
-    """Integral of an interior scalar over the domain by radial layering: radial_order
-    Gauss points per ray (default: the pass order), or one random radius for Monte Carlo.
-    field maps an array of points (B, m) to one value per point."""
+    """Integral of an interior scalar over the domain by radial layering: radial_order Gauss
+    points per ray (default: the pass order). field maps points (B, m) to one value per point."""
     m = spec.m
 
     def node_values(nodes, main):
         rho = nodes.rho
-        if q.method == "mc":
-            rng = np.random.default_rng(q.seed + 1)  # radial stream distinct from the direction sampler
-            uu = rng.random(rho.shape[0]) ** (1.0 / m)
-            return lambda sl: ((rho[sl] ** m / m * np.asarray(field(nodes.points(sl, rho[sl] * uu[sl])), dtype=float),), None)
         t, u = np.polynomial.legendre.leggauss(q.radial_order if q.radial_order is not None else nodes.order)
         t, u = (t + 1) / 2, u / 2
 

@@ -15,7 +15,7 @@ In the inline form a comma either separates key=value pairs or continues the
 previous value, so vector values need no quoting. Errors carry the exact line
 and column of the offending token.
 
-Quadrature strings: gauss:order=24 or mc:samples=1000000,seed=42.
+Quadrature strings name the one rule: gauss:order=24 or gauss:order=16,radial_order=5.
 """
 
 from __future__ import annotations
@@ -239,12 +239,14 @@ def parse_surface(text_or_path: str) -> SurfaceSpec:
 
 
 def parse_quadrature(text: str | None, default_order: int = 24) -> QuadratureSpec:
-    """Parse gauss:order=N or mc:samples=N,seed=S; None gives the default rule."""
+    """Parse gauss:order=N[,radial_order=K]; None gives the default rule."""
     if text is None:
-        return QuadratureSpec(method="gauss", order=default_order)
+        return QuadratureSpec(order=default_order)
     text = text.strip()
     head, _, rest = text.partition(":")
     method = head.strip().lower()
+    if method != "gauss":
+        raise SpecParseError(f"quadrature: unknown method {method!r} (only gauss)")
     kv = {}
     for piece in rest.split(",") if rest else []:
         if not piece.strip():
@@ -254,17 +256,9 @@ def parse_quadrature(text: str | None, default_order: int = 24) -> QuadratureSpe
         k, _, v = piece.partition("=")
         kv[k.strip()] = v.strip()
     try:
-        if method == "gauss":
-            order = int(kv.pop("order", default_order))
-            radial = kv.pop("radial_order", None)
-            spec = QuadratureSpec(method="gauss", order=order,
-                                  radial_order=int(radial) if radial is not None else None)
-        elif method == "mc":
-            samples = int(kv.pop("samples", 100000))
-            seed = int(kv.pop("seed", 0))
-            spec = QuadratureSpec(method="mc", samples=samples, seed=seed)
-        else:
-            raise SpecParseError(f"quadrature: unknown method {method!r} (gauss or mc)")
+        order = int(kv.pop("order", default_order))
+        radial = kv.pop("radial_order", None)
+        spec = QuadratureSpec(order=order, radial_order=int(radial) if radial is not None else None)
     except ValueError as exc:
         raise SpecParseError(f"quadrature: {exc}") from exc
     if kv:

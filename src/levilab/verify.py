@@ -54,7 +54,7 @@ class VerificationReport:
 
     @property
     def rel_err(self) -> float:
-        return self.abs_err / max(abs(self.lhs), abs(self.rhs), 1e-300)
+        return _rel_err(self.lhs, self.rhs)
 
     @property
     def exit_code(self) -> int:
@@ -85,6 +85,15 @@ class VerificationReport:
 
     def to_json(self, config: dict | None = None) -> str:
         return json.dumps(self.to_dict(config), indent=2) + "\n"
+
+
+def _rel_err(lhs: float, rhs: float) -> float:
+    return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
+
+
+def _identity_verdict(lhs: float, rhs: float, tol: float) -> dict:
+    """An identity's verdict: equal when the sides agree to tol in rel_err, else violated."""
+    return {"kind": "equal" if _rel_err(lhs, rhs) <= tol else "violated", "tol": tol}
 
 
 def _quad_meta(q: qd.QuadratureSpec, *results: qd.IntegralResult) -> dict:
@@ -174,13 +183,11 @@ def verify_integral_formula(
     coef = math.comb(n + 1, j + 1) / (2 * (n + 1))
     lhs = lhs_r.value
     rhs = coef * rhs_r.value
-    rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
-    verdict = {"kind": "equal", "tol": tol} if rel <= tol else {"kind": "violated", "tol": tol}
     return VerificationReport(
         identity={"name": "integral_formula", "j": j, "f_choice": f_choice},
         lhs=lhs,
         rhs=rhs,
-        verdict=verdict,
+        verdict=_identity_verdict(lhs, rhs, tol),
         quadrature=_quad_meta(q, lhs_r, rhs_r),
         surface=fspec.canonical(),
     )
@@ -234,13 +241,11 @@ def minkowski_residual(
     """
     area_r, mink_r = qd.surface_integral(spec, (_ones, _mean_curv_flux), q)
     lhs, rhs = area_r.value, mink_r.value
-    rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
-    verdict = {"kind": "equal", "tol": tol} if rel <= tol else {"kind": "violated", "tol": tol}
     return VerificationReport(
         identity={"name": "minkowski"},
         lhs=lhs,
         rhs=rhs,
-        verdict=verdict,
+        verdict=_identity_verdict(lhs, rhs, tol),
         quadrature=_quad_meta(q, area_r, mink_r),
         surface=spec.canonical(),
     )

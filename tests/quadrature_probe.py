@@ -42,7 +42,6 @@ RULES = {
     "gauss_o18": qd.QuadratureSpec(order=18),  # two chunks of CHUNK nodes
     "gauss_o4": qd.QuadratureSpec(order=4),
     "gauss_o7_radial3": qd.QuadratureSpec(order=7, radial_order=3),
-    "mc": qd.QuadratureSpec(method="mc", samples=20_000, seed=3),  # three chunks
 }
 
 
@@ -154,9 +153,7 @@ def main() -> None:
     reports = {
         "integral_gauss": lambda: vf.verify_integral_formula(ell, 1, RULES["gauss_o12"]),
         "integral_exp": lambda: vf.verify_integral_formula(ell, 1, RULES["gauss_o12"], f_choice="exp"),
-        "integral_mc": lambda: vf.verify_integral_formula(ell, 1, RULES["mc"]),
         "isoperimetric": lambda: vf.isoperimetric_ratio(ell, 1, RULES["gauss_o12"]),
-        "minkowski_mc": lambda: vf.minkowski_residual(ell, RULES["mc"]),
         "alexandrov": lambda: vf.alexandrov_check(SURFACES["reinhardt"](), 1, RULES["gauss_o12"]),
         "dirichlet": lambda: vf.dirichlet_chain([1.0, 1.0, 1.0, 2.0], 1, RULES["gauss_o12"]),
         "newton": lambda: vf.newton_sweep(ell, 1, RULES["gauss_o12"]),

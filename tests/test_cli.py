@@ -77,3 +77,10 @@ def test_bad_threads_is_an_error(monkeypatch, capsys):
 def test_dirichlet_needs_a_centered_ellipsoid(surface, codes, tmp_path):
     argv = ["verify", "dirichlet", "--surface", surface, "--quad", "gauss:order=8"]
     assert cli.main([*argv, "--out", str(tmp_path / "r.json")]) in codes
+
+
+def test_monte_carlo_quadrature_is_a_usage_error(tmp_path, capsys):
+    argv = ["verify", "integral", "--surface", "ellipsoid:axes=1,1.3,0.8,1.1", "--quad", "mc:samples=20000,seed=7"]
+    assert cli.main([*argv, "--out", str(tmp_path / "r.json")]) == cli.USAGE_EXIT
+    assert "unknown method 'mc'" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
