@@ -4,7 +4,8 @@ Subcommands: curvature (pointwise quantities), identities (exact polynomial
 checks), verify <identity> (quadrature-backed verification with a JSON
 report), batch (one verification over a directory of surface files plus a CSV
 summary). Exit codes: 0 success / verdict as contracted, 2 violated, 3
-hypotheses not met, 4 numerical failure, 64 usage error. Reports embed the
+hypotheses not met, 4 numerical failure, 64 usage error; batch exits with the
+worst code over its files, 2 before 4 before 3. Reports embed the
 fully resolved configuration; identical argv, seed, and LEVILAB_THREADS give
 byte-identical output.
 """
@@ -41,16 +42,16 @@ QUAD_HELP = ("quadrature: gauss:order=N[,radial_order=K], the one spherical prod
              "(default order 24 for n=1, 12 for n=2)")
 
 
-# identity -> (run(spec, j, q, **kw), the keyword of run that takes --tol). The
+# identity -> run(spec, j, q, **kw); every verifier takes --tol as tol. The
 # lambdas look the verifier up at call time, so a rebinding of vf.<name> is seen.
 VERIFIERS = {
-    "integral": (lambda spec, j, q, **kw: vf.verify_integral_formula(spec, j, q, **kw), "tol"),
-    "isoperimetric": (lambda spec, j, q, **kw: vf.isoperimetric_ratio(spec, j, q, **kw), "tol"),
-    "minkowski": (lambda spec, j, q, **kw: vf.minkowski_residual(spec, q, **kw), "tol"),
-    "alexandrov": (lambda spec, j, q, **kw: vf.alexandrov_check(spec, j, q, **kw), "tol"),
-    "dirichlet": (lambda spec, j, q, **kw:
-                  vf.dirichlet_chain(vf.resolve_defining_function(spec, "dirichlet").axes, j, q, **kw), "tol"),
-    "newton": (lambda spec, j, q, **kw: vf.newton_sweep(spec, j, q, **kw), "gap_tol"),
+    "integral": lambda spec, j, q, **kw: vf.verify_integral_formula(spec, j, q, **kw),
+    "isoperimetric": lambda spec, j, q, **kw: vf.isoperimetric_ratio(spec, j, q, **kw),
+    "minkowski": lambda spec, j, q, **kw: vf.minkowski_residual(spec, q, **kw),
+    "alexandrov": lambda spec, j, q, **kw: vf.alexandrov_check(spec, j, q, **kw),
+    "dirichlet": lambda spec, j, q, **kw:
+        vf.dirichlet_chain(vf.resolve_defining_function(spec, "dirichlet").axes, j, q, **kw),
+    "newton": lambda spec, j, q, **kw: vf.newton_sweep(spec, j, q, **kw),
 }
 IDENTITIES = tuple(VERIFIERS)
 
@@ -182,11 +183,10 @@ def _cmd_identities(args) -> int:
 
 
 def _run_verification(identity: str, spec, j: int, q, tol, f_choice: str) -> vf.VerificationReport:
-    run, tol_key = VERIFIERS[identity]
-    kw = {} if tol is None else {tol_key: tol}
+    kw = {} if tol is None else {"tol": tol}
     if f_choice != "default":
         kw["f_choice"] = f_choice
-    return run(spec, j, q, **kw)
+    return VERIFIERS[identity](spec, j, q, **kw)
 
 
 def _cmd_verify(args) -> int:
@@ -221,8 +221,7 @@ def _cmd_batch(args) -> int:
     )
     os.makedirs(args.out_dir, exist_ok=True)
     rows = []
-    any_violated = False
-    any_failed = False
+    codes = set()
     for name in files:
         path = os.path.join(args.config_dir, name)
         stem = os.path.splitext(name)[0]
@@ -243,10 +242,10 @@ def _cmd_batch(args) -> int:
             _write_output(os.path.join(args.out_dir, stem + ".report.json"), report.to_json(config))
             rows.append((name, args.identity, report.lhs, report.rhs, report.rel_err,
                          report.verdict["kind"], ""))
-            any_violated |= report.verdict["kind"] == "violated"
+            codes.add(report.exit_code)
         except (LevilabError, ValueError) as exc:
             rows.append((name, args.identity, "", "", "", "error", str(exc)))
-            any_failed = True
+            codes.add(FAILURE_EXIT)
     lines = ["surface,identity,lhs,rhs,rel_err,verdict,note"]
     for r in rows:
         fields = [r[0], r[1]]
@@ -257,11 +256,8 @@ def _cmd_batch(args) -> int:
         lines.append(",".join(fields))
     _write_output(os.path.join(args.out_dir, "summary.csv"), "\n".join(lines) + "\n")
     print(f"{len(rows)} surfaces; summary written to {os.path.join(args.out_dir, 'summary.csv')}")
-    if any_violated:
-        return VIOLATED_EXIT
-    if any_failed:
-        return FAILURE_EXIT
-    return 0
+    # the worst outcome over the files: violated, then a numerical failure, then unmet hypotheses
+    return next((code for code in (VIOLATED_EXIT, FAILURE_EXIT, HYPOTHESES_EXIT) if code in codes), 0)
 
 
 def main(argv=None) -> int:

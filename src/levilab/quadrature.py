@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 import os
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -42,6 +43,7 @@ from .surfaces import SurfaceSpec, radial_roots
 
 CHUNK = 8192  # fixed, independent of worker count; part of the determinism contract
 _ERROR_ORDER_DROP = 4
+_BULK_SHELLS = 3  # radial shells of the interior node sample
 
 
 @dataclass(frozen=True)
@@ -69,7 +71,6 @@ class IntegralResult:
     value: float
     error_estimate: float
     nodes_used: int
-    method: str
 
     def __post_init__(self):
         if not math.isfinite(self.error_estimate) or self.error_estimate < 0:
@@ -206,9 +207,8 @@ class _Nodes(NamedTuple):
             return list(pool.map(fn, slices))
 
 
-# every pass at an order reads the same roots; cache them per (surface, grid)
-_ROOT_CACHE: dict = {}
-_ROOT_CACHE_CAP = 16
+# every pass at an order reads the same roots: surface -> {order: (rho, slope)}, dropped with the surface
+_ROOT_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _nodes(spec: SurfaceSpec, q: QuadratureSpec, order: int | None = None) -> _Nodes:
@@ -219,25 +219,22 @@ def _nodes(spec: SurfaceSpec, q: QuadratureSpec, order: int | None = None) -> _N
     order = q.order if order is None else order
     dirs, wts = sphere_grid(spec.m, order)
     nodes = _Nodes(center, dirs, wts, None, None, order)
-    cache_key = (spec.canonical(), tuple(center.tolist()), spec.m, order)
-    roots = _ROOT_CACHE.get(cache_key)
-    if roots is None:
+    cached = _ROOT_CACHE.setdefault(spec, {})
+    if order not in cached:
         parts = nodes.map(lambda sl: radial_roots(spec, dirs[sl], center=center))
-        roots = tuple(np.concatenate([p[k] for p in parts]) for k in (0, 1))
-        if len(_ROOT_CACHE) >= _ROOT_CACHE_CAP:
-            _ROOT_CACHE.pop(next(iter(_ROOT_CACHE)))
-        _ROOT_CACHE[cache_key] = roots
-    return nodes._replace(rho=roots[0], slope=roots[1])
+        cached[order] = tuple(np.concatenate([p[k] for p in parts]) for k in (0, 1))
+    rho, slope = cached[order]
+    return nodes._replace(rho=rho, slope=slope)
 
 
-def _integral(spec: SurfaceSpec, q: QuadratureSpec, node_values, order: int | None = None):
+def _integral(spec: SurfaceSpec, q: QuadratureSpec, node_values):
     """Weighted sums of k per-node integrands with their error estimates.
 
     node_values(nodes, main) returns a function of a chunk's slice giving the
     k integrands and, at the main order, per-node scan outputs (else None).
     Each integrand has its own per-chunk np.dot and Neumaier sum and the error
-    estimate |value(order) - value(order-4)| of the order that ran (no re-pass
-    when k = 0). Returns the results, the scan outputs in node order, the weights.
+    estimate |value(q.order) - value(q.order - 4)| (no re-pass when k = 0).
+    Returns the results, the scan outputs in node order, the weights.
     """
 
     def run(order, main):
@@ -251,15 +248,15 @@ def _integral(spec: SurfaceSpec, q: QuadratureSpec, node_values, order: int | No
         sums, outs = zip(*nodes.map(job))
         return [_neumaier(s) for s in zip(*sums)], outs, nodes.wts
 
-    values, outs, wts = run(order, True)
-    lower = run(max(2, (order or q.order) - _ERROR_ORDER_DROP), False)[0] if values else []
+    values, outs, wts = run(q.order, True)
+    lower = run(max(2, q.order - _ERROR_ORDER_DROP), False)[0] if values else []
     errs = [abs(v - w) for v, w in zip(values, lower)]
-    results = tuple(IntegralResult(v, e, wts.shape[0], q.describe()) for v, e in zip(values, errs))
+    results = tuple(IntegralResult(v, e, wts.shape[0]) for v, e in zip(values, errs))
     scanned = None if outs[0] is None else tuple(np.concatenate(k) for k in zip(*outs))
     return results, scanned, wts
 
 
-def _boundary(spec: SurfaceSpec, q: QuadratureSpec, fields: tuple, scan=None, order: int | None = None):
+def _boundary(spec: SurfaceSpec, q: QuadratureSpec, fields: tuple, scan=None):
     """The one boundary pass: each chunk builds one FrameBatch per order. Every
     field (times the surface Jacobian) reads it, and at the main order so does
     scan. Returns the field results and the scan_boundary triple, or None."""
@@ -277,7 +274,7 @@ def _boundary(spec: SurfaceSpec, q: QuadratureSpec, fields: tuple, scan=None, or
 
         return at
 
-    results, scanned, wts = _integral(spec, q, node_values, order)
+    results, scanned, wts = _integral(spec, q, node_values)
     if scanned is None:
         return results, None
     *outs, points = scanned
@@ -323,22 +320,22 @@ def bulk_integral(spec: SurfaceSpec, field, q: QuadratureSpec) -> IntegralResult
     return _integral(spec, q, node_values)[0][0]
 
 
-def scan_boundary(spec: SurfaceSpec, q: QuadratureSpec, fn, order: int | None = None):
+def scan_boundary(spec: SurfaceSpec, q: QuadratureSpec, fn):
     """Apply fn(FrameBatch) -> array or tuple of arrays over every boundary node.
 
     Returns the concatenated per-node outputs in fixed node order, plus the
     node weights and boundary points; used for node sweeps (extrema, defects)
     that are not integrals.
     """
-    return _boundary(spec, q, (), fn, order)[1]
+    return _boundary(spec, q, (), fn)[1]
 
 
-def scan_bulk(spec: SurfaceSpec, q: QuadratureSpec, fn, shells: int = 4):
-    """Apply fn(points) over an interior sample: a few radial shells of the
+def scan_bulk(spec: SurfaceSpec, q: QuadratureSpec, fn):
+    """Apply fn(points) over an interior sample: _BULK_SHELLS radial shells of the
     direction grid, strictly inside the boundary. Returns concatenated outputs."""
     nodes = _nodes(spec, q)
     outs = []
-    for fr in (np.arange(1, shells + 1) - 0.5) / shells:
+    for fr in (np.arange(1, _BULK_SHELLS + 1) - 0.5) / _BULK_SHELLS:
         outs.extend(nodes.map(lambda sl: np.asarray(fn(nodes.points(sl, nodes.rho[sl] * fr)))))
     return np.concatenate(outs)
 

@@ -6,12 +6,14 @@ explicit tolerance, and returns a machine-readable VerificationReport whose
 JSON form is byte-stable for fixed inputs. Each operation makes one boundary
 pass: its boundary integrals and node scans come from one surface_integral
 (or scan_boundary) call, so each chunk's frames are built once per order.
-Inequalities report their margin; identities report both sides and the
-relative error. The Dirichlet chain's gradient-flux sub-check allows a gap of
-FLUX_TOL plus the quadratures' own error estimates, so a gap the rule cannot
-resolve is not reported as a violation. Hypothesis failures (nonpositive
-curvature at a node, non-constant curvature where constancy is assumed) are
-never silently absorbed: they raise or downgrade the verdict.
+Identities are equal when rel_err <= tol. One rule decides every inequality
+(isoperimetric, Alexandrov, Dirichlet chain, Newton sweep) on its margin: equal
+when equality is possible and |margin| <= slack, inequality_holds when margin
+>= -slack, else violated; slack is tol in the suite's scale. The Dirichlet
+gradient-flux sub-check allows a gap of FLUX_TOL plus the quadratures' own
+error estimates, so a gap the rule cannot resolve is not reported as a
+violation. Hypothesis failures (nonpositive curvature at a node, non-constant
+curvature where constancy is assumed) raise or downgrade the verdict.
 """
 
 from __future__ import annotations
@@ -94,6 +96,19 @@ def _rel_err(lhs: float, rhs: float) -> float:
 def _identity_verdict(lhs: float, rhs: float, tol: float) -> dict:
     """An identity's verdict: equal when the sides agree to tol in rel_err, else violated."""
     return {"kind": "equal" if _rel_err(lhs, rhs) <= tol else "violated", "tol": tol}
+
+
+def _inequality_verdict(margin: float, slack: float, tol: float | None = None) -> dict:
+    """The one inequality rule: equal when equality is possible (tol given) and |margin| <= slack,
+    inequality_holds when margin >= -slack, violated otherwise."""
+    if tol is not None and abs(margin) <= slack:
+        return {"kind": "equal", "tol": tol, "margin": margin}
+    return {"kind": "inequality_holds" if margin >= -slack else "violated", "margin": margin}
+
+
+def _report(spec: sf.SurfaceSpec, quadrature: dict, lhs: float, rhs: float, verdict: dict,
+            details: dict | None = None, **identity) -> VerificationReport:
+    return VerificationReport(identity, lhs, rhs, verdict, quadrature, spec.canonical(), details)
 
 
 def _quad_meta(q: qd.QuadratureSpec, *results: qd.IntegralResult) -> dict:
@@ -181,16 +196,9 @@ def verify_integral_formula(
     lhs_r = qd.bulk_integral(fspec, _mixed_field(fspec, sigma_batch, j), q)
     rhs_r = qd.surface_integral(fspec, _levi_flux_field(j), q)
     coef = math.comb(n + 1, j + 1) / (2 * (n + 1))
-    lhs = lhs_r.value
-    rhs = coef * rhs_r.value
-    return VerificationReport(
-        identity={"name": "integral_formula", "j": j, "f_choice": f_choice},
-        lhs=lhs,
-        rhs=rhs,
-        verdict=_identity_verdict(lhs, rhs, tol),
-        quadrature=_quad_meta(q, lhs_r, rhs_r),
-        surface=fspec.canonical(),
-    )
+    lhs, rhs = lhs_r.value, coef * rhs_r.value
+    return _report(fspec, _quad_meta(q, lhs_r, rhs_r), lhs, rhs, _identity_verdict(lhs, rhs, tol),
+                   name="integral_formula", j=j, f_choice=f_choice)
 
 
 def isoperimetric_ratio(
@@ -208,24 +216,10 @@ def isoperimetric_ratio(
     n = spec.n
     lhs_r = qd.surface_integral(spec, _inv_levi_field(j), q)
     vol_r = qd.volume(spec, q)
-    lhs = lhs_r.value
-    rhs = 2 * (n + 1) * vol_r.value
+    lhs, rhs = lhs_r.value, 2 * (n + 1) * vol_r.value
     ratio = lhs / rhs
-    if abs(ratio - 1.0) <= tol:
-        verdict = {"kind": "equal", "tol": tol, "margin": ratio - 1.0}
-    elif ratio - 1.0 >= -tol:
-        verdict = {"kind": "inequality_holds", "margin": ratio - 1.0}
-    else:
-        verdict = {"kind": "violated", "margin": ratio - 1.0}
-    return VerificationReport(
-        identity={"name": "isoperimetric", "j": j},
-        lhs=lhs,
-        rhs=rhs,
-        verdict=verdict,
-        quadrature=_quad_meta(q, lhs_r, vol_r),
-        surface=spec.canonical(),
-        details={"ratio": ratio},
-    )
+    return _report(spec, _quad_meta(q, lhs_r, vol_r), lhs, rhs, _inequality_verdict(ratio - 1.0, tol, tol),
+                   {"ratio": ratio}, name="isoperimetric", j=j)
 
 
 def minkowski_residual(
@@ -241,27 +235,19 @@ def minkowski_residual(
     """
     area_r, mink_r = qd.surface_integral(spec, (_ones, _mean_curv_flux), q)
     lhs, rhs = area_r.value, mink_r.value
-    return VerificationReport(
-        identity={"name": "minkowski"},
-        lhs=lhs,
-        rhs=rhs,
-        verdict=_identity_verdict(lhs, rhs, tol),
-        quadrature=_quad_meta(q, area_r, mink_r),
-        surface=spec.canonical(),
-    )
+    return _report(spec, _quad_meta(q, area_r, mink_r), lhs, rhs, _identity_verdict(lhs, rhs, tol), name="minkowski")
 
 
 def alexandrov_check(
     spec: sf.SurfaceSpec,
     j: int,
     q: qd.QuadratureSpec,
-    constancy_tol: float = CONSTANCY_TOL,
     tol: float = DEFAULT_TOL,
 ) -> VerificationReport:
     """Constant-curvature chain: K^{1/j} <= |boundary| / (2(n+1)|Omega|) <= max H.
 
     Constancy of K over the quadrature nodes is a hypothesis, not a conclusion;
-    when the relative defect exceeds the tolerance the chain is not asserted
+    when the relative defect exceeds CONSTANCY_TOL the chain is not asserted
     and the report says so. max H is the maximum over the node grid, which
     under-approximates the true supremum; the grid is echoed in the metadata.
     """
@@ -284,49 +270,19 @@ def alexandrov_check(
         "max_mean_curvature": max_h,
         "node_grid": q.describe(),
     }
-    if defect > constancy_tol * k_scale:
-        return VerificationReport(
-            identity={"name": "alexandrov", "j": j},
-            lhs=0.0,
-            rhs=0.0,
-            verdict={
-                "kind": "hypotheses_not_met",
-                "reason": f"curvature not constant: relative defect {defect / k_scale:.3e}",
-            },
-            quadrature=_quad_meta(q, area_r, vol_r),
-            surface=spec.canonical(),
-            details=details,
-        )
-    if k_lo <= 0:
-        return VerificationReport(
-            identity={"name": "alexandrov", "j": j},
-            lhs=k_lo,
-            rhs=max_h,
-            verdict={"kind": "hypotheses_not_met", "reason": "curvature not positive"},
-            quadrature=_quad_meta(q, area_r, vol_r),
-            surface=spec.canonical(),
-            details=details,
-        )
-    k_root = (0.5 * (k_lo + k_hi)) ** (1.0 / j)
-    margin_1 = ratio - k_root
-    margin_2 = max_h - ratio
-    details["margins"] = [margin_1, margin_2]
-    chain_scale = max(abs(k_root), abs(ratio), abs(max_h))
-    ok = margin_1 >= -tol * chain_scale and margin_2 >= -tol * chain_scale
-    verdict = (
-        {"kind": "inequality_holds", "margin": min(margin_1, margin_2)}
-        if ok
-        else {"kind": "violated", "margin": min(margin_1, margin_2)}
-    )
-    return VerificationReport(
-        identity={"name": "alexandrov", "j": j},
-        lhs=k_root,
-        rhs=max_h,
-        verdict=verdict,
-        quadrature=_quad_meta(q, area_r, vol_r),
-        surface=spec.canonical(),
-        details=details,
-    )
+    if defect > CONSTANCY_TOL * k_scale:
+        lhs, rhs = 0.0, 0.0
+        verdict = {"kind": "hypotheses_not_met",
+                   "reason": f"curvature not constant: relative defect {defect / k_scale:.3e}"}
+    elif k_lo <= 0:
+        lhs, rhs = k_lo, max_h
+        verdict = {"kind": "hypotheses_not_met", "reason": "curvature not positive"}
+    else:
+        lhs, rhs = (0.5 * (k_lo + k_hi)) ** (1.0 / j), max_h
+        details["margins"] = [ratio - lhs, max_h - ratio]
+        # both margins clear the slack exactly when the smaller one does
+        verdict = _inequality_verdict(min(details["margins"]), tol * max(abs(lhs), abs(ratio), abs(max_h)))
+    return _report(spec, _quad_meta(q, area_r, vol_r), lhs, rhs, verdict, details, name="alexandrov", j=j)
 
 
 def dirichlet_chain(
@@ -369,10 +325,12 @@ def dirichlet_chain(
     holder_bound = pg_r.value ** (j + 1) / inv_r.value**j
     margin3 = flux_w_r.value - holder_bound
 
-    ok1 = margin1 >= -tol * max(rhs1, 1e-300)
-    ok2 = flux_rel <= flux_rel_bound
-    ok3 = margin3 >= -tol * max(abs(flux_w_r.value), 1e-300)
-    ok4 = gradc_dev is None or gradc_dev <= NEWTON_GAP_TOL
+    verdict = _inequality_verdict(margin1, tol * max(rhs1, 1e-300), tol)
+    holder = _inequality_verdict(margin3, tol * max(abs(flux_w_r.value), 1e-300))
+    failed = [name for name, ok in (("bulk_bound", verdict["kind"] != "violated"),
+                                    ("gradient_flux", flux_rel <= flux_rel_bound),
+                                    ("holder", holder["kind"] != "violated"),
+                                    ("pointwise_product", gradc_dev is None or gradc_dev <= NEWTON_GAP_TOL)) if not ok]
     details = {
         "bulk_bound_margin": margin1,
         "bulk_bound_margin_rel": margin1 / max(rhs1, 1e-300),
@@ -384,48 +342,24 @@ def dirichlet_chain(
         "hessian_proportional_to_identity": proportional,
         "pointwise_product_max_dev": gradc_dev,
     }
-    if ok1 and ok2 and ok3 and ok4:
-        if abs(margin1) <= tol * max(rhs1, 1e-300):
-            verdict = {"kind": "equal", "tol": tol, "margin": margin1}
-        else:
-            verdict = {"kind": "inequality_holds", "margin": margin1}
-    else:
-        verdict = {
-            "kind": "violated",
-            "failed": [name for name, ok in (("bulk_bound", ok1), ("gradient_flux", ok2),
-                                             ("holder", ok3), ("pointwise_product", ok4)) if not ok],
-        }
-    return VerificationReport(
-        identity={"name": "dirichlet_chain", "j": j},
-        lhs=lhs1_r.value,
-        rhs=rhs1,
-        verdict=verdict,
-        quadrature=_quad_meta(q, vol_r, lhs1_r, pg_r, flux_w_r, inv_r),
-        surface=dspec.canonical(),
-        details=details,
-    )
+    verdict = {"kind": "violated", "failed": failed} if failed else verdict
+    return _report(dspec, _quad_meta(q, vol_r, lhs1_r, pg_r, flux_w_r, inv_r), lhs1_r.value, rhs1, verdict,
+                   details, name="dirichlet_chain", j=j)
 
 
 def newton_sweep(
     spec: sf.SurfaceSpec,
     j: int,
     q: qd.QuadratureSpec,
-    gap_tol: float = NEWTON_GAP_TOL,
-    shells: int = 3,
+    tol: float = NEWTON_GAP_TOL,
 ) -> VerificationReport:
     """Minimum symmetric-function gap of the mixed Hessian over boundary nodes
     and an interior radial sample; nonnegative for every real surface."""
     _check_j(spec, j)
     gaps_b, _, _ = qd.scan_boundary(spec, q, lambda fr: newton_gap_batch(fr.whess, j + 1))
-    gaps_i = qd.scan_bulk(spec, q, _mixed_field(spec, newton_gap_batch, j), shells=shells)
+    gaps_i = qd.scan_bulk(spec, q, _mixed_field(spec, newton_gap_batch, j))
     min_gap = float(min(np.min(gaps_b), np.min(gaps_i)))
-    ok = min_gap >= -gap_tol
-    return VerificationReport(
-        identity={"name": "newton_sweep", "j": j},
-        lhs=min_gap,
-        rhs=0.0,
-        verdict={"kind": "inequality_holds" if ok else "violated", "margin": min_gap},
-        quadrature={"method": q.describe(), "nodes_used": int(gaps_b.size + gaps_i.size), "error_estimate": 0.0},
-        surface=spec.canonical(),
-        details={"boundary_min_gap": float(np.min(gaps_b)), "interior_min_gap": float(np.min(gaps_i))},
-    )
+    quadrature = {"method": q.describe(), "nodes_used": int(gaps_b.size + gaps_i.size), "error_estimate": 0.0}
+    return _report(spec, quadrature, min_gap, 0.0, _inequality_verdict(min_gap, tol),
+                   {"boundary_min_gap": float(np.min(gaps_b)), "interior_min_gap": float(np.min(gaps_i))},
+                   name="newton_sweep", j=j)

@@ -8,7 +8,8 @@ Reinhardt jets at orders 0, 1 and 2 on every branch of the profile and of the
 exp(f) - 1 jets of an ellipsoid at the same orders, a sha256 of the Wirtinger
 Hessians H and S of every family at fixed points, a sha256 of the radial
 roots and slopes of the order-12 grid for five families, and a sha256 of a
-few verification reports. A change that must keep the arithmetic order is
+verification report on every verdict branch the suites reach on these
+surfaces (tolerances are passed by position). A change that must keep the arithmetic order is
 bit-identical when the two outputs are equal:
 
     PYTHONPATH=<old>/src python tests/quadrature_probe.py > old.jsonl
@@ -109,8 +110,8 @@ def main() -> None:
             }
             (k, h), w, pts = qd.scan_boundary(spec, q, lambda fr: (cv.levi(fr, 1), cv.mean_curvature(fr)))
             row["scan_boundary"] = _sha(k, h, w, pts)
-            row["scan_boundary_o4"] = _sha(*qd.scan_boundary(spec, q, lambda fr: fr.pgrad_norm, order=4))
-            row["scan_bulk"] = _sha(qd.scan_bulk(spec, q, gap, shells=3))
+            row["scan_boundary_o4"] = _sha(*qd.scan_boundary(spec, qd.QuadratureSpec(order=4), lambda fr: fr.pgrad_norm))
+            row["scan_bulk"] = _sha(qd.scan_bulk(spec, q, gap))
             print(json.dumps(row, sort_keys=True))
     quadric = sf.PerturbedQuadric(2, c=1.0, hterms=QUADRIC_N2)
     (k1, k2), w, pts = qd.scan_boundary(quadric, qd.QuadratureSpec(order=6), lambda fr: (cv.levi(fr, 1), cv.levi(fr, 2)))
@@ -157,6 +158,13 @@ def main() -> None:
         "alexandrov": lambda: vf.alexandrov_check(SURFACES["reinhardt"](), 1, RULES["gauss_o12"]),
         "dirichlet": lambda: vf.dirichlet_chain([1.0, 1.0, 1.0, 2.0], 1, RULES["gauss_o12"]),
         "newton": lambda: vf.newton_sweep(ell, 1, RULES["gauss_o12"]),
+        "minkowski_equal_o16": lambda: vf.minkowski_residual(ell, qd.QuadratureSpec(order=16)),
+        "minkowski_violated_o12": lambda: vf.minkowski_residual(ell, RULES["gauss_o12"]),
+        "alexandrov_hypotheses": lambda: vf.alexandrov_check(sf.Ellipsoid([1.0, 1.0, 1.0, 2.0]), 1, RULES["gauss_o12"]),
+        "isoperimetric_equal": lambda: vf.isoperimetric_ratio(sf.Sphere(1.0), 1, RULES["gauss_o12"]),
+        "dirichlet_equal": lambda: vf.dirichlet_chain([1.0, 1.0, 1.0, 1.0], 1, RULES["gauss_o12"]),
+        "dirichlet_violated_o4": lambda: vf.dirichlet_chain([1.0, 1.0, 1.0, 2.0], 1, RULES["gauss_o4"], -1.0),
+        "newton_violated": lambda: vf.newton_sweep(ell, 1, RULES["gauss_o12"], -1.0),
     }
     for name, run in reports.items():
         text = run().to_json()

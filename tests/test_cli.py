@@ -84,3 +84,49 @@ def test_monte_carlo_quadrature_is_a_usage_error(tmp_path, capsys):
     assert cli.main([*argv, "--out", str(tmp_path / "r.json")]) == cli.USAGE_EXIT
     assert "unknown method 'mc'" in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists()
+
+
+# Alexandrov at order 8: the sphere's chain holds (violated under --tol -1), the
+# ellipsoid's curvature is not constant, and a file without a family fails to parse.
+BATCH_FILES = {"sphere": "family=sphere\nR=1\n", "ellipsoid": "family=ellipsoid\naxes=1,1,1,2\n",
+               "broken": "axes=1,1,1,2\n"}
+
+
+def _batch(tmp_path, names, *extra):
+    src = tmp_path / "surfaces"
+    src.mkdir()
+    for name in names:
+        (src / name).write_text(BATCH_FILES[name])
+    out = tmp_path / "reports"
+    argv = ["batch", str(src), "--identity", "alexandrov", "--quad", "gauss:order=8", "--out-dir", str(out), *extra]
+    return cli.main(argv), out
+
+
+def test_batch_summary_and_one_report_per_file(tmp_path, capsys):
+    code, out = _batch(tmp_path, ["sphere", "ellipsoid", "broken"])
+    assert code == cli.FAILURE_EXIT
+    header, *rows = (out / "summary.csv").read_text().splitlines()
+    assert header == "surface,identity,lhs,rhs,rel_err,verdict,note"
+    cells = [row.split(",", 6) for row in rows]
+    assert [(c[0], c[1], c[5]) for c in cells] == [
+        ("broken", "alexandrov", "error"), ("ellipsoid", "alexandrov", "hypotheses_not_met"),
+        ("sphere", "alexandrov", "inequality_holds")]
+    assert cells[0][2:5] == ["", "", ""] and "family" in cells[0][6]
+    assert all(c[6] == "" for c in cells[1:])
+    assert sorted(p.name for p in out.iterdir()) == ["ellipsoid.report.json", "sphere.report.json", "summary.csv"]
+    for name, kind in (("ellipsoid", "hypotheses_not_met"), ("sphere", "inequality_holds")):
+        report = json.loads((out / f"{name}.report.json").read_text())
+        assert report["verdict"]["kind"] == kind
+        assert report["config"]["source_file"] == name
+    assert "3 surfaces" in capsys.readouterr().out
+
+
+# the batch exit code is the worst over the files: violated 2, then failure 4, then hypotheses 3
+@pytest.mark.parametrize("names, extra, code", [
+    (["sphere"], [], 0),
+    (["sphere", "ellipsoid"], [], cli.HYPOTHESES_EXIT),
+    (["sphere", "ellipsoid", "broken"], [], cli.FAILURE_EXIT),
+    (["sphere", "ellipsoid", "broken"], ["--tol", "-1"], cli.VIOLATED_EXIT),
+])
+def test_batch_exit_code_is_the_worst_outcome(names, extra, code, tmp_path):
+    assert _batch(tmp_path, names, *extra)[0] == code

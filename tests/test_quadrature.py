@@ -1,3 +1,4 @@
+import gc
 import math
 import os
 import subprocess
@@ -140,14 +141,6 @@ class TestFusedPass:
         for a, b in ((k, k0), (h, h0), (w, w0), (pts, pts0)):
             assert np.array_equal(a, b)
 
-    def test_error_estimate_pairs_the_order_that_ran(self):
-        # a pass at order 8 under q.order = 16 reports |I(8) - I(4)|, as a plain order-8 call does
-        spec = sf.Ellipsoid([1.0, 1.3, 0.8, 1.1])
-        field = lambda fr: cv.levi(fr, 1)  # noqa: E731
-        (got,), _ = qd._boundary(spec, Q16, (field,), order=8)
-        plain = qd.surface_integral(spec, field, qd.QuadratureSpec(order=8))
-        assert (got.value, got.error_estimate, got.nodes_used) == (plain.value, plain.error_estimate, plain.nodes_used)
-
 
 class TestVolume:
     def test_ball(self):
@@ -237,6 +230,24 @@ class TestDeterminism:
             else:
                 os.environ["LEVILAB_THREADS"] = old
         assert v1 == v2 == v3
+
+
+class TestRootCache:
+    def test_entries_live_and_die_with_their_surface(self):
+        qd.clear_root_cache()
+        terms = {(1, 0, 1, 0): 1.0, (0, 1, 0, 1): 1.0, (0, 0, 0, 0): -4.0}
+        a, b = (sf.UserPolynomial(1, terms, scale=scale) for scale in (1.0, 3.0))
+        for spec in (a, b):
+            qd.volume(spec, qd.QuadratureSpec(order=4))
+        # one entry per surface object, holding the pass order and its error re-pass order
+        assert set(qd._ROOT_CACHE.keys()) == {a, b}
+        assert all(sorted(qd._ROOT_CACHE[spec]) == [2, 4] for spec in (a, b))
+        assert not np.array_equal(qd._ROOT_CACHE[a][4][0], qd._ROOT_CACHE[b][4][0])
+        del a
+        gc.collect()
+        assert list(qd._ROOT_CACHE.keys()) == [b]
+        qd.clear_root_cache()
+        assert len(qd._ROOT_CACHE) == 0
 
 
 class TestErrors:

@@ -525,16 +525,6 @@ class TestUserPolynomialCanonical:
         assert scaled.endswith(",scale=3.0")
         assert moved.endswith(",center=0.1,0.0,0.0,0.0")
 
-    def test_scales_keep_separate_root_cache_entries(self):
-        qd.clear_root_cache()
-        specs = [sf.UserPolynomial(1, self.TERMS, scale=scale) for scale in (1.0, 3.0)]
-        for spec in specs:
-            qd.volume(spec, qd.QuadratureSpec(order=4))
-        # one entry per surface and pass order; the gauss error re-pass adds a second order
-        assert {key[0] for key in qd._ROOT_CACHE} == {spec.canonical() for spec in specs}
-        assert len(qd._ROOT_CACHE) == 4
-        qd.clear_root_cache()
-
 
 class TestValidationErrors:
     def test_negative_radius(self):

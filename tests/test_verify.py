@@ -225,6 +225,48 @@ class TestReports:
         assert hyp.exit_code == 3
 
 
+Q8 = qd.QuadratureSpec(order=8)
+ELL = [1.0, 1.3, 0.8, 1.1]
+
+# (suite, run, kind, verdict keys in order) for every verdict branch; a tol of -1 forces violated
+VERDICT_BRANCHES = [
+    ("integral", lambda: vf.verify_integral_formula(sf.Sphere(1.0), 1, Q8), "equal", ["kind", "tol"]),
+    ("integral", lambda: vf.verify_integral_formula(sf.Sphere(1.0), 1, Q8, tol=-1.0), "violated", ["kind", "tol"]),
+    ("minkowski", lambda: vf.minkowski_residual(sf.Sphere(1.0), Q8), "equal", ["kind", "tol"]),
+    ("minkowski", lambda: vf.minkowski_residual(sf.Sphere(1.0), Q8, tol=-1.0), "violated", ["kind", "tol"]),
+    ("isoperimetric", lambda: vf.isoperimetric_ratio(sf.Sphere(1.0), 1, Q8), "equal", ["kind", "tol", "margin"]),
+    ("isoperimetric", lambda: vf.isoperimetric_ratio(sf.Ellipsoid(ELL), 1, Q8), "inequality_holds", ["kind", "margin"]),
+    ("isoperimetric", lambda: vf.isoperimetric_ratio(sf.Ellipsoid(ELL), 1, Q8, tol=-1.0), "violated",
+     ["kind", "margin"]),
+    ("alexandrov", lambda: vf.alexandrov_check(sf.Ellipsoid([1.0, 1.0, 1.0, 2.0]), 1, Q8), "hypotheses_not_met",
+     ["kind", "reason"]),
+    ("alexandrov", lambda: vf.alexandrov_check(sf.Sphere(1.0), 1, Q8), "inequality_holds", ["kind", "margin"]),
+    ("alexandrov", lambda: vf.alexandrov_check(sf.Sphere(1.0), 1, Q8, tol=-1.0), "violated", ["kind", "margin"]),
+    ("dirichlet", lambda: vf.dirichlet_chain([1.0, 1.0, 1.0, 1.0], 1, Q8), "equal", ["kind", "tol", "margin"]),
+    ("dirichlet", lambda: vf.dirichlet_chain([1.0, 1.0, 1.0, 2.0], 1, Q8), "inequality_holds", ["kind", "margin"]),
+    ("dirichlet", lambda: vf.dirichlet_chain([1.0, 1.0, 1.0, 2.0], 1, Q8, tol=-1.0), "violated", ["kind", "failed"]),
+    ("newton", lambda: vf.newton_sweep(sf.Ellipsoid(ELL), 1, Q8), "inequality_holds", ["kind", "margin"]),
+    ("newton", lambda: vf.newton_sweep(sf.Ellipsoid(ELL), 1, Q8, tol=-1.0), "violated", ["kind", "margin"]),
+]
+
+
+class TestVerdictBranches:
+    # the report schema pins each branch's verdict keys and their order, not only its kind
+    @pytest.mark.parametrize("suite, run, kind, keys", VERDICT_BRANCHES,
+                             ids=[f"{b[0]}-{b[2]}" for b in VERDICT_BRANCHES])
+    def test_verdict_keys(self, suite, run, kind, keys):
+        verdict = run().verdict
+        assert verdict["kind"] == kind
+        assert list(verdict) == keys
+
+    def test_alexandrov_nonpositive_constant_curvature(self, monkeypatch):
+        _forced_nonpositive(monkeypatch, lambda pts: np.ones(len(pts), dtype=bool))
+        r = vf.alexandrov_check(sf.Sphere(1.0), 1, Q8)
+        assert r.verdict == {"kind": "hypotheses_not_met", "reason": "curvature not positive"}
+        assert (r.lhs, r.exit_code) == (-1.0, 3)
+        assert "margins" not in r.details
+
+
 class TestOneBoundaryPass:
     # perf guard: each suite builds one FrameBatch per chunk and order. Order 16 in R^4 is
     # one chunk of 8192 nodes and its error re-pass at order 12 another; order 20 has two chunks.
