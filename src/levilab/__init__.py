@@ -19,7 +19,7 @@ from .errors import (
     StiffnessError,
     TransversalityError,
 )
-from .hermitian import HermitianMatrix, newton_gap, sigma, sigma_grad
+from .hermitian import HermitianMatrix, newton_gap_batch, sigma_batch
 from .wirtinger import (
     WMatrix,
     WPoly,
@@ -34,18 +34,15 @@ from .surfaces import (
     DirichletQuadratic,
     Ellipsoid,
     ExpReparam,
-    Jet2,
     PerturbedQuadric,
     ReinhardtSurface,
     Sphere,
     SurfaceSpec,
     UserPolynomial,
-    jet,
-    radial_root,
     radial_roots,
 )
 from .reinhardt import ReinhardtProfile, reinhardt_profile
-from .curvature import FrameBatch, bordered_minor, levi, levi_at, mean_curvature, mean_curvature_at
+from .curvature import FrameBatch, bordered_minor, levi, mean_curvature
 from .quadrature import IntegralResult, QuadratureSpec, bulk_integral, surface_integral, volume
 from .verify import (
     VerificationReport,

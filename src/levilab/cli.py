@@ -4,8 +4,9 @@ Subcommands: curvature (pointwise quantities), identities (exact polynomial
 checks), verify <identity> (quadrature-backed verification with a JSON
 report), batch (one verification over a directory of surface files plus a CSV
 summary). Exit codes: 0 success / verdict as contracted, 2 violated, 3
-hypotheses not met, 4 numerical failure, 64 usage error; batch exits with the
-worst code over its files, 2 before 4 before 3. Reports embed the
+hypotheses not met, 4 numerical failure, 64 usage error (a surface or
+quadrature description that does not parse); batch exits with the worst code
+over its files, 64 before 2 before 4 before 3. Reports embed the
 fully resolved configuration; identical argv, seed, and LEVILAB_THREADS give
 byte-identical output.
 """
@@ -139,12 +140,12 @@ def _cmd_curvature(args) -> int:
         if direction.shape != (spec.m,):
             print(f"levilab curvature: direction needs {spec.m} coordinates", file=sys.stderr)
             return USAGE_EXIT
-        rho, _ = sf.radial_root(spec, direction)
-        point = spec.star_center + rho * direction / np.linalg.norm(direction)
+        rho, _ = sf.radial_roots(spec, direction)
+        point = spec.star_center + rho[0] * direction / np.linalg.norm(direction)
     if not 1 <= args.j <= spec.n:
         print(f"levilab curvature: j={args.j} out of range 1..{spec.n}", file=sys.stderr)
         return USAGE_EXIT
-    frames = cv.FrameBatch.at_point(spec, point)
+    frames = cv.FrameBatch.at_points(spec, point)
     out = {
         "config": {
             "command": "curvature",
@@ -245,7 +246,7 @@ def _cmd_batch(args) -> int:
             codes.add(report.exit_code)
         except (LevilabError, ValueError) as exc:
             rows.append((name, args.identity, "", "", "", "error", str(exc)))
-            codes.add(FAILURE_EXIT)
+            codes.add(USAGE_EXIT if isinstance(exc, SpecParseError) else FAILURE_EXIT)
     lines = ["surface,identity,lhs,rhs,rel_err,verdict,note"]
     for r in rows:
         fields = [r[0], r[1]]
@@ -256,8 +257,8 @@ def _cmd_batch(args) -> int:
         lines.append(",".join(fields))
     _write_output(os.path.join(args.out_dir, "summary.csv"), "\n".join(lines) + "\n")
     print(f"{len(rows)} surfaces; summary written to {os.path.join(args.out_dir, 'summary.csv')}")
-    # the worst outcome over the files: violated, then a numerical failure, then unmet hypotheses
-    return next((code for code in (VIOLATED_EXIT, FAILURE_EXIT, HYPOTHESES_EXIT) if code in codes), 0)
+    # the worst outcome over the files: unread input, violated, a numerical failure, unmet hypotheses
+    return next((code for code in (USAGE_EXIT, VIOLATED_EXIT, FAILURE_EXIT, HYPOTHESES_EXIT) if code in codes), 0)
 
 
 def main(argv=None) -> int:

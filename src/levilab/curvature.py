@@ -13,14 +13,15 @@ Conventions fixed here and relied on everywhere else:
   form of grad f, it reads Laplace f = 4 tr H and (grad f)^T (D^2 f) grad f =
   2 Re(u^T S u) + 2 u^T H conj(u).
 
-Every function operates on batches; a FrameBatch of size one is the per-point
-case. K_j is defined by gradient-bordered minors: one (j+2) x (j+2)
-determinant per (j+1)-index set, each taken over the whole batch by
-hermitian.det_batch (closed forms up to 4 x 4, so n <= 2 never reaches LAPACK).
-Real input is assumed (all defining functions here are real-valued), so
-bordered determinants are real and their rounding-level imaginary parts are
-checked and dropped. With nu = FrameBatch.nu and P = I - nu nu*, K_j equals
-sigma_j(P H P) / (C(n, j) |del f|^j); the tests check levi against that form.
+Every function operates on a FrameBatch, the boundary data at a batch of
+points; a single point is a batch of one. K_j is defined by gradient-bordered
+minors: one (j+2) x (j+2) determinant per (j+1)-index set, each taken over the
+whole batch by hermitian.det_batch (closed forms up to 4 x 4, so n <= 2 never
+reaches LAPACK). Real input is assumed (all defining functions here are
+real-valued), so bordered determinants are real and their rounding-level
+imaginary parts are checked and dropped. With nu = FrameBatch.nu and
+P = I - nu nu*, K_j equals sigma_j(P H P) / (C(n, j) |del f|^j); the tests
+check levi against that form.
 """
 
 from __future__ import annotations
@@ -90,9 +91,9 @@ class FrameBatch:
     """Boundary data at a batch of on-surface points.
 
     Carries the real and complex gradients and the jets' H and S; constructed
-    through at_points/at_point, which verify that the points actually lie on
-    the zero set and that the gradient is nondegenerate. The unit normals
-    normal and nu are computed on read.
+    through at_points, which verifies that the points actually lie on the zero
+    set and that the gradient is nondegenerate. The unit normals normal and nu
+    are computed on read.
     """
 
     spec: SurfaceSpec
@@ -122,14 +123,13 @@ class FrameBatch:
         return self.wgrad / self.pgrad_norm[:, None]
 
     @classmethod
-    def at_points(cls, spec: SurfaceSpec, pts, boundary_tol: float | None = None) -> "FrameBatch":
+    def at_points(cls, spec: SurfaceSpec, pts) -> "FrameBatch":
         pts = np.asarray(pts, dtype=float)
         if pts.ndim == 1:
             pts = pts[None, :]
         j = eval_jets(spec, pts)
         value, rgrad = j.val, j.grad
-        tol = boundary_tol if boundary_tol is not None else BOUNDARY_VALUE_TOL * max(1.0, spec.scale**2)
-        off = np.abs(value) > tol
+        off = np.abs(value) > BOUNDARY_VALUE_TOL * max(1.0, spec.scale**2)
         if np.any(off):
             i = int(np.argmax(np.abs(value)))
             raise ValueError(f"point {pts[i].tolist()} is off the boundary: f = {value[i]!r}")
@@ -140,21 +140,11 @@ class FrameBatch:
         return cls(spec=spec, points=pts, rgrad=rgrad, wgrad=wirtinger_gradient(rgrad), whess=j.mixed, pure=j.pure,
                    pgrad_norm=gnorm / 2.0)
 
-    @classmethod
-    def at_point(cls, spec: SurfaceSpec, p, boundary_tol: float | None = None) -> "FrameBatch":
-        return cls.at_points(spec, np.asarray(p, dtype=float)[None, :], boundary_tol=boundary_tol)
-
-    def bordered_minor(self, indices) -> np.ndarray:
-        return bordered_minor(self.wgrad, self.whess, indices)
-
     def levi(self, j: int) -> np.ndarray:
         if j not in self._levi:
             self._levi[j] = k = levi(self, j)
             k.setflags(write=False)  # one array for every reader of the batch
         return self._levi[j]
-
-    def mean_curvature(self) -> np.ndarray:
-        return mean_curvature(self)
 
 
 def levi(frames: FrameBatch, j: int) -> np.ndarray:
@@ -189,13 +179,3 @@ def mean_curvature(frames: FrameBatch) -> np.ndarray:
                   + np.einsum("bl,blk,bk->b", u, frames.whess, frames.wgrad)).real
     div_normal = lap / gnorm - quad / gnorm**3
     return div_normal / (2 * frames.n + 1)
-
-
-def levi_at(spec: SurfaceSpec, p, j: int) -> float:
-    """Scalar convenience: j-th Levi curvature at one boundary point."""
-    return float(levi(FrameBatch.at_point(spec, p), j)[0])
-
-
-def mean_curvature_at(spec: SurfaceSpec, p) -> float:
-    """Scalar convenience: mean curvature at one boundary point."""
-    return float(mean_curvature(FrameBatch.at_point(spec, p))[0])

@@ -3,12 +3,12 @@
 Every determinant of the numeric pipeline goes through det_batch: explicit
 products of 2 x 2 minors for sizes up to 4, LAPACK above. sigma_j is the sum of
 all j x j principal minors, gathered into one det_batch call, never an
-eigendecomposition. Entry (l, k) of a matrix is a_{l kbar} (row l, column k);
-when differentiating sigma_j the entries are treated as independent complex
-variables, so the gradient entry (l, k) is the generalized cofactor
-d sigma_j / d a_{l kbar}, built from sigma_1 .. sigma_{j-1} by the Newton
-transformation (matrix products only). For j = dim this is the transpose of
-the adjugate, which for Hermitian input equals its entrywise conjugate.
+eigendecomposition. Entry (l, k) of a matrix is a_{l kbar} (row l, column k).
+
+The kernels take stacks of matrices, shape (..., d, d), that are Hermitian by
+construction and check nothing per matrix. HermitianMatrix is the validated
+entry point for a matrix from outside: sigma_batch(HermitianMatrix(a), j)
+raises NotHermitianError unless a is conjugate symmetric to HERMITIAN_TOL.
 """
 
 from __future__ import annotations
@@ -49,21 +49,8 @@ class HermitianMatrix:
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
 
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    def trace(self) -> float:
-        return float(self.entries.trace().real)
-
     def __array__(self, dtype=None, copy=None):
         return np.array(self.entries, dtype=dtype)
-
-
-def _as_matrix(a) -> np.ndarray:
-    if isinstance(a, HermitianMatrix):
-        return a.entries
-    return HermitianMatrix(a).entries
 
 
 def _check_j(j: int, dim: int, lo: int = 1) -> None:
@@ -105,25 +92,6 @@ def _minor_sum(mats: np.ndarray, j: int) -> np.ndarray:
     return det_batch(mats[..., idx[:, :, None], idx[:, None, :]]).sum(axis=-1)
 
 
-def _discard_imag(value: complex, scale: float) -> float:
-    tol = HERMITIAN_TOL * max(1.0, scale)
-    if abs(value.imag) > tol:
-        raise ValueError(f"expected a real result, imaginary part {value.imag:.3e} exceeds {tol:.3e}")
-    return float(value.real)
-
-
-def sigma(a, j: int) -> float:
-    """j-th elementary symmetric function of the eigenvalues of a Hermitian matrix.
-
-    Equals the sum of all j x j principal minors. The result is real for
-    Hermitian input; the rounding-level imaginary part is checked against a
-    magnitude-relative tolerance and dropped.
-    """
-    m = _as_matrix(a)
-    _check_j(j, m.shape[0])
-    return _discard_imag(complex(_minor_sum(m, j)), float(np.sum(np.abs(m))) ** j)
-
-
 def sigma_batch(mats: np.ndarray, j: int) -> np.ndarray:
     """sigma_j over a stack of matrices, shape (..., d, d) -> (...).
 
@@ -138,25 +106,8 @@ def sigma_batch(mats: np.ndarray, j: int) -> np.ndarray:
     return _minor_sum(mats, j).real
 
 
-def sigma_grad(a, j: int) -> np.ndarray:
-    """Entrywise gradient of sigma_j: entry (l, k) is d sigma_j / d a_{l kbar}.
-
-    The generalized cofactors (the signed sum over all j-subsets containing l
-    and k of the (j-1) x (j-1) cofactor minors), computed through the Newton
-    transformation T_0 = I, T_i = sigma_i I - A T_{i-1}: the gradient is
-    T_{j-1} transposed. Entries are treated as independent variables.
-    """
-    m = _as_matrix(a)
-    n = m.shape[0]
-    _check_j(j, n)
-    t = np.eye(n, dtype=complex)
-    for i in range(1, j):
-        t = sigma_batch(m, i) * np.eye(n) - m @ t
-    return t.T
-
-
-def newton_gap(a, j: int) -> float:
-    """Signed gap C(dim, j) (trace/dim)^j - sigma_j.
+def newton_gap_batch(mats: np.ndarray, j: int) -> np.ndarray:
+    """Signed gap C(d, j) (trace/d)^j - sigma_j over a stack of matrices, shape (..., d, d) -> (...).
 
     Nonnegative on the symmetric-function positive cone (in particular for
     every positive semidefinite matrix), with equality exactly on real
@@ -164,11 +115,6 @@ def newton_gap(a, j: int) -> float:
     diag(-1, -1, 2) with j = 3 has gap -2, so the gap is returned signed and
     callers assert nonnegativity only where the hypothesis holds.
     """
-    return float(newton_gap_batch(_as_matrix(a), j))
-
-
-def newton_gap_batch(mats: np.ndarray, j: int) -> np.ndarray:
-    """newton_gap over a stack of Hermitian-by-construction matrices."""
     mats = np.asarray(mats)
     d = mats.shape[-1]
     _check_j(j, d, lo=2)

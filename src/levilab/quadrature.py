@@ -221,7 +221,7 @@ def _nodes(spec: SurfaceSpec, q: QuadratureSpec, order: int | None = None) -> _N
     nodes = _Nodes(center, dirs, wts, None, None, order)
     cached = _ROOT_CACHE.setdefault(spec, {})
     if order not in cached:
-        parts = nodes.map(lambda sl: radial_roots(spec, dirs[sl], center=center))
+        parts = nodes.map(lambda sl: radial_roots(spec, dirs[sl]))
         cached[order] = tuple(np.concatenate([p[k] for p in parts]) for k in (0, 1))
     rho, slope = cached[order]
     return nodes._replace(rho=rho, slope=slope)

@@ -47,15 +47,6 @@ class Jet(NamedTuple):
     pure: np.ndarray | None
 
 
-class Jet2(NamedTuple):
-    """Second-order data of the defining function at one point."""
-
-    value: float
-    rgrad: np.ndarray
-    mixed: np.ndarray
-    pure: np.ndarray
-
-
 class SurfaceSpec:
     """Base class: a named defining-function family over C^{n+1}.
 
@@ -403,34 +394,30 @@ def eval_ray(spec: SurfaceSpec, center: np.ndarray, dirs: np.ndarray, rho: np.nd
     return Jet(d.val, np.einsum("bi,bi->b", d.grad, dirs)[:, None], None, None)
 
 
-def jet(spec: SurfaceSpec, p) -> Jet2:
-    """Second-order jet of the defining function at a single point."""
-    j = eval_jets(spec, np.asarray(p, dtype=float)[None, :])
-    return Jet2(float(j.val[0]), j.grad[0].copy(), j.mixed[0].copy(), j.pure[0].copy())
-
-
 # -- radial roots ---------------------------------------------------------------
 
 
-def radial_roots(spec: SurfaceSpec, dirs, center=None) -> tuple[np.ndarray, np.ndarray]:
+def radial_roots(spec: SurfaceSpec, dirs) -> tuple[np.ndarray, np.ndarray]:
     """Boundary crossings along rays from the star center, vectorized.
 
     Returns (rho, slope) with f(center + rho * dir) = 0 to ROOT_ABS_TOL and
-    slope = <grad f, dir> > 0 at each root. Safeguarded Newton, started at the
-    false-position point, inside a bracket obtained by doubling; failure to
-    bracket within the configured search radius means the domain is not
+    slope = <grad f, dir> > 0 at each root, dir the unit direction of a row of
+    dirs; a zero or non-finite row is a ValueError. Safeguarded Newton, started
+    at the false-position point, inside a bracket obtained by doubling; failure
+    to bracket within the configured search radius means the domain is not
     star-shaped about the center. On a polynomial family the sweeps run Horner's
     rule on RealPolynomial.restrict; the other families evaluate f at points.
     """
-    if center is None:
-        center = spec.star_center
-    if center is None:
+    if spec.star_center is None:
         raise StarShapeError(f"{type(spec).__name__} declares no star center")
-    center = np.asarray(center, dtype=float)
+    center = spec.star_center
     dirs = np.asarray(dirs, dtype=float)
     if dirs.ndim == 1:
         dirs = dirs[None, :]
     norms = np.linalg.norm(dirs, axis=1)
+    bad = ~(np.isfinite(norms) & (norms > 0))  # checked before normalising: 0/0 would only warn
+    if np.any(bad):
+        raise ValueError(f"direction {dirs[np.argmax(bad)].tolist()} is zero or not finite")
     if np.any(np.abs(norms - 1.0) > 1e-9):
         dirs = dirs / norms[:, None]
     b = dirs.shape[0]
@@ -504,21 +491,6 @@ def radial_roots(spec: SurfaceSpec, dirs, center=None) -> tuple[np.ndarray, np.n
         idx = int(np.argmax(np.abs(g)))
         raise StarShapeError(f"residual {g[idx]!r} at radial root along {dirs[idx].tolist()}")
     return rho, gp
-
-
-def radial_root(spec: SurfaceSpec, direction) -> tuple[float, float]:
-    """Single-ray convenience wrapper around radial_roots."""
-    rho, slope = radial_roots(spec, np.asarray(direction, dtype=float)[None, :])
-    return float(rho[0]), float(slope[0])
-
-
-def boundary_points(spec: SurfaceSpec, dirs, center=None) -> np.ndarray:
-    """Points center + rho(dir) * dir for a batch of directions."""
-    if center is None:
-        center = spec.star_center
-    rho, _ = radial_roots(spec, dirs, center=center)
-    dirs = np.asarray(dirs, dtype=float)
-    return np.asarray(center, dtype=float)[None, :] + rho[:, None] * dirs
 
 
 # -- construction-time validation ----------------------------------------------

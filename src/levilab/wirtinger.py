@@ -210,9 +210,6 @@ class WPoly:
     def is_zero(self) -> bool:
         return not self._num
 
-    def is_real(self) -> bool:
-        return self.conj() == self
-
     @property
     def n_terms(self) -> int:
         return len(self._num)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -86,10 +90,48 @@ def test_monte_carlo_quadrature_is_a_usage_error(tmp_path, capsys):
     assert not (tmp_path / "r.json").exists()
 
 
+def _curvature(argv, tmp_path):
+    out = tmp_path / "k.json"
+    code = cli.main(["curvature", *argv, "--out", str(out)])
+    return code, json.loads(out.read_text()) if code == 0 else None
+
+
+@pytest.mark.parametrize("where", [["--point", "2,0,0,0"], ["--direction", "2,0,0,0"]])
+def test_curvature_on_the_sphere(where, tmp_path):
+    code, out = _curvature(["--surface", "sphere:R=2", *where], tmp_path)
+    assert code == 0
+    assert out["config"]["point"] == [2.0, 0.0, 0.0, 0.0]
+    assert out["K"] == pytest.approx(0.5, rel=1e-14) and out["H"] == pytest.approx(0.5, rel=1e-14)
+    assert out["normal"] == pytest.approx([1.0, 0.0, 0.0, 0.0], abs=1e-15)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--point", "2,0,0,0", "--direction", "1,0,0,0"],
+    [],
+    ["--point", "2,0,0"],
+    ["--direction", "1,0,0,0,0"],
+    ["--point", "2,0,0,0", "--j", "2"],
+    ["--direction", "1,0,0,0", "--j", "0"],
+])
+def test_curvature_usage_errors(argv, tmp_path, capsys):
+    assert _curvature(["--surface", "sphere:R=2", *argv], tmp_path)[0] == cli.USAGE_EXIT
+    assert "levilab curvature:" in capsys.readouterr().err
+
+
+def test_curvature_zero_direction_prints_no_numpy_warning():
+    argv = ["-m", "levilab.cli", "curvature", "--surface", "sphere:R=2", "--direction", "0,0,0,0"]
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == cli.FAILURE_EXIT
+    assert "RuntimeWarning" not in proc.stderr and "direction" in proc.stderr
+
+
 # Alexandrov at order 8: the sphere's chain holds (violated under --tol -1), the
-# ellipsoid's curvature is not constant, and a file without a family fails to parse.
+# ellipsoid's curvature is not constant, the cylinder parses but has no star
+# center to integrate from, and a file without a family fails to parse.
 BATCH_FILES = {"sphere": "family=sphere\nR=1\n", "ellipsoid": "family=ellipsoid\naxes=1,1,1,2\n",
-               "broken": "axes=1,1,1,2\n"}
+               "cylinder": "family=cylinder\nR=1\n", "broken": "axes=1,1,1,2\n"}
 
 
 def _batch(tmp_path, names, *extra):
@@ -103,30 +145,42 @@ def _batch(tmp_path, names, *extra):
 
 
 def test_batch_summary_and_one_report_per_file(tmp_path, capsys):
-    code, out = _batch(tmp_path, ["sphere", "ellipsoid", "broken"])
-    assert code == cli.FAILURE_EXIT
+    code, out = _batch(tmp_path, ["sphere", "ellipsoid", "cylinder", "broken"])
+    assert code == cli.USAGE_EXIT
     header, *rows = (out / "summary.csv").read_text().splitlines()
     assert header == "surface,identity,lhs,rhs,rel_err,verdict,note"
     cells = [row.split(",", 6) for row in rows]
     assert [(c[0], c[1], c[5]) for c in cells] == [
-        ("broken", "alexandrov", "error"), ("ellipsoid", "alexandrov", "hypotheses_not_met"),
-        ("sphere", "alexandrov", "inequality_holds")]
-    assert cells[0][2:5] == ["", "", ""] and "family" in cells[0][6]
-    assert all(c[6] == "" for c in cells[1:])
+        ("broken", "alexandrov", "error"), ("cylinder", "alexandrov", "error"),
+        ("ellipsoid", "alexandrov", "hypotheses_not_met"), ("sphere", "alexandrov", "inequality_holds")]
+    assert all(c[2:5] == ["", "", ""] for c in cells[:2])
+    assert "family" in cells[0][6] and "star center" in cells[1][6]
+    assert all(c[6] == "" for c in cells[2:])
     assert sorted(p.name for p in out.iterdir()) == ["ellipsoid.report.json", "sphere.report.json", "summary.csv"]
     for name, kind in (("ellipsoid", "hypotheses_not_met"), ("sphere", "inequality_holds")):
         report = json.loads((out / f"{name}.report.json").read_text())
         assert report["verdict"]["kind"] == kind
         assert report["config"]["source_file"] == name
-    assert "3 surfaces" in capsys.readouterr().out
+    assert "4 surfaces" in capsys.readouterr().out
 
 
-# the batch exit code is the worst over the files: violated 2, then failure 4, then hypotheses 3
+# the batch exit code is the worst over the files: an unreadable file 64 (as verify
+# exits on it), then violated 2, then a numerical failure 4, then hypotheses 3
 @pytest.mark.parametrize("names, extra, code", [
     (["sphere"], [], 0),
     (["sphere", "ellipsoid"], [], cli.HYPOTHESES_EXIT),
-    (["sphere", "ellipsoid", "broken"], [], cli.FAILURE_EXIT),
-    (["sphere", "ellipsoid", "broken"], ["--tol", "-1"], cli.VIOLATED_EXIT),
+    (["sphere", "ellipsoid", "cylinder"], [], cli.FAILURE_EXIT),
+    (["sphere", "ellipsoid", "cylinder"], ["--tol", "-1"], cli.VIOLATED_EXIT),
+    (["sphere", "ellipsoid", "broken"], [], cli.USAGE_EXIT),
+    (["sphere", "cylinder", "broken"], ["--tol", "-1"], cli.USAGE_EXIT),
 ])
 def test_batch_exit_code_is_the_worst_outcome(names, extra, code, tmp_path):
     assert _batch(tmp_path, names, *extra)[0] == code
+
+
+def test_verify_exits_on_a_malformed_file_as_batch_does(tmp_path, capsys):
+    path = tmp_path / "broken"
+    path.write_text(BATCH_FILES["broken"])
+    argv = ["verify", "alexandrov", "--surface", str(path), "--quad", "gauss:order=8"]
+    assert cli.main([*argv, "--out", str(tmp_path / "r.json")]) == cli.USAGE_EXIT == _batch(tmp_path, ["broken"])[0]
+    assert "family" in capsys.readouterr().err

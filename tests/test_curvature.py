@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from levilab import curvature as cv
 from levilab import surfaces as sf
 from levilab.errors import DegenerateGradientError
-from levilab.hermitian import det_batch, sigma_batch, sigma_grad
+from levilab.hermitian import det_batch, sigma_batch
 
 
 def sphere_points(rng, radius, m, count):
@@ -51,7 +51,7 @@ class TestSphere:
         rng = np.random.default_rng(8)
         d = rng.standard_normal((30, 6))
         d /= np.linalg.norm(d, axis=1)[:, None]
-        fr = cv.FrameBatch.at_points(spec, sf.boundary_points(spec, d))
+        fr = cv.FrameBatch.at_points(spec, sf.radial_roots(spec, d)[0][:, None] * d)
         k1 = cv.levi(fr, 1)
         k2 = cv.levi(fr, 2)
         assert np.max(np.abs(k2 - k1**2)) > 1e-3
@@ -60,20 +60,20 @@ class TestSphere:
 class TestBorderedMinors:
     def test_sphere_value(self):
         spec = sf.Sphere(2.0)
-        fr = cv.FrameBatch.at_point(spec, [0.0, 2.0, 0.0, 0.0])
-        assert fr.bordered_minor((1, 2))[0] == pytest.approx(-4.0, abs=1e-12)
+        fr = cv.FrameBatch.at_points(spec, [0.0, 2.0, 0.0, 0.0])
+        assert cv.bordered_minor(fr.wgrad, fr.whess, (1, 2))[0] == pytest.approx(-4.0, abs=1e-12)
 
     def test_levi_flat_cylinder(self):
         spec = sf.Cylinder(1.0, kind="flat")
-        fr = cv.FrameBatch.at_point(spec, [1.0, 0.0, 0.3, 7.0])
-        assert fr.bordered_minor((1, 2))[0] == pytest.approx(0.0, abs=1e-14)
+        fr = cv.FrameBatch.at_points(spec, [1.0, 0.0, 0.3, 7.0])
+        assert cv.bordered_minor(fr.wgrad, fr.whess, (1, 2))[0] == pytest.approx(0.0, abs=1e-14)
         assert cv.levi(fr, 1)[0] == pytest.approx(0.0, abs=1e-14)
 
     def test_duplicate_indices(self):
         spec = sf.Sphere(1.0)
-        fr = cv.FrameBatch.at_point(spec, [1.0, 0.0, 0.0, 0.0])
+        fr = cv.FrameBatch.at_points(spec, [1.0, 0.0, 0.0, 0.0])
         with pytest.raises(ValueError):
-            fr.bordered_minor((1, 1))
+            cv.bordered_minor(fr.wgrad, fr.whess, (1, 1))
 
 
 def _bordered_frames(seed: int, count: int, big: float, size: int = 3):
@@ -186,13 +186,13 @@ class TestCylinderRemark:
             phase, x2 = rng.uniform(0, 2 * np.pi), rng.uniform(-1.9, 1.9)
             r1 = math.sqrt(4.0 - x2**2)
             p = [r1 * math.cos(phase), r1 * math.sin(phase), x2, rng.uniform(-5, 5)]
-            fr = cv.FrameBatch.at_point(spec, p)
+            fr = cv.FrameBatch.at_points(spec, p)
             assert cv.mean_curvature(fr)[0] == pytest.approx(1.0 / 3.0, abs=1e-12)
             assert cv.levi(fr, 1)[0] == pytest.approx((4.0 + x2**2) / 16.0, abs=1e-12)
 
     def test_levi_half_while_mean_is_third(self):
         spec = sf.Cylinder(2.0, kind="curved")
-        fr = cv.FrameBatch.at_point(spec, [0.0, 0.0, 2.0, -1.3])
+        fr = cv.FrameBatch.at_points(spec, [0.0, 0.0, 2.0, -1.3])
         assert cv.levi(fr, 1)[0] == pytest.approx(0.5, abs=1e-12)
         assert cv.mean_curvature(fr)[0] == pytest.approx(1.0 / 3.0, abs=1e-12)
 
@@ -205,7 +205,7 @@ class TestQuadricFamily:
             rng = np.random.default_rng(10 + n)
             d = rng.standard_normal((40, spec.m))
             d /= np.linalg.norm(d, axis=1)[:, None]
-            fr = cv.FrameBatch.at_points(spec, sf.boundary_points(spec, d))
+            fr = cv.FrameBatch.at_points(spec, sf.radial_roots(spec, d)[0][:, None] * d)
             for j in range(1, n + 1):
                 expected = ((n + 1) * fr.pgrad_norm) ** float(-j)
                 assert np.max(np.abs(cv.levi(fr, j) - expected)) < 1e-12
@@ -223,7 +223,7 @@ class TestInvariance:
         rng = np.random.default_rng(11)
         d = rng.standard_normal((30, 4))
         d /= np.linalg.norm(d, axis=1)[:, None]
-        pts = sf.boundary_points(spec, d)
+        pts = sf.radial_roots(spec, d)[0][:, None] * d
         fr_f = cv.FrameBatch.at_points(spec, pts)
         fr_g = cv.FrameBatch.at_points(g, pts)
         assert np.max(np.abs(cv.levi(fr_f, 1) - cv.levi(fr_g, 1))) < 1e-9
@@ -249,7 +249,8 @@ class TestInvariance:
         axes = np.array([1.0, 1.3, 0.8, 1.1, 0.9, 1.2])
         base, big = sf.Ellipsoid(axes), sf.Ellipsoid(lam * axes)
         d = np.random.default_rng(seed).standard_normal((8, 6))
-        pts = sf.boundary_points(base, d / np.linalg.norm(d, axis=1)[:, None])
+        d /= np.linalg.norm(d, axis=1)[:, None]
+        pts = sf.radial_roots(base, d)[0][:, None] * d
         fr0 = cv.FrameBatch.at_points(base, pts)
         fr1 = cv.FrameBatch.at_points(big, lam * pts)
         for j in (1, 2):
@@ -266,7 +267,8 @@ class TestInvariance:
         base = sf.PerturbedQuadric(1, c=1.0, hterms=hterms)
         turned = sf.PerturbedQuadric(1, c=1.0, hterms=rotated)
         d = np.random.default_rng(seed).standard_normal((8, 4))
-        pts = sf.boundary_points(base, d / np.linalg.norm(d, axis=1)[:, None])
+        d /= np.linalg.norm(d, axis=1)[:, None]
+        pts = sf.radial_roots(base, d)[0][:, None] * d
         z = (pts[:, 0::2] + 1j * pts[:, 1::2]) * np.exp(1j * theta)
         moved = np.empty_like(pts)
         moved[:, 0::2], moved[:, 1::2] = z.real, z.imag
@@ -302,7 +304,8 @@ class TestInvariance:
         base = self.hermitian_quadric(a, b)
         turned = self.hermitian_quadric(u.conj().T @ a @ u, u.T @ b @ u)
         d = rng.standard_normal((8, 6))
-        pts = sf.boundary_points(base, d / np.linalg.norm(d, axis=1)[:, None])
+        d /= np.linalg.norm(d, axis=1)[:, None]
+        pts = sf.radial_roots(base, d)[0][:, None] * d
         w = (pts[:, 0::2] + 1j * pts[:, 1::2]) @ u.conj()  # rows U^-1 z = U* z
         moved = np.empty_like(pts)
         moved[:, 0::2], moved[:, 1::2] = w.real, w.imag
@@ -326,17 +329,14 @@ class TestLemmaConsistency:
         for spec in specs:
             d = rng.standard_normal((10, spec.m))
             d /= np.linalg.norm(d, axis=1)[:, None]
-            fr = cv.FrameBatch.at_points(spec, sf.boundary_points(spec, d))
+            fr = cv.FrameBatch.at_points(spec, sf.radial_roots(spec, d)[0][:, None] * d)
+            # sigma_{j+1} is affine under the rank-one update H + w w* (matrix determinant lemma), so the
+            # difference is the contraction of its cofactor gradient with w w*, w the complex gradient
+            ww = fr.wgrad[:, :, None] * np.conj(fr.wgrad)[:, None, :]
             for j in range(1, spec.n + 1):
                 lhs = -cv.bordered_sum(fr.wgrad, fr.whess, j)
-                for b in range(len(fr)):
-                    grad = sigma_grad(fr.whess[b], j + 1)
-                    contraction = 0.0j
-                    for l in range(spec.n + 1):
-                        for k in range(spec.n + 1):
-                            contraction += grad[l, k] * fr.wgrad[b, l] * np.conj(fr.wgrad[b, k])
-                    assert abs(contraction.imag) < 1e-10
-                    assert contraction.real == pytest.approx(lhs[b], abs=1e-9, rel=1e-9)
+                contraction = sigma_batch(fr.whess + ww, j + 1) - sigma_batch(fr.whess, j + 1)
+                assert contraction == pytest.approx(lhs, abs=1e-9, rel=1e-9)
 
 
 KERNEL_SURFACES = {
@@ -354,7 +354,7 @@ KERNEL_SURFACES = {
 def boundary_frames(spec, seed, count=24):
     d = np.random.default_rng(seed).standard_normal((count, spec.m))
     d /= np.linalg.norm(d, axis=1)[:, None]
-    return cv.FrameBatch.at_points(spec, sf.boundary_points(spec, d))
+    return cv.FrameBatch.at_points(spec, spec.star_center + sf.radial_roots(spec, d)[0][:, None] * d)
 
 
 def projected_levi(fr, j, nu):
@@ -468,7 +468,7 @@ class TestMeanCurvatureOracle:
         # independent oracle: central-difference divergence of the unit normal field
         spec = sf.Ellipsoid([1.0, 1.0, 1.0, 2.0])
         p = np.array([1.0, 0.0, 0.0, 0.0])
-        fr = cv.FrameBatch.at_point(spec, p)
+        fr = cv.FrameBatch.at_points(spec, p)
         h = 1e-6
 
         def unit_normal(x):
@@ -493,4 +493,4 @@ class TestDegeneracy:
             (0, 1, 0, 2): -0.375, (0, 0, 0, 3): -0.125,
         }, validate=False)
         with pytest.raises(DegenerateGradientError):
-            cv.FrameBatch.at_point(poly, [0.0, 0.0, 0.0, 0.0])
+            cv.FrameBatch.at_points(poly, [0.0, 0.0, 0.0, 0.0])

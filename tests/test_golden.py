@@ -11,25 +11,33 @@ Hessian and a bulk sigma taken through the chain rule. Every verdict kind must m
 must agree to GOLDEN_RTOL relative: the compiled evaluators sum the same
 terms in a different order, so the last bits may move.
 
-To record the entries missing from the file with a given checkout of the
-program (entries already in the file are left as they are):
+tests/golden/curvature.json holds the JSON output of `levilab curvature` on a
+few points and ray directions; it must match byte for byte.
+
+To record the entries missing from either file with a given checkout of the
+program (entries already in a file are left as they are):
 
     PYTHONPATH=<checkout>/src python tests/test_golden.py
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import os
 from pathlib import Path
 
 import pytest
 
+from levilab import cli
 from levilab import quadrature as qd
 from levilab import surfaces as sf
 from levilab import verify as vf
 
 GOLDEN = Path(__file__).parent / "golden" / "reports.json"
 GOLDEN_RTOL = 1e-13
+CURVATURE_GOLDEN = Path(__file__).parent / "golden" / "curvature.json"
 
 Q16 = qd.QuadratureSpec(order=16)
 Q16_RADIAL5 = qd.QuadratureSpec(order=16, radial_order=5)
@@ -57,6 +65,15 @@ CORPUS = {
         sf.Ellipsoid(ELLIPSOID_AXES), 1, Q16, f_choice="exp"),
 }
 
+# `levilab curvature` arguments: an explicit point, the same point by its ray, an
+# off-axis ray on an ellipsoid, and j = 2 on the n = 2 sphere
+CURVATURE_CASES = {
+    "sphere_point": ["--surface", "sphere:R=2", "--point", "2,0,0,0"],
+    "sphere_direction": ["--surface", "sphere:R=2", "--direction", "2,0,0,0"],
+    "ellipsoid_direction": ["--surface", "ellipsoid:axes=1,1.3,0.8,1.1", "--direction", "1,-2,0.5,3"],
+    "sphere_n2_direction_j2": ["--surface", "sphere:R=1.5,n=2", "--direction", "1,1,1,1,1,1", "--j", "2"],
+}
+
 
 def _report(name: str) -> dict:
     return json.loads(CORPUS[name]().to_json())
@@ -82,10 +99,39 @@ def test_golden_report(name, golden):
         assert abs(got[side] - want[side]) <= GOLDEN_RTOL * scale, (side, got[side], want[side])
 
 
+def _curvature_output(name: str) -> str:
+    """stdout of `levilab curvature` on one case, with the default thread count."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["curvature", *CURVATURE_CASES[name]]) == 0
+    return out.getvalue()
+
+
+@pytest.fixture(scope="module")
+def curvature_golden() -> dict:
+    return json.loads(CURVATURE_GOLDEN.read_text())
+
+
+def test_curvature_cases_match_file(curvature_golden):
+    assert sorted(curvature_golden) == sorted(CURVATURE_CASES)
+
+
+@pytest.mark.parametrize("name", sorted(CURVATURE_CASES))
+def test_golden_curvature_output(name, curvature_golden, monkeypatch):
+    monkeypatch.delenv("LEVILAB_THREADS", raising=False)
+    assert _curvature_output(name) == json.dumps(curvature_golden[name], indent=2) + "\n"
+
+
+def _record(path: Path, names, output) -> None:
+    recorded = json.loads(path.read_text()) if path.exists() else {}
+    for name in names:
+        if name not in recorded:
+            recorded[name] = output(name)
+    path.write_text(json.dumps(dict(sorted(recorded.items())), indent=2) + "\n")
+
+
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
-    recorded = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
-    for name in CORPUS:
-        if name not in recorded:
-            recorded[name] = _report(name)
-    GOLDEN.write_text(json.dumps(dict(sorted(recorded.items())), indent=2) + "\n")
+    os.environ.pop("LEVILAB_THREADS", None)
+    _record(GOLDEN, CORPUS, _report)
+    _record(CURVATURE_GOLDEN, CURVATURE_CASES, lambda name: json.loads(_curvature_output(name)))

@@ -9,15 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from levilab.errors import NotHermitianError
-from levilab.hermitian import (
-    HermitianMatrix,
-    det_batch,
-    newton_gap,
-    newton_gap_batch,
-    sigma,
-    sigma_batch,
-    sigma_grad,
-)
+from levilab.hermitian import HermitianMatrix, det_batch, newton_gap_batch, sigma_batch
 
 
 def random_hermitian(rng, d):
@@ -42,17 +34,31 @@ def sigma_minors_raw(a, j):
     return sum(np.linalg.det(a[np.ix_(idx, idx)]) for idx in itertools.combinations(range(d), j))
 
 
+def cofactor_gradient(a, j):
+    """Entry (l, k) is d sigma_j / d a_{l kbar} at a, read off sigma_batch alone.
+
+    sigma_j is affine in each entry (a rank-one update), so sigma_j(a + t E_lk) - sigma_j(a) = t g_lk,
+    with the entries taken as independent variables. sigma_batch keeps the real part: t = 1 gives
+    Re g_lk and t = i gives -Im g_lk. No Hermitian symmetry of g is assumed.
+    """
+    a = np.asarray(a, dtype=complex)
+    d = a.shape[0]
+    units = np.eye(d * d).reshape(d * d, d, d)  # E_lk, row-major in (l, k)
+    diff = sigma_batch(a + np.concatenate([units, 1j * units]), j) - sigma_batch(a, j)
+    return (diff[: d * d] - 1j * diff[d * d:]).reshape(d, d)
+
+
 class TestSigma:
     def test_identity_trace(self):
-        assert sigma(HermitianMatrix(np.eye(2)), 1) == pytest.approx(2.0, abs=1e-14)
+        assert sigma_batch(HermitianMatrix(np.eye(2)), 1) == pytest.approx(2.0, abs=1e-14)
 
     def test_diagonal(self):
-        assert sigma(HermitianMatrix(np.diag([1.0, 2.0, 3.0])), 2) == pytest.approx(11.0, abs=1e-12)
+        assert sigma_batch(HermitianMatrix(np.diag([1.0, 2.0, 3.0])), 2) == pytest.approx(11.0, abs=1e-12)
 
     def test_random_vs_eigenvalues(self):
         rng = np.random.default_rng(11)
         a = random_hermitian(rng, 3)
-        assert sigma(a, 2) == pytest.approx(sigma_eig_oracle(a, 2), abs=1e-10)
+        assert sigma_batch(HermitianMatrix(a), 2) == pytest.approx(sigma_eig_oracle(a, 2), abs=1e-10)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     def test_minors_match_eigenvalues_all_dims(self, d):
@@ -60,20 +66,20 @@ class TestSigma:
         for _ in range(5):
             a = random_hermitian(rng, d)
             for j in range(1, d + 1):
-                assert sigma(a, j) == pytest.approx(sigma_eig_oracle(a, j), abs=1e-9, rel=1e-9)
+                assert sigma_batch(HermitianMatrix(a), j) == pytest.approx(sigma_eig_oracle(a, j), abs=1e-9, rel=1e-9)
 
     def test_large_dim_recursion_path(self):
         rng = np.random.default_rng(7)
         a = random_hermitian(rng, 8)
         for j in (1, 3, 8):
-            assert sigma(a, j) == pytest.approx(sigma_eig_oracle(a, j), rel=1e-9, abs=1e-9)
+            assert sigma_batch(HermitianMatrix(a), j) == pytest.approx(sigma_eig_oracle(a, j), rel=1e-9, abs=1e-9)
 
     def test_j_out_of_range(self):
         a = HermitianMatrix(np.eye(3))
         with pytest.raises(ValueError):
-            sigma(a, 0)
+            sigma_batch(a, 0)
         with pytest.raises(ValueError):
-            sigma(a, 4)
+            sigma_batch(a, 4)
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(NotHermitianError):
@@ -95,7 +101,7 @@ class TestSigma:
         mats = np.stack([random_hermitian(rng, 3) for _ in range(4)])
         got = sigma_batch(mats, 2)
         for i in range(4):
-            assert got[i] == pytest.approx(sigma(mats[i], 2), abs=1e-12)
+            assert got[i] == pytest.approx(sigma_batch(HermitianMatrix(mats[i]), 2), abs=1e-12)
 
     @pytest.mark.parametrize("shape", [(7,), (5, 3)])
     def test_broadcast_stack_reduced_once(self, monkeypatch, shape):
@@ -157,25 +163,25 @@ class TestDetBatch:
         for d, m in mats.items():
             for j in range(1, d + 1):
                 ref = sigma_eig_oracle(m[0], j)
-                assert sigma(m[0], j) == pytest.approx(ref, abs=1e-12, rel=1e-12)
+                assert sigma_batch(HermitianMatrix(m[0]), j) == pytest.approx(ref, abs=1e-12, rel=1e-12)
                 assert sigma_batch(m, j)[0] == pytest.approx(ref, abs=1e-12, rel=1e-12)
             for j in range(2, d + 1):
                 assert np.all(np.isfinite(newton_gap_batch(m, j)))
-                assert math.isfinite(newton_gap(m[0], j))
+                assert math.isfinite(newton_gap_batch(HermitianMatrix(m[0]), j))
 
 
 class TestSigmaGrad:
     def test_identity_j2(self):
-        g = sigma_grad(HermitianMatrix(np.eye(3)), 2)
+        g = cofactor_gradient(HermitianMatrix(np.eye(3)), 2)
         assert np.allclose(g, 2.0 * np.eye(3), atol=1e-12)
 
     def test_j1_is_identity(self):
         rng = np.random.default_rng(5)
-        g = sigma_grad(random_hermitian(rng, 4), 1)
+        g = cofactor_gradient(random_hermitian(rng, 4), 1)
         assert np.allclose(g, np.eye(4), atol=1e-14)
 
     def test_determinant_cofactors_diagonal(self):
-        g = sigma_grad(HermitianMatrix(np.diag([1.0, 2.0, 3.0])), 3)
+        g = cofactor_gradient(HermitianMatrix(np.diag([1.0, 2.0, 3.0])), 3)
         assert np.allclose(g, np.diag([6.0, 3.0, 2.0]), atol=1e-12)
 
     @pytest.mark.parametrize("d,j", [(2, 2), (3, 2), (4, 3), (6, 4), (7, 3), (8, 5)])
@@ -184,7 +190,7 @@ class TestSigmaGrad:
         # raw principal-minor sum, one matrix entry at a time
         rng = np.random.default_rng(d * 10 + j)
         a = random_hermitian(rng, d)
-        g = sigma_grad(a, j)
+        g = cofactor_gradient(a, j)
         h = 1e-5
         for l, k in [(0, 0), (0, 1), (1, 0), (d - 1, 0), (d - 2, d - 1)]:
             e = np.zeros((d, d), dtype=complex)
@@ -195,7 +201,7 @@ class TestSigmaGrad:
     def test_gradient_is_hermitian(self):
         rng = np.random.default_rng(9)
         a = random_hermitian(rng, 4)
-        g = sigma_grad(a, 3)
+        g = cofactor_gradient(a, 3)
         assert np.max(np.abs(g - g.conj().T)) < 1e-12
 
 
@@ -206,16 +212,17 @@ class TestEulerAndHomogeneity:
         for d in (2, 4, 6):
             a = random_hermitian(rng, d)
             for j in range(1, d + 1):
-                assert sigma(t * a, j) == pytest.approx(t**j * sigma(a, j), abs=1e-10, rel=1e-10)
+                got = sigma_batch(HermitianMatrix(t * a), j)
+                assert got == pytest.approx(t**j * sigma_batch(HermitianMatrix(a), j), abs=1e-10, rel=1e-10)
 
     def test_euler_identity(self):
         rng = np.random.default_rng(22)
         for d in (2, 3, 5):
             a = random_hermitian(rng, d)
             for j in range(1, d + 1):
-                g = sigma_grad(a, j)
+                g = cofactor_gradient(a, j)
                 contraction = np.sum(g * a).real
-                assert contraction == pytest.approx(j * sigma(a, j), abs=1e-10, rel=1e-10)
+                assert contraction == pytest.approx(j * sigma_batch(HermitianMatrix(a), j), abs=1e-10, rel=1e-10)
 
 
 class TestNewtonGap:
@@ -223,10 +230,10 @@ class TestNewtonGap:
         for c in (-1.5, 0.25, 3.0):
             for d in (2, 4):
                 for j in range(2, d + 1):
-                    assert newton_gap(c * np.eye(d), j) == pytest.approx(0.0, abs=1e-12)
+                    assert newton_gap_batch(HermitianMatrix(c * np.eye(d)), j) == pytest.approx(0.0, abs=1e-12)
 
     def test_diagonal_example(self):
-        assert newton_gap(np.diag([1.0, 2.0, 3.0]), 2) == pytest.approx(1.0, abs=1e-12)
+        assert newton_gap_batch(HermitianMatrix(np.diag([1.0, 2.0, 3.0])), 2) == pytest.approx(1.0, abs=1e-12)
 
     def test_random_sweep_nonnegative_on_positive_cone(self):
         # the inequality's hypothesis domain: positive semidefinite matrices
@@ -236,18 +243,18 @@ class TestNewtonGap:
             for _ in range(20):
                 a = random_psd(rng, d)
                 for j in range(2, d + 1):
-                    assert newton_gap(a, j) >= -1e-10
+                    assert newton_gap_batch(HermitianMatrix(a), j) >= -1e-10
                     count += 1
         assert count >= 100
 
     def test_indefinite_counterexample_is_signed(self):
         # real eigenvalues alone do not give the mean inequality: this matrix
         # violates it at j = 3 and the gap must come back negative, not clipped
-        assert newton_gap(np.diag([-1.0, -1.0, 2.0]), 3) == pytest.approx(-2.0, abs=1e-12)
+        assert newton_gap_batch(HermitianMatrix(np.diag([-1.0, -1.0, 2.0])), 3) == pytest.approx(-2.0, abs=1e-12)
 
     def test_j_range(self):
         with pytest.raises(ValueError):
-            newton_gap(np.eye(3), 1)
+            newton_gap_batch(HermitianMatrix(np.eye(3)), 1)
 
     def test_batch(self):
         mats = np.stack([np.eye(4) * 2.0, np.diag([1.0, 2.0, 3.0, 4.0])])
@@ -270,9 +277,12 @@ def hermitian_matrices(draw, psd=False):
 @given(hermitian_matrices())
 @settings(max_examples=60)
 def test_property_sigma_is_real(a):
+    # the minor sum's imaginary part is rounding: the real part kept is the symmetric function of the eigenvalues
     d = a.shape[0]
     for j in range(1, d + 1):
-        assert isinstance(sigma(a, j), float)
+        got = sigma_batch(HermitianMatrix(a), j)
+        assert isinstance(got, float)
+        assert got == pytest.approx(sigma_eig_oracle(a, j), rel=1e-9, abs=1e-9 * max(1.0, np.sum(np.abs(a)) ** j))
 
 
 def _all_nines_noisy_column():
@@ -295,10 +305,10 @@ def test_noise_level_parts_give_finite_gap_without_warnings(a):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         for j in range(2, a.shape[0] + 1):
-            gap = newton_gap(a, j)
+            gap = newton_gap_batch(HermitianMatrix(a), j)
             assert math.isfinite(gap)
             assert gap >= -1e-9 * max(1.0, np.sum(np.abs(a)) ** j)
-            assert math.isfinite(sigma(a, j))
+            assert math.isfinite(sigma_batch(HermitianMatrix(a), j))
 
 
 @given(hermitian_matrices(psd=True))
@@ -308,4 +318,4 @@ def test_noise_level_parts_give_finite_gap_without_warnings(a):
 def test_property_gap_nonnegative_on_psd(a):
     d = a.shape[0]
     for j in range(2, d + 1):
-        assert newton_gap(a, j) >= -1e-9 * max(1.0, np.sum(np.abs(a)) ** j)
+        assert newton_gap_batch(HermitianMatrix(a), j) >= -1e-9 * max(1.0, np.sum(np.abs(a)) ** j)

@@ -1,4 +1,4 @@
-"""Import guard: scipy is loaded only by the code paths that need it.
+"""Import guards: the public API's names, and scipy loaded only by the code paths that need it.
 
 Import, the identity checks, the direction grid and the quadrature-only
 verifications (sphere, Dirichlet chain) load no scipy module; only a Reinhardt
@@ -36,6 +36,15 @@ def scipy_modules_after(body: str) -> set[str]:
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     return set(json.loads(proc.stdout.strip().splitlines()[-1]))
+
+
+def test_public_api_exposes_one_implementation_per_quantity():
+    # the batch kernels behind the validated HermitianMatrix; the scalar shadows are gone
+    for name in ("HermitianMatrix", "sigma_batch", "newton_gap_batch", "radial_roots", "FrameBatch", "levi",
+                 "mean_curvature"):
+        assert callable(getattr(levilab, name)), name
+    for name in ("sigma", "sigma_grad", "newton_gap", "Jet2", "jet", "radial_root", "levi_at", "mean_curvature_at"):
+        assert not hasattr(levilab, name), name
 
 
 def test_import_and_identity_checks_load_no_scipy():

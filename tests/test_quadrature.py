@@ -175,7 +175,7 @@ class TestBulkIntegral:
         assert abs(res.value - exact) / exact < 1e-10
 
     def test_constant_hessian_of_quadratic(self):
-        from levilab.hermitian import sigma, sigma_batch
+        from levilab.hermitian import HermitianMatrix, sigma_batch
 
         dspec = DirichletQuadratic([1.0, 1.0, 1.0, 2.0])
 
@@ -183,7 +183,7 @@ class TestBulkIntegral:
             return sigma_batch(sf.eval_jets(dspec, pts).mixed, 2)
 
         res = qd.bulk_integral(dspec, field, Q24)
-        const = sigma(np.diag(dspec.hessian_diagonal().astype(complex)), 2)
+        const = sigma_batch(HermitianMatrix(np.diag(dspec.hessian_diagonal())), 2)
         vol = qd.volume(dspec, Q24).value
         assert abs(res.value - const * vol) / abs(const * vol) < 1e-8
 

@@ -1,4 +1,6 @@
+import copy
 import math
+import warnings
 import zlib
 
 import numpy as np
@@ -10,7 +12,7 @@ from quadrature_probe import QUADRIC_N2, USER_QUARTIC
 from levilab import quadrature as qd
 from levilab import reinhardt as rh
 from levilab import surfaces as sf
-from levilab.curvature import FrameBatch
+from levilab.curvature import FrameBatch, mean_curvature
 from levilab.errors import (
     DomainError,
     SingularityError,
@@ -43,16 +45,16 @@ def _families():
 
 class TestJetExamples:
     def test_sphere_jet(self):
-        j = sf.jet(_families()["sphere"], [2.0, 0.0, 0.0, 0.0])
-        assert j.value == pytest.approx(0.0, abs=1e-14)
-        assert np.allclose(j.rgrad, [4.0, 0.0, 0.0, 0.0])
-        assert np.allclose(j.mixed, np.eye(2), atol=1e-14)
-        assert not np.any(j.pure)
+        j = sf.eval_jets(_families()["sphere"], [2.0, 0.0, 0.0, 0.0])
+        assert j.val[0] == pytest.approx(0.0, abs=1e-14)
+        assert np.allclose(j.grad[0], [4.0, 0.0, 0.0, 0.0])
+        assert np.allclose(j.mixed[0], np.eye(2), atol=1e-14)
+        assert not np.any(j.pure[0])
 
     def test_ellipsoid_jet(self):
-        j = sf.jet(_families()["ellipsoid"], [1.0, 0.0, 0.0, 0.0])
-        assert j.value == pytest.approx(0.0, abs=1e-14)
-        assert np.allclose(j.rgrad, [2.0, 0.0, 0.0, 0.0])
+        j = sf.eval_jets(_families()["ellipsoid"], [1.0, 0.0, 0.0, 0.0])
+        assert j.val[0] == pytest.approx(0.0, abs=1e-14)
+        assert np.allclose(j.grad[0], [2.0, 0.0, 0.0, 0.0])
 
     def test_quadric_hessian_is_half_identity_everywhere(self):
         spec = _families()["quadric"]
@@ -64,7 +66,7 @@ class TestJetExamples:
     def test_quadric_boundary_value(self):
         spec = _families()["quadric"]
         p = [math.sqrt(4.0 / 3.0), 0.0, 0.0, 0.0]
-        assert sf.jet(spec, p).value == pytest.approx(0.0, abs=1e-12)
+        assert sf.eval_jets(spec, p).val[0] == pytest.approx(0.0, abs=1e-12)
 
 
 class TestFiniteDifferenceConsistency:
@@ -111,12 +113,12 @@ class TestRadialRoots:
         for k, a in enumerate([1.0, 1.0, 1.0, 2.0]):
             d = np.zeros(4)
             d[k] = 1.0
-            rho, _ = sf.radial_root(e, d)
-            assert rho == pytest.approx(a, abs=1e-12)
+            rho, _ = sf.radial_roots(e, d)
+            assert rho[0] == pytest.approx(a, abs=1e-12)
 
     def test_quadric_closed_form(self):
-        rho, _ = sf.radial_root(_families()["quadric"], [1.0, 0.0, 0.0, 0.0])
-        assert rho == pytest.approx(math.sqrt(4.0 / 3.0), abs=1e-12)
+        rho, _ = sf.radial_roots(_families()["quadric"], [1.0, 0.0, 0.0, 0.0])
+        assert rho[0] == pytest.approx(math.sqrt(4.0 / 3.0), abs=1e-12)
 
     def test_roots_land_on_boundary(self):
         rng = np.random.default_rng(2)
@@ -173,11 +175,22 @@ class TestRadialRoots:
 
     def test_cylinder_has_no_star_center(self):
         with pytest.raises(StarShapeError):
-            sf.radial_root(_families()["cyl"], [1.0, 0.0, 0.0, 0.0])
+            sf.radial_roots(_families()["cyl"], [1.0, 0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [[0.0, 0.0, 0.0, 0.0], [np.nan, 0.0, 0.0, 0.0], [np.inf, 1.0, 0.0, 0.0]])
+    def test_degenerate_direction_is_a_value_error(self, bad):
+        # rejected before normalising, so no 0/0 warning escapes
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="zero or not finite"):
+                sf.radial_roots(_families()["sphere"], np.array([[1.0, 0.0, 0.0, 0.0], bad]))
 
     def test_center_outside_fails(self):
+        # the radius-2 sphere written as a polynomial, with a star center off the domain
+        sphere = sf.UserPolynomial(1, {(1, 0, 1, 0): 1.0, (0, 1, 0, 1): 1.0, (0, 0, 0, 0): -4.0},
+                                   center=[5.0, 0.0, 0.0, 0.0], validate=False)
         with pytest.raises(StarShapeError):
-            sf.radial_roots(_families()["sphere"], np.eye(4)[:1], center=np.array([5.0, 0, 0, 0]))
+            sf.radial_roots(sphere, np.eye(4)[:1])
 
 
 # every polynomial family, n = 1 and 2, off-center and with degree up to 8
@@ -262,9 +275,10 @@ class TestRayRestriction:
 
     @pytest.mark.parametrize("name", ["sphere_off", "ellipsoid_off_n2", "quadric_cubic_n2", "user_centered", "user_quartic"])
     def test_center_outside_fails(self, name):
-        spec = RAY_FAMILIES[name]()
+        moved = copy.copy(RAY_FAMILIES[name]())  # the same f, its star center moved off the domain
+        moved.star_center = np.full(moved.m, 3.0)
         with pytest.raises(StarShapeError, match="nonnegative"):
-            sf.radial_roots(spec, np.eye(spec.m)[:2], center=np.full(spec.m, 3.0))
+            sf.radial_roots(moved, np.eye(moved.m)[:2])
 
     def test_too_strong_perturbation_fails_at_the_bracket(self):
         # f = -1 along the y1 axis: the doubling bracket passes the search radius
@@ -433,9 +447,9 @@ class TestReinhardtClosedForm:
         pts = reinhardt_points(spec, 18)
         for order in (0, 1, 2):
             assert np.all(np.isfinite(spec.derivatives(pts, order).val))
-        d = np.random.default_rng(19).standard_normal((64, 4))
-        fr = FrameBatch.at_points(spec, sf.boundary_points(spec, d / np.linalg.norm(d, axis=1)[:, None]))
-        assert np.all(np.isfinite(fr.mean_curvature()))
+        d = _random_dirs(np.random.default_rng(19), 64, 4)
+        fr = FrameBatch.at_points(spec, sf.radial_roots(spec, d)[0][:, None] * d)
+        assert np.all(np.isfinite(mean_curvature(fr)))
 
     def test_dense_output_matches_ode_solution_bitwise(self):
         p = sf.ReinhardtSurface(0.5, 3.5, fp0=-1.1, s0=0.8, smax=3.0).profile
@@ -546,4 +560,4 @@ class TestValidationErrors:
 
     def test_point_dimension_checked(self):
         with pytest.raises(ValueError):
-            sf.jet(_families()["sphere"], [1.0, 0.0])
+            sf.eval_jets(_families()["sphere"], [1.0, 0.0])

@@ -87,7 +87,7 @@ class TestIsoperimetric:
             vf.isoperimetric_ratio(spec, 1, Q12)
         p = info.value.point
         assert abs(sf.eval_values(spec, p[None, :])[0]) < 1e-10
-        assert cv.levi_at(spec, p, 1) <= 0
+        assert cv.levi(cv.FrameBatch.at_points(spec, p), 1)[0] <= 0
 
 
 class TestMinkowski:
