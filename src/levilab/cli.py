@@ -140,8 +140,11 @@ def _cmd_curvature(args) -> int:
         if direction.shape != (spec.m,):
             print(f"levilab curvature: direction needs {spec.m} coordinates", file=sys.stderr)
             return USAGE_EXIT
+        norm = np.linalg.norm(direction)
+        if 0 < norm < np.inf:  # a zero or non-finite direction is for radial_roots to reject
+            direction = direction / norm
         rho, _ = sf.radial_roots(spec, direction)
-        point = spec.star_center + rho[0] * direction / np.linalg.norm(direction)
+        point = spec.star_center + rho[0] * direction
     if not 1 <= args.j <= spec.n:
         print(f"levilab curvature: j={args.j} out of range 1..{spec.n}", file=sys.stderr)
         return USAGE_EXIT

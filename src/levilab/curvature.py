@@ -132,7 +132,7 @@ class FrameBatch:
         off = np.abs(value) > BOUNDARY_VALUE_TOL * max(1.0, spec.scale**2)
         if np.any(off):
             i = int(np.argmax(np.abs(value)))
-            raise ValueError(f"point {pts[i].tolist()} is off the boundary: f = {value[i]!r}")
+            raise ValueError(f"point {pts[i].tolist()} is off the boundary: f = {float(value[i])!r}")
         gnorm = np.sqrt(np.add.reduce(rgrad * rgrad, axis=1))  # np.linalg.norm without its copies
         if np.any(gnorm <= GRADIENT_FLOOR):
             i = int(np.argmin(gnorm))

@@ -15,7 +15,13 @@ The profile is "closed" when f reaches 0 transversally (f' bounded away from
 zero there); then the surface is a smooth compact hypersurface. f and s f'^2
 reaching 0 together is a genuine geometric singularity (the gradient of the
 defining function vanishes on the cap circle) and is reported as such, never
-papered over. scipy is imported at the first integration, not with the module.
+papered over.
+
+The integrator is Dormand-Prince 5(4) with its quartic dense output and event
+location by Brent's method (Dormand & Prince, J. Comput. Appl. Math. 6, 1980;
+Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.6), written in numpy as
+scipy's solve_ivp(method="RK45") and brentq run it, so that every profile is
+bit for bit the one scipy gives.
 """
 
 from __future__ import annotations
@@ -65,7 +71,7 @@ class ReinhardtProfile:
     closed: bool
     regular_start: bool
     series: tuple[float, float, float, float] | None
-    _sol: object = field(repr=False)
+    _sol: _DenseSteps = field(repr=False)
     _fpp_fallback: object = field(repr=False)
     _s_switch: float = 0.0
     _cap: tuple[float, float, float] = (0.0, 0.0, 0.0)  # (f', f'', window) at s_end
@@ -141,20 +147,39 @@ class ReinhardtProfile:
         return ode_residual(np.asarray(s, dtype=float), f, fp, fpp, self.k)
 
 
-def _dense(sol, t: np.ndarray) -> np.ndarray:
-    """OdeSolution sol(t), bit for bit, with one interpolant call per segment t reaches
-    and without sorting t (RK solutions choose segments with side 'left')."""
-    seg = np.clip(np.searchsorted(sol.ts, t, side="left") - 1, 0, sol.n_segments - 1)
+def _dense(sol: _DenseSteps, t) -> np.ndarray:
+    """solve_ivp's dense output sol.sol(t), bit for bit: each segment t reaches is
+    evaluated once, without sorting t, choosing segments with side 'left' as RK45 does."""
+    t = np.asarray(t)
+    seg = np.clip(np.searchsorted(sol.ts, t, side="left") - 1, 0, sol.h.size - 1)
+    if t.ndim == 0:
+        return _quartic(t, sol.ts[seg], sol.h[seg], sol.y_old[seg], sol.Q[seg])
     y = np.empty((2, t.size))
-    for k in np.flatnonzero(np.bincount(seg, minlength=sol.n_segments)):
-        rows = np.flatnonzero(seg == k)
-        y[:, rows] = sol.interpolants[k](t[rows])
+    for k in np.flatnonzero(np.bincount(seg, minlength=sol.h.size)):
+        rows = np.flatnonzero(seg == k)  # one np.dot per segment, as scipy's: a wider product may round apart
+        y[:, rows] = _quartic(t[rows], sol.ts[k], sol.h[k], sol.y_old[k], sol.Q[k])
     return y
 
 
 def _pow32(arg):
     a = np.maximum(arg, 0.0)
     return a * np.sqrt(a)
+
+
+def _hermite_fpp(x, f, fp):
+    """f'' of the cubic Hermite interpolant of (x, f, f') as CubicHermiteSpline(x, f, f').derivative(2)
+    evaluates it: 6 c0 (s - x_i) + 2 c1 on [x_i, x_{i+1}), c0 and c1 the cubic's leading coefficients
+    there, the last interval closed and the end ones extended beyond the knots."""
+    dx = np.diff(x)
+    slope = np.diff(f) / dx
+    t = (fp[:-1] + fp[1:] - 2 * slope) / dx
+    c6, c2 = 6.0 * (t / dx), 2.0 * ((slope - fp[:-1]) / dx - t)
+
+    def fpp(s):
+        i = np.clip(np.searchsorted(x, s, side="right") - 1, 0, x.size - 2)
+        return c2[i] + c6[i] * (s - x[i])
+
+    return fpp
 
 
 def reinhardt_profile(
@@ -171,11 +196,8 @@ def reinhardt_profile(
     fp0 is None for a regular start at s0 = 0 (the slope there is forced to
     -k sqrt(f0)); band data requires s0 > 0 and an explicit fp0. Integration
     stops when f reaches 0 (closed surface if transversal), at a singular cap
-    (raises), or at smax (open band). scipy is imported here, on first use.
+    (raises), or at smax (open band).
     """
-    from scipy.integrate import solve_ivp
-    from scipy.interpolate import CubicHermiteSpline
-
     if k <= 0:
         raise ValueError(f"curvature parameter must be positive, got {k}")
     if f0 <= 0:
@@ -201,49 +223,35 @@ def reinhardt_profile(
         s_switch = s0
         y_start = [f0, fp0]
         t0 = s0
+    if not smax > t0:
+        raise ValueError(f"smax={smax} must exceed the start s={t0}")
 
     def rhs(s, y):
-        return [y[1], ode_rhs_fpp(s, y[0], y[1], k)]
+        return np.array([y[1], ode_rhs_fpp(s, y[0], y[1], k)])
 
     def hit_zero(s, y):
         return y[0]
 
-    hit_zero.terminal = True
-    hit_zero.direction = -1
-
     def hit_singular(s, y):
         return y[0] + s * y[1] ** 2 - 1e-14 * f0
 
-    hit_singular.terminal = True
-    hit_singular.direction = -1
+    sol, failed, hit = _rk45(rhs, t0, y_start, smax, rtol, atol, (hit_zero, hit_singular))
+    if failed:
+        raise StiffnessError(f"profile integration broke down near s={float(sol.ts[-1])!r}: "
+                             "the step size fell below ten float spacings of s")
+    if hit is not None and hit[1] == 1:
+        raise SingularityError(float(hit[0]))
 
-    sol = solve_ivp(
-        rhs,
-        [t0, smax],
-        y_start,
-        method="RK45",
-        rtol=rtol,
-        atol=atol,
-        dense_output=True,
-        events=[hit_zero, hit_singular],
-    )
-    if sol.status == -1:
-        raise StiffnessError(f"profile integration broke down near s={sol.t[-1]!r}: {sol.message}")
-    if len(sol.t_events[1]):
-        raise SingularityError(float(sol.t_events[1][0]))
-
-    closed = bool(len(sol.t_events[0]))
-    s_end = float(sol.t_events[0][0]) if closed else float(sol.t[-1])
-    fe, fe_p = (float(v) for v in sol.sol(s_end))
+    closed = hit is not None
+    s_end = float(hit[0]) if closed else float(sol.ts[-1])
+    fe, fe_p = (float(v) for v in _dense(sol, s_end))
     if closed and abs(fe_p) < _TRANSVERSAL_SLOPE:
         # f and f + s f'^2 vanish together: degenerate cap
         raise SingularityError(s_end, f"profile closes non-transversally at s={s_end!r} (slope {fe_p:.2e})")
 
     # spline fallback for f'' where the isolated formula divides by ~0 (cap region)
     grid = np.linspace(s_switch, s_end, 4001)
-    yg = sol.sol(grid)
-    herm = CubicHermiteSpline(grid, yg[0], yg[1])
-    fpp_fallback = herm.derivative(2)
+    fpp_fallback = _hermite_fpp(grid, *_dense(sol, grid))
 
     if closed:
         fe_pp = float(fpp_fallback(s_end))
@@ -260,8 +268,154 @@ def reinhardt_profile(
         closed=closed,
         regular_start=regular,
         series=series,
-        _sol=sol.sol,
+        _sol=sol,
         _fpp_fallback=fpp_fallback,
         _s_switch=s_switch,
         _cap=cap,
     )
+
+
+# Dormand-Prince 5(4) with dense output and terminal events, and Brent's root finder: a
+# port of scipy 1.17.1 (integrate/_ivp/rk.py, common.py, ivp.py; optimize/Zeros/brentq.c),
+# Copyright (c) 2001-2002 Enthought, Inc., 2003 SciPy Developers, BSD-3-Clause licence.
+# Each operation is scipy's, in scipy's order, so the rounding is scipy's too.
+
+_EPS = np.finfo(float).eps
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10  # step-size controller
+_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+_A = np.array([[0, 0, 0, 0, 0], [1/5, 0, 0, 0, 0], [3/40, 9/40, 0, 0, 0], [44/45, -56/15, 32/9, 0, 0],
+               [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+               [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]])
+_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+_P = np.array([  # quartic dense output, Shampine's c_6
+    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432], [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875 / 199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
+
+
+@dataclass(frozen=True)
+class _DenseSteps:
+    """RK45 dense output: on [ts[k], ts[k + 1]] the state is y_old[k] + h[k] Q[k] (x, x^2, x^3, x^4),
+    x = (t - ts[k]) / h[k]; a run stopped by an event ends at its root, inside the last step."""
+
+    ts: np.ndarray     # (n + 1,) breakpoints
+    h: np.ndarray      # (n,) step lengths
+    y_old: np.ndarray  # (n, 2) states at the step starts
+    Q: np.ndarray      # (n, 2, 4) K.T @ P of each step
+
+
+def _quartic(t, t_old, h, y_old, Q):
+    """One step's dense output at t as RkDenseOutput forms it: matrix-vector for a scalar t."""
+    x = (t - t_old) / h
+    if np.ndim(t) == 0:
+        return h * np.dot(Q, np.cumprod(np.tile(x, 4))) + y_old
+    return h * np.dot(Q, np.cumprod(np.tile(x, (4, 1)), axis=0)) + y_old[:, None]
+
+
+def _rms(x):
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _rk45(fun, t0, y0, t_bound, rtol, atol, events):
+    """solve_ivp(fun, (t0, t_bound), y0, method="RK45", rtol=rtol, atol=atol, dense_output=True,
+    events=events) for fun returning a float array, t_bound > t0 and events all terminal and met
+    falling (direction -1). Returns (steps, failed, hit): the dense output up to the stop, whether
+    the step size fell below ten float spacings of t, and (root, event index) of the stopping
+    event or None."""
+    t = t0 = float(t0)
+    t_bound = float(t_bound)
+    y = np.asarray(y0, dtype=float)
+    if not np.all(np.isfinite(y)):
+        raise ValueError(f"initial state {y.tolist()} is not finite")
+    rtol, f, K = max(rtol, 100 * _EPS), fun(t, y), np.empty((7, y.size))
+    # the starting step for an order-4 error estimate (Hairer, Norsett & Wanner II.4)
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_bound - t0)
+    d2 = _rms((fun(t0 + h0, y + h0 * f) - f) / scale) / h0
+    h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** (1 / 5)
+    h_abs = min(100 * h0, h1, t_bound - t0)
+
+    g = [event(t0, y0) for event in events]
+    ts, segs = [t0], []
+
+    def steps():
+        return _DenseSteps(np.array(ts), *(np.array([seg[i] for seg in segs]) for i in range(3)))
+
+    while True:
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        h_abs, rejected = max(h_abs, min_step), False
+        while True:
+            if h_abs < min_step:
+                return steps(), True, None
+            t_new = min(t + h_abs, t_bound)
+            h = t_new - t
+            h_abs = np.abs(h)
+            K[0] = f
+            for s in range(1, 6):
+                K[s] = fun(t + _C[s] * h, y + np.dot(K[:s].T, _A[s, :s]) * h)
+            y_new = y + h * np.dot(K[:-1].T, _B)
+            K[-1] = f_new = fun(t + h, y_new)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error_norm = _rms(np.dot(K.T, _E) * h / scale)
+            if error_norm < 1:
+                factor = _MAX_FACTOR if error_norm == 0 else min(_MAX_FACTOR, _SAFETY * error_norm ** (-1 / 5))
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** (-1 / 5))
+            rejected = True
+
+        t_old, seg = t, (h, y, K.T.dot(_P))
+        t, y, f = t_new, y_new, f_new
+        g_old, g = g, [event(t, y) for event in events]
+        roots = [(_brentq(lambda s, e=events[i]: e(s, _quartic(s, t_old, *seg)), t_old, t), i)
+                 for i, (a, b) in enumerate(zip(g_old, g)) if a >= 0 and b <= 0]
+        hit = min(roots, default=None)  # the earliest root stops the run
+        ts.append(t if hit is None else hit[0])
+        segs.append(seg)
+        if hit is not None or t - t_bound >= 0:
+            return steps(), False, hit
+
+
+def _brentq(f, xpre, xcur, tol=4 * _EPS, maxiter=100):
+    """A root of f between xpre and xcur, where f changes sign: scipy's brentq with
+    xtol = rtol = tol, step for step. No sign change or no convergence raises."""
+    xpre, xcur = float(xpre), float(xcur)
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if fpre == 0 or fcur == 0:
+        return xpre if fpre == 0 else xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("event function has one sign at both ends of the step")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk, fpre, fcur, fblk = xcur, xblk, xcur, fcur, fblk, fcur
+        delta = (tol + tol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # bisect, unless inverse interpolation gives a short enough step
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # inverse quadratic
+                    dpre, dblk = (fpre - fcur) / (xpre - xcur), (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # C divides into inf or nan, which bisects as well
+                pass
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = float(f(xcur))
+    raise RuntimeError(f"event location did not converge in {maxiter} iterations")

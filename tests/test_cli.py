@@ -105,6 +105,19 @@ def test_curvature_on_the_sphere(where, tmp_path):
     assert out["normal"] == pytest.approx([1.0, 0.0, 0.0, 0.0], abs=1e-15)
 
 
+def test_curvature_near_unit_direction(tmp_path):
+    # a norm within 1e-9 of 1 is normalised too: the root and the point lie on one ray
+    code, out = _curvature(["--surface", "sphere:R=2", "--direction", "1.0000000005,0,0,0"], tmp_path)
+    assert code == 0
+    assert out["K"] == pytest.approx(0.5, rel=1e-14) and out["H"] == pytest.approx(0.5, rel=1e-14)
+
+
+def test_off_boundary_point_prints_a_plain_float(tmp_path, capsys):
+    assert _curvature(["--surface", "sphere:R=2", "--point", "1.999999999,0,0,0"], tmp_path)[0] == cli.FAILURE_EXIT
+    err = capsys.readouterr().err
+    assert "off the boundary: f = -4.000000330961484e-09" in err and "np.float64" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["--point", "2,0,0,0", "--direction", "1,0,0,0"],
     [],

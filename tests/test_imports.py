@@ -1,8 +1,8 @@
-"""Import guards: the public API's names, and scipy loaded only by the code paths that need it.
+"""Import guards: the public API's names, and no scipy module loaded by the program.
 
-Import, the identity checks, the direction grid and the quadrature-only
-verifications (sphere, Dirichlet chain) load no scipy module; only a Reinhardt
-profile loads `scipy.integrate`.
+Import, the identity checks, the direction grid, the quadrature-only
+verifications (sphere, Dirichlet chain) and the Reinhardt profiles with their
+Alexandrov check load no scipy module: scipy is a test-only dependency.
 
 Each case runs in a fresh interpreter, since this test process has long since
 imported scipy, and prints the sorted names of the loaded scipy modules.
@@ -27,12 +27,12 @@ print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("
 """
 
 
-def scipy_modules_after(body: str) -> set[str]:
+def scipy_modules_after(body: str, cwd=None) -> set[str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
         [sys.executable, "-c", PRELUDE + body + EPILOGUE],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=env, cwd=cwd, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     return set(json.loads(proc.stdout.strip().splitlines()[-1]))
@@ -72,6 +72,17 @@ verify.dirichlet_chain([1.0, 1.0, 1.0, 2.0], 1, q)
     assert loaded == set()
 
 
-def test_reinhardt_surface_loads_integrate():
-    loaded = scipy_modules_after("levilab.ReinhardtSurface(0.5, 4.0)\n")
-    assert "scipy.integrate" in loaded
+def test_reinhardt_profiles_and_alexandrov_load_no_scipy(tmp_path):
+    (tmp_path / "reinhardt.txt").write_text("family=reinhardt\nk=0.5\nf0=4.0\n")
+    loaded = scipy_modules_after(
+        """
+from levilab import quadrature, verify
+spec = levilab.ReinhardtSurface(0.5, 4.0)
+levilab.ReinhardtSurface(0.5, 3.5, fp0=-1.1, s0=0.8, smax=3.0)
+verify.alexandrov_check(spec, 1, quadrature.QuadratureSpec(order=8))
+assert levilab.cli.main(["verify", "alexandrov", "--surface", "reinhardt.txt", "--quad", "gauss:order=8",
+                         "--out", "report.json"]) == 0
+""",
+        cwd=tmp_path,
+    )
+    assert loaded == set()

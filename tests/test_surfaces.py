@@ -451,13 +451,6 @@ class TestReinhardtClosedForm:
         fr = FrameBatch.at_points(spec, sf.radial_roots(spec, d)[0][:, None] * d)
         assert np.all(np.isfinite(mean_curvature(fr)))
 
-    def test_dense_output_matches_ode_solution_bitwise(self):
-        p = sf.ReinhardtSurface(0.5, 3.5, fp0=-1.1, s0=0.8, smax=3.0).profile
-        assert p._sol.n_segments > 3
-        rng = np.random.default_rng(20)
-        s = np.concatenate([rng.uniform(p.s_lo, p.s_end, 500), p._sol.ts])  # segment edges choose like scipy
-        assert rh._dense(p._sol, s).tobytes() == p._sol(s).tobytes()
-
     @pytest.mark.parametrize("make", [
         lambda: sf.ReinhardtSurface(0.5, 4.0),
         lambda: sf.ReinhardtSurface(0.5, 3.5, fp0=-1.1, s0=0.8, smax=3.0),
