@@ -133,18 +133,25 @@ class FrameBatch:
         if np.any(off):
             i = int(np.argmax(np.abs(value)))
             raise ValueError(f"point {pts[i].tolist()} is off the boundary: f = {float(value[i])!r}")
-        gnorm = np.sqrt(np.add.reduce(rgrad * rgrad, axis=1))  # np.linalg.norm without its copies
-        if np.any(gnorm <= GRADIENT_FLOOR):
-            i = int(np.argmin(gnorm))
-            raise DegenerateGradientError(f"|grad f| = {gnorm[i]:.3e} at {pts[i].tolist()}")
-        return cls(spec=spec, points=pts, rgrad=rgrad, wgrad=wirtinger_gradient(rgrad), whess=j.mixed, pure=j.pure,
-                   pgrad_norm=gnorm / 2.0)
+        frames = cls(spec=spec, points=pts, rgrad=rgrad, wgrad=wirtinger_gradient(rgrad), whess=j.mixed, pure=j.pure,
+                     pgrad_norm=np.sqrt(np.add.reduce(rgrad * rgrad, axis=1)) / 2.0)  # np.linalg.norm, no copies
+        _gradient_norm(frames)
+        return frames
 
     def levi(self, j: int) -> np.ndarray:
         if j not in self._levi:
             self._levi[j] = k = levi(self, j)
             k.setflags(write=False)  # one array for every reader of the batch
         return self._levi[j]
+
+
+def _gradient_norm(frames: FrameBatch) -> np.ndarray:
+    """|grad f| = 2 pgrad_norm, exactly; at or below GRADIENT_FLOOR a point is characteristic."""
+    gnorm = 2.0 * frames.pgrad_norm
+    if np.any(gnorm <= GRADIENT_FLOOR):
+        i = int(np.argmin(gnorm))
+        raise DegenerateGradientError(f"|grad f| = {gnorm[i]:.3e} at {frames.points[i].tolist()}: characteristic point")
+    return gnorm
 
 
 def levi(frames: FrameBatch, j: int) -> np.ndarray:
@@ -156,24 +163,15 @@ def levi(frames: FrameBatch, j: int) -> np.ndarray:
     n = frames.n
     if not 1 <= j <= n:
         raise ValueError(f"j={j} out of range 1..{n}")
-    if np.any(frames.pgrad_norm <= GRADIENT_FLOOR):
-        i = int(np.argmin(frames.pgrad_norm))
-        raise DegenerateGradientError(
-            f"|del f| = {frames.pgrad_norm[i]:.3e} at {frames.points[i].tolist()}: characteristic point"
-        )
+    _gradient_norm(frames)
     total = bordered_sum(frames.wgrad, frames.whess, j)
     return -total / (math.comb(n, j) * frames.pgrad_norm ** (j + 2))
 
 
 def mean_curvature(frames: FrameBatch) -> np.ndarray:
     """Euclidean mean curvature: divergence of the unit normal over 2n+1."""
-    if np.any(frames.pgrad_norm <= GRADIENT_FLOOR):
-        i = int(np.argmin(frames.pgrad_norm))
-        raise DegenerateGradientError(
-            f"|del f| = {frames.pgrad_norm[i]:.3e} at {frames.points[i].tolist()}: characteristic point"
-        )
+    gnorm = _gradient_norm(frames)
     u = np.conj(frames.wgrad)  # the complex form of grad f, halved
-    gnorm = 2.0 * frames.pgrad_norm  # |grad f|, exactly: pgrad_norm is half of it
     lap = 4.0 * np.einsum("bii->b", frames.whess).real
     quad = 8.0 * (np.einsum("bl,blk,bk->b", u, frames.pure, u)
                   + np.einsum("bl,blk,bk->b", u, frames.whess, frames.wgrad)).real

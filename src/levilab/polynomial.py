@@ -9,7 +9,7 @@ S_lk = d^2 f / dz_l dz_k = (f_{x_l x_k} - f_{y_l y_k} - i (f_{x_l y_k} + f_{y_l 
 real and imaginary parts side by side (the real Hessian is never formed), and
 keeps the union of their monomials with one coefficient column per number.
 The monomials of f come first, those that only the gradient adds next, those
-that only the Hessians add last, so a lower order reads a leading block.
+that only the Hessians add last, so a quadratic reads a leading block.
 
 Evaluation builds the powers d_i^1 .. d_i^deg_i of each coordinate, forms
 each monomial as a product of them, and takes one matrix product of the
@@ -17,8 +17,8 @@ monomial table with the coefficient columns: the value, the real gradient,
 and H and S as complex views of that output (Taylor-mode differentiation of
 a fixed polynomial; Griewank & Walther, Evaluating Derivatives, 2nd ed.,
 2008). The table is built in blocks of points, each at most TABLE_BUDGET
-entries. A quadratic's H and S are constant: it reads only the order-1
-columns, and H and S are broadcast views of one matrix. restrict gives f along rays, a polynomial in rho.
+entries. A quadratic's H and S are constant: it reads only the leading rows and the value and
+gradient columns, and H and S are broadcast views of one matrix. restrict gives f along rays, a polynomial in rho.
 """
 
 from __future__ import annotations
@@ -115,8 +115,6 @@ class RealPolynomial:
             for base, sign in ((self._mixed, -1.0), (pure, 1.0)):
                 up, lo = base + 2 * (l * nv + k), base + 2 * (k * nv + l)
                 coefs[:, lo], coefs[:, lo + 1] = coefs[:, up], sign * coefs[:, up + 1]
-        cols = (1, 1 + m, ncols)  # columns read by order 0, 1, 2
-        ends = [len({e for col, e, _ in derived if col < cols[o]}) for o in range(3)]
 
         # each monomial is a product of power rows: the ones row, then d_i^1 .. d_i^deg_i
         # for each coordinate in turn; shorter products are padded with the ones row
@@ -126,47 +124,43 @@ class RealPolynomial:
         factors = [[int(offsets[i]) + e[i] - 1 for i in range(m) if e[i]] for e in rows]
         width = max([1] + [len(f) for f in factors])
         self._factors = np.array([f + [0] * (width - len(f)) for f in factors], dtype=np.intp).reshape(len(rows), width).T
-        self._plans = [coefs[:k, :ncol].copy() for k, ncol in zip(ends, cols)]
+        self._plan = coefs
         degree = [sum(e) for e in self.terms]  # the terms of f lead the table; restrict sums them by degree
         self._by_degree = np.zeros((len(degree), 1 + max(degree, default=0)))
         self._by_degree[np.arange(len(degree)), degree] = list(self.terms.values())
         self._constant = None  # (H, S) of a quadratic, the same at every point
         if max(degree, default=0) <= 2:
             self._constant = np.stack(self.evaluate(self.center[None, :])[2:])[:, 0]
-            self._plans[2] = self._plans[1]
+            self._plan = coefs[:len({e for col, e, _ in derived if col <= m}), :1 + m].copy()
 
-    def evaluate(self, pts: np.ndarray, order: int = 2):
-        """(value, gradient, H, S) at points (B, m); entries above order are None.
+    def evaluate(self, pts: np.ndarray):
+        """(value, gradient, H, S) at points (B, m).
 
         The value has shape (B,) and the real gradient (B, m). H and S are
         complex (B, N, N) views, N = m / 2, read-only for a quadratic. Their lower
         triangles come from copies of the upper columns (conjugated for H): H is
         exactly Hermitian and S symmetric when the product sums every column alike.
         """
-        if order not in (0, 1, 2):
-            raise ValueError(f"order must be 0, 1 or 2, got {order}")
         dt = np.subtract(np.asarray(pts, dtype=float).T, self.center[:, None], order="C")
-        b = dt.shape[1]
-        out = self._times(dt, self._plans[order])
-        value = out[:, 0]
-        grad = out[:, 1:1 + self.m] if order >= 1 else None
-        if order < 2:
-            return value, grad, None, None
-        nv = self.m // 2
+        b, nv = dt.shape[1], self.m // 2
+        out = self._times(dt, self._plan)
+        value, grad = out[:, 0], out[:, 1:1 + self.m]
         if self._constant is not None:
             return value, grad, *np.broadcast_to(self._constant[:, None], (2, b, nv, nv))
         return value, grad, *out[:, self._mixed:].view(complex).reshape(b, 2, nv, nv).transpose(1, 0, 2, 3)
 
-    def restrict(self, dirs: np.ndarray, center) -> np.ndarray:
-        """a (d + 1, B) with f(center + rho * dirs[b]) = sum_k a[k, b] rho^k: a table of the directions times the terms by
-        degree, re-expanded first about another center, c (u + h)^e = sum_s c prod_i C(e_i, s_i) h_i^(e_i - s_i) u^s."""
+    def about(self, center) -> "RealPolynomial":
+        """The same f expanded about another center: with h the shift of the center,
+        c (u + h)^e = sum_s c prod_i C(e_i, s_i) h_i^(e_i - s_i) u^s."""
         h = (np.asarray(center, dtype=float) - self.center).tolist()
-        if any(h):
-            terms: dict = {}
-            for e, c in self.terms.items():
-                for s in itertools.product(*(range(k + 1) for k in e)):
-                    terms[s] = terms.get(s, 0.0) + c * math.prod(math.comb(k, j) * x ** (k - j) for k, j, x in zip(e, s, h))
-            return RealPolynomial(terms, center).restrict(dirs, center)
+        terms: dict = {}
+        for e, c in self.terms.items():
+            for s in itertools.product(*(range(k + 1) for k in e)):
+                terms[s] = terms.get(s, 0.0) + c * math.prod(math.comb(k, j) * x ** (k - j) for k, j, x in zip(e, s, h))
+        return RealPolynomial(terms, center)
+
+    def restrict(self, dirs: np.ndarray) -> np.ndarray:
+        """a (d + 1, B) with f(center + rho * dirs[b]) = sum_k a[k, b] rho^k, from the terms by degree."""
         return self._times(np.array(np.asarray(dirs, dtype=float).T, order="C"), self._by_degree).T.copy()
 
     def _times(self, dt: np.ndarray, coefs: np.ndarray) -> np.ndarray:
@@ -192,14 +186,13 @@ class RealPolynomial:
         return out
 
 
-def horner(a: np.ndarray, rho: np.ndarray, slope: bool = True):
-    """(sum_k a[k] rho^k, its rho-derivative or None without slope) by Horner's rule on B-vectors, a (d + 1, B)."""
+def horner(a: np.ndarray, rho: np.ndarray):
+    """(sum_k a[k] rho^k, its rho-derivative) by Horner's rule on B-vectors, a (d + 1, B)."""
     val, der = a[-1].copy(), np.zeros_like(rho)
     for ak in a[-2::-1]:
-        if slope:
-            np.add(np.multiply(der, rho, out=der), val, out=der)
+        np.add(np.multiply(der, rho, out=der), val, out=der)
         np.add(np.multiply(val, rho, out=val), ak, out=val)
-    return val, der if slope else None
+    return val, der
 
 
 def _lower(e: tuple, i: int) -> tuple:

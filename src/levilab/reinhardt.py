@@ -36,6 +36,7 @@ from .errors import DomainError, SingularityError, StiffnessError
 _SERIES_START = 1e-8        # relative offset of the first integration point
 _TRANSVERSAL_SLOPE = 1e-6   # |f'| below this at f=0 counts as a singular cap
 _DENOM_FLOOR = 1e-5         # switch f'' to the spline fallback when s*f is tiny
+_RTOL, _ATOL = 1e-11, 1e-13  # integrator tolerances
 
 
 def series_coeffs(k: float, f0: float) -> tuple[float, float, float, float]:
@@ -188,8 +189,6 @@ def reinhardt_profile(
     fp0: float | None = None,
     s0: float = 0.0,
     smax: float | None = None,
-    rtol: float = 1e-11,
-    atol: float = 1e-13,
 ) -> ReinhardtProfile:
     """Integrate the profile equation and build a dense C^2 interpolant.
 
@@ -235,7 +234,7 @@ def reinhardt_profile(
     def hit_singular(s, y):
         return y[0] + s * y[1] ** 2 - 1e-14 * f0
 
-    sol, failed, hit = _rk45(rhs, t0, y_start, smax, rtol, atol, (hit_zero, hit_singular))
+    sol, failed, hit = _rk45(rhs, t0, y_start, smax, _RTOL, _ATOL, (hit_zero, hit_singular))
     if failed:
         raise StiffnessError(f"profile integration broke down near s={float(sol.ts[-1])!r}: "
                              "the step size fell below ten float spacings of s")

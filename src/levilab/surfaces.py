@@ -2,20 +2,21 @@
 
 Real coordinates are interleaved as (x1, y1, ..., x_{n+1}, y_{n+1}) with
 z_k = x_k + i y_k. Every family produces a smooth real defining function f
-with f < 0 inside, f = 0 on the boundary, and gives from derivatives(pts, order),
+with f < 0 inside, f = 0 on the boundary, and gives from derivatives(pts),
 exact to rounding, its value, its real gradient and its complex Hessians
 H_lk = d^2 f / dz_l dzbar_k and S_lk = d^2 f / dz_l dz_k, never the real one.
 The polynomial families (Sphere, Ellipsoid, PerturbedQuadric, Cylinder,
-UserPolynomial, DirichletQuadratic) expand f once into a RealPolynomial and
-evaluate closed-form derivatives from it. ReinhardtSurface writes the chain
-rule through its profile in closed form; ExpReparam composes its base family's
-derivatives with _chain, the one-variable chain rule. No finite differencing
-happens on the default path.
+UserPolynomial, DirichletQuadratic) expand f once, about the star center,
+into a RealPolynomial and evaluate closed-form derivatives from it.
+ReinhardtSurface writes the chain rule through its profile in closed form;
+ExpReparam composes its base family's derivatives with _chain, the
+one-variable chain rule. No finite differencing happens on the default path.
 
 Star-shaped families declare a star center and are validated at construction
 on a coarse direction grid: every ray from the center must cross the boundary
 once, transversally, with a nondegenerate gradient there. radial_roots finds
-the crossings; a polynomial family's f is restricted to each batch of rays once.
+the crossings on one path: each family's ray(dirs) restricts f to a batch of
+rays once, in closed form, and the root finder reads f and df/drho from it.
 """
 
 from __future__ import annotations
@@ -38,20 +39,20 @@ MAX_RADIUS_FACTOR = 1e3     # star-shaped search radius in units of the family s
 class Jet(NamedTuple):
     """Value (B,), real gradient (B, m), and the complex Hessians H_lk = d^2 f / dz_l dzbar_k
     (mixed, Hermitian) and S_lk = d^2 f / dz_l dz_k (pure, symmetric), (B, N, N) with
-    N = m / 2, of a scalar function over B points. The fields above the order asked for are None.
+    N = m / 2, of a scalar function over B points.
     """
 
     val: np.ndarray
-    grad: np.ndarray | None
-    mixed: np.ndarray | None
-    pure: np.ndarray | None
+    grad: np.ndarray
+    mixed: np.ndarray
+    pure: np.ndarray
 
 
 class SurfaceSpec:
     """Base class: a named defining-function family over C^{n+1}.
 
-    Polynomial families set poly at construction and inherit derivatives();
-    the other families override it.
+    Polynomial families set poly at construction, expanded about the star
+    center, and inherit derivatives() and ray(); the other families override both.
     """
 
     n: int
@@ -63,12 +64,14 @@ class SurfaceSpec:
     def m(self) -> int:
         return 2 * (self.n + 1)
 
-    def derivatives(self, pts: np.ndarray, order: int) -> Jet:
-        """Value, real gradient (order >= 1), H and S (order 2) at points (B, m).
+    def derivatives(self, pts: np.ndarray) -> Jet:
+        """Value, real gradient, H and S at points (B, m)."""
+        return Jet(*self.poly.evaluate(pts))
 
-        The fields of the returned Jet above the order are None.
-        """
-        return Jet(*self.poly.evaluate(pts, order))
+    def ray(self, dirs: np.ndarray):
+        """rho -> (f, df/drho) along star_center + rho * dirs, (B,) each: Horner's rule on f restricted to the rays."""
+        coefs = self.poly.restrict(dirs)
+        return lambda rho: horner(coefs, rho)
 
     def canonical(self) -> str:
         raise NotImplementedError
@@ -104,14 +107,12 @@ def wirtinger_gradient(rgrad: np.ndarray) -> np.ndarray:
 
 
 def _chain(inner: Jet, f0, f1, f2) -> Jet:
-    """phi(inner) from phi, phi', phi'' at inner.val; fields inner lacks stay None.
+    """phi(inner) from phi, phi', phi'' at inner.val.
 
     With w = del f, H(phi o f) = phi' H + phi'' w w* and S(phi o f) = phi' S + phi'' w w^T; the
     outer products are built from real products of the gradient, exactly (Hermitian) symmetric.
     """
-    grad = None if inner.grad is None else f1[:, None] * inner.grad
-    if inner.mixed is None:
-        return Jet(f0, grad, None, None)
+    grad = f1[:, None] * inner.grad
     gx, gy = inner.grad[:, 0::2], inner.grad[:, 1::2]
     xx, yy, xy = (u[:, :, None] * v[:, None, :] for u, v in ((gx, gx), (gy, gy), (gx, gy)))
     a, b = f1[:, None, None], f2[:, None, None] / 4.0  # w w* = (xx + yy + i (xy - xy^T)) / 4
@@ -238,24 +239,32 @@ class ReinhardtSurface(SurfaceSpec):
         if self.profile.closed:
             _validate_star_family(self)
 
-    def derivatives(self, pts, order):
+    def derivatives(self, pts):
         """r1^2 - F(s), s = |z2|^2, in closed form: gradient (2 x1, 2 y1, -2 F' x2, -2 F' y2),
         H = diag(1, -F' - F'' s), S = diag(0, -F'' zbar2^2), each value bit for bit as _chain's
         composition gives it (+ 0.0 turns the gradient's -0.0 into the +0.0 its sums give)."""
         x1, y1, x2, y2 = np.ascontiguousarray(pts.T)
         s = x2 * x2 + y2 * y2
-        fval, fp, fpp = self.profile.eval(s, order) + (None,) * (2 - order)
+        fval, fp, fpp = self.profile.eval(s)
         val = (x1 * x1 + y1 * y1) - fval
-        if order == 0:
-            return Jet(val, None, None, None)
         grad = np.stack([2.0 * x1, 2.0 * y1, -fp * (2.0 * x2), -fp * (2.0 * y2)], axis=1) + 0.0
-        if order == 1:
-            return Jet(val, grad, None, None)
         mixed, pure = np.zeros((2, len(pts), 2, 2), dtype=complex)
         mixed[:, 0, 0] = 1.0
         mixed[:, 1, 1] = -fp - fpp * s
         pure[:, 1, 1] = -fpp * ((x2 * x2 - y2 * y2) - 2j * (x2 * y2))
         return Jet(val, grad, mixed, pure)
+
+    def ray(self, dirs):
+        """a rho^2 - F(b rho^2) with a = d0^2 + d1^2, b = d2^2 + d3^2 and slope 2 rho (a - b F'): one
+        profile evaluation per call, of F and F' only, so never the f'' fallback."""
+        a, b = dirs[:, 0] * dirs[:, 0] + dirs[:, 1] * dirs[:, 1], dirs[:, 2] * dirs[:, 2] + dirs[:, 3] * dirs[:, 3]
+
+        def along(rho):
+            r2 = rho * rho
+            fval, fp = self.profile.eval(b * r2, 1)
+            return a * r2 - fval, 2.0 * rho * (a - b * fp)
+
+        return along
 
     def boundary_point(self, s: float, phase1: float = 0.0, phase2: float = 0.0) -> np.ndarray:
         """A point on the surface at profile parameter s and torus phases."""
@@ -298,7 +307,7 @@ class UserPolynomial(SurfaceSpec):
         self.coeffs = dict(sorted(clean.items()))
         self.star_center = _center_array(center, self.m)
         self.scale = float(scale)
-        self.poly = RealPolynomial.from_zzbar(self.n, self.coeffs)
+        self.poly = RealPolynomial.from_zzbar(self.n, self.coeffs).about(self.star_center)
         if validate:
             _validate_star_family(self)
 
@@ -319,10 +328,21 @@ class ExpReparam(SurfaceSpec):
         self.star_center = base.star_center
         self.scale = base.scale
 
-    def derivatives(self, pts, order):
-        f = self.base.derivatives(pts, order)
+    def derivatives(self, pts):
+        f = self.base.derivatives(pts)
         e = np.exp(f.val)
         return _chain(f, e - 1.0, e, e)
+
+    def ray(self, dirs):
+        """(e^p - 1, e^p p') over the base family's ray (p, p')."""
+        base = self.base.ray(dirs)
+
+        def along(rho):
+            p, dp = base(rho)
+            e = np.exp(p)
+            return e - 1.0, e * dp
+
+        return along
 
     def canonical(self):
         return f"exp({self.base.canonical()})"
@@ -374,23 +394,22 @@ def _check_points(pts, m: int) -> np.ndarray:
 
 def eval_jets(spec: SurfaceSpec, pts) -> Jet:
     """Value, real gradient, H and S of the defining function at points (B, m)."""
-    return spec.derivatives(_check_points(pts, spec.m), 2)
+    return spec.derivatives(_check_points(pts, spec.m))
 
 
 def eval_values(spec: SurfaceSpec, pts) -> np.ndarray:
-    """Values only: the order-0 evaluation reads no derivative terms."""
-    return spec.derivatives(_check_points(pts, spec.m), 0).val
+    """Values of the defining function at points (B, m): the point-evaluation reference."""
+    return spec.derivatives(_check_points(pts, spec.m)).val
 
 
 def eval_ray(spec: SurfaceSpec, center: np.ndarray, dirs: np.ndarray, rho: np.ndarray) -> Jet:
-    """Value and slope along rays center + rho * dir, as a width-1 Jet.
-
-    grad[:, 0] is the directional derivative <grad f, dir>; mixed and pure are
-    None, because the root finder reads only the value and the slope.
+    """Value and slope along rays center + rho * dir by point evaluation, as a width-1 Jet:
+    the reference for a family's ray. grad[:, 0] is the directional derivative <grad f, dir>;
+    mixed and pure are None.
     """
     dirs = np.asarray(dirs, dtype=float)
     pts = np.asarray(center, dtype=float)[None, :] + np.asarray(rho, dtype=float)[:, None] * dirs
-    d = spec.derivatives(pts, 1)
+    d = spec.derivatives(pts)
     return Jet(d.val, np.einsum("bi,bi->b", d.grad, dirs)[:, None], None, None)
 
 
@@ -405,8 +424,8 @@ def radial_roots(spec: SurfaceSpec, dirs) -> tuple[np.ndarray, np.ndarray]:
     dirs; a zero or non-finite row is a ValueError. Safeguarded Newton, started
     at the false-position point, inside a bracket obtained by doubling; failure
     to bracket within the configured search radius means the domain is not
-    star-shaped about the center. On a polynomial family the sweeps run Horner's
-    rule on RealPolynomial.restrict; the other families evaluate f at points.
+    star-shaped about the center. Every sweep reads f and df/drho for the whole
+    batch from the family's ray(dirs), restricted to the rays once.
     """
     if spec.star_center is None:
         raise StarShapeError(f"{type(spec).__name__} declares no star center")
@@ -426,16 +445,7 @@ def radial_roots(spec: SurfaceSpec, dirs) -> tuple[np.ndarray, np.ndarray]:
     if fc >= 0:
         raise StarShapeError(f"defining function is nonnegative ({fc!r}) at the star center")
 
-    coefs = spec.poly.restrict(dirs, center) if hasattr(spec, "poly") else None
-
-    def along(rho, active=None):  # f, and with the active rays df/drho, fresh on those
-        if coefs is not None:  # Horner takes every ray: a stopped ray's rho, f and slope stay put
-            return horner(coefs, rho, active is not None)
-        if active is None:
-            return eval_values(spec, center[None, :] + rho[:, None] * dirs), None
-        rj = eval_ray(spec, center, dirs[active], rho[active])
-        g[active], gp[active] = rj.val, rj.grad[:, 0]
-        return g, gp
+    along = spec.ray(dirs)  # every sweep takes every ray: a stopped ray's rho, f and slope stay put
 
     max_radius = MAX_RADIUS_FACTOR * spec.scale
     lo = np.zeros(b)
@@ -460,10 +470,10 @@ def radial_roots(spec: SurfaceSpec, dirs) -> tuple[np.ndarray, np.ndarray]:
     # false-position start: on a convex ray whose root lies at the bracket's edge (a sphere
     # whose radius is the family scale), Newton from the midpoint lands past hi every step
     rho = lo + (hi - lo) * flo / (flo - fhi)
-    g, gp = np.empty((2, b))
+    g, gp = np.empty((2, b))  # unread; without it bulk-n2 lands in glibc's slower heap mode, 0.09 s vs 0.08 s
     active = np.ones(b, dtype=bool)
     for _ in range(200):
-        g, gp = along(rho, active)
+        g, gp = along(rho)
         pos = g > 0
         hi = np.where(active & pos, rho, hi)
         lo = np.where(active & ~pos, rho, lo)

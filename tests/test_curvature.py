@@ -494,3 +494,18 @@ class TestDegeneracy:
         }, validate=False)
         with pytest.raises(DegenerateGradientError):
             cv.FrameBatch.at_points(poly, [0.0, 0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("gnorm", [1.5e-10, 0.9e-10])
+    def test_one_floor_on_grad_f(self, gnorm):
+        # GRADIENT_FLOOR bounds |grad f| = 2 |del f| in at_points, levi and mean_curvature alike:
+        # f = |z1|^2 - R^2 has |grad f| = 2R on its zero set, and the raw batch |del f| = gnorm / 2
+        radius = gnorm / 2.0
+        fr = raw_frames(np.array([[radius, 0.0]], dtype=complex), np.eye(2, dtype=complex)[None])
+        checks = (lambda: cv.FrameBatch.at_points(sf.Cylinder(radius), [radius, 0.0, 0.0, 0.0]),
+                  lambda: cv.levi(fr, 1), lambda: cv.mean_curvature(fr))
+        for check in checks:
+            if gnorm > sf.GRADIENT_FLOOR:
+                assert np.all(np.isfinite(check().pgrad_norm if check is checks[0] else check()))
+            else:
+                with pytest.raises(DegenerateGradientError, match="characteristic point"):
+                    check()

@@ -167,12 +167,12 @@ def test_hessian_exactly_symmetric(name):
 
 
 def test_quadratic_hessians_are_one_broadcast_matrix():
-    # perf guard: a quadratic's H and S are constant, so order 2 reads only the order-1 columns
+    # perf guard: a quadratic's H and S are constant, so it reads only the value and gradient columns
     for name, quartic in (("sphere_n2", False), ("dirichlet", False), ("user_levi_indefinite", True)):
         spec = CASES[name][0]()
         j = sf.eval_jets(spec, _points(spec))
         assert (j.mixed.strides[0] == 0) == (j.pure.strides[0] == 0) == (not quartic)
-        assert (spec.poly._plans[2] is spec.poly._plans[1]) == (not quartic)
+        assert (spec.poly._plan.shape[1] == 1 + spec.m) == (not quartic)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -206,31 +206,14 @@ def test_from_zzbar_imaginary_coefficient():
     assert p.terms == {(1, 1, 0, 0): -2.0}
 
 
-def test_lower_orders_are_prefixes_of_the_full_evaluation():
-    spec = CASES["user_levi_indefinite"][0]()
-    pts = _points(spec)
-    v0, g0, h0, s0 = spec.poly.evaluate(pts, 0)
-    v1, g1, h1, s1 = spec.poly.evaluate(pts, 1)
-    v2, g2, h2, s2 = spec.poly.evaluate(pts, 2)
-    assert g0 is None and h0 is None and h1 is None and s0 is None and s1 is None
-    _assert_close(v0, v2)
-    _assert_close(v1, v2)
-    _assert_close(g1, g2)
-
-
 def test_row_blocks_do_not_change_results(monkeypatch):
     spec = CASES["user_levi_indefinite"][0]()
     pts = _points(spec, count=200)
-    whole = spec.poly.evaluate(pts, 2)
+    whole = spec.poly.evaluate(pts)
     monkeypatch.setattr(polynomial, "TABLE_BUDGET", 7)
-    blocked = spec.poly.evaluate(pts, 2)
+    blocked = spec.poly.evaluate(pts)
     for a, b in zip(blocked, whole):
         _assert_close(a, b)
-
-
-def test_bad_order_rejected():
-    with pytest.raises(ValueError):
-        RealPolynomial({(2, 0): 1.0}, np.zeros(2)).evaluate(np.zeros((1, 2)), 3)
 
 
 def test_bad_exponent_vector_rejected():

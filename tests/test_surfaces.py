@@ -133,43 +133,32 @@ class TestRadialRoots:
     @pytest.mark.parametrize("name", ["sphere", "sphere3", "ellipsoid", "quadric", "reinhardt", "poly"])
     def test_slope_is_a_fresh_evaluation_at_the_root(self, name):
         # the slope comes from the last Newton evaluation; it must equal a clean evaluation of the
-        # same restriction (the ray polynomial, or eval_ray off the polynomial families) bit for bit
+        # family's ray bit for bit, and the point evaluation to rounding
         spec = _families()[name]
         dirs, _ = sphere_grid(spec.m, 12 if spec.m == 4 else 5)
         rho, slope = sf.radial_roots(spec, dirs)
+        assert np.array_equal(slope, spec.ray(dirs)(rho)[1])
         ray = sf.eval_ray(spec, spec.star_center, dirs, rho).grad[:, 0]
-        if name == "reinhardt":
-            assert np.array_equal(slope, ray)
-            return
-        fresh = horner(spec.poly.restrict(dirs, spec.star_center), rho)[1]
-        assert np.array_equal(slope, fresh)
         assert np.max(np.abs(slope - ray) / np.abs(ray)) <= 1e-14
 
-    @pytest.mark.parametrize("name,most", [("reinhardt", 1), ("ellipsoid_generic", 6)])
+    @pytest.mark.parametrize("name,most", [("reinhardt", 3), ("ellipsoid_generic", 7)])
     def test_newton_start_needs_few_sweeps(self, name, most, monkeypatch):
         # ReinhardtSurface(0.5, 4.0) is the radius-2 sphere, and its scale (the first bracket
-        # end) lies one ulp above every root; a midpoint start took 48 ray evaluations there.
-        # The bounds are the counts since the slope at the roots is no longer evaluated again.
-        # A Newton sweep is an eval_ray call off the polynomial families, and on them a Horner
-        # pass over the ray restriction with its slope.
+        # end) lies one ulp above every root; a midpoint start took 48 Newton sweeps there.
+        # The bounds count every call of the ray function, bracket sweeps included: two on the
+        # Reinhardt sphere, where f at the scale rounds to 0 on some rays, and one on the ellipsoid.
         spec = {"reinhardt": _families()["reinhardt"], "ellipsoid_generic": sf.Ellipsoid([0.8, 1.0, 1.2, 1.4])}[name]
         dirs, _ = sphere_grid(spec.m, 32)
         calls = []
-        real_ray, real_horner = sf.eval_ray, sf.horner
+        real = spec.ray
 
-        def counting_ray(*args):
-            calls.append(len(args[2]))
-            return real_ray(*args)
+        def counting_ray(d):
+            along = real(d)
+            return lambda rho: calls.append(len(rho)) or along(rho)
 
-        def counting_horner(a, rho, slope=True):
-            if slope:
-                calls.append(len(rho))
-            return real_horner(a, rho, slope)
-
-        monkeypatch.setattr(sf, "eval_ray", counting_ray)
-        monkeypatch.setattr(sf, "horner", counting_horner)
+        monkeypatch.setattr(spec, "ray", counting_ray)
         rho, _ = sf.radial_roots(spec, dirs)
-        assert 0 < len(calls) <= most
+        assert 0 < len(calls) <= most and set(calls) == {len(dirs)}
         vals = sf.eval_values(spec, spec.star_center[None] + rho[:, None] * dirs)
         assert np.max(np.abs(vals)) < 1e-11
 
@@ -208,17 +197,43 @@ RAY_FAMILIES = {
     "user_quartic": lambda: sf.UserPolynomial(1, USER_QUARTIC, scale=1.2, validate=False),
     "dirichlet_n2": lambda: sf.DirichletQuadratic([1.0, 1.2, 0.9, 1.1, 1.3, 1.0]),
     "cylinder": lambda: sf.Cylinder(2.0, kind="curved"),
+    "reinhardt": lambda: sf.ReinhardtSurface(0.5, 4.0),
+    "exp_ellipsoid": lambda: sf.ExpReparam(sf.Ellipsoid([0.8, 1.0, 1.2, 1.4])),
+    "exp_user_centered": lambda: sf.ExpReparam(RAY_FAMILIES["user_centered"]()),
 }
 
 
 class _PointEvaluation(sf.SurfaceSpec):
-    """A polynomial family seen only through its derivatives: radial_roots evaluates it at points."""
+    """A star family seen only through point evaluation: its ray reads eval_ray at the points."""
 
     def __init__(self, spec):
         self.spec, self.n, self.star_center, self.scale = spec, spec.n, spec.star_center, spec.scale
 
-    def derivatives(self, pts, order):
-        return self.spec.derivatives(pts, order)
+    def derivatives(self, pts):
+        return self.spec.derivatives(pts)
+
+    def ray(self, dirs):
+        def along(rho):
+            j = sf.eval_ray(self.spec, self.star_center, dirs, rho)
+            return j.val, j.grad[:, 0]
+
+        return along
+
+
+def _ray_sizes(spec, dirs, rho):
+    """Sums of the magnitudes of the terms of f and of df/drho along the rays: the scale of
+    the rounding by which two evaluation orders may differ."""
+    if isinstance(spec, sf.ExpReparam):
+        size, dsize = _ray_sizes(spec.base, dirs, rho)
+        p, dp = spec.base.ray(dirs)(rho)
+        e = np.exp(p)
+        return e * (1.0 + size), e * (dsize + np.abs(dp) * size)
+    if isinstance(spec, sf.ReinhardtSurface):
+        a, b = np.sum(dirs[:, :2] ** 2, axis=1), np.sum(dirs[:, 2:] ** 2, axis=1)
+        f, fp, fpp = spec.profile.eval(b * rho * rho)
+        return (a * rho * rho + np.abs(f) + np.abs(fp) * b * rho * rho,
+                2.0 * rho * (a + b * np.abs(fp) + np.abs(fpp) * b * b * rho * rho))
+    return horner(np.abs(spec.poly.restrict(dirs)), rho)
 
 
 def _random_dirs(rng, b, m):
@@ -230,22 +245,25 @@ class TestRayRestriction:
     @settings(max_examples=60)
     @given(name=st.sampled_from(sorted(RAY_FAMILIES)), seed=st.integers(0, 2**32 - 1))
     def test_restriction_matches_point_evaluation(self, name, seed):
-        # about the star center and about a random one, so every family is also re-expanded
+        # each family's ray about its star center (the cylinder's polynomial center); a polynomial
+        # is also re-expanded about a random center and restricted there
         spec = RAY_FAMILIES[name]()
         rng = np.random.default_rng(seed)
         dirs = _random_dirs(rng, 32, spec.m)
         rho = rng.uniform(0.0, 2.0 * spec.scale, 32)
-        base = np.zeros(spec.m) if spec.star_center is None else spec.star_center
-        for center in (base, base + rng.uniform(-0.5, 0.5, spec.m)):
-            a = spec.poly.restrict(dirs, center)
+        center = np.zeros(spec.m) if spec.star_center is None else spec.star_center
+        size, dsize = _ray_sizes(spec, dirs, rho)
+        checks = [(spec, center, *spec.ray(dirs)(rho), size, dsize)]
+        if hasattr(spec, "poly"):
+            moved = spec.poly.about(center + rng.uniform(-0.5, 0.5, spec.m))
+            a = moved.restrict(dirs)
             assert a.shape == (1 + max(sum(e) for e in spec.poly.terms), 32)
-            val, der = horner(a, rho)
-            size, dsize = horner(np.abs(a), rho)  # sum_k |a_k| rho^k and its derivative
+            checks.append((spec, moved.center, *horner(a, rho), *horner(np.abs(a), rho)))
+        for spec, center, val, der, size, dsize in checks:
             point = sf.eval_values(spec, center + rho[:, None] * dirs)
             slope = sf.eval_ray(spec, center, dirs, rho).grad[:, 0]
             assert np.all(np.abs(val - point) <= 1e-13 * np.maximum(1.0, size))
             assert np.all(np.abs(der - slope) <= 1e-13 * np.maximum(1.0, dsize))
-            assert np.array_equal(horner(a, rho, slope=False)[0], val) and horner(a, rho, slope=False)[1] is None
 
     @settings(max_examples=40)
     @given(name=st.sampled_from(sorted(set(RAY_FAMILIES) - {"cylinder"})), seed=st.integers(0, 2**32 - 1))
@@ -259,18 +277,19 @@ class TestRayRestriction:
         assert np.all(np.abs(rho - rho_pt) <= 1e-13 * rho)
         assert np.all(slope > 0)
 
-    def test_only_point_families_call_eval_ray(self, monkeypatch):
-        # ReinhardtSurface and ExpReparam keep the point evaluation; polynomial families never call eval_ray
+    def test_sweeps_evaluate_no_points(self, monkeypatch):
+        # every star family's sweeps read its ray alone: no eval_ray, and eval_values only for
+        # the one-point check at the star center
         calls = []
-        real = sf.eval_ray
-        monkeypatch.setattr(sf, "eval_ray", lambda *args: calls.append(len(args[2])) or real(*args))
+        for name in ("eval_ray", "eval_values"):
+            real = getattr(sf, name)
+            monkeypatch.setattr(sf, name, lambda spec, *args, real=real, name=name: calls.append(
+                (name, len(np.atleast_2d(args[0])))) or real(spec, *args))
         dirs, _ = sphere_grid(4, 8)
-        for spec in (_families()["ellipsoid"], _families()["poly"]):
+        for spec in (_families()["ellipsoid"], _families()["poly"], _families()["reinhardt"],
+                     sf.ExpReparam(_families()["ellipsoid"])):
             sf.radial_roots(spec, dirs)
-        assert calls == []
-        for spec in (_families()["reinhardt"], sf.ExpReparam(_families()["ellipsoid"])):
-            sf.radial_roots(spec, dirs)
-            assert calls
+            assert calls == [("eval_values", 1)]
             calls.clear()
 
     @pytest.mark.parametrize("name", ["sphere_off", "ellipsoid_off_n2", "quadric_cubic_n2", "user_centered", "user_quartic"])
@@ -291,7 +310,7 @@ class TestRayRestriction:
         cubic = {(3, 0, 0, 0): 0.25, (2, 0, 1, 0): 0.75, (2, 0, 0, 0): -1.5, (1, 0, 1, 0): -1.5,
                  (1, 0, 0, 0): 3.0, (0, 0, 0, 0): -1.0, (0, 1, 0, 1): 1.0}
         spec = sf.UserPolynomial(1, cubic, scale=2.0, validate=False)
-        assert np.array_equal(spec.poly.restrict(np.eye(4)[:1], np.zeros(4))[:, 0], [-1.0, 3.0, -3.0, 1.0])
+        assert np.array_equal(spec.poly.restrict(np.eye(4)[:1])[:, 0], [-1.0, 3.0, -3.0, 1.0])
         with pytest.raises(TransversalityError):
             sf.radial_roots(spec, np.eye(4)[:1])
 
@@ -313,25 +332,17 @@ class TestReparametrization:
         ng = jg.grad / np.linalg.norm(jg.grad, axis=1)[:, None]
         assert np.max(np.abs(nf - ng)) < 1e-10
 
-    @pytest.mark.parametrize("order", [0, 1, 2])
-    def test_jets_are_the_chain_rule_through_exp(self, order):
+    def test_jets_are_the_chain_rule_through_exp(self):
         base = sf.Ellipsoid([1.0, 1.3, 0.8, 1.1], center=[0.1, -0.2, 0.0, 0.3])
         pts = np.random.default_rng(4).uniform(-1.5, 1.5, (50, 4))
-        f = base.derivatives(pts, order)
-        got = sf.ExpReparam(base).derivatives(pts, order)
+        f = base.derivatives(pts)
         e = np.exp(f.val)
-        want = [e - 1.0]
-        if order >= 1:
-            want.append(e[:, None] * f.grad)
-        if order == 2:
-            w = sf.wirtinger_gradient(f.grad)  # H(exp f) = e^f (H + w w*), S(exp f) = e^f (S + w w^T)
-            want.append(e[:, None, None] * (f.mixed + w[:, :, None] * np.conj(w)[:, None, :]))
-            want.append(e[:, None, None] * (f.pure + w[:, :, None] * w[:, None, :]))
-        fields = tuple(got)
-        for a, b in zip(fields, want):
+        w = sf.wirtinger_gradient(f.grad)  # H(exp f) = e^f (H + w w*), S(exp f) = e^f (S + w w^T)
+        want = [e - 1.0, e[:, None] * f.grad, e[:, None, None] * (f.mixed + w[:, :, None] * np.conj(w)[:, None, :]),
+                e[:, None, None] * (f.pure + w[:, :, None] * w[:, None, :])]
+        for a, b in zip(sf.ExpReparam(base).derivatives(pts), want):
             assert a.shape == b.shape
             assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b))
-        assert all(a is None for a in fields[len(want):])
 
 
 class TestReinhardtProfile:
@@ -383,14 +394,13 @@ R1SQ = RealPolynomial({(2, 0, 0, 0): 1.0, (0, 2, 0, 0): 1.0}, np.zeros(4))
 S = RealPolynomial({(0, 0, 2, 0): 1.0, (0, 0, 0, 2): 1.0}, np.zeros(4))
 
 
-def composed_reinhardt_jets(spec, pts, order):
+def composed_reinhardt_jets(spec, pts):
     """r1^2 - F(s) through the general composition: polynomial jets of r1^2 and s,
     the profile chained onto s by surfaces._chain, then the two added."""
-    s = sf.Jet(*S.evaluate(pts, order))
+    s = sf.Jet(*S.evaluate(pts))
     fval, fp, fpp = spec.profile.eval(s.val)
     neg_f = sf._chain(s, -fval, -fp, -fpp)
-    r1sq = R1SQ.evaluate(pts, order)
-    return [a if a is None else a + b for a, b in zip(r1sq, neg_f)]
+    return [a + b for a, b in zip(R1SQ.evaluate(pts), neg_f)]
 
 
 def reinhardt_points(spec, seed):
@@ -416,23 +426,18 @@ def reinhardt_points(spec, seed):
 
 
 class TestReinhardtClosedForm:
-    @pytest.mark.parametrize("order", [0, 1, 2])
     @pytest.mark.parametrize("make", [
         lambda: sf.ReinhardtSurface(0.5, 4.0),
         lambda: sf.ReinhardtSurface(0.5, 3.5, fp0=-1.1, s0=0.8, smax=3.0),
     ], ids=["regular", "band"])
-    def test_bitwise_equal_to_the_composition(self, make, order):
+    def test_bitwise_equal_to_the_composition(self, make):
         # value and gradient bit for bit; H and S value for value, as the closed form's
         # zeros need not carry the signs that the composition's products give them
         spec = make()
         pts = reinhardt_points(spec, 17)
-        got = spec.derivatives(pts, order)
-        for i, (a, b) in enumerate(zip(got, composed_reinhardt_jets(spec, pts, order))):
-            if b is None:
-                assert a is None
-            else:
-                assert a.shape == b.shape and a.dtype == b.dtype
-                assert a.tobytes() == b.tobytes() if i < 2 else np.array_equal(a, b)
+        for i, (a, b) in enumerate(zip(spec.derivatives(pts), composed_reinhardt_jets(spec, pts))):
+            assert a.shape == b.shape and a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes() if i < 2 else np.array_equal(a, b)
 
     def test_branches_are_covered(self):
         p = sf.ReinhardtSurface(0.5, 4.0).profile
@@ -445,8 +450,7 @@ class TestReinhardtClosedForm:
         # perf guard: the Reinhardt jets and frames never build the general (B, m, m) outer product
         spec = sf.ReinhardtSurface(0.5, 4.0)
         pts = reinhardt_points(spec, 18)
-        for order in (0, 1, 2):
-            assert np.all(np.isfinite(spec.derivatives(pts, order).val))
+        assert np.all(np.isfinite(spec.derivatives(pts).val))
         d = _random_dirs(np.random.default_rng(19), 64, 4)
         fr = FrameBatch.at_points(spec, sf.radial_roots(spec, d)[0][:, None] * d)
         assert np.all(np.isfinite(mean_curvature(fr)))
@@ -478,9 +482,7 @@ class TestReinhardtClosedForm:
         monkeypatch.setattr(p, "_fpp_fallback", no_fallback)
         p.eval(s, 0)
         p.eval(s, 1)
-        pts = np.stack([np.zeros_like(s), np.zeros_like(s), np.sqrt(s), np.zeros_like(s)], axis=1)
-        spec.derivatives(pts, 0)
-        spec.derivatives(pts, 1)
+        spec.ray(np.tile([0.0, 0.0, 1.0, 0.0], (len(s), 1)))(np.sqrt(s))  # the root finder's reads
         with pytest.raises(AssertionError, match="fallback"):  # the zone is reached at order 2
             p.eval(s, 2)
 
