@@ -11,7 +11,7 @@ Conventions fixed here and relied on everywhere else:
 * The mean curvature is div(grad f / |grad f|) / (2n+1), the normalization
   under which a sphere of radius R has mean curvature 1/R. With u the complex
   form of grad f, it reads Laplace f = 4 tr H and (grad f)^T (D^2 f) grad f =
-  2 Re(u^T S u) + 2 u^T H conj(u).
+  2 Re(u^T S u) + 2 u^T H conj(u), summed over the upper triangle.
 
 Every function operates on a FrameBatch, the boundary data at a batch of
 points; a single point is a batch of one. K_j is defined by gradient-bordered
@@ -169,11 +169,20 @@ def levi(frames: FrameBatch, j: int) -> np.ndarray:
 
 
 def mean_curvature(frames: FrameBatch) -> np.ndarray:
-    """Euclidean mean curvature: divergence of the unit normal over 2n+1."""
+    """Euclidean mean curvature: divergence of the unit normal over 2n+1.
+
+    tr H and Re(u^T S u) + u^T H conj(u) are explicit sums over the upper triangle (S symmetric, H
+    Hermitian); a broadcast H or S is read through stride-0 columns, never built as a batch.
+    """
     gnorm = _gradient_norm(frames)
-    u = np.conj(frames.wgrad)  # the complex form of grad f, halved
-    lap = 4.0 * np.einsum("bii->b", frames.whess).real
-    quad = 8.0 * (np.einsum("bl,blk,bk->b", u, frames.pure, u)
-                  + np.einsum("bl,blk,bk->b", u, frames.whess, frames.wgrad)).real
-    div_normal = lap / gnorm - quad / gnorm**3
+    w, h, s = frames.wgrad, frames.whess, frames.pure
+    u = np.conj(w)  # the complex form of grad f, halved
+    lap = sum(h[:, i, i].real for i in range(w.shape[1]))
+    quad = np.zeros(len(w))
+    for l in range(w.shape[1]):
+        row = s[:, l, l] * u[:, l] + h[:, l, l] * w[:, l]
+        for k in range(l + 1, w.shape[1]):
+            row += 2.0 * (s[:, l, k] * u[:, k] + h[:, l, k] * w[:, k])
+        quad += (u[:, l] * row).real
+    div_normal = 4.0 * lap / gnorm - 8.0 * quad / gnorm**3
     return div_normal / (2 * frames.n + 1)

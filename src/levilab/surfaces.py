@@ -15,12 +15,14 @@ one-variable chain rule. No finite differencing happens on the default path.
 Star-shaped families declare a star center and are validated at construction
 on a coarse direction grid: every ray from the center must cross the boundary
 once, transversally, with a nondegenerate gradient there. radial_roots finds
-the crossings on one path: each family's ray(dirs) restricts f to a batch of
-rays once, in closed form, and the root finder reads f and df/drho from it.
+the crossings from each family's ray(dirs), which restricts f to a batch of
+rays once, in closed form: a quadratic restriction is solved by formula, any
+other by bracketed Newton on f and df/drho read from it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -69,9 +71,9 @@ class SurfaceSpec:
         return Jet(*self.poly.evaluate(pts))
 
     def ray(self, dirs: np.ndarray):
-        """rho -> (f, df/drho) along star_center + rho * dirs, (B,) each: Horner's rule on f restricted to the rays."""
-        coefs = self.poly.restrict(dirs)
-        return lambda rho: horner(coefs, rho)
+        """rho -> (f, df/drho) along star_center + rho * dirs, (B,) each: Horner's rule on f restricted to the
+        rays, as a partial of horner, so that radial_roots can read the coefficients (args[0]) of a quadratic."""
+        return functools.partial(horner, self.poly.restrict(dirs))
 
     def canonical(self) -> str:
         raise NotImplementedError
@@ -102,8 +104,13 @@ def _diagonal_quadratic(weights, constant: float, center=None) -> RealPolynomial
 
 
 def wirtinger_gradient(rgrad: np.ndarray) -> np.ndarray:
-    """(..., 2N) real gradient -> (..., N) complex gradient f_k = (d_x - i d_y)/2."""
-    return (rgrad[..., 0::2] - 1j * rgrad[..., 1::2]) / 2.0
+    """(..., 2N) real gradient -> (..., N) complex gradient f_k = (d_x - i d_y)/2, written into one complex
+    array; 0 - d_y, not -d_y, keeps a zero +0.0 as (d_x - 1j d_y) / 2 gives it."""
+    w = np.empty(rgrad.shape[:-1] + (rgrad.shape[-1] // 2,), dtype=complex)
+    w.real = rgrad[..., 0::2]
+    np.subtract(0.0, rgrad[..., 1::2], out=w.imag)
+    w *= 0.5
+    return w
 
 
 def _chain(inner: Jet, f0, f1, f2) -> Jet:
@@ -421,11 +428,14 @@ def radial_roots(spec: SurfaceSpec, dirs) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (rho, slope) with f(center + rho * dir) = 0 to ROOT_ABS_TOL and
     slope = <grad f, dir> > 0 at each root, dir the unit direction of a row of
-    dirs; a zero or non-finite row is a ValueError. Safeguarded Newton, started
-    at the false-position point, inside a bracket obtained by doubling; failure
+    dirs; a zero or non-finite row is a ValueError. Every ray evaluation reads
+    f and df/drho for the whole batch from the family's ray(dirs), restricted
+    to the rays once. Where the restriction is a0 + a1 rho + a2 rho^2 with
+    a2 > 0 on every ray (a0 = f(center) < 0), the root comes by formula and
+    one Newton step. Otherwise safeguarded Newton, started at the
+    false-position point, runs inside a bracket obtained by doubling; failure
     to bracket within the configured search radius means the domain is not
-    star-shaped about the center. Every sweep reads f and df/drho for the whole
-    batch from the family's ray(dirs), restricted to the rays once.
+    star-shaped about the center.
     """
     if spec.star_center is None:
         raise StarShapeError(f"{type(spec).__name__} declares no star center")
@@ -433,23 +443,48 @@ def radial_roots(spec: SurfaceSpec, dirs) -> tuple[np.ndarray, np.ndarray]:
     dirs = np.asarray(dirs, dtype=float)
     if dirs.ndim == 1:
         dirs = dirs[None, :]
-    norms = np.linalg.norm(dirs, axis=1)
+    norms = np.sqrt(sum(d * d for d in dirs.T))  # a column sum: np.linalg.norm reduces short rows slowly
     bad = ~(np.isfinite(norms) & (norms > 0))  # checked before normalising: 0/0 would only warn
     if np.any(bad):
         raise ValueError(f"direction {dirs[np.argmax(bad)].tolist()} is zero or not finite")
     if np.any(np.abs(norms - 1.0) > 1e-9):
         dirs = dirs / norms[:, None]
-    b = dirs.shape[0]
 
     fc = float(eval_values(spec, center[None, :])[0])
     if fc >= 0:
         raise StarShapeError(f"defining function is nonnegative ({fc!r}) at the star center")
 
-    along = spec.ray(dirs)  # every sweep takes every ray: a stopped ray's rho, f and slope stay put
+    along = spec.ray(dirs)  # every evaluation takes every ray: a stopped ray's rho, f and slope stay put
+    a = along.args[0] if getattr(along, "func", None) is horner else None  # a polynomial family's coefficients
+    if a is not None and len(a) == 3 and np.all(a[2] > 0):
+        # a0 < 0 < a2: the discriminant exceeds a1^2, and each form divides by a positive number
+        s = np.sqrt(a[1] * a[1] - 4.0 * a[0] * a[2])
+        rho = np.where(a[1] >= 0, -2.0 * a[0] / (a[1] + s), (s - a[1]) / (2.0 * a[2]))
+        g, gp = along(rho)
+        rho = rho - g / gp  # one Newton step; the slope at the root is s > 0
+        g, gp = along(rho)
+    else:
+        rho, g, gp = _bracketed_newton(along, fc, spec.scale, dirs)
 
-    max_radius = MAX_RADIUS_FACTOR * spec.scale
+    # a ray stops at the rho of its last evaluation, where g and gp hold f and the returned slope
+    if np.any(gp <= 0):
+        idx = int(np.argmin(gp))
+        raise TransversalityError(
+            f"<grad f, direction> = {float(gp[idx])!r} <= 0 at the root along {dirs[idx].tolist()}"
+        )
+    bad = np.abs(g) > ROOT_ABS_TOL * np.maximum(1.0, np.abs(gp) * rho)
+    if np.any(bad):
+        idx = int(np.argmax(np.abs(g)))
+        raise StarShapeError(f"residual {float(g[idx])!r} at radial root along {dirs[idx].tolist()}")
+    return rho, gp
+
+
+def _bracketed_newton(along, fc: float, scale: float, dirs: np.ndarray):
+    """(rho, f, df/drho) at the last evaluation of safeguarded Newton inside a doubling bracket."""
+    b = dirs.shape[0]
+    max_radius = MAX_RADIUS_FACTOR * scale
     lo = np.zeros(b)
-    hi = np.full(b, spec.scale)
+    hi = np.full(b, scale)
     flo = np.full(b, fc)
     for _ in range(64):
         fhi = along(hi)[0]
@@ -470,7 +505,6 @@ def radial_roots(spec: SurfaceSpec, dirs) -> tuple[np.ndarray, np.ndarray]:
     # false-position start: on a convex ray whose root lies at the bracket's edge (a sphere
     # whose radius is the family scale), Newton from the midpoint lands past hi every step
     rho = lo + (hi - lo) * flo / (flo - fhi)
-    g, gp = np.empty((2, b))  # unread; without it bulk-n2 lands in glibc's slower heap mode, 0.09 s vs 0.08 s
     active = np.ones(b, dtype=bool)
     for _ in range(200):
         g, gp = along(rho)
@@ -481,26 +515,13 @@ def radial_roots(spec: SurfaceSpec, dirs) -> tuple[np.ndarray, np.ndarray]:
         tol = 0.01 * ROOT_ABS_TOL * np.maximum(1.0, np.abs(gp) * rho)
         active &= (np.abs(g) > tol) & (hi - lo > 1e-17 * np.maximum(1.0, rho))
         if not np.any(active):
-            break
+            return rho, g, gp
         with np.errstate(divide="ignore", invalid="ignore"):
             newton = rho - g / gp
         ok = active & np.isfinite(newton) & (newton > lo) & (newton < hi)
         rho = np.where(ok, newton, np.where(active, 0.5 * (lo + hi), rho))
-    else:
-        worst = int(np.argmax(np.abs(g)))
-        raise StarShapeError(f"radial root failed to converge along direction {dirs[worst].tolist()}")
-
-    # a ray stops at the rho of its last evaluation, where g and gp hold f and the returned slope
-    if np.any(gp <= 0):
-        idx = int(np.argmin(gp))
-        raise TransversalityError(
-            f"<grad f, direction> = {gp[idx]!r} <= 0 at the root along {dirs[idx].tolist()}"
-        )
-    bad = np.abs(g) > ROOT_ABS_TOL * np.maximum(1.0, np.abs(gp) * rho)
-    if np.any(bad):
-        idx = int(np.argmax(np.abs(g)))
-        raise StarShapeError(f"residual {g[idx]!r} at radial root along {dirs[idx].tolist()}")
-    return rho, gp
+    worst = int(np.argmax(np.abs(g)))
+    raise StarShapeError(f"radial root failed to converge along direction {dirs[worst].tolist()}")
 
 
 # -- construction-time validation ----------------------------------------------

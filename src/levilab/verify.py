@@ -151,7 +151,7 @@ def _ones(frames):
 
 
 def _mean_curv_flux(frames):
-    return cv.mean_curvature(frames) * np.einsum("bi,bi->b", frames.normal, frames.points)
+    return cv.mean_curvature(frames) * sum(nu * x for nu, x in zip(frames.normal.T, frames.points.T))  # <normal, x>
 
 
 def _pgrad(frames):

@@ -431,6 +431,8 @@ MEAN_CURVATURE_SURFACES = {
     "exp_quadric_n2": lambda: sf.ExpReparam(KERNEL_SURFACES["quadric_complex_n2"]()),
     "exp_levi_indefinite": lambda: sf.ExpReparam(KERNEL_SURFACES["levi_indefinite"]()),
     "cylinder_curved": lambda: sf.Cylinder(2.0, kind="curved"),
+    "quadric_cubic_n3": lambda: sf.PerturbedQuadric(
+        3, hterms={(3, 0, 0, 0): 0.02, (0, 1, 1, 1): 0.03 - 0.01j, (2, 0, 0, 0): 0.05j}),
 }
 
 
@@ -461,6 +463,58 @@ class TestMeanCurvatureContraction:
             fr = boundary_frames(spec, seed, count=32)
         ref = einsum_mean_curvature(fr, real_hessian)
         assert np.max(np.abs(cv.mean_curvature(fr) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def einsum_reference_mean_curvature(fr):
+    """mean_curvature as einsum contractions wrote it before the explicit upper-triangle sums, and the
+    size of what it sums (the same contractions on absolute values): the explicit sums add the same
+    products in another order, so the two agree to rounding of that size, not of the result."""
+    gnorm = 2.0 * fr.pgrad_norm
+    u = np.conj(fr.wgrad)
+    lap = 4.0 * np.einsum("bii->b", fr.whess).real
+    quad = 8.0 * (np.einsum("bl,blk,bk->b", u, fr.pure, u) + np.einsum("bl,blk,bk->b", u, fr.whess, fr.wgrad)).real
+    size = 8.0 * (np.einsum("bl,blk,bk->b", abs(u), abs(fr.pure), abs(u))
+                  + np.einsum("bl,blk,bk->b", abs(u), abs(fr.whess), abs(u)))
+    scale = 2 * fr.n + 1
+    return (lap / gnorm - quad / gnorm**3) / scale, (np.abs(lap) / gnorm + size / gnorm**3) / scale
+
+
+STAR_SURFACES = sorted(set(MEAN_CURVATURE_SURFACES) - {"cylinder_curved"})
+
+
+class TestMeanCurvatureExplicitSums:
+    TOL = 8 * np.finfo(float).eps  # relative to the size of the summed terms, fixed before the sums were written
+
+    def test_cover_broadcast_and_batched_hessians(self):
+        # quadratics give broadcast H and S (stride 0 over the batch), the other families a batch
+        frames = [boundary_frames(mean_curvature_surface(name), 0, count=2) for name in STAR_SURFACES]
+        kinds = {(fr.n + 1, fr.whess.strides[0] == 0) for fr in frames}
+        assert kinds == {(n, broadcast) for n in (2, 3, 4) for broadcast in (False, True)}
+
+    @pytest.mark.parametrize("name", STAR_SURFACES)
+    def test_equals_the_einsum_reference(self, name):
+        fr = boundary_frames(mean_curvature_surface(name), 55, count=2048)
+        ref, size = einsum_reference_mean_curvature(fr)
+        assert np.all(np.abs(cv.mean_curvature(fr) - ref) <= self.TOL * size)
+
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(STAR_SURFACES), seed=st.integers(0, 2**16))
+    def test_equals_the_einsum_reference_at_random_nodes(self, name, seed):
+        fr = boundary_frames(mean_curvature_surface(name), seed, count=64)
+        ref, size = einsum_reference_mean_curvature(fr)
+        assert np.all(np.abs(cv.mean_curvature(fr) - ref) <= self.TOL * size)
+
+    @pytest.mark.parametrize("name", STAR_SURFACES)
+    def test_wirtinger_gradient_is_bitwise_the_complex_expression(self, name):
+        g = boundary_frames(mean_curvature_surface(name), 56, count=256).rgrad
+        assert cv.wirtinger_gradient(g).tobytes() == ((g[..., 0::2] - 1j * g[..., 1::2]) / 2.0).tobytes()
+
+    def test_wirtinger_gradient_keeps_zeros_positive(self):
+        # 0 - y, not -y: a zero y gives +0.0 as the complex expression does; stacked batches too
+        g = np.random.default_rng(57).standard_normal((3, 40, 6))
+        g[:, ::3] = 0.0
+        g[:, 1::4, 1::2] = 0.0
+        assert cv.wirtinger_gradient(g).tobytes() == ((g[..., 0::2] - 1j * g[..., 1::2]) / 2.0).tobytes()
 
 
 class TestMeanCurvatureOracle:

@@ -235,8 +235,8 @@ class TestDeterminism:
 class TestRootCache:
     def test_entries_live_and_die_with_their_surface(self):
         qd.clear_root_cache()
-        terms = {(1, 0, 1, 0): 1.0, (0, 1, 0, 1): 1.0, (0, 0, 0, 0): -4.0}
-        a, b = (sf.UserPolynomial(1, terms, scale=scale) for scale in (1.0, 3.0))
+        # spheres of radius 2 and 3: two polynomials, so the two entries hold different roots
+        a, b = (sf.UserPolynomial(1, {(1, 0, 1, 0): 1.0, (0, 1, 0, 1): 1.0, (0, 0, 0, 0): -r * r}) for r in (2.0, 3.0))
         for spec in (a, b):
             qd.volume(spec, qd.QuadratureSpec(order=4))
         # one entry per surface object, holding the pass order and its error re-pass order

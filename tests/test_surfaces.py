@@ -1,4 +1,5 @@
 import copy
+import itertools
 import math
 import warnings
 import zlib
@@ -99,6 +100,23 @@ class TestFiniteDifferenceConsistency:
             assert np.max(np.abs(hess[:, :, i] - fd)) < 1e-5
 
 
+def _record_rays(spec, monkeypatch):
+    """Record the rho of every ray evaluation of spec. A polynomial family's ray is a partial of
+    surfaces.horner, which radial_roots recognises, so there horner itself is wrapped."""
+    calls = []
+    if hasattr(spec, "poly"):
+        monkeypatch.setattr(sf, "horner", lambda a, rho: calls.append(rho.copy()) or horner(a, rho))
+        return calls
+    real = spec.ray
+
+    def recording_ray(d):
+        along = real(d)
+        return lambda rho: calls.append(rho.copy()) or along(rho)
+
+    monkeypatch.setattr(spec, "ray", recording_ray)
+    return calls
+
+
 class TestRadialRoots:
     def test_sphere_every_direction(self):
         rng = np.random.default_rng(1)
@@ -141,24 +159,29 @@ class TestRadialRoots:
         ray = sf.eval_ray(spec, spec.star_center, dirs, rho).grad[:, 0]
         assert np.max(np.abs(slope - ray) / np.abs(ray)) <= 1e-14
 
-    @pytest.mark.parametrize("name,most", [("reinhardt", 3), ("ellipsoid_generic", 7)])
+    @pytest.mark.parametrize("name,most", [("reinhardt", 3)])
     def test_newton_start_needs_few_sweeps(self, name, most, monkeypatch):
         # ReinhardtSurface(0.5, 4.0) is the radius-2 sphere, and its scale (the first bracket
         # end) lies one ulp above every root; a midpoint start took 48 Newton sweeps there.
-        # The bounds count every call of the ray function, bracket sweeps included: two on the
-        # Reinhardt sphere, where f at the scale rounds to 0 on some rays, and one on the ellipsoid.
-        spec = {"reinhardt": _families()["reinhardt"], "ellipsoid_generic": sf.Ellipsoid([0.8, 1.0, 1.2, 1.4])}[name]
+        # The bound counts every call of the ray function, bracket sweeps included: two on the
+        # Reinhardt sphere, where f at the scale rounds to 0 on some rays.
+        spec = _families()[name]
         dirs, _ = sphere_grid(spec.m, 32)
-        calls = []
-        real = spec.ray
-
-        def counting_ray(d):
-            along = real(d)
-            return lambda rho: calls.append(len(rho)) or along(rho)
-
-        monkeypatch.setattr(spec, "ray", counting_ray)
+        calls = _record_rays(spec, monkeypatch)
         rho, _ = sf.radial_roots(spec, dirs)
-        assert 0 < len(calls) <= most and set(calls) == {len(dirs)}
+        assert 0 < len(calls) <= most and {len(r) for r in calls} == {len(dirs)}
+        vals = sf.eval_values(spec, spec.star_center[None] + rho[:, None] * dirs)
+        assert np.max(np.abs(vals)) < 1e-11
+
+    def test_quadric_roots_need_no_bracket_sweep(self, monkeypatch):
+        # a quadratic ray a0 + a1 rho + a2 rho^2 is solved by formula: one evaluation for the
+        # Newton step, one for the returned slope, and none at a bracket end
+        spec = sf.Ellipsoid([0.8, 1.0, 1.2, 1.4])
+        dirs, _ = sphere_grid(spec.m, 32)
+        calls = _record_rays(spec, monkeypatch)
+        rho, _ = sf.radial_roots(spec, dirs)
+        assert 0 < len(calls) <= 2 and {len(r) for r in calls} == {len(dirs)}
+        assert not any(np.any(r == spec.scale) for r in calls)
         vals = sf.eval_values(spec, spec.star_center[None] + rho[:, None] * dirs)
         assert np.max(np.abs(vals)) < 1e-11
 
@@ -311,8 +334,74 @@ class TestRayRestriction:
                  (1, 0, 0, 0): 3.0, (0, 0, 0, 0): -1.0, (0, 1, 0, 1): 1.0}
         spec = sf.UserPolynomial(1, cubic, scale=2.0, validate=False)
         assert np.array_equal(spec.poly.restrict(np.eye(4)[:1])[:, 0], [-1.0, 3.0, -3.0, 1.0])
-        with pytest.raises(TransversalityError):
+        with pytest.raises(TransversalityError) as err:
             sf.radial_roots(spec, np.eye(4)[:1])
+        assert "np.float64" not in str(err.value)  # a plain float in the message
+
+
+def _positive_definite_quadratic(kind, rng):
+    """A quadratic family whose rays all have a2 > 0: an off-center ellipsoid, a quadric with small
+    degree-2 terms, or a UserPolynomial with a linear term and an off-center star center."""
+    n = int(rng.integers(1, 3))
+    if kind == "ellipsoid":
+        return sf.Ellipsoid(rng.uniform(0.3, 3.0, 2 * n + 2), center=rng.uniform(-1.0, 1.0, 2 * n + 2))
+    if kind == "quadric":  # each |h| < 0.043, too small to undo |z|^2 / (n + 1)
+        keys = [e for e in itertools.product(range(3), repeat=n + 1) if sum(e) == 2]
+        return sf.PerturbedQuadric(n, c=rng.uniform(0.2, 5.0),
+                                   hterms={e: complex(*rng.uniform(-0.03, 0.03, 2)) for e in keys})
+    # a|z1|^2 + b|z2|^2 + Re(g z1^2 + d z1 zbar2 + e z1) - 1, f < 0 at every center within 0.5
+    a, b = rng.uniform(0.5, 2.0, 2)
+    g, d, e = (complex(*rng.uniform(-0.1, 0.1, 2)) for _ in range(3))
+    return sf.UserPolynomial(1, {(1, 0, 1, 0): a, (0, 1, 0, 1): b, (2, 0, 0, 0): g, (1, 0, 0, 1): d,
+                                 (1, 0, 0, 0): e, (0, 0, 0, 0): -1.0}, center=rng.uniform(-0.25, 0.25, 4))
+
+
+def _point_evaluation_roots(spec, dirs):
+    """Roots by point evaluation alone. The loop stops once |f| <= 1e-14 max(1, slope rho), which
+    can leave rho 1e-14 off, so one more Newton step on point evaluations takes it to rounding."""
+    rho, _ = sf.radial_roots(_PointEvaluation(spec), dirs)
+    j = sf.eval_ray(spec, spec.star_center, dirs, rho)
+    return rho - j.val / j.grad[:, 0]
+
+
+class TestClosedFormRoots:
+    @settings(max_examples=60)
+    @given(kind=st.sampled_from(["ellipsoid", "quadric", "user"]), seed=st.integers(0, 2**32 - 1))
+    def test_equal_the_point_evaluation_roots(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        spec = _positive_definite_quadratic(kind, rng)
+        dirs = _random_dirs(rng, 64, spec.m)
+        a = spec.ray(dirs).args[0]
+        assert len(a) == 3 and np.all(a[2] > 0)  # the closed-form path
+        rho, slope = sf.radial_roots(spec, dirs)
+        ref = _point_evaluation_roots(spec, dirs)
+        assert np.all(np.abs(rho - ref) <= 1e-14 * ref)
+        assert np.array_equal(slope, spec.ray(dirs)(rho)[1])
+
+    def test_center_near_the_boundary(self):
+        # |z|^2 - 1 seen from 1 - 2^-40 along x1, on a ray a little off -x1: a1 = -2 + O(1e-4), a0 =
+        # -2^-39. There -2 a0 / (a1 + sqrt(a1^2 - 4 a0 a2)) keeps about 4 digits, and one Newton step
+        # 8, too few for the residual check; the form for a1 < 0, (sqrt(...) - a1) / (2 a2), keeps all
+        spec = sf.UserPolynomial(1, {(1, 0, 1, 0): 1.0, (0, 1, 0, 1): 1.0, (0, 0, 0, 0): -1.0},
+                                 center=[1.0 - 2.0**-40, 0.0, 0.0, 0.0])
+        dirs = np.array([[-math.cos(0.01), math.sin(0.01), 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0]])
+        rho, _ = sf.radial_roots(spec, dirs)
+        assert np.all(np.abs(rho - _point_evaluation_roots(spec, dirs)) <= 1e-14 * rho)
+        assert rho[1] == pytest.approx(2.0 - 2.0**-40, rel=1e-15, abs=0.0)
+
+    def test_a_flat_ray_takes_the_bracket_path(self, monkeypatch):
+        # f = -1 + |z1|^2 + y2 is linear along y2 (a2 = 0): the bracket path finds -a0/a1 = 1 there,
+        # and along -y2, where f = -1 - rho never crosses, the bracket passes the search radius
+        spec = sf.UserPolynomial(1, {(1, 0, 1, 0): 1.0, (0, 1, 0, 0): -1j, (0, 0, 0, 0): -1.0},
+                                 scale=0.75, validate=False)
+        up = np.array([[0.0, 0.0, 0.0, 1.0]])
+        assert np.array_equal(spec.poly.restrict(up)[:, 0], [-1.0, 1.0, 0.0])
+        calls = _record_rays(spec, monkeypatch)
+        rho, slope = sf.radial_roots(spec, up)
+        assert rho[0] == 1.0 and slope[0] == 1.0
+        assert calls[0][0] == spec.scale  # the first evaluation is the bracket end
+        with pytest.raises(StarShapeError, match="no boundary crossing within radius"):
+            sf.radial_roots(spec, -up)
 
 
 class TestReparametrization:
