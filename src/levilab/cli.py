@@ -4,10 +4,10 @@ Subcommands: curvature (pointwise quantities), identities (exact polynomial
 checks), verify <identity> (quadrature-backed verification with a JSON
 report), batch (one verification over a directory of surface files plus a CSV
 summary). Exit codes: 0 success / verdict as contracted, 2 violated, 3
-hypotheses not met, 4 numerical failure, 64 usage error (a surface or
-quadrature description that does not parse); batch exits with the worst code
-over its files, 64 before 2 before 4 before 3. Reports embed the
-fully resolved configuration; identical argv, seed, and LEVILAB_THREADS give
+hypotheses not met, 4 numerical failure, 64 usage error (an argument out of
+range, or a surface or quadrature description that does not parse); batch
+exits with the worst code over its files, 64 before 2 before 4 before 3.
+Reports embed the fully resolved configuration; identical argv and seed give
 byte-identical output.
 """
 
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -22,7 +23,6 @@ import tempfile
 import numpy as np
 
 from . import curvature as cv
-from . import quadrature as qd
 from . import surfaces as sf
 from . import verify as vf
 from . import wirtinger as wt
@@ -117,6 +117,11 @@ def _write_output(path: str, text: str) -> None:
         raise
 
 
+def _usage(command: str, message: str) -> int:
+    print(f"levilab {command}: {message}", file=sys.stderr)
+    return USAGE_EXIT
+
+
 def _resolve_quad(arg, n: int):
     from .specfile import parse_quadrature
 
@@ -128,26 +133,22 @@ def _cmd_curvature(args) -> int:
 
     spec = parse_surface(args.surface)
     if (args.point is None) == (args.direction is None):
-        print("levilab curvature: exactly one of --point or --direction is required", file=sys.stderr)
-        return USAGE_EXIT
+        return _usage("curvature", "exactly one of --point or --direction is required")
     if args.point is not None:
         point = np.array([float(x) for x in args.point.split(",")])
         if point.shape != (spec.m,):
-            print(f"levilab curvature: point needs {spec.m} coordinates", file=sys.stderr)
-            return USAGE_EXIT
+            return _usage("curvature", f"point needs {spec.m} coordinates")
     else:
         direction = np.array([float(x) for x in args.direction.split(",")])
         if direction.shape != (spec.m,):
-            print(f"levilab curvature: direction needs {spec.m} coordinates", file=sys.stderr)
-            return USAGE_EXIT
+            return _usage("curvature", f"direction needs {spec.m} coordinates")
         norm = np.linalg.norm(direction)
         if 0 < norm < np.inf:  # a zero or non-finite direction is for radial_roots to reject
             direction = direction / norm
         rho, _ = sf.radial_roots(spec, direction)
         point = spec.star_center + rho[0] * direction
     if not 1 <= args.j <= spec.n:
-        print(f"levilab curvature: j={args.j} out of range 1..{spec.n}", file=sys.stderr)
-        return USAGE_EXIT
+        return _usage("curvature", f"j={args.j} out of range 1..{spec.n}")
     frames = cv.FrameBatch.at_points(spec, point)
     out = {
         "config": {
@@ -155,7 +156,6 @@ def _cmd_curvature(args) -> int:
             "surface": spec.canonical(),
             "point": [float(x) for x in point],
             "j": args.j,
-            "threads": str(qd.worker_threads()),
         },
         "K": float(cv.levi(frames, args.j)[0]),
         "H": float(cv.mean_curvature(frames)[0]),
@@ -167,12 +167,10 @@ def _cmd_curvature(args) -> int:
 
 
 def _cmd_identities(args) -> int:
-    if args.n + 1 > wt.MAX_NVARS:
-        print(f"levilab identities: n={args.n} exceeds the cost bound (n+1 <= {wt.MAX_NVARS})", file=sys.stderr)
-        return USAGE_EXIT
+    if not 1 <= args.n < wt.MAX_NVARS:
+        return _usage("identities", f"n={args.n} out of range 1..{wt.MAX_NVARS - 1} (cost bound n+1 <= {wt.MAX_NVARS})")
     if args.j is not None and not 1 <= args.j <= args.n:
-        print(f"levilab identities: j={args.j} out of range 1..{args.n}", file=sys.stderr)
-        return USAGE_EXIT
+        return _usage("identities", f"j={args.j} out of range 1..{args.n}")
     results = wt.run_identity_suite(args.n, seed=args.seed, j=args.j)
     all_ok = True
     max_terms = 0
@@ -186,6 +184,16 @@ def _cmd_identities(args) -> int:
     return 0 if all_ok else VIOLATED_EXIT
 
 
+def _tol_problem(identity: str, tol) -> str | None:
+    """Why --tol cannot be used, or None. It must be finite. Where it bounds a relative
+    error (integral, minkowski) it must be non-negative too; elsewhere it is the slack of
+    an inequality margin, and a negative value demands a strict margin."""
+    rel_err = identity in ("integral", "minkowski")
+    if tol is None or math.isfinite(tol) and (tol >= 0 or not rel_err):
+        return None
+    return f"--tol={tol!r} must be finite" + (" and non-negative" if rel_err else "")
+
+
 def _run_verification(identity: str, spec, j: int, q, tol, f_choice: str) -> vf.VerificationReport:
     kw = {} if tol is None else {"tol": tol}
     if f_choice != "default":
@@ -197,9 +205,12 @@ def _cmd_verify(args) -> int:
     from .specfile import parse_surface
 
     if args.f_choice != "default" and args.identity != "integral":
-        print("levilab verify: --f-choice applies only to the integral identity", file=sys.stderr)
-        return USAGE_EXIT
+        return _usage("verify", "--f-choice applies only to the integral identity")
+    if problem := _tol_problem(args.identity, args.tol):
+        return _usage("verify", problem)
     spec = parse_surface(args.surface)
+    if not 1 <= args.j <= spec.n:
+        return _usage("verify", f"j={args.j} out of range 1..{spec.n}")
     q = _resolve_quad(args.quad, spec.n)
     config = {
         "command": "verify",
@@ -209,7 +220,6 @@ def _cmd_verify(args) -> int:
         "quad": q.describe(),
         "tol": args.tol,
         "f_choice": args.f_choice,
-        "threads": str(qd.worker_threads()),
     }
     report = _run_verification(args.identity, spec, args.j, q, args.tol, args.f_choice)
     _write_output(args.out, report.to_json(config))
@@ -219,6 +229,8 @@ def _cmd_verify(args) -> int:
 def _cmd_batch(args) -> int:
     from .specfile import parse_surface
 
+    if problem := _tol_problem(args.identity, args.tol):
+        return _usage("batch", problem)
     files = sorted(
         f for f in os.listdir(args.config_dir)
         if not f.startswith(".") and os.path.isfile(os.path.join(args.config_dir, f))
@@ -240,7 +252,6 @@ def _cmd_batch(args) -> int:
                 "j": args.j,
                 "quad": q.describe(),
                 "tol": args.tol,
-                "threads": str(qd.worker_threads()),
             }
             report = _run_verification(args.identity, spec, args.j, q, args.tol, "default")
             _write_output(os.path.join(args.out_dir, stem + ".report.json"), report.to_json(config))

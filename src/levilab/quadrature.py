@@ -19,18 +19,15 @@ attaches their error estimates. The boundary has one pass, reached through
 and the scan read it, and it is dropped before the next chunk. A suite asks
 for all its boundary quantities in one call.
 
-Reproducibility contract: node order is fixed, nodes are processed in fixed
-chunks whose partial sums are combined with compensated summation in fixed
-order, and the optional thread pool (LEVILAB_THREADS) only distributes whole
-chunks, so results are bitwise identical across runs and worker counts.
+Reproducibility contract: node order is fixed, and nodes are processed one
+fixed chunk after another, whose partial sums are combined with compensated
+summation in fixed order, so results are bitwise identical across runs.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -41,7 +38,7 @@ from .curvature import FrameBatch
 from .errors import StarShapeError
 from .surfaces import SurfaceSpec, radial_roots
 
-CHUNK = 8192  # fixed, independent of worker count; part of the determinism contract
+CHUNK = 8192  # fixed; part of the determinism contract
 _ERROR_ORDER_DROP = 4
 _BULK_SHELLS = 3  # radial shells of the interior node sample
 
@@ -161,14 +158,6 @@ def mc_directions(m: int, samples: int, seed: int) -> tuple[np.ndarray, np.ndarr
     return d, wts
 
 
-def worker_threads() -> int:
-    """Worker threads from LEVILAB_THREADS (default 1); the only reader of that variable."""
-    raw = os.environ.get("LEVILAB_THREADS", "1")
-    if not raw.strip().isdecimal() or int(raw) < 1:
-        raise ValueError(f"LEVILAB_THREADS must be an integer >= 1, got {raw!r}")
-    return int(raw)
-
-
 def _neumaier(values) -> float:
     total = 0.0
     comp = 0.0
@@ -199,12 +188,7 @@ class _Nodes(NamedTuple):
 
     def map(self, fn) -> list:
         """fn(slice) over the fixed CHUNK slices of the nodes, results in node order."""
-        slices = [slice(i, i + CHUNK) for i in range(0, self.dirs.shape[0], CHUNK)]
-        workers = worker_threads()
-        if workers == 1 or len(slices) == 1:
-            return [fn(sl) for sl in slices]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, slices))
+        return [fn(slice(i, i + CHUNK)) for i in range(0, len(self.dirs), CHUNK)]
 
 
 # every pass at an order reads the same roots: surface -> {order: (rho, slope)}, dropped with the surface

@@ -90,9 +90,26 @@ def _center_array(center, m: int) -> np.ndarray:
     if center is None:
         return np.zeros(m)
     c = np.asarray(center, dtype=float)
-    if c.shape != (m,):
-        raise ValueError(f"center must have {m} coordinates, got shape {c.shape}")
+    if c.shape != (m,) or not np.all(np.isfinite(c)):
+        raise ValueError(f"center must be {m} finite coordinates, got {c.tolist()}")
     return c
+
+
+def _positive(name: str, value: float) -> float:
+    """A family's length or constant: checked here, so inf or nan never reaches the root finder."""
+    value = float(value)
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return value
+
+
+def _axes_array(axes) -> np.ndarray:
+    a = np.asarray(axes, dtype=float)
+    if a.ndim != 1 or len(a) < 4 or len(a) % 2:
+        raise ValueError("axes must list 2(n+1) >= 4 semi-axes")
+    if not np.all((a > 0) & (a < math.inf)):
+        raise ValueError(f"axes must be positive and finite, got {_fmt_vec(a)}")
+    return a
 
 
 def _diagonal_quadratic(weights, constant: float, center=None) -> RealPolynomial:
@@ -131,10 +148,8 @@ class Sphere(SurfaceSpec):
     """|z - z0|^2 = R^2."""
 
     def __init__(self, radius: float, center=None, n: int = 1):
-        if radius <= 0:
-            raise ValueError(f"radius must be positive, got {radius}")
         self.n = int(n)
-        self.radius = float(radius)
+        self.radius = _positive("R", radius)
         self.center = _center_array(center, self.m)
         self.star_center = self.center
         self.scale = self.radius
@@ -149,13 +164,8 @@ class Ellipsoid(SurfaceSpec):
     """Axis-aligned real ellipsoid, one semi-axis per real coordinate."""
 
     def __init__(self, axes, center=None):
-        a = np.asarray(axes, dtype=float)
-        if a.ndim != 1 or len(a) < 4 or len(a) % 2:
-            raise ValueError("axes must list 2(n+1) >= 4 semi-axes")
-        if np.any(a <= 0):
-            raise ValueError("all semi-axes must be positive")
+        self.axes = a = _axes_array(axes)
         self.n = len(a) // 2 - 1
-        self.axes = a
         self.center = _center_array(center, self.m)
         self.star_center = self.center
         self.scale = float(np.max(a))
@@ -176,10 +186,8 @@ class PerturbedQuadric(SurfaceSpec):
     """
 
     def __init__(self, n: int, c: float = 1.0, hterms: dict | None = None):
-        if c <= 0:
-            raise ValueError(f"c must be positive, got {c}")
         self.n = int(n)
-        self.c = float(c)
+        self.c = _positive("c", c)
         terms = {}
         for exps, coeff in (hterms or {}).items():
             exps = tuple(int(e) for e in exps)
@@ -213,12 +221,10 @@ class Cylinder(SurfaceSpec):
     """
 
     def __init__(self, radius: float, kind: str = "flat"):
-        if radius <= 0:
-            raise ValueError(f"radius must be positive, got {radius}")
         if kind not in ("flat", "curved"):
             raise ValueError(f"kind must be 'flat' or 'curved', got {kind!r}")
         self.n = 1
-        self.radius = float(radius)
+        self.radius = _positive("R", radius)
         self.kind = kind
         self.star_center = None
         self.scale = self.radius
@@ -313,7 +319,7 @@ class UserPolynomial(SurfaceSpec):
             raise ValueError("polynomial has no terms")
         self.coeffs = dict(sorted(clean.items()))
         self.star_center = _center_array(center, self.m)
-        self.scale = float(scale)
+        self.scale = _positive("scale", scale)
         self.poly = RealPolynomial.from_zzbar(self.n, self.coeffs).about(self.star_center)
         if validate:
             _validate_star_family(self)
@@ -364,13 +370,8 @@ class DirichletQuadratic(SurfaceSpec):
     """
 
     def __init__(self, axes):
-        a = np.asarray(axes, dtype=float)
-        if a.ndim != 1 or len(a) < 4 or len(a) % 2:
-            raise ValueError("axes must list 2(n+1) >= 4 semi-axes")
-        if np.any(a <= 0):
-            raise ValueError("all semi-axes must be positive")
+        self.axes = a = _axes_array(axes)
         self.n = len(a) // 2 - 1
-        self.axes = a
         self.cfactor = 2.0 / float(np.sum(1.0 / a**2))
         self.star_center = np.zeros(self.m)
         self.scale = float(np.max(a))

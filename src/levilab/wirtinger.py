@@ -488,6 +488,8 @@ def check_euler_sigma(n: int, j: int, seed: int = DEFAULT_SEED) -> IdentityCheck
 
 def run_identity_suite(n: int, seed: int = DEFAULT_SEED, j: int | None = None) -> list[IdentityCheck]:
     """All three identity checks for every admissible j (or one given j)."""
+    if n < 1:
+        raise ValueError(f"n={n} out of range: the suite needs n >= 1")
     js = [j] if j is not None else list(range(1, n + 1))
     results = []
     for jj in js:

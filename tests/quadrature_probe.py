@@ -16,7 +16,7 @@ bit-identical when the two outputs are equal:
     PYTHONPATH=<new>/src python tests/quadrature_probe.py > new.jsonl
     diff old.jsonl new.jsonl
 
-Run it with LEVILAB_THREADS unset or 1. It is not collected by pytest.
+It is not collected by pytest.
 """
 
 from __future__ import annotations

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from levilab import cli
+from levilab import quadrature as qd
 from levilab.wirtinger import MAX_NVARS
 
 
@@ -21,6 +22,8 @@ def test_identities_pass(capsys):
 @pytest.mark.parametrize("argv", [
     ["identities", "--n", str(MAX_NVARS)],
     ["identities", "--n", "2", "--j", "3"],
+    ["identities", "--n", "0"],  # a suite of no checks would pass vacuously
+    ["identities", "--n", "-1"],
 ])
 def test_identities_usage_errors(argv, capsys):
     assert cli.main(argv) == cli.USAGE_EXIT == 64
@@ -56,21 +59,26 @@ def test_f_choice_integral_is_used(tmp_path):
     assert report["identity"]["f_choice"] == report["config"]["f_choice"] == "exp"
 
 
-@pytest.mark.parametrize("raw, recorded", [(None, "1"), ("2", "2"), (" 3 ", "3")])
-def test_threads_recorded_as_parsed(raw, recorded, monkeypatch, tmp_path):
-    if raw is None:
-        monkeypatch.delenv("LEVILAB_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("LEVILAB_THREADS", raw)
-    out = tmp_path / "r.json"
-    assert cli.main([*NEWTON_ARGV, "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["config"]["threads"] == recorded
+def _no_quadrature(*args, **kwargs):
+    raise AssertionError("a usage error must exit before any quadrature runs")
 
 
-def test_bad_threads_is_an_error(monkeypatch, capsys):
-    monkeypatch.setenv("LEVILAB_THREADS", "abc")
-    assert cli.main(NEWTON_ARGV) == cli.FAILURE_EXIT
-    assert "LEVILAB_THREADS" in capsys.readouterr().err
+@pytest.mark.parametrize("identity, extra", [
+    ("integral", ["--j", "0"]),
+    ("newton", ["--j", "2"]),
+    ("integral", ["--tol", "-1"]),
+    ("minkowski", ["--tol", "nan"]),
+    ("newton", ["--tol", "nan"]),
+    ("alexandrov", ["--tol", "inf"]),
+])
+def test_verify_usage_errors(identity, extra, tmp_path, capsys, monkeypatch):
+    # j outside 1..n and a non-finite --tol are usage errors, as a negative one is where
+    # --tol bounds a relative error (newton's and alexandrov's slack may be negative)
+    monkeypatch.setattr(qd, "_nodes", _no_quadrature)
+    argv = ["verify", identity, "--surface", "sphere:R=1", "--quad", "gauss:order=4", *extra]
+    assert cli.main([*argv, "--out", str(tmp_path / "r.json")]) == cli.USAGE_EXIT
+    assert "levilab verify:" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
 
 
 @pytest.mark.parametrize("surface, codes", [
@@ -189,6 +197,17 @@ def test_batch_summary_and_one_report_per_file(tmp_path, capsys):
 ])
 def test_batch_exit_code_is_the_worst_outcome(names, extra, code, tmp_path):
     assert _batch(tmp_path, names, *extra)[0] == code
+
+
+@pytest.mark.parametrize("identity, tol", [("minkowski", "-1"), ("integral", "nan"), ("alexandrov", "nan")])
+def test_batch_bad_tol_is_a_usage_error(identity, tol, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(qd, "_nodes", _no_quadrature)
+    (tmp_path / "sphere").write_text(BATCH_FILES["sphere"])
+    out = tmp_path / "reports"
+    argv = ["batch", str(tmp_path), "--identity", identity, "--tol", tol, "--out-dir", str(out)]
+    assert cli.main(argv) == cli.USAGE_EXIT
+    assert "levilab batch: --tol" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_verify_exits_on_a_malformed_file_as_batch_does(tmp_path, capsys):

@@ -25,7 +25,6 @@ from __future__ import annotations
 import contextlib
 import io
 import json
-import os
 from pathlib import Path
 
 import pytest
@@ -100,7 +99,7 @@ def test_golden_report(name, golden):
 
 
 def _curvature_output(name: str) -> str:
-    """stdout of `levilab curvature` on one case, with the default thread count."""
+    """stdout of `levilab curvature` on one case."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert cli.main(["curvature", *CURVATURE_CASES[name]]) == 0
@@ -117,8 +116,7 @@ def test_curvature_cases_match_file(curvature_golden):
 
 
 @pytest.mark.parametrize("name", sorted(CURVATURE_CASES))
-def test_golden_curvature_output(name, curvature_golden, monkeypatch):
-    monkeypatch.delenv("LEVILAB_THREADS", raising=False)
+def test_golden_curvature_output(name, curvature_golden):
     assert _curvature_output(name) == json.dumps(curvature_golden[name], indent=2) + "\n"
 
 
@@ -132,6 +130,5 @@ def _record(path: Path, names, output) -> None:
 
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
-    os.environ.pop("LEVILAB_THREADS", None)
     _record(GOLDEN, CORPUS, _report)
     _record(CURVATURE_GOLDEN, CURVATURE_CASES, lambda name: json.loads(_curvature_output(name)))

@@ -1,4 +1,5 @@
-"""Import guards: the public API's names, and no scipy module loaded by the program.
+"""Import guards: the public API's names, no scipy module loaded by the program,
+and no environment read or thread pool in its source.
 
 Import, the identity checks, the direction grid, the quadrature-only
 verifications (sphere, Dirichlet chain) and the Reinhardt profiles with their
@@ -8,6 +9,7 @@ Each case runs in a fresh interpreter, since this test process has long since
 imported scipy, and prints the sorted names of the loaded scipy modules.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -45,6 +47,23 @@ def test_public_api_exposes_one_implementation_per_quantity():
         assert callable(getattr(levilab, name)), name
     for name in ("sigma", "sigma_grad", "newton_gap", "Jet2", "jet", "radial_root", "levi_at", "mean_curvature_at"):
         assert not hasattr(levilab, name), name
+
+
+def test_no_module_reads_the_environment_or_imports_a_thread_pool():
+    # no environment variable selects a code path or changes an output byte
+    found = []
+    for path in sorted(Path(levilab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            names = []
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{a.name}" for a in node.names] + [node.module or ""]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = [f"{node.value.id}.{node.attr}"]
+            found += [(path.name, name) for name in names
+                      if name in ("os.environ", "os.getenv") or name.startswith("concurrent")]
+    assert found == []
 
 
 def test_import_and_identity_checks_load_no_scipy():

@@ -211,25 +211,15 @@ class TestSelfConsistency:
 
 
 class TestDeterminism:
-    def test_bitwise_identical_across_runs_and_workers(self):
+    def test_bitwise_identical_across_runs(self):
         spec = sf.Ellipsoid([1.0, 1.3, 0.8, 1.1])
         field = lambda fr: cv.levi(fr, 1)
 
-        def values():  # Q24 is four chunks, so every one of three workers gets a chunk
+        def values():  # Q24 is four chunks
             qd.clear_root_cache()
             return qd.surface_integral(spec, field, Q16).value, qd.surface_integral(spec, FIELDS, Q24)
 
-        v1, v2 = values(), values()
-        old = os.environ.get("LEVILAB_THREADS")
-        try:
-            os.environ["LEVILAB_THREADS"] = "3"
-            v3 = values()
-        finally:
-            if old is None:
-                os.environ.pop("LEVILAB_THREADS", None)
-            else:
-                os.environ["LEVILAB_THREADS"] = old
-        assert v1 == v2 == v3
+        assert values() == values()
 
 
 class TestRootCache:
@@ -275,20 +265,6 @@ class TestErrors:
         # the product rule is the only method
         with pytest.raises(SpecParseError):
             parse_quadrature(text)
-
-    @pytest.mark.parametrize("raw", ["abc", "0", "-2", "1.5", ""])
-    def test_bad_thread_count_raises(self, raw, monkeypatch):
-        monkeypatch.setenv("LEVILAB_THREADS", raw)
-        with pytest.raises(ValueError, match="LEVILAB_THREADS"):
-            qd.worker_threads()
-        with pytest.raises(ValueError, match="LEVILAB_THREADS"):
-            qd.volume(sf.Sphere(1.0), Q16)
-
-    def test_thread_count(self, monkeypatch):
-        monkeypatch.delenv("LEVILAB_THREADS", raising=False)
-        assert qd.worker_threads() == 1
-        monkeypatch.setenv("LEVILAB_THREADS", " 3 ")
-        assert qd.worker_threads() == 3
 
 
 class TestDescribe:

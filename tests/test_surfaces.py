@@ -17,12 +17,14 @@ from levilab.curvature import FrameBatch, mean_curvature
 from levilab.errors import (
     DomainError,
     SingularityError,
+    SpecParseError,
     StarShapeError,
     TransversalityError,
 )
 from levilab.polynomial import RealPolynomial, horner
 from levilab.quadrature import sphere_grid
 from levilab.reinhardt import ode_residual, reinhardt_profile, series_coeffs
+from levilab.specfile import parse_surface
 
 FAMILIES = {}
 
@@ -645,3 +647,21 @@ class TestValidationErrors:
     def test_point_dimension_checked(self):
         with pytest.raises(ValueError):
             sf.eval_jets(_families()["sphere"], [1.0, 0.0])
+
+    @pytest.mark.parametrize("text, name", [
+        ("sphere:R=inf", "R"),
+        ("sphere:R=nan", "R"),
+        ("sphere:R=1,center=inf,0,0,0", "center"),
+        ("quadric:n=1,c=inf", "c"),
+        ("ellipsoid:axes=1,1,1,inf", "axes"),
+        ("ellipsoid:axes=1,1,1,1,center=0,nan,0,0", "center"),
+        ("dirichlet:axes=1,1,1,inf", "axes"),
+        ("dirichlet:axes=1,1,1,nan", "axes"),
+        ("cylinder:R=inf", "R"),
+        ("poly:n=1,terms=1:1,0,1,0;1:0,1,0,1;-1:0,0,0,0;0.1:2,0,2,0,scale=inf", "scale"),
+        ("poly:n=1,terms=1:1,0,1,0;1:0,1,0,1;-1:0,0,0,0,center=nan,0,0,0", "center"),
+    ])
+    def test_non_finite_parameter_is_a_parse_error(self, text, name):
+        # rejected at construction, by name, before any numpy warning or root finder
+        with pytest.raises(SpecParseError, match=f": {name} must be"):
+            parse_surface(text)

@@ -330,6 +330,12 @@ class TestIdentityChecks:
         assert len(results) == 3
         assert all(r.ok for r in results)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_suite_needs_n_at_least_1(self, n):
+        # a suite of no checks would pass vacuously
+        with pytest.raises(ValueError, match="n >= 1"):
+            run_identity_suite(n)
+
 
 def test_eval_exactness():
     f = norm_sq(2) - WPoly.constant(2, 4)
