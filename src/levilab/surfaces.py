@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -95,11 +96,18 @@ def _center_array(center, m: int) -> np.ndarray:
     return c
 
 
+# a length x in this range has x^2 and x^-2 both normal floats, so the constructors' squares
+# neither overflow nor underflow
+_LENGTH_RANGE = (math.sqrt(sys.float_info.min), 1.0 / math.sqrt(sys.float_info.min))
+_LENGTH_RULE = "positive and finite, with a square and inverse square that are normal floats"
+
+
 def _positive(name: str, value: float) -> float:
-    """A family's length or constant: checked here, so inf or nan never reaches the root finder."""
+    """A family's length or constant: checked here, so inf, nan or a square out of range never
+    reaches the root finder."""
     value = float(value)
-    if not 0.0 < value < math.inf:
-        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    if not _LENGTH_RANGE[0] <= value <= _LENGTH_RANGE[1]:
+        raise ValueError(f"{name} must be {_LENGTH_RULE}, got {value!r}")
     return value
 
 
@@ -107,9 +115,24 @@ def _axes_array(axes) -> np.ndarray:
     a = np.asarray(axes, dtype=float)
     if a.ndim != 1 or len(a) < 4 or len(a) % 2:
         raise ValueError("axes must list 2(n+1) >= 4 semi-axes")
-    if not np.all((a > 0) & (a < math.inf)):
-        raise ValueError(f"axes must be positive and finite, got {_fmt_vec(a)}")
+    if not np.all((a >= _LENGTH_RANGE[0]) & (a <= _LENGTH_RANGE[1])):
+        raise ValueError(f"axes must be {_LENGTH_RULE}, got {_fmt_vec(a)}")
     return a
+
+
+def _dimension(n) -> int:
+    """n of C^{n+1}: at least 1, so that the boundary has a complex tangent direction."""
+    n = int(n)
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+    return n
+
+
+def _finite_coefficient(exps: tuple, coeff) -> complex:
+    coeff = complex(coeff)
+    if not (math.isfinite(coeff.real) and math.isfinite(coeff.imag)):
+        raise ValueError(f"coefficient of {exps} must be finite, got {coeff!r}")
+    return coeff
 
 
 def _diagonal_quadratic(weights, constant: float, center=None) -> RealPolynomial:
@@ -148,7 +171,7 @@ class Sphere(SurfaceSpec):
     """|z - z0|^2 = R^2."""
 
     def __init__(self, radius: float, center=None, n: int = 1):
-        self.n = int(n)
+        self.n = _dimension(n)
         self.radius = _positive("R", radius)
         self.center = _center_array(center, self.m)
         self.star_center = self.center
@@ -186,7 +209,7 @@ class PerturbedQuadric(SurfaceSpec):
     """
 
     def __init__(self, n: int, c: float = 1.0, hterms: dict | None = None):
-        self.n = int(n)
+        self.n = _dimension(n)
         self.c = _positive("c", c)
         terms = {}
         for exps, coeff in (hterms or {}).items():
@@ -195,7 +218,7 @@ class PerturbedQuadric(SurfaceSpec):
                 raise ValueError(f"bad holomorphic exponent vector {exps}")
             if sum(exps) < 2:
                 raise ValueError(f"perturbation monomial {exps} must have degree >= 2")
-            coeff = complex(coeff)
+            coeff = _finite_coefficient(exps, coeff)
             if coeff != 0:
                 terms[exps] = coeff
         self.hterms = dict(sorted(terms.items()))
@@ -245,7 +268,8 @@ class ReinhardtSurface(SurfaceSpec):
     def __init__(self, k: float, f0: float, fp0: float | None = None,
                  s0: float = 0.0, smax: float | None = None):
         self.n = 1
-        self.profile: ReinhardtProfile = reinhardt_profile(k, f0, fp0=fp0, s0=s0, smax=smax)
+        self.profile: ReinhardtProfile = reinhardt_profile(_positive("k", k), _positive("f0", f0),
+                                                           fp0=fp0, s0=s0, smax=smax)
         self.k = float(k)
         self.scale = math.sqrt(max(self.profile.f0, self.profile.s_end))
         self.star_center = np.zeros(4) if self.profile.closed else None
@@ -269,7 +293,7 @@ class ReinhardtSurface(SurfaceSpec):
 
     def ray(self, dirs):
         """a rho^2 - F(b rho^2) with a = d0^2 + d1^2, b = d2^2 + d3^2 and slope 2 rho (a - b F'): one
-        profile evaluation per call, of F and F' only, so never the f'' fallback."""
+        profile evaluation per call, of F and F' only, so never the f'' polynomial."""
         a, b = dirs[:, 0] * dirs[:, 0] + dirs[:, 1] * dirs[:, 1], dirs[:, 2] * dirs[:, 2] + dirs[:, 3] * dirs[:, 3]
 
         def along(rho):
@@ -305,14 +329,14 @@ class UserPolynomial(SurfaceSpec):
     """
 
     def __init__(self, n: int, coeffs: dict, center=None, scale: float = 1.0, validate: bool = True):
-        self.n = int(n)
+        self.n = _dimension(n)
         width = 2 * (self.n + 1)
         clean = {}
         for exps, c in coeffs.items():
             exps = tuple(int(e) for e in exps)
             if len(exps) != width or any(e < 0 for e in exps):
                 raise ValueError(f"bad exponent vector {exps} for n={self.n}")
-            c = complex(c)
+            c = _finite_coefficient(exps, c)
             if c != 0:
                 clean[exps] = c
         if not clean:

@@ -72,10 +72,9 @@ def _sha(*arrays) -> str:
 def _reinhardt_points(spec: sf.ReinhardtSurface) -> np.ndarray:
     """Points whose s = |z2|^2 falls on every branch of ReinhardtProfile.eval."""
     p = spec.profile
-    lo = max(p.s_lo, p._s_switch)
-    s = [np.linspace(p.s_lo, lo, 40, endpoint=p.s_lo == lo)]  # series zone (regular start)
-    s.append(lo + np.geomspace(1e-9, 1e-3, 60) * p.s_end)     # s*f below the f'' formula's floor
-    s.append(np.linspace(lo, p.s_end, 300))                   # dense ODE output
+    s = [p._knots]                                            # segment ends
+    s.append(p.s_lo + np.geomspace(1e-9, 1e-3, 60) * p.s_end)  # next to the start
+    s.append(np.linspace(p.s_lo, p.s_end, 300))               # segment polynomials
     s.append(p.s_end - np.geomspace(1e-9, 1e-4, 40) * p.s_end)
     if p.closed:
         w = p._cap[2]

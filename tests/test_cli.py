@@ -139,6 +139,21 @@ def test_curvature_usage_errors(argv, tmp_path, capsys):
     assert "levilab curvature:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("params, name", [
+    ("k=nan,f0=4", "k"),
+    ("k=inf,f0=4", "k"),
+    ("k=0.5,f0=inf", "f0"),
+    ("k=0.5,f0=nan", "f0"),
+    ("k=0.5,f0=4,fp0=nan,s0=1", "fp0"),
+    ("k=0.5,f0=4,fp0=-1,s0=inf", "s0"),
+    ("k=0.5,f0=4,smax=inf", "smax"),
+])
+def test_reinhardt_parameters_are_named(params, name, tmp_path, capsys):
+    # a usage error naming the parameter, before any profile step or numpy warning
+    assert _curvature(["--surface", f"reinhardt:{params}", "--direction", "1,0,0,0"], tmp_path)[0] == 64
+    assert f": {name} must be" in capsys.readouterr().err
+
+
 def test_curvature_zero_direction_prints_no_numpy_warning():
     argv = ["-m", "levilab.cli", "curvature", "--surface", "sphere:R=2", "--direction", "0,0,0,0"]
     src = str(Path(cli.__file__).resolve().parent.parent)

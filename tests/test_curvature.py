@@ -211,15 +211,27 @@ class TestQuadricFamily:
                 assert np.max(np.abs(cv.levi(fr, j) - expected)) < 1e-12
 
 
+class CubicReparam(sf.ExpReparam):
+    """phi(f) = 2 f + f^2 + f^3/3 over a base family, phi' = 1 + (1 + f)^2 > 0: the same zero set and
+    inside. On f = 0, phi' = phi'' = 2 scale the Hessians and add a rank-one term in place of exp's 1, 1;
+    t + t^3/3 would have phi'(0) = 1, phi''(0) = 0 and leave the jets there unchanged."""
+
+    def derivatives(self, pts):
+        f = self.base.derivatives(pts)
+        v = f.val
+        return sf._chain(f, v * (2.0 + v * (1.0 + v / 3.0)), 1.0 + (1.0 + v) ** 2, 2.0 + 2.0 * v)
+
+
 class TestInvariance:
+    @pytest.mark.parametrize("reparam", [sf.ExpReparam, CubicReparam], ids=["exp", "cubic"])
     @pytest.mark.parametrize("name", ["sphere", "ellipsoid", "quadric"])
-    def test_defining_function_reparametrization(self, name):
+    def test_defining_function_reparametrization(self, name, reparam):
         spec = {
             "sphere": sf.Sphere(2.0),
             "ellipsoid": sf.Ellipsoid([1.0, 1.0, 1.0, 2.0]),
             "quadric": sf.PerturbedQuadric(1, c=1.0, hterms={(2, 0): 0.25, (0, 2): 0.25}),
         }[name]
-        g = sf.ExpReparam(spec)
+        g = reparam(spec)
         rng = np.random.default_rng(11)
         d = rng.standard_normal((30, 4))
         d /= np.linalg.norm(d, axis=1)[:, None]

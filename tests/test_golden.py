@@ -7,7 +7,9 @@ Newton sweep were recorded before the quadrature passes were folded into one
 core. The n = 2 quadric's Minkowski entry and the exp
 reparametrised integral formula were recorded before the jets became
 Wirtinger-native: they pin the mean curvature on a non-quadratic pure
-Hessian and a bulk sigma taken through the chain rule. Every verdict kind must match, and lhs and rhs
+Hessian and a bulk sigma taken through the chain rule. alexandrov:reinhardt
+was recorded again when the profile integrator became the Taylor series
+method, whose sphere profile ends at smax=4.0 exactly. Every verdict kind must match, and lhs and rhs
 must agree to GOLDEN_RTOL relative: the compiled evaluators sum the same
 terms in a different order, so the last bits may move.
 

@@ -1,15 +1,18 @@
-"""The profile integrator: bit for bit scipy's RK45, its typed errors, and a shooting test.
+"""The profile integrator against independent references, its exact closed profiles and its typed errors.
 
-levilab integrates the Reinhardt profile with its own numpy port of scipy's
-solve_ivp(method="RK45") path, brentq and CubicHermiteSpline. scipy is imported
-here, by the tests only, as the oracle the port must match byte for byte.
+levilab integrates the Reinhardt profile by the Taylor series method. The
+references here are scipy's solve_ivp(method="DOP853") at rtol 1e-13 on every
+start, mpmath.odefun at 30 digits on one band and one regular start, and the
+30-digit singular-cap roots recorded below. scipy and mpmath are imported by
+the tests only.
 """
+
+import math
+import re
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicHermiteSpline
-from scipy.optimize import brentq
 
 from levilab import reinhardt as rh
 from levilab.errors import SingularityError, StiffnessError
@@ -28,125 +31,130 @@ PROFILES = [
     dict(k=0.5, f0=4.0, fp0=-1.0, s0=1.0, smax=2.0),
     dict(k=0.3, f0=11.0),
 ]
+BAND = dict(k=0.5, f0=3.5, fp0=-1.1, s0=0.8, smax=3.0)
+SPHERES = [(0.5, 4.0), (1.0, 1.0), (2.0, 0.25)]  # f0 = 1/k^2: the radius-1/k sphere, F(s) = f0 - s
+
+# f + s f'^2 reaching 1e-14 f0, located on mpmath.odefun's 30-digit solution with mpmath.findroot
+SINGULAR_CAPS = [
+    (0.5, 1.0, 5.86831695632110028395297680481),
+    (0.5, 3.0, 6.29335622973787981498274458225),
+    (1.0, 0.5, 1.6791056955445023008578212237),
+    (0.7, 1.7, 2.99086369717520035246592574125),
+]
 
 
-def build_with_scipy_reference(monkeypatch, kw):
-    """Build the profile (or its error), recording the one _rk45 call it makes, and run
-    scipy's solve_ivp on the very same right-hand side, start, tolerances and events."""
-    calls = []
-    real = rh._rk45
+def _regular_start(k, f0, s1):
+    """(f, f') at s1 from the four-term series: its truncation error is about s1^4."""
+    c0, c1, c2, c3 = rh.series_coeffs(k, f0)
+    return c0 + s1 * (c1 + s1 * (c2 + s1 * c3)), c1 + s1 * (2 * c2 + s1 * 3 * c3)
 
-    def spy(*args):
-        calls.append((args, real(*args)))
-        return calls[-1][1]
 
-    monkeypatch.setattr(rh, "_rk45", spy)
-    try:
-        built = rh.reinhardt_profile(**kw)
-    except (SingularityError, StiffnessError) as exc:
-        built = exc
-    [((fun, t0, y0, t_bound, rtol, atol, events), out)] = calls
-    for event in events:
+def dop853(k, f0, fp0=None, s0=0.0, smax=None):
+    """The same start, events and end by solve_ivp's DOP853 at rtol 1e-13; a regular start
+    leaves s = 0, where the equation is singular, at s = 1e-8 on the series."""
+    smax = 1e3 * max(f0, 1.0 / k**2) if smax is None else smax
+    if fp0 is None:
+        s0 = 1e-8 * max(f0, 1.0 / k**2)
+        f0, fp0 = _regular_start(k, f0, s0)
+
+    def rhs(s, y):
+        u = y[0] + s * y[1] ** 2
+        return [y[1], (s * y[1] ** 2 - k * u * math.sqrt(max(u, 0.0)) - y[0] * y[1]) / (s * y[0])]
+
+    def closes(s, y):
+        return y[0]
+
+    def singular(s, y):
+        return y[0] + s * y[1] ** 2 - 1e-14 * f0
+
+    for event in (closes, singular):
         event.terminal, event.direction = True, -1
-    ref = solve_ivp(fun, (t0, t_bound), y0, method="RK45", rtol=rtol, atol=atol, dense_output=True,
-                    events=list(events))
-    return built, out, ref
+    return solve_ivp(rhs, (s0, smax), [f0, fp0], method="DOP853", rtol=1e-13, atol=1e-15,
+                     dense_output=True, events=[closes, singular])
 
 
 @pytest.mark.parametrize("kw", PROFILES, ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
-def test_integrator_is_bitwise_scipy_rk45(monkeypatch, kw):
-    built, (steps, failed, hit), ref = build_with_scipy_reference(monkeypatch, kw)
-    assert steps.ts.tobytes() == ref.t.tobytes()
-    assert failed == (ref.status == -1)
-    for e, t_events in enumerate(ref.t_events):
-        mine = np.array([hit[0]] if hit is not None and hit[1] == e else [], dtype=float)
-        assert mine.tobytes() == np.asarray(t_events, dtype=float).tobytes()
-
-    rng = np.random.default_rng(20)
-    s = np.concatenate([rng.uniform(steps.ts[0], steps.ts[-1], 2000), steps.ts])  # edges choose like scipy
-    assert rh._dense(steps, s).tobytes() == ref.sol(s).tobytes()
-    for x in steps.ts:  # a scalar takes scipy's matrix-vector path
-        assert rh._dense(steps, float(x)).tobytes() == ref.sol(float(x)).tobytes()
-
-    if isinstance(built, SingularityError):
-        assert built.s == float(hit[0])
-    elif isinstance(built, StiffnessError):
-        assert f"s={float(ref.t[-1])!r}:" in str(built)
-    else:
-        assert built.s_end == float(hit[0] if hit is not None else ref.t[-1])
-        grid = np.linspace(built._s_switch, built.s_end, 4001)
-        spline = CubicHermiteSpline(grid, *ref.sol(grid)).derivative(2)
-        pts = np.concatenate([grid, 0.5 * (grid[1:] + grid[:-1]), [grid[0] - 1e-3, grid[-1] + 1e-3]])
-        assert built._fpp_fallback(pts).tobytes() == spline(pts).tobytes()
-        assert float(built._fpp_fallback(built.s_end)) == float(spline(built.s_end))
+def test_profile_matches_dop853(kw):
+    ref = dop853(**kw)
+    [closes, singular] = ref.t_events
+    try:
+        p = rh.reinhardt_profile(**kw)
+    except SingularityError as exc:
+        # the level crossing is ill-conditioned: DOP853 at rtol 1e-13 places it to about 5e-10
+        assert closes.size == 0 and singular.size == 1
+        assert abs(exc.s - singular[0]) <= 1e-9 * singular[0]
+        return
+    except StiffnessError as exc:
+        near = float(re.search(r"near s=([^:]+):", str(exc)).group(1))
+        assert ref.status == -1 and abs(near - ref.t[-1]) <= 1e-12 * near
+        return
+    assert p.closed == (closes.size == 1) and singular.size == 0
+    assert abs(p.s_end - (closes[0] if p.closed else ref.t[-1])) <= 1e-12 * p.s_end
+    s = np.linspace(ref.t[0], p.s_end, 1001)
+    for mine, theirs in zip(p.eval(s, 1), ref.sol(s)):
+        assert np.max(np.abs(mine - theirs)) <= 1e-12
 
 
-def test_two_events_in_one_step_stop_at_the_earlier_root():
-    # the second step crosses both levels; the earlier root stops the run, as in scipy
-    def fun(t, y):
-        return np.array([-1.0 - 0.1 * t, 0.0])
+def test_profile_matches_mpmath_at_30_digits():
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+    cases = [(BAND, np.linspace(0.8, 3.0, 7)), (dict(k=0.7, f0=1.7, smax=0.5), np.linspace(0.1, 0.5, 5))]
+    for kw, s in cases:
+        k = mp.mpf(kw["k"])
+        if "fp0" in kw:
+            start, y0 = mp.mpf(kw["s0"]), [mp.mpf(kw["f0"]), mp.mpf(kw["fp0"])]
+        else:
+            start = mp.mpf("1e-5")  # the series' truncation, about 1e-20, is far below the tolerance
+            f0, r = mp.mpf(kw["f0"]), mp.sqrt(mp.mpf(kw["f0"]))
+            c = [f0, -k * r, 3 * k**2 * (1 - k * r) / 8, k**3 * (17 * k * r - 14 * k**2 * f0 - 3) / (48 * r)]
+            y0 = [c[0] + start * (c[1] + start * (c[2] + start * c[3])), c[1] + start * (2 * c[2] + start * 3 * c[3])]
 
-    def late(t, y):
-        return y[0] - 0.2
+        def rhs(x, y, k=k):
+            u = y[0] + x * y[1] ** 2
+            return [y[1], (x * y[1] ** 2 - k * u * mp.sqrt(u) - y[0] * y[1]) / (x * y[0])]
 
-    def early(t, y):
-        return y[0] - 0.6
-
-    steps, failed, hit = rh._rk45(fun, 0.0, [1.0, 0.0], 10.0, 1e-3, 1e-6, (late, early))
-    for event in (late, early):
-        event.terminal, event.direction = True, -1
-    ref = solve_ivp(fun, (0.0, 10.0), [1.0, 0.0], rtol=1e-3, atol=1e-6, dense_output=True, events=[late, early])
-    assert late(0.0, rh._dense(steps, steps.ts[-2] + steps.h[-1])) < 0  # both levels fell in the last step
-    assert not failed and hit[1] == 1 and ref.t_events[0].size == 0
-    assert steps.ts.tobytes() == ref.t.tobytes() and hit[0] == ref.t_events[1][0]
-
-
-@pytest.mark.parametrize("f,a,b", [
-    (lambda x: x**3 - 2 * x - 5, 2.0, 3.0),
-    (lambda x: np.cos(x) - x, 0.0, 1.0),
-    (lambda x: np.tanh(50 * (x - 0.37)), 0.0, 1.0),
-    (lambda x: np.exp(x) - 1e5, 0.0, 20.0),
-    (lambda x: 1.0 / (x - 3.3), 3.0, 4.0),
-    (lambda x: x * x - 1e-300, 0.0, 1.0),
-])
-def test_brentq_takes_scipys_steps(f, a, b):
-    eps = np.finfo(float).eps
-    seen = []
-    root = rh._brentq(lambda x: seen.append(x) or f(x), a, b)
-    want, info = brentq(f, a, b, xtol=4 * eps, rtol=4 * eps, full_output=True)
-    assert root == want and len(seen) == info.function_calls
+        sol = mp.odefun(rhs, start, y0)
+        want = np.array([[float(v) for v in sol(mp.mpf(float(x)))] for x in s]).T
+        got = np.array(rh.reinhardt_profile(**kw).eval(s, 1))
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14
 
 
-def test_stiff_start_raises_a_typed_error_without_scipy_text():
+@pytest.mark.parametrize("k,f0", SPHERES)
+def test_sphere_profiles_close_exactly(k, f0):
+    # the Taylor series of f0 - s ends at degree one, so one segment holds it exactly
+    p = rh.reinhardt_profile(k, f0)
+    assert p.closed and type(p.s_end) is float and p.s_end == f0
+    assert p._knots.tolist() == [0.0, f0]
+    assert p._coefs[:, 0].tolist() == [f0, -1.0]
+    s = np.linspace(0.0, f0, 1001)
+    f, fp, fpp = p.eval(s)
+    assert np.array_equal(f, f0 - s) and np.all(fp == -1.0) and np.all(fpp == 0.0)
+
+
+@pytest.mark.parametrize("k,f0", [(0.5, 4.0), (0.5, 3.0), (1.0, 0.5), (0.7, 1.7)])
+def test_taylor_start_extends_the_series(k, f0):
+    # series_coeffs' f3 cancels in 17 k r - 14 k^2 f0 - 3: 2.3e-15 off at (0.7, 1.7), the recurrence 3.4e-16
+    got = rh._taylor(k, 0.0, f0, None)[:4]
+    want = np.array(rh.series_coeffs(k, f0))
+    assert np.all(np.abs(got - want) <= 3e-15 * np.abs(want))
+
+
+def test_stiff_start_raises_a_typed_error_naming_the_fold():
     with pytest.raises(StiffnessError) as exc:
         rh.reinhardt_profile(0.5, 5.0)
     msg = str(exc.value)
-    assert "near s=3.542198607703925:" in msg
-    assert "np.float64" not in msg and "Required step size" not in msg
+    near = float(re.search(r"near s=([^:]+):", msg).group(1))
+    assert abs(near - 3.5421986076968) <= 1e-12
+    slope = float(re.search(r"\|f'\| = ([^)]+)\)", msg).group(1))
+    assert "turns vertical" in msg and "ten float spacings" in msg and slope > 7e3
 
 
-@pytest.mark.parametrize("k,f0,s", [
-    (0.5, 1.0, 5.868312425177272),
-    (0.5, 3.0, 6.293353102076187),
-    (1.0, 0.5, 1.6791045581303305),
-    (0.7, 1.7, 2.990862308860974),
-])
+@pytest.mark.parametrize("k,f0,s", SINGULAR_CAPS)
 def test_singular_caps_raise_at_the_event_root(k, f0, s):
     with pytest.raises(SingularityError) as exc:
         rh.reinhardt_profile(k, f0)
-    assert type(exc.value.s) is float and exc.value.s == s
-    assert str(exc.value) == f"profile ODE singular at s={s!r}"
-
-
-@pytest.mark.parametrize("k", [0.5, 1.0, 2.0])
-def test_shooting_at_the_sphere_value_closes_on_the_sphere(k):
-    # f0 = 1/k^2 is the radius-1/k sphere, F(s) = f0 - s, the one closed profile in C^2
-    f0 = 1.0 / k**2
-    p = rh.reinhardt_profile(k, f0)
-    assert p.closed and type(p.s_end) is float
-    assert abs(p.s_end - f0) <= 1e-9
-    s = np.linspace(0.0, p.s_end, 1001)
-    assert np.max(np.abs(p.eval(s, 0)[0] - (f0 - s))) <= 1e-9
+    assert type(exc.value.s) is float and abs(exc.value.s - s) <= 1e-10 * s
+    assert str(exc.value) == f"profile ODE singular at s={exc.value.s!r}"
 
 
 def test_band_end_must_lie_beyond_its_start():

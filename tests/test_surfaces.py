@@ -164,9 +164,9 @@ class TestRadialRoots:
     @pytest.mark.parametrize("name,most", [("reinhardt", 3)])
     def test_newton_start_needs_few_sweeps(self, name, most, monkeypatch):
         # ReinhardtSurface(0.5, 4.0) is the radius-2 sphere, and its scale (the first bracket
-        # end) lies one ulp above every root; a midpoint start took 48 Newton sweeps there.
-        # The bound counts every call of the ray function, bracket sweeps included: two on the
-        # Reinhardt sphere, where f at the scale rounds to 0 on some rays.
+        # end) is 2.0, the root of every ray; a midpoint start took 48 Newton sweeps there.
+        # The bound counts every call of the ray function, bracket sweeps included: three on
+        # the Reinhardt sphere, where f at the scale rounds to 0 on about half the rays.
         spec = _families()[name]
         dirs, _ = sphere_grid(spec.m, 32)
         calls = _record_rays(spec, monkeypatch)
@@ -497,10 +497,7 @@ def composed_reinhardt_jets(spec, pts):
 def reinhardt_points(spec, seed):
     """Points whose s = |z2|^2 covers every branch of the profile, with signed-zero coordinates."""
     p = spec.profile
-    lo = max(p.s_lo, p._s_switch)
-    s = [np.linspace(lo, p.s_end, 200), lo + np.geomspace(1e-9, 1e-3, 40) * p.s_end]
-    if p.regular_start:
-        s.append(np.linspace(0.0, lo, 30, endpoint=False))              # series zone
+    s = [np.linspace(p.s_lo, p.s_end, 200), p.s_lo + np.geomspace(1e-9, 1e-3, 40) * p.s_end, p._knots]
     if p.closed:
         w = p._cap[2]
         s += [p.s_end + np.linspace(0.0, w, 30), p.s_end + w * np.linspace(1.0, 40.0, 30)]  # cap, tail
@@ -530,12 +527,20 @@ class TestReinhardtClosedForm:
             assert a.shape == b.shape and a.dtype == b.dtype
             assert a.tobytes() == b.tobytes() if i < 2 else np.array_equal(a, b)
 
-    def test_branches_are_covered(self):
-        p = sf.ReinhardtSurface(0.5, 4.0).profile
-        s = np.sum(reinhardt_points(sf.ReinhardtSurface(0.5, 4.0), 17)[:, 2:] ** 2, axis=1)
+    @pytest.mark.parametrize("make", [
+        lambda: sf.ReinhardtSurface(0.5, 4.0),
+        lambda: sf.ReinhardtSurface(0.5, 3.5, fp0=-1.1, s0=0.8, smax=3.0),
+    ], ids=["regular", "band"])
+    def test_branches_are_covered(self, make):
+        spec = make()
+        p = spec.profile
+        s = np.sum(reinhardt_points(spec, 17)[:, 2:] ** 2, axis=1)
+        n = p._coefs.shape[1]
+        seg = np.clip(np.searchsorted(p._knots, s[s <= p.s_end], side="right") - 1, 0, n - 1)
+        assert set(seg.tolist()) == set(range(n))  # every segment polynomial
+        assert np.any(s - p.s_lo < 1e-6 * p.s_end)
         beyond = s - p.s_end
-        assert np.any(s < p._s_switch) and np.any((s > p._s_switch) & (s <= p.s_end))
-        assert np.any((beyond > 0) & (beyond <= p._cap[2])) and np.any(beyond > p._cap[2])
+        assert not p.closed or (np.any((beyond > 0) & (beyond <= p._cap[2])) and np.any(beyond > p._cap[2]))
 
     def test_no_jet_composition(self, forbid_chain_rule):
         # perf guard: the Reinhardt jets and frames never build the general (B, m, m) outer product
@@ -562,31 +567,24 @@ class TestReinhardtClosedForm:
             assert all(a.tobytes() == b.tobytes() for a, b in zip(low, full))
         assert p.eval(float(s[5]), 0) == (float(full[0][5]),)
 
-    def test_order_zero_never_calls_the_fpp_fallback(self, monkeypatch):
-        spec = sf.ReinhardtSurface(0.5, 4.0)
+    def test_orders_below_two_skip_the_fpp_polynomial(self, monkeypatch):
+        spec = sf.ReinhardtSurface(0.5, 3.5, fp0=-1.1, s0=0.8, smax=3.0)
         p = spec.profile
-        s = p._s_switch + np.geomspace(1e-9, 1.0, 200) * p.s_end  # reaches the fallback's zone
+        s = np.linspace(p.s_lo, p.s_end, 200)
+        calls = []
+        monkeypatch.setattr(rh, "horner", lambda a, t: calls.append(len(a)) or horner(a, t))
+        for order in (0, 1, 2):
+            p.eval(s, order)
+        assert calls == [p._coefs.shape[0]] * 3 + [p._coefs.shape[0] - 1]
 
-        def no_fallback(x):
-            raise AssertionError(f"f'' spline fallback called on {len(x)} points")
-
-        monkeypatch.setattr(p, "_fpp_fallback", no_fallback)
-        p.eval(s, 0)
-        p.eval(s, 1)
-        spec.ray(np.tile([0.0, 0.0, 1.0, 0.0], (len(s), 1)))(np.sqrt(s))  # the root finder's reads
-        with pytest.raises(AssertionError, match="fallback"):  # the zone is reached at order 2
-            p.eval(s, 2)
-
-    def test_fpp_fallback_only_below_the_floor(self):
-        p = sf.ReinhardtSurface(0.5, 4.0).profile
-        s = p._s_switch + np.geomspace(1e-9, 1.0, 200) * p.s_end
-        s = s[s <= p.s_end]
+    @pytest.mark.parametrize("kw", [dict(k=0.5, f0=3.5, fp0=-1.1, s0=0.8, smax=3.0), dict(k=0.7, f0=1.7, smax=2.9)],
+                             ids=["band", "regular"])
+    def test_fpp_from_the_series_solves_the_equation(self, kw):
+        # f'' is read off each segment's polynomial, also at s = 0 and at the knots
+        p = reinhardt_profile(**kw)
+        s = np.concatenate([np.linspace(p.s_lo, p.s_end, 500), p._knots, p.s_lo + np.geomspace(1e-12, 1e-3, 20)])
         f, fp, fpp = p.eval(s)
-        low = s * f <= rh._DENOM_FLOOR * max(p.f0, p.s_end) * p.s_end
-        assert 0 < np.sum(low) < len(s)
-        assert np.array_equal(fpp[low], p._fpp_fallback(s[low]))
-        s, f, fp = s[~low], f[~low], fp[~low]
-        assert np.array_equal(fpp[~low], (s * fp**2 - p.k * rh._pow32(f + s * fp**2) - f * fp) / (s * f))
+        assert np.max(np.abs(p.residual(s))) <= 1e-14 * np.max(np.abs(s * f * fpp) + np.abs(f * fp) + p.k)
 
 
 class TestRealOutput:
@@ -660,8 +658,25 @@ class TestValidationErrors:
         ("cylinder:R=inf", "R"),
         ("poly:n=1,terms=1:1,0,1,0;1:0,1,0,1;-1:0,0,0,0;0.1:2,0,2,0,scale=inf", "scale"),
         ("poly:n=1,terms=1:1,0,1,0;1:0,1,0,1;-1:0,0,0,0,center=nan,0,0,0", "center"),
+        ("sphere:R=1e200", "R"),                                          # R^2 overflows
+        ("ellipsoid:axes=1e-170,1,1,1", "axes"),                          # a^-2 overflows
+        ("dirichlet:axes=1e300,1,1,1", "axes"),                           # a^2 overflows
+        ("sphere:R=1,n=0", "n"),
+        ("quadric:n=0", "n"),
+        ("poly:n=0,terms=1:1,1;-1:0,0", "n"),
+        ("quadric:n=1,hterms=inf:2,0", r"coefficient of \(2, 0\)"),
+        ("poly:n=1,terms=1:1,0,1,0;1:0,1,0,1;-1:0,0,0,0;inf:2,0,2,0", r"coefficient of \(2, 0, 2, 0\)"),
+        ("reinhardt:k=1e-200,f0=4", "k"),                                 # k^-2 overflows
     ])
     def test_non_finite_parameter_is_a_parse_error(self, text, name):
         # rejected at construction, by name, before any numpy warning or root finder
         with pytest.raises(SpecParseError, match=f": {name} must be"):
             parse_surface(text)
+
+    @pytest.mark.parametrize("make", [
+        lambda: sf.PerturbedQuadric(1, hterms={(2, 0): complex(0.1, math.nan)}),
+        lambda: sf.UserPolynomial(1, {(1, 0, 1, 0): 1.0, (0, 1, 0, 1): 1.0, (0, 0, 0, 0): -math.inf}),
+    ], ids=["quadric", "poly"])
+    def test_constructors_reject_a_non_finite_coefficient(self, make):
+        with pytest.raises(ValueError, match="coefficient of .* must be finite"):
+            make()
