@@ -1,4 +1,21 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the range check for lengths."""
+
+import math
+import sys
+
+# a length x in this range has x^2 and x^-2 both normal floats, so the squares the surface
+# families and the profile integrator form neither overflow nor underflow
+LENGTH_RANGE = (math.sqrt(sys.float_info.min), 1.0 / math.sqrt(sys.float_info.min))
+LENGTH_RULE = "positive and finite, with a square and inverse square that are normal floats"
+
+
+def positive_length(name: str, value: float) -> float:
+    """A length or constant checked by name, so that inf, nan or a square out of range never
+    reaches a root finder or an integrator."""
+    value = float(value)
+    if not LENGTH_RANGE[0] <= value <= LENGTH_RANGE[1]:
+        raise ValueError(f"{name} must be {LENGTH_RULE}, got {value!r}")
+    return value
 
 
 class LevilabError(Exception):

@@ -23,8 +23,11 @@ so the Taylor coefficients of f about a segment start follow one another by
 Cauchy products, sqrt(u) by the square-root recurrence, in one O(N^2) pass.
 Each segment keeps its polynomial, which gives f, f' and f'' anywhere on it;
 the step is rho / e^2, rho the radius of convergence estimated from the last
-two coefficients. The sphere profile f0 - s is a polynomial of degree one, so
-it comes out exact in a single segment.
+two coefficients relative to f: min over m of (|a_0| / |a_m|)^(1/m). Relative
+to f, the steps shrink as f falls towards a singular cap, where a radius from
+|a_m|^(-1/m) alone overshoots the singularity and the polynomial can dip below
+the cap level and back inside one step. The sphere profile f0 - s is a
+polynomial of degree one, so it comes out exact in a single segment.
 """
 
 from __future__ import annotations
@@ -34,8 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, SingularityError, StiffnessError
-from .polynomial import horner
+from .errors import DomainError, SingularityError, StiffnessError, positive_length
 
 _ORDER = 24                 # degree of each segment's Taylor polynomial
 _TRANSVERSAL_SLOPE = 1e-6   # |f'| below this at f=0 counts as a singular cap
@@ -74,7 +76,7 @@ class ReinhardtProfile:
 
     def eval(self, s, order: int = 2) -> tuple:
         """Vectorized (f, f', f'')[:order + 1] at the given s values; lower orders skip
-        the f'' polynomial, and the rest is bit for bit the same.
+        the f'' recurrence, and the rest is bit for bit the same.
 
         Tiny overshoots past s_end (root-finder roundoff) are continued with the
         endpoint Taylor quadratic; far beyond, a sign-correct linear tail keeps
@@ -98,9 +100,7 @@ class ReinhardtProfile:
         inside = np.minimum(s, self.s_end)
         seg = np.clip(np.searchsorted(self._knots, inside, side="right") - 1, 0, self._coefs.shape[1] - 1)
         t = inside - self._knots[seg]
-        a = self._coefs[:, seg]
-        f, fp = horner(a, t)
-        fpp = horner(a[1:] * np.arange(1.0, len(a))[:, None], t)[1] if order == 2 else np.empty(0)
+        f, fp, fpp = _jet(self._coefs[:, seg], t, order)
 
         beyond = s > self.s_end
         if np.any(beyond):
@@ -126,8 +126,15 @@ class ReinhardtProfile:
 
 
 def _cauchy(x, y, i):
-    """Degree-i coefficient of the product of the series x and y (0 for i < 0)."""
-    return float(np.dot(x[:i + 1], y[i::-1])) if i >= 0 else 0.0
+    """Degree-i coefficient of the product of the series x and y (0 for i < 0). The sum is
+    correctly rounded, so the profile does not depend on how a BLAS orders a dot product;
+    a sum too large for a float is nan, which stops the run like any non-finite coefficient."""
+    if i < 0:
+        return 0.0
+    try:
+        return math.fsum(x[:i + 1] * y[i::-1])
+    except OverflowError:
+        return math.nan
 
 
 def _taylor(k, c, f, fp) -> np.ndarray:
@@ -156,13 +163,19 @@ def _taylor(k, c, f, fp) -> np.ndarray:
     return a[:_ORDER + 1]
 
 
-def _jet(a, t):
-    """(f, f', f'') of the polynomial with coefficients a at the scalar t, by Horner's rule."""
-    f = fp = fpp = 0.0
-    for ak in a[::-1]:
-        fpp = fpp * t + 2.0 * fp
-        fp = fp * t + f
-        f = f * t + float(ak)
+def _jet(a, t, order=2):
+    """(f, f', f'') of the polynomial with coefficients a at t, in one Horner pass: a is
+    (degree + 1,) with a scalar t, or (degree + 1, B) with t of shape (B,). f'' stays 0
+    unless order is 2."""
+    f, fp, fpp = a[-1] + 0.0 * t, 0.0 * t, 0.0 * t  # fresh arrays, updated in place below
+    for ak in a[-2::-1]:
+        if order == 2:
+            fpp *= t
+            fpp += 2.0 * fp
+        fp *= t
+        fp += f
+        f *= t
+        f += ak
     return f, fp, fpp
 
 
@@ -198,9 +211,7 @@ def reinhardt_profile(
     stops when f reaches 0 (closed surface if transversal), at a singular cap
     (raises), or at smax (open band).
     """
-    for name, value in (("k", k), ("f0", f0)):
-        if not 0.0 < value < math.inf:
-            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    k, f0 = positive_length("k", k), positive_length("f0", f0)
     for name, value in (("fp0", fp0), ("s0", s0), ("smax", smax)):
         if value is not None and not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
@@ -214,13 +225,15 @@ def reinhardt_profile(
         raise ValueError(f"smax={smax} must exceed the start s={s0}")
 
     level = 1e-14 * f0  # f + s f'^2 falling to this level is a singular cap
-    s, f, fp = float(s0), float(f0), fp0
+    s, f, fp = float(s0), f0, fp0
     knots, coefs = [s], []
     while True:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             a = _taylor(k, s, f, fp)
-            tail = np.abs(a[-2:]) ** (-1.0 / np.arange(_ORDER - 1.0, _ORDER + 1.0))
-        rho = float(np.min(tail)) if np.all(np.isfinite(a)) else 0.0
+        # rho from the last two coefficients relative to f, in Python floats so that no SIMD pow
+        # enters the steps; exact zeros (a polynomial profile) bound nothing
+        tail = [float(abs(a[0] / c)) ** (1.0 / d) for c, d in ((a[-2], _ORDER - 1), (a[-1], _ORDER)) if c]
+        rho = min(tail, default=math.inf) if np.all(np.isfinite(a)) else 0.0
         h = min(rho / math.e**2, smax - s)
         if h < 10 * math.ulp(s):
             raise StiffnessError(f"profile integration broke down near s={s!r}: the graph over s turns "
@@ -238,7 +251,8 @@ def reinhardt_profile(
         if fe + (s + h) * fe_p * fe_p - level <= 0.0:
             hits.append((_falling_root(singular, h), 1))
         if hits:
-            t, event = min(hits)  # the earlier root stops the run
+            t, event = min(hits)  # the earlier root stops the run; at a tie f = 0 closes it
+            t = float(t)
             if event == 1:
                 raise SingularityError(s + t)
             fe, fe_p, fe_pp = _jet(a, t)
@@ -266,5 +280,5 @@ def reinhardt_profile(
         regular_start=regular,
         _knots=np.array(knots),
         _coefs=coefs[:max(2, np.flatnonzero(coefs.any(axis=1))[-1] + 1)],  # no trailing zero degrees
-        _cap=(fe_p, fe_pp, 0.05 * max(s_end, 1.0)),
+        _cap=(float(fe_p), float(fe_pp), 0.05 * max(s_end, 1.0)),
     )

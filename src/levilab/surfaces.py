@@ -24,12 +24,12 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateGradientError, DomainError, StarShapeError, TransversalityError
+from .errors import (LENGTH_RANGE, LENGTH_RULE, DegenerateGradientError, DomainError, StarShapeError,
+                     TransversalityError, positive_length)
 from .polynomial import RealPolynomial, horner
 from .reinhardt import ReinhardtProfile, reinhardt_profile
 
@@ -96,27 +96,12 @@ def _center_array(center, m: int) -> np.ndarray:
     return c
 
 
-# a length x in this range has x^2 and x^-2 both normal floats, so the constructors' squares
-# neither overflow nor underflow
-_LENGTH_RANGE = (math.sqrt(sys.float_info.min), 1.0 / math.sqrt(sys.float_info.min))
-_LENGTH_RULE = "positive and finite, with a square and inverse square that are normal floats"
-
-
-def _positive(name: str, value: float) -> float:
-    """A family's length or constant: checked here, so inf, nan or a square out of range never
-    reaches the root finder."""
-    value = float(value)
-    if not _LENGTH_RANGE[0] <= value <= _LENGTH_RANGE[1]:
-        raise ValueError(f"{name} must be {_LENGTH_RULE}, got {value!r}")
-    return value
-
-
 def _axes_array(axes) -> np.ndarray:
     a = np.asarray(axes, dtype=float)
     if a.ndim != 1 or len(a) < 4 or len(a) % 2:
         raise ValueError("axes must list 2(n+1) >= 4 semi-axes")
-    if not np.all((a >= _LENGTH_RANGE[0]) & (a <= _LENGTH_RANGE[1])):
-        raise ValueError(f"axes must be {_LENGTH_RULE}, got {_fmt_vec(a)}")
+    if not np.all((a >= LENGTH_RANGE[0]) & (a <= LENGTH_RANGE[1])):
+        raise ValueError(f"axes must be {LENGTH_RULE}, got {_fmt_vec(a)}")
     return a
 
 
@@ -172,7 +157,7 @@ class Sphere(SurfaceSpec):
 
     def __init__(self, radius: float, center=None, n: int = 1):
         self.n = _dimension(n)
-        self.radius = _positive("R", radius)
+        self.radius = positive_length("R", radius)
         self.center = _center_array(center, self.m)
         self.star_center = self.center
         self.scale = self.radius
@@ -210,7 +195,7 @@ class PerturbedQuadric(SurfaceSpec):
 
     def __init__(self, n: int, c: float = 1.0, hterms: dict | None = None):
         self.n = _dimension(n)
-        self.c = _positive("c", c)
+        self.c = positive_length("c", c)
         terms = {}
         for exps, coeff in (hterms or {}).items():
             exps = tuple(int(e) for e in exps)
@@ -247,7 +232,7 @@ class Cylinder(SurfaceSpec):
         if kind not in ("flat", "curved"):
             raise ValueError(f"kind must be 'flat' or 'curved', got {kind!r}")
         self.n = 1
-        self.radius = _positive("R", radius)
+        self.radius = positive_length("R", radius)
         self.kind = kind
         self.star_center = None
         self.scale = self.radius
@@ -268,8 +253,7 @@ class ReinhardtSurface(SurfaceSpec):
     def __init__(self, k: float, f0: float, fp0: float | None = None,
                  s0: float = 0.0, smax: float | None = None):
         self.n = 1
-        self.profile: ReinhardtProfile = reinhardt_profile(_positive("k", k), _positive("f0", f0),
-                                                           fp0=fp0, s0=s0, smax=smax)
+        self.profile: ReinhardtProfile = reinhardt_profile(k, f0, fp0=fp0, s0=s0, smax=smax)
         self.k = float(k)
         self.scale = math.sqrt(max(self.profile.f0, self.profile.s_end))
         self.star_center = np.zeros(4) if self.profile.closed else None
@@ -343,7 +327,7 @@ class UserPolynomial(SurfaceSpec):
             raise ValueError("polynomial has no terms")
         self.coeffs = dict(sorted(clean.items()))
         self.star_center = _center_array(center, self.m)
-        self.scale = _positive("scale", scale)
+        self.scale = positive_length("scale", scale)
         self.poly = RealPolynomial.from_zzbar(self.n, self.coeffs).about(self.star_center)
         if validate:
             _validate_star_family(self)

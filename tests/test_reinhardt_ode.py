@@ -34,12 +34,13 @@ PROFILES = [
 BAND = dict(k=0.5, f0=3.5, fp0=-1.1, s0=0.8, smax=3.0)
 SPHERES = [(0.5, 4.0), (1.0, 1.0), (2.0, 0.25)]  # f0 = 1/k^2: the radius-1/k sphere, F(s) = f0 - s
 
-# f + s f'^2 reaching 1e-14 f0, located on mpmath.odefun's 30-digit solution with mpmath.findroot
+# f + s f'^2 reaching 1e-14 f0: the integrator's root, pinned to the bit, and the root located on
+# mpmath.odefun's 30-digit solution with mpmath.findroot
 SINGULAR_CAPS = [
-    (0.5, 1.0, 5.86831695632110028395297680481),
-    (0.5, 3.0, 6.29335622973787981498274458225),
-    (1.0, 0.5, 1.6791056955445023008578212237),
-    (0.7, 1.7, 2.99086369717520035246592574125),
+    (0.5, 1.0, 5.8683169563211, 5.86831695632110028395297680481),
+    (0.5, 3.0, 6.29335622973788, 6.29335622973787981498274458225),
+    (1.0, 0.5, 1.6791056955445023, 1.6791056955445023008578212237),
+    (0.7, 1.7, 2.9908636971752016, 2.99086369717520035246592574125),
 ]
 
 
@@ -143,18 +144,51 @@ def test_stiff_start_raises_a_typed_error_naming_the_fold():
     with pytest.raises(StiffnessError) as exc:
         rh.reinhardt_profile(0.5, 5.0)
     msg = str(exc.value)
-    near = float(re.search(r"near s=([^:]+):", msg).group(1))
-    assert abs(near - 3.5421986076968) <= 1e-12
+    assert "near s=3.5421986076968164:" in msg
     slope = float(re.search(r"\|f'\| = ([^)]+)\)", msg).group(1))
     assert "turns vertical" in msg and "ten float spacings" in msg and slope > 7e3
 
 
-@pytest.mark.parametrize("k,f0,s", SINGULAR_CAPS)
-def test_singular_caps_raise_at_the_event_root(k, f0, s):
+@pytest.mark.parametrize("k,f0,pinned,digits30", SINGULAR_CAPS)
+def test_singular_caps_raise_at_the_event_root(k, f0, pinned, digits30):
     with pytest.raises(SingularityError) as exc:
         rh.reinhardt_profile(k, f0)
-    assert type(exc.value.s) is float and abs(exc.value.s - s) <= 1e-10 * s
-    assert str(exc.value) == f"profile ODE singular at s={exc.value.s!r}"
+    assert type(exc.value.s) is float and exc.value.s == pinned
+    assert abs(pinned - digits30) <= 1e-15 * digits30
+    assert str(exc.value) == f"profile ODE singular at s={pinned!r}"
+
+
+@pytest.mark.parametrize("coefs, closes_at, raises_at", [
+    # f = (t - 1)(t - 3)/3 reaches 0 at t = 1 with slope -2/3; f + s f'^2 falls to the level later
+    ([1.0, -4.0 / 3.0, 1.0 / 3.0], 1.0, None),
+    # f = (t - 1)^2 - 1e-4 is flat near its root at t = 0.99: f + s f'^2 reaches the level first
+    ([1.0 - 1e-4, -2.0, 1.0], None, 0.9615912062626347),
+], ids=["closes-first", "cap-first"])
+def test_the_earlier_of_two_events_in_a_segment_decides(monkeypatch, coefs, closes_at, raises_at):
+    # every segment is this polynomial, whose zero tail makes the first segment run to smax;
+    # f0 = 1e12 only sets the cap level 1e-14 f0 to 0.01
+    a = np.zeros(rh._ORDER + 1)
+    a[:len(coefs)] = coefs
+    monkeypatch.setattr(rh, "_taylor", lambda k, c, f, fp: a.copy())
+    kw = dict(k=0.5, f0=1e12, fp0=coefs[1], s0=0.5, smax=2.5 if closes_at else 1.5)
+    if closes_at:
+        p = rh.reinhardt_profile(**kw)
+        assert p.closed and abs(p.s_end - (0.5 + closes_at)) <= 1e-15
+    else:
+        with pytest.raises(SingularityError) as exc:
+            rh.reinhardt_profile(**kw)
+        assert abs(exc.value.s - (0.5 + raises_at)) <= 1e-12
+
+
+@pytest.mark.parametrize("kw, name", [
+    (dict(k=1e-200, f0=4.0), "k"),   # k^2 underflows
+    (dict(k=1e200, f0=4.0), "k"),    # k^2 overflows
+    (dict(k=0.5, f0=1e-200), "f0"),
+    (dict(k=-0.5, f0=4.0), "k"),
+])
+def test_length_parameters_are_checked_by_name(kw, name):
+    with pytest.raises(ValueError, match=f"^{name} must be positive and finite, with a square"):
+        rh.reinhardt_profile(**kw)
 
 
 def test_band_end_must_lie_beyond_its_start():

@@ -567,15 +567,20 @@ class TestReinhardtClosedForm:
             assert all(a.tobytes() == b.tobytes() for a, b in zip(low, full))
         assert p.eval(float(s[5]), 0) == (float(full[0][5]),)
 
-    def test_orders_below_two_skip_the_fpp_polynomial(self, monkeypatch):
-        spec = sf.ReinhardtSurface(0.5, 3.5, fp0=-1.1, s0=0.8, smax=3.0)
-        p = spec.profile
+    def test_orders_below_two_skip_the_fpp_recurrence(self, monkeypatch):
+        p = reinhardt_profile(0.5, 3.5, fp0=-1.1, s0=0.8, smax=3.0)
         s = np.linspace(p.s_lo, p.s_end, 200)
-        calls = []
-        monkeypatch.setattr(rh, "horner", lambda a, t: calls.append(len(a)) or horner(a, t))
+        jet, fpps = rh._jet, []
+
+        def spy(a, t, order=2):
+            out = jet(a, t, order)
+            fpps.append(out[2])
+            return out
+
+        monkeypatch.setattr(rh, "_jet", spy)
         for order in (0, 1, 2):
             p.eval(s, order)
-        assert calls == [p._coefs.shape[0]] * 3 + [p._coefs.shape[0] - 1]
+        assert [bool(np.any(v)) for v in fpps] == [False, False, True]
 
     @pytest.mark.parametrize("kw", [dict(k=0.5, f0=3.5, fp0=-1.1, s0=0.8, smax=3.0), dict(k=0.7, f0=1.7, smax=2.9)],
                              ids=["band", "regular"])
