@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from levilab import wirtinger
 from levilab.errors import CostLimitError
 from levilab.wirtinger import (
     DEFAULT_SEED,
@@ -284,6 +285,60 @@ class TestIdentityChecks:
         for seed in (1, 424242):
             assert check_null_lagrangian(1, 1, seed=seed).ok
             assert check_lemma_identity(1, 1, seed=seed).ok
+            for j in (1, 2):
+                assert check_lemma_identity(2, j, seed=seed).ok
+
+    # Negative controls: a check that cannot fail proves nothing. Each perturbs
+    # one side of its identity and expects the residual to be that perturbation.
+
+    @pytest.mark.parametrize("j", [1, 2])
+    def test_lemma_fails_with_bordered_side_doubled(self, monkeypatch, j):
+        bordered = wirtinger.sym_bordered_det
+        f = generic_real_poly(3, 3, DEFAULT_SEED)
+        expected = sum((bordered(f, idx) for idx in itertools.combinations((1, 2, 3), j + 1)),
+                       WPoly.zero(3))
+        monkeypatch.setattr(wirtinger, "sym_bordered_det", lambda g, idx: bordered(g, idx) * 2)
+        res = check_lemma_identity(2, j)
+        assert not res.ok
+        assert not expected.is_zero()
+        assert res.residuals == (expected,)
+
+    @staticmethod
+    def _bump_cofactor(monkeypatch, l, k, bump):
+        sigma_grad = wirtinger.sym_sigma_grad
+
+        def perturbed(h, j):
+            grad = sigma_grad(h, j)
+            grad[l][k] = grad[l][k] + bump
+            return grad
+
+        monkeypatch.setattr(wirtinger, "sym_sigma_grad", perturbed)
+
+    @pytest.mark.parametrize("l,k", [(0, 0), (0, 2), (2, 1)])
+    def test_lemma_fails_with_one_cofactor_perturbed(self, monkeypatch, l, k):
+        # the factored contraction must still pair entry (l, k) with f_{z_l} f_{zbar_k}
+        bump = var(3, "z", 2) * var(3, "zbar", 3)
+        self._bump_cofactor(monkeypatch, l, k, bump)
+        f = generic_real_poly(3, 3, DEFAULT_SEED)
+        res = check_lemma_identity(2, 1)
+        assert not res.ok
+        assert res.residuals == (bump * f.wd("z", l + 1) * f.wd("zbar", k + 1),)
+
+    def test_null_lagrangian_fails_off_divergence_free(self, monkeypatch):
+        # z_1 in entry (0, 0) adds d/dz_1 z_1 = 1 to the divergence of column 0 only
+        self._bump_cofactor(monkeypatch, 0, 0, var(3, "z", 1))
+        res = check_null_lagrangian(2, 1)
+        assert not res.ok
+        assert res.residuals == (WPoly.constant(3, 1), WPoly.zero(3), WPoly.zero(3))
+
+    @pytest.mark.parametrize("j", [1, 2])
+    def test_euler_fails_with_sigma_shifted(self, monkeypatch, j):
+        # (j+1)(sigma + 1) - contraction leaves exactly the constant j + 1
+        sigma = wirtinger.sym_sigma
+        monkeypatch.setattr(wirtinger, "sym_sigma", lambda h, jj: sigma(h, jj) + 1)
+        res = check_euler_sigma(2, j)
+        assert not res.ok
+        assert res.residuals == (WPoly.constant(3, j + 1),)
 
     def test_cost_bound(self):
         with pytest.raises(CostLimitError):
