@@ -1,14 +1,14 @@
 """Command-line front end.
 
-Subcommands: curvature (pointwise quantities), identities (exact polynomial
-checks), verify <identity> (quadrature-backed verification with a JSON
-report), batch (one verification over a directory of surface files plus a CSV
-summary). Exit codes: 0 success / verdict as contracted, 2 violated, 3
-hypotheses not met, 4 numerical failure, 64 usage error (an argument out of
-range, or a surface or quadrature description that does not parse); batch
-exits with the worst code over its files, 64 before 2 before 4 before 3.
-Reports embed the fully resolved configuration; identical argv and seed give
-byte-identical output.
+Subcommands: curvature (pointwise quantities), identities (polynomial
+identities checked exactly at seeded points), verify <identity>
+(quadrature-backed verification with a JSON report), batch (one verification
+over a directory of surface files plus a CSV summary). Exit codes: 0 success /
+verdict as contracted, 2 violated, 3 hypotheses not met, 4 numerical failure,
+64 usage error (an argument out of range, or a surface or quadrature
+description that does not parse); batch exits with the worst code over its
+files, 64 before 2 before 4 before 3. Reports embed the fully resolved
+configuration; identical argv and seed give byte-identical output.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ def _build_parser() -> _Parser:
     c.add_argument("--j", type=int, default=1, help="curvature index (default 1)")
     c.add_argument("--out", default="-", help="output path, '-' for stdout (default)")
 
-    i = sub.add_parser("identities", help="exact polynomial identity checks")
+    i = sub.add_parser("identities", help="polynomial identity checks, exact at seeded points")
     i.add_argument("--n", type=int, required=True, help=f"complex dimension minus one (1..{wt.MAX_NVARS - 1})")
     i.add_argument("--j", type=int, default=None, help="single index to check (default: all admissible)")
     i.add_argument("--seed", type=int, default=wt.DEFAULT_SEED, help="seed of the generic polynomial")

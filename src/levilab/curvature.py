@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateGradientError
+from .errors import DegenerateGradientError, DomainError
 from .hermitian import det_batch
 from .surfaces import BOUNDARY_VALUE_TOL, GRADIENT_FLOOR, SurfaceSpec, eval_jets, wirtinger_gradient
 
@@ -163,9 +163,16 @@ def levi(frames: FrameBatch, j: int) -> np.ndarray:
     n = frames.n
     if not 1 <= j <= n:
         raise ValueError(f"j={j} out of range 1..{n}")
-    _gradient_norm(frames)
-    total = bordered_sum(frames.wgrad, frames.whess, j)
-    return -total / (math.comb(n, j) * frames.pgrad_norm ** (j + 2))
+    gnorm = _gradient_norm(frames)
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = bordered_sum(frames.wgrad, frames.whess, j)
+        scale = math.comb(n, j) * frames.pgrad_norm ** (j + 2)
+    finite = np.isfinite(total) & np.isfinite(scale)
+    if not np.all(finite):
+        i = int(np.argmin(finite))
+        raise DomainError(f"|grad f| = {gnorm[i]:.3e}: the bordered-minor sum or (|grad f| / 2)^{j + 2} "
+                          "overflows a float")
+    return -total / scale
 
 
 def mean_curvature(frames: FrameBatch) -> np.ndarray:

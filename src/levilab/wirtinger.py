@@ -7,15 +7,19 @@ form is canonical, so equality and hashing are exact. Exponent vectors are
 packed into one int, 16 bits per slot in tuple order (z block in the low
 slots), so a monomial product adds keys. Each polynomial keeps an upper bound
 on its total degree; an operation that could push a slot past 2^16 - 1 raises
-ValueError instead of carrying into the next slot. Determinants are expanded by
-cofactors, which is fine at the sizes this module is used for (<= 5).
+ValueError instead of carrying into the next slot.
 
-The identity checks at the bottom instantiate a divergence-type identity, a
+The identity checks at the bottom test a divergence-type identity, a
 gradient-contraction lemma, and Euler homogeneity for the symmetric functions
-of the complex Hessian on a generic seeded degree-3 polynomial. Vanishing of a
-polynomial identity at one generic rational coefficient point of this family is
-strong evidence, not a proof over indeterminate coefficients; the seed is part
-of every result so runs are reproducible.
+of the complex Hessian of a seeded generic real polynomial f of degree 3. No
+residual R is expanded: f's derivatives are evaluated exactly at P = 2 seeded
+points, whose 2N coordinates are drawn one by one from the Gaussian integers S
+with parts in [-2^31, 2^31), and the determinants run on those constants. R
+has degree D <= j + 4 in the 2N independent variables, so by the
+Schwartz-Zippel lemma a nonzero R vanishes at one point with probability at
+most D/|S| = D/2^64, at every point with at most its P-th power. The
+divergence of a cofactor is the chain rule: its t-coefficient over the
+entries H + t dH/dz_l at the point. The seed fixes f and the points.
 
 Public index arguments (variable index i, index sets I) are 1-based to match
 the z_1..z_N naming.
@@ -98,9 +102,7 @@ class WPoly:
     @classmethod
     def variable(cls, nvars: int, which: str, i: int) -> "WPoly":
         pos = _var_pos(which, i, nvars)
-        exps = [0] * (2 * nvars)
-        exps[pos] = 1
-        return cls(nvars, {tuple(exps): (Fraction(1), Fraction(0))})
+        return cls(nvars, {tuple(int(p == pos) for p in range(2 * nvars)): 1})
 
     # -- ring operations ---------------------------------------------------
 
@@ -132,9 +134,7 @@ class WPoly:
         return _make(self.nvars, num, self._den, self._deg)
 
     def __sub__(self, other):
-        if not isinstance(other, WPoly):
-            other = WPoly.constant(self.nvars, other)
-        return self + (-other)
+        return self + -(other if isinstance(other, WPoly) else WPoly.constant(self.nvars, other))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -159,13 +159,11 @@ class WPoly:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative powers not supported")
-        result = WPoly.constant(self.nvars, 1)
-        base = self
+        result, base = WPoly.constant(self.nvars, 1), self
         while k:
             if k & 1:
                 result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
+            base, k = base * base if k > 1 else base, k >> 1
         return result
 
     def __eq__(self, other):
@@ -214,25 +212,33 @@ class WPoly:
     def n_terms(self) -> int:
         return len(self._num)
 
-    def eval(self, zvals: Sequence[complex]) -> complex:
-        """Evaluate at floating z values (zbar values are their conjugates)."""
-        if len(zvals) != self.nvars:
-            raise ValueError(f"expected {self.nvars} complex values, got {len(zvals)}")
-        z = [complex(v) for v in zvals]
-        zb = [v.conjugate() for v in z]
-        total = 0j
-        n = self.nvars
-        for exps, mono in self.coefficients_as_complex().items():
-            for i in range(n):
-                if exps[i]:
-                    mono *= z[i] ** exps[i]
-                if exps[n + i]:
-                    mono *= zb[i] ** exps[n + i]
-            total += mono
-        return total
+    def at(self, point: Sequence) -> "WPoly":
+        """Exact value as a constant polynomial at 2N Gaussian rationals, the values of
+        z_1..z_N and then of zbar_1..zbar_N, each independent of the others."""
+        if len(point) != 2 * self.nvars:
+            raise ValueError(f"expected {2 * self.nvars} values, got {len(point)}")
+        if not self._deg:  # a constant is its own value
+            return self
+        vals = [_as_coeff(v) for v in point]
+        q = math.lcm(*(x.denominator for v in vals for x in v))
+        vals = [(a.numerator * (q // a.denominator), b.numerator * (q // b.denominator)) for a, b in vals]
+        re = im = 0
+        for key, (c, d) in self._num.items():
+            e = pos = 0
+            while key:
+                for _ in range(key & _SLOT_MAX):
+                    (a, b), e = vals[pos], e + 1
+                    c, d = c * a - d * b, c * b + d * a
+                key, pos = key >> _SLOT_BITS, pos + 1
+            re, im = re + c * q ** (self._deg - e), im + d * q ** (self._deg - e)
+        return _make(self.nvars, {0: (re, im)} if re or im else {}, self._den * q ** self._deg, 0)
 
-    def coefficients_as_complex(self) -> dict[tuple[int, ...], complex]:
-        return {self._exps(k): complex(a / self._den, b / self._den) for k, (a, b) in self._num.items()}
+    def eval(self, zvals: Sequence[complex]) -> complex:
+        """Float view of `at` with zbar_i the conjugate of z_i: the exact value, rounded once."""
+        z = [complex(v) for v in zvals]
+        value = self.at(z + [v.conjugate() for v in z])
+        re, im = value._num.get(0, (0, 0))
+        return complex(re / value._den, im / value._den)
 
     def __repr__(self):
         return f"WPoly(nvars={self.nvars}, n_terms={self.n_terms})"
@@ -246,24 +252,19 @@ def _var_pos(which: str, i: int, nvars: int) -> int:
     return (i - 1) if which == "z" else (nvars + i - 1)
 
 
-def wd(p: WPoly, which: str, i: int) -> WPoly:
-    """Module-level alias for WPoly.wd."""
-    return p.wd(which, i)
+wd = WPoly.wd  # module-level alias
 
 
 class WMatrix:
-    """Dense matrix of WPoly entries; determinant by cofactor expansion."""
+    """Dense square matrix of WPoly entries; determinant by cofactor expansion."""
 
     def __init__(self, entries: Sequence[Sequence[WPoly]]):
         self.entries = [list(row) for row in entries]
         self.rows = len(self.entries)
-        self.cols = len(self.entries[0]) if self.rows else 0
-        if any(len(row) != self.cols for row in self.entries):
-            raise ValueError("ragged matrix")
+        if any(len(row) != self.rows for row in self.entries):
+            raise ValueError("not a square matrix")
 
     def det(self) -> WPoly:
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
         return _det(self.entries)
 
 
@@ -273,8 +274,7 @@ def _det(rows: list[list[WPoly]]) -> WPoly:
         return rows[0][0]
     if n == 2:
         return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    nv = rows[0][0].nvars
-    total = WPoly.zero(nv)
+    total = WPoly.zero(rows[0][0].nvars)
     rest = rows[1:]
     for c in range(n):
         entry = rows[0][c]
@@ -293,33 +293,23 @@ def random_rational(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
 
 
-def _exponents(width: int, degree: int):
-    """Exponent tuples of the given width and total degree <= degree, in lexicographic order."""
-    if width == 0:
-        yield ()
-        return
-    for e in range(degree + 1):
-        for rest in _exponents(width - 1, degree - e):
-            yield (e, *rest)
-
-
 def generic_poly(nvars: int, degree: int, rng: random.Random) -> WPoly:
-    """Dense polynomial of the given total degree with random rational-complex coefficients."""
-    terms = {exps: (random_rational(rng), random_rational(rng)) for exps in _exponents(2 * nvars, degree)}
-    return WPoly(nvars, terms)
+    """Dense polynomial of the given total degree with random rational-complex coefficients,
+    drawn for the exponent tuples in lexicographic order."""
+    slots = itertools.combinations_with_replacement(range(2 * nvars + 1), degree)  # the last is slack
+    exps = sorted(tuple(c.count(p) for p in range(2 * nvars)) for c in slots)
+    return WPoly(nvars, {e: (random_rational(rng), random_rational(rng)) for e in exps})
 
 
 def generic_real_poly(nvars: int, degree: int, seed: int) -> WPoly:
     """Real-valued generic polynomial: p + conj(p) for a seeded random p."""
-    rng = random.Random(seed)
-    p = generic_poly(nvars, degree, rng)
+    p = generic_poly(nvars, degree, random.Random(seed))
     return p + p.conj()
 
 
 def complex_hessian(f: WPoly) -> WMatrix:
     """Matrix of mixed second partials: entry (l, k) is the z_l, zbar_k derivative."""
-    n = f.nvars
-    return WMatrix([[f.wd("z", l + 1).wd("zbar", k + 1) for k in range(n)] for l in range(n)])
+    return WMatrix(_derivatives(f)[2])
 
 
 def sym_sigma(h: WMatrix, j: int) -> WPoly:
@@ -327,15 +317,13 @@ def sym_sigma(h: WMatrix, j: int) -> WPoly:
     n = h.rows
     if not 1 <= j <= n:
         raise ValueError(f"j={j} out of range 1..{n}")
-    nv = h.entries[0][0].nvars
-    total = WPoly.zero(nv)
-    for idx in itertools.combinations(range(n), j):
-        total = total + _det([[h.entries[r][c] for c in idx] for r in idx])
-    return total
+    minors = (_det([[h.entries[r][c] for c in idx] for r in idx]) for idx in itertools.combinations(range(n), j))
+    return sum(minors, WPoly.zero(h.entries[0][0].nvars))
 
 
-def sym_sigma_grad(h: WMatrix, j: int) -> list[list[WPoly]]:
-    """Entrywise gradient of sym_sigma: generalized cofactors, entries independent."""
+def sym_sigma_grad(h: WMatrix, j: int, rows: Sequence[int] | None = None) -> list[list[WPoly]]:
+    """Entrywise gradient of sym_sigma: generalized cofactors, entries independent.
+    Only the given rows (0-based) are formed when rows is given; the others stay zero."""
     n = h.rows
     if not 1 <= j <= n:
         raise ValueError(f"j={j} out of range 1..{n}")
@@ -344,54 +332,60 @@ def sym_sigma_grad(h: WMatrix, j: int) -> list[list[WPoly]]:
     one = WPoly.constant(nv, 1)
     for idx in itertools.combinations(range(n), j):
         for pl, l in enumerate(idx):
-            rows = [r for r in idx if r != l]
+            if rows is not None and l not in rows:
+                continue
+            others = [r for r in idx if r != l]
             for pk, k in enumerate(idx):
                 cols = [c for c in idx if c != k]
-                if rows:
-                    minor = _det([[h.entries[r][c] for c in cols] for r in rows])
-                else:
-                    minor = one
-                if (pl + pk) % 2:
-                    minor = -minor
-                grad[l][k] = grad[l][k] + minor
+                minor = _det([[h.entries[r][c] for c in cols] for r in others]) if others else one
+                grad[l][k] = grad[l][k] - minor if (pl + pk) % 2 else grad[l][k] + minor
     return grad
 
 
-def sym_bordered_det(f: WPoly, indices: Sequence[int]) -> WPoly:
+def _derivatives(f: WPoly) -> tuple[list[WPoly], list[WPoly], list[list[WPoly]]]:
+    """f_{z_i}, f_{zbar_i} and the complex Hessian entries f_{z_l zbar_k}, 0-based."""
+    fz = [f.wd("z", i) for i in range(1, f.nvars + 1)]
+    fzb = [f.wd("zbar", i) for i in range(1, f.nvars + 1)]
+    return fz, fzb, [[d.wd("zbar", k) for k in range(1, f.nvars + 1)] for d in fz]
+
+
+def bordered_det(fz: Sequence[WPoly], fzb: Sequence[WPoly], h: Sequence[Sequence[WPoly]],
+                 indices: Sequence[int]) -> WPoly:
     """Bordered determinant: zero corner, zbar-gradient border row, z-gradient
     border column, and the complex Hessian block restricted to the index set.
 
-    Indices are 1-based, strictly increasing.
+    fz[i - 1], fzb[i - 1] and h[l - 1][k - 1] are f_{z_i}, f_{zbar_i} and f_{z_l zbar_k}, as
+    polynomials or as their exact values at a point. Indices are 1-based, strictly increasing.
     """
     idx = list(indices)
-    if len(set(idx)) != len(idx):
-        raise ValueError(f"duplicate indices in {indices}")
-    if sorted(idx) != idx:
+    if any(a >= b for a, b in zip(idx, idx[1:])):
         raise ValueError(f"indices must be strictly increasing, got {indices}")
-    if not all(1 <= i <= f.nvars for i in idx):
-        raise ValueError(f"indices {indices} out of range 1..{f.nvars}")
-    nv = f.nvars
-    size = len(idx) + 1
-    fz = {i: f.wd("z", i) for i in idx}
-    fzb = {i: f.wd("zbar", i) for i in idx}
-    h = {(i, k): fz[i].wd("zbar", k) for i in idx for k in idx}
-    rows: list[list[WPoly]] = [[WPoly.zero(nv)] + [fzb[k] for k in idx]]
-    for i in idx:
-        rows.append([fz[i]] + [h[(i, k)] for k in idx])
-    assert len(rows) == size
+    if not all(1 <= i <= len(fz) for i in idx):
+        raise ValueError(f"indices {indices} out of range 1..{len(fz)}")
+    rows = [[WPoly.zero(fz[0].nvars)] + [fzb[k - 1] for k in idx]]
+    rows += [[fz[i - 1]] + [h[i - 1][k - 1] for k in idx] for i in idx]
     return _det(rows)
+
+
+def sym_bordered_det(f: WPoly, indices: Sequence[int]) -> WPoly:
+    """The bordered determinant as a polynomial, from f's own derivative polynomials."""
+    return bordered_det(*_derivatives(f), indices)
 
 
 # -- identity checks ---------------------------------------------------------
 
-MAX_NVARS = 4
+MAX_NVARS = 6
 _GENERIC_DEGREE = 3
+_POINTS = 2
+_PART_BOUND = 1 << 31  # each coordinate's real and imaginary parts lie in [-2^31, 2^31)
 DEFAULT_SEED = 20240901
 
 
 @dataclass(frozen=True)
 class IdentityCheck:
-    """Result of one exact identity check on a generic seeded polynomial."""
+    """Result of one exact identity check: one constant residual per component and point,
+    points outer; max_terms is the largest polynomial formed, f itself (its derivatives and
+    the polynomials formed at a point are smaller)."""
 
     name: str
     n: int
@@ -405,98 +399,104 @@ class IdentityCheck:
         return all(p.is_zero() for p in self.residuals)
 
 
-def _guard_cost(n: int, j: int) -> None:
+@dataclass(frozen=True)
+class PointJets:
+    """f = generic_real_poly(n + 1, 3, seed) at its seeded points: per point, the exact
+    constants (fz, fzb, h, dh) with dh[m][l][k] the z_{m+1} derivative of h[l][k]."""
+
+    n: int
+    seed: int
+    points: tuple[tuple[tuple[int, int], ...], ...]
+    values: tuple[tuple, ...]
+    max_terms: int
+
+
+def _guard_cost(n: int, j: int | None = None) -> None:
     if n + 1 > MAX_NVARS:
         raise CostLimitError(f"n={n} exceeds the supported bound n+1 <= {MAX_NVARS}")
-    if not 1 <= j <= n:
+    if j is not None and not 1 <= j <= n:
         raise ValueError(f"j={j} out of range 1..{n}")
 
 
-def _track(counter: list[int], *polys: WPoly) -> None:
-    for p in polys:
-        if p.n_terms > counter[0]:
-            counter[0] = p.n_terms
+def _at(tree, point):
+    return tree.at(point) if isinstance(tree, WPoly) else [_at(x, point) for x in tree]
 
 
-def check_null_lagrangian(n: int, j: int, seed: int = DEFAULT_SEED) -> IdentityCheck:
+def point_jets(n: int, seed: int = DEFAULT_SEED) -> PointJets:
+    """Build f and its derivative polynomials once and evaluate them at P seeded points,
+    drawn from a stream of their own so that f keeps the coefficients of the seed."""
+    _guard_cost(n)
+    f = generic_real_poly(n + 1, _GENERIC_DEGREE, seed)
+    fz, fzb, h = _derivatives(f)
+    dh = [[[e.wd("z", m) for e in row] for row in h] for m in range(1, n + 2)]
+    rng = random.Random(f"wirtinger-points:{seed}")
+    points = tuple(tuple((rng.randrange(-_PART_BOUND, _PART_BOUND), rng.randrange(-_PART_BOUND, _PART_BOUND))
+                         for _ in range(2 * (n + 1))) for _ in range(_POINTS))
+    return PointJets(n, seed, points, tuple(_at((fz, fzb, h, dh), p) for p in points), f.n_terms)
+
+
+def _check(name: str, n: int, j: int, seed: int, jets: PointJets | None, residuals) -> IdentityCheck:
+    """Run residuals(fz, fzb, h, dh) -> list of constants at every point of the jets."""
+    _guard_cost(n, j)
+    if jets is not None and (jets.n, jets.seed) != (n, seed):
+        raise ValueError(f"jets of n={jets.n}, seed={jets.seed} given for n={n}, seed={seed}")
+    jets = jets or point_jets(n, seed)
+    return IdentityCheck(name, n, j, seed, tuple(r for v in jets.values for r in residuals(*v)), jets.max_terms)
+
+
+def check_null_lagrangian(n: int, j: int, seed: int = DEFAULT_SEED, jets: PointJets | None = None) -> IdentityCheck:
     """Divergence-free property of the sigma_{j+1} cofactor field of the complex Hessian.
 
-    For each k, the z-divergence over l of the (l, k) cofactor entries must be
-    the zero polynomial. One residual per k is returned.
-    """
-    _guard_cost(n, j)
-    f = generic_real_poly(n + 1, _GENERIC_DEGREE, seed)
-    h = complex_hessian(f)
-    grad = sym_sigma_grad(h, j + 1)
-    counter = [f.n_terms]
-    residuals = []
-    for k in range(n + 1):
-        div = WPoly.zero(n + 1)
-        for l in range(n + 1):
-            _track(counter, grad[l][k])
-            div = div + grad[l][k].wd("z", l + 1)
-        _track(counter, div)
-        residuals.append(div)
-    return IdentityCheck("null_lagrangian", n, j, seed, tuple(residuals), counter[0])
+    For each k, the z-divergence over l of the (l, k) cofactor entries must vanish; the z_l
+    derivative of a cofactor at a point is its t-coefficient over the entries h + t dh[l], with
+    the auxiliary variable t = z_1. One residual per k and point."""
+    nv = n + 1
+    t, origin = WPoly.variable(nv, "z", 1), [0] * (2 * nv)
+
+    def divergence(fz, fzb, h, dh):
+        div = [WPoly.zero(nv)] * nv
+        for l in range(nv):
+            line = WMatrix([[a + t * b for a, b in zip(hr, dr)] for hr, dr in zip(h, dh[l])])
+            grad = sym_sigma_grad(line, j + 1, rows=(l,))
+            div = [div[k] + grad[l][k].wd("z", 1).at(origin) for k in range(nv)]
+        return div
+
+    return _check("null_lagrangian", n, j, seed, jets, divergence)
 
 
-def check_lemma_identity(n: int, j: int, seed: int = DEFAULT_SEED) -> IdentityCheck:
+def check_lemma_identity(n: int, j: int, seed: int = DEFAULT_SEED, jets: PointJets | None = None) -> IdentityCheck:
     """Gradient contraction against the Wirtinger gradient equals minus the
     sum of bordered determinants; the residual of the two sides must vanish.
-    The contraction is factored, sum_l f_{z_l} (sum_k grad[l][k] f_{zbar_k}),
-    the same polynomial with n+1 large products in place of (n+1)^2. The
-    bordered side stays one determinant per index set: grouped by border entry
-    it would repeat the contraction's cofactor expansion, a circular check."""
-    _guard_cost(n, j)
+    The bordered side stays one determinant per index set: grouped by border
+    entry it would repeat the contraction's cofactor expansion, a circular check."""
     nv = n + 1
-    f = generic_real_poly(nv, _GENERIC_DEGREE, seed)
-    h = complex_hessian(f)
-    grad = sym_sigma_grad(h, j + 1)
-    fz = [f.wd("z", i) for i in range(1, nv + 1)]
-    fzb = [f.wd("zbar", i) for i in range(1, nv + 1)]
-    counter = [f.n_terms]
-    total = WPoly.zero(nv)
-    for l in range(nv):
-        inner = sum((grad[l][k] * fzb[k] for k in range(nv)), WPoly.zero(nv))
-        term = fz[l] * inner
-        _track(counter, inner, term)
-        total = total + term
-    for idx in itertools.combinations(range(1, nv + 1), j + 1):
-        b = sym_bordered_det(f, idx)
-        _track(counter, b)
-        total = total + b
-    _track(counter, total)
-    return IdentityCheck("lemma_contraction", n, j, seed, (total,), counter[0])
+
+    def residual(fz, fzb, h, dh):
+        grad = sym_sigma_grad(WMatrix(h), j + 1)
+        total = sum((fz[l] * grad[l][k] * fzb[k] for l in range(nv) for k in range(nv)), WPoly.zero(nv))
+        idxs = itertools.combinations(range(1, nv + 1), j + 1)
+        return [sum((bordered_det(fz, fzb, h, idx) for idx in idxs), total)]
+
+    return _check("lemma_contraction", n, j, seed, jets, residual)
 
 
-def check_euler_sigma(n: int, j: int, seed: int = DEFAULT_SEED) -> IdentityCheck:
+def check_euler_sigma(n: int, j: int, seed: int = DEFAULT_SEED, jets: PointJets | None = None) -> IdentityCheck:
     """Euler homogeneity of sigma_{j+1}: (j+1) sigma_{j+1} equals the full
     gradient contraction against the Hessian entries themselves."""
-    _guard_cost(n, j)
     nv = n + 1
-    f = generic_real_poly(nv, _GENERIC_DEGREE, seed)
-    h = complex_hessian(f)
-    sig = sym_sigma(h, j + 1)
-    grad = sym_sigma_grad(h, j + 1)
-    counter = [max(f.n_terms, sig.n_terms)]
-    total = sig * (j + 1)
-    for l in range(nv):
-        for k in range(nv):
-            term = grad[l][k] * h.entries[l][k]
-            _track(counter, term)
-            total = total - term
-    _track(counter, total)
-    return IdentityCheck("euler_homogeneity", n, j, seed, (total,), counter[0])
+
+    def residual(fz, fzb, h, dh):
+        grad = sym_sigma_grad(WMatrix(h), j + 1)
+        contraction = sum((grad[l][k] * h[l][k] for l in range(nv) for k in range(nv)), WPoly.zero(nv))
+        return [sym_sigma(WMatrix(h), j + 1) * (j + 1) - contraction]
+
+    return _check("euler_homogeneity", n, j, seed, jets, residual)
 
 
 def run_identity_suite(n: int, seed: int = DEFAULT_SEED, j: int | None = None) -> list[IdentityCheck]:
-    """All three identity checks for every admissible j (or one given j)."""
+    """All three identity checks for every admissible j (or one given j), on one build of f."""
     if n < 1:
         raise ValueError(f"n={n} out of range: the suite needs n >= 1")
-    js = [j] if j is not None else list(range(1, n + 1))
-    results = []
-    for jj in js:
-        results.append(check_null_lagrangian(n, jj, seed))
-        results.append(check_lemma_identity(n, jj, seed))
-        results.append(check_euler_sigma(n, jj, seed))
-    return results
+    jets = point_jets(n, seed)
+    return [check(n, jj, seed, jets) for jj in ([j] if j is not None else range(1, n + 1))
+            for check in (check_null_lagrangian, check_lemma_identity, check_euler_sigma)]

@@ -11,12 +11,13 @@ from levilab import quadrature as qd
 from levilab.wirtinger import MAX_NVARS
 
 
-def test_identities_pass(capsys):
-    assert cli.main(["identities", "--n", "1"]) == 0
+@pytest.mark.parametrize("n", [1, 4])
+def test_identities_pass(n, capsys):
+    assert cli.main(["identities", "--n", str(n)]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 4
+    assert len(lines) == 3 * n + 1
     assert all(line.startswith("PASS ") for line in lines)
-    assert all("max_terms=" in line for line in lines[:3])
+    assert all("max_terms=" in line for line in lines[:-1])
 
 
 @pytest.mark.parametrize("argv", [
@@ -154,13 +155,31 @@ def test_reinhardt_parameters_are_named(params, name, tmp_path, capsys):
     assert f": {name} must be" in capsys.readouterr().err
 
 
-def test_curvature_zero_direction_prints_no_numpy_warning():
-    argv = ["-m", "levilab.cli", "curvature", "--surface", "sphere:R=2", "--direction", "0,0,0,0"]
+def _cli_warnings_as_errors(*argv):
+    """Run the command in a fresh interpreter where a numpy RuntimeWarning is a traceback."""
     src = str(Path(cli.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    proc = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, timeout=120)
+    cmd = [sys.executable, "-W", "error::RuntimeWarning", "-m", "levilab.cli", *argv]
+    return subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_curvature_zero_direction_prints_no_numpy_warning():
+    proc = _cli_warnings_as_errors("curvature", "--surface", "sphere:R=2", "--direction", "0,0,0,0")
     assert proc.returncode == cli.FAILURE_EXIT
     assert "RuntimeWarning" not in proc.stderr and "direction" in proc.stderr
+
+
+@pytest.mark.parametrize("surface, n, j, gnorm, power", [
+    ("quadric:n=3,c=1e150", 3, 3, "1.000e+75", 5),  # (|grad f| / 2)^(j+2) is not a float
+    ("sphere:R=6e153,n=5", 5, 1, "1.200e+154", 3),  # nor is the sum of the 2x2 bordered minors
+])
+def test_levi_overflow_is_a_domain_error(surface, n, j, gnorm, power):
+    # the lengths are inside the accepted range, but K_j's numerator or denominator overflows
+    direction = ",".join(["1"] + ["0"] * (2 * n + 1))
+    proc = _cli_warnings_as_errors("curvature", "--surface", surface, "--direction", direction, "--j", str(j))
+    assert proc.returncode == cli.FAILURE_EXIT == 4
+    assert proc.stderr == (f"levilab: |grad f| = {gnorm}: the bordered-minor sum or (|grad f| / 2)^{power} "
+                           "overflows a float\n")
 
 
 # Alexandrov at order 8: the sphere's chain holds (violated under --tol -1), the

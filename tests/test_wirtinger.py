@@ -19,6 +19,7 @@ from levilab.wirtinger import (
     complex_hessian,
     generic_poly,
     generic_real_poly,
+    point_jets,
     random_rational,
     run_identity_suite,
     sym_bordered_det,
@@ -171,6 +172,23 @@ class TestExactRepresentation:
         assert a.wd("z" if pos < 2 else "zbar", pos % 2 + 1).terms == ref_wd(ta, pos)
         assert a.conj().terms == ref_conj(ta, 2)
 
+    @given(term_dicts(), st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9), st.integers(1, 6)),
+                                  min_size=4, max_size=4))
+    @settings(max_examples=40)
+    def test_at_matches_fraction_reference(self, ta, coords):
+        # each of z_1, z_2, zbar_1, zbar_2 takes its own Gaussian rational (re + i im) / den
+        point = [(Fraction(re, den), Fraction(im, den)) for re, im, den in coords]
+        zero = total = (Fraction(0), Fraction(0))
+        for exps, coeff in ta.items():
+            mono = coeff
+            for v, e in zip(point, exps):
+                for _ in range(e):
+                    mono = (mono[0] * v[0] - mono[1] * v[1], mono[0] * v[1] + mono[1] * v[0])
+            total = (total[0] + mono[0], total[1] + mono[1])
+        value = WPoly(2, ta).at(point)
+        assert value == WPoly.constant(2, total)
+        assert value.terms == ({(0, 0, 0, 0): total} if total != zero else {})
+
     @given(term_dicts())
     @settings(max_examples=30)
     def test_terms_round_trip_and_canonical_form(self, ta):
@@ -184,7 +202,6 @@ class TestExactRepresentation:
     def test_int_complex_and_fraction_coefficients(self):
         p = WPoly(1, {(1, 0): 3, (0, 1): 0.5 - 2j, (1, 1): Fraction(2, 6), (2, 2): 0})
         assert p.terms == {(1, 0): (3, 0), (0, 1): (Fraction(1, 2), -2), (1, 1): (Fraction(1, 3), 0)}
-        assert p.coefficients_as_complex() == {(1, 0): 3, (0, 1): 0.5 - 2j, (1, 1): 1 / 3}
 
     def test_exponent_slot_bound(self):
         z = WPoly.variable(1, "z", 1)
@@ -235,7 +252,7 @@ class TestBorderedDeterminant:
         p = generic_poly(2, 2, rng)
         f = p + p.conj()
         sym = sym_bordered_det(f, (1, 2))
-        spec = sf.UserPolynomial(1, f.coefficients_as_complex(), validate=False)
+        spec = sf.UserPolynomial(1, {e: complex(re, im) for e, (re, im) in f.terms.items()}, validate=False)
         nrng = np.random.default_rng(5)
         for _ in range(10):
             x = nrng.standard_normal(4)
@@ -266,12 +283,38 @@ class TestSigmaSymbolic:
         assert m.det() == a * a - b * b
 
 
+def symbolic_residuals(name, n, j, seed):
+    """The residual polynomials of one check, expanded in full: the route the pointwise checks
+    replace. It reads sym_sigma, sym_sigma_grad and bordered_det through the module, so a
+    monkeypatched perturbation reaches both routes alike."""
+    nv = n + 1
+    f = generic_real_poly(nv, 3, seed)
+    h = complex_hessian(f)
+    grad = wirtinger.sym_sigma_grad(h, j + 1)
+    zero = WPoly.zero(nv)
+    if name == "null_lagrangian":
+        return [sum((grad[l][k].wd("z", l + 1) for l in range(nv)), zero) for k in range(nv)]
+    if name == "lemma_contraction":
+        fzb = [f.wd("zbar", k + 1) for k in range(nv)]
+        contraction = sum((f.wd("z", l + 1) * sum((grad[l][k] * fzb[k] for k in range(nv)), zero)
+                           for l in range(nv)), zero)
+        bordered = sum((sym_bordered_det(f, idx) for idx in itertools.combinations(range(1, nv + 1), j + 1)), zero)
+        return [contraction + bordered]
+    contraction = sum((grad[l][k] * h.entries[l][k] for l in range(nv) for k in range(nv)), zero)
+    return [wirtinger.sym_sigma(h, j + 1) * (j + 1) - contraction]
+
+
+def at_points(polys, n, seed=DEFAULT_SEED):
+    """Exact values of the polynomials at the check's seeded points, points outer."""
+    return tuple(p.at(pt) for pt in point_jets(n, seed).points for p in polys)
+
+
 class TestIdentityChecks:
     @pytest.mark.parametrize("n,j", [(1, 1), (2, 1), (2, 2)])
     def test_null_lagrangian_zero(self, n, j):
         res = check_null_lagrangian(n, j)
         assert res.ok
-        assert len(res.residuals) == n + 1
+        assert len(res.residuals) == 2 * (n + 1)
 
     @pytest.mark.parametrize("n,j", [(1, 1), (2, 1), (2, 2)])
     def test_lemma_identity_zero(self, n, j):
@@ -288,27 +331,54 @@ class TestIdentityChecks:
             for j in (1, 2):
                 assert check_lemma_identity(2, j, seed=seed).ok
 
+    @pytest.mark.parametrize("seed", [DEFAULT_SEED, 1, 424242])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_pointwise_equals_symbolic_at_the_points(self, n, seed):
+        for res in run_identity_suite(n, seed):
+            assert res.ok
+            assert res.residuals == at_points(symbolic_residuals(res.name, n, res.j, seed), n, seed)
+
+    @pytest.mark.parametrize("n,j", [(4, None), (5, 5)])
+    def test_suite_passes_beyond_the_symbolic_reach(self, n, j):
+        results = run_identity_suite(n, j=j)
+        assert [r.ok for r in results] == [True] * len(results)
+
+    def test_points_are_independent_gaussian_integers(self):
+        points = point_jets(3).points
+        assert len(points) == 2 and all(len(p) == 8 for p in points)
+        parts = [x for p in points for c in p for x in c]
+        assert all(-2**31 <= x < 2**31 for x in parts)
+        assert len(set(parts)) == len(parts)
+        assert points == point_jets(3).points
+        assert points != point_jets(3, seed=1).points
+
+    def test_jets_of_another_suite_are_refused(self):
+        with pytest.raises(ValueError, match="seed=1"):
+            check_euler_sigma(2, 1, DEFAULT_SEED, point_jets(2, seed=1))
+
     # Negative controls: a check that cannot fail proves nothing. Each perturbs
-    # one side of its identity and expects the residual to be that perturbation.
+    # one side of its identity and expects the residual to be that perturbation
+    # at the points, and equal to the perturbed symbolic residual there.
 
     @pytest.mark.parametrize("j", [1, 2])
     def test_lemma_fails_with_bordered_side_doubled(self, monkeypatch, j):
-        bordered = wirtinger.sym_bordered_det
+        bordered = wirtinger.bordered_det
         f = generic_real_poly(3, 3, DEFAULT_SEED)
-        expected = sum((bordered(f, idx) for idx in itertools.combinations((1, 2, 3), j + 1)),
+        expected = sum((sym_bordered_det(f, idx) for idx in itertools.combinations((1, 2, 3), j + 1)),
                        WPoly.zero(3))
-        monkeypatch.setattr(wirtinger, "sym_bordered_det", lambda g, idx: bordered(g, idx) * 2)
+        monkeypatch.setattr(wirtinger, "bordered_det", lambda *args: bordered(*args) * 2)
         res = check_lemma_identity(2, j)
         assert not res.ok
-        assert not expected.is_zero()
-        assert res.residuals == (expected,)
+        assert not any(p.is_zero() for p in res.residuals)
+        assert res.residuals == at_points([expected], 2)
+        assert res.residuals == at_points(symbolic_residuals(res.name, 2, j, DEFAULT_SEED), 2)
 
     @staticmethod
     def _bump_cofactor(monkeypatch, l, k, bump):
         sigma_grad = wirtinger.sym_sigma_grad
 
-        def perturbed(h, j):
-            grad = sigma_grad(h, j)
+        def perturbed(h, j, rows=None):
+            grad = sigma_grad(h, j, rows)
             grad[l][k] = grad[l][k] + bump
             return grad
 
@@ -316,20 +386,25 @@ class TestIdentityChecks:
 
     @pytest.mark.parametrize("l,k", [(0, 0), (0, 2), (2, 1)])
     def test_lemma_fails_with_one_cofactor_perturbed(self, monkeypatch, l, k):
-        # the factored contraction must still pair entry (l, k) with f_{z_l} f_{zbar_k}
-        bump = var(3, "z", 2) * var(3, "zbar", 3)
+        # the contraction must pair entry (l, k) with f_{z_l} f_{zbar_k}; at a point the
+        # cofactors are constants, so the bump is one too
+        bump = WPoly.constant(3, (2, -3))
         self._bump_cofactor(monkeypatch, l, k, bump)
         f = generic_real_poly(3, 3, DEFAULT_SEED)
         res = check_lemma_identity(2, 1)
         assert not res.ok
-        assert res.residuals == (bump * f.wd("z", l + 1) * f.wd("zbar", k + 1),)
+        assert res.residuals == at_points([bump * f.wd("z", l + 1) * f.wd("zbar", k + 1)], 2)
+        assert res.residuals == at_points(symbolic_residuals(res.name, 2, 1, DEFAULT_SEED), 2)
 
     def test_null_lagrangian_fails_off_divergence_free(self, monkeypatch):
-        # z_1 in entry (0, 0) adds d/dz_1 z_1 = 1 to the divergence of column 0 only
+        # z_1 in entry (0, 0) adds d/dz_1 z_1 = 1 to the divergence of column 0 only; the
+        # pointwise check's auxiliary variable t is z_1, along which the z_1 derivative is taken
         self._bump_cofactor(monkeypatch, 0, 0, var(3, "z", 1))
         res = check_null_lagrangian(2, 1)
         assert not res.ok
-        assert res.residuals == (WPoly.constant(3, 1), WPoly.zero(3), WPoly.zero(3))
+        one, zero = WPoly.constant(3, 1), WPoly.zero(3)
+        assert res.residuals == (one, zero, zero) * 2
+        assert res.residuals == at_points(symbolic_residuals(res.name, 2, 1, DEFAULT_SEED), 2)
 
     @pytest.mark.parametrize("j", [1, 2])
     def test_euler_fails_with_sigma_shifted(self, monkeypatch, j):
@@ -338,33 +413,36 @@ class TestIdentityChecks:
         monkeypatch.setattr(wirtinger, "sym_sigma", lambda h, jj: sigma(h, jj) + 1)
         res = check_euler_sigma(2, j)
         assert not res.ok
-        assert res.residuals == (WPoly.constant(3, j + 1),)
+        assert res.residuals == (WPoly.constant(3, j + 1),) * 2
+        assert res.residuals == at_points(symbolic_residuals(res.name, 2, j, DEFAULT_SEED), 2)
 
     def test_cost_bound(self):
         with pytest.raises(CostLimitError):
-            check_null_lagrangian(4, 1)
+            check_null_lagrangian(6, 1)
+        with pytest.raises(CostLimitError):
+            run_identity_suite(6)
 
     def test_j_range(self):
         with pytest.raises(ValueError):
             check_euler_sigma(2, 3)
 
     def test_suite_pinned_at_default_seed(self):
-        # the exact expansion is deterministic: names, verdicts, the largest
-        # intermediate term count and the residual sizes are fixed at the default seed
+        # evaluation at the seeded points is deterministic: names, verdicts, the largest
+        # polynomial formed (f) and the residual sizes are fixed at the default seed
         results = run_identity_suite(2) + run_identity_suite(3, j=1)
         got = [(r.name, r.n, r.j, r.seed, r.ok, r.max_terms, [p.n_terms for p in r.residuals])
                for r in results]
         s = DEFAULT_SEED
         assert got == [
-            ("null_lagrangian", 2, 1, s, True, 84, [0, 0, 0]),
-            ("lemma_contraction", 2, 1, s, True, 462, [0]),
-            ("euler_homogeneity", 2, 1, s, True, 84, [0]),
-            ("null_lagrangian", 2, 2, s, True, 84, [0, 0, 0]),
-            ("lemma_contraction", 2, 2, s, True, 924, [0]),
-            ("euler_homogeneity", 2, 2, s, True, 84, [0]),
-            ("null_lagrangian", 3, 1, s, True, 165, [0, 0, 0, 0]),
-            ("lemma_contraction", 3, 1, s, True, 1287, [0]),
-            ("euler_homogeneity", 3, 1, s, True, 165, [0]),
+            ("null_lagrangian", 2, 1, s, True, 84, [0] * 6),
+            ("lemma_contraction", 2, 1, s, True, 84, [0, 0]),
+            ("euler_homogeneity", 2, 1, s, True, 84, [0, 0]),
+            ("null_lagrangian", 2, 2, s, True, 84, [0] * 6),
+            ("lemma_contraction", 2, 2, s, True, 84, [0, 0]),
+            ("euler_homogeneity", 2, 2, s, True, 84, [0, 0]),
+            ("null_lagrangian", 3, 1, s, True, 165, [0] * 8),
+            ("lemma_contraction", 3, 1, s, True, 165, [0, 0]),
+            ("euler_homogeneity", 3, 1, s, True, 165, [0, 0]),
         ]
 
     @pytest.mark.parametrize("nvars,degree", [(1, 3), (2, 2), (3, 3), (4, 3)])
