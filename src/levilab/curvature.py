@@ -14,14 +14,16 @@ Conventions fixed here and relied on everywhere else:
   2 Re(u^T S u) + 2 u^T H conj(u), summed over the upper triangle.
 
 Every function operates on a FrameBatch, the boundary data at a batch of
-points; a single point is a batch of one. K_j is defined by gradient-bordered
-minors: one (j+2) x (j+2) determinant per (j+1)-index set, each taken over the
-whole batch by hermitian.det_batch (closed forms up to 4 x 4, so n <= 2 never
-reaches LAPACK). Real input is assumed (all defining functions here are
-real-valued), so bordered determinants are real and their rounding-level
-imaginary parts are checked and dropped. With nu = FrameBatch.nu and
-P = I - nu nu*, K_j equals sigma_j(P H P) / (C(n, j) |del f|^j); the tests
-check levi against that form.
+points; a single point is a batch of one. Its arrays have shape (B, ...) and,
+as the jets give them, coordinate-major memory: each coordinate, gradient
+component and H or S entry is one contiguous row over the batch. K_j is
+defined by gradient-bordered minors: one (j+2) x (j+2) determinant per
+(j+1)-index set, each taken over the whole batch by hermitian.det_batch
+(closed forms up to 4 x 4, so n <= 2 never reaches LAPACK). Real input is
+assumed (all defining functions here are real-valued), so bordered
+determinants are real and their rounding-level imaginary parts are checked and
+dropped. With nu = FrameBatch.nu and P = I - nu nu*, K_j equals
+sigma_j(P H P) / (C(n, j) |del f|^j); the tests check levi against that form.
 """
 
 from __future__ import annotations
@@ -97,11 +99,11 @@ class FrameBatch:
     """
 
     spec: SurfaceSpec
-    points: np.ndarray      # (B, 2N)
-    rgrad: np.ndarray       # (B, 2N)
-    wgrad: np.ndarray       # (B, N) complex
-    whess: np.ndarray       # (B, N, N) complex, mixed: H
-    pure: np.ndarray        # (B, N, N) complex, pure: S
+    points: np.ndarray      # (B, 2N), coordinate-major: points.T is C-contiguous
+    rgrad: np.ndarray       # (B, 2N), coordinate-major
+    wgrad: np.ndarray       # (B, N) complex, in rgrad's memory order
+    whess: np.ndarray       # (B, N, N) complex, mixed: H; entry-major, or one matrix broadcast
+    pure: np.ndarray        # (B, N, N) complex, pure: S; likewise
     pgrad_norm: np.ndarray  # (B,)  |complex gradient|
     _levi: dict = field(default_factory=dict, repr=False, compare=False)  # j -> K_j, kept by levi(j)
 
@@ -124,9 +126,7 @@ class FrameBatch:
 
     @classmethod
     def at_points(cls, spec: SurfaceSpec, pts) -> "FrameBatch":
-        pts = np.asarray(pts, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[None, :]
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))  # a single point is a batch of one
         j = eval_jets(spec, pts)
         value, rgrad = j.val, j.grad
         off = np.abs(value) > BOUNDARY_VALUE_TOL * max(1.0, spec.scale**2)
@@ -134,7 +134,7 @@ class FrameBatch:
             i = int(np.argmax(np.abs(value)))
             raise ValueError(f"point {pts[i].tolist()} is off the boundary: f = {float(value[i])!r}")
         frames = cls(spec=spec, points=pts, rgrad=rgrad, wgrad=wirtinger_gradient(rgrad), whess=j.mixed, pure=j.pure,
-                     pgrad_norm=np.sqrt(np.add.reduce(rgrad * rgrad, axis=1)) / 2.0)  # np.linalg.norm, no copies
+                     pgrad_norm=np.sqrt(_pairwise_sum([g * g for g in rgrad.T])) / 2.0)  # np.linalg.norm's bits
         _gradient_norm(frames)
         return frames
 
@@ -143,6 +143,18 @@ class FrameBatch:
             self._levi[j] = k = levi(self, j)
             k.setflags(write=False)  # one array for every reader of the batch
         return self._levi[j]
+
+
+def _pairwise_sum(rows: list) -> np.ndarray:
+    """rows summed elementwise in the order np.add.reduce sums a contiguous row of len(rows) terms (numpy's
+    pairwise summation), so that a column sum over a coordinate-major batch keeps the row-major bits."""
+    n, tail = len(rows), len(rows) - len(rows) % 8
+    if n < 8:
+        return sum(rows)
+    if n > 128:  # two halves, split at a multiple of 8
+        return _pairwise_sum(rows[:n // 2 - n // 2 % 8]) + _pairwise_sum(rows[n // 2 - n // 2 % 8:])
+    acc = [sum(rows[i:tail:8][1:], rows[i]) for i in range(8)]  # eight running sums, joined as a tree
+    return sum(rows[tail:], ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7])))
 
 
 def _gradient_norm(frames: FrameBatch) -> np.ndarray:

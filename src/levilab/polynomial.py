@@ -11,14 +11,16 @@ keeps the union of their monomials with one coefficient column per number.
 The monomials of f come first, those that only the gradient adds next, those
 that only the Hessians add last, so a quadratic reads a leading block.
 
-Evaluation builds the powers d_i^1 .. d_i^deg_i of each coordinate, forms
-each monomial as a product of them, and takes one matrix product of the
-monomial table with the coefficient columns: the value, the real gradient,
-and H and S as complex views of that output (Taylor-mode differentiation of
-a fixed polynomial; Griewank & Walther, Evaluating Derivatives, 2nd ed.,
-2008). The table is built in blocks of points, each at most TABLE_BUDGET
-entries. A quadratic's H and S are constant: it reads only the leading rows and the value and
-gradient columns, and H and S are broadcast views of one matrix. restrict gives f along rays, a polynomial in rho.
+Evaluation builds the powers d_i^1 .. d_i^deg_i of each coordinate, forms each
+monomial as a product of them, and takes one matrix product of the monomial
+table with the coefficient columns (Taylor-mode differentiation of a fixed
+polynomial; Griewank & Walther, Evaluating Derivatives, 2nd ed., 2008). Each
+block of it is copied transposed into coordinate-major rows, one row over the
+points per number: real rows for the value and the real gradient, complex rows
+for the entries of H and S. The table is built in blocks of points, each at
+most TABLE_BUDGET entries. A quadratic's H and S are constant: it reads only
+the leading rows and the value and gradient columns, and H and S are broadcast
+views of one matrix. restrict gives f along rays, a polynomial in rho.
 """
 
 from __future__ import annotations
@@ -136,18 +138,18 @@ class RealPolynomial:
     def evaluate(self, pts: np.ndarray):
         """(value, gradient, H, S) at points (B, m).
 
-        The value has shape (B,) and the real gradient (B, m). H and S are
-        complex (B, N, N) views, N = m / 2, read-only for a quadratic. Their lower
-        triangles come from copies of the upper columns (conjugated for H): H is
-        exactly Hermitian and S symmetric when the product sums every column alike.
+        The value has shape (B,) and the real gradient (B, m), coordinate-major: each
+        coordinate is one contiguous row. H and S are complex (B, N, N), N = m / 2: read-only
+        broadcast views for a quadratic, else views of one entry-major (2, N, N, B) array. Their
+        lower triangles come from copies of the upper columns (conjugated for H): H is exactly
+        Hermitian and S symmetric when the product sums every column alike.
         """
         dt = np.subtract(np.asarray(pts, dtype=float).T, self.center[:, None], order="C")
         b, nv = dt.shape[1], self.m // 2
-        out = self._times(dt, self._plan)
-        value, grad = out[:, 0], out[:, 1:1 + self.m]
+        rows, hs = self._times(dt, self._plan, self._mixed)
         if self._constant is not None:
-            return value, grad, *np.broadcast_to(self._constant[:, None], (2, b, nv, nv))
-        return value, grad, *out[:, self._mixed:].view(complex).reshape(b, 2, nv, nv).transpose(1, 0, 2, 3)
+            return rows[0], rows[1:].T, *np.broadcast_to(self._constant[:, None], (2, b, nv, nv))
+        return rows[0], rows[1:].T, *hs.reshape(2, nv, nv, b).transpose(0, 3, 1, 2)
 
     def about(self, center) -> "RealPolynomial":
         """The same f expanded about another center: with h the shift of the center,
@@ -161,12 +163,15 @@ class RealPolynomial:
 
     def restrict(self, dirs: np.ndarray) -> np.ndarray:
         """a (d + 1, B) with f(center + rho * dirs[b]) = sum_k a[k, b] rho^k, from the terms by degree."""
-        return self._times(np.array(np.asarray(dirs, dtype=float).T, order="C"), self._by_degree).T.copy()
+        a = self._by_degree
+        return self._times(np.ascontiguousarray(np.asarray(dirs, dtype=float).T), a, a.shape[1])[0]
 
-    def _times(self, dt: np.ndarray, coefs: np.ndarray) -> np.ndarray:
-        """(B, ncol): the first len(coefs) monomials at local coordinates dt (m, B), times coefs."""
+    def _times(self, dt: np.ndarray, coefs: np.ndarray, real: int):
+        """The first len(coefs) monomials at local coordinates dt (m, B), times coefs: the first `real` columns
+        as rows (real, B), the (re, im) column pairs after them as complex rows. Each block is the product
+        table^T @ coefs, copied transposed: coefs^T @ table is another BLAS call and moves bits."""
         k, b = coefs.shape[0], dt.shape[1]
-        out = np.empty((b, coefs.shape[1]))
+        out, pairs = np.empty((real, b)), np.empty(((coefs.shape[1] - real) // 2, b), dtype=complex)
         step = max(1, TABLE_BUDGET // max(k, self._npow))
         for s in range(0, b, step):
             x = dt[:, s:s + step]
@@ -182,8 +187,9 @@ class RealPolynomial:
             table = powers[self._factors[0, :k]]
             for f in self._factors[1:]:
                 table *= powers[f[:k]]
-            np.matmul(table.T, coefs, out=out[s:s + step])
-        return out
+            block = np.matmul(table.T, coefs)
+            out[:, s:s + step], pairs[:, s:s + step] = block[:, :real].T, block[:, real:].view(complex).T
+        return out, pairs
 
 
 def horner(a: np.ndarray, rho: np.ndarray):

@@ -117,20 +117,13 @@ def sphere_grid(m: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     polynomials of degree <= 2*order - 1, which plain Gauss-Legendre in the
     angles is not; nodes are enumerated lexicographically and never reordered.
     """
-    angle_nodes = []
-    angle_wts = []
-    for i in range(m - 2):
-        beta = (m - 2 - i - 1) / 2.0  # weight (1 - x^2)^beta from sin^{m-2-i}
-        x, w = _gegenbauer_rule(order, beta)
-        angle_nodes.append(x)
-        angle_wts.append(w)
+    rules = [_gegenbauer_rule(order, (m - 3 - i) / 2.0) for i in range(m - 2)]  # weight (1 - x^2)^beta from sin^{m-2-i}
     naz = _AZIMUTH_FACTOR * order
-    angle_nodes.append((np.arange(naz) + 0.5) * 2 * np.pi / naz)
-    angle_wts.append(np.full(naz, 2 * np.pi / naz))
-    grids = np.meshgrid(*angle_nodes, indexing="ij")
-    wgrids = np.meshgrid(*angle_wts, indexing="ij")
+    rules.append(((np.arange(naz) + 0.5) * 2 * np.pi / naz, np.full(naz, 2 * np.pi / naz)))
+    grids = np.meshgrid(*(x for x, _ in rules), indexing="ij")
+    wgrids = np.meshgrid(*(w for _, w in rules), indexing="ij")
     b = grids[0].size
-    dirs = np.empty((b, m))
+    dirs = np.empty((m, b)).T  # coordinate-major: each coordinate of every chunk is one contiguous row
     sin_prod = np.ones(b)
     wts = np.ones(b)
     for i in range(m - 1):
@@ -182,9 +175,8 @@ class _Nodes(NamedTuple):
     order: int  # angular order of the pass; the default radial order of bulk passes
 
     def points(self, sl: slice, r: np.ndarray) -> np.ndarray:
-        out = r[:, None] * self.dirs[sl]
-        out += self.center
-        return out
+        """center + r * dirs[sl], (B, m) in the coordinate-major memory of the directions."""
+        return np.multiply(r, self.dirs[sl].T).T + self.center
 
     def map(self, fn) -> list:
         """fn(slice) over the fixed CHUNK slices of the nodes, results in node order."""

@@ -13,11 +13,12 @@ ExpReparam composes its base family's derivatives with _chain, the
 one-variable chain rule. No finite differencing happens on the default path.
 
 Star-shaped families declare a star center and are validated at construction
-on a coarse direction grid: every ray from the center must cross the boundary
-once, transversally, with a nondegenerate gradient there. radial_roots finds
-the crossings from each family's ray(dirs), which restricts f to a batch of
-rays once, in closed form: a quadratic restriction is solved by formula, any
-other by bracketed Newton on f and df/drho read from it.
+on 2m + 2 coarse directions, the signed axes and the two main diagonals: each
+ray must cross the boundary once, transversally, with a nondegenerate
+gradient. radial_roots finds the crossings from each family's ray(dirs),
+which restricts f to a batch of rays once, in closed form: a quadratic
+restriction is solved by formula, any other by bracketed Newton on f and
+df/drho read from it.
 """
 
 from __future__ import annotations
@@ -131,7 +132,7 @@ def _diagonal_quadratic(weights, constant: float, center=None) -> RealPolynomial
 def wirtinger_gradient(rgrad: np.ndarray) -> np.ndarray:
     """(..., 2N) real gradient -> (..., N) complex gradient f_k = (d_x - i d_y)/2, written into one complex
     array; 0 - d_y, not -d_y, keeps a zero +0.0 as (d_x - 1j d_y) / 2 gives it."""
-    w = np.empty(rgrad.shape[:-1] + (rgrad.shape[-1] // 2,), dtype=complex)
+    w = np.empty_like(rgrad[..., 0::2], dtype=complex)  # in rgrad's memory order
     w.real = rgrad[..., 0::2]
     np.subtract(0.0, rgrad[..., 1::2], out=w.imag)
     w *= 0.5
@@ -144,12 +145,12 @@ def _chain(inner: Jet, f0, f1, f2) -> Jet:
     With w = del f, H(phi o f) = phi' H + phi'' w w* and S(phi o f) = phi' S + phi'' w w^T; the
     outer products are built from real products of the gradient, exactly (Hermitian) symmetric.
     """
-    grad = f1[:, None] * inner.grad
-    gx, gy = inner.grad[:, 0::2], inner.grad[:, 1::2]
-    xx, yy, xy = (u[:, :, None] * v[:, None, :] for u, v in ((gx, gx), (gy, gy), (gx, gy)))
-    a, b = f1[:, None, None], f2[:, None, None] / 4.0  # w w* = (xx + yy + i (xy - xy^T)) / 4
-    return Jet(f0, grad, a * inner.mixed + b * ((xx + yy) + 1j * (xy - xy.transpose(0, 2, 1))),
-               a * inner.pure + b * ((xx - yy) - 1j * (xy + xy.transpose(0, 2, 1))))
+    gx, gy = inner.grad.T[0::2], inner.grad.T[1::2]  # entry-major: (N, N, B) products of (N, B) rows
+    xx, yy, xy = (u[:, None] * v[None, :] for u, v in ((gx, gx), (gy, gy), (gx, gy)))
+    b = f2 / 4.0  # w w* = (xx + yy + i (xy - xy^T)) / 4
+    mixed = f1 * inner.mixed.transpose(1, 2, 0) + b * ((xx + yy) + 1j * (xy - xy.transpose(1, 0, 2)))
+    pure = f1 * inner.pure.transpose(1, 2, 0) + b * ((xx - yy) - 1j * (xy + xy.transpose(1, 0, 2)))
+    return Jet(f0, (f1 * inner.grad.T).T, mixed.transpose(2, 0, 1), pure.transpose(2, 0, 1))
 
 
 class Sphere(SurfaceSpec):
@@ -262,18 +263,18 @@ class ReinhardtSurface(SurfaceSpec):
 
     def derivatives(self, pts):
         """r1^2 - F(s), s = |z2|^2, in closed form: gradient (2 x1, 2 y1, -2 F' x2, -2 F' y2),
-        H = diag(1, -F' - F'' s), S = diag(0, -F'' zbar2^2), each value bit for bit as _chain's
-        composition gives it (+ 0.0 turns the gradient's -0.0 into the +0.0 its sums give)."""
+        H = diag(1, -F' - F'' s), S = diag(0, -F'' zbar2^2), each value bit for bit and in the memory order
+        that _chain's composition gives it (+ 0.0 turns the gradient's -0.0 into the +0.0 its sums give)."""
         x1, y1, x2, y2 = np.ascontiguousarray(pts.T)
         s = x2 * x2 + y2 * y2
         fval, fp, fpp = self.profile.eval(s)
         val = (x1 * x1 + y1 * y1) - fval
-        grad = np.stack([2.0 * x1, 2.0 * y1, -fp * (2.0 * x2), -fp * (2.0 * y2)], axis=1) + 0.0
-        mixed, pure = np.zeros((2, len(pts), 2, 2), dtype=complex)
-        mixed[:, 0, 0] = 1.0
-        mixed[:, 1, 1] = -fp - fpp * s
-        pure[:, 1, 1] = -fpp * ((x2 * x2 - y2 * y2) - 2j * (x2 * y2))
-        return Jet(val, grad, mixed, pure)
+        grad = np.stack([2.0 * x1, 2.0 * y1, -fp * (2.0 * x2), -fp * (2.0 * y2)]).T + 0.0
+        mixed, pure = np.zeros((2, 2, 2, len(pts)), dtype=complex)
+        mixed[0, 0] = 1.0
+        mixed[1, 1] = -fp - fpp * s
+        pure[1, 1] = -fpp * ((x2 * x2 - y2 * y2) - 2j * (x2 * y2))
+        return Jet(val, grad, mixed.transpose(2, 0, 1), pure.transpose(2, 0, 1))
 
     def ray(self, dirs):
         """a rho^2 - F(b rho^2) with a = d0^2 + d1^2, b = d2^2 + d3^2 and slope 2 rho (a - b F'): one
@@ -398,9 +399,7 @@ class DirichletQuadratic(SurfaceSpec):
 
 
 def _check_points(pts, m: int) -> np.ndarray:
-    pts = np.asarray(pts, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[None, :]
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
     if pts.ndim != 2 or pts.shape[1] != m:
         raise ValueError(f"points must have shape (B, {m}), got {pts.shape}")
     if not np.all(np.isfinite(pts)):
@@ -449,9 +448,7 @@ def radial_roots(spec: SurfaceSpec, dirs) -> tuple[np.ndarray, np.ndarray]:
     if spec.star_center is None:
         raise StarShapeError(f"{type(spec).__name__} declares no star center")
     center = spec.star_center
-    dirs = np.asarray(dirs, dtype=float)
-    if dirs.ndim == 1:
-        dirs = dirs[None, :]
+    dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
     norms = np.sqrt(sum(d * d for d in dirs.T))  # a column sum: np.linalg.norm reduces short rows slowly
     bad = ~(np.isfinite(norms) & (norms > 0))  # checked before normalising: 0/0 would only warn
     if np.any(bad):
@@ -537,16 +534,9 @@ def _bracketed_newton(along, fc: float, scale: float, dirs: np.ndarray):
 
 
 def _coarse_directions(m: int) -> np.ndarray:
-    rows = []
-    for i in range(m):
-        e = np.zeros(m)
-        e[i] = 1.0
-        rows.append(e.copy())
-        rows.append(-e)
-    for signs in np.ndindex(*(2,) * m):
-        v = np.array([1.0 if s == 0 else -1.0 for s in signs]) / math.sqrt(m)
-        rows.append(v)
-    return np.array(rows)
+    """The 2m signed axes e_1, -e_1, ..., e_m, -e_m and the diagonals +-(1, ..., 1) / sqrt(m): O(m) rays."""
+    diagonal = np.full((1, m), 1.0) / math.sqrt(m)
+    return np.concatenate([np.stack([np.eye(m), -np.eye(m)], axis=1).reshape(2 * m, m), diagonal, -diagonal])
 
 
 def _validate_star_family(spec: SurfaceSpec) -> None:

@@ -8,6 +8,7 @@ import pytest
 
 from levilab import cli
 from levilab import quadrature as qd
+from levilab.surfaces import _coarse_directions
 from levilab.wirtinger import MAX_NVARS
 
 
@@ -119,6 +120,15 @@ def test_curvature_near_unit_direction(tmp_path):
     code, out = _curvature(["--surface", "sphere:R=2", "--direction", "1.0000000005,0,0,0"], tmp_path)
     assert code == 0
     assert out["K"] == pytest.approx(0.5, rel=1e-14) and out["H"] == pytest.approx(0.5, rel=1e-14)
+
+
+def test_star_validation_takes_o_of_m_directions(tmp_path):
+    # the signed axes and the two main diagonals in place of the 2^m cube corners: n = 20 (m = 42) in well
+    # under a second, where 2^42 corners would never end
+    assert [len(_coarse_directions(m)) for m in (4, 6, 42)] == [10, 14, 86]
+    code, out = _curvature(["--surface", "sphere:R=1,n=20", "--direction", ",".join(["1"] + ["0"] * 41)], tmp_path)
+    assert code == 0
+    assert out["K"] == pytest.approx(1.0, rel=1e-14) and out["H"] == pytest.approx(1.0, rel=1e-14)
 
 
 def test_off_boundary_point_prints_a_plain_float(tmp_path, capsys):

@@ -9,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levilab import curvature as cv
+from levilab import quadrature as qd
 from levilab import surfaces as sf
 from levilab.errors import DegenerateGradientError
-from levilab.hermitian import det_batch, sigma_batch
+from levilab.hermitian import det_batch, newton_gap_batch, sigma_batch
+from test_polynomial import CASES as POLYNOMIAL_CASES
 
 
 def sphere_points(rng, radius, m, count):
@@ -459,7 +461,8 @@ class TestMeanCurvatureContraction:
     def test_equals_the_einsum_form(self, name, real_hessian):
         spec = mean_curvature_surface(name)
         fr = boundary_frames(spec, 54, count=4096)
-        assert (2.0 * fr.pgrad_norm).tobytes() == np.linalg.norm(fr.rgrad, axis=1).tobytes()
+        # the row-major reference: norm over a coordinate-major rgrad would sum its columns one by one
+        assert (2.0 * fr.pgrad_norm).tobytes() == np.linalg.norm(np.ascontiguousarray(fr.rgrad), axis=1).tobytes()
         ref = einsum_mean_curvature(fr, real_hessian)
         assert np.max(np.abs(cv.mean_curvature(fr) - ref)) <= 1e-14 * np.max(np.abs(ref))
 
@@ -527,6 +530,80 @@ class TestMeanCurvatureExplicitSums:
         g[:, ::3] = 0.0
         g[:, 1::4, 1::2] = 0.0
         assert cv.wirtinger_gradient(g).tobytes() == ((g[..., 0::2] - 1j * g[..., 1::2]) / 2.0).tobytes()
+
+
+LAYOUT_SURFACES = {
+    **{name: make for name, (make, _) in POLYNOMIAL_CASES.items()},
+    "ellipsoid_n3": KERNEL_SURFACES["ellipsoid_n3"],  # m = 8: the gradient norm sums pairwise
+    "levi_indefinite": KERNEL_SURFACES["levi_indefinite"],
+    "reinhardt": lambda: sf.ReinhardtSurface(0.5, 4.0),
+    "exp_quadric_n2": lambda: sf.ExpReparam(KERNEL_SURFACES["quadric_complex_n2"]()),
+    "exp_levi_indefinite": lambda: sf.ExpReparam(KERNEL_SURFACES["levi_indefinite"]()),
+}
+
+
+def layout_points(spec, count=256, seed=58):
+    """C-ordered boundary points; on a cylinder a sphere of R^k in its first k coordinates, the rest free."""
+    if spec.star_center is not None:
+        return np.ascontiguousarray(boundary_frames(spec, seed, count=count).points)
+    rng = np.random.default_rng(seed)
+    k = 2 + (spec.kind == "curved")
+    return np.concatenate([sphere_points(rng, spec.radius, k, count), rng.uniform(-2, 2, (count, spec.m - k))], axis=1)
+
+
+def frame_fields(fr):
+    return [fr.points, fr.rgrad, fr.wgrad, fr.whess, fr.pure, fr.pgrad_norm, cv.mean_curvature(fr),
+            *(fr.levi(j) for j in range(1, fr.n + 1))]
+
+
+class TestCoordinateMajorLayout:
+    """Batches are coordinate-major from the direction grid to the kernels, and the layout moves no bit."""
+
+    @pytest.mark.parametrize("name", sorted(LAYOUT_SURFACES))
+    def test_frames_are_bitwise_the_same_from_either_point_layout(self, name):
+        spec = LAYOUT_SURFACES[name]()
+        pts = layout_points(spec)
+        row_major, coordinate_major = (cv.FrameBatch.at_points(spec, p) for p in (pts, np.asfortranarray(pts)))
+        for a, b in zip(frame_fields(row_major), frame_fields(coordinate_major)):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        # numpy's pairwise row sum, not the column-by-column sum of a coordinate-major reduction
+        ref = np.linalg.norm(np.ascontiguousarray(row_major.rgrad), axis=1)
+        assert (2.0 * row_major.pgrad_norm).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(LAYOUT_SURFACES))
+    def test_jets_are_coordinate_major(self, name):
+        spec = LAYOUT_SURFACES[name]()
+        jet = sf.eval_jets(spec, layout_points(spec))
+        assert jet.grad.T.flags.c_contiguous
+        assert (jet.mixed.strides[0] == 0) == (jet.pure.strides[0] == 0)
+        if jet.mixed.strides[0]:  # not a quadratic's one broadcast matrix: entry-major
+            assert jet.mixed.transpose(1, 2, 0).flags.c_contiguous and jet.pure.transpose(1, 2, 0).flags.c_contiguous
+
+    def test_degree_above_two_has_batched_entry_major_hessians(self):
+        for name in ("levi_indefinite", "quadric_complex_hterms", "user_levi_indefinite", "reinhardt"):
+            spec = LAYOUT_SURFACES[name]()
+            assert sf.eval_jets(spec, layout_points(spec, count=8)).mixed.strides[0] != 0
+
+    def test_direction_grid_and_nodes_are_coordinate_major(self):
+        nodes = qd._nodes(sf.Sphere(1.5, n=2), qd.QuadratureSpec(order=5))
+        assert qd.sphere_grid(6, 5)[0].T.flags.c_contiguous
+        assert nodes.points(slice(10, 300), nodes.rho[10:300]).T.flags.c_contiguous
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_hermitian_kernels_do_not_depend_on_the_layout(self, n):
+        # a non-quadratic H at interior points, entry-major from the jets against a row-major copy; at n = 4
+        # sigma_2 and sigma_3 sum C(5, j) = 10 minors
+        w = n + 1
+        terms = {tuple(int(i % w == k) for i in range(2 * w)): 1.0 for k in range(w)}
+        terms.update({(0,) * (2 * w): -1.0, (2,) + (0,) * (w - 2) + (0, 0) + (2,) * (w - 1): 0.2 + 0.1j,
+                      (1,) + (0,) * (w - 1) + (1,) + (0,) * (w - 2) + (1,): -0.5})
+        spec = sf.UserPolynomial(n, terms, validate=False)
+        h = sf.eval_jets(spec, np.random.default_rng(59 + n).uniform(-0.8, 0.8, (512, spec.m))).mixed
+        assert h.transpose(1, 2, 0).flags.c_contiguous
+        for j in range(1, w + 1):
+            assert sigma_batch(h, j).tobytes() == sigma_batch(np.ascontiguousarray(h), j).tobytes()
+            if j >= 2:
+                assert newton_gap_batch(h, j).tobytes() == newton_gap_batch(np.ascontiguousarray(h), j).tobytes()
 
 
 class TestMeanCurvatureOracle:

@@ -175,6 +175,23 @@ def test_quadratic_hessians_are_one_broadcast_matrix():
         assert (spec.poly._plan.shape[1] == 1 + spec.m) == (not quartic)
 
 
+def test_each_block_is_the_row_major_product(monkeypatch):
+    # coefs^T @ table, which would write the coordinate-major output directly, is another BLAS call: it moved
+    # bits of this cubic at n = 3 (8,192 points) and made them depend on the BLAS thread count
+    spec = sf.PerturbedQuadric(3, hterms={(3, 0, 0, 0): 0.02, (0, 1, 1, 1): 0.03 - 0.01j, (2, 0, 0, 0): 0.05j})
+    operands, matmul = [], np.matmul
+
+    def spy(a, b, *args, **kwargs):
+        operands.append((a.shape, b.shape))
+        return matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    jet = sf.eval_jets(spec, _points(spec, count=2048))
+    plan = spec.poly._plan
+    assert len(operands) > 1 and all(a[1] == plan.shape[0] and b == plan.shape for a, b in operands)
+    assert jet.grad.T.flags.c_contiguous and jet.mixed.transpose(1, 2, 0).flags.c_contiguous
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_ray_value_and_slope_match_full_jets(name):
     spec = CASES[name][0]()
