@@ -20,7 +20,8 @@ points per number: real rows for the value and the real gradient, complex rows
 for the entries of H and S. The table is built in blocks of points, each at
 most TABLE_BUDGET entries. A quadratic's H and S are constant: it reads only
 the leading rows and the value and gradient columns, and H and S are broadcast
-views of one matrix. restrict gives f along rays, a polynomial in rho.
+views of one matrix each, which constant_hessians gives alone, with no table
+built. restrict gives f along rays, a polynomial in rho.
 """
 
 from __future__ import annotations
@@ -148,8 +149,14 @@ class RealPolynomial:
         b, nv = dt.shape[1], self.m // 2
         rows, hs = self._times(dt, self._plan, self._mixed)
         if self._constant is not None:
-            return rows[0], rows[1:].T, *np.broadcast_to(self._constant[:, None], (2, b, nv, nv))
+            return rows[0], rows[1:].T, *self.constant_hessians(b)
         return rows[0], rows[1:].T, *hs.reshape(2, nv, nv, b).transpose(0, 3, 1, 2)
+
+    def constant_hessians(self, b: int):
+        """A quadratic's (H, S), read-only broadcast views (B, N, N) over b points, with no table; else None."""
+        if self._constant is None:
+            return None
+        return np.broadcast_to(self._constant[:, None], (2, b, *self._constant.shape[1:]))
 
     def about(self, center) -> "RealPolynomial":
         """The same f expanded about another center: with h the shift of the center,
@@ -169,7 +176,8 @@ class RealPolynomial:
     def _times(self, dt: np.ndarray, coefs: np.ndarray, real: int):
         """The first len(coefs) monomials at local coordinates dt (m, B), times coefs: the first `real` columns
         as rows (real, B), the (re, im) column pairs after them as complex rows. Each block is the product
-        table^T @ coefs, copied transposed: coefs^T @ table is another BLAS call and moves bits."""
+        table^T @ coefs, copied transposed: coefs^T @ table is another BLAS call and moves bits. On a wide
+        table (12 terms at n = 2) the BLAS thread count moves them too: the bits hold at a fixed count."""
         k, b = coefs.shape[0], dt.shape[1]
         out, pairs = np.empty((real, b)), np.empty(((coefs.shape[1] - real) // 2, b), dtype=complex)
         step = max(1, TABLE_BUDGET // max(k, self._npow))

@@ -21,7 +21,9 @@ for all its boundary quantities in one call.
 
 Reproducibility contract: node order is fixed, and nodes are processed one
 fixed chunk after another, whose partial sums are combined with compensated
-summation in fixed order, so results are bitwise identical across runs.
+summation in fixed order, so results are bitwise identical across runs at a
+fixed BLAS thread count: the jets of a polynomial with a wide monomial table
+may take other bits at another thread count (see RealPolynomial._times).
 """
 
 from __future__ import annotations

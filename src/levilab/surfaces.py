@@ -12,6 +12,10 @@ ReinhardtSurface writes the chain rule through its profile in closed form;
 ExpReparam composes its base family's derivatives with _chain, the
 one-variable chain rule. No finite differencing happens on the default path.
 
+Points enter through evaluators that check shape and finiteness: eval_jets
+gives the whole Jet, eval_values the value, and eval_mixed H alone for the
+bulk integrands, a quadratic's constant H broadcast without evaluating f.
+
 Star-shaped families declare a star center and are validated at construction
 on 2m + 2 coarse directions, the signed axes and the two main diagonals: each
 ray must cross the boundary once, transversally, with a nondegenerate
@@ -410,6 +414,13 @@ def _check_points(pts, m: int) -> np.ndarray:
 def eval_jets(spec: SurfaceSpec, pts) -> Jet:
     """Value, real gradient, H and S of the defining function at points (B, m)."""
     return spec.derivatives(_check_points(pts, spec.m))
+
+
+def eval_mixed(spec: SurfaceSpec, pts) -> np.ndarray:
+    """H alone at points (B, m): a quadratic's constant H as a broadcast view, else the jets' H."""
+    pts = _check_points(pts, spec.m)
+    constant = spec.poly.constant_hessians(len(pts)) if hasattr(spec, "poly") else None
+    return spec.derivatives(pts).mixed if constant is None else constant[0]
 
 
 def eval_values(spec: SurfaceSpec, pts) -> np.ndarray:

@@ -120,8 +120,8 @@ def _quad_meta(q: qd.QuadratureSpec, *results: qd.IntegralResult) -> dict:
 
 
 def _mixed_field(spec: sf.SurfaceSpec, fn, j: int):
-    """fn(H, j + 1) at interior points, with H the mixed Hessian of the jets."""
-    return lambda pts: fn(sf.eval_jets(spec, pts).mixed, j + 1)
+    """fn(H, j + 1) at interior points, with H from eval_mixed: a quadratic's constant H, f never evaluated."""
+    return lambda pts: fn(sf.eval_mixed(spec, pts), j + 1)
 
 
 def _levi_flux_field(j: int):

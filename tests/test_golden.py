@@ -7,7 +7,10 @@ Newton sweep were recorded before the quadrature passes were folded into one
 core. The n = 2 quadric's Minkowski entry and the exp
 reparametrised integral formula were recorded before the jets became
 Wirtinger-native: they pin the mean curvature on a non-quadratic pure
-Hessian and a bulk sigma taken through the chain rule. alexandrov:reinhardt
+Hessian and a bulk sigma taken through the chain rule. The two n = 2 bulk
+entries at order 7 (the sphere at j = 2, the paired-axis Dirichlet chain)
+were recorded before the bulk passes read a quadratic's constant H without
+evaluating f, which they pin. alexandrov:reinhardt
 was recorded again when the profile integrator became the Taylor series
 method, whose sphere profile ends at smax=4.0 exactly. Every verdict kind must match, and lhs and rhs
 must agree to GOLDEN_RTOL relative: the compiled evaluators sum the same
@@ -42,6 +45,7 @@ CURVATURE_GOLDEN = Path(__file__).parent / "golden" / "curvature.json"
 
 Q16 = qd.QuadratureSpec(order=16)
 Q16_RADIAL5 = qd.QuadratureSpec(order=16, radial_order=5)
+Q7 = qd.QuadratureSpec(order=7)
 ELLIPSOID_AXES = [1.0, 1.3, 0.8, 1.1]
 QUADRIC_HTERMS = {(2, 0): 0.15 + 0.05j, (1, 1): -0.1j}
 # Complex Hessian diag(2 + 2|z1|^2, 1 - 0.4|z2|^2): the Newton gap is at least
@@ -64,6 +68,8 @@ CORPUS = {
         sf.PerturbedQuadric(2, hterms=QUADRIC_N2_HTERMS), qd.QuadratureSpec(order=8)),
     "integral_formula:ellipsoid_n1_exp": lambda: vf.verify_integral_formula(
         sf.Ellipsoid(ELLIPSOID_AXES), 1, Q16, f_choice="exp"),
+    "integral_formula:sphere_n2_j2": lambda: vf.verify_integral_formula(sf.Sphere(1.5, n=2), 2, Q7),
+    "dirichlet_chain:n2": lambda: vf.dirichlet_chain([1.0, 1.0, 1.2, 1.2, 1.4, 1.4], 1, Q7),
 }
 
 # `levilab curvature` arguments: an explicit point, the same point by its ray, an

@@ -615,6 +615,57 @@ class TestRealOutput:
         assert jt.mixed.dtype == jt.pure.dtype == np.complex128
 
 
+QUADRATICS = ("sphere_n2", "ellipsoid_off_n2", "quadric", "dirichlet_n2", "cylinder")
+MIXED_FAMILIES = QUADRATICS + ("user_quartic", "exp_ellipsoid", "reinhardt")
+
+
+def _mixed_points(spec, seed=3):
+    if isinstance(spec, sf.ReinhardtSurface):
+        return reinhardt_points(spec, seed)
+    return np.random.default_rng(seed).uniform(-1.2, 1.2, (300, spec.m))
+
+
+class TestMixedEvaluator:
+    """eval_mixed is the H of eval_jets, read without f where H is constant."""
+
+    @pytest.mark.parametrize("name", MIXED_FAMILIES)
+    def test_equals_the_jets_bit_for_bit(self, name):
+        spec = RAY_FAMILIES[name]()
+        pts = _mixed_points(spec)
+        for p in (pts, pts[:1], pts[0]):
+            want, got = sf.eval_jets(spec, p).mixed, sf.eval_mixed(spec, p)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+    @pytest.mark.parametrize("name", MIXED_FAMILIES)
+    def test_rejects_points_as_the_jets_do(self, name):
+        spec = RAY_FAMILIES[name]()
+        good = _mixed_points(spec)[:4]
+        nan, inf = good.copy(), good.copy()
+        nan[1, 0], inf[2, -1] = np.nan, -np.inf
+        for bad in (nan, inf, good[:, :-1], np.zeros((2, spec.m + 1)), good[None]):
+            with pytest.raises(ValueError) as jets:
+                sf.eval_jets(spec, bad)
+            with pytest.raises(ValueError) as mixed:
+                sf.eval_mixed(spec, bad)
+            assert str(mixed.value) == str(jets.value)
+
+    @pytest.mark.parametrize("name", QUADRATICS)
+    def test_a_quadratic_builds_no_table(self, name, monkeypatch):
+        spec = RAY_FAMILIES[name]()
+        pts = _mixed_points(spec)
+        want = sf.eval_jets(spec, pts).mixed
+
+        def no_table(*args):
+            raise AssertionError("monomial table built")
+
+        monkeypatch.setattr(RealPolynomial, "_times", no_table)
+        got = sf.eval_mixed(spec, pts)
+        assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+        with pytest.raises(AssertionError, match="monomial table"):
+            sf.eval_jets(spec, pts)
+
+
 class TestUserPolynomialCanonical:
     TERMS = {(1, 0, 1, 0): 1.0, (0, 1, 0, 1): 1.0, (0, 0, 0, 0): -4.0}
 
