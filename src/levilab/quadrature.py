@@ -7,30 +7,31 @@ center + rho(omega) * omega, the surface measure is
 
 volume is the integral of rho^m / m, and bulk integrals layer Gauss nodes
 along each ray. Directions come from one spherical product rule (Gauss-Gegenbauer
-in the polar cosines, computed here in numpy; trapezoid in the azimuth), with the
-error estimate |I(order) - I(order - 4)|. No quadrature path imports scipy.
+in the polar cosines, computed here in numpy; trapezoid in the azimuth), each
+integral's error estimated from its own pass (_error_estimate). No quadrature
+path imports scipy.
 
-All passes share one core: `_nodes(spec, q, order)` gives a pass's center,
+All passes share one core: `_nodes(spec, q)` gives the pass's center,
 directions, weights and cached radial roots, and maps a function over its
 chunks; `_integral(spec, q, node_values)` reduces k per-node integrands and
-attaches their error estimates. The boundary has one pass, reached through
+estimates their errors. The boundary has one pass, reached through
 `surface_integral` (a field or a tuple of fields, plus an optional scan) and
-`scan_boundary`: each chunk builds one FrameBatch per order, every integrand
-and the scan read it, and it is dropped before the next chunk. A suite asks
-for all its boundary quantities in one call.
+`scan_boundary`: each chunk builds one FrameBatch, every integrand and the scan
+read it, and it is dropped before the next chunk. A suite asks for all its
+boundary quantities in one call.
 
 Reproducibility contract: node order is fixed, and nodes are processed one
 fixed chunk after another, whose partial sums are combined with compensated
-summation in fixed order, so results are bitwise identical across runs at a
-fixed BLAS thread count: the jets of a polynomial with a wide monomial table
-may take other bits at another thread count (see RealPolynomial._times).
+summation in fixed order, so results and estimates are bitwise identical across
+runs at a fixed BLAS thread count: the jets of a polynomial with a wide monomial
+table may take other bits at another thread count (see RealPolynomial._times).
 """
 
 from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -41,7 +42,8 @@ from .errors import StarShapeError
 from .surfaces import SurfaceSpec, radial_roots
 
 CHUNK = 8192  # fixed; part of the determinism contract
-_ERROR_ORDER_DROP = 4
+_STEADY, _SAFETY = 1.5, 32.0  # _tail: a steady decay's window ratios agree to _STEADY; _SAFETY scales its extrapolation
+_ROUNDING_ULPS = 8  # the estimate's floor, in ulps of the sum of |weight * value|
 _BULK_SHELLS = 3  # radial shells of the interior node sample
 
 
@@ -53,7 +55,7 @@ class QuadratureSpec:
     radial_order: int | None = None  # Gauss points along each ray (default: order)
 
     def __post_init__(self):
-        if self.order < 3:  # order 2 is its own error-estimate rule
+        if self.order < 3:  # below 3 a polar factor's error estimate reads one coefficient, zero when even
             raise ValueError(f"order must be >= 3, got {self.order}")
         if self.radial_order is not None and self.radial_order < 1:
             raise ValueError(f"radial_order must be >= 1, got {self.radial_order}")
@@ -87,24 +89,29 @@ _AZIMUTH_FACTOR = 2  # trapezoid points per order unit; matches polar exactness 
 
 
 def _recurrence(x: np.ndarray, b: np.ndarray):
-    """p_K(x), p_K'(x) and sum_{k<K} p_k(x)^2 for b_{k+1} p_{k+1} = x p_k - b_k p_{k-1}, p_0 = 1, K = len(b)."""
-    p_prev, p, d_prev, d, ssq = np.zeros_like(x), np.ones_like(x), np.zeros_like(x), np.zeros_like(x), np.zeros_like(x)
+    """p_K(x), p_K'(x) and the rows p_0(x) .. p_{K-1}(x) for b_{k+1} p_{k+1} = x p_k - b_k p_{k-1}, p_0 = 1."""
+    p_prev, p, d_prev, d, rows = np.zeros_like(x), np.ones_like(x), np.zeros_like(x), np.zeros_like(x), []
     for b_prev, bk in zip((0.0, *b[:-1]), b):
-        ssq += p * p
+        rows.append(p)
         p_prev, p, d_prev, d = p, (x * p - b_prev * p_prev) / bk, d, (p + x * d - b_prev * d_prev) / bk
-    return p, d, ssq
+    return p, d, np.array(rows)
+
+
+def _gegenbauer_b(order: int, beta: float) -> np.ndarray:
+    """b_1 .. b_order of the orthonormal recurrence for the weight (1 - x^2)^beta."""
+    k = np.arange(1.0, order + 1)
+    return np.sqrt(k * (k + 2 * beta) / ((2 * k + 2 * beta - 1) * (2 * k + 2 * beta + 1)))
 
 
 def _gegenbauer_rule(order: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
     """Gauss rule for the weight (1 - x^2)^beta on [-1, 1] (Golub & Welsch, Math. Comp. 23, 1969): eigenvalues
     of the Jacobi matrix of the orthonormal recurrence, one Newton step on it, and the Christoffel weights
     mu_0 / sum_k p_k(x)^2. Nodes ascend; nodes and weights are exactly symmetric about 0."""
-    k = np.arange(1.0, order + 1)
-    b = np.sqrt(k * (k + 2 * beta) / ((2 * k + 2 * beta - 1) * (2 * k + 2 * beta + 1)))
+    b = _gegenbauer_b(order, beta)
     x = np.linalg.eigvalsh(np.diag(b[:-1], 1) + np.diag(b[:-1], -1))
     x = x - np.divide(*_recurrence(x, b)[:2])
     x = (x - x[::-1]) / 2
-    w = math.sqrt(math.pi) * math.gamma(beta + 1) / math.gamma(beta + 1.5) / _recurrence(x, b)[2]
+    w = math.sqrt(math.pi) * math.gamma(beta + 1) / math.gamma(beta + 1.5) / sum(p * p for p in _recurrence(x, b)[2])
     return x, (w + w[::-1]) / 2
 
 
@@ -174,7 +181,6 @@ class _Nodes(NamedTuple):
     wts: np.ndarray
     rho: np.ndarray
     slope: np.ndarray
-    order: int  # angular order of the pass; the default radial order of bulk passes
 
     def points(self, sl: slice, r: np.ndarray) -> np.ndarray:
         """center + r * dirs[sl], (B, m) in the coordinate-major memory of the directions."""
@@ -189,63 +195,85 @@ class _Nodes(NamedTuple):
 _ROOT_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _nodes(spec: SurfaceSpec, q: QuadratureSpec, order: int | None = None) -> _Nodes:
-    """Directions, weights and (cached) radial roots of one pass at the given order."""
+def _nodes(spec: SurfaceSpec, q: QuadratureSpec) -> _Nodes:
+    """Directions, weights and (cached) radial roots of the pass at q.order."""
     if spec.star_center is None:
         raise StarShapeError(f"{type(spec).__name__} has no star center; cannot integrate")
-    center = spec.star_center
-    order = q.order if order is None else order
-    dirs, wts = sphere_grid(spec.m, order)
-    nodes = _Nodes(center, dirs, wts, None, None, order)
+    dirs, wts = sphere_grid(spec.m, q.order)
+    nodes = _Nodes(spec.star_center, dirs, wts, None, None)
     cached = _ROOT_CACHE.setdefault(spec, {})
-    if order not in cached:
+    if q.order not in cached:
         parts = nodes.map(lambda sl: radial_roots(spec, dirs[sl]))
-        cached[order] = tuple(np.concatenate([p[k] for p in parts]) for k in (0, 1))
-    rho, slope = cached[order]
+        cached[q.order] = tuple(np.concatenate([p[k] for p in parts]) for k in (0, 1))
+    rho, slope = cached[q.order]
     return nodes._replace(rho=rho, slope=slope)
 
 
+@lru_cache(maxsize=64)
+def _rows(order: int, beta: float) -> np.ndarray:
+    """Orthonormal p_j(x_k), j < order, for the weight (1 - x^2)^beta at the nodes of _gegenbauer_rule(order, beta)."""
+    rows = _recurrence(_gegenbauer_rule(order, beta)[0], _gegenbauer_b(order, beta))[2]
+    rows.setflags(write=False)  # cached: every caller gets this array
+    return rows
+
+
+def _tail(c: np.ndarray) -> float:
+    """Error of a factor rule exact to degree 2K + 1, from its discrete coefficients c_0 .. c_K. If the top three
+    windows of w = 2 (one parity) or 4 degrees (an oscillating decay) fall at a steady rate, the top one is carried
+    to degree 2K + 2 at their slowest rate, times _SAFETY; otherwise the top pair is the estimate as it stands."""
+    a = np.abs(c[:0:-1]).tolist()
+    for w in (2, 4):
+        e = [max(a[i:i + w]) for i in range(0, min(len(a), 3 * w), w)]
+        if len(e) == 3 and 0 < e[0] < e[1] < e[2]:
+            r = [x / y for x, y in zip(e, e[1:])]
+            if max(r) <= _STEADY * min(r):
+                return _SAFETY * e[0] * max(r) ** ((len(a) + 2) / w)
+    return max(a[:2], default=0.0)
+
+
+def _error_estimate(wv: np.ndarray, m: int, order: int) -> float:
+    """Error of the product rule from its weighted node values wv, by null rules on its own nodes (Berntsen &
+    Espelid, ACM TOMS 17, 1991) on each factor's marginal of wv: orthonormal Gegenbauer coefficients for a polar
+    factor; Fourier modes below order for the azimuth, counted twice as modes +-2*order alias onto 0 (the cosine
+    of mode order vanishes at the half-offset nodes). Plus a floor of _ROUNDING_ULPS ulps of sum |wv|."""
+    grid = wv.reshape(-1, 2 * order)  # rows: the polar nodes, lexicographic; columns: the azimuth
+    polar = np.einsum("ij->i", grid).reshape((order,) * (m - 2))
+    est = sum(_tail(_rows(order, (m - 3 - d) / 2.0) @ np.einsum(polar, [*range(m - 2)], [d])) for d in range(m - 2))
+    est += 2 * _tail(np.fft.rfft(np.einsum("ij->j", grid))[:order])
+    return est + _ROUNDING_ULPS * math.ulp(1.0) * float(np.sum(np.abs(wv)))
+
+
 def _integral(spec: SurfaceSpec, q: QuadratureSpec, node_values):
-    """Weighted sums of k per-node integrands with their error estimates.
+    """Weighted sums of k per-node integrands and their error estimates, from one pass. node_values(nodes)
+    returns a function of a chunk's slice giving the k integrands and the chunk's scan outputs (or None).
+    Each integrand has its own per-chunk np.dot and Neumaier sum, and _error_estimate reads its weighted
+    node values. Returns the results, the scan outputs concatenated in chunk order, the weights."""
+    nodes = _nodes(spec, q)
+    at = node_values(nodes)
 
-    node_values(nodes, main) returns a function of a chunk's slice giving the
-    k integrands and, at the main order, per-node scan outputs (else None).
-    Each integrand has its own per-chunk np.dot and Neumaier sum and the error
-    estimate |value(q.order) - value(q.order - 4)| (no re-pass when k = 0).
-    Returns the results, the scan outputs in node order, the weights.
-    """
+    def job(sl):
+        vals, out = at(sl)
+        return [(float(np.dot(v, nodes.wts[sl])), v * nodes.wts[sl]) for v in vals], out
 
-    def run(order, main):
-        nodes = _nodes(spec, q, order)
-        at = node_values(nodes, main)
-
-        def job(sl):
-            vals, out = at(sl)
-            return [float(np.dot(v, nodes.wts[sl])) for v in vals], out
-
-        sums, outs = zip(*nodes.map(job))
-        return [_neumaier(s) for s in zip(*sums)], outs, nodes.wts
-
-    values, outs, wts = run(q.order, True)
-    lower = run(max(2, q.order - _ERROR_ORDER_DROP), False)[0] if values else []
-    errs = [abs(v - w) for v, w in zip(values, lower)]
-    results = tuple(IntegralResult(v, e, wts.shape[0]) for v, e in zip(values, errs))
+    parts, outs = zip(*nodes.map(job))
+    results = tuple(IntegralResult(_neumaier(s), _error_estimate(np.concatenate(wv), spec.m, q.order), len(nodes.wts))
+                    for s, wv in (zip(*p) for p in zip(*parts)))
     scanned = None if outs[0] is None else tuple(np.concatenate(k) for k in zip(*outs))
-    return results, scanned, wts
+    return results, scanned, nodes.wts
 
 
 def _boundary(spec: SurfaceSpec, q: QuadratureSpec, fields: tuple, scan=None):
-    """The one boundary pass: each chunk builds one FrameBatch per order. Every
-    field (times the surface Jacobian) reads it, and at the main order so does
-    scan. Returns the field results and the scan_boundary triple, or None."""
+    """The one boundary pass: each chunk builds one FrameBatch. Every field (times
+    the surface Jacobian) reads it, and so does scan. Returns the field results
+    and the scan_boundary triple, or None."""
     m = spec.m
 
-    def node_values(nodes, main):
+    def node_values(nodes):
         def at(sl):
             frames = FrameBatch.at_points(spec, nodes.points(sl, nodes.rho[sl]))
             jac = nodes.rho[sl] ** (m - 1) * (2.0 * frames.pgrad_norm) / nodes.slope[sl]
             vals = tuple(np.asarray(f(frames), dtype=float) * jac for f in fields)
-            if not main or scan is None:
+            if scan is None:
                 return vals, None
             out = scan(frames)
             return vals, (*(out if isinstance(out, tuple) else (out,)), frames.points)
@@ -273,29 +301,31 @@ def surface_integral(spec: SurfaceSpec, field, q: QuadratureSpec, scan=None):
 
 def volume(spec: SurfaceSpec, q: QuadratureSpec) -> IntegralResult:
     """Lebesgue measure of the enclosed domain via the radial formula."""
-    return _integral(spec, q, lambda nodes, main: lambda sl: ((nodes.rho[sl] ** spec.m / spec.m,), None))[0][0]
+    return _integral(spec, q, lambda nodes: lambda sl: ((nodes.rho[sl] ** spec.m / spec.m,), None))[0][0]
 
 
 def bulk_integral(spec: SurfaceSpec, field, q: QuadratureSpec) -> IntegralResult:
-    """Integral of an interior scalar over the domain by radial layering: radial_order Gauss
-    points per ray (default: the pass order). field maps points (B, m) to one value per point."""
+    """Integral of an interior scalar over the domain by radial layering: radial_order Gauss points per ray
+    (default: the pass order), whose null rules join the error estimate. field maps points (B, m) to values."""
     m = spec.m
+    t, u = np.polynomial.legendre.leggauss(q.radial_order or q.order)
+    t, u = (t + 1) / 2, u / 2
 
-    def node_values(nodes, main):
-        rho = nodes.rho
-        t, u = np.polynomial.legendre.leggauss(q.radial_order if q.radial_order is not None else nodes.order)
-        t, u = (t + 1) / 2, u / 2
-
+    def node_values(nodes):
         def at(sl):
-            acc = np.zeros(rho[sl].shape[0])
+            rho = nodes.rho[sl]
+            acc, radial = np.zeros(rho.shape[0]), []  # radial: the chunk's share of each radial node's sum
             for t_i, u_i in zip(t, u):
-                r = rho[sl] * t_i
-                acc += u_i * r ** (m - 1) * rho[sl] * np.asarray(field(nodes.points(sl, r)), dtype=float)
-            return (acc,), None
+                r = rho * t_i
+                term = u_i * r ** (m - 1) * rho * np.asarray(field(nodes.points(sl, r)), dtype=float)
+                acc += term
+                radial.append(np.dot(term, nodes.wts[sl]))
+            return (acc,), (np.array([radial]),)
 
         return at
 
-    return _integral(spec, q, node_values)[0][0]
+    (res,), (radial,), _ = _integral(spec, q, node_values)
+    return replace(res, error_estimate=res.error_estimate + _tail(_rows(t.size, 0.0) @ radial.sum(axis=0)))
 
 
 def scan_boundary(spec: SurfaceSpec, q: QuadratureSpec, fn):

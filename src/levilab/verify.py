@@ -137,7 +137,7 @@ def _inv_levi_field(j: int):
         if np.any(k <= 0):
             i = int(np.argmin(k))
             raise HypothesisViolationError(
-                f"nonpositive curvature K={k[i]!r} at quadrature node with boundary point "
+                f"nonpositive curvature K={float(k[i])} at quadrature node with boundary point "
                 f"{frames.points[i].tolist()}",
                 point=frames.points[i],
             )

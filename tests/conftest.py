@@ -48,7 +48,7 @@ def forbid_chain_rule(monkeypatch):
 @pytest.fixture
 def frame_calls(monkeypatch):
     """Record the batch size of every FrameBatch.at_points call: a perf guard for
-    suites that must build each chunk's boundary frames once per order."""
+    suites that must build each chunk's boundary frames once."""
     from levilab.curvature import FrameBatch
 
     calls = []

@@ -1,16 +1,19 @@
 """Bit-level fingerprint of the quadrature passes, for comparing two checkouts.
 
-Prints one JSON line per probe: the float.hex of value and error estimate
-plus nodes_used for surface_integral, volume and bulk_integral, a sha256 of
-the raw bytes returned by scan_boundary and scan_bulk, a sha256 of a K_1 and
-K_2 scan on an n=2 quadric with complex holomorphic terms, a sha256 of the
-Reinhardt jets on every branch of the profile and of the exp(f) - 1 jets of
-an ellipsoid, a sha256 of the Wirtinger
+Prints one JSON line per probe: the float.hex of value plus nodes_used for
+surface_integral, volume and bulk_integral (their error estimates on a line
+of their own), a sha256 of the raw bytes returned by scan_boundary and
+scan_bulk, a sha256 of a K_1 and K_2 scan on an n=2 quadric with complex
+holomorphic terms, a sha256 of the Reinhardt jets on every branch of the
+profile and of the exp(f) - 1 jets of an ellipsoid, a sha256 of the Wirtinger
 Hessians H and S of every family at fixed points, a sha256 of the radial
 roots and slopes of the order-12 grid for five families, and a sha256 of a
 verification report on every verdict branch the suites reach on these
-surfaces (tolerances are passed by position). A change that must keep the arithmetic order is
-bit-identical when the two outputs are equal:
+surfaces (tolerances are passed by position). A report is hashed without
+its error estimate and the gradient-flux bound built from it; those are
+printed as hex on a line of their own, so a change to the error estimate
+alone leaves every other line as it was. A change that must keep the
+arithmetic order is bit-identical when the two outputs are equal:
 
     PYTHONPATH=<old>/src python tests/quadrature_probe.py > old.jsonl
     PYTHONPATH=<new>/src python tests/quadrature_probe.py > new.jsonl
@@ -59,7 +62,15 @@ def _family_points(spec) -> np.ndarray:
 
 
 def _hex(r: qd.IntegralResult) -> list:
-    return [r.value.hex(), r.error_estimate.hex(), r.nodes_used]
+    return [r.value.hex(), r.nodes_used]
+
+
+def _split_estimates(report: dict) -> dict:
+    """Remove the error estimate and the bound built from it from a report dict; return them as hex."""
+    out = {"error_estimate": report["quadrature"].pop("error_estimate").hex()}
+    if "gradient_flux_rel_bound" in report.get("details", {}):
+        out["gradient_flux_rel_bound"] = report["details"].pop("gradient_flux_rel_bound").hex()
+    return out
 
 
 def _sha(*arrays) -> str:
@@ -100,18 +111,19 @@ def main() -> None:
             def gap(pts, spec=spec):
                 return newton_gap_batch(sf.eval_jets(spec, pts).mixed, 2)
 
-            row = {
-                "surface": sname,
-                "rule": rname,
-                "surface_integral": _hex(qd.surface_integral(spec, lambda fr: cv.levi(fr, 1), q)),
-                "volume": _hex(qd.volume(spec, q)),
-                "bulk_integral": _hex(qd.bulk_integral(spec, sigma2, q)),
+            results = {
+                "surface_integral": qd.surface_integral(spec, lambda fr: cv.levi(fr, 1), q),
+                "volume": qd.volume(spec, q),
+                "bulk_integral": qd.bulk_integral(spec, sigma2, q),
             }
+            row = {"surface": sname, "rule": rname, **{k: _hex(r) for k, r in results.items()}}
             (k, h), w, pts = qd.scan_boundary(spec, q, lambda fr: (cv.levi(fr, 1), cv.mean_curvature(fr)))
             row["scan_boundary"] = _sha(k, h, w, pts)
             row["scan_boundary_o4"] = _sha(*qd.scan_boundary(spec, qd.QuadratureSpec(order=4), lambda fr: fr.pgrad_norm))
             row["scan_bulk"] = _sha(qd.scan_bulk(spec, q, gap))
             print(json.dumps(row, sort_keys=True))
+            estimates = {k: r.error_estimate.hex() for k, r in results.items()}
+            print(json.dumps({"error_estimates": sname, "rule": rname, **estimates}, sort_keys=True))
     quadric = sf.PerturbedQuadric(2, c=1.0, hterms=QUADRIC_N2)
     (k1, k2), w, pts = qd.scan_boundary(quadric, qd.QuadratureSpec(order=6), lambda fr: (cv.levi(fr, 1), cv.levi(fr, 2)))
     print(json.dumps({"levi_scan": "quadric_complex_n2_o6", "sha256": _sha(k1, k2, w, pts)}))
@@ -158,8 +170,11 @@ def main() -> None:
         "newton_violated": lambda: vf.newton_sweep(ell, 1, RULES["gauss_o12"], -1.0),
     }
     for name, run in reports.items():
-        text = run().to_json()
+        report = run().to_dict()
+        estimates = _split_estimates(report)
+        text = json.dumps(report, indent=2) + "\n"
         print(json.dumps({"report": name, "sha256": hashlib.sha256(text.encode()).hexdigest()[:16]}))
+        print(json.dumps({"report_estimates": name, **estimates}, sort_keys=True))
 
 
 if __name__ == "__main__":

@@ -61,11 +61,17 @@ class TestGrid:
             assert np.max(np.abs(w - ws) / ws) <= 1e-11, order
 
     def test_grid_bytes_independent_of_blas_threads(self):
-        # eigvalsh puts LAPACK inside the determinism contract: fresh interpreters, 1 and 2 BLAS threads
+        # eigvalsh puts LAPACK inside the determinism contract, and the error estimate's coefficient
+        # products go through BLAS: fresh interpreters, 1 and 2 BLAS threads
         code = (
-            "import hashlib; from levilab import quadrature as qd; h = hashlib.sha256()\n"
+            "import hashlib; from levilab import quadrature as qd, surfaces as sf; h = hashlib.sha256()\n"
             "for m, o in ((4, 32), (6, 7), (8, 3)): h.update(b''.join(a.tobytes() for a in qd.sphere_grid(m, o)))\n"
             "for b in (0.0, 0.5, 3.0): h.update(b''.join(a.tobytes() for a in qd._gegenbauer_rule(64, b)))\n"
+            "for spec, o in ((sf.Ellipsoid([1.0, 1.3, 0.8, 1.1]), 32), (sf.DirichletQuadratic([1, 1, 1.2, 1.2, 1.4, 1.4]), 7)):\n"
+            "    q = qd.QuadratureSpec(order=o)\n"
+            "    for r in (qd.volume(spec, q), qd.surface_integral(spec, lambda fr: fr.pgrad_norm, q),\n"
+            "              qd.bulk_integral(spec, lambda pts: (pts * pts).sum(axis=1), q)):\n"
+            "        h.update(r.error_estimate.hex().encode())\n"
             "print(h.hexdigest())"
         )
         src = os.path.dirname(os.path.dirname(qd.__file__))
@@ -229,9 +235,9 @@ class TestRootCache:
         a, b = (sf.UserPolynomial(1, {(1, 0, 1, 0): 1.0, (0, 1, 0, 1): 1.0, (0, 0, 0, 0): -r * r}) for r in (2.0, 3.0))
         for spec in (a, b):
             qd.volume(spec, qd.QuadratureSpec(order=4))
-        # one entry per surface object, holding the pass order and its error re-pass order
+        # one entry per surface object, holding the roots of its one pass order
         assert set(qd._ROOT_CACHE.keys()) == {a, b}
-        assert all(sorted(qd._ROOT_CACHE[spec]) == [2, 4] for spec in (a, b))
+        assert all(sorted(qd._ROOT_CACHE[spec]) == [4] for spec in (a, b))
         assert not np.array_equal(qd._ROOT_CACHE[a][4][0], qd._ROOT_CACHE[b][4][0])
         del a
         gc.collect()
@@ -260,7 +266,7 @@ class TestErrors:
         "gauss:order=2", "gauss:order=12,radial_order=0", "mc:samples=20000,seed=7", "simpson:order=4",
     ])
     def test_invalid_orders_are_parse_errors(self, text):
-        # order 2 is its own error-estimate rule (the estimate would read 0.0);
+        # at order 2 the error estimate reads one coefficient per polar factor, zero on even integrands;
         # radial_order 0 used to fail inside numpy instead of at the spec;
         # the product rule is the only method
         with pytest.raises(SpecParseError):
