@@ -5,10 +5,13 @@ identities checked exactly at seeded points), verify <identity>
 (quadrature-backed verification with a JSON report), batch (one verification
 over a directory of surface files plus a CSV summary). Exit codes: 0 success /
 verdict as contracted, 2 violated, 3 hypotheses not met, 4 numerical failure,
-64 usage error (an argument out of range, or a surface or quadrature
-description that does not parse); batch exits with the worst code over its
-files, 64 before 2 before 4 before 3. Reports embed the fully resolved
-configuration; identical argv and seed give byte-identical output.
+64 usage error (an argument out of range, a surface or quadrature
+description or a --point or --direction that does not parse, or a path that
+cannot be read or written, named in one line); batch exits with the worst
+code over its files, 64 before 2 before 4 before 3, and a spec file that
+cannot be read counts as 64, as one that does not parse. Reports embed the
+fully resolved configuration; identical argv and seed give byte-identical
+output.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ SURFACE_HELP = (
     "cylinder (R, kind), reinhardt (k, f0, fp0, s0, smax), poly (n, terms, center, scale), "
     "dirichlet (axes). Example: sphere:R=2 or ellipsoid:axes=1,1,1,2"
 )
-QUAD_HELP = ("quadrature: gauss:order=N[,radial_order=K], the one spherical product rule "
+QUAD_HELP = ("quadrature: gauss:order=N, the one spherical product rule "
              "(default order 24 for n=1, 12 for n=2)")
 
 
@@ -134,17 +137,16 @@ def _cmd_curvature(args) -> int:
     spec = parse_surface(args.surface)
     if (args.point is None) == (args.direction is None):
         return _usage("curvature", "exactly one of --point or --direction is required")
-    if args.point is not None:
-        point = np.array([float(x) for x in args.point.split(",")])
-        if point.shape != (spec.m,):
-            return _usage("curvature", f"point needs {spec.m} coordinates")
-    else:
-        direction = np.array([float(x) for x in args.direction.split(",")])
-        if direction.shape != (spec.m,):
-            return _usage("curvature", f"direction needs {spec.m} coordinates")
-        norm = np.linalg.norm(direction)
-        if 0 < norm < np.inf:  # a zero or non-finite direction is for radial_roots to reject
-            direction = direction / norm
+    option, text = ("point", args.point) if args.point is not None else ("direction", args.direction)
+    try:
+        point = np.array([float(x) for x in text.split(",")])
+    except ValueError:
+        return _usage("curvature", f"--{option} {text!r}: expected comma-separated numbers")
+    if point.shape != (spec.m,):
+        return _usage("curvature", f"{option} needs {spec.m} coordinates")
+    if option == "direction":  # the boundary point on the ray; a zero or non-finite ray is for radial_roots to reject
+        norm = np.linalg.norm(point)
+        direction = point / norm if 0 < norm < np.inf else point
         rho, _ = sf.radial_roots(spec, direction)
         point = spec.star_center + rho[0] * direction
     if not 1 <= args.j <= spec.n:
@@ -258,9 +260,9 @@ def _cmd_batch(args) -> int:
             rows.append((name, args.identity, report.lhs, report.rhs, report.rel_err,
                          report.verdict["kind"], ""))
             codes.add(report.exit_code)
-        except (LevilabError, ValueError) as exc:
+        except (LevilabError, ValueError, OSError) as exc:
             rows.append((name, args.identity, "", "", "", "error", str(exc)))
-            codes.add(USAGE_EXIT if isinstance(exc, SpecParseError) else FAILURE_EXIT)
+            codes.add(USAGE_EXIT if isinstance(exc, (SpecParseError, OSError)) else FAILURE_EXIT)
     lines = ["surface,identity,lhs,rhs,rel_err,verdict,note"]
     for r in rows:
         fields = [r[0], r[1]]
@@ -290,7 +292,7 @@ def main(argv=None) -> int:
             return _cmd_verify(args)
         if args.command == "batch":
             return _cmd_batch(args)
-    except SpecParseError as exc:
+    except (SpecParseError, OSError) as exc:  # OSError: a path that cannot be read or written
         print(f"levilab: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except (LevilabError, ValueError) as exc:

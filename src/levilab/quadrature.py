@@ -13,16 +13,18 @@ path imports scipy.
 
 All passes share one core: `_nodes(spec, q)` gives the pass's center,
 directions, weights and cached radial roots, and maps a function over its
-chunks; `_integral(spec, q, node_values)` reduces k per-node integrands and
-estimates their errors. The boundary has one pass, reached through
-`surface_integral` (a field or a tuple of fields, plus an optional scan) and
-`scan_boundary`: each chunk builds one FrameBatch, every integrand and the scan
-read it, and it is dropped before the next chunk. A suite asks for all its
-boundary quantities in one call.
+chunks; `_integral(spec, q, at)` reduces the k per-node integrands that
+`at(nodes, sl)` gives for each chunk and estimates their errors. The boundary
+has one pass, reached through `surface_integral` (a field or a tuple of fields,
+plus an optional scan) and `scan_boundary`: each chunk builds one FrameBatch,
+every integrand and the scan read it, and it is dropped before the next chunk.
+A suite asks for all its boundary quantities in one call. A scan returns what
+its function returns, concatenated in node order; a caller that wants the
+boundary points scans `fr.points`.
 
 Reproducibility contract: node order is fixed, and nodes are processed one
-fixed chunk after another, whose partial sums are combined with compensated
-summation in fixed order, so results and estimates are bitwise identical across
+fixed chunk after another, whose partial sums are added by the correctly
+rounded `math.fsum`, so results and estimates are bitwise identical across
 runs at a fixed BLAS thread count: the jets of a polynomial with a wide monomial
 table may take other bits at another thread count (see RealPolynomial._times).
 """
@@ -49,20 +51,16 @@ _BULK_SHELLS = 3  # radial shells of the interior node sample
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """The spherical product rule at a given order, with an optional radial order."""
+    """The spherical product rule at a given order; a bulk pass puts order Gauss points on each ray."""
 
-    order: int = 24                # Gauss-Gegenbauer points per polar angle; 2*order trapezoid points in the azimuth
-    radial_order: int | None = None  # Gauss points along each ray (default: order)
+    order: int = 24  # Gauss-Gegenbauer points per polar angle; 2*order trapezoid points in the azimuth
 
     def __post_init__(self):
         if self.order < 3:  # below 3 a polar factor's error estimate reads one coefficient, zero when even
             raise ValueError(f"order must be >= 3, got {self.order}")
-        if self.radial_order is not None and self.radial_order < 1:
-            raise ValueError(f"radial_order must be >= 1, got {self.radial_order}")
 
     def describe(self) -> str:
-        radial = "" if self.radial_order is None else f",radial_order={self.radial_order}"
-        return f"gauss:order={self.order}{radial}"
+        return f"gauss:order={self.order}"
 
 
 @dataclass(frozen=True)
@@ -160,19 +158,6 @@ def mc_directions(m: int, samples: int, seed: int) -> tuple[np.ndarray, np.ndarr
     return d, wts
 
 
-def _neumaier(values) -> float:
-    total = 0.0
-    comp = 0.0
-    for v in values:
-        t = total + v
-        if abs(total) >= abs(v):
-            comp += (total - t) + v
-        else:
-            comp += (v - t) + total
-        total = t
-    return total + comp
-
-
 class _Nodes(NamedTuple):
     """One pass's node set: rays center + t * rho * dirs, t in [0, 1]."""
 
@@ -243,48 +228,39 @@ def _error_estimate(wv: np.ndarray, m: int, order: int) -> float:
     return est + _ROUNDING_ULPS * math.ulp(1.0) * float(np.sum(np.abs(wv)))
 
 
-def _integral(spec: SurfaceSpec, q: QuadratureSpec, node_values):
-    """Weighted sums of k per-node integrands and their error estimates, from one pass. node_values(nodes)
-    returns a function of a chunk's slice giving the k integrands and the chunk's scan outputs (or None).
-    Each integrand has its own per-chunk np.dot and Neumaier sum, and _error_estimate reads its weighted
-    node values. Returns the results, the scan outputs concatenated in chunk order, the weights."""
+def _integral(spec: SurfaceSpec, q: QuadratureSpec, at):
+    """Weighted sums of k per-node integrands and their error estimates, from one pass. at(nodes, sl) gives
+    a chunk's k integrands and its scan outputs (a tuple of arrays, or None). Each integrand has its own
+    per-chunk np.dot, the chunks' sums are added by math.fsum, and _error_estimate reads its weighted node
+    values. Returns the results and the scan outputs concatenated in chunk order (or None)."""
     nodes = _nodes(spec, q)
-    at = node_values(nodes)
 
     def job(sl):
-        vals, out = at(sl)
+        vals, out = at(nodes, sl)
         return [(float(np.dot(v, nodes.wts[sl])), v * nodes.wts[sl]) for v in vals], out
 
     parts, outs = zip(*nodes.map(job))
-    results = tuple(IntegralResult(_neumaier(s), _error_estimate(np.concatenate(wv), spec.m, q.order), len(nodes.wts))
+    results = tuple(IntegralResult(math.fsum(s), _error_estimate(np.concatenate(wv), spec.m, q.order), len(nodes.wts))
                     for s, wv in (zip(*p) for p in zip(*parts)))
     scanned = None if outs[0] is None else tuple(np.concatenate(k) for k in zip(*outs))
-    return results, scanned, nodes.wts
+    return results, scanned
 
 
 def _boundary(spec: SurfaceSpec, q: QuadratureSpec, fields: tuple, scan=None):
     """The one boundary pass: each chunk builds one FrameBatch. Every field (times
     the surface Jacobian) reads it, and so does scan. Returns the field results
-    and the scan_boundary triple, or None."""
+    and what scan_boundary returns, or None."""
     m = spec.m
 
-    def node_values(nodes):
-        def at(sl):
-            frames = FrameBatch.at_points(spec, nodes.points(sl, nodes.rho[sl]))
-            jac = nodes.rho[sl] ** (m - 1) * (2.0 * frames.pgrad_norm) / nodes.slope[sl]
-            vals = tuple(np.asarray(f(frames), dtype=float) * jac for f in fields)
-            if scan is None:
-                return vals, None
-            out = scan(frames)
-            return vals, (*(out if isinstance(out, tuple) else (out,)), frames.points)
+    def at(nodes, sl):
+        frames = FrameBatch.at_points(spec, nodes.points(sl, nodes.rho[sl]))
+        jac = nodes.rho[sl] ** (m - 1) * (2.0 * frames.pgrad_norm) / nodes.slope[sl]
+        vals = tuple(np.asarray(f(frames), dtype=float) * jac for f in fields)
+        out = None if scan is None else scan(frames)
+        return vals, out if out is None or isinstance(out, tuple) else (out,)
 
-        return at
-
-    results, scanned, wts = _integral(spec, q, node_values)
-    if scanned is None:
-        return results, None
-    *outs, points = scanned
-    return results, ((outs[0] if len(outs) == 1 else tuple(outs)), wts, points)
+    results, scanned = _integral(spec, q, at)
+    return results, scanned[0] if scanned is not None and len(scanned) == 1 else scanned
 
 
 def surface_integral(spec: SurfaceSpec, field, q: QuadratureSpec, scan=None):
@@ -292,7 +268,8 @@ def surface_integral(spec: SurfaceSpec, field, q: QuadratureSpec, scan=None):
 
     A tuple of fields gives a tuple of IntegralResult from one boundary pass,
     each equal to its single-field call. With scan=fn the call returns
-    (result, scan_boundary(spec, q, fn)), the scan read from that same pass.
+    (result, scan_boundary(spec, q, fn)), the scan read from that same pass:
+    only what fn returns.
     """
     results, scanned = _boundary(spec, q, field if isinstance(field, tuple) else (field,), scan)
     result = results if isinstance(field, tuple) else results[0]
@@ -301,39 +278,36 @@ def surface_integral(spec: SurfaceSpec, field, q: QuadratureSpec, scan=None):
 
 def volume(spec: SurfaceSpec, q: QuadratureSpec) -> IntegralResult:
     """Lebesgue measure of the enclosed domain via the radial formula."""
-    return _integral(spec, q, lambda nodes: lambda sl: ((nodes.rho[sl] ** spec.m / spec.m,), None))[0][0]
+    return _integral(spec, q, lambda nodes, sl: ((nodes.rho[sl] ** spec.m / spec.m,), None))[0][0]
 
 
 def bulk_integral(spec: SurfaceSpec, field, q: QuadratureSpec) -> IntegralResult:
-    """Integral of an interior scalar over the domain by radial layering: radial_order Gauss points per ray
-    (default: the pass order), whose null rules join the error estimate. field maps points (B, m) to values."""
+    """Integral of an interior scalar over the domain by radial layering: q.order Gauss points per ray, whose
+    null rules join the error estimate. field maps points (B, m) to values."""
     m = spec.m
-    t, u = np.polynomial.legendre.leggauss(q.radial_order or q.order)
+    t, u = np.polynomial.legendre.leggauss(q.order)
     t, u = (t + 1) / 2, u / 2
 
-    def node_values(nodes):
-        def at(sl):
-            rho = nodes.rho[sl]
-            acc, radial = np.zeros(rho.shape[0]), []  # radial: the chunk's share of each radial node's sum
-            for t_i, u_i in zip(t, u):
-                r = rho * t_i
-                term = u_i * r ** (m - 1) * rho * np.asarray(field(nodes.points(sl, r)), dtype=float)
-                acc += term
-                radial.append(np.dot(term, nodes.wts[sl]))
-            return (acc,), (np.array([radial]),)
+    def at(nodes, sl):
+        rho = nodes.rho[sl]
+        acc, radial = np.zeros(rho.shape[0]), []  # radial: the chunk's share of each radial node's sum
+        for t_i, u_i in zip(t, u):
+            r = rho * t_i
+            term = u_i * r ** (m - 1) * rho * np.asarray(field(nodes.points(sl, r)), dtype=float)
+            acc += term
+            radial.append(np.dot(term, nodes.wts[sl]))
+        return (acc,), (np.array([radial]),)
 
-        return at
-
-    (res,), (radial,), _ = _integral(spec, q, node_values)
+    (res,), (radial,) = _integral(spec, q, at)
     return replace(res, error_estimate=res.error_estimate + _tail(_rows(t.size, 0.0) @ radial.sum(axis=0)))
 
 
 def scan_boundary(spec: SurfaceSpec, q: QuadratureSpec, fn):
     """Apply fn(FrameBatch) -> array or tuple of arrays over every boundary node.
 
-    Returns the concatenated per-node outputs in fixed node order, plus the
-    node weights and boundary points; used for node sweeps (extrema, defects)
-    that are not integrals.
+    Returns the concatenated per-node outputs in fixed node order (scan
+    fr.points for the boundary points); used for node sweeps (extrema,
+    defects) that are not integrals.
     """
     return _boundary(spec, q, (), fn)[1]
 

@@ -15,7 +15,7 @@ In the inline form a comma either separates key=value pairs or continues the
 previous value, so vector values need no quoting. Errors carry the exact line
 and column of the offending token.
 
-Quadrature strings name the one rule: gauss:order=24 or gauss:order=16,radial_order=5.
+Quadrature strings name the one rule at an order: gauss:order=24.
 """
 
 from __future__ import annotations
@@ -105,41 +105,36 @@ def _term_map(tok: _Tok, key: str, width: int) -> dict:
 def build_surface(family: str, params: dict[str, _Tok], where: _Tok | None = None) -> SurfaceSpec:
     params = dict(params)
 
-    def take(key, conv=None, default=None, required=False):
+    def take(key, conv, default=None, required=False):
         tok = params.pop(key, None)
         if tok is None:
             if required:
                 _fail(f"{family}: missing required key {key!r}", where)
             return default
-        return conv(tok, key) if conv else tok
+        return conv(tok, key)
 
     try:
         if family == "sphere":
             r = take("R", _float, required=True)
-            center_tok = params.pop("center", None)
             n = take("n", _int)
-            center = _floats(center_tok, "center") if center_tok else None
+            center = take("center", _floats)
             if n is None:
                 n = len(center) // 2 - 1 if center else 1
             spec = Sphere(r, center=center, n=n)
         elif family == "ellipsoid":
             axes = take("axes", _floats, required=True)
-            center_tok = params.pop("center", None)
-            center = _floats(center_tok, "center") if center_tok else None
-            spec = Ellipsoid(axes, center=center)
+            spec = Ellipsoid(axes, center=take("center", _floats))
         elif family == "dirichlet":
             axes = take("axes", _floats, required=True)
             spec = DirichletQuadratic(axes)
         elif family == "quadric":
             n = take("n", _int, required=True)
             c = take("c", _float, default=1.0)
-            ht_tok = params.pop("hterms", None)
-            hterms = _term_map(ht_tok, "hterms", n + 1) if ht_tok else {}
+            hterms = take("hterms", lambda tok, key: _term_map(tok, key, n + 1), default={})
             spec = PerturbedQuadric(n, c=c, hterms=hterms)
         elif family == "cylinder":
             r = take("R", _float, required=True)
-            kind_tok = params.pop("kind", None)
-            spec = Cylinder(r, kind=kind_tok.text if kind_tok else "flat")
+            spec = Cylinder(r, kind=take("kind", lambda tok, key: tok.text, default="flat"))
         elif family == "reinhardt":
             k = take("k", _float, required=True)
             f0 = take("f0", _float, required=True)
@@ -149,12 +144,8 @@ def build_surface(family: str, params: dict[str, _Tok], where: _Tok | None = Non
             spec = ReinhardtSurface(k, f0, fp0=fp0, s0=s0, smax=smax)
         elif family == "poly":
             n = take("n", _int, required=True)
-            terms_tok = params.pop("terms", None)
-            if terms_tok is None:
-                _fail(f"{family}: missing required key 'terms'", where)
-            terms = _term_map(terms_tok, "terms", 2 * (n + 1))
-            center_tok = params.pop("center", None)
-            center = _floats(center_tok, "center") if center_tok else None
+            terms = take("terms", lambda tok, key: _term_map(tok, key, 2 * (n + 1)), required=True)
+            center = take("center", _floats)
             scale = take("scale", _float, default=1.0)
             spec = UserPolynomial(n, terms, center=center, scale=scale)
         else:
@@ -232,14 +223,18 @@ def parse_surface(text_or_path: str) -> SurfaceSpec:
     """Accept an inline description or a path to a spec file."""
     import os
 
-    if os.path.exists(text_or_path) and os.path.isfile(text_or_path):
+    if os.path.isfile(text_or_path):
         with open(text_or_path, encoding="utf-8") as fh:
-            return parse_file_text(fh.read())
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise SpecParseError(f"{text_or_path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+        return parse_file_text(text)
     return parse_inline(text_or_path)
 
 
 def parse_quadrature(text: str | None, default_order: int = 24) -> QuadratureSpec:
-    """Parse gauss:order=N[,radial_order=K]; None gives the default rule."""
+    """Parse gauss:order=N; None gives the default rule."""
     if text is None:
         return QuadratureSpec(order=default_order)
     text = text.strip()
@@ -256,9 +251,7 @@ def parse_quadrature(text: str | None, default_order: int = 24) -> QuadratureSpe
         k, _, v = piece.partition("=")
         kv[k.strip()] = v.strip()
     try:
-        order = int(kv.pop("order", default_order))
-        radial = kv.pop("radial_order", None)
-        spec = QuadratureSpec(order=order, radial_order=int(radial) if radial is not None else None)
+        spec = QuadratureSpec(order=int(kv.pop("order", default_order)))
     except ValueError as exc:
         raise SpecParseError(f"quadrature: {exc}") from exc
     if kv:

@@ -253,7 +253,7 @@ def alexandrov_check(
     """
     _check_j(spec, j)
     n = spec.n
-    area_r, ((k_vals, h_vals), _, _) = qd.surface_integral(
+    area_r, (k_vals, h_vals) = qd.surface_integral(
         spec, _ones, q, scan=lambda fr: (fr.levi(j), cv.mean_curvature(fr))
     )
     vol_r = qd.volume(spec, q)
@@ -313,7 +313,7 @@ def dirichlet_chain(
     diag = dspec.hessian_diagonal()
     proportional = float(np.max(diag) - np.min(diag)) <= 1e-12 * float(np.max(diag))
     # one pass, one K_j per chunk for the flux and K^{-1/j}; the pointwise product is read when proportional
-    (pg_r, flux_w_r, inv_r), (dev, _, _) = qd.surface_integral(
+    (pg_r, flux_w_r, inv_r), dev = qd.surface_integral(
         dspec, (_pgrad, _levi_flux_field(j), _inv_levi_field(j)), q,
         scan=lambda fr: np.abs(fr.levi(j) ** (1.0 / j) * (n + 1) * fr.pgrad_norm - 1.0),
     )
@@ -356,7 +356,7 @@ def newton_sweep(
     """Minimum symmetric-function gap of the mixed Hessian over boundary nodes
     and an interior radial sample; nonnegative for every real surface."""
     _check_j(spec, j)
-    gaps_b, _, _ = qd.scan_boundary(spec, q, lambda fr: newton_gap_batch(fr.whess, j + 1))
+    gaps_b = qd.scan_boundary(spec, q, lambda fr: newton_gap_batch(fr.whess, j + 1))
     gaps_i = qd.scan_bulk(spec, q, _mixed_field(spec, newton_gap_batch, j))
     min_gap = float(min(np.min(gaps_b), np.min(gaps_i)))
     quadrature = {"method": q.describe(), "nodes_used": int(gaps_b.size + gaps_i.size), "error_estimate": 0.0}

@@ -2,24 +2,25 @@
 
 Prints one JSON line per probe: the float.hex of value plus nodes_used for
 surface_integral, volume and bulk_integral (their error estimates on a line
-of their own), a sha256 of the raw bytes returned by scan_boundary and
-scan_bulk, a sha256 of a K_1 and K_2 scan on an n=2 quadric with complex
-holomorphic terms, a sha256 of the Reinhardt jets on every branch of the
-profile and of the exp(f) - 1 jets of an ellipsoid, a sha256 of the Wirtinger
-Hessians H and S of every family at fixed points, a sha256 of the radial
-roots and slopes of the order-12 grid for five families, and a sha256 of a
-verification report on every verdict branch the suites reach on these
-surfaces (tolerances are passed by position). A report is hashed without
-its error estimate and the gradient-flux bound built from it; those are
-printed as hex on a line of their own, so a change to the error estimate
-alone leaves every other line as it was. A change that must keep the
-arithmetic order is bit-identical when the two outputs are equal:
+of their own), a sha256 of the raw bytes of a scan_boundary (with the node
+weights and the boundary points) and of scan_bulk, a sha256 of a K_1 and K_2
+scan on an n=2 quadric with complex holomorphic terms, a sha256 of the
+Reinhardt jets on every branch of the profile and of the exp(f) - 1 jets of
+an ellipsoid, a sha256 of the Wirtinger Hessians H and S of every family at
+fixed points, a sha256 of the radial roots and slopes of the order-12 grid
+for five families, and a sha256 of a verification report on every verdict
+branch the suites reach on these surfaces (tolerances are passed by
+position). A report is hashed without its error estimate and the
+gradient-flux bound built from it; those are printed as hex on a line of
+their own, so a change to the error estimate alone leaves every other line
+as it was. A change that must keep the arithmetic order is bit-identical
+when the two outputs are equal:
 
     PYTHONPATH=<old>/src python tests/quadrature_probe.py > old.jsonl
     PYTHONPATH=<new>/src python tests/quadrature_probe.py > new.jsonl
     diff old.jsonl new.jsonl
 
-It is not collected by pytest.
+It is not collected by pytest; CI runs it so that it keeps up with the API.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ RULES = {
     "gauss_o12": qd.QuadratureSpec(order=12),
     "gauss_o18": qd.QuadratureSpec(order=18),  # two chunks of CHUNK nodes
     "gauss_o4": qd.QuadratureSpec(order=4),
-    "gauss_o7_radial3": qd.QuadratureSpec(order=7, radial_order=3),
 }
 
 
@@ -78,6 +78,12 @@ def _sha(*arrays) -> str:
     for a in arrays:
         h.update(np.ascontiguousarray(a).tobytes())
     return h.hexdigest()[:16]
+
+
+def _scan_sha(spec, q, fn) -> str:
+    """sha of a boundary scan's outputs fn(fr), the node weights and the boundary points, in that order."""
+    *outs, pts = qd.scan_boundary(spec, q, lambda fr: (*fn(fr), fr.points))
+    return _sha(*outs, qd.sphere_grid(spec.m, q.order)[1], pts)
 
 
 def _reinhardt_points(spec: sf.ReinhardtSurface) -> np.ndarray:
@@ -117,16 +123,15 @@ def main() -> None:
                 "bulk_integral": qd.bulk_integral(spec, sigma2, q),
             }
             row = {"surface": sname, "rule": rname, **{k: _hex(r) for k, r in results.items()}}
-            (k, h), w, pts = qd.scan_boundary(spec, q, lambda fr: (cv.levi(fr, 1), cv.mean_curvature(fr)))
-            row["scan_boundary"] = _sha(k, h, w, pts)
-            row["scan_boundary_o4"] = _sha(*qd.scan_boundary(spec, qd.QuadratureSpec(order=4), lambda fr: fr.pgrad_norm))
+            row["scan_boundary"] = _scan_sha(spec, q, lambda fr: (cv.levi(fr, 1), cv.mean_curvature(fr)))
+            row["scan_boundary_o4"] = _scan_sha(spec, qd.QuadratureSpec(order=4), lambda fr: (fr.pgrad_norm,))
             row["scan_bulk"] = _sha(qd.scan_bulk(spec, q, gap))
             print(json.dumps(row, sort_keys=True))
             estimates = {k: r.error_estimate.hex() for k, r in results.items()}
             print(json.dumps({"error_estimates": sname, "rule": rname, **estimates}, sort_keys=True))
     quadric = sf.PerturbedQuadric(2, c=1.0, hterms=QUADRIC_N2)
-    (k1, k2), w, pts = qd.scan_boundary(quadric, qd.QuadratureSpec(order=6), lambda fr: (cv.levi(fr, 1), cv.levi(fr, 2)))
-    print(json.dumps({"levi_scan": "quadric_complex_n2_o6", "sha256": _sha(k1, k2, w, pts)}))
+    levi_sha = _scan_sha(quadric, qd.QuadratureSpec(order=6), lambda fr: (cv.levi(fr, 1), cv.levi(fr, 2)))
+    print(json.dumps({"levi_scan": "quadric_complex_n2_o6", "sha256": levi_sha}))
     bands = {
         "regular": SURFACES["reinhardt"](),
         "band": sf.ReinhardtSurface(0.5, 3.5, fp0=-1.1, s0=0.8, smax=3.0),

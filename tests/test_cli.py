@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from levilab import cli
+from levilab import cli, specfile
 from levilab import quadrature as qd
 from levilab.surfaces import _coarse_directions
 from levilab.wirtinger import MAX_NVARS
@@ -93,10 +93,14 @@ def test_dirichlet_needs_a_centered_ellipsoid(surface, codes, tmp_path):
     assert cli.main([*argv, "--out", str(tmp_path / "r.json")]) in codes
 
 
-def test_monte_carlo_quadrature_is_a_usage_error(tmp_path, capsys):
-    argv = ["verify", "integral", "--surface", "ellipsoid:axes=1,1.3,0.8,1.1", "--quad", "mc:samples=20000,seed=7"]
+@pytest.mark.parametrize("quad, message", [
+    ("mc:samples=20000,seed=7", "unknown method 'mc'"),
+    ("gauss:order=8,radial_order=1", "unknown key 'radial_order'"),  # a bulk pass puts order points on each ray
+])
+def test_monte_carlo_quadrature_is_a_usage_error(quad, message, tmp_path, capsys):
+    argv = ["verify", "integral", "--surface", "ellipsoid:axes=1,1.3,0.8,1.1", "--quad", quad]
     assert cli.main([*argv, "--out", str(tmp_path / "r.json")]) == cli.USAGE_EXIT
-    assert "unknown method 'mc'" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists()
 
 
@@ -144,6 +148,8 @@ def test_off_boundary_point_prints_a_plain_float(tmp_path, capsys):
     ["--direction", "1,0,0,0,0"],
     ["--point", "2,0,0,0", "--j", "2"],
     ["--direction", "1,0,0,0", "--j", "0"],
+    ["--point", "2,abc,0,0"],
+    ["--direction", "1,,0,0"],
 ])
 def test_curvature_usage_errors(argv, tmp_path, capsys):
     assert _curvature(["--surface", "sphere:R=2", *argv], tmp_path)[0] == cli.USAGE_EXIT
@@ -201,7 +207,7 @@ BATCH_FILES = {"sphere": "family=sphere\nR=1\n", "ellipsoid": "family=ellipsoid\
 
 def _batch(tmp_path, names, *extra):
     src = tmp_path / "surfaces"
-    src.mkdir()
+    src.mkdir(exist_ok=True)
     for name in names:
         (src / name).write_text(BATCH_FILES[name])
     out = tmp_path / "reports"
@@ -260,3 +266,47 @@ def test_verify_exits_on_a_malformed_file_as_batch_does(tmp_path, capsys):
     argv = ["verify", "alexandrov", "--surface", str(path), "--quad", "gauss:order=8"]
     assert cli.main([*argv, "--out", str(tmp_path / "r.json")]) == cli.USAGE_EXIT == _batch(tmp_path, ["broken"])[0]
     assert "family" in capsys.readouterr().err
+
+
+def test_batch_on_a_missing_directory_is_a_usage_error(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    argv = ["batch", str(missing), "--identity", "alexandrov", "--out-dir", str(tmp_path / "reports")]
+    assert cli.main(argv) == cli.USAGE_EXIT
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(missing) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["verify", "batch"])
+def test_output_under_a_regular_file_is_a_usage_error(command, tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    if command == "verify":
+        argv = ["verify", "alexandrov", "--surface", "sphere:R=1", "--quad", "gauss:order=4",
+                "--out", str(blocker / "r.json")]
+    else:
+        (tmp_path / "sphere").write_text(BATCH_FILES["sphere"])
+        argv = ["batch", str(tmp_path), "--identity", "alexandrov", "--out-dir", str(blocker / "reports")]
+    assert cli.main(argv) == cli.USAGE_EXIT
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(blocker) in err
+
+
+def test_batch_unreadable_file_is_an_error_row(tmp_path, monkeypatch):
+    # a file that cannot be read (here: one open() refuses, or one not in UTF-8) counts as 64, as one
+    # that does not parse
+    parse = specfile.parse_surface
+
+    def refuse_locked(path):
+        if path.endswith("locked"):
+            raise PermissionError(13, "Permission denied", path)
+        return parse(path)
+
+    monkeypatch.setattr(specfile, "parse_surface", refuse_locked)
+    (tmp_path / "surfaces").mkdir()
+    (tmp_path / "surfaces" / "locked").write_text(BATCH_FILES["sphere"])
+    (tmp_path / "surfaces" / "latin1").write_bytes(b"family=sphere\nR=1 # \xe9\n")
+    code, out = _batch(tmp_path, ["sphere"])
+    assert code == cli.USAGE_EXIT
+    rows = [row.split(",", 6) for row in (out / "summary.csv").read_text().splitlines()[1:]]
+    assert [(c[0], c[5]) for c in rows] == [("latin1", "error"), ("locked", "error"), ("sphere", "inequality_holds")]
+    assert "not UTF-8" in rows[0][6] and "Permission denied" in rows[1][6]

@@ -2,9 +2,8 @@
 
 tests/golden/reports.json holds the JSON reports of the corpus. The first
 five entries (gauss order 16) were recorded before the polynomial families
-moved off the jet engine; the one with a separate radial order and the
-Newton sweep were recorded before the quadrature passes were folded into one
-core. The n = 2 quadric's Minkowski entry and the exp
+moved off the jet engine; the Newton sweep was recorded before the quadrature
+passes were folded into one core. The n = 2 quadric's Minkowski entry and the exp
 reparametrised integral formula were recorded before the jets became
 Wirtinger-native: they pin the mean curvature on a non-quadratic pure
 Hessian and a bulk sigma taken through the chain rule. The two n = 2 bulk
@@ -44,7 +43,6 @@ GOLDEN_RTOL = 1e-13
 CURVATURE_GOLDEN = Path(__file__).parent / "golden" / "curvature.json"
 
 Q16 = qd.QuadratureSpec(order=16)
-Q16_RADIAL5 = qd.QuadratureSpec(order=16, radial_order=5)
 Q7 = qd.QuadratureSpec(order=7)
 ELLIPSOID_AXES = [1.0, 1.3, 0.8, 1.1]
 QUADRIC_HTERMS = {(2, 0): 0.15 + 0.05j, (1, 1): -0.1j}
@@ -61,8 +59,6 @@ CORPUS = {
     "alexandrov:reinhardt": lambda: vf.alexandrov_check(sf.ReinhardtSurface(0.5, 4.0), 1, Q16),
     "dirichlet_chain:n1": lambda: vf.dirichlet_chain([1.0, 1.0, 1.0, 2.0], 1, Q16),
     "minkowski:ellipsoid": lambda: vf.minkowski_residual(sf.Ellipsoid(ELLIPSOID_AXES), Q16),
-    "integral_formula:ellipsoid_n1_radial5": lambda: vf.verify_integral_formula(
-        sf.Ellipsoid(ELLIPSOID_AXES), 1, Q16_RADIAL5),
     "newton_sweep:poly_interior_min": lambda: vf.newton_sweep(sf.UserPolynomial(1, NEWTON_TERMS), 1, Q16),
     "minkowski:quadric_n2": lambda: vf.minkowski_residual(
         sf.PerturbedQuadric(2, hterms=QUADRIC_N2_HTERMS), qd.QuadratureSpec(order=8)),

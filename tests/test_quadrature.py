@@ -141,10 +141,10 @@ class TestFusedPass:
     def test_scan_equals_scan_boundary(self, q):
         spec = sf.ReinhardtSurface(0.5, 4.0)
         scan = lambda fr: (cv.levi(fr, 1), cv.mean_curvature(fr))  # noqa: E731
-        res, ((k, h), w, pts) = qd.surface_integral(spec, ones, q, scan=scan)
-        (k0, h0), w0, pts0 = qd.scan_boundary(spec, q, scan)
+        res, (k, h) = qd.surface_integral(spec, ones, q, scan=scan)
+        k0, h0 = qd.scan_boundary(spec, q, scan)
         assert res == qd.surface_integral(spec, ones, q)
-        for a, b in ((k, k0), (h, h0), (w, w0), (pts, pts0)):
+        for a, b in ((k, k0), (h, h0)):
             assert np.array_equal(a, b)
 
 
@@ -259,28 +259,19 @@ class TestErrors:
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="order must be >= 3"):
             qd.QuadratureSpec(order=2)
-        with pytest.raises(ValueError, match="radial_order must be >= 1"):
-            qd.QuadratureSpec(order=12, radial_order=0)
 
     @pytest.mark.parametrize("text", [
         "gauss:order=2", "gauss:order=12,radial_order=0", "mc:samples=20000,seed=7", "simpson:order=4",
     ])
     def test_invalid_orders_are_parse_errors(self, text):
         # at order 2 the error estimate reads one coefficient per polar factor, zero on even integrands;
-        # radial_order 0 used to fail inside numpy instead of at the spec;
+        # radial_order is no key: a bulk pass puts order Gauss points on each ray;
         # the product rule is the only method
         with pytest.raises(SpecParseError):
             parse_quadrature(text)
 
 
 class TestDescribe:
-    @pytest.mark.parametrize("q", [
-        qd.QuadratureSpec(order=12),
-        qd.QuadratureSpec(order=7, radial_order=3),
-    ], ids=["gauss", "gauss-radial"])
+    @pytest.mark.parametrize("q", [qd.QuadratureSpec(order=12)], ids=["gauss"])
     def test_parse_round_trip(self, q):
         assert parse_quadrature(q.describe()) == q
-
-    def test_radial_order_is_named(self):
-        assert qd.QuadratureSpec(order=7, radial_order=3).describe() == "gauss:order=7,radial_order=3"
-        assert qd.QuadratureSpec(order=7).describe() == "gauss:order=7"

@@ -325,7 +325,7 @@ class TestNonpositiveCurvatureNode:
         spec = sf.DirichletQuadratic(axes)
         q = qd.QuadratureSpec(order=20)  # two chunks
         mask = lambda pts: pts[:, 3] < -1.2  # noqa: E731
-        _, _, pts = qd.scan_boundary(spec, q, lambda fr: fr.pgrad_norm)
+        pts = qd.scan_boundary(spec, q, lambda fr: fr.points)
         first = pts[np.flatnonzero(mask(pts))[0]]
         _forced_nonpositive(monkeypatch, mask)
         with pytest.raises(HypothesisViolationError) as info:
