@@ -42,7 +42,7 @@ from .surfaces import (
     radial_roots,
 )
 from .reinhardt import ReinhardtProfile, reinhardt_profile
-from .curvature import FrameBatch, bordered_minor, levi, mean_curvature
+from .curvature import FrameBatch, levi, mean_curvature
 from .quadrature import IntegralResult, QuadratureSpec, bulk_integral, surface_integral, volume
 from .verify import (
     VerificationReport,

@@ -17,6 +17,7 @@ output.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -104,12 +105,21 @@ def _build_parser() -> _Parser:
     return p
 
 
+def _output_dir(path: str) -> str:
+    """Make the directory of an output path, and fail (OSError) where it cannot be made or written: run
+    before a command's computation, so that an unwritable --out exits 64 at once."""
+    d = os.path.dirname(os.path.abspath(path))
+    os.makedirs(d, exist_ok=True)
+    if not os.access(d, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), d)
+    return d
+
+
 def _write_output(path: str, text: str) -> None:
     if path == "-":
         sys.stdout.write(text)
         return
-    d = os.path.dirname(os.path.abspath(path))
-    os.makedirs(d, exist_ok=True)
+    d = _output_dir(path)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".levilab-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
@@ -134,6 +144,8 @@ def _resolve_quad(arg, n: int):
 def _cmd_curvature(args) -> int:
     from .specfile import parse_surface
 
+    if args.out != "-":
+        _output_dir(args.out)
     spec = parse_surface(args.surface)
     if (args.point is None) == (args.direction is None):
         return _usage("curvature", "exactly one of --point or --direction is required")
@@ -210,6 +222,8 @@ def _cmd_verify(args) -> int:
         return _usage("verify", "--f-choice applies only to the integral identity")
     if problem := _tol_problem(args.identity, args.tol):
         return _usage("verify", problem)
+    if args.out != "-":
+        _output_dir(args.out)
     spec = parse_surface(args.surface)
     if not 1 <= args.j <= spec.n:
         return _usage("verify", f"j={args.j} out of range 1..{spec.n}")

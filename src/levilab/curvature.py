@@ -1,4 +1,4 @@
-"""Pointwise boundary geometry: Wirtinger data, bordered minors, curvatures.
+"""Pointwise boundary geometry: Wirtinger data, Levi forms, curvatures.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -17,75 +17,36 @@ Every function operates on a FrameBatch, the boundary data at a batch of
 points; a single point is a batch of one. Its arrays have shape (B, ...) and,
 as the jets give them, coordinate-major memory: each coordinate, gradient
 component and H or S entry is one contiguous row over the batch. K_j is
-defined by gradient-bordered minors: one (j+2) x (j+2) determinant per
-(j+1)-index set, each taken over the whole batch by hermitian.det_batch
-(closed forms up to 4 x 4, so n <= 2 never reaches LAPACK). Real input is
-assumed (all defining functions here are real-valued), so bordered
-determinants are real and their rounding-level imaginary parts are checked and
-dropped. With nu = FrameBatch.nu and P = I - nu nu*, K_j equals
+defined by gradient-bordered minors, and computed by the lemma of Reilly's
+method (Reilly, Michigan Math. J. 20, 1973): their sum over the (j+1)-index
+sets equals -<T_j(H) del f, del f>, with T_j = d sigma_{j+1} / dH the Newton
+tensor (hermitian.newton_upper, formed once for a quadratic's constant H). So
+K_j is one Hermitian form in the Wirtinger gradient, taken in real arithmetic
+on its real and imaginary rows; no bordered determinant is formed.
+wirtinger.check_lemma_identity proves the lemma exactly. Real input is
+assumed (all defining functions here are real-valued): H must be Hermitian,
+and levi checks it to hermitian.HERMITIAN_TOL relative to the largest entry
+(NotHermitianError otherwise), which is what keeps the bordered minors real.
+With nu = FrameBatch.nu and P = I - nu nu*, K_j equals
 sigma_j(P H P) / (C(n, j) |del f|^j); the tests check levi against that form.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DegenerateGradientError, DomainError
-from .hermitian import det_batch
+from .hermitian import check_hermitian, newton_upper
 from .surfaces import BOUNDARY_VALUE_TOL, GRADIENT_FLOOR, SurfaceSpec, eval_jets, wirtinger_gradient
-
-_IMAG_DROP_TOL = 1e-10
 
 
 def complex_hessian(rhess: np.ndarray) -> np.ndarray:
     """(..., 2N, 2N) real Hessian -> (..., N, N) H, entry (l, k) the z_l, zbar_k derivative."""
     return 0.25 * (rhess[..., 0::2, 0::2] + rhess[..., 1::2, 1::2]
                    + 1j * (rhess[..., 0::2, 1::2] - rhess[..., 1::2, 0::2]))
-
-
-def _check_indices(indices, nvars: int) -> tuple[int, ...]:
-    idx = tuple(int(i) for i in indices)
-    if len(set(idx)) != len(idx):
-        raise ValueError(f"duplicate indices in {indices}")
-    if not all(1 <= i <= nvars for i in idx):
-        raise ValueError(f"indices {indices} out of range 1..{nvars}")
-    return idx
-
-
-def bordered_minor(wgrad: np.ndarray, whess: np.ndarray, indices) -> np.ndarray:
-    """Determinant of the gradient-bordered Hessian block on an index set (1-based).
-
-    Zero corner, conjugate gradient along the border row, gradient down the
-    border column, Hessian block inside. Real for real f; the imaginary part
-    is verified below tolerance and dropped. The matrix is built entry-major,
-    (k, k, B) seen as (B, k, k), so that det_batch reads each entry as one
-    contiguous row over the batch.
-    """
-    sel = [i - 1 for i in _check_indices(indices, wgrad.shape[-1])]
-    g = wgrad.T[sel]
-    mat = np.empty((len(sel) + 1, len(sel) + 1, wgrad.shape[0]), dtype=complex)
-    mat[0, 0], mat[0, 1:], mat[1:, 0], mat[1:, 1:] = 0.0, np.conj(g), g, whess.transpose(1, 2, 0)[np.ix_(sel, sel)]
-    mat = mat.transpose(2, 0, 1)
-    det = det_batch(mat)
-    rows = np.flatnonzero(np.abs(det.imag) > _IMAG_DROP_TOL)  # the scale is >= 1: no other row can fail
-    scale = np.maximum(1.0, np.max(np.abs(mat[rows]), axis=(1, 2)) ** mat.shape[-1])
-    if np.any(np.abs(det.imag[rows]) > _IMAG_DROP_TOL * scale):
-        i = rows[int(np.argmax(np.abs(det.imag[rows]) / scale))]
-        raise ValueError(f"bordered minor has imaginary part {det.imag[i]:.3e}; input not a real function?")
-    return det.real
-
-
-def bordered_sum(wgrad: np.ndarray, whess: np.ndarray, j: int) -> np.ndarray:
-    """Sum of the bordered minors over all increasing (j+1)-index sets."""
-    nvars = wgrad.shape[-1]
-    total = np.zeros(wgrad.shape[0])
-    for idx in itertools.combinations(range(1, nvars + 1), j + 1):
-        total += bordered_minor(wgrad, whess, idx)
-    return total
 
 
 @dataclass
@@ -167,24 +128,44 @@ def _gradient_norm(frames: FrameBatch) -> np.ndarray:
 
 
 def levi(frames: FrameBatch, j: int) -> np.ndarray:
-    """j-th Levi curvature from the bordered-minor sum.
+    """j-th Levi curvature <T_j(H) del f, del f> / (C(n, j) |del f|^(j+2)).
 
-    Normalized by the binomial count of index sets and by |complex gradient|
-    to the power j+2, with the sign that makes spheres positive (f < 0 inside).
+    The numerator is minus the sum of the gradient-bordered minors on the (j+1)-index sets, the count of
+    which normalizes it, with the sign that makes spheres positive (f < 0 inside).
     """
     n = frames.n
     if not 1 <= j <= n:
         raise ValueError(f"j={j} out of range 1..{n}")
     gnorm = _gradient_norm(frames)
+    check_hermitian(frames.whess)
     with np.errstate(over="ignore", invalid="ignore"):
-        total = bordered_sum(frames.wgrad, frames.whess, j)
+        total = _levi_form(frames.wgrad, newton_upper(frames.whess, j))
         scale = math.comb(n, j) * frames.pgrad_norm ** (j + 2)
     finite = np.isfinite(total) & np.isfinite(scale)
     if not np.all(finite):
         i = int(np.argmin(finite))
         raise DomainError(f"|grad f| = {gnorm[i]:.3e}: the bordered-minor sum or (|grad f| / 2)^{j + 2} "
                           "overflows a float")
-    return -total / scale
+    return total / scale
+
+
+def _levi_form(w: np.ndarray, upper: list) -> np.ndarray:
+    """sum_lk w_l T_lk conj(w_k) for Hermitian T given by its upper triangle (l, k, T_lk), in real arithmetic
+    on the rows a + i b of w: T_ll |w_l|^2, and for l < k twice Re T_lk (a_l a_k + b_l b_k) + Im T_lk
+    (a_l b_k - b_l a_k). The entries of a constant T are numbers, and its zero parts are skipped."""
+    a, b = np.ascontiguousarray(w.real.T), np.ascontiguousarray(w.imag.T)
+    form = np.zeros(len(w))
+    for l, k, c in upper:
+        constant = np.ndim(c) == 0
+        if l == k:
+            if not constant or c.real:
+                form += c.real * (a[l] * a[l] + b[l] * b[l])
+            continue
+        if not constant or c.real:
+            form += 2.0 * c.real * (a[l] * a[k] + b[l] * b[k])
+        if not constant or c.imag:
+            form += 2.0 * c.imag * (a[l] * b[k] - b[l] * a[k])
+    return form
 
 
 def mean_curvature(frames: FrameBatch) -> np.ndarray:

@@ -18,10 +18,14 @@ polynomial; Griewank & Walther, Evaluating Derivatives, 2nd ed., 2008). Each
 block of it is copied transposed into coordinate-major rows, one row over the
 points per number: real rows for the value and the real gradient, complex rows
 for the entries of H and S. The table is built in blocks of points, each at
-most TABLE_BUDGET entries. A quadratic's H and S are constant: it reads only
-the leading rows and the value and gradient columns, and H and S are broadcast
-views of one matrix each, which constant_hessians gives alone, with no table
-built. restrict gives f along rays, a polynomial in rho.
+most TABLE_BUDGET entries. restrict gives f along rays, a polynomial in rho.
+
+A quadratic, f = c + b.d + d.A.d / 2, builds no table. Its gradient rows are
+b_i + sum_k A_ik d_k, one row product per nonzero entry of A and no matrix
+product, so no BLAS call; its value is c + d.(b + grad f) / 2, and its
+restriction to rays is c + (b.u) rho + (u.A.u / 2) rho^2 for a direction u.
+Its H and S are constant: broadcast views of one matrix each, which
+constant_hessians gives alone.
 """
 
 from __future__ import annotations
@@ -131,10 +135,19 @@ class RealPolynomial:
         degree = [sum(e) for e in self.terms]  # the terms of f lead the table; restrict sums them by degree
         self._by_degree = np.zeros((len(degree), 1 + max(degree, default=0)))
         self._by_degree[np.arange(len(degree)), degree] = list(self.terms.values())
-        self._constant = None  # (H, S) of a quadratic, the same at every point
+        self._constant = self._quadratic = None  # a quadratic's (H, S), the same at every point, and (c, b, A)
         if max(degree, default=0) <= 2:
             self._constant = np.stack(self.evaluate(self.center[None, :])[2:])[:, 0]
-            self._plan = coefs[:len({e for col, e, _ in derived if col <= m}), :1 + m].copy()
+            b, a = np.zeros(m), [{} for _ in range(m)]  # A as its nonzero entries per row, {k: A_ik}
+            for e, c in self.terms.items():
+                at = [i for i, x in enumerate(e) if x]
+                if sum(e) == 1:
+                    b[at[0]] = c
+                elif sum(e) == 2:  # c d_i d_k: A_ik = A_ki = c, or A_ii = 2 c
+                    i, k = at[0], at[-1]
+                    a[i][k] = a[i].get(k, 0.0) + c
+                    a[k][i] = a[k].get(i, 0.0) + c
+            self._quadratic = self.terms.get((0,) * m, 0.0), b, [sorted(row.items()) for row in a]
 
     def evaluate(self, pts: np.ndarray):
         """(value, gradient, H, S) at points (B, m).
@@ -147,10 +160,21 @@ class RealPolynomial:
         """
         dt = np.subtract(np.asarray(pts, dtype=float).T, self.center[:, None], order="C")
         b, nv = dt.shape[1], self.m // 2
+        if self._quadratic is not None:
+            c, lin, _ = self._quadratic
+            grad = self._linear(dt, lin)
+            return c + 0.5 * np.einsum("ib,ib->b", dt, grad + lin[:, None]), grad.T, *self.constant_hessians(b)
         rows, hs = self._times(dt, self._plan, self._mixed)
-        if self._constant is not None:
-            return rows[0], rows[1:].T, *self.constant_hessians(b)
         return rows[0], rows[1:].T, *hs.reshape(2, nv, nv, b).transpose(0, 3, 1, 2)
+
+    def _linear(self, dt: np.ndarray, lin: np.ndarray) -> np.ndarray:
+        """A quadratic's rows lin_i + sum_k A_ik dt_k at local coordinates dt (m, B), as (m, B)."""
+        out = np.empty_like(dt)
+        for i, row in enumerate(self._quadratic[2]):
+            out[i] = lin[i]
+            for k, aik in row:
+                out[i] += aik * dt[k]
+        return out
 
     def constant_hessians(self, b: int):
         """A quadratic's (H, S), read-only broadcast views (B, N, N) over b points, with no table; else None."""
@@ -170,6 +194,12 @@ class RealPolynomial:
 
     def restrict(self, dirs: np.ndarray) -> np.ndarray:
         """a (d + 1, B) with f(center + rho * dirs[b]) = sum_k a[k, b] rho^k, from the terms by degree."""
+        if self._quadratic is not None:
+            c, lin, _ = self._quadratic
+            u = np.ascontiguousarray(np.asarray(dirs, dtype=float).T)
+            au = self._linear(u, np.zeros(self.m))
+            return np.stack([np.full(u.shape[1], c), np.einsum("i,ib->b", lin, u),
+                             0.5 * np.einsum("ib,ib->b", u, au)])
         a = self._by_degree
         return self._times(np.ascontiguousarray(np.asarray(dirs, dtype=float).T), a, a.shape[1])[0]
 

@@ -27,10 +27,11 @@ the z_1..z_N naming.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -402,13 +403,16 @@ class IdentityCheck:
 @dataclass(frozen=True)
 class PointJets:
     """f = generic_real_poly(n + 1, 3, seed) at its seeded points: per point, the exact
-    constants (fz, fzb, h, dh) with dh[m][l][k] the z_{m+1} derivative of h[l][k]."""
+    constants (fz, fzb, h, dh) with dh[m][l][k] the z_{m+1} derivative of h[l][k].
+    cofactors keeps sym_sigma_grad(WMatrix(h), j + 1) by (point, j) once formed: the lemma
+    and Euler checks contract the same matrix."""
 
     n: int
     seed: int
     points: tuple[tuple[tuple[int, int], ...], ...]
     values: tuple[tuple, ...]
     max_terms: int
+    cofactors: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def _guard_cost(n: int, j: int | None = None) -> None:
@@ -436,12 +440,21 @@ def point_jets(n: int, seed: int = DEFAULT_SEED) -> PointJets:
 
 
 def _check(name: str, n: int, j: int, seed: int, jets: PointJets | None, residuals) -> IdentityCheck:
-    """Run residuals(fz, fzb, h, dh) -> list of constants at every point of the jets."""
+    """Run residuals(fz, fzb, h, dh, cofactors) -> list of constants at every point of the jets, where
+    cofactors() gives the point's sigma_{j+1} cofactor matrix, formed once per jets, point and j."""
     _guard_cost(n, j)
     if jets is not None and (jets.n, jets.seed) != (n, seed):
         raise ValueError(f"jets of n={jets.n}, seed={jets.seed} given for n={n}, seed={seed}")
     jets = jets or point_jets(n, seed)
-    return IdentityCheck(name, n, j, seed, tuple(r for v in jets.values for r in residuals(*v)), jets.max_terms)
+
+    def cofactors(p: int) -> list[list[WPoly]]:
+        if (p, j) not in jets.cofactors:
+            jets.cofactors[p, j] = sym_sigma_grad(WMatrix(jets.values[p][2]), j + 1)
+        return jets.cofactors[p, j]
+
+    return IdentityCheck(name, n, j, seed, tuple(r for p, v in enumerate(jets.values)
+                                                 for r in residuals(*v, functools.partial(cofactors, p))),
+                         jets.max_terms)
 
 
 def check_null_lagrangian(n: int, j: int, seed: int = DEFAULT_SEED, jets: PointJets | None = None) -> IdentityCheck:
@@ -453,7 +466,7 @@ def check_null_lagrangian(n: int, j: int, seed: int = DEFAULT_SEED, jets: PointJ
     nv = n + 1
     t, origin = WPoly.variable(nv, "z", 1), [0] * (2 * nv)
 
-    def divergence(fz, fzb, h, dh):
+    def divergence(fz, fzb, h, dh, _cofactors):
         div = [WPoly.zero(nv)] * nv
         for l in range(nv):
             line = WMatrix([[a + t * b for a, b in zip(hr, dr)] for hr, dr in zip(h, dh[l])])
@@ -471,8 +484,8 @@ def check_lemma_identity(n: int, j: int, seed: int = DEFAULT_SEED, jets: PointJe
     entry it would repeat the contraction's cofactor expansion, a circular check."""
     nv = n + 1
 
-    def residual(fz, fzb, h, dh):
-        grad = sym_sigma_grad(WMatrix(h), j + 1)
+    def residual(fz, fzb, h, dh, cofactors):
+        grad = cofactors()
         total = sum((fz[l] * grad[l][k] * fzb[k] for l in range(nv) for k in range(nv)), WPoly.zero(nv))
         idxs = itertools.combinations(range(1, nv + 1), j + 1)
         return [sum((bordered_det(fz, fzb, h, idx) for idx in idxs), total)]
@@ -485,8 +498,8 @@ def check_euler_sigma(n: int, j: int, seed: int = DEFAULT_SEED, jets: PointJets 
     gradient contraction against the Hessian entries themselves."""
     nv = n + 1
 
-    def residual(fz, fzb, h, dh):
-        grad = sym_sigma_grad(WMatrix(h), j + 1)
+    def residual(fz, fzb, h, dh, cofactors):
+        grad = cofactors()
         contraction = sum((grad[l][k] * h[l][k] for l in range(nv) for k in range(nv)), WPoly.zero(nv))
         return [sym_sigma(WMatrix(h), j + 1) * (j + 1) - contraction]
 

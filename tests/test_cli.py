@@ -7,7 +7,10 @@ from pathlib import Path
 import pytest
 
 from levilab import cli, specfile
+from levilab import curvature as cv
 from levilab import quadrature as qd
+from levilab import surfaces as sf
+from levilab import verify as vf
 from levilab.surfaces import _coarse_directions
 from levilab.wirtinger import MAX_NVARS
 
@@ -81,6 +84,34 @@ def test_verify_usage_errors(identity, extra, tmp_path, capsys, monkeypatch):
     assert cli.main([*argv, "--out", str(tmp_path / "r.json")]) == cli.USAGE_EXIT
     assert "levilab verify:" in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists()
+
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("an output path that cannot be written must exit before the computation")
+
+
+@pytest.mark.parametrize("command", [
+    ["verify", "integral", "--surface", "sphere:R=1", "--quad", "gauss:order=4"],
+    ["curvature", "--surface", "sphere:R=2", "--direction", "1,0,0,0"],
+])
+def test_unwritable_out_exits_before_the_computation(command, tmp_path, capsys, monkeypatch):
+    # --out under a regular file: its directory cannot be made, which is a usage error found first
+    monkeypatch.setattr(vf, "verify_integral_formula", _never_called)
+    monkeypatch.setattr(cv.FrameBatch, "at_points", _never_called)
+    monkeypatch.setattr(sf, "radial_roots", _never_called)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert cli.main([*command, "--out", str(blocker / "r.json")]) == cli.USAGE_EXIT
+    err = capsys.readouterr().err
+    assert err.startswith("levilab: ") and err.count("\n") == 1 and str(blocker) in err
+
+
+def test_read_only_out_directory_exits_before_the_computation(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(vf, "verify_integral_formula", _never_called)
+    monkeypatch.setattr(os, "access", lambda path, mode: path != str(tmp_path))
+    argv = ["verify", "integral", "--surface", "sphere:R=1", "--out", str(tmp_path / "r.json")]
+    assert cli.main(argv) == cli.USAGE_EXIT
+    assert capsys.readouterr().err == f"levilab: [Errno 13] Permission denied: '{tmp_path}'\n"
 
 
 @pytest.mark.parametrize("surface, codes", [

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 from levilab import curvature as cv
 from levilab import quadrature as qd
 from levilab import surfaces as sf
-from levilab.errors import DegenerateGradientError
-from levilab.hermitian import det_batch, newton_gap_batch, sigma_batch
+from levilab import hermitian
+from levilab.errors import DegenerateGradientError, NotHermitianError
+from levilab.hermitian import HERMITIAN_TOL, det_batch, newton_gap_batch, sigma_batch
 from test_polynomial import CASES as POLYNOMIAL_CASES
 
 
@@ -63,19 +64,15 @@ class TestBorderedMinors:
     def test_sphere_value(self):
         spec = sf.Sphere(2.0)
         fr = cv.FrameBatch.at_points(spec, [0.0, 2.0, 0.0, 0.0])
-        assert cv.bordered_minor(fr.wgrad, fr.whess, (1, 2))[0] == pytest.approx(-4.0, abs=1e-12)
+        assert reference_minor(fr.wgrad, fr.whess, (1, 2))[0] == pytest.approx(-4.0, abs=1e-12)
+        # by the lemma, levi's numerator is minus the sum of the bordered minors
+        assert cv.levi(fr, 1)[0] * fr.pgrad_norm[0] ** 3 == pytest.approx(4.0, abs=1e-12)
 
     def test_levi_flat_cylinder(self):
         spec = sf.Cylinder(1.0, kind="flat")
         fr = cv.FrameBatch.at_points(spec, [1.0, 0.0, 0.3, 7.0])
-        assert cv.bordered_minor(fr.wgrad, fr.whess, (1, 2))[0] == pytest.approx(0.0, abs=1e-14)
+        assert reference_minor(fr.wgrad, fr.whess, (1, 2))[0] == pytest.approx(0.0, abs=1e-14)
         assert cv.levi(fr, 1)[0] == pytest.approx(0.0, abs=1e-14)
-
-    def test_duplicate_indices(self):
-        spec = sf.Sphere(1.0)
-        fr = cv.FrameBatch.at_points(spec, [1.0, 0.0, 0.0, 0.0])
-        with pytest.raises(ValueError):
-            cv.bordered_minor(fr.wgrad, fr.whess, (1, 1))
 
 
 def _bordered_frames(seed: int, count: int, big: float, size: int = 3):
@@ -86,24 +83,33 @@ def _bordered_frames(seed: int, count: int, big: float, size: int = 3):
     return big * grad, big * (a + np.conj(np.swapaxes(a, 1, 2)))
 
 
-def reference_minor(wgrad, whess, indices):
-    """bordered_minor as first written: a zero-filled (B, k, k) matrix, its check scaled on every row."""
+REF_IMAG_TOL = 1e-10  # the bordered minors' imaginary-part tolerance, times the entry scale, as first written
+
+
+def reference_minor(wgrad, whess, indices, det=det_batch):
+    """A gradient-bordered minor (1-based indices) as first written: a zero-filled (B, k, k) matrix, its
+    imaginary part checked on every row against REF_IMAG_TOL times the entry scale, then dropped."""
     sel = [i - 1 for i in indices]
     mat = np.zeros((wgrad.shape[0], len(sel) + 1, len(sel) + 1), dtype=complex)
     mat[:, 0, 1:], mat[:, 1:, 0], mat[:, 1:, 1:] = np.conj(wgrad[:, sel]), wgrad[:, sel], whess[:, sel][:, :, sel]
-    det = det_batch(mat)
+    d = det(mat)
     scale = np.maximum(1.0, np.max(np.abs(mat), axis=(1, 2)) ** (len(sel) + 1))
-    if np.any(np.abs(det.imag) > cv._IMAG_DROP_TOL * scale):
-        worst = det.imag[int(np.argmax(np.abs(det.imag) / scale))]
+    if np.any(np.abs(d.imag) > REF_IMAG_TOL * scale):
+        worst = d.imag[int(np.argmax(np.abs(d.imag) / scale))]
         raise ValueError(f"bordered minor has imaginary part {worst:.3e}; input not a real function?")
-    return det.real
+    return d.real
 
 
-def reference_sum(wgrad, whess, j):
+def reference_sum(wgrad, whess, j, det=det_batch):
     total = np.zeros(wgrad.shape[0])
     for idx in itertools.combinations(range(1, wgrad.shape[1] + 1), j + 1):
-        total += reference_minor(wgrad, whess, idx)
+        total += reference_minor(wgrad, whess, idx, det)
     return total
+
+
+def reference_levi(fr, j, det=det_batch):
+    """K_j from the bordered minors, one complex determinant per (j+1)-index set."""
+    return -reference_sum(fr.wgrad, fr.whess, j, det) / (math.comb(fr.n, j) * fr.pgrad_norm ** (j + 2))
 
 
 def raw_frames(wgrad, whess):
@@ -117,60 +123,52 @@ def raw_frames(wgrad, whess):
     )
 
 
-class TestImaginaryPartCheck:
-    def test_large_entries_with_rounding_imaginary_parts_pass(self):
+def asymmetry_rows(whess):
+    """Per row: whether max |H - H*| exceeds HERMITIAN_TOL times the largest entry, and their ratio."""
+    dev = np.max(np.abs(whess - np.conj(whess.transpose(0, 2, 1))), axis=(1, 2))
+    scale = np.max(np.abs(whess), axis=(1, 2))
+    return dev > HERMITIAN_TOL * scale, dev / scale
+
+
+class TestHermitianCheck:
+    """The bordered minors of a real function are real: levi checks H for conjugate symmetry in their place."""
+
+    def test_large_entries_with_rounding_asymmetry_pass(self):
         wgrad, whess = _bordered_frames(3, 200, 1e4)
-        mat = np.zeros((200, 4, 4), dtype=complex)
-        mat[:, 0, 1:], mat[:, 1:, 0], mat[:, 1:, 1:] = np.conj(wgrad), wgrad, whess
-        # rounding leaves |Im det| far above the bare tolerance; only the entry scale forgives it
-        assert np.max(np.abs(det_batch(mat).imag)) > 1e3 * cv._IMAG_DROP_TOL
-        assert np.all(np.isfinite(cv.bordered_minor(wgrad, whess, (1, 2, 3))))
-
-    def test_complex_function_raises(self):
-        wgrad, whess = _bordered_frames(4, 50, 1.0)
-        whess[17, 0, 1] += 0.5j  # no longer Hermitian: not the Hessian of a real function
-        with pytest.raises(ValueError, match="imaginary part"):
-            cv.bordered_minor(wgrad, whess, (1, 2))
-
-    @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(0, 2**16), big=st.sampled_from([1e-3, 1.0, 1e3, 1e5]))
-    def test_same_rows_fail_as_with_the_scale_of_every_row(self, seed, big):
-        wgrad, whess = _bordered_frames(seed, 40, big)
-        rng = np.random.default_rng(seed)
-        whess[rng.integers(0, 40, 3), 0, 2] += 1e-9 * big**2 * rng.standard_normal(3) * 1j
-        idx = (1, 3)
-        mat = np.zeros((40, 3, 3), dtype=complex)
-        mat[:, 0, 1:], mat[:, 1:, 0], mat[:, 1:, 1:] = np.conj(wgrad[:, [0, 2]]), wgrad[:, [0, 2]], whess[:, [0, 2]][:, :, [0, 2]]
-        det = det_batch(mat)
-        scale = np.maximum(1.0, np.max(np.abs(mat), axis=(1, 2)) ** 3)
-        if np.any(np.abs(det.imag) > cv._IMAG_DROP_TOL * scale):
-            worst = det.imag[int(np.argmax(np.abs(det.imag) / scale))]
-            with pytest.raises(ValueError, match=re.escape(f"imaginary part {worst:.3e};")):
-                cv.bordered_minor(wgrad, whess, idx)
-        else:
-            assert np.array_equal(cv.bordered_minor(wgrad, whess, idx), det.real)
+        whess[:, 0, 1] *= 1.0 + 1e-15
+        # rounding-level asymmetry far above the bare tolerance; only the entry scale forgives it
+        assert np.max(np.abs(whess - np.conj(whess.transpose(0, 2, 1)))) > 5 * HERMITIAN_TOL
+        fr = raw_frames(wgrad, whess)
+        for j in (1, 2):
+            ref = reference_levi(fr, j)
+            assert np.max(np.abs(cv.levi(fr, j) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**16), big=st.sampled_from([1e-3, 1.0, 1e3, 1e5]), j=st.sampled_from([1, 2]))
-    def test_levi_fails_on_the_rows_of_the_reference(self, seed, big, j):
-        # through levi and the entry-major matrices, the same index set and row fail with the same message
+    def test_rows_fail_by_the_stated_bound(self, seed, big, j):
+        # a row fails where its asymmetry exceeds HERMITIAN_TOL times its largest entry, and the worst is named;
+        # below that, K_j is the bordered-minor reference's
         wgrad, whess = _bordered_frames(seed, 40, big)
         rng = np.random.default_rng(seed)
         whess[rng.integers(0, 40, 3), 0, 2] += 1e-9 * big**2 * rng.standard_normal(3) * 1j
         fr = raw_frames(wgrad, whess)
-        try:
-            ref = -reference_sum(wgrad, whess, j) / (math.comb(2, j) * fr.pgrad_norm ** (j + 2))
-        except ValueError as err:
-            with pytest.raises(ValueError, match=re.escape(str(err))):
+        bad, ratio = asymmetry_rows(whess)
+        if np.any(bad):
+            i = int(np.argmax(np.where(bad, ratio, 0.0)))
+            message = f"by {ratio[i]:.3e} of its largest entry at row {i} "
+            with pytest.raises(NotHermitianError, match=re.escape(message)):
                 cv.levi(fr, j)
         else:
-            assert cv.levi(fr, j).tobytes() == ref.tobytes()
+            ref = reference_levi(fr, j)
+            assert np.max(np.abs(cv.levi(fr, j) - ref)) <= 1e-10 * np.max(np.abs(ref))
 
     def test_levi_raises_for_a_complex_function(self):
         wgrad, whess = _bordered_frames(4, 50, 1.0)
-        whess[17, 0, 1] += 0.5j
-        with pytest.raises(ValueError, match="imaginary part"):
+        whess[17, 0, 1] += 0.5j  # no longer Hermitian: not the Hessian of a real function
+        with pytest.raises(NotHermitianError, match="at row 17 .*input not a real function"):
             cv.levi(raw_frames(wgrad, whess), 1)
+        with pytest.raises(ValueError, match="imaginary part"):  # the reference's own check sees it too
+            reference_sum(wgrad, whess, 1)
 
 
 class TestCylinderRemark:
@@ -348,7 +346,7 @@ class TestLemmaConsistency:
             # difference is the contraction of its cofactor gradient with w w*, w the complex gradient
             ww = fr.wgrad[:, :, None] * np.conj(fr.wgrad)[:, None, :]
             for j in range(1, spec.n + 1):
-                lhs = -cv.bordered_sum(fr.wgrad, fr.whess, j)
+                lhs = -reference_sum(fr.wgrad, fr.whess, j)
                 contraction = sigma_batch(fr.whess + ww, j + 1) - sigma_batch(fr.whess, j + 1)
                 assert contraction == pytest.approx(lhs, abs=1e-9, rel=1e-9)
 
@@ -362,6 +360,9 @@ KERNEL_SURFACES = {
     "levi_indefinite": lambda: sf.UserPolynomial(
         1, {(1, 0, 1, 0): 1, (0, 1, 0, 1): 1, (0, 0, 0, 0): -1, (1, 1, 1, 1): -3, (2, 2, 2, 2): 4}, scale=1.2
     ),
+    # H differs at each node: the profile's chain rule, and the composition exp(f) - 1
+    "reinhardt": lambda: sf.ReinhardtSurface(0.5, 4.0),
+    "exp_ellipsoid_n2": lambda: sf.ExpReparam(sf.Ellipsoid([1.0, 1.3, 0.8, 1.1, 0.9, 1.2])),
 }
 
 
@@ -379,14 +380,12 @@ def projected_levi(fr, j, nu):
 
 class TestDeterminantKernel:
     @pytest.mark.parametrize("name", sorted(KERNEL_SURFACES))
-    def test_levi_matches_lapack_bordered_sum(self, name, monkeypatch):
+    def test_levi_matches_lapack_bordered_sum(self, name):
         spec = KERNEL_SURFACES[name]()
         fr = boundary_frames(spec, 50)
-        got = {j: cv.levi(fr, j) for j in range(1, spec.n + 1)}
-        monkeypatch.setattr(cv, "det_batch", np.linalg.det)
-        for j, k in got.items():
-            ref = -cv.bordered_sum(fr.wgrad, fr.whess, j) / (math.comb(spec.n, j) * fr.pgrad_norm ** (j + 2))
-            assert np.max(np.abs(k - ref)) < 1e-13 * np.max(np.abs(ref))
+        for j in range(1, spec.n + 1):
+            ref = reference_levi(fr, j, det=np.linalg.det)
+            assert np.max(np.abs(cv.levi(fr, j) - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     @settings(max_examples=10, deadline=None)
     @given(name=st.sampled_from(sorted(KERNEL_SURFACES)), seed=st.integers(0, 2**16))
@@ -397,6 +396,21 @@ class TestDeterminantKernel:
             k = cv.levi(fr, j)
             assert np.max(np.abs(projected_levi(fr, j, fr.nu) - k)) < 1e-12 * np.max(np.abs(k))
 
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, 4), seed=st.integers(0, 2**16), broadcast=st.booleans())
+    def test_levi_matches_projected_and_lapack_forms(self, n, seed, broadcast):
+        # random Wirtinger data, H broadcast (a quadratic's) or per node: the Levi form against sigma_j(PHP)
+        # and against the bordered minors taken by LAPACK (at most 8.3e-15 of max|K| over 2,300 seeds; random
+        # indefinite H cancels more than the surfaces, which hold 1e-14)
+        wgrad, whess = _bordered_frames(seed, 16, 1.0, size=n + 1)
+        if broadcast:
+            whess = np.broadcast_to(whess[:1], whess.shape)
+        fr = raw_frames(wgrad, whess)
+        for j in range(1, n + 1):
+            k = cv.levi(fr, j)
+            assert np.max(np.abs(reference_levi(fr, j, det=np.linalg.det) - k)) <= 1e-13 * np.max(np.abs(k))
+            assert np.max(np.abs(projected_levi(fr, j, fr.nu) - k)) <= 1e-12 * np.max(np.abs(k))
+
     def test_projection_uses_nu_not_its_conjugate(self):
         # pins the convention nu = del f / |del f|: with conj(nu) the identity holds only for real H
         fr = boundary_frames(KERNEL_SURFACES["levi_indefinite"](), 51)
@@ -404,29 +418,35 @@ class TestDeterminantKernel:
         assert np.max(np.abs(projected_levi(fr, 1, np.conj(fr.nu)) - k)) > 0.5 * np.max(np.abs(k))
 
     def test_levi_bypasses_lapack(self, forbid_lapack_det):
-        # perf guard: bordered minors up to 4 x 4 (n <= 2, every j) use the closed forms only
-        for spec in (KERNEL_SURFACES["levi_indefinite"](), sf.Sphere(1.5, n=2), KERNEL_SURFACES["quadric_complex_n2"]()):
-            fr = boundary_frames(spec, 52)
-            for j in range(1, spec.n + 1):
+        # perf guard: the Newton tensor's minors are j x j, so n <= 4 (every j) uses the closed forms only,
+        # with H broadcast or per node
+        specs = [KERNEL_SURFACES[name]() for name in ("levi_indefinite", "quadric_complex_n2", "ellipsoid_n3",
+                                                     "reinhardt", "exp_ellipsoid_n2")]
+        frames = [boundary_frames(spec, 52) for spec in specs + [sf.Sphere(1.5, n=n) for n in (1, 2, 3, 4)]]
+        frames += [raw_frames(*_bordered_frames(52 + n, 16, 1.0, size=n + 1)) for n in (1, 2, 3, 4)]
+        for fr in frames:
+            for j in range(1, fr.n + 1):
                 assert np.all(np.isfinite(cv.levi(fr, j)))
 
 
-class TestEntryMajorBorderedMinor:
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_equals_the_reference_bitwise(self, n):
-        wgrad, whess = _bordered_frames(30 + n, 64, 1.0, size=n + 1)
-        for j in range(1, n + 1):
-            for idx in itertools.combinations(range(1, n + 2), j + 1):
-                assert cv.bordered_minor(wgrad, whess, idx).tobytes() == reference_minor(wgrad, whess, idx).tobytes()
-            assert cv.bordered_sum(wgrad, whess, j).tobytes() == reference_sum(wgrad, whess, j).tobytes()
-
+class TestLeviForm:
     @pytest.mark.parametrize("name", sorted(KERNEL_SURFACES))
-    def test_levi_equals_the_reference_bitwise(self, name):
+    def test_levi_equals_the_reference(self, name):
+        # one Hermitian form in place of one complex determinant per index set: equal to the stated bound
         spec = KERNEL_SURFACES[name]()
         fr = boundary_frames(spec, 53)
         for j in range(1, spec.n + 1):
-            ref = -reference_sum(fr.wgrad, fr.whess, j) / (math.comb(spec.n, j) * fr.pgrad_norm ** (j + 2))
-            assert cv.levi(fr, j).tobytes() == ref.tobytes()
+            ref = reference_levi(fr, j)
+            assert np.max(np.abs(cv.levi(fr, j) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_constant_newton_tensor_formed_once(self, monkeypatch):
+        # perf guard: a quadratic's H is one broadcast matrix, so T_j is formed from one matrix's minors
+        fr = boundary_frames(sf.Ellipsoid([1.0, 1.3, 0.8, 1.1, 0.9, 1.2]), 54, count=500)
+        batches, det = [], hermitian.det_batch
+        monkeypatch.setattr(hermitian, "det_batch", lambda m: batches.append(np.shape(m)[:-2]) or det(m))
+        for j in (1, 2):
+            cv.levi(fr, j)
+        assert batches == [(9,), (6,)]
 
 
 def einsum_mean_curvature(fr, real_hessian):

@@ -8,8 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from levilab import hermitian
 from levilab.errors import NotHermitianError
-from levilab.hermitian import HermitianMatrix, det_batch, newton_gap_batch, sigma_batch
+from levilab.hermitian import HermitianMatrix, check_hermitian, det_batch, newton_gap_batch, newton_upper, sigma_batch
+from levilab.wirtinger import WMatrix, WPoly, sym_sigma_grad
 
 
 def random_hermitian(rng, d):
@@ -204,6 +206,87 @@ class TestSigmaGrad:
         g = cofactor_gradient(a, 3)
         assert np.max(np.abs(g - g.conj().T)) < 1e-12
 
+
+def gaussian_integer_hermitian(rng, d):
+    """A Hermitian matrix with small Gaussian-integer entries: every minor up to 4 x 4 is exact in floats."""
+    a = rng.integers(-4, 5, (d, d)) + 1j * rng.integers(-4, 5, (d, d))
+    return np.triu(a, 1) + np.conj(np.triu(a, 1)).T + np.diag(rng.integers(-4, 5, d))
+
+
+def newton_tensor(mats, j):
+    """T_j as a matrix stack (..., d, d) from newton_upper: the upper triangle, its conjugate below."""
+    mats = np.asarray(mats)
+    d = mats.shape[-1]
+    out = np.empty(mats.shape, dtype=complex)
+    for l, k, entry in newton_upper(mats, j):
+        out[..., k, l], out[..., l, k] = np.conj(entry), entry
+    return out
+
+
+class TestNewtonTensor:
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_equals_the_exact_cofactors(self, d):
+        # the numeric twin of wirtinger.sym_sigma_grad: T_j = d sigma_{j+1} / da, bit for bit on integer entries
+        rng = np.random.default_rng(40 + d)
+        for a in (gaussian_integer_hermitian(rng, d) for _ in range(3)):
+            exact_matrix = WMatrix([[WPoly.constant(1, complex(x)) for x in row] for row in a])
+            for j in range(1, d):
+                exact = np.array([[p.eval([0]) for p in row] for row in sym_sigma_grad(exact_matrix, j + 1)])
+                assert np.array_equal(newton_tensor(a, j), exact)  # the lower triangle too, Hermitian exactly
+                assert np.array_equal(newton_tensor(a[None], j)[0], exact)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 6])
+    def test_matches_the_gradient_of_sigma(self, d):
+        # against d sigma_{j+1} / da read off sigma_batch alone; d = 6 takes the 5 x 5 minors through LAPACK
+        rng = np.random.default_rng(60 + d)
+        stack = np.stack([random_hermitian(rng, d) for _ in range(3)])
+        for j in range(1, d):
+            for a, tj in zip(stack, newton_tensor(stack, j)):
+                assert np.max(np.abs(tj - cofactor_gradient(a, j + 1))) < 1e-9
+
+    def test_entry_major_rows(self):
+        # each entry of T is one contiguous row over the batch, as the jets give H; T_1 = tr(a) I - a^T
+        rng = np.random.default_rng(3)
+        h = np.stack([random_hermitian(rng, 3) for _ in range(50)]).transpose(1, 2, 0).copy().transpose(2, 0, 1)
+        upper = newton_upper(h, 1)
+        assert [(l, k) for l, k, _ in upper] == list(zip(*np.triu_indices(3)))
+        assert all(entry.shape == (50,) and entry.flags.c_contiguous for _, _, entry in upper)
+        trace = np.trace(h, axis1=1, axis2=2)[:, None, None]
+        assert np.allclose(newton_tensor(h, 1), trace * np.eye(3) - h.transpose(0, 2, 1))
+
+    def test_broadcast_formed_once(self, monkeypatch):
+        a = random_hermitian(np.random.default_rng(4), 3)
+        calls, det = [], hermitian.det_batch
+        monkeypatch.setattr(hermitian, "det_batch", lambda m: calls.append(np.shape(m)) or det(m))
+        upper = newton_upper(np.broadcast_to(a, (1000, 3, 3)), 2)
+        assert calls == [(6, 2, 2)] and all(np.ndim(entry) == 0 for _, _, entry in upper)
+        assert [entry for _, _, entry in upper] == [entry for _, _, entry in newton_upper(a, 2)]
+
+    @pytest.mark.parametrize("j", [0, 3])
+    def test_j_out_of_range(self, j):
+        with pytest.raises(ValueError):
+            newton_upper(np.eye(3), j)
+
+
+class TestCheckHermitian:
+    @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+    @pytest.mark.parametrize("asym, ok", [(1e-15, True), (1e-13, True), (1e-11, False)])
+    def test_tolerance_is_relative_to_the_largest_entry(self, scale, asym, ok):
+        a = np.tile(random_hermitian(np.random.default_rng(8), 3), (5, 1, 1)) * scale
+        a[3, 0, 2] += asym * np.max(np.abs(a[3]))
+        if ok:
+            check_hermitian(a)
+        else:
+            with pytest.raises(NotHermitianError, match="at row 3 "):
+                check_hermitian(a)
+
+    def test_broadcast_and_single_matrix(self):
+        a = np.array([[1.0, 2.0 + 1j], [2.0 - 1j, 0.5]])
+        check_hermitian(np.broadcast_to(a, (100, 2, 2)))
+        a[0, 0] += 1j
+        for m in (a, np.broadcast_to(a, (100, 2, 2))):
+            with pytest.raises(NotHermitianError, match=f"by {2 / math.sqrt(5):.3e} of its largest entry at row 0 "):
+                check_hermitian(m)
 
 class TestEulerAndHomogeneity:
     @pytest.mark.parametrize("t", [-2.0, 0.5, 3.0])

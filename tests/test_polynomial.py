@@ -114,6 +114,8 @@ def ref_user(spec, coords):
     return _real_part(spec.n + 1, spec.coeffs)
 
 
+# |z|^2 - 1 plus Re(0.4 z1 zbar2 + 0.1i z1^2), about an off-origin center: every kind of quadratic term
+USER_QUADRATIC_CROSS = {(1, 0, 1, 0): 1.0, (0, 1, 0, 1): 1.0, (0, 0, 0, 0): -1.0, (1, 0, 0, 1): 0.4, (2, 0, 0, 0): 0.1j}
 LEVI_INDEFINITE = {(1, 0, 1, 0): 1.0, (0, 1, 0, 1): 1.0, (0, 0, 0, 0): -1.0, (1, 1, 1, 1): -3.0, (2, 2, 2, 2): 4.0}
 
 CASES = {
@@ -123,6 +125,8 @@ CASES = {
                              ref_ellipsoid),
     "quadric_complex_hterms": (lambda: sf.PerturbedQuadric(
         1, c=1.0, hterms={(2, 0): 0.15 + 0.05j, (1, 1): -0.1j, (0, 3): 0.02 - 0.03j}), ref_quadric),
+    "user_quadratic_cross": (lambda: sf.UserPolynomial(1, USER_QUADRATIC_CROSS, center=[0.1, -0.05, 0.02, 0.03]),
+                             ref_user),
     "user_levi_indefinite": (lambda: sf.UserPolynomial(1, LEVI_INDEFINITE, scale=1.2), ref_user),
     "cylinder_flat": (lambda: sf.Cylinder(2.0, kind="flat"), ref_cylinder),
     "cylinder_curved": (lambda: sf.Cylinder(2.0, kind="curved"), ref_cylinder),
@@ -166,13 +170,26 @@ def test_hessian_exactly_symmetric(name):
         assert np.array_equal(j.pure, j.pure.transpose(0, 2, 1))
 
 
-def test_quadratic_hessians_are_one_broadcast_matrix():
-    # perf guard: a quadratic's H and S are constant, so it reads only the value and gradient columns
-    for name, quartic in (("sphere_n2", False), ("dirichlet", False), ("user_levi_indefinite", True)):
+def test_quadratic_hessians_are_one_broadcast_matrix(monkeypatch):
+    # perf guard: a quadratic's H and S are constant, and its value, gradient and rays come from its explicit
+    # form (c, b, A): no monomial table is built
+    tables, times = [], RealPolynomial._times
+    monkeypatch.setattr(RealPolynomial, "_times", lambda self, *args: tables.append(1) or times(self, *args))
+    for name, quartic in (("sphere_n2", False), ("dirichlet", False), ("user_quadratic_cross", False),
+                          ("user_levi_indefinite", True)):
         spec = CASES[name][0]()
+        tables.clear()
         j = sf.eval_jets(spec, _points(spec))
         assert (j.mixed.strides[0] == 0) == (j.pure.strides[0] == 0) == (not quartic)
-        assert (spec.poly._plan.shape[1] == 1 + spec.m) == (not quartic)
+        spec.poly.restrict(np.eye(spec.m))
+        assert bool(tables) == quartic
+
+
+def test_quadratic_form_reads_every_term():
+    # a linear part (the expansion about an off-origin center) and cross terms d_i d_k, i < k, in A
+    c, lin, rows = CASES["user_quadratic_cross"][0]().poly._quadratic
+    assert c < 0 and np.count_nonzero(lin) == 4
+    assert any(k != i for i, row in enumerate(rows) for k, _ in row)
 
 
 def test_each_block_is_the_row_major_product(monkeypatch):

@@ -655,6 +655,7 @@ class TestMixedEvaluator:
         spec = RAY_FAMILIES[name]()
         pts = _mixed_points(spec)
         want = sf.eval_jets(spec, pts).mixed
+        cubic = RealPolynomial({**spec.poly.terms, (3,) + (0,) * (spec.m - 1): 0.01}, spec.poly.center)
 
         def no_table(*args):
             raise AssertionError("monomial table built")
@@ -662,8 +663,10 @@ class TestMixedEvaluator:
         monkeypatch.setattr(RealPolynomial, "_times", no_table)
         got = sf.eval_mixed(spec, pts)
         assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+        # the jets read the explicit form (c, b, A) too, and the same H; one cubic term brings the table back
+        assert np.ascontiguousarray(sf.eval_jets(spec, pts).mixed).tobytes() == np.ascontiguousarray(want).tobytes()
         with pytest.raises(AssertionError, match="monomial table"):
-            sf.eval_jets(spec, pts)
+            cubic.evaluate(pts)
 
 
 class TestUserPolynomialCanonical:

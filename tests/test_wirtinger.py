@@ -242,11 +242,12 @@ class TestBorderedDeterminant:
         with pytest.raises(ValueError):
             sym_bordered_det(norm_sq(2), (1, 1))
 
-    def test_matches_numeric_bordered_minor(self):
-        # cross-module oracle: exact symbolic determinant evaluated at random
-        # points against the floating computation from jets
+    def test_matches_numeric_levi_form(self):
+        # cross-module oracle: exact symbolic determinant evaluated at random points against the floating
+        # computation from jets, which by the lemma is minus the Levi form <T_1(H) del f, del f>
         from levilab import curvature as cv
         from levilab import surfaces as sf
+        from levilab.hermitian import newton_upper
 
         rng = random.Random(77)
         p = generic_poly(2, 2, rng)
@@ -259,7 +260,7 @@ class TestBorderedDeterminant:
             z = [complex(x[0], x[1]), complex(x[2], x[3])]
             jt = sf.eval_jets(spec, x[None, :])
             wg = cv.wirtinger_gradient(jt.grad)
-            num = cv.bordered_minor(wg, jt.mixed, (1, 2))[0]
+            num = -cv._levi_form(wg, newton_upper(jt.mixed, 1))[0]
             assert abs(sym.eval(z) - num) < 1e-12 * max(1.0, abs(num))
 
 
