@@ -9,9 +9,9 @@ verdict as contracted, 2 violated, 3 hypotheses not met, 4 numerical failure,
 description or a --point or --direction that does not parse, or a path that
 cannot be read or written, named in one line); batch exits with the worst
 code over its files, 64 before 2 before 4 before 3, and a spec file that
-cannot be read counts as 64, as one that does not parse. Reports embed the
-fully resolved configuration; identical argv and seed give byte-identical
-output.
+cannot be read counts as 64, as one that does not parse or one whose n puts
+--j out of range. Reports embed the fully resolved configuration; identical
+argv and seed give byte-identical output.
 """
 
 from __future__ import annotations
@@ -259,6 +259,10 @@ def _cmd_batch(args) -> int:
         stem = os.path.splitext(name)[0]
         try:
             spec = parse_surface(path)
+            if not 1 <= args.j <= spec.n:  # a usage error, as verify's
+                rows.append((name, args.identity, "", "", "", "error", f"j={args.j} out of range 1..{spec.n}"))
+                codes.add(USAGE_EXIT)
+                continue
             q = _resolve_quad(args.quad, spec.n)
             config = {
                 "command": "batch",

@@ -95,7 +95,7 @@ class FrameBatch:
             i = int(np.argmax(np.abs(value)))
             raise ValueError(f"point {pts[i].tolist()} is off the boundary: f = {float(value[i])!r}")
         frames = cls(spec=spec, points=pts, rgrad=rgrad, wgrad=wirtinger_gradient(rgrad), whess=j.mixed, pure=j.pure,
-                     pgrad_norm=np.sqrt(_pairwise_sum([g * g for g in rgrad.T])) / 2.0)  # np.linalg.norm's bits
+                     pgrad_norm=np.sqrt(sum(g * g for g in rgrad.T)) / 2.0)  # a column sum, as radial_roots
         _gradient_norm(frames)
         return frames
 
@@ -104,18 +104,6 @@ class FrameBatch:
             self._levi[j] = k = levi(self, j)
             k.setflags(write=False)  # one array for every reader of the batch
         return self._levi[j]
-
-
-def _pairwise_sum(rows: list) -> np.ndarray:
-    """rows summed elementwise in the order np.add.reduce sums a contiguous row of len(rows) terms (numpy's
-    pairwise summation), so that a column sum over a coordinate-major batch keeps the row-major bits."""
-    n, tail = len(rows), len(rows) - len(rows) % 8
-    if n < 8:
-        return sum(rows)
-    if n > 128:  # two halves, split at a multiple of 8
-        return _pairwise_sum(rows[:n // 2 - n // 2 % 8]) + _pairwise_sum(rows[n // 2 - n // 2 % 8:])
-    acc = [sum(rows[i:tail:8][1:], rows[i]) for i in range(8)]  # eight running sums, joined as a tree
-    return sum(rows[tail:], ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7])))
 
 
 def _gradient_norm(frames: FrameBatch) -> np.ndarray:

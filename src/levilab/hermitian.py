@@ -10,11 +10,11 @@ det_batch call. Both reduce a broadcast of one matrix (all batch strides 0, as
 a quadratic's complex Hessian) once.
 
 The kernels take stacks of matrices, shape (..., d, d), that are Hermitian by
-construction and check nothing per matrix. HermitianMatrix is the validated
-entry point for a matrix from outside: sigma_batch(HermitianMatrix(a), j)
-raises NotHermitianError unless a is conjugate symmetric to HERMITIAN_TOL.
-check_hermitian validates a whole stack, to HERMITIAN_TOL relative to each
-matrix's largest entry.
+construction and check nothing per matrix. Conjugate symmetry has one rule,
+check_hermitian's: max |a - a*| at most HERMITIAN_TOL times the largest entry,
+applied to a stack there and to one matrix from outside by HermitianMatrix,
+which then symmetrizes: sigma_batch(HermitianMatrix(a), j) raises
+NotHermitianError on an asymmetric a.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ HERMITIAN_TOL = 1e-12
 
 @dataclass(frozen=True)
 class HermitianMatrix:
-    """Immutable (n+1) x (n+1) Hermitian matrix with validated conjugate symmetry."""
+    """Immutable (n+1) x (n+1) Hermitian matrix, its conjugate symmetry validated by check_hermitian."""
 
     entries: np.ndarray = field()
 
@@ -41,10 +41,7 @@ class HermitianMatrix:
         a = np.array(entries, dtype=complex)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        dev = np.max(np.abs(a - a.conj().T))
-        tol = HERMITIAN_TOL * max(1.0, float(np.max(np.abs(a))))
-        if dev > tol:
-            raise NotHermitianError(f"matrix deviates from conjugate symmetry by {dev:.3e} (tolerance {tol:.3e})")
+        check_hermitian(a)
         # symmetrize away the sub-tolerance noise so downstream algebra sees an exact Hermitian,
         # then clear real and imaginary parts below the tolerance relative to the largest entry
         # (subnormals always): LU pivots made of such noise overflow and turn det into nan
@@ -133,7 +130,7 @@ def check_hermitian(mats) -> None:
         ratio = np.atleast_1d(np.where(dev > HERMITIAN_TOL * scale, dev / scale, 0.0))
     if np.any(ratio):
         i = int(np.argmax(ratio))
-        raise NotHermitianError(f"complex Hessian deviates from conjugate symmetry by {ratio[i]:.3e} of its "
+        raise NotHermitianError(f"matrix deviates from conjugate symmetry by {ratio[i]:.3e} of its "
                                 f"largest entry at row {i} (tolerance {HERMITIAN_TOL:.0e}); input not a real function?")
 
 

@@ -5,11 +5,11 @@ center + rho(omega) * omega, the surface measure is
 
     d sigma = rho^{m-1} * |grad f| / <grad f, omega> d omega      (m = 2n+2),
 
-volume is the integral of rho^m / m, and bulk integrals layer Gauss nodes
-along each ray. Directions come from one spherical product rule (Gauss-Gegenbauer
-in the polar cosines, computed here in numpy; trapezoid in the azimuth), each
-integral's error estimated from its own pass (_error_estimate). No quadrature
-path imports scipy.
+volume is the integral of rho^m / m, and bulk integrals layer Gauss nodes along
+each ray. One 1-D Gauss family, _gegenbauer_rule (numpy only), gives the polar
+factors of the spherical product rule (trapezoid in the azimuth), the radial
+nodes of bulk passes (Gauss-Legendre) and the rows of the null rules on them
+that estimate each integral's error from its own pass (_error_estimate).
 
 All passes share one core: `_nodes(spec, q)` gives the pass's center,
 directions, weights and cached radial roots, and maps a function over its
@@ -95,22 +95,23 @@ def _recurrence(x: np.ndarray, b: np.ndarray):
     return p, d, np.array(rows)
 
 
-def _gegenbauer_b(order: int, beta: float) -> np.ndarray:
-    """b_1 .. b_order of the orthonormal recurrence for the weight (1 - x^2)^beta."""
-    k = np.arange(1.0, order + 1)
-    return np.sqrt(k * (k + 2 * beta) / ((2 * k + 2 * beta - 1) * (2 * k + 2 * beta + 1)))
-
-
-def _gegenbauer_rule(order: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
+@lru_cache(maxsize=64)
+def _gegenbauer_rule(order: int, beta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gauss rule for the weight (1 - x^2)^beta on [-1, 1] (Golub & Welsch, Math. Comp. 23, 1969): eigenvalues
     of the Jacobi matrix of the orthonormal recurrence, one Newton step on it, and the Christoffel weights
-    mu_0 / sum_k p_k(x)^2. Nodes ascend; nodes and weights are exactly symmetric about 0."""
-    b = _gegenbauer_b(order, beta)
+    mu_0 / sum_k p_k(x)^2. Nodes ascend; nodes and weights are exactly symmetric about 0. Also gives the rows
+    p_k(x), k < order, that a null rule on the nodes reads. Cached and read-only: every caller gets these arrays."""
+    k = np.arange(1.0, order + 1)
+    b = np.sqrt(k * (k + 2 * beta) / ((2 * k + 2 * beta - 1) * (2 * k + 2 * beta + 1)))  # recurrence's b_1 .. b_order
     x = np.linalg.eigvalsh(np.diag(b[:-1], 1) + np.diag(b[:-1], -1))
     x = x - np.divide(*_recurrence(x, b)[:2])
     x = (x - x[::-1]) / 2
-    w = math.sqrt(math.pi) * math.gamma(beta + 1) / math.gamma(beta + 1.5) / sum(p * p for p in _recurrence(x, b)[2])
-    return x, (w + w[::-1]) / 2
+    rows = _recurrence(x, b)[2]
+    w = math.sqrt(math.pi) * math.gamma(beta + 1) / math.gamma(beta + 1.5) / sum(p * p for p in rows)
+    rule = x, (w + w[::-1]) / 2, rows
+    for a in rule:
+        a.setflags(write=False)
+    return rule
 
 
 @lru_cache(maxsize=32)
@@ -124,7 +125,7 @@ def sphere_grid(m: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     polynomials of degree <= 2*order - 1, which plain Gauss-Legendre in the
     angles is not; nodes are enumerated lexicographically and never reordered.
     """
-    rules = [_gegenbauer_rule(order, (m - 3 - i) / 2.0) for i in range(m - 2)]  # weight (1 - x^2)^beta from sin^{m-2-i}
+    rules = [_gegenbauer_rule(order, (m - 3 - i) / 2.0)[:2] for i in range(m - 2)]  # (1 - x^2)^beta from sin^{m-2-i}
     naz = _AZIMUTH_FACTOR * order
     rules.append(((np.arange(naz) + 0.5) * 2 * np.pi / naz, np.full(naz, 2 * np.pi / naz)))
     grids = np.meshgrid(*(x for x, _ in rules), indexing="ij")
@@ -194,14 +195,6 @@ def _nodes(spec: SurfaceSpec, q: QuadratureSpec) -> _Nodes:
     return nodes._replace(rho=rho, slope=slope)
 
 
-@lru_cache(maxsize=64)
-def _rows(order: int, beta: float) -> np.ndarray:
-    """Orthonormal p_j(x_k), j < order, for the weight (1 - x^2)^beta at the nodes of _gegenbauer_rule(order, beta)."""
-    rows = _recurrence(_gegenbauer_rule(order, beta)[0], _gegenbauer_b(order, beta))[2]
-    rows.setflags(write=False)  # cached: every caller gets this array
-    return rows
-
-
 def _tail(c: np.ndarray) -> float:
     """Error of a factor rule exact to degree 2K + 1, from its discrete coefficients c_0 .. c_K. If the top three
     windows of w = 2 (one parity) or 4 degrees (an oscillating decay) fall at a steady rate, the top one is carried
@@ -223,7 +216,8 @@ def _error_estimate(wv: np.ndarray, m: int, order: int) -> float:
     of mode order vanishes at the half-offset nodes). Plus a floor of _ROUNDING_ULPS ulps of sum |wv|."""
     grid = wv.reshape(-1, 2 * order)  # rows: the polar nodes, lexicographic; columns: the azimuth
     polar = np.einsum("ij->i", grid).reshape((order,) * (m - 2))
-    est = sum(_tail(_rows(order, (m - 3 - d) / 2.0) @ np.einsum(polar, [*range(m - 2)], [d])) for d in range(m - 2))
+    est = sum(_tail(_gegenbauer_rule(order, (m - 3 - d) / 2.0)[2] @ np.einsum(polar, [*range(m - 2)], [d]))
+              for d in range(m - 2))
     est += 2 * _tail(np.fft.rfft(np.einsum("ij->j", grid))[:order])
     return est + _ROUNDING_ULPS * math.ulp(1.0) * float(np.sum(np.abs(wv)))
 
@@ -282,11 +276,11 @@ def volume(spec: SurfaceSpec, q: QuadratureSpec) -> IntegralResult:
 
 
 def bulk_integral(spec: SurfaceSpec, field, q: QuadratureSpec) -> IntegralResult:
-    """Integral of an interior scalar over the domain by radial layering: q.order Gauss points per ray, whose
-    null rules join the error estimate. field maps points (B, m) to values."""
+    """Integral of an interior scalar over the domain by radial layering: q.order Gauss-Legendre points per ray
+    (_gegenbauer_rule at beta = 0), whose null rules join the error estimate. field maps points (B, m) to values."""
     m = spec.m
-    t, u = np.polynomial.legendre.leggauss(q.order)
-    t, u = (t + 1) / 2, u / 2
+    x, w, rows = _gegenbauer_rule(q.order, 0.0)
+    t, u = (x + 1) / 2, w / 2
 
     def at(nodes, sl):
         rho = nodes.rho[sl]
@@ -299,7 +293,7 @@ def bulk_integral(spec: SurfaceSpec, field, q: QuadratureSpec) -> IntegralResult
         return (acc,), (np.array([radial]),)
 
     (res,), (radial,) = _integral(spec, q, at)
-    return replace(res, error_estimate=res.error_estimate + _tail(_rows(t.size, 0.0) @ radial.sum(axis=0)))
+    return replace(res, error_estimate=res.error_estimate + _tail(rows @ radial.sum(axis=0)))
 
 
 def scan_boundary(spec: SurfaceSpec, q: QuadratureSpec, fn):

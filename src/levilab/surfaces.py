@@ -19,10 +19,10 @@ bulk integrands, a quadratic's constant H broadcast without evaluating f.
 Star-shaped families declare a star center and are validated at construction
 on 2m + 2 coarse directions, the signed axes and the two main diagonals: each
 ray must cross the boundary once, transversally, with a nondegenerate
-gradient. radial_roots finds the crossings from each family's ray(dirs),
-which restricts f to a batch of rays once, in closed form: a quadratic
-restriction is solved by formula, any other by bracketed Newton on f and
-df/drho read from it.
+gradient. radial_roots finds the crossings from each family's ray(dirs), which
+restricts f (or, for ExpReparam, its base: the same crossings and sign) to a
+batch of rays once, in closed form: a quadratic restriction is solved by
+formula, any other by bracketed Newton on the value and slope read from it.
 """
 
 from __future__ import annotations
@@ -77,8 +77,9 @@ class SurfaceSpec:
         return Jet(*self.poly.evaluate(pts))
 
     def ray(self, dirs: np.ndarray):
-        """rho -> (f, df/drho) along star_center + rho * dirs, (B,) each: Horner's rule on f restricted to the
-        rays, as a partial of horner, so that radial_roots can read the coefficients (args[0]) of a quadratic."""
+        """rho -> (g, dg/drho) along star_center + rho * dirs, (B,) each, where g has f's sign on every ray and f's
+        slope at its crossings, to rounding. Here g is f: Horner's rule on f restricted to the rays, as a partial
+        of horner, so that radial_roots can read the coefficients (args[0]) of a quadratic."""
         return functools.partial(horner, self.poly.restrict(dirs))
 
     def canonical(self) -> str:
@@ -346,7 +347,7 @@ class UserPolynomial(SurfaceSpec):
 
 
 class ExpReparam(SurfaceSpec):
-    """exp(f) - 1 for a base family: same zero set and inside, different jets."""
+    """exp(f) - 1 for a base family: same zero set and inside, different jets, and the base's ray."""
 
     def __init__(self, base: SurfaceSpec):
         self.base = base
@@ -360,15 +361,9 @@ class ExpReparam(SurfaceSpec):
         return _chain(f, e - 1.0, e, e)
 
     def ray(self, dirs):
-        """(e^p - 1, e^p p') over the base family's ray (p, p')."""
-        base = self.base.ray(dirs)
-
-        def along(rho):
-            p, dp = base(rho)
-            e = np.exp(p)
-            return e - 1.0, e * dp
-
-        return along
+        """The base family's ray: e^p - 1 and p cross each ray at the same rho with the same sign, and their
+        slopes there differ by the factor e^p = 1 + O(rounding), so a quadratic base's roots come by formula."""
+        return self.base.ray(dirs)
 
     def canonical(self):
         return f"exp({self.base.canonical()})"
@@ -446,15 +441,15 @@ def radial_roots(spec: SurfaceSpec, dirs) -> tuple[np.ndarray, np.ndarray]:
     """Boundary crossings along rays from the star center, vectorized.
 
     Returns (rho, slope) with f(center + rho * dir) = 0 to ROOT_ABS_TOL and
-    slope = <grad f, dir> > 0 at each root, dir the unit direction of a row of
-    dirs; a zero or non-finite row is a ValueError. Every ray evaluation reads
-    f and df/drho for the whole batch from the family's ray(dirs), restricted
-    to the rays once. Where the restriction is a0 + a1 rho + a2 rho^2 with
-    a2 > 0 on every ray (a0 = f(center) < 0), the root comes by formula and
-    one Newton step. Otherwise safeguarded Newton, started at the
-    false-position point, runs inside a bracket obtained by doubling; failure
-    to bracket within the configured search radius means the domain is not
-    star-shaped about the center.
+    slope = <grad f, dir> > 0 at each root (to rounding: see SurfaceSpec.ray), dir
+    the unit direction of a row of dirs; a zero or non-finite row is a ValueError.
+    Every ray evaluation reads value and slope for the whole batch from the
+    family's ray(dirs), restricted to the rays once. Where the restriction is
+    a0 + a1 rho + a2 rho^2 with a2 > 0 on every ray (a0 = f(center) < 0), the
+    root comes by formula and one Newton step. Otherwise safeguarded Newton,
+    started at the false-position point, runs inside a bracket obtained by
+    doubling; failure to bracket within the configured search radius means the
+    domain is not star-shaped about the center.
     """
     if spec.star_center is None:
         raise StarShapeError(f"{type(spec).__name__} declares no star center")

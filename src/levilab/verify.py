@@ -36,6 +36,7 @@ DEFAULT_TOL = 1e-6
 CONSTANCY_TOL = 1e-5
 NEWTON_GAP_TOL = 1e-10
 FLUX_TOL = 1e-7
+EXIT_CODES = {"equal": 0, "inequality_holds": 0, "violated": 2, "hypotheses_not_met": 3}  # every kind emitted
 
 
 @dataclass(frozen=True)
@@ -61,11 +62,9 @@ class VerificationReport:
     @property
     def exit_code(self) -> int:
         kind = self.verdict.get("kind")
-        if kind in ("equal", "inequality_holds"):
-            return 0
-        if kind == "hypotheses_not_met":
-            return 3
-        return 2
+        if kind not in EXIT_CODES:
+            raise ValueError(f"verdict kind {kind!r} has no exit code")
+        return EXIT_CODES[kind]
 
     def to_dict(self, config: dict | None = None) -> dict:
         out = {

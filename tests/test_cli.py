@@ -280,6 +280,19 @@ def test_batch_exit_code_is_the_worst_outcome(names, extra, code, tmp_path):
     assert _batch(tmp_path, names, *extra)[0] == code
 
 
+def test_batch_j_out_of_range_is_a_usage_error_as_in_verify(tmp_path, capsys, monkeypatch):
+    # --j above a file's n is an argument out of range: 64 with verify's message, not a numerical failure
+    monkeypatch.setattr(qd, "_nodes", _no_quadrature)
+    (tmp_path / "sphere").write_text(BATCH_FILES["sphere"])
+    assert cli.main(["verify", "integral", "--surface", str(tmp_path / "sphere"), "--j", "3"]) == cli.USAGE_EXIT
+    message = capsys.readouterr().err.strip().removeprefix("levilab verify: ")
+    assert message == "j=3 out of range 1..1"
+    out = tmp_path / "reports"
+    argv = ["batch", str(tmp_path), "--identity", "integral", "--j", "3", "--out-dir", str(out)]
+    assert cli.main(argv) == cli.USAGE_EXIT
+    assert (out / "summary.csv").read_text().splitlines()[1:] == [f'sphere,integral,,,,error,"{message}"']
+
+
 @pytest.mark.parametrize("identity, tol", [("minkowski", "-1"), ("integral", "nan"), ("alexandrov", "nan")])
 def test_batch_bad_tol_is_a_usage_error(identity, tol, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(qd, "_nodes", _no_quadrature)

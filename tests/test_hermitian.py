@@ -89,7 +89,7 @@ class TestSigma:
 
     @pytest.mark.parametrize("asym,ok", [(1e-8, True), (1e-3, False)])
     def test_symmetry_tolerance_scales_with_entries(self, asym, ok):
-        # the tolerance is HERMITIAN_TOL times max(1, max|a|): 1e-6 at entries near 1e6
+        # check_hermitian's rule, HERMITIAN_TOL times the largest entry: 1e-6 at entries near 1e6
         a = np.array([[1e6, 2e5 + 3e5j], [2e5 - 3e5j, 7e5]])
         a[0, 1] += asym
         if ok:
@@ -97,6 +97,15 @@ class TestSigma:
         else:
             with pytest.raises(NotHermitianError):
                 HermitianMatrix(a)
+
+    @pytest.mark.parametrize("scale", [1e-20, 1.0, 1e20])
+    def test_small_matrices_keep_the_relative_rule(self, scale):
+        # no absolute floor below unit entries: an entirely asymmetric matrix fails at any scale, as a stack
+        a = scale * np.array([[1.0, 1e7], [0.0, 2.0]])
+        for check in (HermitianMatrix, check_hermitian):
+            with pytest.raises(NotHermitianError, match="by 1.000e[+]00 of its largest entry"):
+                check(a)
+        assert HermitianMatrix(a + a.T).entries[0, 1] == 1e7 * scale
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(3)

@@ -3,10 +3,11 @@ and no environment read or thread pool in its source.
 
 Import, the identity checks, the direction grid, the quadrature-only
 verifications (sphere, Dirichlet chain) and the Reinhardt profiles with their
-Alexandrov check load no scipy module: scipy is a test-only dependency.
+Alexandrov check load no scipy module: scipy is a test-only dependency. A bulk
+pass loads no numpy.polynomial module: its radial rule is the quadrature's own.
 
 Each case runs in a fresh interpreter, since this test process has long since
-imported scipy, and prints the sorted names of the loaded scipy modules.
+imported scipy, and prints the sorted names of the loaded modules of a package.
 """
 
 import ast
@@ -25,15 +26,15 @@ import json, sys
 import levilab, levilab.cli, levilab.specfile
 """
 EPILOGUE = """
-print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+print(json.dumps(sorted(m for m in sys.modules if m == {0!r} or m.startswith({0!r} + "."))))
 """
 
 
-def scipy_modules_after(body: str, cwd=None) -> set[str]:
+def modules_after(body: str, cwd=None, package="scipy") -> set[str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
-        [sys.executable, "-c", PRELUDE + body + EPILOGUE],
+        [sys.executable, "-c", PRELUDE + body + EPILOGUE.format(package)],
         env=env, cwd=cwd, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
@@ -67,7 +68,7 @@ def test_no_module_reads_the_environment_or_imports_a_thread_pool():
 
 
 def test_import_and_identity_checks_load_no_scipy():
-    loaded = scipy_modules_after(
+    loaded = modules_after(
         """
 from levilab import wirtinger
 assert all(c.ok for c in wirtinger.run_identity_suite(1))
@@ -78,7 +79,7 @@ assert levilab.cli.main(["identities", "--n", "1"]) == 0
 
 
 def test_sphere_grid_loads_no_scipy():
-    loaded = scipy_modules_after(
+    loaded = modules_after(
         """
 from levilab import quadrature, verify
 levilab.Sphere(1.0)
@@ -93,7 +94,7 @@ verify.dirichlet_chain([1.0, 1.0, 1.0, 2.0], 1, q)
 
 def test_reinhardt_profiles_and_alexandrov_load_no_scipy(tmp_path):
     (tmp_path / "reinhardt.txt").write_text("family=reinhardt\nk=0.5\nf0=4.0\n")
-    loaded = scipy_modules_after(
+    loaded = modules_after(
         """
 from levilab import quadrature, verify
 spec = levilab.ReinhardtSurface(0.5, 4.0)
@@ -103,5 +104,16 @@ assert levilab.cli.main(["verify", "alexandrov", "--surface", "reinhardt.txt", "
                          "--out", "report.json"]) == 0
 """,
         cwd=tmp_path,
+    )
+    assert loaded == set()
+
+
+def test_bulk_pass_loads_no_numpy_polynomial():
+    loaded = modules_after(
+        """
+from levilab import quadrature, verify
+verify.verify_integral_formula(levilab.Sphere(1.5, n=2), 2, quadrature.QuadratureSpec(order=4))
+""",
+        package="numpy.polynomial",
     )
     assert loaded == set()

@@ -41,24 +41,50 @@ class TestGrid:
     @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
     def test_gegenbauer_rule_exact_moments(self, beta):
         # int x^{2k} (1 - x^2)^beta dx = B(k + 1/2, beta + 1), exact up to degree 2*order - 1;
-        # odd moments vanish because nodes and weights are exactly symmetric
+        # odd moments vanish because nodes and weights are exactly symmetric; the null rules' rows
+        # p_0 = 1, ..., p_{order-1} are orthogonal under the rule, each of square norm mu_0
         for order in range(1, 65):
-            x, w = qd._gegenbauer_rule(order, beta)
+            x, w, rows = qd._gegenbauer_rule(order, beta)
             assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
             k = np.arange(order)
             exact = np.array([math.gamma(i + 0.5) * math.gamma(beta + 1) / math.gamma(i + beta + 1.5) for i in k])
             got = (x[None, :] ** (2 * k[:, None])) @ w
             assert np.max(np.abs(got - exact) / exact) <= 2e-14, order
+            assert np.max(np.abs((rows * w) @ rows.T / exact[0] - np.eye(order))) <= 1e-13, order
 
     @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
     def test_gegenbauer_rule_matches_scipy(self, beta):
         from scipy.special import roots_jacobi
 
         for order in range(1, 65):
-            x, w = qd._gegenbauer_rule(order, beta)
+            x, w, _ = qd._gegenbauer_rule(order, beta)
             xs, ws = roots_jacobi(order, beta, beta)
             assert np.max(np.abs(x - xs)) <= 4.4e-16, order
             assert np.max(np.abs(w - ws) / ws) <= 1e-11, order
+
+    @pytest.mark.parametrize("order", [3, 7, 12, 18, 24, 32])
+    def test_legendre_rule_matches_mpmath(self, order):
+        # the bulk passes' radial rule against 40 digits: the roots of P_o by findroot, and
+        # w = 2 / ((1 - x^2) P_o'(x)^2); the positive roots, mirrored, and 0 exactly where o is odd
+        mpmath = pytest.importorskip("mpmath")
+
+        def legendre(t):  # P_o(t) and P_o'(t) by the three-term recurrence
+            p0, p1 = mpmath.mpf(1), t
+            for k in range(1, order):
+                p0, p1 = p1, ((2 * k + 1) * t * p1 - k * p0) / (k + 1)
+            return p1, order * (t * p1 - p0) / (t * t - 1)
+
+        with mpmath.workdps(40):
+            pos = [mpmath.findroot(lambda t: legendre(t)[0], mpmath.cos(mpmath.pi * (k - 0.25) / (order + 0.5)),
+                                   solver="newton", df=lambda t: legendre(t)[1]) for k in range(order // 2, 0, -1)]
+            assert all(a < b for a, b in zip(pos, pos[1:])) and pos[0] > 0  # distinct roots, ascending
+            ref = [-t for t in pos[::-1]] + [mpmath.mpf(0)] * (order % 2) + pos
+            wref = [2 / ((1 - t * t) * legendre(t)[1] ** 2) for t in ref]
+            x, w, _ = qd._gegenbauer_rule(order, 0.0)
+            x_ulps = [0.0 if t == 0 else float(abs(mpmath.mpf(a) - t)) / math.ulp(float(t)) for a, t in zip(x, ref)]
+            w_ulps = [float(abs(mpmath.mpf(a) - t)) / math.ulp(float(t)) for a, t in zip(w, wref)]
+        assert order % 2 == 0 or x[order // 2] == 0.0
+        assert max(x_ulps) <= 2 and max(w_ulps) <= 100, (max(x_ulps), max(w_ulps))
 
     def test_grid_bytes_independent_of_blas_threads(self):
         # eigvalsh puts LAPACK inside the determinism contract, and the error estimate's coefficient

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -235,6 +236,19 @@ class TestReports:
         assert ok.exit_code == 0
         hyp = vf.alexandrov_check(sf.Ellipsoid([1.0, 1.0, 1.0, 2.0]), 1, Q12)
         assert hyp.exit_code == 3
+
+    @pytest.mark.parametrize("kind, code", [("equal", 0), ("inequality_holds", 0), ("violated", 2),
+                                            ("hypotheses_not_met", 3), ("inconclusive", None), (None, None)])
+    def test_exit_code_table(self, kind, code):
+        # one table of the four kinds the suites emit (every verdict branch below); any other kind is named,
+        # never read as violated
+        assert set(vf.EXIT_CODES) == {branch[2] for branch in VERDICT_BRANCHES}
+        r = dataclasses.replace(vf.minkowski_residual(sf.Sphere(1.0), Q12), verdict={"kind": kind})
+        if code is None:
+            with pytest.raises(ValueError, match=f"verdict kind {kind!r} has no exit code"):
+                r.exit_code
+        else:
+            assert r.exit_code == code
 
 
 Q8 = qd.QuadratureSpec(order=8)
