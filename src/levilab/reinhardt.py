@@ -98,9 +98,9 @@ class ReinhardtProfile:
             np.clip(s, None, self.s_end, out=s)
 
         inside = np.minimum(s, self.s_end)
-        seg = np.clip(np.searchsorted(self._knots, inside, side="right") - 1, 0, self._coefs.shape[1] - 1)
+        seg = np.searchsorted(self._knots[1:-1], inside, side="right")  # interior knots: in 0 .. n - 1, no clip
         t = inside - self._knots[seg]
-        f, fp, fpp = _jet(self._coefs[:, seg], t, order)
+        f, fp, fpp = _jet(np.take(self._coefs, seg, axis=1), t, order)
 
         beyond = s > self.s_end
         if np.any(beyond):

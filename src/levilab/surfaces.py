@@ -552,7 +552,7 @@ def _validate_star_family(spec: SurfaceSpec) -> None:
     j = eval_jets(spec, pts)
     if np.any(np.abs(j.val) > BOUNDARY_VALUE_TOL * max(1.0, spec.scale**2)):
         raise StarShapeError(f"boundary residual {np.max(np.abs(j.val)):.3e} too large at validation points")
-    gn = np.linalg.norm(j.grad, axis=1)
+    gn = np.sqrt(sum(g * g for g in j.grad.T))  # the column sum of FrameBatch.at_points and radial_roots
     if np.any(gn <= GRADIENT_FLOOR):
         raise DegenerateGradientError(
             f"gradient norm {np.min(gn):.3e} at a validation boundary point"

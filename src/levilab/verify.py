@@ -5,7 +5,9 @@ Each operation runs the relevant quadratures, compares the two sides at an
 explicit tolerance, and returns a machine-readable VerificationReport whose
 JSON form is byte-stable for fixed inputs. Each operation makes one boundary
 pass: its boundary integrals and node scans come from one surface_integral
-(or scan_boundary) call, so each chunk's frames are built once per order.
+(or scan_boundary) call, so each chunk's frames are built once per order. A
+bulk side on a quadratic (constant H) is sigma_{j+1}(H) times the volume pass,
+with no interior node; other families layer Gauss nodes along each ray.
 Identities are equal when rel_err <= tol. One rule decides every inequality
 (isoperimetric, Alexandrov, Dirichlet chain, Newton sweep) on its margin: equal
 when equality is possible and |margin| <= slack, inequality_holds when margin
@@ -123,6 +125,17 @@ def _mixed_field(spec: sf.SurfaceSpec, fn, j: int):
     return lambda pts: fn(sf.eval_mixed(spec, pts), j + 1)
 
 
+def _bulk_sigma(spec: sf.SurfaceSpec, j: int, q: qd.QuadratureSpec, vol: qd.IntegralResult | None = None):
+    """Bulk integral of sigma_{j+1}(H): for a quadratic's constant H exactly sigma_{j+1}(H) times the volume
+    pass vol (run when None), estimate scaled by |sigma|; any other f by bulk_integral's radial layering."""
+    constant = spec.poly.constant_hessians(1) if hasattr(spec, "poly") else None
+    if constant is None:
+        return qd.bulk_integral(spec, _mixed_field(spec, sigma_batch, j), q)
+    c = float(sigma_batch(constant[0], j + 1)[0])
+    vol = qd.volume(spec, q) if vol is None else vol
+    return qd.IntegralResult(c * vol.value, abs(c) * vol.error_estimate, vol.nodes_used)
+
+
 def _levi_flux_field(j: int):
     def fn(frames):
         return frames.levi(j) * frames.pgrad_norm ** (j + 1)
@@ -188,11 +201,12 @@ def verify_integral_formula(
     tol: float = DEFAULT_TOL,
 ) -> VerificationReport:
     """Bulk integral of sigma_{j+1} of the mixed Hessian against the weighted
-    curvature flux; an exact identity for every defining function."""
+    curvature flux; an exact identity for every defining function. A quadratic's
+    bulk side is sigma_{j+1}(H)|Omega| from one volume pass."""
     _check_j(spec, j)
     fspec = resolve_defining_function(spec, f_choice)
     n = fspec.n
-    lhs_r = qd.bulk_integral(fspec, _mixed_field(fspec, sigma_batch, j), q)
+    lhs_r = _bulk_sigma(fspec, j, q)
     rhs_r = qd.surface_integral(fspec, _levi_flux_field(j), q)
     coef = math.comb(n + 1, j + 1) / (2 * (n + 1))
     lhs, rhs = lhs_r.value, coef * rhs_r.value
@@ -292,20 +306,20 @@ def dirichlet_chain(
 ) -> VerificationReport:
     """Chain of estimates for the unit-trace quadratic on an ellipsoid.
 
-    (1) bulk sigma_{j+1} against its symmetric-function bound, equality exactly
-    when the constant Hessian is a multiple of the identity; (2) the gradient
-    flux equals twice the volume, up to FLUX_TOL * 2|Omega| plus the error
-    estimates of the flux and of twice the volume (the bound relative to
-    2|Omega| is details["gradient_flux_rel_bound"]); (3) the Hoelder lower
-    bound on the curvature flux; (4) when the Hessian is a multiple of the
-    identity, the pointwise product K^{1/j} (n+1) |del f| is 1 on the whole
-    boundary.
+    (1) bulk sigma_{j+1}(H)|Omega|, read from the volume pass of (2), against
+    its symmetric-function bound, equality exactly when the constant Hessian is
+    a multiple of the identity; (2) the gradient flux equals twice the volume,
+    up to FLUX_TOL * 2|Omega| plus the error estimates of the flux and of twice
+    the volume (the bound relative to 2|Omega| is
+    details["gradient_flux_rel_bound"]); (3) the Hoelder lower bound on the
+    curvature flux; (4) when the Hessian is a multiple of the identity, the
+    pointwise product K^{1/j} (n+1) |del f| is 1 on the whole boundary.
     """
     dspec = sf.DirichletQuadratic(axes)
     _check_j(dspec, j)
     n = dspec.n
     vol_r = qd.volume(dspec, q)
-    lhs1_r = qd.bulk_integral(dspec, _mixed_field(dspec, sigma_batch, j), q)
+    lhs1_r = _bulk_sigma(dspec, j, q, vol_r)
     rhs1 = math.comb(n + 1, j + 1) * vol_r.value / (n + 1) ** (j + 1)
     margin1 = rhs1 - lhs1_r.value
 

@@ -11,11 +11,14 @@ from levilab import quadrature as qd
 from levilab import surfaces as sf
 from levilab import verify as vf
 from levilab.errors import HypothesisViolationError
+from levilab.hermitian import sigma_batch
 
 Q24 = qd.QuadratureSpec(order=24)
 Q12 = qd.QuadratureSpec(order=12)
+Q7 = qd.QuadratureSpec(order=7)
 
 QUADRIC_N1 = dict(c=1.0, hterms={(2, 0): 0.25, (0, 2): 0.25})
+QUARTIC_N1 = {(1, 0, 1, 0): 1.0, (0, 1, 0, 1): 1.0, (2, 0, 2, 0): 0.05, (1, 1, 1, 1): 0.1, (0, 0, 0, 0): -2.0}
 
 
 class TestIntegralFormula:
@@ -203,14 +206,60 @@ class TestNewtonSweep:
         assert abs(r.lhs) < 1e-10
 
     def test_generic_polynomial_surface(self):
-        spec = sf.UserPolynomial(
-            1,
-            {(1, 0, 1, 0): 1.0, (0, 1, 0, 1): 1.0, (2, 0, 2, 0): 0.05,
-             (1, 1, 1, 1): 0.1, (0, 0, 0, 0): -2.0},
-            scale=1.5,
-        )
-        r = vf.newton_sweep(spec, 1, Q12)
+        r = vf.newton_sweep(sf.UserPolynomial(1, QUARTIC_N1, scale=1.5), 1, Q12)
         assert r.lhs >= -1e-10
+
+
+# the quadratics whose bulk side is sigma_{j+1}(H) |Omega| in closed form, and their orders: 16 at n = 1, where
+# the grid is one chunk; at n = 2 order 7 already spans five chunks, and order 16 (2.1M directions) costs seconds
+CLOSED_FORM_BULK = {
+    "sphere_n1": (lambda: sf.Sphere(1.5), (7, 16)),
+    "sphere_n1_off_center": (lambda: sf.Sphere(1.5, center=[0.2, -0.1, 0.3, 0.05]), (7, 16)),
+    "sphere_n2": (lambda: sf.Sphere(1.5, n=2), (7, 9)),
+    "sphere_n2_off_center": (lambda: sf.Sphere(1.2, center=[0.1, 0.0, -0.2, 0.3, 0.0, 0.1], n=2), (7, 9)),
+    "ellipsoid_n1": (lambda: sf.Ellipsoid([1.0, 1.3, 0.8, 1.1]), (7, 16)),
+    "ellipsoid_n2": (lambda: sf.Ellipsoid([1.0, 1.3, 0.8, 1.1, 0.9, 1.2]), (7, 9)),
+    "quadric_n1": (lambda: sf.PerturbedQuadric(1, c=1.0, hterms={(2, 0): 0.1 + 0.05j, (1, 1): -0.08j}), (7, 16)),
+    "dirichlet_n1": (lambda: sf.DirichletQuadratic([1.0, 1.0, 1.0, 2.0]), (7, 16)),
+    "dirichlet_n2": (lambda: sf.DirichletQuadratic([1.0, 1.0, 1.2, 1.2, 1.4, 1.4]), (7, 9)),
+    # Re(z1 zbar2) and Re(z1^2) cross terms, linear terms in z1 and z2
+    "user_quadratic_n1": (lambda: sf.UserPolynomial(1, {(1, 0, 1, 0): 1.0, (0, 1, 0, 1): 1.2, (1, 0, 0, 1): 0.3 + 0.1j,
+                                                        (2, 0, 0, 0): 0.15, (1, 0, 0, 0): 0.2, (0, 1, 0, 0): 0.1j,
+                                                        (0, 0, 0, 0): -1.0}), (7, 16)),
+}
+
+
+class TestClosedFormBulk:
+    @pytest.mark.parametrize("name", CLOSED_FORM_BULK)
+    def test_equals_the_radial_layering(self, name):
+        make, orders = CLOSED_FORM_BULK[name]
+        spec = make()
+        for order in orders:
+            q = qd.QuadratureSpec(order=order)
+            vol = qd.volume(spec, q)
+            for j in range(1, spec.n + 1):
+                closed = vf._bulk_sigma(spec, j, q)
+                layered = qd.bulk_integral(spec, vf._mixed_field(spec, sigma_batch, j), q)
+                assert closed.value == pytest.approx(layered.value, rel=1e-13, abs=0), (order, j)
+                assert closed.nodes_used == layered.nodes_used == vol.nodes_used
+                assert vf._bulk_sigma(spec, j, q, vol) == closed  # the volume pass a caller hands in
+
+    def test_radial_layering_only_where_h_varies(self, monkeypatch):
+        def forbidden(spec, field, q):
+            raise AssertionError(f"radial layering on {spec.canonical()}")
+
+        monkeypatch.setattr(qd, "bulk_integral", forbidden)
+        vf.verify_integral_formula(sf.Sphere(1.5, n=2), 2, Q7)
+        vf.verify_integral_formula(sf.Ellipsoid([1.0, 1.0, 1.0, 2.0]), 1, Q7, f_choice="dirichlet")
+        vf.dirichlet_chain([1.0, 1.0, 1.0, 2.0], 1, Q7)
+        reached = []
+        monkeypatch.setattr(qd, "bulk_integral", lambda spec, field, q: reached.append(spec) or forbidden(spec, field, q))
+        exp_ell = sf.ExpReparam(sf.Ellipsoid([1.0, 1.0, 1.0, 2.0]))
+        quartic = sf.UserPolynomial(1, QUARTIC_N1, scale=1.5)
+        for spec in (exp_ell, quartic):
+            with pytest.raises(AssertionError, match="radial layering"):
+                vf.verify_integral_formula(spec, 1, Q7)
+        assert reached == [exp_ell, quartic]
 
 
 class TestReports:
