@@ -37,11 +37,10 @@ VIOLATED_EXIT = 2
 HYPOTHESES_EXIT = 3
 FAILURE_EXIT = 4
 
-SURFACE_HELP = (
-    "surface description: inline 'family:key=val,...' or a path to a key=value file. "
-    "Families: sphere (R, center, n), ellipsoid (axes, center), quadric (n, c, hterms), "
-    "cylinder (R, kind), reinhardt (k, f0, fp0, s0, smax), poly (n, terms, center, scale), "
-    "dirichlet (axes). Example: sphere:R=2 or ellipsoid:axes=1,1,1,2"
+SURFACE_HELP = (  # each family with its keys, the parameters of its constructor
+    "surface description: inline 'family:key=val,...' or a path to a key=value file. Families: "
+    + ", ".join(f"{name} ({', '.join(sf.spec_keys(cls))})" for name, cls in sf.FAMILIES.items())
+    + ". Example: sphere:R=2 or ellipsoid:axes=1,1,1,2"
 )
 QUAD_HELP = ("quadrature: gauss:order=N, the one spherical product rule "
              "(default order 24 for n=1, 12 for n=2)")

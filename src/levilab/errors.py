@@ -61,8 +61,7 @@ class DegenerateGradientError(LevilabError, RuntimeError):
 class HypothesisViolationError(LevilabError, RuntimeError):
     """An identity's hypothesis failed at a quadrature node (e.g. nonpositive curvature)."""
 
-    def __init__(self, message: str, node_index: int | None = None, point=None):
-        self.node_index = node_index
+    def __init__(self, message: str, point=None):
         self.point = point
         super().__init__(message)
 

@@ -181,7 +181,8 @@ def _jet(a, t, order=2):
 
 def _falling_root(g, h):
     """The root of g in (0, h], where g falls from g(0) > 0 to g(h) <= 0: Newton's method
-    from 0, with a bisection wherever a step would leave the bracket."""
+    from 0, with a bisection wherever a step would leave the bracket. A step onto h itself
+    stays, so that a profile parsed with smax at its own root closes there."""
     lo, hi, t = 0.0, h, 0.0
     for _ in range(_NEWTON_ITERS):
         val, slope = g(t)
@@ -189,7 +190,7 @@ def _falling_root(g, h):
             return t
         lo, hi = (t, hi) if val > 0.0 else (lo, t)
         nxt = t - val / slope if slope < 0.0 else math.nan
-        if not lo < nxt < hi:
+        if not lo < nxt <= hi:
             nxt = 0.5 * (lo + hi)
         if abs(nxt - t) <= 2.0 * math.ulp(nxt):
             return nxt

@@ -11,33 +11,24 @@ Inline form, for the command line:
     sphere:R=2,center=0,0,0,0
     quadric:n=1,c=1,hterms=0.25:2,0;0.25:0,2
 
-In the inline form a comma either separates key=value pairs or continues the
-previous value, so vector values need no quoting. Errors carry the exact line
-and column of the offending token.
+A family's keys are its constructor's parameters (surfaces.spec_keys), and those
+without a default are required; each key name has one reader here, and a
+surface's canonical() prints the same keys back. In the inline form a comma
+either separates key=value pairs or continues the previous value, so vector
+values need no quoting. Errors carry the exact line and column of the
+offending token.
 
-Quadrature strings name the one rule at an order: gauss:order=24.
+Quadrature strings name the one rule at an order, in the inline grammar:
+gauss:order=24.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import SpecParseError
 from .quadrature import QuadratureSpec
-from .surfaces import (
-    Cylinder,
-    DirichletQuadratic,
-    Ellipsoid,
-    PerturbedQuadric,
-    ReinhardtSurface,
-    Sphere,
-    SurfaceSpec,
-    UserPolynomial,
-)
-
-FAMILIES = ("sphere", "ellipsoid", "quadric", "cylinder", "reinhardt", "poly", "dirichlet")
+from .surfaces import FAMILIES, SurfaceSpec, spec_keys
 
 
 @dataclass(frozen=True)
@@ -47,40 +38,24 @@ class _Tok:
     col: int
 
 
-def _fail(msg: str, tok: _Tok | None = None) -> None:
-    raise SpecParseError(msg, line=tok.line if tok else None, column=tok.col if tok else None)
+def _fail(msg: str, tok: _Tok) -> None:
+    raise SpecParseError(msg, line=tok.line, column=tok.col)
 
 
-def _float(tok: _Tok, key: str) -> float:
-    try:
-        return float(tok.text)
-    except ValueError:
-        _fail(f"{key}: expected a number, got {tok.text!r}", tok)
+def _reader(conv, expected: str):
+    """A key reader (token, key, keys read so far) -> value that converts the token's text."""
+    def read(tok: _Tok, key: str, _read: dict):
+        try:
+            return conv(tok.text)
+        except ValueError:
+            _fail(f"{key}: expected {expected}, got {tok.text!r}", tok)
 
-
-def _int(tok: _Tok, key: str) -> int:
-    try:
-        return int(tok.text)
-    except ValueError:
-        _fail(f"{key}: expected an integer, got {tok.text!r}", tok)
-
-
-def _floats(tok: _Tok, key: str) -> list[float]:
-    try:
-        return [float(x) for x in tok.text.split(",") if x != ""]
-    except ValueError:
-        _fail(f"{key}: expected comma-separated numbers, got {tok.text!r}", tok)
-
-
-def _complex(text: str, tok: _Tok, key: str) -> complex:
-    try:
-        return complex(text.replace(" ", ""))
-    except ValueError:
-        _fail(f"{key}: expected a complex number, got {text!r}", tok)
+    return read
 
 
 def _term_map(tok: _Tok, key: str, width: int) -> dict:
-    """Parse 'coeff:e1,e2,...;coeff:e1,...' into an exponent->coefficient map."""
+    """Parse 'coeff:e1,e2,...;coeff:e1,...' into an exponent->coefficient map. A term's first
+    coefficient is kept as given, so that a signed zero survives: 0 + (-0-0.1j) would be -0.1j."""
     out = {}
     for chunk in tok.text.split(";"):
         chunk = chunk.strip()
@@ -89,89 +64,67 @@ def _term_map(tok: _Tok, key: str, width: int) -> dict:
         if ":" not in chunk:
             _fail(f"{key}: term {chunk!r} is missing the ':' between coefficient and exponents", tok)
         coeff_s, exps_s = chunk.split(":", 1)
-        coeff = _complex(coeff_s, tok, key)
+        try:
+            coeff = complex(coeff_s.replace(" ", ""))
+        except ValueError:
+            _fail(f"{key}: expected a complex number, got {coeff_s!r}", tok)
         try:
             exps = tuple(int(e) for e in exps_s.split(","))
         except ValueError:
             _fail(f"{key}: bad exponents {exps_s!r}", tok)
         if len(exps) != width:
             _fail(f"{key}: term {chunk!r} needs {width} exponents, got {len(exps)}", tok)
-        out[exps] = out.get(exps, 0) + coeff
-    if not out:
-        _fail(f"{key}: no terms given", tok)
+        out[exps] = out[exps] + coeff if exps in out else coeff
     return out
 
 
-def build_surface(family: str, params: dict[str, _Tok], where: _Tok | None = None) -> SurfaceSpec:
-    params = dict(params)
+def _terms(blocks: int):
+    """The reader of a term map whose exponent vectors have blocks * (n + 1) entries, n read before it."""
+    return lambda tok, key, read: _term_map(tok, key, blocks * (read["n"] + 1))
 
-    def take(key, conv, default=None, required=False):
-        tok = params.pop(key, None)
-        if tok is None:
-            if required:
-                _fail(f"{family}: missing required key {key!r}", where)
-            return default
-        return conv(tok, key)
 
+_float = _reader(float, "a number")
+_floats = _reader(lambda text: [float(x) for x in text.split(",") if x != ""], "comma-separated numbers")
+_int = _reader(int, "an integer")
+READERS = {  # one reader per key name, whichever family has the key
+    "R": _float, "c": _float, "k": _float, "f0": _float, "fp0": _float, "s0": _float, "smax": _float,
+    "scale": _float, "n": _int, "order": _int, "axes": _floats, "center": _floats,
+    "kind": lambda tok, key, read: tok.text, "hterms": _terms(1), "terms": _terms(2),
+}
+
+
+def build(cls, params: dict[str, _Tok], where: _Tok, **preset):
+    """cls(**keys) from the key tokens: cls's spec_keys are the keys, each read by its reader in the
+    order of cls's parameters, on top of preset. A key cls lacks, a missing required key or a
+    ValueError from cls is a SpecParseError that names where.text, the family."""
+    keys = spec_keys(cls)
+    for key, tok in params.items():
+        if key not in keys:
+            _fail(f"{where.text}: unknown key {key!r}", tok)
+    read = dict(preset)
+    for key, p in keys.items():
+        if key in params:
+            read[key] = READERS[key](params[key], key, read)
+        elif p.default is p.empty:
+            _fail(f"{where.text}: missing required key {key!r}", where)
     try:
-        if family == "sphere":
-            r = take("R", _float, required=True)
-            n = take("n", _int)
-            center = take("center", _floats)
-            if n is None:
-                n = len(center) // 2 - 1 if center else 1
-            spec = Sphere(r, center=center, n=n)
-        elif family == "ellipsoid":
-            axes = take("axes", _floats, required=True)
-            spec = Ellipsoid(axes, center=take("center", _floats))
-        elif family == "dirichlet":
-            axes = take("axes", _floats, required=True)
-            spec = DirichletQuadratic(axes)
-        elif family == "quadric":
-            n = take("n", _int, required=True)
-            c = take("c", _float, default=1.0)
-            hterms = take("hterms", lambda tok, key: _term_map(tok, key, n + 1), default={})
-            spec = PerturbedQuadric(n, c=c, hterms=hterms)
-        elif family == "cylinder":
-            r = take("R", _float, required=True)
-            spec = Cylinder(r, kind=take("kind", lambda tok, key: tok.text, default="flat"))
-        elif family == "reinhardt":
-            k = take("k", _float, required=True)
-            f0 = take("f0", _float, required=True)
-            fp0 = take("fp0", _float)
-            s0 = take("s0", _float, default=0.0)
-            smax = take("smax", _float)
-            spec = ReinhardtSurface(k, f0, fp0=fp0, s0=s0, smax=smax)
-        elif family == "poly":
-            n = take("n", _int, required=True)
-            terms = take("terms", lambda tok, key: _term_map(tok, key, 2 * (n + 1)), required=True)
-            center = take("center", _floats)
-            scale = take("scale", _float, default=1.0)
-            spec = UserPolynomial(n, terms, center=center, scale=scale)
-        else:
-            _fail(f"unknown family {family!r}; known: {', '.join(FAMILIES)}", where)
-    except SpecParseError:
-        raise
+        return cls(**read)
     except (ValueError, ArithmeticError) as exc:
-        raise SpecParseError(f"{family}: {exc}", line=where.line if where else None,
-                             column=where.col if where else None) from exc
-
-    if params:
-        key, tok = next(iter(params.items()))
-        _fail(f"{family}: unknown key {key!r}", tok)
-    return spec
+        raise SpecParseError(f"{where.text}: {exc}", line=where.line, column=where.col) from exc
 
 
-def parse_inline(text: str, line: int = 1, col0: int = 0) -> SurfaceSpec:
-    """Parse 'family:key=value,...' where commas inside vector values continue
-    the previous value."""
-    text = text.strip()
-    if not text:
-        raise SpecParseError("empty surface description", line=line, column=col0)
+def build_surface(params: dict[str, _Tok], where: _Tok) -> SurfaceSpec:
+    """The surface of the family where.text from its key tokens."""
+    if where.text not in FAMILIES:
+        _fail(f"unknown family {where.text!r}; known: {', '.join(FAMILIES)}", where)
+    return build(FAMILIES[where.text], params, where)
+
+
+def _inline(text: str, line: int, col0: int) -> tuple[_Tok, dict[str, _Tok]]:
+    """The head token of 'head:key=value,...', lower-cased, and the key tokens, where a comma
+    inside a vector value continues the previous value."""
     head, _, rest = text.partition(":")
-    family = head.strip().lower()
     params: dict[str, _Tok] = {}
-    where = _Tok(family, line, col0)
     if rest:
         pos = col0 + len(head) + 1
         current_key = None
@@ -189,7 +142,17 @@ def parse_inline(text: str, line: int = 1, col0: int = 0) -> SurfaceSpec:
                 old = params[current_key]
                 params[current_key] = _Tok(old.text + "," + piece.strip(), old.line, old.col)
             pos += len(piece) + 1
-    return build_surface(family, params, where)
+    return _Tok(head.strip().lower(), line, col0), params
+
+
+def parse_inline(text: str, line: int = 1, col0: int = 0) -> SurfaceSpec:
+    """Parse 'family:key=value,...' where commas inside vector values continue
+    the previous value."""
+    text = text.strip()
+    if not text:
+        raise SpecParseError("empty surface description", line=line, column=col0)
+    where, params = _inline(text, line, col0)
+    return build_surface(params, where)
 
 
 def parse_file_text(text: str) -> SurfaceSpec:
@@ -216,7 +179,7 @@ def parse_file_text(text: str) -> SurfaceSpec:
             params[key] = tok
     if family_tok is None:
         raise SpecParseError("missing 'family' key", line=1, column=1)
-    return build_surface(family_tok.text, params, family_tok)
+    return build_surface(params, family_tok)
 
 
 def parse_surface(text_or_path: str) -> SurfaceSpec:
@@ -234,26 +197,10 @@ def parse_surface(text_or_path: str) -> SurfaceSpec:
 
 
 def parse_quadrature(text: str | None, default_order: int = 24) -> QuadratureSpec:
-    """Parse gauss:order=N; None gives the default rule."""
+    """Parse gauss:order=N; None, or no order, gives default_order."""
     if text is None:
         return QuadratureSpec(order=default_order)
-    text = text.strip()
-    head, _, rest = text.partition(":")
-    method = head.strip().lower()
-    if method != "gauss":
-        raise SpecParseError(f"quadrature: unknown method {method!r} (only gauss)")
-    kv = {}
-    for piece in rest.split(",") if rest else []:
-        if not piece.strip():
-            continue
-        if "=" not in piece:
-            raise SpecParseError(f"quadrature: expected key=value, got {piece!r}")
-        k, _, v = piece.partition("=")
-        kv[k.strip()] = v.strip()
-    try:
-        spec = QuadratureSpec(order=int(kv.pop("order", default_order)))
-    except ValueError as exc:
-        raise SpecParseError(f"quadrature: {exc}") from exc
-    if kv:
-        raise SpecParseError(f"quadrature: unknown key {next(iter(kv))!r}")
-    return spec
+    where, params = _inline(text.strip(), 1, 0)
+    if where.text != "gauss":
+        _fail(f"quadrature: unknown method {where.text!r} (only gauss)", where)
+    return build(QuadratureSpec, params, where, order=default_order)

@@ -28,6 +28,7 @@ formula, any other by bracketed Newton on the value and slope read from it.
 from __future__ import annotations
 
 import functools
+import inspect
 import math
 from typing import NamedTuple
 
@@ -56,17 +57,43 @@ class Jet(NamedTuple):
     pure: np.ndarray
 
 
+FAMILIES: dict[str, type] = {}  # family name -> class, in the order of definition
+
+
+@functools.cache
+def spec_keys(cls) -> dict[str, inspect.Parameter]:
+    """The spec keys of a family (or of any spec class): its constructor's parameters that are not
+    keyword-only, by name; those without a default are required. Read once per class."""
+    return {name: p for name, p in inspect.signature(cls).parameters.items() if p.kind is p.POSITIONAL_OR_KEYWORD}
+
+
+def _spec_text(value) -> str:
+    """A key's value as the spec grammar reads it back: a term map as coeff:e1,e2;..., a vector
+    comma-separated, a float by repr."""
+    if isinstance(value, dict):
+        return ";".join(f"{c!r}:{','.join(str(e) for e in exps)}" for exps, c in value.items())
+    return ",".join(repr(float(x)) for x in value) if isinstance(value, np.ndarray) else str(value)
+
+
 class SurfaceSpec:
     """Base class: a named defining-function family over C^{n+1}.
 
-    Polynomial families set poly at construction, expanded about the star
-    center, and inherit derivatives() and ray(); the other families override both.
+    A family names itself by a class keyword, class Sphere(SurfaceSpec, family="sphere"), and its
+    constructor's parameters are its spec keys (spec_keys). canonical() prints the keys() back in
+    the grammar that specfile parses. Polynomial families set poly at construction, expanded about
+    the star center, and inherit derivatives() and ray(); the other families override both.
     """
 
+    family: str | None = None
     n: int
     star_center: np.ndarray | None
     scale: float
     poly: RealPolynomial
+
+    def __init_subclass__(cls, family: str | None = None, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if family is not None:
+            cls.family, FAMILIES[family] = family, cls
 
     @property
     def m(self) -> int:
@@ -82,15 +109,17 @@ class SurfaceSpec:
         of horner, so that radial_roots can read the coefficients (args[0]) of a quadratic."""
         return functools.partial(horner, self.poly.restrict(dirs))
 
+    def keys(self) -> dict:
+        """Each spec key's value, None for a key the spec string leaves out: by default the attribute
+        of the key's name."""
+        return {name: getattr(self, name) for name in spec_keys(type(self))}
+
     def canonical(self) -> str:
-        raise NotImplementedError
+        """family:key=value,... of keys(), the spec string that parses back to this surface."""
+        return f"{self.family}:" + ",".join(f"{k}={_spec_text(v)}" for k, v in self.keys().items() if v is not None)
 
     def __repr__(self):
         return f"{type(self).__name__}({self.canonical()})"
-
-
-def _fmt_vec(v) -> str:
-    return ",".join(repr(float(x)) for x in v)
 
 
 def _center_array(center, m: int) -> np.ndarray:
@@ -107,7 +136,7 @@ def _axes_array(axes) -> np.ndarray:
     if a.ndim != 1 or len(a) < 4 or len(a) % 2:
         raise ValueError("axes must list 2(n+1) >= 4 semi-axes")
     if not np.all((a >= LENGTH_RANGE[0]) & (a <= LENGTH_RANGE[1])):
-        raise ValueError(f"axes must be {LENGTH_RULE}, got {_fmt_vec(a)}")
+        raise ValueError(f"axes must be {LENGTH_RULE}, got {_spec_text(a)}")
     return a
 
 
@@ -158,23 +187,25 @@ def _chain(inner: Jet, f0, f1, f2) -> Jet:
     return Jet(f0, (f1 * inner.grad.T).T, mixed.transpose(2, 0, 1), pure.transpose(2, 0, 1))
 
 
-class Sphere(SurfaceSpec):
-    """|z - z0|^2 = R^2."""
+class Sphere(SurfaceSpec, family="sphere"):
+    """|z - z0|^2 = R^2 in C^{n+1}; n defaults to the one the center's length gives, else 1."""
 
-    def __init__(self, radius: float, center=None, n: int = 1):
+    def __init__(self, R: float, center=None, n: int | None = None):
+        if n is None:
+            n = 1 if center is None else len(center) // 2 - 1
         self.n = _dimension(n)
-        self.radius = positive_length("R", radius)
+        self.radius = positive_length("R", R)
         self.center = _center_array(center, self.m)
         self.star_center = self.center
         self.scale = self.radius
         self.poly = _diagonal_quadratic(np.ones(self.m), -self.radius**2, self.center)
         _validate_star_family(self)
 
-    def canonical(self):
-        return f"sphere:R={self.radius!r},center={_fmt_vec(self.center)}"
+    def keys(self):
+        return {"R": self.radius, "center": self.center}
 
 
-class Ellipsoid(SurfaceSpec):
+class Ellipsoid(SurfaceSpec, family="ellipsoid"):
     """Axis-aligned real ellipsoid, one semi-axis per real coordinate."""
 
     def __init__(self, axes, center=None):
@@ -186,11 +217,8 @@ class Ellipsoid(SurfaceSpec):
         self.poly = _diagonal_quadratic((1.0 / a) ** 2, -1.0, self.center)
         _validate_star_family(self)
 
-    def canonical(self):
-        return f"ellipsoid:axes={_fmt_vec(self.axes)},center={_fmt_vec(self.center)}"
 
-
-class PerturbedQuadric(SurfaceSpec):
+class PerturbedQuadric(SurfaceSpec, family="quadric"):
     """-c + |z|^2/(n+1) plus the real part of a holomorphic polynomial.
 
     The perturbation is pluriharmonic, so the complex Hessian of f is exactly
@@ -222,33 +250,29 @@ class PerturbedQuadric(SurfaceSpec):
         self.poly = RealPolynomial.from_zzbar(self.n, zzbar)
         _validate_star_family(self)
 
-    def canonical(self):
-        ht = ";".join(f"{coeff!r}:{','.join(str(e) for e in exps)}" for exps, coeff in self.hterms.items())
-        return f"quadric:n={self.n},c={self.c!r},hterms={ht}"
 
-
-class Cylinder(SurfaceSpec):
+class Cylinder(SurfaceSpec, family="cylinder"):
     """Unbounded model surfaces in C^2; no star center, pointwise use only.
 
     kind='flat' is |z1|^2 = R^2 (zero Levi curvature); kind='curved' is
     |z1|^2 + (Re z2)^2 = R^2, a round cylinder over S^2 in R^4.
     """
 
-    def __init__(self, radius: float, kind: str = "flat"):
+    def __init__(self, R: float, kind: str = "flat"):
         if kind not in ("flat", "curved"):
             raise ValueError(f"kind must be 'flat' or 'curved', got {kind!r}")
         self.n = 1
-        self.radius = positive_length("R", radius)
+        self.radius = positive_length("R", R)
         self.kind = kind
         self.star_center = None
         self.scale = self.radius
         self.poly = _diagonal_quadratic([1.0, 1.0, float(kind == "curved"), 0.0], -self.radius**2)
 
-    def canonical(self):
-        return f"cylinder:kind={self.kind},R={self.radius!r}"
+    def keys(self):
+        return {"kind": self.kind, "R": self.radius}
 
 
-class ReinhardtSurface(SurfaceSpec):
+class ReinhardtSurface(SurfaceSpec, family="reinhardt"):
     """Rotation-invariant surface |z1|^2 = f(|z2|^2) driven by an integrated profile.
 
     Regular starts (fp0 omitted) integrate from s = 0 and, with the right data,
@@ -304,13 +328,14 @@ class ReinhardtSurface(SurfaceSpec):
             r2 * math.cos(phase2), r2 * math.sin(phase2),
         ])
 
-    def canonical(self):
+    def keys(self):
         p = self.profile
-        extra = "" if p.regular_start else f",fp0={p.fp0!r},s0={p.s_lo!r}"
-        return f"reinhardt:k={self.k!r},f0={p.f0!r}{extra},smax={p.s_end!r}"
+        band = not p.regular_start
+        return {"k": self.k, "f0": p.f0, "fp0": p.fp0 if band else None, "s0": p.s_lo if band else None,
+                "smax": p.s_end}
 
 
-class UserPolynomial(SurfaceSpec):
+class UserPolynomial(SurfaceSpec, family="poly"):
     """Re(p) for a polynomial p in z and zbar with complex float coefficients.
 
     Exponent keys are tuples of length 2(n+1), z-block first. The defining
@@ -318,11 +343,11 @@ class UserPolynomial(SurfaceSpec):
     polynomial itself and anything else is implicitly symmetrized.
     """
 
-    def __init__(self, n: int, coeffs: dict, center=None, scale: float = 1.0, validate: bool = True):
+    def __init__(self, n: int, terms: dict, center=None, scale: float = 1.0, *, validate: bool = True):
         self.n = _dimension(n)
         width = 2 * (self.n + 1)
         clean = {}
-        for exps, c in coeffs.items():
+        for exps, c in terms.items():
             exps = tuple(int(e) for e in exps)
             if len(exps) != width or any(e < 0 for e in exps):
                 raise ValueError(f"bad exponent vector {exps} for n={self.n}")
@@ -338,12 +363,9 @@ class UserPolynomial(SurfaceSpec):
         if validate:
             _validate_star_family(self)
 
-    def canonical(self):
-        ts = ";".join(f"{c!r}:{','.join(str(e) for e in exps)}" for exps, c in self.coeffs.items())
-        extra = "" if self.scale == 1.0 else f",scale={self.scale!r}"
-        if np.any(self.star_center):
-            extra += f",center={_fmt_vec(self.star_center)}"
-        return f"poly:n={self.n},terms={ts}{extra}"
+    def keys(self):
+        return {"n": self.n, "terms": self.coeffs, "scale": None if self.scale == 1.0 else self.scale,
+                "center": self.star_center if np.any(self.star_center) else None}
 
 
 class ExpReparam(SurfaceSpec):
@@ -369,7 +391,7 @@ class ExpReparam(SurfaceSpec):
         return f"exp({self.base.canonical()})"
 
 
-class DirichletQuadratic(SurfaceSpec):
+class DirichletQuadratic(SurfaceSpec, family="dirichlet"):
     """Quadratic with unit-trace mixed Hessian vanishing on an axis ellipsoid.
 
     f(x) = (sum x_k^2 / a_k^2 - 1) * 2 / sum(1/a_k^2). The full Laplacian is 4,
@@ -389,9 +411,6 @@ class DirichletQuadratic(SurfaceSpec):
         """The constant diagonal of the mixed complex Hessian."""
         inv2 = 1.0 / self.axes**2
         return self.cfactor / 2.0 * (inv2[0::2] + inv2[1::2])
-
-    def canonical(self):
-        return f"dirichlet:axes={','.join(repr(float(a)) for a in self.axes)}"
 
 
 # -- evaluation ----------------------------------------------------------------

@@ -124,6 +124,16 @@ def test_dirichlet_needs_a_centered_ellipsoid(surface, codes, tmp_path):
     assert cli.main([*argv, "--out", str(tmp_path / "r.json")]) in codes
 
 
+def test_surface_help_lists_each_family_with_its_constructor_keys():
+    # generated from the families' signatures, and the same bytes as the hand-written text it replaced
+    assert cli.SURFACE_HELP == (
+        "surface description: inline 'family:key=val,...' or a path to a key=value file. "
+        "Families: sphere (R, center, n), ellipsoid (axes, center), quadric (n, c, hterms), "
+        "cylinder (R, kind), reinhardt (k, f0, fp0, s0, smax), poly (n, terms, center, scale), "
+        "dirichlet (axes). Example: sphere:R=2 or ellipsoid:axes=1,1,1,2"
+    )
+
+
 @pytest.mark.parametrize("quad, message", [
     ("mc:samples=20000,seed=7", "unknown method 'mc'"),
     ("gauss:order=8,radial_order=1", "unknown key 'radial_order'"),  # a bulk pass puts order points on each ray

@@ -1,8 +1,10 @@
 import copy
 import itertools
 import math
+import re
 import warnings
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from levilab.errors import (
 from levilab.polynomial import RealPolynomial, horner
 from levilab.quadrature import sphere_grid
 from levilab.reinhardt import ode_residual, reinhardt_profile, series_coeffs
-from levilab.specfile import parse_surface
+from levilab.specfile import parse_file_text, parse_quadrature, parse_surface
 
 FAMILIES = {}
 
@@ -740,3 +742,132 @@ class TestValidationErrors:
     def test_constructors_reject_a_non_finite_coefficient(self, make):
         with pytest.raises(ValueError, match="coefficient of .* must be finite"):
             make()
+
+
+class TestSpecGrammar:
+    @pytest.mark.parametrize("parse, text, message", [
+        (parse_surface, "sphere:R=1,foo=2", "sphere: unknown key 'foo' (line 1, column 11)"),
+        (parse_surface, "sphere:center=0,0,0,0", "sphere: missing required key 'R' (line 1, column 0)"),
+        (parse_surface, "sphere:R=1,R=2", "duplicate key 'R' (line 1, column 11)"),
+        (parse_surface, "sphere:,1", "value '' does not belong to any key (line 1, column 7)"),
+        (parse_surface, "cube:R=1", "unknown family 'cube'; known: sphere, ellipsoid, quadric, cylinder, "
+                                    "reinhardt, poly, dirichlet (line 1, column 0)"),
+        (parse_surface, "sphere:R=x", "R: expected a number, got 'x' (line 1, column 7)"),
+        (parse_surface, "quadric:n=1,hterms=0.25:2,0,1",
+         "hterms: term '0.25:2,0,1' needs 2 exponents, got 3 (line 1, column 12)"),
+        (parse_file_text, "family=sphere\nR=1\nfoo=2\n", "sphere: unknown key 'foo' (line 3, column 5)"),
+        (parse_file_text, "R=1\n", "missing 'family' key (line 1, column 1)"),
+        (parse_file_text, "family=sphere\nR=1\nR=2\n", "duplicate key 'R' (line 3, column 1)"),
+        (parse_file_text, "family=sphere\nR 1\n", "expected key=value, got 'R 1' (line 2, column 1)"),
+    ], ids=["unknown_key", "missing_key", "duplicate_key", "stray_value", "unknown_family", "not_a_number",
+            "term_width", "file_unknown_key", "file_missing_family", "file_duplicate_key", "file_no_equals"])
+    def test_parse_errors_name_the_place(self, parse, text, message):
+        with pytest.raises(SpecParseError) as info:
+            parse(text)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("text, message", [
+        ("gauss:order=x", "order: expected an integer, got 'x' (line 1, column 6)"),
+        ("gauss:order=2", "gauss: order must be >= 3, got 2 (line 1, column 0)"),
+        ("gauss:order=8,radial_order=1", "gauss: unknown key 'radial_order' (line 1, column 14)"),
+        ("gauss:order=8,order=9", "duplicate key 'order' (line 1, column 14)"),
+        ("gauss:order", "value 'order' does not belong to any key (line 1, column 6)"),
+        ("mc:samples=20000", "quadrature: unknown method 'mc' (only gauss) (line 1, column 0)"),
+    ], ids=["not_an_integer", "order_below_3", "unknown_key", "duplicate_key", "no_equals", "unknown_method"])
+    def test_quadrature_errors_name_the_place(self, text, message):
+        # the quadrature strings go through the surfaces' inline grammar and key readers
+        with pytest.raises(SpecParseError) as info:
+            parse_quadrature(text)
+        assert str(info.value) == message
+
+    def test_families_are_their_constructors(self):
+        assert list(sf.FAMILIES) == ["sphere", "ellipsoid", "quadric", "cylinder", "reinhardt", "poly", "dirichlet"]
+        assert list(sf.spec_keys(sf.UserPolynomial)) == ["n", "terms", "center", "scale"]  # validate is keyword-only
+        assert [cls for cls in sf.FAMILIES.values() if "canonical" in vars(cls)] == []
+        assert parse_quadrature("gauss") == qd.QuadratureSpec(order=24)
+        assert parse_quadrature("gauss", default_order=12) == qd.QuadratureSpec(order=12)
+
+    def test_sphere_takes_n_from_its_center(self):
+        assert parse_surface("sphere:R=1,center=0,0,0,0,0,0").n == 2
+        assert sf.Sphere(1.0, center=np.zeros(6)).n == 2
+        assert sf.Sphere(1.0).n == 1 and sf.Sphere(1.0, n=3).m == 8
+
+    @pytest.mark.parametrize("k, f0", [(0.5, 4.0), (1.0, 1.0), (0.25, 16.0), (2.0, 0.25)])
+    def test_reinhardt_sphere_parses_back_to_itself(self, k, f0):
+        # the profile 1/k^2 - s parsed with smax at its root closes there: a Newton step onto the end of
+        # the root's bracket stays, where a bisection ended one float short and the next parse stayed open
+        text = sf.ReinhardtSurface(k, f0).canonical()
+        assert text == f"reinhardt:k={k!r},f0={f0!r},smax={f0!r}"
+        again = parse_surface(text)
+        assert again.canonical() == text and again.profile.closed
+        assert parse_surface(again.canonical()).profile.closed
+
+    def test_golden_surfaces_parse_back_to_themselves(self):
+        # exp(...) strings are no spec: a report's config.f_choice re-runs them through --f-choice exp
+        texts = set()
+        for name in ("reports.json", "curvature.json"):
+            text = (Path(__file__).parent / "golden" / name).read_text()
+            texts |= {m for m in re.findall(r'"surface": "([^"]*)"', text) if not m.startswith("exp(")}
+        assert len(texts) == 9
+        for text in sorted(texts):
+            assert parse_surface(text).canonical() == text
+        # a term's coefficient keeps the sign of its zero real part
+        assert math.copysign(1.0, parse_surface("quadric:n=1,hterms=(-0-0.1j):1,1").hterms[(1, 1)].real) == -1.0
+
+    @pytest.mark.parametrize("family", ["sphere", "ellipsoid", "quadric", "cylinder", "reinhardt", "poly",
+                                        "dirichlet"])
+    @settings(max_examples=12, deadline=None)
+    @given(data=st.data())
+    def test_drawn_specs_parse_back_to_themselves(self, family, data):
+        spec = data.draw(SPEC_STRATEGIES[family](), label=family)
+        text = spec.canonical()
+        assert parse_surface(text).canonical() == text
+
+
+def _vector(m, lo, hi):
+    return st.lists(st.floats(lo, hi), min_size=m, max_size=m)
+
+
+def _coefficients(limit):
+    """Small complex coefficients whose parts may be signed zeros."""
+    part = st.sampled_from([0.0, -0.0]) | st.floats(-limit, limit)
+    return st.builds(complex, part, part)
+
+
+def _quadric(n):
+    exps = st.tuples(*[st.integers(0, 3)] * (n + 1)).filter(lambda e: 2 <= sum(e) <= 3)
+    return st.builds(sf.PerturbedQuadric, st.just(n), st.floats(0.5, 2.0),
+                     st.dictionaries(exps, _coefficients(0.01), max_size=3))
+
+
+def _poly(n):
+    """|z|^2 - r2 and up to three small terms of degree 1 or 2, about a center near 0."""
+    m = 2 * n + 2
+    base = {tuple(int(i in (k, n + 1 + k)) for i in range(m)): 1.0 for k in range(n + 1)}
+
+    def build(r2, extra, center, scale):
+        terms = {**extra, **base, (0,) * m: -r2}
+        return sf.UserPolynomial(n, terms, center=center, scale=scale)
+
+    exps = st.tuples(*[st.integers(0, 1)] * m).filter(lambda e: 1 <= sum(e) <= 2)
+    return st.builds(build, st.floats(1.0, 4.0), st.dictionaries(exps, _coefficients(0.05), max_size=3),
+                     st.none() | _vector(m, -0.2, 0.2), st.just(1.0) | st.floats(0.5, 3.0))
+
+
+# valid specs of each family, for the round trip through canonical()
+SPEC_STRATEGIES = {
+    "sphere": lambda: st.integers(1, 3).flatmap(lambda n: st.builds(
+        sf.Sphere, st.floats(0.1, 10.0), center=st.none() | _vector(2 * n + 2, -2.0, 2.0), n=st.none() | st.just(n))),
+    "ellipsoid": lambda: st.integers(1, 2).flatmap(lambda n: st.builds(
+        sf.Ellipsoid, _vector(2 * n + 2, 0.5, 2.0), st.none() | _vector(2 * n + 2, -0.2, 0.2))),
+    "quadric": lambda: st.integers(1, 2).flatmap(_quadric),
+    "cylinder": lambda: st.builds(sf.Cylinder, st.floats(0.1, 10.0), st.sampled_from(["flat", "curved"])),
+    # the closed regular profiles are the spheres f0 = 1/k^2; band starts end open at smax
+    "reinhardt": lambda: st.sampled_from([0.25, 0.5, 1.0, 2.0]).map(lambda k: sf.ReinhardtSurface(k, 1.0 / k**2))
+    | st.builds(lambda k, f0, fp0, s0, ds: sf.ReinhardtSurface(k, f0, fp0=fp0, s0=s0, smax=s0 + ds),
+                st.floats(0.4, 0.6), st.floats(3.0, 4.0), st.floats(-1.2, -0.8), st.floats(0.5, 1.0),
+                st.floats(0.1, 1.0)),
+    "poly": lambda: st.integers(1, 2).flatmap(_poly),
+    "dirichlet": lambda: st.integers(1, 2).flatmap(
+        lambda n: st.builds(sf.DirichletQuadratic, _vector(2 * n + 2, 0.5, 2.0))),
+}
