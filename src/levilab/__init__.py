@@ -10,7 +10,6 @@ from .errors import (
     CostLimitError,
     DegenerateGradientError,
     DomainError,
-    HypothesisViolationError,
     LevilabError,
     NotHermitianError,
     SingularityError,

@@ -1,17 +1,17 @@
 """Command-line front end.
 
-Subcommands: curvature (pointwise quantities), identities (polynomial
-identities checked exactly at seeded points), verify <identity>
-(quadrature-backed verification with a JSON report), batch (one verification
-over a directory of surface files plus a CSV summary). Exit codes: 0 success /
-verdict as contracted, 2 violated, 3 hypotheses not met, 4 numerical failure,
-64 usage error (an argument out of range, a surface or quadrature
-description or a --point or --direction that does not parse, or a path that
-cannot be read or written, named in one line); batch exits with the worst
-code over its files, 64 before 2 before 4 before 3, and a spec file that
-cannot be read counts as 64, as one that does not parse or one whose n puts
---j out of range. Reports embed the fully resolved configuration; identical
-argv and seed give byte-identical output.
+Subcommands: curvature (pointwise quantities), identities (polynomial identities checked
+exactly at seeded points), verify <identity> (quadrature-backed verification with a JSON
+report), batch (one verification over a directory of surface files plus a CSV summary).
+Exit codes: 0 success / verdict as contracted, 2 violated, 3 hypotheses not met (the
+verdict of every suite whose hypothesis fails on the surface: K <= 0 at a node, K not
+constant, H outside the Garding cone), 4 numerical failure, 64 usage error (an argument
+out of range, a surface or quadrature description or a --point or --direction that does
+not parse, or a path that cannot be read or written, named in one line); batch exits with
+the worst code over its files, 64 before 2 before 4 before 3, and a spec file that cannot
+be read counts as 64, as one that does not parse or one whose n puts --j out of range.
+Reports embed the fully resolved configuration; identical argv and seed give
+byte-identical output.
 """
 
 from __future__ import annotations

@@ -58,14 +58,6 @@ class DegenerateGradientError(LevilabError, RuntimeError):
     """Characteristic point: |del f| below threshold, curvature formulas undefined."""
 
 
-class HypothesisViolationError(LevilabError, RuntimeError):
-    """An identity's hypothesis failed at a quadrature node (e.g. nonpositive curvature)."""
-
-    def __init__(self, message: str, point=None):
-        self.point = point
-        super().__init__(message)
-
-
 class SpecParseError(LevilabError, ValueError):
     """Malformed surface spec text; carries the offending location."""
 

@@ -15,8 +15,8 @@ A family's keys are its constructor's parameters (surfaces.spec_keys), and those
 without a default are required; each key name has one reader here, and a
 surface's canonical() prints the same keys back. In the inline form a comma
 either separates key=value pairs or continues the previous value, so vector
-values need no quoting. Errors carry the exact line and column of the
-offending token.
+values need no quoting. Errors carry the line and the 1-based column of the
+token they are about: the key=value pair, or the family name.
 
 Quadrature strings name the one rule at an order, in the inline grammar:
 gauss:order=24.
@@ -121,31 +121,32 @@ def build_surface(params: dict[str, _Tok], where: _Tok) -> SurfaceSpec:
 
 
 def _inline(text: str, line: int, col0: int) -> tuple[_Tok, dict[str, _Tok]]:
-    """The head token of 'head:key=value,...', lower-cased, and the key tokens, where a comma
-    inside a vector value continues the previous value."""
+    """The head token of 'head:key=value,...' at column col0, lower-cased, and the key tokens, each at
+    the column of its pair, where a comma inside a vector value continues the previous value."""
     head, _, rest = text.partition(":")
     params: dict[str, _Tok] = {}
     if rest:
         pos = col0 + len(head) + 1
         current_key = None
         for piece in rest.split(","):
+            col = pos + len(piece) - len(piece.lstrip())  # the piece's first character
             if "=" in piece:
                 key, _, val = piece.partition("=")
                 key = key.strip()
                 if key in params:
-                    _fail(f"duplicate key {key!r}", _Tok(key, line, pos))
-                params[key] = _Tok(val.strip(), line, pos)
+                    _fail(f"duplicate key {key!r}", _Tok(key, line, col))
+                params[key] = _Tok(val.strip(), line, col)
                 current_key = key
             else:
                 if current_key is None:
-                    _fail(f"value {piece!r} does not belong to any key", _Tok(piece, line, pos))
+                    _fail(f"value {piece!r} does not belong to any key", _Tok(piece, line, col))
                 old = params[current_key]
                 params[current_key] = _Tok(old.text + "," + piece.strip(), old.line, old.col)
             pos += len(piece) + 1
     return _Tok(head.strip().lower(), line, col0), params
 
 
-def parse_inline(text: str, line: int = 1, col0: int = 0) -> SurfaceSpec:
+def parse_inline(text: str, line: int = 1, col0: int = 1) -> SurfaceSpec:
     """Parse 'family:key=value,...' where commas inside vector values continue
     the previous value."""
     text = text.strip()
@@ -163,20 +164,19 @@ def parse_file_text(text: str) -> SurfaceSpec:
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
             continue
+        col = len(line) - len(line.lstrip()) + 1  # the pair's first character
         if "=" not in line:
-            raise SpecParseError(f"expected key=value, got {line.strip()!r}", line=ln, column=1)
+            raise SpecParseError(f"expected key=value, got {line.strip()!r}", line=ln, column=col)
         key, _, val = line.partition("=")
-        col = len(key) + 2
         key = key.strip()
-        tok = _Tok(val.strip(), ln, col)
         if key == "family":
             if family_tok is not None:
-                raise SpecParseError("duplicate 'family' key", line=ln, column=1)
-            family_tok = _Tok(tok.text.lower(), ln, col)
+                raise SpecParseError("duplicate 'family' key", line=ln, column=col)
+            family_tok = _Tok(val.strip().lower(), ln, len(line) - len(val.lstrip()) + 1)  # the family name
         else:
             if key in params:
-                raise SpecParseError(f"duplicate key {key!r}", line=ln, column=1)
-            params[key] = tok
+                raise SpecParseError(f"duplicate key {key!r}", line=ln, column=col)
+            params[key] = _Tok(val.strip(), ln, col)
     if family_tok is None:
         raise SpecParseError("missing 'family' key", line=1, column=1)
     return build_surface(params, family_tok)
@@ -200,7 +200,7 @@ def parse_quadrature(text: str | None, default_order: int = 24) -> QuadratureSpe
     """Parse gauss:order=N; None, or no order, gives default_order."""
     if text is None:
         return QuadratureSpec(order=default_order)
-    where, params = _inline(text.strip(), 1, 0)
+    where, params = _inline(text.strip(), 1, 1)
     if where.text != "gauss":
         _fail(f"quadrature: unknown method {where.text!r} (only gauss)", where)
     return build(QuadratureSpec, params, where, order=default_order)

@@ -286,8 +286,8 @@ class ReinhardtSurface(SurfaceSpec, family="reinhardt"):
         self.profile: ReinhardtProfile = reinhardt_profile(k, f0, fp0=fp0, s0=s0, smax=smax)
         self.k = float(k)
         self.scale = math.sqrt(max(self.profile.f0, self.profile.s_end))
-        self.star_center = np.zeros(4) if self.profile.closed else None
-        if self.profile.closed:
+        self.star_center = np.zeros(4) if self.profile.closed and self.profile.regular_start else None
+        if self.star_center is not None:  # a band (s0 > 0) is undefined below s0, so has no star center
             _validate_star_family(self)
 
     def derivatives(self, pts):

@@ -14,8 +14,8 @@ when equality is possible and |margin| <= slack, inequality_holds when margin
 >= -slack, else violated; slack is tol in the suite's scale. The Dirichlet
 gradient-flux sub-check allows a gap of FLUX_TOL plus the quadratures' own
 error estimates, so a gap the rule cannot resolve is not reported as a
-violation. Hypothesis failures (nonpositive curvature at a node, non-constant
-curvature where constancy is assumed) raise or downgrade the verdict.
+violation. A hypothesis (K > 0, constant K, H in a Garding cone) is checked on
+the nodes a suite visits; where it fails the verdict is hypotheses_not_met.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ import numpy as np
 from . import curvature as cv
 from . import quadrature as qd
 from . import surfaces as sf
-from .errors import HypothesisViolationError
 from .hermitian import newton_gap_batch, sigma_batch
 
 REPORT_SCHEMA_VERSION = "1"
@@ -137,25 +136,24 @@ def _bulk_sigma(spec: sf.SurfaceSpec, j: int, q: qd.QuadratureSpec, vol: qd.Inte
 
 
 def _levi_flux_field(j: int):
-    def fn(frames):
-        return frames.levi(j) * frames.pgrad_norm ** (j + 1)
-
-    return fn
+    return lambda frames: frames.levi(j) * frames.pgrad_norm ** (j + 1)
 
 
 def _inv_levi_field(j: int):
-    def fn(frames):
-        k = frames.levi(j)
-        if np.any(k <= 0):
-            i = int(np.argmin(k))
-            raise HypothesisViolationError(
-                f"nonpositive curvature K={float(k[i])} at quadrature node with boundary point "
-                f"{frames.points[i].tolist()}",
-                point=frames.points[i],
-            )
-        return k ** (-1.0 / j)
+    """K^{-1/j}; 0, and no warning, where K <= 0, which the _nonpositive_levi scan reports."""
+    return lambda frames: np.where(frames.levi(j) > 0, frames.levi(j), np.inf) ** (-1.0 / j)
 
-    return fn
+
+def _nonpositive_levi(frames, j: int):
+    """K_j and the boundary points of a batch's nodes where K_j <= 0, in node order: the scan _levi_unmet reads."""
+    bad = frames.levi(j) <= 0
+    return frames.levi(j)[bad], frames.points[bad]
+
+
+def _levi_unmet(k: np.ndarray, points: np.ndarray) -> dict | None:
+    """hypotheses_not_met at the first node of a _nonpositive_levi scan, or None where it found none."""
+    return {"kind": "hypotheses_not_met", "reason": f"nonpositive curvature K={float(k[0])} at quadrature node "
+            f"with boundary point {points[0].tolist()}"} if len(k) else None
 
 
 def _ones(frames):
@@ -168,6 +166,12 @@ def _mean_curv_flux(frames):
 
 def _pgrad(frames):
     return frames.pgrad_norm
+
+
+def _gap_and_cone(h: np.ndarray, k: int) -> np.ndarray:
+    """Per node, newton_gap_batch(H, k) and for k >= 3 min(sigma_1 .. sigma_k), > 0 where H is in the cone Gamma_k."""
+    cone = [np.min([sigma_batch(h, i) for i in range(1, k + 1)], axis=0)] if k > 2 else []
+    return np.stack([newton_gap_batch(h, k), *cone], axis=-1)
 
 
 def _check_j(spec: sf.SurfaceSpec, j: int) -> None:
@@ -222,17 +226,17 @@ def isoperimetric_ratio(
 ) -> VerificationReport:
     """Integral of K^{-1/j} over the boundary against 2(n+1) |Omega|.
 
-    Requires strictly positive curvature at every node (the integrand blows up
-    otherwise); equality characterizes balls and the quadric equality family.
+    Assumes K > 0 at every node; where not, the integrand reads 0 and the verdict is hypotheses_not_met, naming
+    the first such node. Equality characterizes balls and the quadric equality family.
     """
     _check_j(spec, j)
     n = spec.n
-    lhs_r = qd.surface_integral(spec, _inv_levi_field(j), q)
+    lhs_r, unmet = qd.surface_integral(spec, _inv_levi_field(j), q, scan=lambda fr: _nonpositive_levi(fr, j))
     vol_r = qd.volume(spec, q)
     lhs, rhs = lhs_r.value, 2 * (n + 1) * vol_r.value
     ratio = lhs / rhs
-    return _report(spec, _quad_meta(q, lhs_r, vol_r), lhs, rhs, _inequality_verdict(ratio - 1.0, tol, tol),
-                   {"ratio": ratio}, name="isoperimetric", j=j)
+    verdict = _levi_unmet(*unmet) or _inequality_verdict(ratio - 1.0, tol, tol)
+    return _report(spec, _quad_meta(q, lhs_r, vol_r), lhs, rhs, verdict, {"ratio": ratio}, name="isoperimetric", j=j)
 
 
 def minkowski_residual(
@@ -326,16 +330,17 @@ def dirichlet_chain(
     diag = dspec.hessian_diagonal()
     proportional = float(np.max(diag) - np.min(diag)) <= 1e-12 * float(np.max(diag))
     # one pass, one K_j per chunk for the flux and K^{-1/j}; the pointwise product is read when proportional
-    (pg_r, flux_w_r, inv_r), dev = qd.surface_integral(
+    (pg_r, flux_w_r, inv_r), (dev, *unmet) = qd.surface_integral(
         dspec, (_pgrad, _levi_flux_field(j), _inv_levi_field(j)), q,
-        scan=lambda fr: np.abs(fr.levi(j) ** (1.0 / j) * (n + 1) * fr.pgrad_norm - 1.0),
+        scan=lambda fr: (np.abs(np.maximum(fr.levi(j), 0.0) ** (1.0 / j) * (n + 1) * fr.pgrad_norm - 1.0),
+                         *_nonpositive_levi(fr, j)),
     )
     gradc_dev = float(np.max(dev)) if proportional else None
     flux_scale = max(abs(2 * vol_r.value), 1e-300)
     flux_rel = abs(pg_r.value - 2 * vol_r.value) / flux_scale
     flux_rel_bound = FLUX_TOL + (pg_r.error_estimate + 2 * vol_r.error_estimate) / flux_scale
 
-    holder_bound = pg_r.value ** (j + 1) / inv_r.value**j
+    holder_bound = pg_r.value ** (j + 1) / inv_r.value**j if inv_r.value else 0.0  # 0: K <= 0 at every node
     margin3 = flux_w_r.value - holder_bound
 
     verdict = _inequality_verdict(margin1, tol * max(rhs1, 1e-300), tol)
@@ -355,7 +360,7 @@ def dirichlet_chain(
         "hessian_proportional_to_identity": proportional,
         "pointwise_product_max_dev": gradc_dev,
     }
-    verdict = {"kind": "violated", "failed": failed} if failed else verdict
+    verdict = _levi_unmet(*unmet) or ({"kind": "violated", "failed": failed} if failed else verdict)
     return _report(dspec, _quad_meta(q, vol_r, lhs1_r, pg_r, flux_w_r, inv_r), lhs1_r.value, rhs1, verdict,
                    details, name="dirichlet_chain", j=j)
 
@@ -366,13 +371,16 @@ def newton_sweep(
     q: qd.QuadratureSpec,
     tol: float = NEWTON_GAP_TOL,
 ) -> VerificationReport:
-    """Minimum symmetric-function gap of the mixed Hessian over boundary nodes
-    and an interior radial sample; nonnegative for every real surface."""
+    """Minimum gap C(n+1, j+1) (tr H / (n+1))^{j+1} - sigma_{j+1}(H) of the mixed Hessian over boundary nodes and
+    an interior radial sample: a sum of squares for j = 1; for j >= 2 nonnegative where H lies in the Garding cone
+    Gamma_{j+1} (Lin & Trudinger, Bull. Austral. Math. Soc. 50, 1994), else hypotheses_not_met."""
     _check_j(spec, j)
-    gaps_b = qd.scan_boundary(spec, q, lambda fr: newton_gap_batch(fr.whess, j + 1))
-    gaps_i = qd.scan_bulk(spec, q, _mixed_field(spec, newton_gap_batch, j))
-    min_gap = float(min(np.min(gaps_b), np.min(gaps_i)))
-    quadrature = {"method": q.describe(), "nodes_used": int(gaps_b.size + gaps_i.size), "error_estimate": 0.0}
-    return _report(spec, quadrature, min_gap, 0.0, _inequality_verdict(min_gap, tol),
-                   {"boundary_min_gap": float(np.min(gaps_b)), "interior_min_gap": float(np.min(gaps_i))},
-                   name="newton_sweep", j=j)
+    gaps_b = qd.scan_boundary(spec, q, lambda fr: _gap_and_cone(fr.whess, j + 1))
+    gaps_i = qd.scan_bulk(spec, q, _mixed_field(spec, _gap_and_cone, j))
+    lo_b, lo_i = np.min(gaps_b, axis=0), np.min(gaps_i, axis=0)  # the gap, then for j >= 2 the cone's sigma
+    min_gap, cone = float(min(lo_b[0], lo_i[0])), float(min(lo_b[-1], lo_i[-1]))
+    verdict = _inequality_verdict(min_gap, tol) if j == 1 or cone > 0 else {
+        "kind": "hypotheses_not_met", "reason": f"H outside the Garding cone Gamma_{j + 1}: smallest sigma_i {cone}"}
+    quadrature = {"method": q.describe(), "nodes_used": len(gaps_b) + len(gaps_i), "error_estimate": 0.0}
+    return _report(spec, quadrature, min_gap, 0.0, verdict,
+                   {"boundary_min_gap": float(lo_b[0]), "interior_min_gap": float(lo_i[0])}, name="newton_sweep", j=j)

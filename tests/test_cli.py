@@ -220,6 +220,47 @@ def _cli_warnings_as_errors(*argv):
     return subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
 
 
+# the sphere profile 4 - s started at s0 = 1: a band, undefined below s0, so it has no star center
+BAND = "reinhardt:k=0.5,f0=3.0,fp0=-1.0,s0=1.0,smax=10"
+
+
+def test_closed_band_is_pointwise_only(tmp_path, capsys):
+    code, out = _curvature(["--surface", BAND, "--point", "1.3228756555322954,0,1.5,0"], tmp_path)
+    assert code == 0
+    assert out["K"] == pytest.approx(0.5, rel=1e-12) and out["H"] == pytest.approx(0.5, rel=1e-12)
+    argv = ["verify", "isoperimetric", "--surface", BAND, "--quad", "gauss:order=8"]
+    assert cli.main([*argv, "--out", str(tmp_path / "r.json")]) == cli.FAILURE_EXIT
+    assert "no star center" in capsys.readouterr().err
+
+
+# star-shaped surfaces on which a suite's hypothesis fails: K_1 < 0 at some nodes of the n = 1 quartic
+# |z|^4 - 3|z1|^2 + |z2|^2 - 1; H = diag(-1, -1, 2), outside Gamma_3, at the origin of the n = 2 quartic
+# |z|^4 - |z1|^2 - |z2|^2 + 2|z3|^2 - 1
+SIGN_CHANGING_N1 = "poly:n=1,terms=-1:0,0,0,0;1:0,1,0,1;1:0,2,0,2;-3:1,0,1,0;2:1,1,1,1;1:2,0,2,0"
+OUTSIDE_CONE_N2 = ("poly:n=2,terms=-1:0,0,0,0,0,0;2:0,0,1,0,0,1;1:0,0,2,0,0,2;-1:0,1,0,0,1,0;2:0,1,1,0,1,1;"
+                   "1:0,2,0,0,2,0;-1:1,0,0,1,0,0;2:1,0,1,1,0,1;2:1,1,0,1,1,0;1:2,0,0,2,0,0")
+
+
+@pytest.mark.parametrize("identity, surface, extra", [
+    ("isoperimetric", SIGN_CHANGING_N1, ["--quad", "gauss:order=12"]),
+    ("newton", OUTSIDE_CONE_N2, ["--quad", "gauss:order=6", "--j", "2"]),
+])
+def test_failed_hypothesis_exits_3(identity, surface, extra, tmp_path):
+    out = tmp_path / "r.json"
+    assert cli.main(["verify", identity, "--surface", surface, *extra, "--out", str(out)]) == cli.HYPOTHESES_EXIT
+    assert json.loads(out.read_text())["verdict"]["kind"] == "hypotheses_not_met"
+
+
+def test_batch_failed_hypothesis_exits_3(tmp_path):
+    src = tmp_path / "surfaces"
+    src.mkdir()
+    (src / "quartic").write_text("family=poly\nn=1\nterms=" + SIGN_CHANGING_N1.split("terms=")[1] + "\n")
+    argv = ["batch", str(src), "--identity", "isoperimetric", "--quad", "gauss:order=12"]
+    assert cli.main([*argv, "--out-dir", str(tmp_path / "o")]) == cli.HYPOTHESES_EXIT
+    row = (tmp_path / "o" / "summary.csv").read_text().splitlines()[1].split(",", 6)
+    assert (row[0], row[5], row[6]) == ("quartic", "hypotheses_not_met", "")
+
+
 def test_curvature_zero_direction_prints_no_numpy_warning():
     proc = _cli_warnings_as_errors("curvature", "--surface", "sphere:R=2", "--direction", "0,0,0,0")
     assert proc.returncode == cli.FAILURE_EXIT

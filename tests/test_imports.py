@@ -50,6 +50,12 @@ def test_public_api_exposes_one_implementation_per_quantity():
         assert not hasattr(levilab, name), name
 
 
+def test_a_failed_hypothesis_is_a_verdict_not_an_exception():
+    # every suite reports hypotheses_not_met (exit 3) where its hypothesis fails; nothing raises for it
+    assert not hasattr(levilab, "HypothesisViolationError")
+    assert not hasattr(levilab.errors, "HypothesisViolationError")
+
+
 def test_no_module_reads_the_environment_or_imports_a_thread_pool():
     # no environment variable selects a code path or changes an output byte
     found = []

@@ -746,33 +746,37 @@ class TestValidationErrors:
 
 class TestSpecGrammar:
     @pytest.mark.parametrize("parse, text, message", [
-        (parse_surface, "sphere:R=1,foo=2", "sphere: unknown key 'foo' (line 1, column 11)"),
-        (parse_surface, "sphere:center=0,0,0,0", "sphere: missing required key 'R' (line 1, column 0)"),
-        (parse_surface, "sphere:R=1,R=2", "duplicate key 'R' (line 1, column 11)"),
-        (parse_surface, "sphere:,1", "value '' does not belong to any key (line 1, column 7)"),
+        (parse_surface, "sphere:R=1,foo=2", "sphere: unknown key 'foo' (line 1, column 12)"),
+        (parse_surface, "sphere:center=0,0,0,0", "sphere: missing required key 'R' (line 1, column 1)"),
+        (parse_surface, "sphere:R=1,R=2", "duplicate key 'R' (line 1, column 12)"),
+        (parse_surface, "sphere:,1", "value '' does not belong to any key (line 1, column 8)"),
         (parse_surface, "cube:R=1", "unknown family 'cube'; known: sphere, ellipsoid, quadric, cylinder, "
-                                    "reinhardt, poly, dirichlet (line 1, column 0)"),
-        (parse_surface, "sphere:R=x", "R: expected a number, got 'x' (line 1, column 7)"),
+                                    "reinhardt, poly, dirichlet (line 1, column 1)"),
+        (parse_surface, "sphere:R=x", "R: expected a number, got 'x' (line 1, column 8)"),
         (parse_surface, "quadric:n=1,hterms=0.25:2,0,1",
-         "hterms: term '0.25:2,0,1' needs 2 exponents, got 3 (line 1, column 12)"),
-        (parse_file_text, "family=sphere\nR=1\nfoo=2\n", "sphere: unknown key 'foo' (line 3, column 5)"),
+         "hterms: term '0.25:2,0,1' needs 2 exponents, got 3 (line 1, column 13)"),
+        (parse_file_text, "family=sphere\nR=1\nfoo=2\n", "sphere: unknown key 'foo' (line 3, column 1)"),
         (parse_file_text, "R=1\n", "missing 'family' key (line 1, column 1)"),
         (parse_file_text, "family=sphere\nR=1\nR=2\n", "duplicate key 'R' (line 3, column 1)"),
         (parse_file_text, "family=sphere\nR 1\n", "expected key=value, got 'R 1' (line 2, column 1)"),
+        (parse_file_text, "family=cube\n", "unknown family 'cube'; known: sphere, ellipsoid, quadric, cylinder, "
+                                            "reinhardt, poly, dirichlet (line 1, column 8)"),
+        (parse_file_text, "family=sphere\n  R=x\n", "R: expected a number, got 'x' (line 2, column 3)"),
     ], ids=["unknown_key", "missing_key", "duplicate_key", "stray_value", "unknown_family", "not_a_number",
-            "term_width", "file_unknown_key", "file_missing_family", "file_duplicate_key", "file_no_equals"])
+            "term_width", "file_unknown_key", "file_missing_family", "file_duplicate_key", "file_no_equals",
+            "file_unknown_family", "file_indented_pair"])
     def test_parse_errors_name_the_place(self, parse, text, message):
         with pytest.raises(SpecParseError) as info:
             parse(text)
         assert str(info.value) == message
 
     @pytest.mark.parametrize("text, message", [
-        ("gauss:order=x", "order: expected an integer, got 'x' (line 1, column 6)"),
-        ("gauss:order=2", "gauss: order must be >= 3, got 2 (line 1, column 0)"),
-        ("gauss:order=8,radial_order=1", "gauss: unknown key 'radial_order' (line 1, column 14)"),
-        ("gauss:order=8,order=9", "duplicate key 'order' (line 1, column 14)"),
-        ("gauss:order", "value 'order' does not belong to any key (line 1, column 6)"),
-        ("mc:samples=20000", "quadrature: unknown method 'mc' (only gauss) (line 1, column 0)"),
+        ("gauss:order=x", "order: expected an integer, got 'x' (line 1, column 7)"),
+        ("gauss:order=2", "gauss: order must be >= 3, got 2 (line 1, column 1)"),
+        ("gauss:order=8,radial_order=1", "gauss: unknown key 'radial_order' (line 1, column 15)"),
+        ("gauss:order=8,order=9", "duplicate key 'order' (line 1, column 15)"),
+        ("gauss:order", "value 'order' does not belong to any key (line 1, column 7)"),
+        ("mc:samples=20000", "quadrature: unknown method 'mc' (only gauss) (line 1, column 1)"),
     ], ids=["not_an_integer", "order_below_3", "unknown_key", "duplicate_key", "no_equals", "unknown_method"])
     def test_quadrature_errors_name_the_place(self, text, message):
         # the quadrature strings go through the surfaces' inline grammar and key readers

@@ -10,7 +10,6 @@ from levilab import curvature as cv
 from levilab import quadrature as qd
 from levilab import surfaces as sf
 from levilab import verify as vf
-from levilab.errors import HypothesisViolationError
 from levilab.hermitian import sigma_batch
 
 Q24 = qd.QuadratureSpec(order=24)
@@ -19,6 +18,34 @@ Q7 = qd.QuadratureSpec(order=7)
 
 QUADRIC_N1 = dict(c=1.0, hterms={(2, 0): 0.25, (0, 2): 0.25})
 QUARTIC_N1 = {(1, 0, 1, 0): 1.0, (0, 1, 0, 1): 1.0, (2, 0, 2, 0): 0.05, (1, 1, 1, 1): 0.1, (0, 0, 0, 0): -2.0}
+# |z|^4 - 3|z1|^2 + |z2|^2 - 1 = 0 is star-shaped, but its K_1 is negative at some nodes
+SIGN_CHANGING_N1 = {(2, 0, 2, 0): 1, (0, 2, 0, 2): 1, (1, 1, 1, 1): 2, (1, 0, 1, 0): -3, (0, 1, 0, 1): 1,
+                    (0, 0, 0, 0): -1}
+
+
+def _outside_cone_n2() -> sf.UserPolynomial:
+    """|z|^4 - |z1|^2 - |z2|^2 + 2|z3|^2 - 1: H = diag(-1, -1, 2) at the origin lies outside the Garding cone
+    Gamma_3, and the sigma_3 gap there is -2."""
+    unit = np.eye(3, dtype=int)
+    quartic = {tuple(np.tile(unit[a] + unit[b], 2).tolist()): 2 - (a == b) for a in range(3) for b in range(a, 3)}
+    return sf.UserPolynomial(2, {**quartic, (1, 0, 0, 1, 0, 0): -1, (0, 1, 0, 0, 1, 0): -1, (0, 0, 1, 0, 0, 1): 2,
+                                 (0,) * 6: -1})
+
+
+def _named_point(report) -> np.ndarray:
+    """The boundary point that a hypotheses_not_met reason names; Python's float repr reads back exactly."""
+    return np.array(json.loads(report.verdict["reason"].split("boundary point ")[1]))
+
+
+def _first_nonpositive(spec, q, j=1) -> np.ndarray:
+    """The first boundary node, in node order, where K_j <= 0."""
+    k, pts = qd.scan_boundary(spec, q, lambda fr: (fr.levi(j), fr.points))
+    return pts[np.flatnonzero(k <= 0)[0]]
+
+
+def _finite_json(report) -> bool:
+    text = report.to_json()
+    return "NaN" not in text and "Infinity" not in text
 
 
 class TestIntegralFormula:
@@ -79,7 +106,7 @@ class TestIsoperimetric:
         r48 = vf.isoperimetric_ratio(sf.Ellipsoid([1.0, 1.3, 0.8, 1.1]), 1, qd.QuadratureSpec(order=48))
         assert abs(r48.verdict["margin"] - r24.verdict["margin"]) < 1e-6 * r24.verdict["margin"] + 1e-12
 
-    def test_nonpositive_curvature_aborts(self):
+    def test_nonpositive_curvature_is_an_unmet_hypothesis(self):
         # |z|^2 - 1 - 3|z1 z2|^2 + 4|z1 z2|^4 = 0 is star-shaped but its Levi form
         # changes sign (K_1 spans about [-1.98, 3.16] on the order-12 grid)
         spec = sf.UserPolynomial(
@@ -88,21 +115,20 @@ class TestIsoperimetric:
              (1, 1, 1, 1): -3.0, (2, 2, 2, 2): 4.0},
             scale=1.2,
         )
-        with pytest.raises(HypothesisViolationError) as info:
-            vf.isoperimetric_ratio(spec, 1, Q12)
-        p = info.value.point
+        r = vf.isoperimetric_ratio(spec, 1, Q12)
+        assert (r.verdict["kind"], r.exit_code) == ("hypotheses_not_met", 3)
+        p = _named_point(r)
         assert abs(sf.eval_values(spec, p[None, :])[0]) < 1e-10
         assert cv.levi(cv.FrameBatch.at_points(spec, p), 1)[0] <= 0
+        assert np.array_equal(p, _first_nonpositive(spec, Q12))
+        assert _finite_json(r)
 
     def test_nonpositive_curvature_message_prints_plain_floats(self):
-        # |z|^4 - 3|z1|^2 + |z2|^2 - 1 = 0 is star-shaped, but its K_1 is negative at some nodes:
-        # the message prints K as a plain float, not as a numpy repr
-        spec = sf.UserPolynomial(1, {(2, 0, 2, 0): 1, (0, 2, 0, 2): 1, (1, 1, 1, 1): 2, (1, 0, 1, 0): -3,
-                                     (0, 1, 0, 1): 1, (0, 0, 0, 0): -1})
-        with pytest.raises(HypothesisViolationError) as info:
-            vf.isoperimetric_ratio(spec, 1, Q12)
-        message = str(info.value)
-        assert re.match(r"nonpositive curvature K=-0\.81843325771\d* at quadrature node with boundary point \[-0\.0973", message)
+        # the reason prints K at the first such node as a plain float, not as a numpy repr
+        r = vf.isoperimetric_ratio(sf.UserPolynomial(1, SIGN_CHANGING_N1), 1, Q12)
+        message = r.verdict["reason"]
+        assert re.match(r"nonpositive curvature K=-0\.01431909025552\d* at quadrature node with boundary point "
+                        r"\[-0\.3524947418317", message)
         assert "np." not in message
 
 
@@ -208,6 +234,21 @@ class TestNewtonSweep:
     def test_generic_polynomial_surface(self):
         r = vf.newton_sweep(sf.UserPolynomial(1, QUARTIC_N1, scale=1.5), 1, Q12)
         assert r.lhs >= -1e-10
+
+    def test_outside_the_garding_cone_is_an_unmet_hypothesis(self):
+        # the sigma_3 gap is negative there, which is no violation: Newton-Maclaurin needs H in Gamma_3
+        r = vf.newton_sweep(_outside_cone_n2(), 2, qd.QuadratureSpec(order=6))
+        assert (r.verdict["kind"], r.exit_code) == ("hypotheses_not_met", 3)
+        reason = r.verdict["reason"]
+        assert re.match(r"H outside the Garding cone Gamma_3: smallest sigma_i -3\.05\d*$", reason)
+        assert r.lhs < -1.9
+        assert _finite_json(r)
+
+    def test_inside_the_garding_cone_the_gap_holds(self):
+        # a generic n = 2 ellipsoid's H is positive definite: j = 2 keeps its verdict and positive margin
+        r = vf.newton_sweep(sf.Ellipsoid([1, 1.1, 0.9, 1.2, 1.05, 0.95]), 2, qd.QuadratureSpec(order=6))
+        assert r.verdict["kind"] == "inequality_holds"
+        assert abs(r.verdict["margin"] - 0.00215) < 1e-5
 
 
 # the quadratics whose bulk side is sigma_{j+1}(H) |Omega| in closed form, and their orders: 16 at n = 1, where
@@ -322,6 +363,10 @@ VERDICT_BRANCHES = [
     ("dirichlet", lambda: vf.dirichlet_chain([1.0, 1.0, 1.0, 2.0], 1, Q8, tol=-1.0), "violated", ["kind", "failed"]),
     ("newton", lambda: vf.newton_sweep(sf.Ellipsoid(ELL), 1, Q8), "inequality_holds", ["kind", "margin"]),
     ("newton", lambda: vf.newton_sweep(sf.Ellipsoid(ELL), 1, Q8, tol=-1.0), "violated", ["kind", "margin"]),
+    ("isoperimetric", lambda: vf.isoperimetric_ratio(sf.UserPolynomial(1, SIGN_CHANGING_N1), 1, Q8),
+     "hypotheses_not_met", ["kind", "reason"]),
+    ("newton", lambda: vf.newton_sweep(_outside_cone_n2(), 2, qd.QuadratureSpec(order=4)), "hypotheses_not_met",
+     ["kind", "reason"]),
 ]
 
 
@@ -381,19 +426,31 @@ def _forced_nonpositive(monkeypatch, mask):
 
 
 class TestNonpositiveCurvatureNode:
-    # the error names the first node, in node order at the main order, whose K_j is <= 0
+    # the hypotheses_not_met reason names the first node, in node order at the main order, whose K_j is <= 0;
+    # where every node has K_j <= 0 the K^{-1/j} integral is 0, and the Hoelder bound must not divide by it
+    @pytest.mark.parametrize("mask", [lambda pts: pts[:, 3] < -1.2, lambda pts: np.ones(len(pts), dtype=bool)],
+                             ids=["some_nodes", "every_node"])
     @pytest.mark.parametrize("suite", ["isoperimetric", "dirichlet"])
-    def test_raises_at_first_nonpositive_node(self, suite, monkeypatch):
+    def test_reports_first_nonpositive_node(self, suite, mask, monkeypatch):
         axes = [1.0, 1.0, 1.0, 2.0]
         spec = sf.DirichletQuadratic(axes)
         q = qd.QuadratureSpec(order=20)  # two chunks
-        mask = lambda pts: pts[:, 3] < -1.2  # noqa: E731
         pts = qd.scan_boundary(spec, q, lambda fr: fr.points)
         first = pts[np.flatnonzero(mask(pts))[0]]
         _forced_nonpositive(monkeypatch, mask)
-        with pytest.raises(HypothesisViolationError) as info:
-            if suite == "isoperimetric":
-                vf.isoperimetric_ratio(spec, 1, q)
-            else:
-                vf.dirichlet_chain(axes, 1, q)
-        assert np.array_equal(info.value.point, first)
+        r = vf.isoperimetric_ratio(spec, 1, q) if suite == "isoperimetric" else vf.dirichlet_chain(axes, 1, q)
+        assert (r.verdict["kind"], r.exit_code) == ("hypotheses_not_met", 3)
+        assert r.verdict["reason"].startswith("nonpositive curvature K=-1.0 at quadrature node")
+        assert np.array_equal(_named_point(r), first) and mask(first[None, :])[0]
+        assert abs(sf.eval_values(spec, first[None, :])[0]) < 1e-10
+        assert _finite_json(r)
+
+    @pytest.mark.parametrize("suite", ["isoperimetric", "dirichlet"])
+    def test_j2_fields_read_no_power_of_a_nonpositive_k(self, suite, monkeypatch):
+        # K^{-1/2} and K^{1/2} at K = -1 would warn (an error under -W error::RuntimeWarning) and put nan in the report
+        axes = [1.0, 1.0, 1.2, 1.2, 1.4, 1.4]
+        _forced_nonpositive(monkeypatch, lambda pts: pts[:, 5] < -1.0)
+        r = (vf.isoperimetric_ratio(sf.DirichletQuadratic(axes), 2, Q7) if suite == "isoperimetric"
+             else vf.dirichlet_chain(axes, 2, Q7))
+        assert r.verdict["kind"] == "hypotheses_not_met"
+        assert _finite_json(r)
