@@ -14,12 +14,14 @@ gradient-contraction lemma, and Euler homogeneity for the symmetric functions
 of the complex Hessian of a seeded generic real polynomial f of degree 3. No
 residual R is expanded: f's derivatives are evaluated exactly at P = 2 seeded
 points, whose 2N coordinates are drawn one by one from the Gaussian integers S
-with parts in [-2^31, 2^31), and the determinants run on those constants. R
-has degree D <= j + 4 in the 2N independent variables, so by the
-Schwartz-Zippel lemma a nonzero R vanishes at one point with probability at
-most D/|S| = D/2^64, at every point with at most its P-th power. The
-divergence of a cofactor is the chain rule: its t-coefficient over the
-entries H + t dH/dz_l at the point. The seed fixes f and the points.
+with parts in [-2^31, 2^31). R has degree at most j + 4 in the 2N independent
+variables, so by the Schwartz-Zippel lemma a nonzero R vanishes at one point with
+probability at most (j + 4)/2^64, at every point with at most its P-th power. At
+a point each jet (f_z, f_zbar, H, dH/dz) is a GaussInt, its value times f's
+denominator D, and the ring-generic determinants run on these; a residual
+homogeneous of degree d in the jets (j, j + 2, j + 1) is D^d times its value. The
+divergence of a cofactor is its eps part over the Dual entries H + eps dH/dz_l,
+eps^2 = 0. The seed fixes f and the points.
 
 Public index arguments (variable index i, index sets I) are 1-based to match
 the z_1..z_N naming.
@@ -220,19 +222,8 @@ class WPoly:
             raise ValueError(f"expected {2 * self.nvars} values, got {len(point)}")
         if not self._deg:  # a constant is its own value
             return self
-        vals = [_as_coeff(v) for v in point]
-        q = math.lcm(*(x.denominator for v in vals for x in v))
-        vals = [(a.numerator * (q // a.denominator), b.numerator * (q // b.denominator)) for a, b in vals]
-        re = im = 0
-        for key, (c, d) in self._num.items():
-            e = pos = 0
-            while key:
-                for _ in range(key & _SLOT_MAX):
-                    (a, b), e = vals[pos], e + 1
-                    c, d = c * a - d * b, c * b + d * a
-                key, pos = key >> _SLOT_BITS, pos + 1
-            re, im = re + c * q ** (self._deg - e), im + d * q ** (self._deg - e)
-        return _make(self.nvars, {0: (re, im)} if re or im else {}, self._den * q ** self._deg, 0)
+        q, value = _evaluator(point, self._deg, self._den)
+        return value(self).over(self.nvars, self._den * q ** self._deg)
 
     def eval(self, zvals: Sequence[complex]) -> complex:
         """Float view of `at` with zbar_i the conjugate of z_i: the exact value, rounded once."""
@@ -256,8 +247,63 @@ def _var_pos(which: str, i: int, nvars: int) -> int:
 wd = WPoly.wd  # module-level alias
 
 
+class GaussInt:
+    """Gaussian integer re + i im: at a point of the identity checks, a jet's value times f's denominator."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: int, im: int = 0): self.re, self.im = re, im
+    def __add__(self, o): return GaussInt(self.re + o.re, self.im + o.im)
+    def __sub__(self, o): return GaussInt(self.re - o.re, self.im - o.im)
+    def __mul__(self, o): return GaussInt(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+    def __rmul__(self, k: int): return GaussInt(k * self.re, k * self.im)
+    def __pow__(self, k: int): return functools.reduce(GaussInt.__mul__, [self] * k, GaussInt(1))
+    def is_zero(self) -> bool: return not (self.re or self.im)
+    def over(self, nvars: int, den: int) -> WPoly:  # the constant self / den
+        return _make(nvars, {0: (self.re, self.im)} if self.re or self.im else {}, den, 0)
+
+
+class Dual:
+    """a + eps b over GaussInt with eps^2 = 0: the eps part of a polynomial in the
+    entries h + eps dh is its derivative along dh."""
+
+    __slots__ = ("a", "eps")
+
+    def __init__(self, a: GaussInt, eps: GaussInt): self.a, self.eps = a, eps
+    def __add__(self, o): return Dual(self.a + o.a, self.eps + o.eps)
+    def __sub__(self, o): return Dual(self.a - o.a, self.eps - o.eps)
+    def __mul__(self, o): return Dual(self.a * o.a, self.a * o.eps + self.eps * o.a)
+    def __pow__(self, k: int): return functools.reduce(Dual.__mul__, [self] * k, Dual(GaussInt(1), GaussInt(0)))
+    def is_zero(self) -> bool: return self.a.is_zero() and self.eps.is_zero()
+
+
+def _evaluator(point: Sequence, deg: int, den: int):
+    """(q, value) at 2N Gaussian rationals over their common denominator q, converted once: value(p) is
+    the GaussInt p(point) q^deg den for p of degree <= deg whose denominator divides den."""
+    vals = [_as_coeff(v) for v in point]
+    q = math.lcm(*(x.denominator for v in vals for x in v))
+    vals, memo = [(int(a * q), int(b * q)) for a, b in vals], {}
+
+    def value(p: WPoly) -> GaussInt:
+        re = im = 0
+        for key, (c, d) in p._num.items():
+            if key not in memo:
+                a, b, e, k, pos = 1, 0, 0, key, 0
+                while k:
+                    for _ in range(k & _SLOT_MAX):
+                        (x, y), e = vals[pos], e + 1
+                        a, b = a * x - b * y, a * y + b * x
+                    k, pos = k >> _SLOT_BITS, pos + 1
+                memo[key] = (a * q ** (deg - e), b * q ** (deg - e))
+            a, b = memo[key]
+            re, im = re + c * a - d * b, im + c * b + d * a
+        return GaussInt(re * (den // p._den), im * (den // p._den))
+
+    return q, value
+
+
 class WMatrix:
-    """Dense square matrix of WPoly entries; determinant by cofactor expansion."""
+    """Dense square matrix over a ring (WPoly, GaussInt or Dual); determinant by cofactor expansion."""
 
     def __init__(self, entries: Sequence[Sequence[WPoly]]):
         self.entries = [list(row) for row in entries]
@@ -275,7 +321,7 @@ def _det(rows: list[list[WPoly]]) -> WPoly:
         return rows[0][0]
     if n == 2:
         return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = WPoly.zero(rows[0][0].nvars)
+    total = rows[0][0] - rows[0][0]  # the ring's zero
     rest = rows[1:]
     for c in range(n):
         entry = rows[0][c]
@@ -290,16 +336,15 @@ def _det(rows: list[list[WPoly]]) -> WPoly:
 # -- generic polynomials and Hessian machinery ------------------------------
 
 
-def random_rational(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-
-
 def generic_poly(nvars: int, degree: int, rng: random.Random) -> WPoly:
-    """Dense polynomial of the given total degree with random rational-complex coefficients,
-    drawn for the exponent tuples in lexicographic order."""
+    """Dense polynomial of the given total degree, each coefficient part randint(-9, 9) / randint(1, 9)
+    as its numerator over lcm(1..9) = 2520, drawn for the exponent tuples in lexicographic order."""
     slots = itertools.combinations_with_replacement(range(2 * nvars + 1), degree)  # the last is slack
-    exps = sorted(tuple(c.count(p) for p in range(2 * nvars)) for c in slots)
-    return WPoly(nvars, {e: (random_rational(rng), random_rational(rng)) for e in exps})
+    keys = [sum(e << (_SLOT_BITS * p) for p, e in enumerate(ex))
+            for ex in sorted(tuple(c.count(p) for p in range(2 * nvars)) for c in slots)]
+    num = {k: (rng.randint(-9, 9) * (2520 // rng.randint(1, 9)), rng.randint(-9, 9) * (2520 // rng.randint(1, 9)))
+           for k in keys}
+    return _make(nvars, {k: c for k, c in num.items() if c[0] or c[1]}, 2520, degree)
 
 
 def generic_real_poly(nvars: int, degree: int, seed: int) -> WPoly:
@@ -314,12 +359,12 @@ def complex_hessian(f: WPoly) -> WMatrix:
 
 
 def sym_sigma(h: WMatrix, j: int) -> WPoly:
-    """Sum of all j x j principal minors of a symbolic matrix."""
+    """Sum of all j x j principal minors of a matrix over a ring."""
     n = h.rows
     if not 1 <= j <= n:
         raise ValueError(f"j={j} out of range 1..{n}")
     minors = (_det([[h.entries[r][c] for c in idx] for r in idx]) for idx in itertools.combinations(range(n), j))
-    return sum(minors, WPoly.zero(h.entries[0][0].nvars))
+    return sum(minors, h.entries[0][0] - h.entries[0][0])
 
 
 def sym_sigma_grad(h: WMatrix, j: int, rows: Sequence[int] | None = None) -> list[list[WPoly]]:
@@ -328,9 +373,7 @@ def sym_sigma_grad(h: WMatrix, j: int, rows: Sequence[int] | None = None) -> lis
     n = h.rows
     if not 1 <= j <= n:
         raise ValueError(f"j={j} out of range 1..{n}")
-    nv = h.entries[0][0].nvars
-    grad = [[WPoly.zero(nv) for _ in range(n)] for _ in range(n)]
-    one = WPoly.constant(nv, 1)
+    grad = [[h.entries[0][0] - h.entries[0][0]] * n for _ in range(n)]
     for idx in itertools.combinations(range(n), j):
         for pl, l in enumerate(idx):
             if rows is not None and l not in rows:
@@ -338,7 +381,7 @@ def sym_sigma_grad(h: WMatrix, j: int, rows: Sequence[int] | None = None) -> lis
             others = [r for r in idx if r != l]
             for pk, k in enumerate(idx):
                 cols = [c for c in idx if c != k]
-                minor = _det([[h.entries[r][c] for c in cols] for r in others]) if others else one
+                minor = _det([[h.entries[r][c] for c in cols] for r in others]) if others else h.entries[0][0] ** 0
                 grad[l][k] = grad[l][k] - minor if (pl + pk) % 2 else grad[l][k] + minor
     return grad
 
@@ -356,14 +399,14 @@ def bordered_det(fz: Sequence[WPoly], fzb: Sequence[WPoly], h: Sequence[Sequence
     border column, and the complex Hessian block restricted to the index set.
 
     fz[i - 1], fzb[i - 1] and h[l - 1][k - 1] are f_{z_i}, f_{zbar_i} and f_{z_l zbar_k}, as
-    polynomials or as their exact values at a point. Indices are 1-based, strictly increasing.
+    polynomials or as their values at a point. Indices are 1-based, strictly increasing.
     """
     idx = list(indices)
     if any(a >= b for a, b in zip(idx, idx[1:])):
         raise ValueError(f"indices must be strictly increasing, got {indices}")
     if not all(1 <= i <= len(fz) for i in idx):
         raise ValueError(f"indices {indices} out of range 1..{len(fz)}")
-    rows = [[WPoly.zero(fz[0].nvars)] + [fzb[k - 1] for k in idx]]
+    rows = [[fz[0] - fz[0]] + [fzb[k - 1] for k in idx]]
     rows += [[fz[i - 1]] + [h[i - 1][k - 1] for k in idx] for i in idx]
     return _det(rows)
 
@@ -375,7 +418,7 @@ def sym_bordered_det(f: WPoly, indices: Sequence[int]) -> WPoly:
 
 # -- identity checks ---------------------------------------------------------
 
-MAX_NVARS = 6
+MAX_NVARS = 7
 _GENERIC_DEGREE = 3
 _POINTS = 2
 _PART_BOUND = 1 << 31  # each coordinate's real and imaginary parts lie in [-2^31, 2^31)
@@ -402,15 +445,15 @@ class IdentityCheck:
 
 @dataclass(frozen=True)
 class PointJets:
-    """f = generic_real_poly(n + 1, 3, seed) at its seeded points: per point, the exact
-    constants (fz, fzb, h, dh) with dh[m][l][k] the z_{m+1} derivative of h[l][k].
-    cofactors keeps sym_sigma_grad(WMatrix(h), j + 1) by (point, j) once formed: the lemma
-    and Euler checks contract the same matrix."""
+    """f = generic_real_poly(n + 1, 3, seed) at its seeded points: per point, the GaussInt values (fz, fzb, h,
+    dh) times den, f's denominator, with dh[m][l][k] the z_{m+1} derivative of h[l][k]. cofactors keeps
+    sym_sigma_grad(WMatrix(h), j + 1) by (point, j) once formed: the lemma and Euler checks contract the same matrix."""
 
     n: int
     seed: int
     points: tuple[tuple[tuple[int, int], ...], ...]
     values: tuple[tuple, ...]
+    den: int
     max_terms: int
     cofactors: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -422,8 +465,8 @@ def _guard_cost(n: int, j: int | None = None) -> None:
         raise ValueError(f"j={j} out of range 1..{n}")
 
 
-def _at(tree, point):
-    return tree.at(point) if isinstance(tree, WPoly) else [_at(x, point) for x in tree]
+def _at(tree, value):
+    return value(tree) if isinstance(tree, WPoly) else [_at(x, value) for x in tree]
 
 
 def point_jets(n: int, seed: int = DEFAULT_SEED) -> PointJets:
@@ -436,23 +479,24 @@ def point_jets(n: int, seed: int = DEFAULT_SEED) -> PointJets:
     rng = random.Random(f"wirtinger-points:{seed}")
     points = tuple(tuple((rng.randrange(-_PART_BOUND, _PART_BOUND), rng.randrange(-_PART_BOUND, _PART_BOUND))
                          for _ in range(2 * (n + 1))) for _ in range(_POINTS))
-    return PointJets(n, seed, points, tuple(_at((fz, fzb, h, dh), p) for p in points), f.n_terms)
+    values = tuple(_at((fz, fzb, h, dh), _evaluator(p, _GENERIC_DEGREE, f._den)[1]) for p in points)
+    return PointJets(n, seed, points, values, f._den, f.n_terms)
 
 
-def _check(name: str, n: int, j: int, seed: int, jets: PointJets | None, residuals) -> IdentityCheck:
-    """Run residuals(fz, fzb, h, dh, cofactors) -> list of constants at every point of the jets, where
-    cofactors() gives the point's sigma_{j+1} cofactor matrix, formed once per jets, point and j."""
+def _check(name: str, n: int, j: int, seed: int, jets: PointJets | None, degree: int, residuals) -> IdentityCheck:
+    """Run residuals(fz, fzb, h, dh, cofactors) -> GaussInts of the given degree in the jets at every
+    point; cofactors() gives the point's sigma_{j+1} cofactor matrix, formed once per jets, point and j."""
     _guard_cost(n, j)
     if jets is not None and (jets.n, jets.seed) != (n, seed):
         raise ValueError(f"jets of n={jets.n}, seed={jets.seed} given for n={n}, seed={seed}")
     jets = jets or point_jets(n, seed)
 
-    def cofactors(p: int) -> list[list[WPoly]]:
+    def cofactors(p: int) -> list[list[GaussInt]]:
         if (p, j) not in jets.cofactors:
             jets.cofactors[p, j] = sym_sigma_grad(WMatrix(jets.values[p][2]), j + 1)
         return jets.cofactors[p, j]
 
-    return IdentityCheck(name, n, j, seed, tuple(r for p, v in enumerate(jets.values)
+    return IdentityCheck(name, n, j, seed, tuple(r.over(n + 1, jets.den ** degree) for p, v in enumerate(jets.values)
                                                  for r in residuals(*v, functools.partial(cofactors, p))),
                          jets.max_terms)
 
@@ -461,20 +505,16 @@ def check_null_lagrangian(n: int, j: int, seed: int = DEFAULT_SEED, jets: PointJ
     """Divergence-free property of the sigma_{j+1} cofactor field of the complex Hessian.
 
     For each k, the z-divergence over l of the (l, k) cofactor entries must vanish; the z_l
-    derivative of a cofactor at a point is its t-coefficient over the entries h + t dh[l], with
-    the auxiliary variable t = z_1. One residual per k and point."""
+    derivative of a cofactor at a point is its eps part over the Dual entries h + eps dh[l].
+    One residual per k and point."""
     nv = n + 1
-    t, origin = WPoly.variable(nv, "z", 1), [0] * (2 * nv)
 
     def divergence(fz, fzb, h, dh, _cofactors):
-        div = [WPoly.zero(nv)] * nv
-        for l in range(nv):
-            line = WMatrix([[a + t * b for a, b in zip(hr, dr)] for hr, dr in zip(h, dh[l])])
-            grad = sym_sigma_grad(line, j + 1, rows=(l,))
-            div = [div[k] + grad[l][k].wd("z", 1).at(origin) for k in range(nv)]
-        return div
+        lines = (WMatrix([[Dual(a, b) for a, b in zip(hr, dr)] for hr, dr in zip(h, dh[l])]) for l in range(nv))
+        rows = [sym_sigma_grad(line, j + 1, rows=(l,))[l] for l, line in enumerate(lines)]
+        return [sum((row[k].eps for row in rows), h[0][0] - h[0][0]) for k in range(nv)]
 
-    return _check("null_lagrangian", n, j, seed, jets, divergence)
+    return _check("null_lagrangian", n, j, seed, jets, j, divergence)
 
 
 def check_lemma_identity(n: int, j: int, seed: int = DEFAULT_SEED, jets: PointJets | None = None) -> IdentityCheck:
@@ -486,11 +526,11 @@ def check_lemma_identity(n: int, j: int, seed: int = DEFAULT_SEED, jets: PointJe
 
     def residual(fz, fzb, h, dh, cofactors):
         grad = cofactors()
-        total = sum((fz[l] * grad[l][k] * fzb[k] for l in range(nv) for k in range(nv)), WPoly.zero(nv))
+        total = sum((fz[l] * grad[l][k] * fzb[k] for l in range(nv) for k in range(nv)), fz[0] - fz[0])
         idxs = itertools.combinations(range(1, nv + 1), j + 1)
         return [sum((bordered_det(fz, fzb, h, idx) for idx in idxs), total)]
 
-    return _check("lemma_contraction", n, j, seed, jets, residual)
+    return _check("lemma_contraction", n, j, seed, jets, j + 2, residual)
 
 
 def check_euler_sigma(n: int, j: int, seed: int = DEFAULT_SEED, jets: PointJets | None = None) -> IdentityCheck:
@@ -500,10 +540,10 @@ def check_euler_sigma(n: int, j: int, seed: int = DEFAULT_SEED, jets: PointJets 
 
     def residual(fz, fzb, h, dh, cofactors):
         grad = cofactors()
-        contraction = sum((grad[l][k] * h[l][k] for l in range(nv) for k in range(nv)), WPoly.zero(nv))
-        return [sym_sigma(WMatrix(h), j + 1) * (j + 1) - contraction]
+        contraction = sum((grad[l][k] * h[l][k] for l in range(nv) for k in range(nv)), h[0][0] - h[0][0])
+        return [(j + 1) * sym_sigma(WMatrix(h), j + 1) - contraction]
 
-    return _check("euler_homogeneity", n, j, seed, jets, residual)
+    return _check("euler_homogeneity", n, j, seed, jets, j + 1, residual)
 
 
 def run_identity_suite(n: int, seed: int = DEFAULT_SEED, j: int | None = None) -> list[IdentityCheck]:

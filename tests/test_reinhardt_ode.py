@@ -96,6 +96,33 @@ def test_profile_matches_dop853(kw):
         assert np.max(np.abs(mine - theirs)) <= 1e-12
 
 
+def regular_series(mp, k, f0, terms):
+    """Coefficients c_0..c_{terms-1} of the regular solution f = sum c_m s^m at s = 0, in mpmath.
+    The s^m coefficient of G = s f f'' + f f' - s f'^2 + k u^(3/2), u = f + s f'^2, is
+    f0 (m + 1)^2 c_{m+1} plus terms in c_0..c_m: each c_{m+1} makes that coefficient vanish."""
+
+    def mul(a, b):  # product series, truncated to len(a)
+        return [mp.fsum(a[i] * b[m - i] for i in range(m + 1)) for m in range(len(a))]
+
+    def der(a):
+        return [(i + 1) * a[i + 1] for i in range(len(a) - 1)] + [mp.mpf(0)]
+
+    def times_s(a):
+        return [mp.mpf(0)] + a[:-1]
+
+    c = [f0]
+    for m in range(terms - 1):
+        f = c + [mp.mpf(0)]  # c_{m+1} = 0: G's s^m coefficient is then the rest
+        sfp2 = times_s(mul(der(f), der(f)))
+        u = [a + b for a, b in zip(f, sfp2)]
+        root = [mp.sqrt(u[0])]  # sqrt(u) term by term
+        for i in range(1, len(u)):
+            root.append((u[i] - mp.fsum(root[t] * root[i - t] for t in range(1, i))) / (2 * root[0]))
+        g = times_s(mul(f, der(der(f))))[m] + mul(f, der(f))[m] - sfp2[m] + k * mul(u, root)[m]
+        c.append(-g / (f0 * (m + 1) ** 2))
+    return c
+
+
 def test_profile_matches_mpmath_at_30_digits():
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 30
@@ -105,10 +132,10 @@ def test_profile_matches_mpmath_at_30_digits():
         if "fp0" in kw:
             start, y0 = mp.mpf(kw["s0"]), [mp.mpf(kw["f0"]), mp.mpf(kw["fp0"])]
         else:
-            start = mp.mpf("1e-5")  # the series' truncation, about 1e-20, is far below the tolerance
-            f0, r = mp.mpf(kw["f0"]), mp.sqrt(mp.mpf(kw["f0"]))
-            c = [f0, -k * r, 3 * k**2 * (1 - k * r) / 8, k**3 * (17 * k * r - 14 * k**2 * f0 - 3) / (48 * r)]
-            y0 = [c[0] + start * (c[1] + start * (c[2] + start * c[3])), c[1] + start * (2 * c[2] + start * 3 * c[3])]
+            # off the singular point on 20 terms of the series, whose truncation is below 1e-40:
+            # odefun's steps scale with s, so starting near s = 0 would cost most of the run
+            start, c = mp.mpf("0.01"), regular_series(mp, k, mp.mpf(kw["f0"]), 20)
+            y0 = [mp.polyval(c[::-1], start), mp.polyval([m * c[m] for m in range(1, len(c))][::-1], start)]
 
         def rhs(x, y, k=k):
             u = y[0] + x * y[1] ** 2

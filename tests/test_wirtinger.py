@@ -4,13 +4,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from levilab import wirtinger
 from levilab.errors import CostLimitError
 from levilab.wirtinger import (
     DEFAULT_SEED,
+    Dual,
+    GaussInt,
     WMatrix,
     WPoly,
     check_euler_sigma,
@@ -20,7 +22,6 @@ from levilab.wirtinger import (
     generic_poly,
     generic_real_poly,
     point_jets,
-    random_rational,
     run_identity_suite,
     sym_bordered_det,
     sym_sigma,
@@ -153,6 +154,18 @@ def ref_conj(p, n):
     return {e[n:] + e[:n]: (re, -im) for e, (re, im) in p.items()}
 
 
+def ref_at(p, point):
+    """Value of a term dict at a point of Gaussian rationals (re, im), monomial by monomial."""
+    total = (Fraction(0), Fraction(0))
+    for exps, coeff in p.items():
+        mono = coeff
+        for v, e in zip(point, exps):
+            for _ in range(e):
+                mono = (mono[0] * v[0] - mono[1] * v[1], mono[0] * v[1] + mono[1] * v[0])
+        total = (total[0] + mono[0], total[1] + mono[1])
+    return total
+
+
 @st.composite
 def term_dicts(draw, n=2):
     """Exponents up to 3 and coefficients with non-unit denominators."""
@@ -178,16 +191,24 @@ class TestExactRepresentation:
     def test_at_matches_fraction_reference(self, ta, coords):
         # each of z_1, z_2, zbar_1, zbar_2 takes its own Gaussian rational (re + i im) / den
         point = [(Fraction(re, den), Fraction(im, den)) for re, im, den in coords]
-        zero = total = (Fraction(0), Fraction(0))
-        for exps, coeff in ta.items():
-            mono = coeff
-            for v, e in zip(point, exps):
-                for _ in range(e):
-                    mono = (mono[0] * v[0] - mono[1] * v[1], mono[0] * v[1] + mono[1] * v[0])
-            total = (total[0] + mono[0], total[1] + mono[1])
+        total = ref_at(ta, point)
         value = WPoly(2, ta).at(point)
         assert value == WPoly.constant(2, total)
-        assert value.terms == ({(0, 0, 0, 0): total} if total != zero else {})
+        assert value.terms == ({(0, 0, 0, 0): total} if any(total) else {})
+
+    @given(term_dicts(), st.lists(st.tuples(st.integers(-2**40, 2**40), st.integers(-2**40, 2**40)),
+                                  min_size=4, max_size=4), st.integers(1, 6))
+    @settings(max_examples=40)
+    def test_scaled_values_round_trip(self, ta, point, mult):
+        # the identity checks' evaluator at a Gaussian-integer point: the GaussInt value times a
+        # multiple D of the polynomial's denominator, which over(nvars, D) turns back into its value
+        p = WPoly(2, ta)
+        assume(p._den > 1)
+        den = p._den * mult
+        q, value = wirtinger._evaluator(point, p._deg, den)
+        v = value(p)
+        assert q == 1 and (Fraction(v.re, den), Fraction(v.im, den)) == ref_at(ta, point)
+        assert v.over(2, den) == p.at(point)
 
     @given(term_dicts())
     @settings(max_examples=30)
@@ -262,6 +283,47 @@ class TestBorderedDeterminant:
             wg = cv.wirtinger_gradient(jt.grad)
             num = -cv._levi_form(wg, newton_upper(jt.mixed, 1))[0]
             assert abs(sym.eval(z) - num) < 1e-12 * max(1.0, abs(num))
+
+
+def gauss_matrix(rng, size):
+    """Gaussian-integer entries, some of them zero, so that _det's zero skip runs too."""
+    return [[GaussInt(rng.randint(-50, 50), rng.randint(-50, 50)) if rng.random() > 0.2 else GaussInt(0)
+             for _ in range(size)] for _ in range(size)]
+
+
+def as_constants(rows, nvars=1):
+    return [[WPoly.constant(nvars, (x.re, x.im)) for x in row] for row in rows]
+
+
+class TestPointRing:
+    """The identity checks' values at a point: GaussInt and Dual entries through the one _det."""
+
+    @pytest.mark.parametrize("size", range(1, 7))
+    def test_det_on_gaussian_integers_equals_det_on_constants(self, size):
+        for seed in range(3):
+            rows = gauss_matrix(random.Random(100 * size + seed), size)
+            assert wirtinger._det(rows).over(1, 1) == wirtinger._det(as_constants(rows))
+
+    @pytest.mark.parametrize("size", range(1, 6))
+    def test_dual_eps_part_is_the_t_coefficient(self, size):
+        # the old way: entries h + t dh as polynomials in t = z_1, differentiated at t = 0
+        rng = random.Random(size)
+        h, dh = gauss_matrix(rng, size), gauss_matrix(rng, size)
+        t = var(1, "z", 1)
+        line = [[a + t * b for a, b in zip(hr, dr)] for hr, dr in zip(as_constants(h), as_constants(dh))]
+        duals = [[Dual(a, b) for a, b in zip(hr, dr)] for hr, dr in zip(h, dh)]
+        det = wirtinger._det(duals)
+        assert det.eps.over(1, 1) == wirtinger._det(line).wd("z", 1).at([0, 0])
+        assert det.a.over(1, 1) == wirtinger._det(as_constants(h))
+
+    @pytest.mark.parametrize("size", range(1, 5))
+    def test_sigma_and_cofactors_on_gaussian_integers_equal_constants(self, size):
+        # zero and one come from the entries: j = 1 forms the empty minor, the ring's one
+        rows = gauss_matrix(random.Random(size), size)
+        for j in range(1, size + 1):
+            assert sym_sigma(WMatrix(rows), j).over(1, 1) == sym_sigma(WMatrix(as_constants(rows)), j)
+            got = [[x.over(1, 1) for x in row] for row in sym_sigma_grad(WMatrix(rows), j)]
+            assert got == sym_sigma_grad(WMatrix(as_constants(rows)), j)
 
 
 class TestSigmaSymbolic:
@@ -359,7 +421,9 @@ class TestIdentityChecks:
 
     # Negative controls: a check that cannot fail proves nothing. Each perturbs
     # one side of its identity and expects the residual to be that perturbation
-    # at the points, and equal to the perturbed symbolic residual there.
+    # at the points, and equal to the perturbed symbolic residual there. At a point
+    # the jets are GaussInt values times D, f's denominator, so a perturbation of
+    # degree d in the jets is given there as its constant times D^d.
 
     @pytest.mark.parametrize("j", [1, 2])
     def test_lemma_fails_with_bordered_side_doubled(self, monkeypatch, j):
@@ -367,7 +431,7 @@ class TestIdentityChecks:
         f = generic_real_poly(3, 3, DEFAULT_SEED)
         expected = sum((sym_bordered_det(f, idx) for idx in itertools.combinations((1, 2, 3), j + 1)),
                        WPoly.zero(3))
-        monkeypatch.setattr(wirtinger, "bordered_det", lambda *args: bordered(*args) * 2)
+        monkeypatch.setattr(wirtinger, "bordered_det", lambda *args: 2 * bordered(*args))
         res = check_lemma_identity(2, j)
         assert not res.ok
         assert not any(p.is_zero() for p in res.residuals)
@@ -375,12 +439,13 @@ class TestIdentityChecks:
         assert res.residuals == at_points(symbolic_residuals(res.name, 2, j, DEFAULT_SEED), 2)
 
     @staticmethod
-    def _bump_cofactor(monkeypatch, l, k, bump):
+    def _bump_cofactor(monkeypatch, l, k, bump, point_bump):
+        """Add bump to cofactor entry (l, k) of a polynomial matrix, point_bump to that of a point's."""
         sigma_grad = wirtinger.sym_sigma_grad
 
         def perturbed(h, j, rows=None):
             grad = sigma_grad(h, j, rows)
-            grad[l][k] = grad[l][k] + bump
+            grad[l][k] = grad[l][k] + (bump if isinstance(grad[l][k], WPoly) else point_bump)
             return grad
 
         monkeypatch.setattr(wirtinger, "sym_sigma_grad", perturbed)
@@ -388,9 +453,9 @@ class TestIdentityChecks:
     @pytest.mark.parametrize("l,k", [(0, 0), (0, 2), (2, 1)])
     def test_lemma_fails_with_one_cofactor_perturbed(self, monkeypatch, l, k):
         # the contraction must pair entry (l, k) with f_{z_l} f_{zbar_k}; at a point the
-        # cofactors are constants, so the bump is one too
-        bump = WPoly.constant(3, (2, -3))
-        self._bump_cofactor(monkeypatch, l, k, bump)
+        # cofactors are constants, so the bump is one too: of degree j = 1 in the jets
+        bump, d = WPoly.constant(3, (2, -3)), point_jets(2).den
+        self._bump_cofactor(monkeypatch, l, k, bump, GaussInt(2 * d, -3 * d))
         f = generic_real_poly(3, 3, DEFAULT_SEED)
         res = check_lemma_identity(2, 1)
         assert not res.ok
@@ -398,9 +463,10 @@ class TestIdentityChecks:
         assert res.residuals == at_points(symbolic_residuals(res.name, 2, 1, DEFAULT_SEED), 2)
 
     def test_null_lagrangian_fails_off_divergence_free(self, monkeypatch):
-        # z_1 in entry (0, 0) adds d/dz_1 z_1 = 1 to the divergence of column 0 only; the
-        # pointwise check's auxiliary variable t is z_1, along which the z_1 derivative is taken
-        self._bump_cofactor(monkeypatch, 0, 0, var(3, "z", 1))
+        # z_1 in entry (0, 0) adds d/dz_1 z_1 = 1 to the divergence of column 0 only; at a point
+        # the z_1 derivative of that entry is its eps part, so the bump there is eps (times D^j)
+        d = point_jets(2).den
+        self._bump_cofactor(monkeypatch, 0, 0, var(3, "z", 1), Dual(GaussInt(0), GaussInt(d)))
         res = check_null_lagrangian(2, 1)
         assert not res.ok
         one, zero = WPoly.constant(3, 1), WPoly.zero(3)
@@ -410,18 +476,41 @@ class TestIdentityChecks:
     @pytest.mark.parametrize("j", [1, 2])
     def test_euler_fails_with_sigma_shifted(self, monkeypatch, j):
         # (j+1)(sigma + 1) - contraction leaves exactly the constant j + 1
-        sigma = wirtinger.sym_sigma
-        monkeypatch.setattr(wirtinger, "sym_sigma", lambda h, jj: sigma(h, jj) + 1)
+        sigma, d = wirtinger.sym_sigma, point_jets(2).den
+
+        def shifted(h, jj):
+            value = sigma(h, jj)
+            return value + (1 if isinstance(value, WPoly) else GaussInt(d ** jj))
+
+        monkeypatch.setattr(wirtinger, "sym_sigma", shifted)
         res = check_euler_sigma(2, j)
         assert not res.ok
         assert res.residuals == (WPoly.constant(3, j + 1),) * 2
         assert res.residuals == at_points(symbolic_residuals(res.name, 2, j, DEFAULT_SEED), 2)
 
+    @pytest.mark.parametrize("size", [2, 3])
+    def test_all_checks_fail_with_det_off_by_one_at_one_size(self, monkeypatch, size):
+        # every determinant of one size gains the ring's one. The cofactors of sigma_{j+1} with
+        # j = size + 1 reach that size in their expansion, where the error is a signed sum of
+        # entries, so its derivative is not zero either: the three checks all run on the one _det
+        det = wirtinger._det
+
+        def off_by_one(rows):
+            value = det(rows)
+            if len(rows) != size:
+                return value
+            return value + value ** 0
+
+        monkeypatch.setattr(wirtinger, "_det", off_by_one)
+        results = run_identity_suite(size + 1, j=size + 1)
+        assert [(r.name, r.ok) for r in results] == [
+            ("null_lagrangian", False), ("lemma_contraction", False), ("euler_homogeneity", False)]
+
     def test_cost_bound(self):
         with pytest.raises(CostLimitError):
-            check_null_lagrangian(6, 1)
+            check_null_lagrangian(7, 1)
         with pytest.raises(CostLimitError):
-            run_identity_suite(6)
+            run_identity_suite(7)
 
     def test_j_range(self):
         with pytest.raises(ValueError):
@@ -450,7 +539,11 @@ class TestIdentityChecks:
     def test_generic_poly_matches_dense_walk(self, nvars, degree):
         # reference: walk every tuple of range(degree+1)^(2 nvars) in lexicographic
         # order and keep those of total degree <= degree; the seeded stream then
-        # gives every monomial the same coefficient
+        # gives every monomial the same coefficient, each part a Fraction drawn as
+        # randint(-9, 9) / randint(1, 9)
+        def random_rational(rng):
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+
         rng = random.Random(DEFAULT_SEED)
         terms = {
             exps: (random_rational(rng), random_rational(rng))
