@@ -207,11 +207,27 @@ def _tol_problem(identity: str, tol) -> str | None:
     return f"--tol={tol!r} must be finite" + (" and non-negative" if rel_err else "")
 
 
-def _run_verification(identity: str, spec, j: int, q, tol, f_choice: str) -> vf.VerificationReport:
-    kw = {} if tol is None else {"tol": tol}
-    if f_choice != "default":
-        kw["f_choice"] = f_choice
-    return VERIFIERS[identity](spec, j, q, **kw)
+class _JOutOfRange(Exception):
+    """A --j outside 1..n of the surface: a usage error, which verify prints and batch records as a row."""
+
+
+def _verify_surface(args, spec, out: str, **config) -> vf.VerificationReport:
+    """Run args.identity on spec and write its report to out: the one run behind verify and each file of
+    batch. The report's config names the command, the identity and the surface, then the given keys, then
+    j, quad and tol, and last --f-choice where the command has it."""
+    if not 1 <= args.j <= spec.n:
+        raise _JOutOfRange(f"j={args.j} out of range 1..{spec.n}")
+    q = _resolve_quad(args.quad, spec.n)
+    config = {"command": args.command, "identity": args.identity, "surface": spec.canonical(), **config,
+              "j": args.j, "quad": q.describe(), "tol": args.tol}
+    kw = {} if args.tol is None else {"tol": args.tol}
+    if hasattr(args, "f_choice"):
+        config["f_choice"] = args.f_choice
+        if args.f_choice != "default":
+            kw["f_choice"] = args.f_choice
+    report = VERIFIERS[args.identity](spec, args.j, q, **kw)
+    _write_output(out, report.to_json(config))
+    return report
 
 
 def _cmd_verify(args) -> int:
@@ -223,22 +239,10 @@ def _cmd_verify(args) -> int:
         return _usage("verify", problem)
     if args.out != "-":
         _output_dir(args.out)
-    spec = parse_surface(args.surface)
-    if not 1 <= args.j <= spec.n:
-        return _usage("verify", f"j={args.j} out of range 1..{spec.n}")
-    q = _resolve_quad(args.quad, spec.n)
-    config = {
-        "command": "verify",
-        "identity": args.identity,
-        "surface": spec.canonical(),
-        "j": args.j,
-        "quad": q.describe(),
-        "tol": args.tol,
-        "f_choice": args.f_choice,
-    }
-    report = _run_verification(args.identity, spec, args.j, q, args.tol, args.f_choice)
-    _write_output(args.out, report.to_json(config))
-    return report.exit_code
+    try:
+        return _verify_surface(args, parse_surface(args.surface), args.out).exit_code
+    except _JOutOfRange as exc:
+        return _usage("verify", str(exc))
 
 
 def _cmd_batch(args) -> int:
@@ -255,31 +259,15 @@ def _cmd_batch(args) -> int:
     codes = set()
     for name in files:
         path = os.path.join(args.config_dir, name)
-        stem = os.path.splitext(name)[0]
+        out = os.path.join(args.out_dir, os.path.splitext(name)[0] + ".report.json")
         try:
-            spec = parse_surface(path)
-            if not 1 <= args.j <= spec.n:  # a usage error, as verify's
-                rows.append((name, args.identity, "", "", "", "error", f"j={args.j} out of range 1..{spec.n}"))
-                codes.add(USAGE_EXIT)
-                continue
-            q = _resolve_quad(args.quad, spec.n)
-            config = {
-                "command": "batch",
-                "identity": args.identity,
-                "surface": spec.canonical(),
-                "source_file": name,
-                "j": args.j,
-                "quad": q.describe(),
-                "tol": args.tol,
-            }
-            report = _run_verification(args.identity, spec, args.j, q, args.tol, "default")
-            _write_output(os.path.join(args.out_dir, stem + ".report.json"), report.to_json(config))
+            report = _verify_surface(args, parse_surface(path), out, source_file=name)
             rows.append((name, args.identity, report.lhs, report.rhs, report.rel_err,
                          report.verdict["kind"], ""))
             codes.add(report.exit_code)
-        except (LevilabError, ValueError, OSError) as exc:
+        except (_JOutOfRange, LevilabError, ValueError, OSError) as exc:
             rows.append((name, args.identity, "", "", "", "error", str(exc)))
-            codes.add(USAGE_EXIT if isinstance(exc, (SpecParseError, OSError)) else FAILURE_EXIT)
+            codes.add(USAGE_EXIT if isinstance(exc, (_JOutOfRange, SpecParseError, OSError)) else FAILURE_EXIT)
     lines = ["surface,identity,lhs,rhs,rel_err,verdict,note"]
     for r in rows:
         fields = [r[0], r[1]]

@@ -9,7 +9,7 @@ S_lk = d^2 f / dz_l dz_k = (f_{x_l x_k} - f_{y_l y_k} - i (f_{x_l y_k} + f_{y_l 
 real and imaginary parts side by side (the real Hessian is never formed), and
 keeps the union of their monomials with one coefficient column per number.
 The monomials of f come first, those that only the gradient adds next, those
-that only the Hessians add last, so a quadratic reads a leading block.
+that only the Hessians add last, so that restrict reads f's leading rows alone.
 
 Evaluation builds the powers d_i^1 .. d_i^deg_i of each coordinate, forms each
 monomial as a product of them, and takes one matrix product of the monomial
@@ -230,13 +230,20 @@ class RealPolynomial:
         return out, pairs
 
 
-def horner(a: np.ndarray, rho: np.ndarray):
-    """(sum_k a[k] rho^k, its rho-derivative) by Horner's rule on B-vectors, a (d + 1, B)."""
-    val, der = a[-1].copy(), np.zeros_like(rho)
+def horner(a: np.ndarray, t, order: int = 1) -> tuple:
+    """(p, p', p'')[:order + 1] of p = sum_k a[k] t^k by Horner's rule: a is (d + 1,) with a scalar t,
+    or (d + 1, B) with t of shape (B,). Orders below 2 skip the p'' recurrence."""
+    dp = 0.0 * t  # fresh arrays (floats for a scalar t), updated in place below
+    p, ddp = a[-1] + dp, 0.0 * t if order == 2 else None
     for ak in a[-2::-1]:
-        np.add(np.multiply(der, rho, out=der), val, out=der)
-        np.add(np.multiply(val, rho, out=val), ak, out=val)
-    return val, der
+        if order == 2:
+            ddp *= t
+            ddp += 2.0 * dp
+        dp *= t
+        dp += p
+        p *= t
+        p += ak
+    return (p, dp, ddp)[:order + 1]
 
 
 def _lower(e: tuple, i: int) -> tuple:

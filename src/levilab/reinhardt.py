@@ -21,8 +21,9 @@ The integrator is the Taylor series method (Jorba & Zou, Experimental Math.
 14, 2005). The equation is algebraic in s, f, f' and sqrt(u), u = f + s f'^2,
 so the Taylor coefficients of f about a segment start follow one another by
 Cauchy products, sqrt(u) by the square-root recurrence, in one O(N^2) pass.
-Each segment keeps its polynomial, which gives f, f' and f'' anywhere on it;
-the step is rho / e^2, rho the radius of convergence estimated from the last
+Each segment keeps its polynomial, which gives f, f' and f'' anywhere on it
+through polynomial.horner, the one Horner routine, which the rays share; the
+step is rho / e^2, rho the radius of convergence estimated from the last
 two coefficients relative to f: min over m of (|a_0| / |a_m|)^(1/m). Relative
 to f, the steps shrink as f falls towards a singular cap, where a radius from
 |a_m|^(-1/m) alone overshoots the singularity and the polynomial can dip below
@@ -38,6 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, SingularityError, StiffnessError, positive_length
+from .polynomial import horner
 
 _ORDER = 24                 # degree of each segment's Taylor polynomial
 _TRANSVERSAL_SLOPE = 1e-6   # |f'| below this at f=0 counts as a singular cap
@@ -100,24 +102,19 @@ class ReinhardtProfile:
         inside = np.minimum(s, self.s_end)
         seg = np.searchsorted(self._knots[1:-1], inside, side="right")  # interior knots: in 0 .. n - 1, no clip
         t = inside - self._knots[seg]
-        f, fp, fpp = _jet(np.take(self._coefs, seg, axis=1), t, order)
+        out = horner(np.take(self._coefs, seg, axis=1), t, order)
 
         beyond = s > self.s_end
         if np.any(beyond):
             fe_p, fe_pp, w = self._cap
             ds = s[beyond] - self.s_end
             near = ds <= w
-            quad_f = fe_p * ds + 0.5 * fe_pp * ds * ds
-            quad_fp = fe_p + fe_pp * ds
-            # linear tail continues from the window edge with the slope there
-            edge_f = fe_p * w + 0.5 * fe_pp * w * w
-            edge_fp = fe_p + fe_pp * w
-            f[beyond] = np.where(near, quad_f, edge_f + edge_fp * (ds - w))
-            fp[beyond] = np.where(near, quad_fp, edge_fp)
-            if order == 2:
-                fpp[beyond] = np.where(near, fe_pp, 0.0)
-
-        out = (f, fp, fpp)[:order + 1]
+            # the endpoint quadratic, then a linear tail from the window edge with the slope there
+            edge_f, edge_fp = fe_p * w + 0.5 * fe_pp * w * w, fe_p + fe_pp * w
+            tail = (np.where(near, fe_p * ds + 0.5 * fe_pp * ds * ds, edge_f + edge_fp * (ds - w)),
+                    np.where(near, fe_p + fe_pp * ds, edge_fp), np.where(near, fe_pp, 0.0))
+            for v, x in zip(out, tail):
+                v[beyond] = x
         return tuple(float(v[0]) for v in out) if scalar else out
 
     def residual(self, s) -> np.ndarray:
@@ -161,22 +158,6 @@ def _taylor(k, c, f, fp) -> np.ndarray:
                   + k * _cauchy(u, w, i) + _cauchy(a, b, i))
         a[i + first] = -defect / (a[0] * ((i + 1) ** 2 if fp is None else c * (i + 1) * (i + 2)))
     return a[:_ORDER + 1]
-
-
-def _jet(a, t, order=2):
-    """(f, f', f'') of the polynomial with coefficients a at t, in one Horner pass: a is
-    (degree + 1,) with a scalar t, or (degree + 1, B) with t of shape (B,). f'' stays 0
-    unless order is 2."""
-    f, fp, fpp = a[-1] + 0.0 * t, 0.0 * t, 0.0 * t  # fresh arrays, updated in place below
-    for ak in a[-2::-1]:
-        if order == 2:
-            fpp *= t
-            fpp += 2.0 * fp
-        fp *= t
-        fp += f
-        f *= t
-        f += ak
-    return f, fp, fpp
 
 
 def _falling_root(g, h):
@@ -240,15 +221,15 @@ def reinhardt_profile(
             raise StiffnessError(f"profile integration broke down near s={s!r}: the graph over s turns "
                                  f"vertical (|f'| = {abs(a[1]):.3g}) and the steps fell below ten float spacings of s")
         coefs.append(a)
-        fe, fe_p, fe_pp = _jet(a, h)
+        fe, fe_p, fe_pp = horner(a, h, 2)
 
         def singular(t, a=a, s=s):
-            g, gp, gpp = _jet(a, t)
+            g, gp, gpp = horner(a, t, 2)
             return g + (s + t) * gp * gp - level, gp + gp * gp + 2.0 * (s + t) * gp * gpp
 
         hits = []
         if fe <= 0.0:
-            hits.append((_falling_root(lambda t, a=a: _jet(a, t)[:2], h), 0))
+            hits.append((_falling_root(lambda t, a=a: horner(a, t), h), 0))
         if fe + (s + h) * fe_p * fe_p - level <= 0.0:
             hits.append((_falling_root(singular, h), 1))
         if hits:
@@ -256,7 +237,7 @@ def reinhardt_profile(
             t = float(t)
             if event == 1:
                 raise SingularityError(s + t)
-            fe, fe_p, fe_pp = _jet(a, t)
+            fe, fe_p, fe_pp = horner(a, t, 2)
             s_end = s + t
             break
         if h == smax - s:

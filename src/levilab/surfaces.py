@@ -481,7 +481,10 @@ def radial_roots(spec: SurfaceSpec, dirs) -> tuple[np.ndarray, np.ndarray]:
     if np.any(np.abs(norms - 1.0) > 1e-9):
         dirs = dirs / norms[:, None]
 
-    fc = float(eval_values(spec, center[None, :])[0])
+    swept = spec
+    while isinstance(swept, ExpReparam):  # its ray is its base's, so the bracket starts from the base's value
+        swept = swept.base
+    fc = float(eval_values(swept, center[None, :])[0])
     if fc >= 0:
         raise StarShapeError(f"defining function is nonnegative ({fc!r}) at the star center")
 

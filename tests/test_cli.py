@@ -405,3 +405,38 @@ def test_batch_unreadable_file_is_an_error_row(tmp_path, monkeypatch):
     rows = [row.split(",", 6) for row in (out / "summary.csv").read_text().splitlines()[1:]]
     assert [(c[0], c[5]) for c in rows] == [("latin1", "error"), ("locked", "error"), ("sphere", "inequality_holds")]
     assert "not UTF-8" in rows[0][6] and "Permission denied" in rows[1][6]
+
+
+def test_verify_and_batch_write_the_same_report(tmp_path, capsys):
+    # one surface, identity, j, quad and tol through both commands: the reports agree byte for byte up to
+    # their config, each config keeps its key order, and summary.csv holds the exact row and, for a file
+    # whose n puts --j out of range, verify's usage message as an error row
+    src = tmp_path / "surfaces"
+    src.mkdir()
+    (src / "ball").write_text("family=sphere\nR=1\nn=2\n")
+    (src / "sphere").write_text(BATCH_FILES["sphere"])
+    shared = ["--j", "2", "--quad", "gauss:order=4", "--tol", "1e-9"]
+    verify_out, batch_out = tmp_path / "verify.json", tmp_path / "reports"
+    assert cli.main(["verify", "alexandrov", "--surface", str(src / "ball"), *shared, "--out", str(verify_out)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert cli.main(["verify", "alexandrov", "--surface", str(src / "sphere"), *shared]) == cli.USAGE_EXIT
+    assert capsys.readouterr() == ("", "levilab verify: j=2 out of range 1..1\n")
+    assert cli.main(["batch", str(src), "--identity", "alexandrov", *shared, "--out-dir", str(batch_out)]) == cli.USAGE_EXIT
+    assert capsys.readouterr() == (f"2 surfaces; summary written to {batch_out / 'summary.csv'}\n", "")
+    assert sorted(p.name for p in batch_out.iterdir()) == ["ball.report.json", "summary.csv"]
+
+    texts = [verify_out.read_text(), (batch_out / "ball.report.json").read_text()]
+    heads = [text.split('\n  "config": ', 1)[0] for text in texts]
+    assert heads[0] == heads[1]
+    report, configs = json.loads(texts[0]), [json.loads(text)["config"] for text in texts]
+    assert list(configs[0]) == ["command", "identity", "surface", "j", "quad", "tol", "f_choice"]
+    assert list(configs[1]) == ["command", "identity", "surface", "source_file", "j", "quad", "tol"]
+    assert configs[0] == {"command": "verify", "identity": "alexandrov", "surface": report["surface"], "j": 2,
+                          "quad": "gauss:order=4", "tol": 1e-9, "f_choice": "default"}
+    assert configs[1] == {"command": "batch", "identity": "alexandrov", "surface": report["surface"],
+                          "source_file": "ball", "j": 2, "quad": "gauss:order=4", "tol": 1e-9}
+    numbers = ",".join(f"{report[key]:.17g}" for key in ("lhs", "rhs", "rel_err"))
+    assert (batch_out / "summary.csv").read_text() == (
+        "surface,identity,lhs,rhs,rel_err,verdict,note\n"
+        f"ball,alexandrov,{numbers},{report['verdict']['kind']},\n"
+        'sphere,alexandrov,,,,error,"j=2 out of range 1..1"\n')

@@ -9,14 +9,15 @@ float test points. The compiled value, gradient, H and S must agree to RTOL
 relative to the largest entry of the reference over the batch.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from levilab import polynomial
+from levilab import polynomial, reinhardt
 from levilab import surfaces as sf
-from levilab.polynomial import RealPolynomial
+from levilab.polynomial import RealPolynomial, horner
 from levilab.wirtinger import WPoly
 
 RTOL = 1e-13
@@ -255,3 +256,54 @@ def test_bad_exponent_vector_rejected():
         RealPolynomial({(2, 0, 1): 1.0}, np.zeros(2))
     with pytest.raises(ValueError):
         RealPolynomial.from_zzbar(1, {(1, 0, 1): 1.0})
+
+
+def _exact_jet(a, t) -> list:
+    """[(p, size), (p', size), (p'', size)] at t, exactly: each size is the sum of the magnitudes of the terms."""
+    a, t = [Fraction(float(c)) for c in a], Fraction(float(t))
+    out = []
+    for r in range(3):
+        terms = [math.perm(k, r) * c * t ** (k - r) for k, c in enumerate(a) if k >= r]
+        out.append((sum(terms, Fraction(0)), sum((abs(x) for x in terms), Fraction(0))))
+    return out
+
+
+# Horner's rule for p and its derivatives errs by a small multiple of d u times the sum of the magnitudes of
+# the terms (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., chapter 5); with the unit
+# roundoff u = 2^-53, the bound 4 d eps = 8 d u leaves room (the worst of 200 seeds reads 0.8 d eps)
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("batched", [False, True], ids=["scalar", "batched"])
+def test_horner_matches_the_exact_jet(seed, batched):
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 25))
+    a = rng.standard_normal((d + 1, 6)) * 10.0 ** rng.uniform(-3, 3, (d + 1, 1))
+    t = rng.uniform(-2.0, 2.0, 6)
+    # six polynomials at once, or the first alone at a scalar t
+    got = np.stack(horner(a, t, 2)) if batched else np.array(horner(a[:, 0], float(t[0]), 2))[:, None]
+    for b in range(got.shape[1]):
+        for value, (want, size) in zip(got[:, b], _exact_jet(a[:, b], t[b])):
+            assert abs(Fraction(float(value)) - want) <= 4 * d * np.finfo(float).eps * size
+
+
+def test_lower_orders_are_prefixes_that_skip_the_second_derivative():
+    # orders 0 and 1 give the first one or two entries of order 2 bit for bit, with two in-place
+    # products by t per coefficient where order 2 takes three: the p'' recurrence does not run
+    class Counted(np.ndarray):
+        products = 0
+
+        def __imul__(self, other):
+            Counted.products += 1
+            return super().__imul__(other)
+
+    rng = np.random.default_rng(5)
+    a, t = rng.standard_normal((9, 40)), rng.uniform(-1.5, 1.5, 40)
+    full = horner(a, t, 2)
+    for order in (0, 1, 2):
+        Counted.products = 0
+        low = horner(a, t.view(Counted), order)
+        assert len(low) == order + 1 and all(np.array_equal(x, y) for x, y in zip(low, full))
+        assert Counted.products == (3 if order == 2 else 2) * 8
+
+
+def test_one_horner_routine():
+    assert reinhardt.horner is polynomial.horner

@@ -320,6 +320,16 @@ class TestRayRestriction:
             assert calls == [("eval_values", 1)]
             calls.clear()
 
+    @pytest.mark.parametrize("name", ["reinhardt", "user_quartic"])
+    def test_a_reparametrisation_has_its_base_roots(self, name):
+        # an ExpReparam sweeps its base's ray, so the bracket path starts from the base's value at the
+        # center, not from e^f - 1 there, and every root and slope is the base's bit for bit
+        base = RAY_FAMILIES[name]()
+        dirs, _ = sphere_grid(4, 16)
+        want = sf.radial_roots(base, dirs)
+        for spec in (sf.ExpReparam(base), sf.ExpReparam(sf.ExpReparam(base))):
+            assert [x.tobytes() for x in sf.radial_roots(spec, dirs)] == [x.tobytes() for x in want]
+
     @pytest.mark.parametrize("name", ["sphere_off", "ellipsoid_off_n2", "quadric_cubic_n2", "user_centered", "user_quartic"])
     def test_center_outside_fails(self, name):
         moved = copy.copy(RAY_FAMILIES[name]())  # the same f, its star center moved off the domain
@@ -571,19 +581,15 @@ class TestReinhardtClosedForm:
         assert p.eval(float(s[5]), 0) == (float(full[0][5]),)
 
     def test_orders_below_two_skip_the_fpp_recurrence(self, monkeypatch):
+        # the profile passes its order on to the shared Horner routine, whose orders 0 and 1 skip
+        # the p'' recurrence (test_polynomial counts its products)
         p = reinhardt_profile(0.5, 3.5, fp0=-1.1, s0=0.8, smax=3.0)
         s = np.linspace(p.s_lo, p.s_end, 200)
-        jet, fpps = rh._jet, []
-
-        def spy(a, t, order=2):
-            out = jet(a, t, order)
-            fpps.append(out[2])
-            return out
-
-        monkeypatch.setattr(rh, "_jet", spy)
+        orders = []
+        monkeypatch.setattr(rh, "horner", lambda a, t, order=1: orders.append(order) or horner(a, t, order))
         for order in (0, 1, 2):
             p.eval(s, order)
-        assert [bool(np.any(v)) for v in fpps] == [False, False, True]
+        assert orders == [0, 1, 2]
 
     @pytest.mark.parametrize("kw", [dict(k=0.5, f0=3.5, fp0=-1.1, s0=0.8, smax=3.0), dict(k=0.7, f0=1.7, smax=2.9)],
                              ids=["band", "regular"])
