@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -191,6 +192,17 @@ class RealPolynomial:
             for s in itertools.product(*(range(k + 1) for k in e)):
                 terms[s] = terms.get(s, 0.0) + c * math.prod(math.comb(k, j) * x ** (k - j) for k, j, x in zip(e, s, h))
         return RealPolynomial(terms, center)
+
+    def phase_invariant(self) -> bool:
+        """Whether f is invariant under the rotations of the last coordinate pair (u, v) about the center: whether
+        the generator v d_u - u d_v annihilates the terms, decided in exact Fraction arithmetic, never by tolerance."""
+        u, v, flow = self.m - 2, self.m - 1, {}
+        for e, c in self.terms.items():
+            for i, k, sign in ((u, v, 1), (v, u, -1)):  # c e_i d^(e - 1_i + 1_k) from x_k d_i
+                if e[i]:
+                    t = tuple(x - (j == i) + (j == k) for j, x in enumerate(e))
+                    flow[t] = flow.get(t, 0) + sign * e[i] * Fraction(c)
+        return not any(flow.values())
 
     def restrict(self, dirs: np.ndarray) -> np.ndarray:
         """a (d + 1, B) with f(center + rho * dirs[b]) = sum_k a[k, b] rho^k, from the terms by degree."""

@@ -13,14 +13,17 @@ that estimate each integral's error from its own pass (_error_estimate).
 
 All passes share one core: `_nodes(spec, q)` gives the pass's center,
 directions, weights and cached radial roots, and maps a function over its
-chunks; `_integral(spec, q, at)` reduces the k per-node integrands that
-`at(nodes, sl)` gives for each chunk and estimates their errors. The boundary
-has one pass, reached through `surface_integral` (a field or a tuple of fields,
-plus an optional scan) and `scan_boundary`: each chunk builds one FrameBatch,
-every integrand and the scan read it, and it is dropped before the next chunk.
-A suite asks for all its boundary quantities in one call. A scan returns what
-its function returns, concatenated in node order; a caller that wants the
-boundary points scans `fr.points`.
+chunks. The roots are cached per zero set (an ExpReparam reads its base's).
+An azimuth row of the grid is an orbit of the phase rotation of the last
+coordinate pair; where f is invariant under it (SurfaceSpec.phase_invariant)
+the row's root is solved once. `_integral(spec, q, at)` reduces the k per-node
+integrands that `at(nodes, sl)` gives for each chunk and estimates their
+errors. The boundary has one pass, reached through `surface_integral` (a
+field or a tuple of fields, plus an optional scan) and `scan_boundary`: each
+chunk builds one FrameBatch, every integrand and the scan read it, and it is
+dropped before the next chunk. A suite asks for all its boundary quantities
+in one call. A scan returns what its function returns, concatenated in node
+order; a caller that wants the boundary points scans `fr.points`.
 
 Reproducibility contract: node order is fixed, and nodes are processed one
 fixed chunk after another, whose partial sums are added by the correctly
@@ -41,7 +44,7 @@ import numpy as np
 
 from .curvature import FrameBatch
 from .errors import StarShapeError
-from .surfaces import SurfaceSpec, radial_roots
+from .surfaces import SurfaceSpec, radial_roots, swept_family
 
 CHUNK = 8192  # fixed; part of the determinism contract
 _STEADY, _SAFETY = 1.5, 32.0  # _tail: a steady decay's window ratios agree to _STEADY; _SAFETY scales its extrapolation
@@ -177,20 +180,26 @@ class _Nodes(NamedTuple):
         return [fn(slice(i, i + CHUNK)) for i in range(0, len(self.dirs), CHUNK)]
 
 
-# every pass at an order reads the same roots: surface -> {order: (rho, slope)}, dropped with the surface
+# every pass at an order over one zero set reads the same roots: swept family (swept_family: an ExpReparam's
+# innermost base, whose roots its reparametrisations share bit for bit) -> {order: (rho, slope)}, dropped with it
 _ROOT_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _nodes(spec: SurfaceSpec, q: QuadratureSpec) -> _Nodes:
-    """Directions, weights and (cached) radial roots of the pass at q.order."""
+    """Directions, weights and (cached) radial roots of the pass at q.order. On a phase-invariant surface the
+    roots are solved at the first azimuth node of each polar node alone and repeated along its azimuth row."""
     if spec.star_center is None:
         raise StarShapeError(f"{type(spec).__name__} has no star center; cannot integrate")
     dirs, wts = sphere_grid(spec.m, q.order)
     nodes = _Nodes(spec.star_center, dirs, wts, None, None)
-    cached = _ROOT_CACHE.setdefault(spec, {})
+    swept = swept_family(spec)
+    cached = _ROOT_CACHE.setdefault(swept, {})
     if q.order not in cached:
-        parts = nodes.map(lambda sl: radial_roots(spec, dirs[sl]))
-        cached[q.order] = tuple(np.concatenate([p[k] for p in parts]) for k in (0, 1))
+        orbit = _AZIMUTH_FACTOR * q.order if swept.phase_invariant else 1  # rays per solved root
+        solved = nodes._replace(dirs=dirs[::orbit])
+        parts = solved.map(lambda sl: radial_roots(swept, solved.dirs[sl]))
+        roots = (np.concatenate([p[k] for p in parts]) for k in (0, 1))
+        cached[q.order] = tuple(r.repeat(orbit) if orbit > 1 else r for r in roots)
     rho, slope = cached[q.order]
     return nodes._replace(rho=rho, slope=slope)
 

@@ -109,6 +109,12 @@ class SurfaceSpec:
         of horner, so that radial_roots can read the coefficients (args[0]) of a quadratic."""
         return functools.partial(horner, self.poly.restrict(dirs))
 
+    @property
+    def phase_invariant(self) -> bool:
+        """Whether f is exactly invariant under z_{n+1} -> e^{i theta} z_{n+1} about the star center, so that the
+        rays of an orbit share rho and slope; a polynomial family decides it on its terms (RealPolynomial)."""
+        return self.poly.phase_invariant()
+
     def keys(self) -> dict:
         """Each spec key's value, None for a key the spec string leaves out: by default the attribute
         of the key's name."""
@@ -280,6 +286,8 @@ class ReinhardtSurface(SurfaceSpec, family="reinhardt"):
     annular piece usable for pointwise curvature only.
     """
 
+    phase_invariant = True  # f depends on z2 through |z2|^2 alone
+
     def __init__(self, k: float, f0: float, fp0: float | None = None,
                  s0: float = 0.0, smax: float | None = None):
         self.n = 1
@@ -382,6 +390,8 @@ class ExpReparam(SurfaceSpec):
         e = np.exp(f.val)
         return _chain(f, e - 1.0, e, e)
 
+    phase_invariant = property(lambda self: self.base.phase_invariant)  # the base's: exp(f) - 1 has f's symmetries
+
     def ray(self, dirs):
         """The base family's ray: e^p - 1 and p cross each ray at the same rho with the same sign, and their
         slopes there differ by the factor e^p = 1 + O(rounding), so a quadratic base's roots come by formula."""
@@ -456,6 +466,13 @@ def eval_ray(spec: SurfaceSpec, center: np.ndarray, dirs: np.ndarray, rho: np.nd
 # -- radial roots ---------------------------------------------------------------
 
 
+def swept_family(spec: SurfaceSpec) -> SurfaceSpec:
+    """The family whose ray radial_roots sweeps for spec: an ExpReparam's innermost base, else spec."""
+    while isinstance(spec, ExpReparam):
+        spec = spec.base
+    return spec
+
+
 def radial_roots(spec: SurfaceSpec, dirs) -> tuple[np.ndarray, np.ndarray]:
     """Boundary crossings along rays from the star center, vectorized.
 
@@ -481,10 +498,7 @@ def radial_roots(spec: SurfaceSpec, dirs) -> tuple[np.ndarray, np.ndarray]:
     if np.any(np.abs(norms - 1.0) > 1e-9):
         dirs = dirs / norms[:, None]
 
-    swept = spec
-    while isinstance(swept, ExpReparam):  # its ray is its base's, so the bracket starts from the base's value
-        swept = swept.base
-    fc = float(eval_values(swept, center[None, :])[0])
+    fc = float(eval_values(swept_family(spec), center[None, :])[0])  # the bracket starts from the swept ray's value
     if fc >= 0:
         raise StarShapeError(f"defining function is nonnegative ({fc!r}) at the star center")
 

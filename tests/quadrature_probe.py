@@ -8,9 +8,11 @@ scan on an n=2 quadric with complex holomorphic terms, a sha256 of the
 Reinhardt jets on every branch of the profile and of the exp(f) - 1 jets of
 an ellipsoid, a sha256 of the Wirtinger Hessians H and S of every family at
 fixed points, a sha256 of the radial roots and slopes of the order-12 grid
-for five families, and a sha256 of a verification report on every verdict
-branch the suites reach on these surfaces (tolerances are passed by
-position). A report is hashed without its error estimate and the
+for five families, the same sha256 and a K_1 surface_integral on the
+orbit path (one root per azimuth row) of the n=2 sphere at order 7 and the
+Reinhardt surface at order 16, and a sha256 of a verification report on
+every verdict branch the suites reach on these surfaces (tolerances are
+passed by position). A report is hashed without its error estimate and the
 gradient-flux bound built from it; those are printed as hex on a line of
 their own, so a change to the error estimate alone leaves every other line
 as it was. A change that must keep the arithmetic order is bit-identical
@@ -159,6 +161,13 @@ def main() -> None:
     for name, spec in roots.items():
         nodes = qd._nodes(spec, RULES["gauss_o12"])
         print(json.dumps({"radial_roots": name, "sha256": _sha(nodes.rho, nodes.slope)}))
+    # the orbit path: roots solved once per azimuth row on phase-invariant surfaces, at the benchmark's
+    # bulk-n2 order and the Reinhardt golden order
+    for name, spec, order in (("sphere_n2_o7", families["sphere_n2"], 7), ("reinhardt_o16", bands["regular"], 16)):
+        q = qd.QuadratureSpec(order=order)
+        nodes = qd._nodes(spec, q)
+        levi = qd.surface_integral(spec, lambda fr: cv.levi(fr, 1), q)
+        print(json.dumps({"orbit_roots": name, "sha256": _sha(nodes.rho, nodes.slope), "surface_integral": _hex(levi)}))
     reports = {
         "integral_gauss": lambda: vf.verify_integral_formula(ell, 1, RULES["gauss_o12"]),
         "integral_exp": lambda: vf.verify_integral_formula(ell, 1, RULES["gauss_o12"], f_choice="exp"),

@@ -13,6 +13,7 @@ from levilab import surfaces as sf
 from levilab.errors import SpecParseError, StarShapeError
 from levilab.specfile import parse_quadrature
 from levilab.surfaces import DirichletQuadratic
+from quadrature_probe import USER_QUARTIC
 
 
 def ones(frames):
@@ -270,6 +271,72 @@ class TestRootCache:
         assert list(qd._ROOT_CACHE.keys()) == [b]
         qd.clear_root_cache()
         assert len(qd._ROOT_CACHE) == 0
+
+    def test_a_reparametrisation_reads_its_base_entry(self, monkeypatch):
+        # one root set per zero set: the entry is keyed on the swept family, an ExpReparam's innermost base
+        qd.clear_root_cache()
+        base = sf.Ellipsoid([1.0, 1.3, 0.8, 1.1])
+        q = qd.QuadratureSpec(order=6)
+        qd.volume(base, q)
+        monkeypatch.setattr(qd, "radial_roots", lambda *args: pytest.fail("roots solved again"))
+        for spec in (sf.ExpReparam(base), sf.ExpReparam(sf.ExpReparam(base))):
+            nodes = qd._nodes(spec, q)
+            assert nodes.rho is qd._ROOT_CACHE[base][6][0] and nodes.slope is qd._ROOT_CACHE[base][6][1]
+        assert list(qd._ROOT_CACHE.keys()) == [base]
+        qd.clear_root_cache()
+
+
+def _chunked_roots(spec, dirs):
+    """The roots of every ray of the grid, CHUNK rays per radial_roots call."""
+    parts = [sf.radial_roots(spec, dirs[i:i + qd.CHUNK]) for i in range(0, len(dirs), qd.CHUNK)]
+    return tuple(np.concatenate([p[k] for p in parts]) for k in (0, 1))
+
+
+class TestOrbitRoots:
+    # the phase-invariant golden surfaces at their golden orders
+    INVARIANT = {
+        "sphere_n2_o7": (lambda: sf.Sphere(1.5, n=2), 7),
+        "dirichlet_n2_o7": (lambda: DirichletQuadratic([1.0, 1.0, 1.2, 1.2, 1.4, 1.4]), 7),
+        "reinhardt_o16": (lambda: sf.ReinhardtSurface(0.5, 4.0), 16),
+        "exp_sphere_n2_o7": (lambda: sf.ExpReparam(sf.Sphere(1.5, n=2)), 7),
+    }
+
+    @pytest.mark.parametrize("name", sorted(INVARIANT))
+    def test_one_solve_per_azimuth_row_equals_the_full_solve(self, name, monkeypatch):
+        make, order = self.INVARIANT[name]
+        spec, q = make(), qd.QuadratureSpec(order=order)
+        solved = []
+        monkeypatch.setattr(qd, "radial_roots", lambda s, d: solved.append(len(d)) or sf.radial_roots(s, d))
+        qd.clear_root_cache()
+        nodes = qd._nodes(spec, q)
+        naz = 2 * order
+        assert sum(solved) == len(nodes.dirs) // naz  # the first azimuth node of each polar node
+        for got, want in zip((nodes.rho, nodes.slope), sf.radial_roots(spec, nodes.dirs)):
+            assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * want)
+            rows = got.reshape(-1, naz)
+            assert np.array_equal(rows, np.repeat(rows[:, :1], naz, axis=1))
+        qd.clear_root_cache()
+
+    @pytest.mark.parametrize("make", [
+        lambda: sf.Ellipsoid([1.0, 1.3, 0.8, 1.1]),
+        lambda: sf.PerturbedQuadric(1, hterms={(2, 0): 0.15 + 0.05j, (1, 1): -0.1j}),
+        lambda: sf.UserPolynomial(1, USER_QUARTIC, scale=1.2, validate=False),
+    ], ids=["ellipsoid", "quadric", "user_quartic"])
+    def test_a_surface_without_the_symmetry_solves_every_ray(self, make):
+        spec = make()
+        qd.clear_root_cache()
+        nodes = qd._nodes(spec, Q16)
+        want = _chunked_roots(spec, nodes.dirs)
+        assert nodes.rho.tobytes() == want[0].tobytes() and nodes.slope.tobytes() == want[1].tobytes()
+        qd.clear_root_cache()
+
+    def test_a_predicate_forced_true_fails_loudly(self, monkeypatch):
+        # an ellipsoid's azimuth rows do not share one root: the repeated roots are off the boundary
+        monkeypatch.setattr(sf.Ellipsoid, "phase_invariant", True)
+        qd.clear_root_cache()
+        with pytest.raises(ValueError, match="off the boundary"):
+            qd.surface_integral(sf.Ellipsoid([1.0, 1.3, 0.8, 1.1]), ones, Q16)
+        qd.clear_root_cache()
 
 
 class TestErrors:

@@ -419,6 +419,48 @@ class TestClosedFormRoots:
             sf.radial_roots(spec, -up)
 
 
+# (surface, whether f is invariant under z_{n+1} -> e^{i theta} z_{n+1} about its star center)
+PHASE_CASES = {
+    "sphere_n2": (lambda: sf.Sphere(1.5, n=2), True),
+    "sphere_off_center": (lambda: sf.Sphere(1.0, center=[0.1, -0.2, 0.3, 0.4]), True),
+    "ellipsoid_equal_last_axes": (lambda: sf.Ellipsoid([1.0, 1.3, 0.9, 0.9], center=[0.0, 0.1, -0.2, 0.3]), True),
+    "dirichlet_paired_axes": (lambda: sf.DirichletQuadratic([1.0, 1.0, 1.2, 1.2, 1.4, 1.4]), True),
+    "dirichlet_equal_last_axes": (lambda: sf.DirichletQuadratic([1.0, 1.3, 2.0, 2.0]), True),
+    "quadric_without_z_last": (lambda: sf.PerturbedQuadric(2, hterms={(2, 0, 0): 0.1 + 0.05j, (1, 1, 0): -0.1j}), True),
+    "user_abs_z_last_fourth": (lambda: sf.UserPolynomial(1, {(1, 0, 1, 0): 1.0, (0, 1, 0, 1): 1.0, (0, 2, 0, 2): 0.5,
+                                                             (0, 0, 0, 0): -1.0}), True),
+    "reinhardt": (lambda: sf.ReinhardtSurface(0.5, 4.0), True),
+    "ellipsoid_last_axes_one_ulp_apart": (lambda: sf.Ellipsoid([1.0, 1.3, 0.9, math.nextafter(0.9, 1.0)]), False),
+    "quadric_hterm_with_z_last": (lambda: sf.PerturbedQuadric(2, hterms={(2, 0, 0): 0.1, (0, 1, 1): 0.05}), False),
+    "user_z_last_squared": (lambda: sf.UserPolynomial(1, {(1, 0, 1, 0): 1.0, (0, 1, 0, 1): 1.0, (0, 2, 0, 0): 0.1,
+                                                          (0, 0, 0, 0): -1.0}), False),
+    # the exponents of the benchmark's boundary-n1 quadric: z1^2 and z1 z2
+    "quadric_boundary_n1": (lambda: sf.PerturbedQuadric(1, hterms={(2, 0): 0.15 + 0.05j, (1, 1): -0.1j}), False),
+}
+
+
+class TestPhaseInvariance:
+    @pytest.mark.parametrize("name", sorted(PHASE_CASES))
+    def test_decided_exactly_on_every_family(self, name):
+        make, want = PHASE_CASES[name]
+        spec = make()
+        assert spec.phase_invariant is want
+        assert sf.ExpReparam(spec).phase_invariant is want
+        assert sf.ExpReparam(sf.ExpReparam(spec)).phase_invariant is want
+
+    @pytest.mark.parametrize("name", [k for k, (_, want) in PHASE_CASES.items() if want and k != "reinhardt"])
+    def test_an_invariant_polynomial_is_invariant_at_points(self, name):
+        # the predicate's claim at points: turning the last pair by a phase about the star center keeps f
+        spec = PHASE_CASES[name][0]()
+        rng = np.random.default_rng(31)
+        d = rng.uniform(-1.0, 1.0, (64, spec.m))
+        c, s = math.cos(0.7), math.sin(0.7)
+        turned = d.copy()
+        turned[:, -2], turned[:, -1] = c * d[:, -2] - s * d[:, -1], s * d[:, -2] + c * d[:, -1]
+        here, there = (sf.eval_values(spec, spec.star_center + x) for x in (d, turned))
+        assert np.max(np.abs(here - there)) <= 1e-14 * max(1.0, np.max(np.abs(here)))
+
+
 class TestReparametrization:
     def test_same_zero_set_and_parallel_normals(self):
         base = _families()["ellipsoid"]
