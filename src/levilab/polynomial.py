@@ -68,7 +68,7 @@ class RealPolynomial:
         The real coordinates are interleaved, z_k = x_k + i y_k. Each factor
         is expanded by the binomial theorem, z^a = sum_p C(a,p) x^(a-p) (i y)^p
         and zbar^b = sum_q C(b,q) x^(b-q) (-i y)^q, so every real coefficient
-        is a binomial product times a part of c, up to sign.
+        is a Fraction sum of binomial products times parts of c, rounded once.
         """
         width = n + 1
         real_terms: dict = {}
@@ -89,7 +89,7 @@ class RealPolynomial:
                 exps = tuple(x for ex, ey, _, _ in choice for x in (ex, ey))
                 r = sum(ch[2] for ch in choice)
                 weight = math.prod(ch[3] for ch in choice)
-                real_terms[exps] = real_terms.get(exps, 0.0) + weight * _real_times_power_of_i(c, r)
+                real_terms[exps] = real_terms.get(exps, 0) + weight * Fraction(_real_times_power_of_i(c, r))
         return cls(real_terms, np.zeros(2 * width))
 
     def _compile(self) -> None:

@@ -14,16 +14,23 @@ that estimate each integral's error from its own pass (_error_estimate).
 All passes share one core: `_nodes(spec, q)` gives the pass's center,
 directions, weights and cached radial roots, and maps a function over its
 chunks. The roots are cached per zero set (an ExpReparam reads its base's).
-An azimuth row of the grid is an orbit of the phase rotation of the last
-coordinate pair; where f is invariant under it (SurfaceSpec.phase_invariant)
-the row's root is solved once. `_integral(spec, q, at)` reduces the k per-node
-integrands that `at(nodes, sl)` gives for each chunk and estimates their
-errors. The boundary has one pass, reached through `surface_integral` (a
-field or a tuple of fields, plus an optional scan) and `scan_boundary`: each
-chunk builds one FrameBatch, every integrand and the scan read it, and it is
-dropped before the next chunk. A suite asks for all its boundary quantities
-in one call. A scan returns what its function returns, concatenated in node
-order; a caller that wants the boundary points scans `fr.points`.
+`_integral(spec, q, at)` reduces the k per-node integrands that `at(nodes,
+sl)` gives for each chunk and estimates their errors. The boundary has one
+pass, reached through `surface_integral` (a field or a tuple of fields, plus
+an optional scan) and `scan_boundary`: each chunk builds one FrameBatch, every
+integrand and the scan read it, and it is dropped before the next chunk. A
+suite asks for all its boundary quantities in one call. A scan returns what
+its function returns, concatenated in node order; a caller that wants the
+boundary points scans `fr.points`.
+
+Orbit collapse: an azimuth row is an orbit of z_{n+1} -> e^{i theta} z_{n+1}.
+Where f is invariant under it about a star center whose last pair is (0, 0)
+(SurfaceSpec.phase_invariant), the rotation is unitary, fixes the origin and
+maps the surface onto itself, so each pass runs on one node per row with the
+row's weight. Field contract: a field or scan is a function of the surface's
+geometry, invariant under the unitary maps that fix f and the origin (K_j, H,
+|del f|, <normal, x>); a collapsed scan gives one entry per row. nodes_used
+counts the full product rule's nodes on either path.
 
 Reproducibility contract: node order is fixed, and nodes are processed one
 fixed chunk after another, whose partial sums are added by the correctly
@@ -118,7 +125,7 @@ def _gegenbauer_rule(order: int, beta: float) -> tuple[np.ndarray, np.ndarray, n
 
 
 @lru_cache(maxsize=32)
-def sphere_grid(m: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+def sphere_grid(m: int, order: int, rows: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Product quadrature directions and weights on the unit sphere of R^m.
 
     Each polar angle is handled in x = cos(theta) by the Gauss-Gegenbauer rule
@@ -127,10 +134,12 @@ def sphere_grid(m: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     polynomials of degree < 2*order). The product is exact for all spherical
     polynomials of degree <= 2*order - 1, which plain Gauss-Legendre in the
     angles is not; nodes are enumerated lexicographically and never reordered.
+    With rows=True only each azimuth row's first node is built, weighted 2 pi.
     """
     rules = [_gegenbauer_rule(order, (m - 3 - i) / 2.0)[:2] for i in range(m - 2)]  # (1 - x^2)^beta from sin^{m-2-i}
     naz = _AZIMUTH_FACTOR * order
-    rules.append(((np.arange(naz) + 0.5) * 2 * np.pi / naz, np.full(naz, 2 * np.pi / naz)))
+    az = (np.arange(1 if rows else naz) + 0.5) * 2 * np.pi / naz
+    rules.append((az, np.full(len(az), 2 * np.pi / len(az))))
     grids = np.meshgrid(*(x for x, _ in rules), indexing="ij")
     wgrids = np.meshgrid(*(w for _, w in rules), indexing="ij")
     b = grids[0].size
@@ -162,12 +171,18 @@ def mc_directions(m: int, samples: int, seed: int) -> tuple[np.ndarray, np.ndarr
     return d, wts
 
 
+def grid_nodes(m: int, order: int) -> int:
+    """Nodes of the full product rule at order on the unit sphere of R^m: what nodes_used counts."""
+    return _AZIMUTH_FACTOR * order ** (m - 1)
+
+
 class _Nodes(NamedTuple):
-    """One pass's node set: rays center + t * rho * dirs, t in [0, 1]."""
+    """One pass's node set: rays center + t * rho * dirs, t in [0, 1]; naz azimuth nodes per polar node."""
 
     center: np.ndarray
     dirs: np.ndarray
     wts: np.ndarray
+    naz: int
     rho: np.ndarray
     slope: np.ndarray
 
@@ -186,20 +201,18 @@ _ROOT_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _nodes(spec: SurfaceSpec, q: QuadratureSpec) -> _Nodes:
-    """Directions, weights and (cached) radial roots of the pass at q.order. On a phase-invariant surface the
-    roots are solved at the first azimuth node of each polar node alone and repeated along its azimuth row."""
+    """Directions, weights and (cached) radial roots of the pass at q.order: one node per azimuth row where the
+    rows are orbits that fix the origin (see the module docstring), else the full product grid."""
     if spec.star_center is None:
         raise StarShapeError(f"{type(spec).__name__} has no star center; cannot integrate")
-    dirs, wts = sphere_grid(spec.m, q.order)
-    nodes = _Nodes(spec.star_center, dirs, wts, None, None)
     swept = swept_family(spec)
+    rows = swept.phase_invariant and not np.any(spec.star_center[-2:])
+    dirs, wts = sphere_grid(spec.m, q.order, True) if rows else sphere_grid(spec.m, q.order)  # shares set-up's key
+    nodes = _Nodes(spec.star_center, dirs, wts, 1 if rows else _AZIMUTH_FACTOR * q.order, None, None)
     cached = _ROOT_CACHE.setdefault(swept, {})
     if q.order not in cached:
-        orbit = _AZIMUTH_FACTOR * q.order if swept.phase_invariant else 1  # rays per solved root
-        solved = nodes._replace(dirs=dirs[::orbit])
-        parts = solved.map(lambda sl: radial_roots(swept, solved.dirs[sl]))
-        roots = (np.concatenate([p[k] for p in parts]) for k in (0, 1))
-        cached[q.order] = tuple(r.repeat(orbit) if orbit > 1 else r for r in roots)
+        parts = nodes.map(lambda sl: radial_roots(swept, dirs[sl]))
+        cached[q.order] = tuple(np.concatenate([p[k] for p in parts]) for k in (0, 1))
     rho, slope = cached[q.order]
     return nodes._replace(rho=rho, slope=slope)
 
@@ -218,12 +231,13 @@ def _tail(c: np.ndarray) -> float:
     return max(a[:2], default=0.0)
 
 
-def _error_estimate(wv: np.ndarray, m: int, order: int) -> float:
-    """Error of the product rule from its weighted node values wv, by null rules on its own nodes (Berntsen &
-    Espelid, ACM TOMS 17, 1991) on each factor's marginal of wv: orthonormal Gegenbauer coefficients for a polar
-    factor; Fourier modes below order for the azimuth, counted twice as modes +-2*order alias onto 0 (the cosine
-    of mode order vanishes at the half-offset nodes). Plus a floor of _ROUNDING_ULPS ulps of sum |wv|."""
-    grid = wv.reshape(-1, 2 * order)  # rows: the polar nodes, lexicographic; columns: the azimuth
+def _error_estimate(wv: np.ndarray, m: int, order: int, naz: int) -> float:
+    """Error of the product rule from its weighted node values wv, naz per polar node, by null rules on its own
+    nodes (Berntsen & Espelid, ACM TOMS 17, 1991) on each factor's marginal of wv: orthonormal Gegenbauer
+    coefficients for a polar factor; Fourier modes below order for the azimuth, counted twice as modes +-2*order
+    alias onto 0 (mode order's cosine vanishes at the half-offset nodes; a collapsed pass, naz = 1, has none).
+    Plus a floor of _ROUNDING_ULPS ulps of sum |wv|."""
+    grid = wv.reshape(-1, naz)  # rows: the polar nodes, lexicographic; columns: the azimuth
     polar = np.einsum("ij->i", grid).reshape((order,) * (m - 2))
     est = sum(_tail(_gegenbauer_rule(order, (m - 3 - d) / 2.0)[2] @ np.einsum(polar, [*range(m - 2)], [d]))
               for d in range(m - 2))
@@ -243,8 +257,8 @@ def _integral(spec: SurfaceSpec, q: QuadratureSpec, at):
         return [(float(np.dot(v, nodes.wts[sl])), v * nodes.wts[sl]) for v in vals], out
 
     parts, outs = zip(*nodes.map(job))
-    results = tuple(IntegralResult(math.fsum(s), _error_estimate(np.concatenate(wv), spec.m, q.order), len(nodes.wts))
-                    for s, wv in (zip(*p) for p in zip(*parts)))
+    results = tuple(IntegralResult(math.fsum(s), _error_estimate(np.concatenate(wv), spec.m, q.order, nodes.naz),
+                                   grid_nodes(spec.m, q.order)) for s, wv in (zip(*p) for p in zip(*parts)))
     scanned = None if outs[0] is None else tuple(np.concatenate(k) for k in zip(*outs))
     return results, scanned
 
@@ -272,7 +286,8 @@ def surface_integral(spec: SurfaceSpec, field, q: QuadratureSpec, scan=None):
     A tuple of fields gives a tuple of IntegralResult from one boundary pass,
     each equal to its single-field call. With scan=fn the call returns
     (result, scan_boundary(spec, q, fn)), the scan read from that same pass:
-    only what fn returns.
+    only what fn returns. Fields and scans keep the module's field contract: a
+    collapsed pass reads one node per azimuth row, its scan one entry per row.
     """
     results, scanned = _boundary(spec, q, field if isinstance(field, tuple) else (field,), scan)
     result = results if isinstance(field, tuple) else results[0]
@@ -309,8 +324,8 @@ def scan_boundary(spec: SurfaceSpec, q: QuadratureSpec, fn):
     """Apply fn(FrameBatch) -> array or tuple of arrays over every boundary node.
 
     Returns the concatenated per-node outputs in fixed node order (scan
-    fr.points for the boundary points); used for node sweeps (extrema,
-    defects) that are not integrals.
+    fr.points for the boundary points), one per row on a collapsed pass; used
+    for node sweeps (extrema, defects) that are not integrals.
     """
     return _boundary(spec, q, (), fn)[1]
 

@@ -111,8 +111,8 @@ class SurfaceSpec:
 
     @property
     def phase_invariant(self) -> bool:
-        """Whether f is exactly invariant under z_{n+1} -> e^{i theta} z_{n+1} about the star center, so that the
-        rays of an orbit share rho and slope; a polynomial family decides it on its terms (RealPolynomial)."""
+        """Whether f is exactly invariant under z_{n+1} -> e^{i theta} z_{n+1} about the star center, which the
+        quadrature's orbit collapse trusts unchecked; a polynomial family decides it on its terms (RealPolynomial)."""
         return self.poly.phase_invariant()
 
     def keys(self) -> dict:

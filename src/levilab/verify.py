@@ -381,6 +381,7 @@ def newton_sweep(
     min_gap, cone = float(min(lo_b[0], lo_i[0])), float(min(lo_b[-1], lo_i[-1]))
     verdict = _inequality_verdict(min_gap, tol) if j == 1 or cone > 0 else {
         "kind": "hypotheses_not_met", "reason": f"H outside the Garding cone Gamma_{j + 1}: smallest sigma_i {cone}"}
-    quadrature = {"method": q.describe(), "nodes_used": len(gaps_b) + len(gaps_i), "error_estimate": 0.0}
+    nodes = (1 + qd._BULK_SHELLS) * qd.grid_nodes(spec.m, q.order)  # the boundary and each shell, as a pass counts
+    quadrature = {"method": q.describe(), "nodes_used": nodes, "error_estimate": 0.0}
     return _report(spec, quadrature, min_gap, 0.0, verdict,
                    {"boundary_min_gap": float(lo_b[0]), "interior_min_gap": float(lo_i[0])}, name="newton_sweep", j=j)

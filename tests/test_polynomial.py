@@ -241,6 +241,14 @@ def test_from_zzbar_imaginary_coefficient():
     assert p.terms == {(1, 1, 0, 0): -2.0}
 
 
+def test_from_zzbar_rounds_each_coefficient_once():
+    # -0.1 |z2|^4 = -0.1 (x2^4 + 2 x2^2 y2^2 + y2^4): the x2^2 y2^2 coefficient is 0.1 - 0.4 + 0.1, which float
+    # addition leaves at -0.20000000000000004, so the polynomial would not be invariant under z2 -> e^{it} z2
+    p = RealPolynomial.from_zzbar(1, {(0, 2, 0, 2): -0.1})
+    assert p.terms == {(0, 0, 0, 4): -0.1, (0, 0, 2, 2): -0.2, (0, 0, 4, 0): -0.1}
+    assert p.phase_invariant()
+
+
 def test_row_blocks_do_not_change_results(monkeypatch):
     spec = CASES["user_levi_indefinite"][0]()
     pts = _points(spec, count=200)

@@ -293,7 +293,7 @@ def _chunked_roots(spec, dirs):
 
 
 class TestOrbitRoots:
-    # the phase-invariant golden surfaces at their golden orders
+    # the phase-invariant golden surfaces at their golden orders; each center's last pair is (0, 0)
     INVARIANT = {
         "sphere_n2_o7": (lambda: sf.Sphere(1.5, n=2), 7),
         "dirichlet_n2_o7": (lambda: DirichletQuadratic([1.0, 1.0, 1.2, 1.2, 1.4, 1.4]), 7),
@@ -303,39 +303,50 @@ class TestOrbitRoots:
 
     @pytest.mark.parametrize("name", sorted(INVARIANT))
     def test_one_solve_per_azimuth_row_equals_the_full_solve(self, name, monkeypatch):
+        # a collapsed pass's nodes are the first azimuth node of each polar node, bit for bit, weighted with
+        # their row's sum; its one root per row is the root of every ray of the row, to a few ulps
         make, order = self.INVARIANT[name]
-        spec, q = make(), qd.QuadratureSpec(order=order)
+        spec, q, naz = make(), qd.QuadratureSpec(order=order), 2 * order
         solved = []
         monkeypatch.setattr(qd, "radial_roots", lambda s, d: solved.append(len(d)) or sf.radial_roots(s, d))
         qd.clear_root_cache()
         nodes = qd._nodes(spec, q)
-        naz = 2 * order
-        assert sum(solved) == len(nodes.dirs) // naz  # the first azimuth node of each polar node
-        for got, want in zip((nodes.rho, nodes.slope), sf.radial_roots(spec, nodes.dirs)):
-            assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * want)
-            rows = got.reshape(-1, naz)
-            assert np.array_equal(rows, np.repeat(rows[:, :1], naz, axis=1))
+        dirs, wts = qd.sphere_grid(spec.m, order)
+        assert nodes.naz == 1 and sum(solved) == len(nodes.dirs) == len(dirs) // naz == order ** (spec.m - 2)
+        assert nodes.dirs.tobytes() == dirs[::naz].tobytes()
+        assert np.allclose(nodes.wts, wts.reshape(-1, naz).sum(axis=1), rtol=8 * np.finfo(float).eps, atol=0)
+        for got, want in zip((nodes.rho, nodes.slope), sf.radial_roots(spec, dirs)):
+            rows = want.reshape(-1, naz)
+            assert np.all(np.abs(got[:, None] - rows) <= 4 * np.finfo(float).eps * rows)
         qd.clear_root_cache()
 
     @pytest.mark.parametrize("make", [
         lambda: sf.Ellipsoid([1.0, 1.3, 0.8, 1.1]),
         lambda: sf.PerturbedQuadric(1, hterms={(2, 0): 0.15 + 0.05j, (1, 1): -0.1j}),
         lambda: sf.UserPolynomial(1, USER_QUARTIC, scale=1.2, validate=False),
-    ], ids=["ellipsoid", "quadric", "user_quartic"])
+        lambda: sf.Sphere(1.0, center=[0.4, -0.1, 0.2, 0.3]),  # invariant about a center off the rotation's axis
+    ], ids=["ellipsoid", "quadric", "user_quartic", "off_center_sphere"])
     def test_a_surface_without_the_symmetry_solves_every_ray(self, make):
         spec = make()
         qd.clear_root_cache()
         nodes = qd._nodes(spec, Q16)
         want = _chunked_roots(spec, nodes.dirs)
+        assert nodes.naz == 32 and nodes.dirs is qd.sphere_grid(spec.m, 16)[0]
         assert nodes.rho.tobytes() == want[0].tobytes() and nodes.slope.tobytes() == want[1].tobytes()
         qd.clear_root_cache()
 
-    def test_a_predicate_forced_true_fails_loudly(self, monkeypatch):
-        # an ellipsoid's azimuth rows do not share one root: the repeated roots are off the boundary
+    def test_a_predicate_forced_true_is_trusted(self, monkeypatch):
+        # the collapse reads SurfaceSpec.phase_invariant and checks nothing on the rows it skips, so the predicate
+        # must be exact (tests/test_surfaces.py): forced on an ellipsoid, whose rows do not share one root, the
+        # pass collapses and its area is off by far more than its own estimate
+        spec = sf.Ellipsoid([1.0, 1.3, 0.8, 1.1])
+        qd.clear_root_cache()
+        full = qd.surface_integral(spec, ones, Q16)
         monkeypatch.setattr(sf.Ellipsoid, "phase_invariant", True)
         qd.clear_root_cache()
-        with pytest.raises(ValueError, match="off the boundary"):
-            qd.surface_integral(sf.Ellipsoid([1.0, 1.3, 0.8, 1.1]), ones, Q16)
+        forced = qd.surface_integral(spec, ones, Q16)
+        assert qd._nodes(spec, Q16).naz == 1 and forced.nodes_used == full.nodes_used
+        assert abs(forced.value - full.value) > 1e-3 * full.value > forced.error_estimate
         qd.clear_root_cache()
 
 

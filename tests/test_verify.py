@@ -11,6 +11,7 @@ from levilab import quadrature as qd
 from levilab import surfaces as sf
 from levilab import verify as vf
 from levilab.hermitian import sigma_batch
+from test_golden import NEWTON_TERMS
 
 Q24 = qd.QuadratureSpec(order=24)
 Q12 = qd.QuadratureSpec(order=12)
@@ -388,22 +389,28 @@ class TestVerdictBranches:
 
 
 class TestOneBoundaryPass:
-    # perf guard: each suite builds one FrameBatch per chunk of its one pass. Order 16 in R^4
-    # is one chunk of 8192 nodes; order 20 has two chunks.
-    @pytest.mark.parametrize("order,calls", [(16, 1), (20, 2)])
-    def test_one_frame_batch_per_chunk_and_order(self, order, calls, frame_calls):
+    # perf guard: each suite builds one FrameBatch per chunk of the nodes its one pass evaluates. Order 16 in
+    # R^4 is one chunk of 8192 nodes; order 20 has two chunks, except on the collapsed Reinhardt pass (400 nodes).
+    @pytest.mark.parametrize("order,full_chunks", [(16, 1), (20, 2)])
+    def test_one_frame_batch_per_chunk_and_order(self, order, full_chunks, frame_calls):
         q = qd.QuadratureSpec(order=order)
+        ell, reinhardt = sf.Ellipsoid([1.0, 1.3, 0.8, 1.1]), sf.ReinhardtSurface(0.5, 4.0)
+        axes, equal = [1.0, 1.0, 1.0, 2.0], [2.0, 1.0, 1.0, 2.0]
         runs = {
-            "minkowski": lambda: vf.minkowski_residual(sf.Ellipsoid([1.0, 1.3, 0.8, 1.1]), q),
-            "alexandrov": lambda: vf.alexandrov_check(sf.ReinhardtSurface(0.5, 4.0), 1, q),
-            "dirichlet": lambda: vf.dirichlet_chain([1.0, 1.0, 1.0, 2.0], 1, q),
-            "dirichlet_proportional": lambda: vf.dirichlet_chain([2.0, 1.0, 1.0, 2.0], 1, q),
-            "isoperimetric": lambda: vf.isoperimetric_ratio(sf.Ellipsoid([1.0, 1.3, 0.8, 1.1]), 1, q),
+            "minkowski": (ell, lambda: vf.minkowski_residual(ell, q)),
+            "alexandrov": (reinhardt, lambda: vf.alexandrov_check(reinhardt, 1, q)),
+            "dirichlet": (sf.DirichletQuadratic(axes), lambda: vf.dirichlet_chain(axes, 1, q)),
+            "dirichlet_proportional": (sf.DirichletQuadratic(equal), lambda: vf.dirichlet_chain(equal, 1, q)),
+            "isoperimetric": (ell, lambda: vf.isoperimetric_ratio(ell, 1, q)),
         }
-        for name, run in runs.items():
+        for name, (spec, run) in runs.items():
+            nodes = qd._nodes(spec, q)
+            chunks = -(-len(nodes.wts) // qd.CHUNK)
+            collapsed = name == "alexandrov"  # the Reinhardt surface is phase-invariant about the origin
+            assert (nodes.naz == 1) == collapsed and chunks == (1 if collapsed else full_chunks)
             frame_calls.clear()
             run()
-            assert len(frame_calls) == calls, name
+            assert len(frame_calls) == chunks, name
 
     def test_dirichlet_computes_each_levi_once_per_frame_batch(self, monkeypatch):
         seen = []  # the batches themselves, so no id is reused
@@ -449,8 +456,87 @@ class TestNonpositiveCurvatureNode:
     def test_j2_fields_read_no_power_of_a_nonpositive_k(self, suite, monkeypatch):
         # K^{-1/2} and K^{1/2} at K = -1 would warn (an error under -W error::RuntimeWarning) and put nan in the report
         axes = [1.0, 1.0, 1.2, 1.2, 1.4, 1.4]
-        _forced_nonpositive(monkeypatch, lambda pts: pts[:, 5] < -1.0)
+        _forced_nonpositive(monkeypatch, lambda pts: pts[:, 4] ** 2 + pts[:, 5] ** 2 > 1.0)  # |z_3| > 1: whole rows
         r = (vf.isoperimetric_ratio(sf.DirichletQuadratic(axes), 2, Q7) if suite == "isoperimetric"
              else vf.dirichlet_chain(axes, 2, Q7))
         assert r.verdict["kind"] == "hypotheses_not_met"
         assert _finite_json(r)
+
+
+# phase-invariant surfaces whose star center's last pair is (0, 0): the golden ones at their golden orders, and a
+# sphere off the origin in the first pair, whose Minkowski moment reads <normal, x> from the origin
+INVARIANT = {
+    "sphere_n2": (lambda: sf.Sphere(1.5, n=2), Q7),
+    "dirichlet_n2": (lambda: sf.DirichletQuadratic([1.0, 1.0, 1.2, 1.2, 1.4, 1.4]), Q7),
+    "reinhardt": (lambda: sf.ReinhardtSurface(0.5, 4.0), qd.QuadratureSpec(order=16)),
+    "exp_sphere_n2": (lambda: sf.ExpReparam(sf.Sphere(1.5, n=2)), Q7),
+    "newton_poly": (lambda: sf.UserPolynomial(1, NEWTON_TERMS), qd.QuadratureSpec(order=16)),
+    "sphere_first_pair_off": (lambda: sf.Sphere(1.0, center=[0.4, -0.1, 0.0, 0.0]), Q12),
+}
+SUITES = {
+    "integral_formula": lambda spec, j, q: vf.verify_integral_formula(spec, j, q),
+    "isoperimetric": lambda spec, j, q: vf.isoperimetric_ratio(spec, j, q),
+    "minkowski": lambda spec, j, q: vf.minkowski_residual(spec, q),
+    "alexandrov": lambda spec, j, q: vf.alexandrov_check(spec, j, q),
+    "newton_sweep": lambda spec, j, q: vf.newton_sweep(spec, j, q),
+    "dirichlet_chain": lambda spec, j, q: vf.dirichlet_chain(spec.axes, j, q),
+}
+
+
+def _full_path(monkeypatch, spec) -> None:
+    """Force the full product grid on spec: its swept family's phase_invariant reads False."""
+    monkeypatch.setattr(type(sf.swept_family(spec)), "phase_invariant", False)
+    qd.clear_root_cache()
+
+
+def _reports(spec, q) -> list:
+    """Every suite that applies to spec, at every j it takes."""
+    suites = [k for k in SUITES if k != "dirichlet_chain" or isinstance(spec, sf.DirichletQuadratic)]
+    return [(k, j, SUITES[k](spec, j, q)) for k in suites for j in range(1, (1 if k == "minkowski" else spec.n) + 1)]
+
+
+class TestOrbitCollapse:
+    @pytest.mark.parametrize("name", sorted(INVARIANT))
+    def test_every_field_and_scan_is_constant_along_each_azimuth_row(self, name, monkeypatch):
+        # the collapse's premise, read on the full grid: each field and scan that the suites pass to quadrature,
+        # and the roots the radial Jacobian reads, agree along every azimuth row to 32 ulps of their scale (the
+        # chain rule of exp(f) - 1 reaches 25)
+        make, q = INVARIANT[name]
+        spec = make()
+        _full_path(monkeypatch, spec)
+        nodes, outs = qd._nodes(spec, q), []
+        for j in range(1, spec.n + 1):
+            outs += qd.scan_boundary(spec, q, lambda fr, j=j: (
+                vf._levi_flux_field(j)(fr), vf._inv_levi_field(j)(fr), vf._ones(fr), vf._mean_curv_flux(fr),
+                vf._pgrad(fr), fr.levi(j), cv.mean_curvature(fr), vf._gap_and_cone(fr.whess, j + 1)))
+            outs += [qd.scan_bulk(spec, q, vf._mixed_field(spec, fn, j)) for fn in (vf._gap_and_cone, sigma_batch)]
+        for k, a in enumerate(outs + [nodes.rho, nodes.slope]):
+            rows = a.reshape(-1, nodes.naz, *a.shape[1:])
+            assert np.abs(rows - rows[:, :1]).max() <= 32 * np.finfo(float).eps * np.abs(a).max(), k
+        qd.clear_root_cache()
+
+    @pytest.mark.parametrize("name", sorted(INVARIANT))
+    def test_a_collapsed_report_equals_the_full_path(self, name, monkeypatch):
+        make, q = INVARIANT[name]
+        spec = make()
+        qd.clear_root_cache()
+        assert qd._nodes(spec, q).naz == 1
+        collapsed = _reports(spec, q)
+        _full_path(monkeypatch, spec)
+        for (suite, j, got), (_, _, want) in zip(collapsed, _reports(spec, q), strict=True):
+            assert got.verdict["kind"] == want.verdict["kind"], (suite, j)
+            assert got.quadrature["nodes_used"] == want.quadrature["nodes_used"], (suite, j)
+            for side in ("lhs", "rhs"):
+                assert abs(getattr(got, side) - getattr(want, side)) <= 1e-13 * abs(getattr(want, side)), (suite, j)
+        qd.clear_root_cache()
+
+    def test_an_invariant_sphere_off_the_rotation_axis_keeps_the_full_path(self, monkeypatch):
+        # invariant about its center, but the rotation about that center moves the origin, so <normal, x> is not
+        # constant on a row: the pass is the one the predicate forced False gives, bit for bit
+        spec = sf.Sphere(1.0, center=[0.4, -0.1, 0.2, 0.3])
+        qd.clear_root_cache()
+        assert spec.phase_invariant and qd._nodes(spec, Q12).naz == 24
+        got = [r.to_json() for _, _, r in _reports(spec, Q12)]
+        _full_path(monkeypatch, spec)
+        assert [r.to_json() for _, _, r in _reports(spec, Q12)] == got
+        qd.clear_root_cache()
