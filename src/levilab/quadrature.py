@@ -11,26 +11,27 @@ factors of the spherical product rule (trapezoid in the azimuth), the radial
 nodes of bulk passes (Gauss-Legendre) and the rows of the null rules on them
 that estimate each integral's error from its own pass (_error_estimate).
 
-All passes share one core: `_nodes(spec, q)` gives the pass's center,
+All passes share one core: `_nodes(spec, q, marked)` gives the pass's center,
 directions, weights and cached radial roots, and maps a function over its
 chunks. The roots are cached per zero set (an ExpReparam reads its base's).
-`_integral(spec, q, at)` reduces the k per-node integrands that `at(nodes,
-sl)` gives for each chunk and estimates their errors. The boundary has one
-pass, reached through `surface_integral` (a field or a tuple of fields, plus
-an optional scan) and `scan_boundary`: each chunk builds one FrameBatch, every
-integrand and the scan read it, and it is dropped before the next chunk. A
-suite asks for all its boundary quantities in one call. A scan returns what
-its function returns, concatenated in node order; a caller that wants the
-boundary points scans `fr.points`.
+`_integral(spec, q, at, marked)` reduces the k per-node integrands that
+`at(nodes, sl)` gives for each chunk and estimates their errors. The boundary
+has one pass, reached through `surface_integral` (a field or a tuple of
+fields, plus an optional scan) and `scan_boundary`: each chunk builds one
+FrameBatch, every integrand and the scan read it, and it is dropped before the
+next chunk. A suite asks for all its boundary quantities in one call. A scan
+returns what its function returns, concatenated in node order; a caller that
+wants the boundary points scans `fr.points`.
 
-Orbit collapse: an azimuth row is an orbit of z_{n+1} -> e^{i theta} z_{n+1}.
-Where f is invariant under it about a star center whose last pair is (0, 0)
-(SurfaceSpec.phase_invariant), the rotation is unitary, fixes the origin and
-maps the surface onto itself, so each pass runs on one node per row with the
-row's weight. Field contract: a field or scan is a function of the surface's
-geometry, invariant under the unitary maps that fix f and the origin (K_j, H,
-|del f|, <normal, x>); a collapsed scan gives one entry per row. nodes_used
-counts the full product rule's nodes on either path.
+Orbit collapse: an azimuth row is an orbit of z_{n+1} -> e^{i theta} z_{n+1},
+a unitary map that fixes the origin. Where it maps the surface onto itself
+(SurfaceSpec.phase_invariant, about a star center whose last pair is (0, 0)),
+a pass whose fields and scan are all marked `invariant` (volume's integrand
+always is) runs on one node per row, with the row's weight. The mark promises
+the field contract: a function of the surface's geometry, invariant under the
+unitary maps that fix f and the origin (K_j, H, |del f|, <normal, x>); a
+collapsed scan gives one entry per row, read at its first node. nodes_used
+counts the full product rule's nodes either way.
 
 Reproducibility contract: node order is fixed, and nodes are processed one
 fixed chunk after another, whose partial sums are added by the correctly
@@ -57,6 +58,7 @@ CHUNK = 8192  # fixed; part of the determinism contract
 _STEADY, _SAFETY = 1.5, 32.0  # _tail: a steady decay's window ratios agree to _STEADY; _SAFETY scales its extrapolation
 _ROUNDING_ULPS = 8  # the estimate's floor, in ulps of the sum of |weight * value|
 _BULK_SHELLS = 3  # radial shells of the interior node sample
+_ORBIT_ULPS = 16  # a collapsed pass's check: its rows' second roots agree with their first to _ORBIT_ULPS ulps
 
 
 @dataclass(frozen=True)
@@ -125,7 +127,7 @@ def _gegenbauer_rule(order: int, beta: float) -> tuple[np.ndarray, np.ndarray, n
 
 
 @lru_cache(maxsize=32)
-def sphere_grid(m: int, order: int, rows: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def sphere_grid(m: int, order: int, node: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Product quadrature directions and weights on the unit sphere of R^m.
 
     Each polar angle is handled in x = cos(theta) by the Gauss-Gegenbauer rule
@@ -134,11 +136,11 @@ def sphere_grid(m: int, order: int, rows: bool = False) -> tuple[np.ndarray, np.
     polynomials of degree < 2*order). The product is exact for all spherical
     polynomials of degree <= 2*order - 1, which plain Gauss-Legendre in the
     angles is not; nodes are enumerated lexicographically and never reordered.
-    With rows=True only each azimuth row's first node is built, weighted 2 pi.
+    With node=k only azimuth node k of each row is built, weighted 2 pi.
     """
     rules = [_gegenbauer_rule(order, (m - 3 - i) / 2.0)[:2] for i in range(m - 2)]  # (1 - x^2)^beta from sin^{m-2-i}
     naz = _AZIMUTH_FACTOR * order
-    az = (np.arange(1 if rows else naz) + 0.5) * 2 * np.pi / naz
+    az = ((np.arange(naz) if node is None else np.array([node])) + 0.5) * 2 * np.pi / naz
     rules.append((az, np.full(len(az), 2 * np.pi / len(az))))
     grids = np.meshgrid(*(x for x, _ in rules), indexing="ij")
     wgrids = np.meshgrid(*(w for _, w in rules), indexing="ij")
@@ -177,12 +179,11 @@ def grid_nodes(m: int, order: int) -> int:
 
 
 class _Nodes(NamedTuple):
-    """One pass's node set: rays center + t * rho * dirs, t in [0, 1]; naz azimuth nodes per polar node."""
+    """One pass's node set: rays center + t * rho * dirs, t in [0, 1]."""
 
     center: np.ndarray
     dirs: np.ndarray
     wts: np.ndarray
-    naz: int
     rho: np.ndarray
     slope: np.ndarray
 
@@ -195,25 +196,41 @@ class _Nodes(NamedTuple):
         return [fn(slice(i, i + CHUNK)) for i in range(0, len(self.dirs), CHUNK)]
 
 
-# every pass at an order over one zero set reads the same roots: swept family (swept_family: an ExpReparam's
-# innermost base, whose roots its reparametrisations share bit for bit) -> {order: (rho, slope)}, dropped with it
+# swept family (an ExpReparam's innermost base, whose roots its reparametrisations share bit for bit) -> {(order,
+# collapsed): (rho, slope)}: every pass over one zero set on one node set reads the same roots, dropped with it
 _ROOT_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _nodes(spec: SurfaceSpec, q: QuadratureSpec) -> _Nodes:
-    """Directions, weights and (cached) radial roots of the pass at q.order: one node per azimuth row where the
-    rows are orbits that fix the origin (see the module docstring), else the full product grid."""
+def invariant(fn):
+    """Mark fn as keeping the field contract (module docstring), so that a pass reading only marked fns may collapse."""
+    fn.orbit_invariant = True
+    return fn
+
+
+def _nodes(spec: SurfaceSpec, q: QuadratureSpec, marked: bool = False) -> _Nodes:
+    """Directions, weights and (cached) radial roots of the pass at q.order: for marked integrands one node per
+    azimuth row where the rows are orbits that fix the origin (see the module docstring), else the full product
+    grid. A collapsed pass also solves each row's second node, and raises unless it shares the row's root."""
     if spec.star_center is None:
         raise StarShapeError(f"{type(spec).__name__} has no star center; cannot integrate")
     swept = swept_family(spec)
-    rows = swept.phase_invariant and not np.any(spec.star_center[-2:])
-    dirs, wts = sphere_grid(spec.m, q.order, True) if rows else sphere_grid(spec.m, q.order)  # shares set-up's key
-    nodes = _Nodes(spec.star_center, dirs, wts, 1 if rows else _AZIMUTH_FACTOR * q.order, None, None)
+    rows = marked and swept.phase_invariant and not np.any(spec.star_center[-2:])
+    dirs, wts = sphere_grid(spec.m, q.order, 0) if rows else sphere_grid(spec.m, q.order)  # shares set-up's key
+    nodes = _Nodes(spec.star_center, dirs, wts, None, None)
+
+    def solve(d):  # the roots along the rays d, one radial_roots call per CHUNK slice
+        parts = nodes.map(lambda sl: radial_roots(swept, d[sl]))
+        return tuple(np.concatenate([p[k] for p in parts]) for k in (0, 1))
+
     cached = _ROOT_CACHE.setdefault(swept, {})
-    if q.order not in cached:
-        parts = nodes.map(lambda sl: radial_roots(swept, dirs[sl]))
-        cached[q.order] = tuple(np.concatenate([p[k] for p in parts]) for k in (0, 1))
-    rho, slope = cached[q.order]
+    if (q.order, rows) not in cached:
+        rho, slope = solve(dirs)
+        off = np.abs(solve(sphere_grid(spec.m, q.order, 1)[0])[0] - rho) if rows else 0.0  # each row's second node
+        if np.any(off > _ORBIT_ULPS * np.finfo(float).eps * rho):
+            raise ValueError(f"{type(swept).__name__}.phase_invariant holds, but an azimuth row's roots differ by "
+                             f"{float(np.max(off)):.3e}")
+        cached[q.order, rows] = rho, slope
+    rho, slope = cached[q.order, rows]
     return nodes._replace(rho=rho, slope=slope)
 
 
@@ -231,13 +248,13 @@ def _tail(c: np.ndarray) -> float:
     return max(a[:2], default=0.0)
 
 
-def _error_estimate(wv: np.ndarray, m: int, order: int, naz: int) -> float:
-    """Error of the product rule from its weighted node values wv, naz per polar node, by null rules on its own
+def _error_estimate(wv: np.ndarray, m: int, order: int) -> float:
+    """Error of the product rule from its weighted node values wv, per polar node a row, by null rules on its own
     nodes (Berntsen & Espelid, ACM TOMS 17, 1991) on each factor's marginal of wv: orthonormal Gegenbauer
     coefficients for a polar factor; Fourier modes below order for the azimuth, counted twice as modes +-2*order
-    alias onto 0 (mode order's cosine vanishes at the half-offset nodes; a collapsed pass, naz = 1, has none).
+    alias onto 0 (mode order's cosine vanishes at the half-offset nodes; a collapsed pass's one-node rows have none).
     Plus a floor of _ROUNDING_ULPS ulps of sum |wv|."""
-    grid = wv.reshape(-1, naz)  # rows: the polar nodes, lexicographic; columns: the azimuth
+    grid = wv.reshape(-1, wv.size // order ** (m - 2))  # rows: the polar nodes, lexicographic; columns: the azimuth
     polar = np.einsum("ij->i", grid).reshape((order,) * (m - 2))
     est = sum(_tail(_gegenbauer_rule(order, (m - 3 - d) / 2.0)[2] @ np.einsum(polar, [*range(m - 2)], [d]))
               for d in range(m - 2))
@@ -245,19 +262,19 @@ def _error_estimate(wv: np.ndarray, m: int, order: int, naz: int) -> float:
     return est + _ROUNDING_ULPS * math.ulp(1.0) * float(np.sum(np.abs(wv)))
 
 
-def _integral(spec: SurfaceSpec, q: QuadratureSpec, at):
+def _integral(spec: SurfaceSpec, q: QuadratureSpec, at, marked: bool):
     """Weighted sums of k per-node integrands and their error estimates, from one pass. at(nodes, sl) gives
     a chunk's k integrands and its scan outputs (a tuple of arrays, or None). Each integrand has its own
     per-chunk np.dot, the chunks' sums are added by math.fsum, and _error_estimate reads its weighted node
     values. Returns the results and the scan outputs concatenated in chunk order (or None)."""
-    nodes = _nodes(spec, q)
+    nodes = _nodes(spec, q, marked)
 
     def job(sl):
         vals, out = at(nodes, sl)
         return [(float(np.dot(v, nodes.wts[sl])), v * nodes.wts[sl]) for v in vals], out
 
     parts, outs = zip(*nodes.map(job))
-    results = tuple(IntegralResult(math.fsum(s), _error_estimate(np.concatenate(wv), spec.m, q.order, nodes.naz),
+    results = tuple(IntegralResult(math.fsum(s), _error_estimate(np.concatenate(wv), spec.m, q.order),
                                    grid_nodes(spec.m, q.order)) for s, wv in (zip(*p) for p in zip(*parts)))
     scanned = None if outs[0] is None else tuple(np.concatenate(k) for k in zip(*outs))
     return results, scanned
@@ -276,7 +293,8 @@ def _boundary(spec: SurfaceSpec, q: QuadratureSpec, fields: tuple, scan=None):
         out = None if scan is None else scan(frames)
         return vals, out if out is None or isinstance(out, tuple) else (out,)
 
-    results, scanned = _integral(spec, q, at)
+    marked = all(getattr(f, "orbit_invariant", False) for f in (*fields, scan) if f is not None)
+    results, scanned = _integral(spec, q, at, marked)
     return results, scanned[0] if scanned is not None and len(scanned) == 1 else scanned
 
 
@@ -286,8 +304,8 @@ def surface_integral(spec: SurfaceSpec, field, q: QuadratureSpec, scan=None):
     A tuple of fields gives a tuple of IntegralResult from one boundary pass,
     each equal to its single-field call. With scan=fn the call returns
     (result, scan_boundary(spec, q, fn)), the scan read from that same pass:
-    only what fn returns. Fields and scans keep the module's field contract: a
-    collapsed pass reads one node per azimuth row, its scan one entry per row.
+    only what fn returns. Where the fields and scan are all marked `invariant`,
+    the pass may collapse to one node per azimuth row (see the module docstring).
     """
     results, scanned = _boundary(spec, q, field if isinstance(field, tuple) else (field,), scan)
     result = results if isinstance(field, tuple) else results[0]
@@ -296,12 +314,13 @@ def surface_integral(spec: SurfaceSpec, field, q: QuadratureSpec, scan=None):
 
 def volume(spec: SurfaceSpec, q: QuadratureSpec) -> IntegralResult:
     """Lebesgue measure of the enclosed domain via the radial formula."""
-    return _integral(spec, q, lambda nodes, sl: ((nodes.rho[sl] ** spec.m / spec.m,), None))[0][0]
+    return _integral(spec, q, lambda nodes, sl: ((nodes.rho[sl] ** spec.m / spec.m,), None), True)[0][0]
 
 
 def bulk_integral(spec: SurfaceSpec, field, q: QuadratureSpec) -> IntegralResult:
     """Integral of an interior scalar over the domain by radial layering: q.order Gauss-Legendre points per ray
-    (_gegenbauer_rule at beta = 0), whose null rules join the error estimate. field maps points (B, m) to values."""
+    (_gegenbauer_rule at beta = 0), whose null rules join the error estimate. field maps points (B, m) to values;
+    marked `invariant`, it may collapse the pass to one ray per azimuth row (see the module docstring)."""
     m = spec.m
     x, w, rows = _gegenbauer_rule(q.order, 0.0)
     t, u = (x + 1) / 2, w / 2
@@ -316,7 +335,7 @@ def bulk_integral(spec: SurfaceSpec, field, q: QuadratureSpec) -> IntegralResult
             radial.append(np.dot(term, nodes.wts[sl]))
         return (acc,), (np.array([radial]),)
 
-    (res,), (radial,) = _integral(spec, q, at)
+    (res,), (radial,) = _integral(spec, q, at, getattr(field, "orbit_invariant", False))
     return replace(res, error_estimate=res.error_estimate + _tail(rows @ radial.sum(axis=0)))
 
 
@@ -324,7 +343,7 @@ def scan_boundary(spec: SurfaceSpec, q: QuadratureSpec, fn):
     """Apply fn(FrameBatch) -> array or tuple of arrays over every boundary node.
 
     Returns the concatenated per-node outputs in fixed node order (scan
-    fr.points for the boundary points), one per row on a collapsed pass; used
+    fr.points for the boundary points), one per row if fn is marked and the pass collapses; used
     for node sweeps (extrema, defects) that are not integrals.
     """
     return _boundary(spec, q, (), fn)[1]
@@ -332,8 +351,9 @@ def scan_boundary(spec: SurfaceSpec, q: QuadratureSpec, fn):
 
 def scan_bulk(spec: SurfaceSpec, q: QuadratureSpec, fn):
     """Apply fn(points) over an interior sample: _BULK_SHELLS radial shells of the
-    direction grid, strictly inside the boundary. Returns concatenated outputs."""
-    nodes = _nodes(spec, q)
+    direction grid, strictly inside the boundary. Returns concatenated outputs,
+    one per row and shell if fn is marked `invariant` and the pass collapses."""
+    nodes = _nodes(spec, q, getattr(fn, "orbit_invariant", False))
     outs = []
     for fr in (np.arange(1, _BULK_SHELLS + 1) - 0.5) / _BULK_SHELLS:
         outs.extend(nodes.map(lambda sl: np.asarray(fn(nodes.points(sl, nodes.rho[sl] * fr)))))

@@ -121,7 +121,7 @@ def _quad_meta(q: qd.QuadratureSpec, *results: qd.IntegralResult) -> dict:
 
 def _mixed_field(spec: sf.SurfaceSpec, fn, j: int):
     """fn(H, j + 1) at interior points, with H from eval_mixed: a quadratic's constant H, f never evaluated."""
-    return lambda pts: fn(sf.eval_mixed(spec, pts), j + 1)
+    return qd.invariant(lambda pts: fn(sf.eval_mixed(spec, pts), j + 1))
 
 
 def _bulk_sigma(spec: sf.SurfaceSpec, j: int, q: qd.QuadratureSpec, vol: qd.IntegralResult | None = None):
@@ -136,12 +136,12 @@ def _bulk_sigma(spec: sf.SurfaceSpec, j: int, q: qd.QuadratureSpec, vol: qd.Inte
 
 
 def _levi_flux_field(j: int):
-    return lambda frames: frames.levi(j) * frames.pgrad_norm ** (j + 1)
+    return qd.invariant(lambda frames: frames.levi(j) * frames.pgrad_norm ** (j + 1))
 
 
 def _inv_levi_field(j: int):
     """K^{-1/j}; 0, and no warning, where K <= 0, which the _nonpositive_levi scan reports."""
-    return lambda frames: np.where(frames.levi(j) > 0, frames.levi(j), np.inf) ** (-1.0 / j)
+    return qd.invariant(lambda frames: np.where(frames.levi(j) > 0, frames.levi(j), np.inf) ** (-1.0 / j))
 
 
 def _nonpositive_levi(frames, j: int):
@@ -156,14 +156,17 @@ def _levi_unmet(k: np.ndarray, points: np.ndarray) -> dict | None:
             f"with boundary point {points[0].tolist()}"} if len(k) else None
 
 
+@qd.invariant
 def _ones(frames):
     return np.ones(len(frames))
 
 
+@qd.invariant
 def _mean_curv_flux(frames):
     return cv.mean_curvature(frames) * sum(nu * x for nu, x in zip(frames.normal.T, frames.points.T))  # <normal, x>
 
 
+@qd.invariant
 def _pgrad(frames):
     return frames.pgrad_norm
 
@@ -231,7 +234,8 @@ def isoperimetric_ratio(
     """
     _check_j(spec, j)
     n = spec.n
-    lhs_r, unmet = qd.surface_integral(spec, _inv_levi_field(j), q, scan=lambda fr: _nonpositive_levi(fr, j))
+    unmet_scan = qd.invariant(lambda fr: _nonpositive_levi(fr, j))
+    lhs_r, unmet = qd.surface_integral(spec, _inv_levi_field(j), q, scan=unmet_scan)
     vol_r = qd.volume(spec, q)
     lhs, rhs = lhs_r.value, 2 * (n + 1) * vol_r.value
     ratio = lhs / rhs
@@ -271,8 +275,7 @@ def alexandrov_check(
     _check_j(spec, j)
     n = spec.n
     area_r, (k_vals, h_vals) = qd.surface_integral(
-        spec, _ones, q, scan=lambda fr: (fr.levi(j), cv.mean_curvature(fr))
-    )
+        spec, _ones, q, scan=qd.invariant(lambda fr: (fr.levi(j), cv.mean_curvature(fr))))
     vol_r = qd.volume(spec, q)
     k_lo, k_hi = float(np.min(k_vals)), float(np.max(k_vals))
     defect = k_hi - k_lo
@@ -332,8 +335,8 @@ def dirichlet_chain(
     # one pass, one K_j per chunk for the flux and K^{-1/j}; the pointwise product is read when proportional
     (pg_r, flux_w_r, inv_r), (dev, *unmet) = qd.surface_integral(
         dspec, (_pgrad, _levi_flux_field(j), _inv_levi_field(j)), q,
-        scan=lambda fr: (np.abs(np.maximum(fr.levi(j), 0.0) ** (1.0 / j) * (n + 1) * fr.pgrad_norm - 1.0),
-                         *_nonpositive_levi(fr, j)),
+        scan=qd.invariant(lambda fr: (np.abs(np.maximum(fr.levi(j), 0.0) ** (1.0 / j) * (n + 1) * fr.pgrad_norm - 1.0),
+                                      *_nonpositive_levi(fr, j))),
     )
     gradc_dev = float(np.max(dev)) if proportional else None
     flux_scale = max(abs(2 * vol_r.value), 1e-300)
@@ -375,7 +378,7 @@ def newton_sweep(
     an interior radial sample: a sum of squares for j = 1; for j >= 2 nonnegative where H lies in the Garding cone
     Gamma_{j+1} (Lin & Trudinger, Bull. Austral. Math. Soc. 50, 1994), else hypotheses_not_met."""
     _check_j(spec, j)
-    gaps_b = qd.scan_boundary(spec, q, lambda fr: _gap_and_cone(fr.whess, j + 1))
+    gaps_b = qd.scan_boundary(spec, q, qd.invariant(lambda fr: _gap_and_cone(fr.whess, j + 1)))
     gaps_i = qd.scan_bulk(spec, q, _mixed_field(spec, _gap_and_cone, j))
     lo_b, lo_i = np.min(gaps_b, axis=0), np.min(gaps_i, axis=0)  # the gap, then for j >= 2 the cone's sigma
     min_gap, cone = float(min(lo_b[0], lo_i[0])), float(min(lo_b[-1], lo_i[-1]))

@@ -160,14 +160,14 @@ def main() -> None:
         "user_quartic": families["user_quartic"], "reinhardt": bands["regular"],
     }
     for name, spec in roots.items():
-        nodes = qd._nodes(spec, RULES["gauss_o12"])
+        nodes = qd._nodes(spec, RULES["gauss_o12"], True)  # a marked pass: collapsed on the sphere and Reinhardt
         print(json.dumps({"radial_roots": name, "sha256": _sha(nodes.rho, nodes.slope)}))
     # the collapsed pass: one node per azimuth row on phase-invariant surfaces, at the benchmark's bulk-n2 order
     # and the Reinhardt golden order
     for name, spec, order in (("sphere_n2_o7", families["sphere_n2"], 7), ("reinhardt_o16", bands["regular"], 16)):
         q = qd.QuadratureSpec(order=order)
-        nodes = qd._nodes(spec, q)
-        levi = qd.surface_integral(spec, lambda fr: cv.levi(fr, 1), q)
+        nodes = qd._nodes(spec, q, True)
+        levi = qd.surface_integral(spec, qd.invariant(lambda fr: cv.levi(fr, 1)), q)
         print(json.dumps({"collapsed_pass": name, "nodes": len(nodes.wts), "surface_integral": _hex(levi),
                           "sha256": _sha(nodes.dirs, nodes.wts, nodes.rho, nodes.slope)}))
     reports = {

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+import levilab
 from levilab import curvature as cv
 from levilab import quadrature as qd
 from levilab import surfaces as sf
@@ -262,10 +263,10 @@ class TestRootCache:
         a, b = (sf.UserPolynomial(1, {(1, 0, 1, 0): 1.0, (0, 1, 0, 1): 1.0, (0, 0, 0, 0): -r * r}) for r in (2.0, 3.0))
         for spec in (a, b):
             qd.volume(spec, qd.QuadratureSpec(order=4))
-        # one entry per surface object, holding the roots of its one pass order
+        # one entry per surface object, holding the roots of its one pass: order 4, collapsed (both are spheres)
         assert set(qd._ROOT_CACHE.keys()) == {a, b}
-        assert all(sorted(qd._ROOT_CACHE[spec]) == [4] for spec in (a, b))
-        assert not np.array_equal(qd._ROOT_CACHE[a][4][0], qd._ROOT_CACHE[b][4][0])
+        assert all(sorted(qd._ROOT_CACHE[spec]) == [(4, True)] for spec in (a, b))
+        assert not np.array_equal(qd._ROOT_CACHE[a][4, True][0], qd._ROOT_CACHE[b][4, True][0])
         del a
         gc.collect()
         assert list(qd._ROOT_CACHE.keys()) == [b]
@@ -281,7 +282,7 @@ class TestRootCache:
         monkeypatch.setattr(qd, "radial_roots", lambda *args: pytest.fail("roots solved again"))
         for spec in (sf.ExpReparam(base), sf.ExpReparam(sf.ExpReparam(base))):
             nodes = qd._nodes(spec, q)
-            assert nodes.rho is qd._ROOT_CACHE[base][6][0] and nodes.slope is qd._ROOT_CACHE[base][6][1]
+            assert nodes.rho is qd._ROOT_CACHE[base][6, False][0] and nodes.slope is qd._ROOT_CACHE[base][6, False][1]
         assert list(qd._ROOT_CACHE.keys()) == [base]
         qd.clear_root_cache()
 
@@ -304,15 +305,16 @@ class TestOrbitRoots:
     @pytest.mark.parametrize("name", sorted(INVARIANT))
     def test_one_solve_per_azimuth_row_equals_the_full_solve(self, name, monkeypatch):
         # a collapsed pass's nodes are the first azimuth node of each polar node, bit for bit, weighted with
-        # their row's sum; its one root per row is the root of every ray of the row, to a few ulps
+        # their row's sum; its one root per row is the root of every ray of the row, to a few ulps. It solves
+        # each row's first node and, for its check, its second
         make, order = self.INVARIANT[name]
         spec, q, naz = make(), qd.QuadratureSpec(order=order), 2 * order
         solved = []
         monkeypatch.setattr(qd, "radial_roots", lambda s, d: solved.append(len(d)) or sf.radial_roots(s, d))
         qd.clear_root_cache()
-        nodes = qd._nodes(spec, q)
+        nodes = qd._nodes(spec, q, True)
         dirs, wts = qd.sphere_grid(spec.m, order)
-        assert nodes.naz == 1 and sum(solved) == len(nodes.dirs) == len(dirs) // naz == order ** (spec.m - 2)
+        assert sum(solved) == 2 * len(nodes.dirs) and len(nodes.wts) == len(dirs) // naz == order ** (spec.m - 2)
         assert nodes.dirs.tobytes() == dirs[::naz].tobytes()
         assert np.allclose(nodes.wts, wts.reshape(-1, naz).sum(axis=1), rtol=8 * np.finfo(float).eps, atol=0)
         for got, want in zip((nodes.rho, nodes.slope), sf.radial_roots(spec, dirs)):
@@ -320,33 +322,58 @@ class TestOrbitRoots:
             assert np.all(np.abs(got[:, None] - rows) <= 4 * np.finfo(float).eps * rows)
         qd.clear_root_cache()
 
-    @pytest.mark.parametrize("make", [
-        lambda: sf.Ellipsoid([1.0, 1.3, 0.8, 1.1]),
-        lambda: sf.PerturbedQuadric(1, hterms={(2, 0): 0.15 + 0.05j, (1, 1): -0.1j}),
-        lambda: sf.UserPolynomial(1, USER_QUARTIC, scale=1.2, validate=False),
-        lambda: sf.Sphere(1.0, center=[0.4, -0.1, 0.2, 0.3]),  # invariant about a center off the rotation's axis
-    ], ids=["ellipsoid", "quadric", "user_quartic", "off_center_sphere"])
-    def test_a_surface_without_the_symmetry_solves_every_ray(self, make):
+    @pytest.mark.parametrize("make,marked", [
+        (lambda: sf.Ellipsoid([1.0, 1.3, 0.8, 1.1]), True),
+        (lambda: sf.PerturbedQuadric(1, hterms={(2, 0): 0.15 + 0.05j, (1, 1): -0.1j}), True),
+        (lambda: sf.UserPolynomial(1, USER_QUARTIC, scale=1.2, validate=False), True),
+        (lambda: sf.Sphere(1.0, center=[0.4, -0.1, 0.2, 0.3]), True),  # invariant about a center off the axis
+        (lambda: sf.Sphere(1.0), False),  # invariant, but the pass's integrands are not marked
+    ], ids=["ellipsoid", "quadric", "user_quartic", "off_center_sphere", "unmarked"])
+    def test_a_surface_without_the_symmetry_solves_every_ray(self, make, marked):
         spec = make()
         qd.clear_root_cache()
-        nodes = qd._nodes(spec, Q16)
+        nodes = qd._nodes(spec, Q16, marked)
         want = _chunked_roots(spec, nodes.dirs)
-        assert nodes.naz == 32 and nodes.dirs is qd.sphere_grid(spec.m, 16)[0]
+        assert nodes.dirs is qd.sphere_grid(spec.m, 16)[0] and len(nodes.wts) == qd.grid_nodes(spec.m, 16)
         assert nodes.rho.tobytes() == want[0].tobytes() and nodes.slope.tobytes() == want[1].tobytes()
         qd.clear_root_cache()
 
-    def test_a_predicate_forced_true_is_trusted(self, monkeypatch):
-        # the collapse reads SurfaceSpec.phase_invariant and checks nothing on the rows it skips, so the predicate
-        # must be exact (tests/test_surfaces.py): forced on an ellipsoid, whose rows do not share one root, the
-        # pass collapses and its area is off by far more than its own estimate
+    def test_a_predicate_forced_true_fails_loudly(self, monkeypatch):
+        # an ellipsoid's azimuth rows do not share one root: a collapsed pass's check of each row's second node
+        # raises, caches nothing, and never yields a silent integral; an unmarked field keeps the full grid
         spec = sf.Ellipsoid([1.0, 1.3, 0.8, 1.1])
         qd.clear_root_cache()
         full = qd.surface_integral(spec, ones, Q16)
         monkeypatch.setattr(sf.Ellipsoid, "phase_invariant", True)
         qd.clear_root_cache()
-        forced = qd.surface_integral(spec, ones, Q16)
-        assert qd._nodes(spec, Q16).naz == 1 and forced.nodes_used == full.nodes_used
-        assert abs(forced.value - full.value) > 1e-3 * full.value > forced.error_estimate
+        for run in (lambda: qd.surface_integral(spec, qd.invariant(lambda fr: ones(fr)), Q16),
+                    lambda: qd.volume(spec, Q16)):
+            with pytest.raises(ValueError, match="azimuth row's roots differ"):
+                run()
+        assert (16, True) not in qd._ROOT_CACHE[spec]
+        assert qd.surface_integral(spec, ones, Q16) == full
+        qd.clear_root_cache()
+
+
+class TestUnmarkedFields:
+    # the public entry points collapse only for marked integrands: on the unit sphere of R^4, whose marked passes
+    # collapse, a field that the phase rotation of z_2 moves still gets its exact integral from the full grid
+    Q = qd.QuadratureSpec(order=8)
+
+    def test_non_invariant_fields_keep_their_exact_integrals(self):
+        sphere, area = sf.Sphere(1.0), qd.sphere_area(4)  # int_{S^3} x_4^2 = area / 4; int_{B^4} x_4^2 = area / 24
+        assert levilab.surface_integral(sphere, lambda fr: fr.points[:, 3] ** 2, self.Q).value == pytest.approx(
+            area / 4, rel=1e-13)
+        assert abs(levilab.surface_integral(sphere, lambda fr: fr.points[:, 2], self.Q).value) < 1e-14
+        assert levilab.bulk_integral(sphere, lambda p: p[:, 3] ** 2, self.Q).value == pytest.approx(area / 24,
+                                                                                                    rel=1e-13)
+        qd.clear_root_cache()
+
+    def test_scans_read_every_node_unless_marked(self):
+        sphere, full = sf.Sphere(1.0), qd.grid_nodes(4, 8)
+        assert len(qd.scan_boundary(sphere, self.Q, lambda fr: fr.pgrad_norm)) == full
+        assert len(qd.scan_bulk(sphere, self.Q, lambda p: p[:, 0])) == qd._BULK_SHELLS * full
+        assert len(qd.scan_boundary(sphere, self.Q, qd.invariant(lambda fr: fr.pgrad_norm))) == full // 16
         qd.clear_root_cache()
 
 

@@ -404,10 +404,11 @@ class TestOneBoundaryPass:
             "isoperimetric": (ell, lambda: vf.isoperimetric_ratio(ell, 1, q)),
         }
         for name, (spec, run) in runs.items():
-            nodes = qd._nodes(spec, q)
+            nodes = qd._nodes(spec, q, True)  # the suites' fields are marked
             chunks = -(-len(nodes.wts) // qd.CHUNK)
             collapsed = name == "alexandrov"  # the Reinhardt surface is phase-invariant about the origin
-            assert (nodes.naz == 1) == collapsed and chunks == (1 if collapsed else full_chunks)
+            assert (len(nodes.wts) < qd.grid_nodes(spec.m, order)) == collapsed
+            assert chunks == (1 if collapsed else full_chunks)
             frame_calls.clear()
             run()
             assert len(frame_calls) == chunks, name
@@ -511,7 +512,7 @@ class TestOrbitCollapse:
                 vf._pgrad(fr), fr.levi(j), cv.mean_curvature(fr), vf._gap_and_cone(fr.whess, j + 1)))
             outs += [qd.scan_bulk(spec, q, vf._mixed_field(spec, fn, j)) for fn in (vf._gap_and_cone, sigma_batch)]
         for k, a in enumerate(outs + [nodes.rho, nodes.slope]):
-            rows = a.reshape(-1, nodes.naz, *a.shape[1:])
+            rows = a.reshape(-1, 2 * q.order, *a.shape[1:])
             assert np.abs(rows - rows[:, :1]).max() <= 32 * np.finfo(float).eps * np.abs(a).max(), k
         qd.clear_root_cache()
 
@@ -520,8 +521,11 @@ class TestOrbitCollapse:
         make, q = INVARIANT[name]
         spec = make()
         qd.clear_root_cache()
-        assert qd._nodes(spec, q).naz == 1
+        real, marked = qd._nodes, []  # every pass of every suite reads only marked integrands, so it collapses
+        monkeypatch.setattr(qd, "_nodes", lambda s, q, m=False: marked.append(m) or real(s, q, m))
         collapsed = _reports(spec, q)
+        assert marked and all(marked) and len(real(spec, q, True).wts) == q.order ** (spec.m - 2)
+        monkeypatch.setattr(qd, "_nodes", real)
         _full_path(monkeypatch, spec)
         for (suite, j, got), (_, _, want) in zip(collapsed, _reports(spec, q), strict=True):
             assert got.verdict["kind"] == want.verdict["kind"], (suite, j)
@@ -535,7 +539,7 @@ class TestOrbitCollapse:
         # constant on a row: the pass is the one the predicate forced False gives, bit for bit
         spec = sf.Sphere(1.0, center=[0.4, -0.1, 0.2, 0.3])
         qd.clear_root_cache()
-        assert spec.phase_invariant and qd._nodes(spec, Q12).naz == 24
+        assert spec.phase_invariant and qd._nodes(spec, Q12, True).dirs is qd.sphere_grid(4, 12)[0]
         got = [r.to_json() for _, _, r in _reports(spec, Q12)]
         _full_path(monkeypatch, spec)
         assert [r.to_json() for _, _, r in _reports(spec, Q12)] == got
