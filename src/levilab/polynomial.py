@@ -204,6 +204,13 @@ class RealPolynomial:
                     flow[t] = flow.get(t, 0) + sign * e[i] * Fraction(c)
         return not any(flow.values())
 
+    def flip_group(self) -> tuple[int, ...]:
+        """The flips z_k -> -z_k about the center that keep f and fix the origin, as masks (bit k flips pair k): of
+        pairs where the center is (0, 0), keeping the parity of every term's degree in them, in integers."""
+        odd = [sum((e[2 * k] + e[2 * k + 1]) % 2 << k for k in range(self.m // 2)) for e in self.terms]
+        free = sum(1 << k for k in range(self.m // 2) if not np.any(self.center[2 * k:2 * k + 2]))
+        return tuple(g for g in range(free + 1) if g & free == g and not any((g & a).bit_count() % 2 for a in odd))
+
     def restrict(self, dirs: np.ndarray) -> np.ndarray:
         """a (d + 1, B) with f(center + rho * dirs[b]) = sum_k a[k, b] rho^k, from the terms by degree."""
         if self._quadratic is not None:

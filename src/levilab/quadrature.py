@@ -23,15 +23,20 @@ next chunk. A suite asks for all its boundary quantities in one call. A scan
 returns what its function returns, concatenated in node order; a caller that
 wants the boundary points scans `fr.points`.
 
-Orbit collapse: an azimuth row is an orbit of z_{n+1} -> e^{i theta} z_{n+1},
-a unitary map that fixes the origin. Where it maps the surface onto itself
+Orbit collapse and flip folding: a pass whose fields and scan are all marked
+`invariant` (volume's integrand always is) reads functions of the surface's
+geometry that the unitary maps fixing f and the origin keep (K_j, H, |del f|,
+<normal, x>): the field contract. Where z_{n+1} -> e^{i theta} z_{n+1} is one
 (SurfaceSpec.phase_invariant, about a star center whose last pair is (0, 0)),
-a pass whose fields and scan are all marked `invariant` (volume's integrand
-always is) runs on one node per row, with the row's weight. The mark promises
-the field contract: a function of the surface's geometry, invariant under the
-unitary maps that fix f and the origin (K_j, H, |del f|, <normal, x>); a
-collapsed scan gives one entry per row, read at its first node. nodes_used
-counts the full product rule's nodes either way.
+the pass runs on one node per azimuth row, with the row's weight. The flips
+z_k -> -z_k that are (SurfaceSpec.flip_group, exact on f's terms) reflect pair
+k's polar factors, or turn the azimuth by pi: the pass runs on a fundamental
+domain of their group, where each flip of its reduced echelon basis over GF(2)
+keeps the lower half (x <= 0, k < order) of its lowest pair's first factor at
+twice the weight, bar an odd rule's x = 0 node. A scan gives one entry per
+node of the domain, which holds each orbit's first node; the error estimate
+reads the values mirrored back onto the grid (_unfold). nodes_used counts the
+full product rule's nodes either way.
 
 Reproducibility contract: node order is fixed, and nodes are processed one
 fixed chunk after another, whose partial sums are added by the correctly
@@ -58,7 +63,7 @@ CHUNK = 8192  # fixed; part of the determinism contract
 _STEADY, _SAFETY = 1.5, 32.0  # _tail: a steady decay's window ratios agree to _STEADY; _SAFETY scales its extrapolation
 _ROUNDING_ULPS = 8  # the estimate's floor, in ulps of the sum of |weight * value|
 _BULK_SHELLS = 3  # radial shells of the interior node sample
-_ORBIT_ULPS = 16  # a collapsed pass's check: its rows' second roots agree with their first to _ORBIT_ULPS ulps
+_ORBIT_ULPS = 16  # a pass's check: roots at its rows' second nodes and flips' images agree with its own to 16 ulps
 
 
 @dataclass(frozen=True)
@@ -127,7 +132,7 @@ def _gegenbauer_rule(order: int, beta: float) -> tuple[np.ndarray, np.ndarray, n
 
 
 @lru_cache(maxsize=32)
-def sphere_grid(m: int, order: int, node: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def sphere_grid(m: int, order: int, node: int | None = None, halves: tuple = ()) -> tuple[np.ndarray, np.ndarray]:
     """Product quadrature directions and weights on the unit sphere of R^m.
 
     Each polar angle is handled in x = cos(theta) by the Gauss-Gegenbauer rule
@@ -136,12 +141,16 @@ def sphere_grid(m: int, order: int, node: int | None = None) -> tuple[np.ndarray
     polynomials of degree < 2*order). The product is exact for all spherical
     polynomials of degree <= 2*order - 1, which plain Gauss-Legendre in the
     angles is not; nodes are enumerated lexicographically and never reordered.
-    With node=k only azimuth node k of each row is built, weighted 2 pi.
+    With node=k only azimuth node k of each row is built, weighted 2 pi; each
+    factor in halves (m - 2: the azimuth) keeps its lower half, as _nodes folds.
     """
     rules = [_gegenbauer_rule(order, (m - 3 - i) / 2.0)[:2] for i in range(m - 2)]  # (1 - x^2)^beta from sin^{m-2-i}
     naz = _AZIMUTH_FACTOR * order
     az = ((np.arange(naz) if node is None else np.array([node])) + 0.5) * 2 * np.pi / naz
     rules.append((az, np.full(len(az), 2 * np.pi / len(az))))
+    for i in halves:
+        x, w = (a[:(len(a) + 1) // 2] for a in rules[i])
+        rules[i] = x, np.where(x == 0, 1, 2) * w
     grids = np.meshgrid(*(x for x, _ in rules), indexing="ij")
     wgrids = np.meshgrid(*(w for _, w in rules), indexing="ij")
     b = grids[0].size
@@ -179,13 +188,14 @@ def grid_nodes(m: int, order: int) -> int:
 
 
 class _Nodes(NamedTuple):
-    """One pass's node set: rays center + t * rho * dirs, t in [0, 1]."""
+    """One pass's node set: rays center + t * rho * dirs, t in [0, 1], on the domain of the flips it folds."""
 
     center: np.ndarray
     dirs: np.ndarray
     wts: np.ndarray
     rho: np.ndarray
     slope: np.ndarray
+    flips: tuple = ()
 
     def points(self, sl: slice, r: np.ndarray) -> np.ndarray:
         """center + r * dirs[sl], (B, m) in the coordinate-major memory of the directions."""
@@ -197,41 +207,62 @@ class _Nodes(NamedTuple):
 
 
 # swept family (an ExpReparam's innermost base, whose roots its reparametrisations share bit for bit) -> {(order,
-# collapsed): (rho, slope)}: every pass over one zero set on one node set reads the same roots, dropped with it
+# collapsed, flips): (rho, slope)}: every pass over one zero set on one node set reads the same roots, dropped with it
 _ROOT_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def invariant(fn):
-    """Mark fn as keeping the field contract (module docstring), so that a pass reading only marked fns may collapse."""
+    """Mark fn as keeping the field contract (module docstring), so that a pass reading only marked fns may fold."""
     fn.orbit_invariant = True
     return fn
 
 
 def _nodes(spec: SurfaceSpec, q: QuadratureSpec, marked: bool = False) -> _Nodes:
     """Directions, weights and (cached) radial roots of the pass at q.order: for marked integrands one node per
-    azimuth row where the rows are orbits that fix the origin (see the module docstring), else the full product
-    grid. A collapsed pass also solves each row's second node, and raises unless it shares the row's root."""
+    azimuth row where the rows are orbits that fix the origin, on the domain of the flips (module docstring), else
+    the full grid. It also solves each row's second node and each flip's image, and raises unless they agree."""
     if spec.star_center is None:
         raise StarShapeError(f"{type(spec).__name__} has no star center; cannot integrate")
-    swept = swept_family(spec)
+    swept, m = swept_family(spec), spec.m
     rows = marked and swept.phase_invariant and not np.any(spec.star_center[-2:])
-    dirs, wts = sphere_grid(spec.m, q.order, 0) if rows else sphere_grid(spec.m, q.order)  # shares set-up's key
-    nodes = _Nodes(spec.star_center, dirs, wts, None, None)
+    pivots = sum({g & -g for g in swept.flip_group})  # the group's elements' lowest pairs
+    # its reduced echelon basis: per pivot, the one flip holding no other pivot, bar the flip of z_{n+1} on rows
+    flips = tuple(g for g in swept.flip_group if marked and g & pivots == g & -g and g not in (0, rows << spec.n))
+    halves = tuple(2 * ((g & -g).bit_length() - 1) for g in flips)  # pair n's factor 2n is the azimuth
+    dirs, wts = sphere_grid(m, q.order, 0 if rows else None, halves) if rows or flips else sphere_grid(m, q.order)
+    nodes = _Nodes(spec.star_center, dirs, wts, None, None, flips)
 
     def solve(d):  # the roots along the rays d, one radial_roots call per CHUNK slice
-        parts = nodes.map(lambda sl: radial_roots(swept, d[sl]))
+        parts = [radial_roots(swept, d[i:i + CHUNK]) for i in range(0, len(d), CHUNK)]
         return tuple(np.concatenate([p[k] for p in parts]) for k in (0, 1))
 
     cached = _ROOT_CACHE.setdefault(swept, {})
-    if (q.order, rows) not in cached:
+    if (q.order, rows, flips) not in cached:
         rho, slope = solve(dirs)
-        off = np.abs(solve(sphere_grid(spec.m, q.order, 1)[0])[0] - rho) if rows else 0.0  # each row's second node
+        images = ([sphere_grid(m, q.order, 1, halves)[0]] if rows else []) + [
+            dirs * np.repeat([1 - 2 * (g >> k & 1) for k in range(m // 2)], 2) for g in flips]
+        off = np.abs(solve(np.concatenate(images))[0].reshape(len(images), -1) - rho) if images else 0 * rho
         if np.any(off > _ORBIT_ULPS * np.finfo(float).eps * rho):
-            raise ValueError(f"{type(swept).__name__}.phase_invariant holds, but an azimuth row's roots differ by "
-                             f"{float(np.max(off)):.3e}")
-        cached[q.order, rows] = rho, slope
-    rho, slope = cached[q.order, rows]
+            raise ValueError(f"{type(swept).__name__}: the roots at a claimed symmetry's image (an azimuth row's "
+                             f"second node or a flip's) differ by {np.max(off):.3e}")
+        cached[q.order, rows, flips] = rho, slope
+    rho, slope = cached[q.order, rows, flips]
     return nodes._replace(rho=rho, slope=slope)
+
+
+def _unfold(wv: np.ndarray, m: int, order: int, flips: tuple) -> np.ndarray:
+    """Weighted node values on the domain of flips -> on its base grid: each flip mirrors the domain (np.flip on the
+    polar factors it reflects, np.roll by order on the azimuth) and halves the folded weights back, bar x = 0."""
+    n, pivots = m // 2 - 1, [(g & -g).bit_length() - 1 for g in flips]
+    a = wv.reshape(*((order + 1) // 2 if i % 2 == 0 and i // 2 in pivots else order for i in range(m - 2)), -1)
+    for g, p in zip(flips, pivots):
+        half, at = a / 2, (slice(None),) * 2 * p + (order // 2,)
+        if p < n and order % 2:
+            half[at] = a[at]
+        mirror = np.flip(half[at[:-1] + (slice(order // 2),)] if p < n else half,
+                         [2 * k + i for k in range(n) if g >> k & 1 for i in (0, 1)])
+        a = np.concatenate([half, np.roll(mirror, order, -1) if g >> n & 1 else mirror], axis=2 * p)
+    return a.reshape(-1)
 
 
 def _tail(c: np.ndarray) -> float:
@@ -274,7 +305,8 @@ def _integral(spec: SurfaceSpec, q: QuadratureSpec, at, marked: bool):
         return [(float(np.dot(v, nodes.wts[sl])), v * nodes.wts[sl]) for v in vals], out
 
     parts, outs = zip(*nodes.map(job))
-    results = tuple(IntegralResult(math.fsum(s), _error_estimate(np.concatenate(wv), spec.m, q.order),
+    results = tuple(IntegralResult(math.fsum(s), _error_estimate(_unfold(np.concatenate(wv), spec.m, q.order,
+                                                                          nodes.flips), spec.m, q.order),
                                    grid_nodes(spec.m, q.order)) for s, wv in (zip(*p) for p in zip(*parts)))
     scanned = None if outs[0] is None else tuple(np.concatenate(k) for k in zip(*outs))
     return results, scanned
@@ -305,7 +337,7 @@ def surface_integral(spec: SurfaceSpec, field, q: QuadratureSpec, scan=None):
     each equal to its single-field call. With scan=fn the call returns
     (result, scan_boundary(spec, q, fn)), the scan read from that same pass:
     only what fn returns. Where the fields and scan are all marked `invariant`,
-    the pass may collapse to one node per azimuth row (see the module docstring).
+    the pass may collapse to one node per azimuth row and fold by flips (see the module docstring).
     """
     results, scanned = _boundary(spec, q, field if isinstance(field, tuple) else (field,), scan)
     result = results if isinstance(field, tuple) else results[0]
@@ -320,7 +352,7 @@ def volume(spec: SurfaceSpec, q: QuadratureSpec) -> IntegralResult:
 def bulk_integral(spec: SurfaceSpec, field, q: QuadratureSpec) -> IntegralResult:
     """Integral of an interior scalar over the domain by radial layering: q.order Gauss-Legendre points per ray
     (_gegenbauer_rule at beta = 0), whose null rules join the error estimate. field maps points (B, m) to values;
-    marked `invariant`, it may collapse the pass to one ray per azimuth row (see the module docstring)."""
+    marked `invariant`, it may collapse and fold the pass (see the module docstring)."""
     m = spec.m
     x, w, rows = _gegenbauer_rule(q.order, 0.0)
     t, u = (x + 1) / 2, w / 2
@@ -343,7 +375,7 @@ def scan_boundary(spec: SurfaceSpec, q: QuadratureSpec, fn):
     """Apply fn(FrameBatch) -> array or tuple of arrays over every boundary node.
 
     Returns the concatenated per-node outputs in fixed node order (scan
-    fr.points for the boundary points), one per row if fn is marked and the pass collapses; used
+    fr.points for the boundary points), one per domain node if fn is marked and the pass folds; used
     for node sweeps (extrema, defects) that are not integrals.
     """
     return _boundary(spec, q, (), fn)[1]
@@ -352,7 +384,7 @@ def scan_boundary(spec: SurfaceSpec, q: QuadratureSpec, fn):
 def scan_bulk(spec: SurfaceSpec, q: QuadratureSpec, fn):
     """Apply fn(points) over an interior sample: _BULK_SHELLS radial shells of the
     direction grid, strictly inside the boundary. Returns concatenated outputs,
-    one per row and shell if fn is marked `invariant` and the pass collapses."""
+    one per domain node and shell if fn is marked `invariant` and the pass folds."""
     nodes = _nodes(spec, q, getattr(fn, "orbit_invariant", False))
     outs = []
     for fr in (np.arange(1, _BULK_SHELLS + 1) - 0.5) / _BULK_SHELLS:

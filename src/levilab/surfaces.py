@@ -111,9 +111,12 @@ class SurfaceSpec:
 
     @property
     def phase_invariant(self) -> bool:
-        """Whether f is exactly invariant under z_{n+1} -> e^{i theta} z_{n+1} about the star center, which the
-        quadrature's orbit collapse trusts unchecked; a polynomial family decides it on its terms (RealPolynomial)."""
+        """Whether f is exactly invariant under z_{n+1} -> e^{i theta} z_{n+1} about the star center; a polynomial
+        family decides it on its terms (RealPolynomial). The quadrature's orbit collapse checks it on each row's
+        second root, as its flip folding checks flip_group on each flip's image of the domain."""
         return self.poly.phase_invariant()
+
+    flip_group = functools.cached_property(lambda self: self.poly.flip_group())  # once per family object
 
     def keys(self) -> dict:
         """Each spec key's value, None for a key the spec string leaves out: by default the attribute
@@ -287,6 +290,7 @@ class ReinhardtSurface(SurfaceSpec, family="reinhardt"):
     """
 
     phase_invariant = True  # f depends on z2 through |z2|^2 alone
+    flip_group = (0, 1, 2, 3)  # and on z1 through |z1|^2: torus-invariant
 
     def __init__(self, k: float, f0: float, fp0: float | None = None,
                  s0: float = 0.0, smax: float | None = None):
@@ -391,6 +395,7 @@ class ExpReparam(SurfaceSpec):
         return _chain(f, e - 1.0, e, e)
 
     phase_invariant = property(lambda self: self.base.phase_invariant)  # the base's: exp(f) - 1 has f's symmetries
+    flip_group = property(lambda self: self.base.flip_group)
 
     def ray(self, dirs):
         """The base family's ray: e^p - 1 and p cross each ray at the same rho with the same sign, and their

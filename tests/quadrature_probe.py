@@ -11,7 +11,9 @@ fixed points, a sha256 of the radial roots and slopes of the order-12 grid
 for five families, the node count, a sha256 of the nodes (directions,
 weights, roots and slopes) and a K_1 surface_integral of the collapsed pass
 (one node per azimuth row) of the n=2 sphere at order 7 and the Reinhardt
-surface at order 16, and a sha256 of a verification report on
+surface at order 16, the node count, a sha256 of the roots and slopes and a
+K_1 surface_integral of the flip-folded pass of an n=1 ellipsoid and quadric
+at order 32, and a sha256 of a verification report on
 every verdict branch the suites reach on these surfaces (tolerances are
 passed by position). A report is hashed without its error estimate and the
 gradient-flux bound built from it; those are printed as hex on a line of
@@ -170,6 +172,15 @@ def main() -> None:
         levi = qd.surface_integral(spec, qd.invariant(lambda fr: cv.levi(fr, 1)), q)
         print(json.dumps({"collapsed_pass": name, "nodes": len(nodes.wts), "surface_integral": _hex(levi),
                           "sha256": _sha(nodes.dirs, nodes.wts, nodes.rho, nodes.slope)}))
+    # the flip-folded pass on boundary-n1's two surfaces that no row collapse reaches: the ellipsoid folds by the
+    # flips of z_1 and z_2, the quadric by their joint flip alone
+    folded = {"ellipsoid_o32": ell, "quadric_o32": sf.PerturbedQuadric(1, hterms={(2, 0): 0.15 + 0.05j, (1, 1): -0.1j})}
+    for name, spec in folded.items():
+        q = qd.QuadratureSpec(order=32)
+        nodes = qd._nodes(spec, q, True)
+        levi = qd.surface_integral(spec, qd.invariant(lambda fr: cv.levi(fr, 1)), q)
+        print(json.dumps({"flip_domain": name, "nodes": len(nodes.wts), "surface_integral": _hex(levi),
+                          "sha256": _sha(nodes.rho, nodes.slope)}))
     reports = {
         "integral_gauss": lambda: vf.verify_integral_formula(ell, 1, RULES["gauss_o12"]),
         "integral_exp": lambda: vf.verify_integral_formula(ell, 1, RULES["gauss_o12"], f_choice="exp"),

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import os
 import subprocess
@@ -6,6 +7,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 import levilab
 from levilab import curvature as cv
@@ -263,10 +265,11 @@ class TestRootCache:
         a, b = (sf.UserPolynomial(1, {(1, 0, 1, 0): 1.0, (0, 1, 0, 1): 1.0, (0, 0, 0, 0): -r * r}) for r in (2.0, 3.0))
         for spec in (a, b):
             qd.volume(spec, qd.QuadratureSpec(order=4))
-        # one entry per surface object, holding the roots of its one pass: order 4, collapsed (both are spheres)
+        # one entry per surface object, holding the roots of its one pass, keyed by its node set: order 4,
+        # collapsed (both are spheres) and folded by the flip of z_1 (the rows absorb that of z_2)
         assert set(qd._ROOT_CACHE.keys()) == {a, b}
-        assert all(sorted(qd._ROOT_CACHE[spec]) == [(4, True)] for spec in (a, b))
-        assert not np.array_equal(qd._ROOT_CACHE[a][4, True][0], qd._ROOT_CACHE[b][4, True][0])
+        assert all(sorted(qd._ROOT_CACHE[spec]) == [(4, True, (1,))] for spec in (a, b))
+        assert not np.array_equal(qd._ROOT_CACHE[a][4, True, (1,)][0], qd._ROOT_CACHE[b][4, True, (1,)][0])
         del a
         gc.collect()
         assert list(qd._ROOT_CACHE.keys()) == [b]
@@ -281,8 +284,9 @@ class TestRootCache:
         qd.volume(base, q)
         monkeypatch.setattr(qd, "radial_roots", lambda *args: pytest.fail("roots solved again"))
         for spec in (sf.ExpReparam(base), sf.ExpReparam(sf.ExpReparam(base))):
-            nodes = qd._nodes(spec, q)
-            assert nodes.rho is qd._ROOT_CACHE[base][6, False][0] and nodes.slope is qd._ROOT_CACHE[base][6, False][1]
+            nodes = qd._nodes(spec, q, True)  # volume's pass: folded by the flips of z_1 and z_2
+            entry = qd._ROOT_CACHE[base][6, False, (1, 2)]
+            assert nodes.rho is entry[0] and nodes.slope is entry[1]
         assert list(qd._ROOT_CACHE.keys()) == [base]
         qd.clear_root_cache()
 
@@ -309,6 +313,7 @@ class TestOrbitRoots:
         # each row's first node and, for its check, its second
         make, order = self.INVARIANT[name]
         spec, q, naz = make(), qd.QuadratureSpec(order=order), 2 * order
+        monkeypatch.setattr(sf.swept_family(spec), "flip_group", (0,))  # the rows alone; TestFlipFold adds the flips
         solved = []
         monkeypatch.setattr(qd, "radial_roots", lambda s, d: solved.append(len(d)) or sf.radial_roots(s, d))
         qd.clear_root_cache()
@@ -323,14 +328,16 @@ class TestOrbitRoots:
         qd.clear_root_cache()
 
     @pytest.mark.parametrize("make,marked", [
-        (lambda: sf.Ellipsoid([1.0, 1.3, 0.8, 1.1]), True),
-        (lambda: sf.PerturbedQuadric(1, hterms={(2, 0): 0.15 + 0.05j, (1, 1): -0.1j}), True),
+        # no flip group either: a center off (0, 0) in both pairs, and a cubic term odd in z_1 next to z_1 z_2
+        (lambda: sf.Ellipsoid([1.0, 1.3, 0.8, 1.1], center=[0.0, 0.1, -0.2, 0.0]), True),
+        (lambda: sf.PerturbedQuadric(1, hterms={(2, 0): 0.15 + 0.05j, (1, 1): -0.1j, (3, 0): 0.05}), True),
         (lambda: sf.UserPolynomial(1, USER_QUARTIC, scale=1.2, validate=False), True),
         (lambda: sf.Sphere(1.0, center=[0.4, -0.1, 0.2, 0.3]), True),  # invariant about a center off the axis
         (lambda: sf.Sphere(1.0), False),  # invariant, but the pass's integrands are not marked
-    ], ids=["ellipsoid", "quadric", "user_quartic", "off_center_sphere", "unmarked"])
+    ], ids=["off_center_ellipsoid", "cubic_quadric", "user_quartic", "off_center_sphere", "unmarked"])
     def test_a_surface_without_the_symmetry_solves_every_ray(self, make, marked):
         spec = make()
+        assert spec.flip_group == ((0,) if marked else (0, 1, 2, 3))
         qd.clear_root_cache()
         nodes = qd._nodes(spec, Q16, marked)
         want = _chunked_roots(spec, nodes.dirs)
@@ -348,9 +355,98 @@ class TestOrbitRoots:
         qd.clear_root_cache()
         for run in (lambda: qd.surface_integral(spec, qd.invariant(lambda fr: ones(fr)), Q16),
                     lambda: qd.volume(spec, Q16)):
-            with pytest.raises(ValueError, match="azimuth row's roots differ"):
+            with pytest.raises(ValueError, match="claimed symmetry's image"):
                 run()
-        assert (16, True) not in qd._ROOT_CACHE[spec]
+        assert not any(collapsed for _, collapsed, _ in qd._ROOT_CACHE[spec])
+        assert qd.surface_integral(spec, ones, Q16) == full
+        qd.clear_root_cache()
+
+
+def _flip_signs(g: int, m: int) -> np.ndarray:
+    """The coordinate signs of the flip g: -1 on each pair whose bit is set."""
+    return np.repeat([-1.0 if g >> k & 1 else 1.0 for k in range(m // 2)], 2)
+
+
+class TestFlipFold:
+    # marked passes on surfaces with a flip group: the ellipsoid folds twice (z_1, z_2), the boundary-n1 quadric once
+    # (its joint flip), and the collapsed Reinhardt surface and n = 2 sphere once and twice on the rows, at odd order 7
+    FOLDED = {
+        "ellipsoid_o16": (lambda: sf.Ellipsoid([1.0, 1.3, 0.8, 1.1]), 16, False, (1, 2)),
+        "quadric_o16": (lambda: sf.PerturbedQuadric(1, hterms={(2, 0): 0.15 + 0.05j, (1, 1): -0.1j}), 16, False, (3,)),
+        "reinhardt_o16": (lambda: sf.ReinhardtSurface(0.5, 4.0), 16, True, (1,)),
+        "sphere_n2_o7": (lambda: sf.Sphere(1.5, n=2), 7, True, (1, 2)),
+        "dirichlet_n1_o7": (lambda: DirichletQuadratic([1.0, 1.0, 1.0, 2.0]), 7, False, (1, 2)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(FOLDED))
+    def test_the_domain_is_a_subgrid_with_its_orbits_weights_and_roots(self, name, monkeypatch):
+        # the domain's nodes are base-grid nodes bit for bit, in base-grid order, each weighted with its orbit's
+        # weight; its roots are the full solve's to a few ulps; and it solves the domain and, for its checks, each
+        # flip's image of the domain (and each row's second node) in one sweep
+        make, order, rows, flips = self.FOLDED[name]
+        spec, q = make(), qd.QuadratureSpec(order=order)
+        solved = []
+        monkeypatch.setattr(qd, "radial_roots", lambda s, d: solved.append(len(d)) or sf.radial_roots(s, d))
+        qd.clear_root_cache()
+        nodes = qd._nodes(spec, q, True)
+        assert nodes.flips == flips and sum(solved) == (1 + rows + len(flips)) * len(nodes.dirs)
+        base, base_wts = qd.sphere_grid(spec.m, order, 0 if rows else None)
+        index = {d.tobytes(): i for i, d in enumerate(base)}
+        at = np.array([index[d.tobytes()] for d in nodes.dirs])
+        assert np.all(np.diff(at) > 0) and len(at) < len(base)
+        # each domain node's orbit under the group the flips span, found on the base grid (a turn of the azimuth
+        # by pi moves its nodes by rounding): the orbits cover the grid, and a node carries its orbit's weight,
+        # shared with the orbit's other domain nodes (at an odd rule's x = 0, the node and its image)
+        group = {0}
+        for g in flips:
+            group |= {h ^ g for h in group}
+        dist, orbits = cKDTree(base).query(np.stack([nodes.dirs * _flip_signs(g, spec.m) for g in sorted(group)], 1))
+        assert dist.max() <= 1e-14 and len(np.unique(orbits)) == len(base)
+        orbits = [np.unique(o) for o in orbits]
+        shares = [base_wts[o].sum() / np.isin(o, at).sum() for o in orbits]
+        assert np.allclose(nodes.wts, shares, rtol=8 * np.finfo(float).eps, atol=0)
+        for got, want in zip((nodes.rho, nodes.slope), _chunked_roots(spec, base[at])):
+            assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * np.abs(want))
+        qd.clear_root_cache()
+
+    # reduced echelon bases of flips (lowest bit the pivot) on R^4 and R^6, the rows never folding the last pair
+    @pytest.mark.parametrize("m,order,flips,rows", [
+        (m, order, flips, rows) for m, order in ((4, 6), (4, 7), (6, 5))
+        for flips, rows in (((1, 2), False), ((3,), False), ((1,), True), ((2,), False), ((5, 2), False),
+                            ((1, 6), False), ((1, 2), True))
+        if max(flips) < 1 << (m // 2) and not (rows and any(g >> (m // 2 - 1) & 1 for g in flips))])
+    def test_unfold_gives_the_base_grids_weighted_values(self, m, order, flips, rows):
+        # a function that every flip of the group keeps (a polynomial in monomials even in the flipped pairs) has
+        # on the base grid the weighted values that _unfold mirrors back from the domain, to a few ulps
+        group = {0}
+        for g in flips:
+            group |= {h ^ g for h in group}
+        rng = np.random.default_rng(order)
+        even = [e for e in itertools.product(range(3), repeat=m)
+                if all(sum(e[2 * k] + e[2 * k + 1] for k in range(m // 2) if g >> k & 1) % 2 == 0 for g in group)]
+        terms = [(c, np.array(even[i])) for c, i in zip(rng.uniform(-1, 1, 12), rng.choice(len(even), 12, replace=False))]
+
+        def fn(x):
+            return sum(c * np.prod(x ** e, axis=1) for c, e in terms)
+
+        halves = tuple(2 * ((g & -g).bit_length() - 1) for g in flips)
+        dirs, wts = qd.sphere_grid(m, order, 0 if rows else None, halves)
+        base, base_wts = qd.sphere_grid(m, order, 0 if rows else None)
+        got, want = qd._unfold(fn(dirs) * wts, m, order, flips), fn(base) * base_wts
+        assert np.max(np.abs(got - want)) <= 16 * np.finfo(float).eps * np.max(np.abs(want))
+
+    def test_a_group_forced_wrong_fails_loudly(self, monkeypatch):
+        # the quadric's z_1 z_2 term breaks the single flips: a check of each flip's image raises, caches nothing
+        # and never yields a silent integral; an unmarked field keeps the full grid
+        spec = sf.PerturbedQuadric(1, hterms={(2, 0): 0.15 + 0.05j, (1, 1): -0.1j})
+        qd.clear_root_cache()
+        full = qd.surface_integral(spec, ones, Q16)
+        monkeypatch.setattr(spec, "flip_group", (0, 1, 2, 3))
+        for run in (lambda: qd.surface_integral(spec, qd.invariant(lambda fr: ones(fr)), Q16),
+                    lambda: qd.volume(spec, Q16)):
+            with pytest.raises(ValueError, match="claimed symmetry's image"):
+                run()
+        assert list(qd._ROOT_CACHE[spec]) == [(16, False, ())]
         assert qd.surface_integral(spec, ones, Q16) == full
         qd.clear_root_cache()
 
@@ -373,7 +469,8 @@ class TestUnmarkedFields:
         sphere, full = sf.Sphere(1.0), qd.grid_nodes(4, 8)
         assert len(qd.scan_boundary(sphere, self.Q, lambda fr: fr.pgrad_norm)) == full
         assert len(qd.scan_bulk(sphere, self.Q, lambda p: p[:, 0])) == qd._BULK_SHELLS * full
-        assert len(qd.scan_boundary(sphere, self.Q, qd.invariant(lambda fr: fr.pgrad_norm))) == full // 16
+        # marked: one node per row (16 azimuth nodes) on the half x_1 <= 0 that the flip of z_1 leaves
+        assert len(qd.scan_boundary(sphere, self.Q, qd.invariant(lambda fr: fr.pgrad_norm))) == full // 32
         qd.clear_root_cache()
 
 

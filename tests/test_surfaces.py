@@ -461,6 +461,65 @@ class TestPhaseInvariance:
         assert np.max(np.abs(here - there)) <= 1e-14 * max(1.0, np.max(np.abs(here)))
 
 
+FULL_N1, FULL_N2 = (0, 1, 2, 3), tuple(range(8))
+# family -> its flip group: the masks g whose flips z_k -> -z_k (bit k - 1 of g) keep f and fix the origin
+FLIP_CASES = {
+    "ellipsoid": (lambda: sf.Ellipsoid([0.8, 1.0, 1.2, 1.4]), FULL_N1),
+    "sphere_n2": (lambda: sf.Sphere(1.5, n=2), FULL_N2),
+    "dirichlet_paired_axes": (lambda: sf.DirichletQuadratic([1.0, 1.0, 1.2, 1.2, 1.4, 1.4]), FULL_N2),
+    "dirichlet_n1": (lambda: sf.DirichletQuadratic([1.0, 1.0, 1.0, 2.0]), FULL_N1),
+    "reinhardt": (lambda: sf.ReinhardtSurface(0.5, 4.0), FULL_N1),
+    "cylinder": (lambda: sf.Cylinder(2.0, kind="curved"), FULL_N1),
+    # z1^2 keeps every flip, z1 z2 only the joint one: the benchmark's boundary-n1 exponents
+    "quadric_boundary_n1": (lambda: sf.PerturbedQuadric(1, hterms={(2, 0): 0.15 + 0.05j, (1, 1): -0.1j}), (0, 3)),
+    # z1 z2 and z2 z3 keep only the flip of all three; z3^3 then bars it too
+    "quadric_n2": (lambda: sf.PerturbedQuadric(2, hterms={(2, 0, 0): 0.1 + 0.05j, (1, 1, 0): -0.1j, (0, 1, 1): 0.05}),
+                   (0, 7)),
+    "quadric_n2_cubic": (lambda: sf.PerturbedQuadric(2, hterms={(2, 0, 0): 0.1 + 0.05j, (1, 1, 0): -0.1j,
+                                                                 (0, 1, 1): 0.05, (0, 0, 3): 0.02 - 0.03j}), (0,)),
+    # z1 zbar2 is odd in each pair alone, z1^2 zbar1 in z1 and in both together: no flip is left
+    "user_odd_in_every_pair": (lambda: sf.UserPolynomial(1, {(1, 0, 1, 0): 1.0, (0, 1, 0, 1): 1.0, (0, 0, 0, 0): -1.0,
+                                                             (1, 0, 0, 1): 0.3 + 0.2j, (2, 0, 1, 0): 0.1j}), (0,)),
+    # a star center off (0, 0) in a pair bars that pair's flip, although f keeps it about the center
+    "sphere_first_pair_off": (lambda: sf.Sphere(1.0, center=[0.4, 0.0, 0.0, 0.0]), (0, 2)),
+    "ellipsoid_off_in_both_pairs": (lambda: sf.Ellipsoid([1.0, 1.3, 0.8, 1.1], center=[0.0, 0.1, -0.2, 0.0]), (0,)),
+    "user_centered_off_last_pair": (lambda: sf.UserPolynomial(
+        1, {(1, 0, 1, 0): 1.0, (0, 1, 0, 1): 1.0, (0, 0, 0, 0): -1.0}, center=[0.0, 0.0, 0.1, 0.0]), (0, 1)),
+}
+
+
+class TestFlipGroup:
+    @pytest.mark.parametrize("name", sorted(FLIP_CASES))
+    def test_decided_exactly_on_every_family(self, name):
+        make, want = FLIP_CASES[name]
+        spec = make()
+        assert spec.flip_group == want
+        assert sf.ExpReparam(spec).flip_group == want
+        assert sf.ExpReparam(sf.ExpReparam(spec)).flip_group == want
+
+    def test_read_once_per_family_object(self, monkeypatch):
+        spec = sf.Ellipsoid([0.8, 1.0, 1.2, 1.4])
+        assert spec.flip_group is spec.flip_group
+        monkeypatch.setattr(type(spec.poly), "flip_group", lambda poly: pytest.fail("decided again"))
+        assert sf.ExpReparam(spec).flip_group == FULL_N1
+
+    @pytest.mark.parametrize("name", [k for k, (_, want) in FLIP_CASES.items() if k not in ("reinhardt", "cylinder")])
+    def test_each_flip_keeps_f_at_points_and_each_other_moves_it(self, name):
+        # the predicate's claim at points about the star center: a flip of the group keeps f to rounding, and
+        # every other flip of pairs where the center is (0, 0) moves it at some point
+        spec, group = FLIP_CASES[name][0](), FLIP_CASES[name][1]
+        d = np.random.default_rng(37).uniform(-1.0, 1.0, (64, spec.m))
+        here = sf.eval_values(spec, spec.star_center + d)
+        for g in range(1 << (spec.n + 1)):
+            signs = np.repeat([-1.0 if g >> k & 1 else 1.0 for k in range(spec.n + 1)], 2)
+            there = sf.eval_values(spec, spec.star_center + d * signs)
+            moved = np.max(np.abs(here - there)) > 1e-12 * max(1.0, np.max(np.abs(here)))
+            if g in group:
+                assert not moved and not np.any(spec.star_center[signs < 0]), g
+            elif not np.any(spec.star_center[signs < 0]):
+                assert moved, g
+
+
 class TestReparametrization:
     def test_same_zero_set_and_parallel_normals(self):
         base = _families()["ellipsoid"]

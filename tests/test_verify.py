@@ -389,9 +389,10 @@ class TestVerdictBranches:
 
 
 class TestOneBoundaryPass:
-    # perf guard: each suite builds one FrameBatch per chunk of the nodes its one pass evaluates. Order 16 in
-    # R^4 is one chunk of 8192 nodes; order 20 has two chunks, except on the collapsed Reinhardt pass (400 nodes).
-    @pytest.mark.parametrize("order,full_chunks", [(16, 1), (20, 2)])
+    # perf guard: each suite builds one FrameBatch per chunk of the nodes its one pass evaluates. Every surface
+    # here folds by its flips to a quarter of the grid: order 16 in R^4 is one chunk (2,048 nodes); order 26 is
+    # two (8,788), except on the collapsed Reinhardt pass (338 nodes).
+    @pytest.mark.parametrize("order,full_chunks", [(16, 1), (26, 2)])
     def test_one_frame_batch_per_chunk_and_order(self, order, full_chunks, frame_calls):
         q = qd.QuadratureSpec(order=order)
         ell, reinhardt = sf.Ellipsoid([1.0, 1.3, 0.8, 1.1]), sf.ReinhardtSurface(0.5, 4.0)
@@ -407,7 +408,7 @@ class TestOneBoundaryPass:
             nodes = qd._nodes(spec, q, True)  # the suites' fields are marked
             chunks = -(-len(nodes.wts) // qd.CHUNK)
             collapsed = name == "alexandrov"  # the Reinhardt surface is phase-invariant about the origin
-            assert (len(nodes.wts) < qd.grid_nodes(spec.m, order)) == collapsed
+            assert len(nodes.wts) == qd.grid_nodes(spec.m, order) // (4 * (order if collapsed else 1))
             assert chunks == (1 if collapsed else full_chunks)
             frame_calls.clear()
             run()
@@ -435,8 +436,9 @@ def _forced_nonpositive(monkeypatch, mask):
 
 class TestNonpositiveCurvatureNode:
     # the hypotheses_not_met reason names the first node, in node order at the main order, whose K_j is <= 0;
-    # where every node has K_j <= 0 the K^{-1/j} integral is 0, and the Hoelder bound must not divide by it
-    @pytest.mark.parametrize("mask", [lambda pts: pts[:, 3] < -1.2, lambda pts: np.ones(len(pts), dtype=bool)],
+    # where every node has K_j <= 0 the K^{-1/j} integral is 0, and the Hoelder bound must not divide by it. A
+    # forced mask keeps the field contract: the flips of z_1 and z_2, which fold the pass, keep |x_4|
+    @pytest.mark.parametrize("mask", [lambda pts: np.abs(pts[:, 3]) > 1.2, lambda pts: np.ones(len(pts), dtype=bool)],
                              ids=["some_nodes", "every_node"])
     @pytest.mark.parametrize("suite", ["isoperimetric", "dirichlet"])
     def test_reports_first_nonpositive_node(self, suite, mask, monkeypatch):
@@ -485,8 +487,12 @@ SUITES = {
 
 
 def _full_path(monkeypatch, spec) -> None:
-    """Force the full product grid on spec: its swept family's phase_invariant reads False."""
-    monkeypatch.setattr(type(sf.swept_family(spec)), "phase_invariant", False)
+    """Force the full product grid on spec, and on every surface of its swept family's class (dirichlet_chain builds
+    its own): their phase_invariant reads False, their flip group is trivial (on spec even where it is cached)."""
+    swept = sf.swept_family(spec)
+    monkeypatch.setattr(type(swept), "phase_invariant", False)
+    monkeypatch.setattr(type(swept), "flip_group", (0,))
+    monkeypatch.setattr(swept, "flip_group", (0,))
     qd.clear_root_cache()
 
 
@@ -524,7 +530,9 @@ class TestOrbitCollapse:
         real, marked = qd._nodes, []  # every pass of every suite reads only marked integrands, so it collapses
         monkeypatch.setattr(qd, "_nodes", lambda s, q, m=False: marked.append(m) or real(s, q, m))
         collapsed = _reports(spec, q)
-        assert marked and all(marked) and len(real(spec, q, True).wts) == q.order ** (spec.m - 2)
+        nodes = real(spec, q, True)  # one node per row, each flip halving a polar factor
+        assert marked and all(marked) and len(nodes.wts) == (
+            q.order ** (spec.m - 2 - len(nodes.flips)) * ((q.order + 1) // 2) ** len(nodes.flips))
         monkeypatch.setattr(qd, "_nodes", real)
         _full_path(monkeypatch, spec)
         for (suite, j, got), (_, _, want) in zip(collapsed, _reports(spec, q), strict=True):
@@ -543,4 +551,76 @@ class TestOrbitCollapse:
         got = [r.to_json() for _, _, r in _reports(spec, Q12)]
         _full_path(monkeypatch, spec)
         assert [r.to_json() for _, _, r in _reports(spec, Q12)] == got
+        qd.clear_root_cache()
+
+
+# surfaces whose flip groups fold their marked passes: the boundary-n1 ellipsoid (z_1, z_2), its quadric (the joint
+# flip alone, z_1 z_2), the Reinhardt surface (z_1, on the rows), and the bulk-n2 sphere and paired-axis Dirichlet
+# quadratic (z_1, z_2, on the rows) at the odd order 7, whose polar rules have a node at x = 0
+FOLDED = {
+    "ellipsoid_o32": (lambda: sf.Ellipsoid([0.8, 1.0, 1.2, 1.4]), qd.QuadratureSpec(order=32)),
+    "quadric_o32": (lambda: sf.PerturbedQuadric(1, hterms={(2, 0): 0.15 + 0.05j, (1, 1): -0.1j}),
+                    qd.QuadratureSpec(order=32)),
+    "reinhardt_o32": (lambda: sf.ReinhardtSurface(0.5, 4.0), qd.QuadratureSpec(order=32)),
+    "sphere_n2_o7": (lambda: sf.Sphere(1.5, n=2), Q7),
+    "dirichlet_n2_o7": (lambda: sf.DirichletQuadratic([1.0, 1.0, 1.2, 1.2, 1.4, 1.4]), Q7),
+}
+# surfaces without a flip: a center off (0, 0) in both pairs, and terms odd in every pair and pair of pairs
+TRIVIAL = {
+    "off_center_ellipsoid": lambda: sf.Ellipsoid([0.8, 1.0, 1.2, 1.4], center=[0.0, 0.1, -0.2, 0.0]),
+    "user_odd_in_every_pair": lambda: sf.UserPolynomial(1, {(1, 0, 1, 0): 1.0, (0, 1, 0, 1): 1.0, (0, 0, 0, 0): -1.0,
+                                                           (1, 0, 0, 1): 0.3 + 0.2j, (2, 0, 1, 0): 0.1j}),
+}
+
+
+def _own(spec):
+    """The surface that the suites build for spec: dirichlet_chain builds its own from the axes."""
+    return sf.DirichletQuadratic(spec.axes) if isinstance(spec, sf.DirichletQuadratic) else spec
+
+
+class TestFlipFold:
+    @pytest.mark.parametrize("name", sorted(FOLDED))
+    def test_a_folded_report_equals_the_full_path(self, name, monkeypatch):
+        make, q = FOLDED[name]
+        spec = make()
+        qd.clear_root_cache()
+        assert qd._nodes(spec, q, True).flips
+        folded = _reports(spec, q)
+        _full_path(monkeypatch, spec)
+        assert all(len(qd._nodes(s, q, True).wts) == qd.grid_nodes(spec.m, q.order) for s in (spec, _own(spec)))
+        for (suite, j, got), (_, _, want) in zip(folded, _reports(spec, q), strict=True):
+            assert got.verdict["kind"] == want.verdict["kind"], (suite, j)
+            assert got.verdict.get("reason") == want.verdict.get("reason"), (suite, j)
+            assert got.quadrature["nodes_used"] == want.quadrature["nodes_used"], (suite, j)
+            for side in ("lhs", "rhs"):
+                assert abs(getattr(got, side) - getattr(want, side)) <= 1e-13 * abs(getattr(want, side)), (suite, j)
+        qd.clear_root_cache()
+
+    @pytest.mark.parametrize("name", ["ellipsoid_o32", "quadric_o32", "sphere_n2_o7", "dirichlet_n2_o7"])
+    def test_the_first_nonpositive_node_is_the_full_paths(self, name, monkeypatch):
+        # K_j forced to -1 where |x_1| > 0.5, a set that every flip and turn of the group keeps: the fold's domain
+        # holds the first node of every orbit, so the reason names the full grid's first such node
+        make, q = FOLDED[name]
+        spec = make()
+        _forced_nonpositive(monkeypatch, lambda pts: np.abs(pts[:, 0]) > 0.5)
+        run = ((lambda: vf.dirichlet_chain(spec.axes, 1, q)) if isinstance(spec, sf.DirichletQuadratic)
+               else lambda: vf.isoperimetric_ratio(spec, 1, q))
+        qd.clear_root_cache()
+        got = run()
+        _full_path(monkeypatch, spec)
+        assert not qd._nodes(_own(spec), q, True).flips
+        want = run()
+        assert got.verdict["kind"] == "hypotheses_not_met" and got.verdict == want.verdict
+        qd.clear_root_cache()
+
+    @pytest.mark.parametrize("name", sorted(TRIVIAL))
+    def test_a_trivial_group_keeps_the_full_path_bit_for_bit(self, name, monkeypatch):
+        spec, q = TRIVIAL[name](), Q12
+        qd.clear_root_cache()
+        assert spec.flip_group == (0,) and qd._nodes(spec, q, True).dirs is qd.sphere_grid(4, 12)[0]
+        got = [r.to_json() for _, _, r in _reports(spec, q)]
+        real = qd._nodes
+        monkeypatch.setattr(qd, "_nodes", lambda s, q, m=False: real(s, q))  # every pass unmarked
+        qd.clear_root_cache()
+        assert [r.to_json() for _, _, r in _reports(spec, q)] == got
         qd.clear_root_cache()
