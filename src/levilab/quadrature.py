@@ -24,19 +24,17 @@ returns what its function returns, concatenated in node order; a caller that
 wants the boundary points scans `fr.points`.
 
 Orbit collapse and flip folding: a pass whose fields and scan are all marked
-`invariant` (volume's integrand always is) reads functions of the surface's
-geometry that the unitary maps fixing f and the origin keep (K_j, H, |del f|,
-<normal, x>): the field contract. Where z_{n+1} -> e^{i theta} z_{n+1} is one
-(SurfaceSpec.phase_invariant, about a star center whose last pair is (0, 0)),
-the pass runs on one node per azimuth row, with the row's weight. The flips
-z_k -> -z_k that are (SurfaceSpec.flip_group, exact on f's terms) reflect pair
-k's polar factors, or turn the azimuth by pi: the pass runs on a fundamental
-domain of their group, where each flip of its reduced echelon basis over GF(2)
-keeps the lower half (x <= 0, k < order) of its lowest pair's first factor at
-twice the weight, bar an odd rule's x = 0 node. A scan gives one entry per
-node of the domain, which holds each orbit's first node; the error estimate
-reads the values mirrored back onto the grid (_unfold). nodes_used counts the
-full product rule's nodes either way.
+`invariant` (volume's integrand always is) reads functions of the geometry that
+the unitary maps fixing f and the origin keep (K_j, H, |del f|, <normal, x>).
+Where z_{n+1} -> e^{i theta} z_{n+1} is one (phase_invariant, about a star
+center whose last pair is (0, 0)), it runs on one node per azimuth row; where
+flips z_k -> -z_k are (flip_group, exact on f's terms), which reflect pair k's
+polar factors or turn the azimuth by pi, on a fundamental domain of their group:
+each flip of its reduced echelon basis over GF(2) keeps the lower half (x <= 0,
+k < order) of its lowest pair's first factor at twice the weight, bar an odd
+rule's x = 0 node. A scan gives one entry per domain node, which holds each
+orbit's first node; the error estimate reads the values mirrored back onto the
+grid (_unfold); nodes_used counts the full product rule's nodes either way.
 
 Reproducibility contract: node order is fixed, and nodes are processed one
 fixed chunk after another, whose partial sums are added by the correctly
@@ -239,30 +237,38 @@ def _nodes(spec: SurfaceSpec, q: QuadratureSpec, marked: bool = False) -> _Nodes
     cached = _ROOT_CACHE.setdefault(swept, {})
     if (q.order, rows, flips) not in cached:
         rho, slope = solve(dirs)
-        images = ([sphere_grid(m, q.order, 1, halves)[0]] if rows else []) + [
-            dirs * np.repeat([1 - 2 * (g >> k & 1) for k in range(m // 2)], 2) for g in flips]
-        off = np.abs(solve(np.concatenate(images))[0].reshape(len(images), -1) - rho) if images else 0 * rho
-        if np.any(off > _ORBIT_ULPS * np.finfo(float).eps * rho):
-            raise ValueError(f"{type(swept).__name__}: the roots at a claimed symmetry's image (an azimuth row's "
-                             f"second node or a flip's) differ by {np.max(off):.3e}")
+        if rows or flips:  # each row's second node and each flip's image, coordinate-major as the grids are
+            images = np.empty((m, rows + len(flips), len(dirs)))
+            if rows:
+                images[:, 0] = sphere_grid(m, q.order, 1, halves)[0].T
+            signs = 1 - 2 * (np.array(flips, dtype=int)[:, None] >> np.arange(m) // 2 & 1)  # -1 on each flipped pair
+            np.multiply(dirs.T[:, None], signs.T[:, :, None], out=images[:, rows:])
+            off = np.abs(solve(images.reshape(m, -1).T)[0].reshape(-1, len(rho)) - rho)
+            if np.any(off > _ORBIT_ULPS * np.finfo(float).eps * rho):
+                raise ValueError(f"{type(swept).__name__}: the roots at a claimed symmetry's image (an azimuth row's "
+                                 f"second node or a flip's) differ by {np.max(off):.3e}")
         cached[q.order, rows, flips] = rho, slope
     rho, slope = cached[q.order, rows, flips]
     return nodes._replace(rho=rho, slope=slope)
 
 
 def _unfold(wv: np.ndarray, m: int, order: int, flips: tuple) -> np.ndarray:
-    """Weighted node values on the domain of flips -> on its base grid: each flip mirrors the domain (np.flip on the
-    polar factors it reflects, np.roll by order on the azimuth) and halves the folded weights back, bar x = 0."""
-    n, pivots = m // 2 - 1, [(g & -g).bit_length() - 1 for g in flips]
-    a = wv.reshape(*((order + 1) // 2 if i % 2 == 0 and i // 2 in pivots else order for i in range(m - 2)), -1)
-    for g, p in zip(flips, pivots):
-        half, at = a / 2, (slice(None),) * 2 * p + (order // 2,)
-        if p < n and order % 2:
-            half[at] = a[at]
-        mirror = np.flip(half[at[:-1] + (slice(order // 2),)] if p < n else half,
-                         [2 * k + i for k in range(n) if g >> k & 1 for i in (0, 1)])
-        a = np.concatenate([half, np.roll(mirror, order, -1) if g >> n & 1 else mirror], axis=2 * p)
-    return a.reshape(-1)
+    """Weighted node values on the domain of flips -> on its base grid, filled in place: each flip halves its folded
+    half back to its own weight (bar an odd rule's x = 0 node) and mirrors it (np.flip on the polar factors that it
+    reflects, np.roll by order on the azimuth) onto the other half."""
+    n, pivots = m // 2 - 1, [2 * ((g & -g).bit_length() - 1) for g in flips]
+    polar = math.prod(order - order // 2 if i in pivots else order for i in range(m - 2))
+    shape = [order] * (m - 2) + [wv.size // polar * (1 + (m - 2 in pivots))]
+    region = [slice(k - k // 2) if i in pivots else slice(None) for i, k in enumerate(shape)]
+    out = np.empty(shape)
+    out[tuple(region)] = wv.reshape(out[tuple(region)].shape)
+    for g, axis in zip(flips, pivots):
+        src, dst, k = list(region), list(region), shape[axis]
+        src[axis], dst[axis], region[axis] = slice(k // 2), slice(k - k // 2, k), slice(None)
+        out[tuple(src)] /= 2
+        mirror = np.flip(out[tuple(src)], [2 * j + i for j in range(n) if g >> j & 1 for i in (0, 1)])
+        out[tuple(dst)] = np.roll(mirror, order, -1) if g >> n & 1 else mirror
+    return out.reshape(-1)
 
 
 def _tail(c: np.ndarray) -> float:

@@ -111,9 +111,8 @@ class SurfaceSpec:
 
     @property
     def phase_invariant(self) -> bool:
-        """Whether f is exactly invariant under z_{n+1} -> e^{i theta} z_{n+1} about the star center; a polynomial
-        family decides it on its terms (RealPolynomial). The quadrature's orbit collapse checks it on each row's
-        second root, as its flip folding checks flip_group on each flip's image of the domain."""
+        """Whether f is exactly invariant under z_{n+1} -> e^{i theta} z_{n+1} about the star center, decided on a
+        polynomial's terms (RealPolynomial); the quadrature checks it, as flip_group, at the images of its nodes."""
         return self.poly.phase_invariant()
 
     flip_group = functools.cached_property(lambda self: self.poly.flip_group())  # once per family object
