@@ -109,9 +109,9 @@ class SurfaceSpec:
         of horner, so that radial_roots can read the coefficients (args[0]) of a quadratic."""
         return functools.partial(horner, self.poly.restrict(dirs))
 
-    @property
+    @functools.cached_property
     def phase_invariant(self) -> bool:
-        """Whether f is exactly invariant under z_{n+1} -> e^{i theta} z_{n+1} about the star center, decided on a
+        """Whether f is exactly invariant under z_{n+1} -> e^{i theta} z_{n+1} about the star center, decided once on a
         polynomial's terms (RealPolynomial); the quadrature checks it, as flip_group, at the images of its nodes."""
         return self.poly.phase_invariant()
 

@@ -351,7 +351,7 @@ class TestOrbitRoots:
         spec = sf.Ellipsoid([1.0, 1.3, 0.8, 1.1])
         qd.clear_root_cache()
         full = qd.surface_integral(spec, ones, Q16)
-        monkeypatch.setattr(sf.Ellipsoid, "phase_invariant", True)
+        monkeypatch.setattr(spec, "phase_invariant", True)
         qd.clear_root_cache()
         for run in (lambda: qd.surface_integral(spec, qd.invariant(lambda fr: ones(fr)), Q16),
                     lambda: qd.volume(spec, Q16)):

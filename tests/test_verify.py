@@ -488,11 +488,11 @@ SUITES = {
 
 def _full_path(monkeypatch, spec) -> None:
     """Force the full product grid on spec, and on every surface of its swept family's class (dirichlet_chain builds
-    its own): their phase_invariant reads False, their flip group is trivial (on spec even where it is cached)."""
+    its own): their phase_invariant reads False, their flip group is trivial (on spec too, where both are cached)."""
     swept = sf.swept_family(spec)
-    monkeypatch.setattr(type(swept), "phase_invariant", False)
-    monkeypatch.setattr(type(swept), "flip_group", (0,))
-    monkeypatch.setattr(swept, "flip_group", (0,))
+    for name, value in (("phase_invariant", False), ("flip_group", (0,))):
+        monkeypatch.setattr(swept, name, value)  # first, so that the undo restores the instance's own value
+        monkeypatch.setattr(type(swept), name, value)
     qd.clear_root_cache()
 
 
