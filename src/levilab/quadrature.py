@@ -227,6 +227,7 @@ def _nodes(spec: SurfaceSpec, q: QuadratureSpec, marked: bool = False) -> _Nodes
     # its reduced echelon basis: per pivot, the one flip holding no other pivot, bar the flip of z_{n+1} on rows
     flips = tuple(g for g in swept.flip_group if marked and g & pivots == g & -g and g not in (0, rows << spec.n))
     halves = tuple(2 * ((g & -g).bit_length() - 1) for g in flips)  # pair n's factor 2n is the azimuth
+    # the full grid under its two-argument cache key, which set-up and the public callers share: one copy of it
     dirs, wts = sphere_grid(m, q.order, 0 if rows else None, halves) if rows or flips else sphere_grid(m, q.order)
     nodes = _Nodes(spec.star_center, dirs, wts, None, None, flips)
 
