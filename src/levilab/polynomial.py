@@ -24,8 +24,8 @@ A quadratic, f = c + b.d + d.A.d / 2, builds no table. Its gradient rows are
 b_i + sum_k A_ik d_k, one row product per nonzero entry of A and no matrix
 product, so no BLAS call; its value is c + d.(b + grad f) / 2, and its
 restriction to rays is c + (b.u) rho + (u.A.u / 2) rho^2 for a direction u.
-Its H and S are constant: broadcast views of one matrix each, which
-constant_hessians gives alone.
+Its H and S are constant, formed from the entries of A: broadcast views of
+one matrix each, which constant_hessians gives alone.
 """
 
 from __future__ import annotations
@@ -95,6 +95,20 @@ class RealPolynomial:
     def _compile(self) -> None:
         m = self.m
         nv = m // 2
+        degree = [sum(e) for e in self.terms]  # the terms of f lead the table; restrict sums them by degree
+        self._constant = self._quadratic = None  # a quadratic's (H, S), the same at every point, and (c, b, A)
+        if max(degree, default=0) <= 2:  # c + b.d + d.A.d / 2, whose (H, S) come from A with no table
+            ext = np.zeros((m + 1, m + 1))  # A bordered by b, and by 2 c: f = (d, 1).ext.(d, 1) / 2
+            for e, c in self.terms.items():  # c d_i d_k with d_m = 1: ext_ik = ext_ki = c, or ext_ii = 2 c
+                at = [i for i, x in enumerate(e) for _ in range(x)] + [m] * (2 - sum(e))
+                np.add.at(ext, (at, at[::-1]), c)
+            b, hess = ext[:m, m].copy(), ext[:m, :m]
+            self._quadratic = self.terms.get((0,) * m, 0.0), b, [[(k, r[k]) for k in np.flatnonzero(r)] for r in hess]
+            # each entry summed from 0.0 as the table's columns below sum it; A's symmetry gives both triangles
+            xx, yy, xy, yx = (0.25 * hess[i::2, k::2] for i, k in ((0, 0), (1, 1), (0, 1), (1, 0)))
+            self._constant = np.empty((2, nv, nv), dtype=complex)
+            self._constant.real, self._constant.imag = (0.0 + xx + yy, 0.0 + xx - yy), (0.0 + xy - yx, 0.0 - xy - yx)
+            return
         self._mixed, pure = 1 + m, 1 + m + 2 * nv * nv  # first columns of H and S
         ncols = pure + 2 * nv * nv
         # (column, monomial, coefficient) for f, each d_i f and the upper triangles of H and S,
@@ -133,22 +147,8 @@ class RealPolynomial:
         width = max([1] + [len(f) for f in factors])
         self._factors = np.array([f + [0] * (width - len(f)) for f in factors], dtype=np.intp).reshape(len(rows), width).T
         self._plan = coefs
-        degree = [sum(e) for e in self.terms]  # the terms of f lead the table; restrict sums them by degree
         self._by_degree = np.zeros((len(degree), 1 + max(degree, default=0)))
         self._by_degree[np.arange(len(degree)), degree] = list(self.terms.values())
-        self._constant = self._quadratic = None  # a quadratic's (H, S), the same at every point, and (c, b, A)
-        if max(degree, default=0) <= 2:
-            self._constant = np.stack(self.evaluate(self.center[None, :])[2:])[:, 0]
-            b, a = np.zeros(m), [{} for _ in range(m)]  # A as its nonzero entries per row, {k: A_ik}
-            for e, c in self.terms.items():
-                at = [i for i, x in enumerate(e) if x]
-                if sum(e) == 1:
-                    b[at[0]] = c
-                elif sum(e) == 2:  # c d_i d_k: A_ik = A_ki = c, or A_ii = 2 c
-                    i, k = at[0], at[-1]
-                    a[i][k] = a[i].get(k, 0.0) + c
-                    a[k][i] = a[k].get(i, 0.0) + c
-            self._quadratic = self.terms.get((0,) * m, 0.0), b, [sorted(row.items()) for row in a]
 
     def evaluate(self, pts: np.ndarray):
         """(value, gradient, H, S) at points (B, m).

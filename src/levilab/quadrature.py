@@ -33,8 +33,8 @@ polar factors or turn the azimuth by pi, on a fundamental domain of their group:
 each flip of its reduced echelon basis over GF(2) keeps the lower half (x <= 0,
 k < order) of its lowest pair's first factor at twice the weight, bar an odd
 rule's x = 0 node. A scan gives one entry per domain node, which holds each
-orbit's first node; the error estimate reads the values mirrored back onto the
-grid (_unfold); nodes_used counts the full product rule's nodes either way.
+orbit's first node; the error estimate reads the base grid's marginals off the
+domain's sums (_marginals); nodes_used counts the full product rule's nodes.
 
 Reproducibility contract: node order is fixed, and nodes are processed one
 fixed chunk after another, whose partial sums are added by the correctly
@@ -253,25 +253,6 @@ def _nodes(spec: SurfaceSpec, q: QuadratureSpec, marked: bool = False) -> _Nodes
     return nodes._replace(rho=rho, slope=slope)
 
 
-def _unfold(wv: np.ndarray, m: int, order: int, flips: tuple) -> np.ndarray:
-    """Weighted node values on the domain of flips -> on its base grid, filled in place: each flip halves its folded
-    half back to its own weight (bar an odd rule's x = 0 node) and mirrors it (np.flip on the polar factors that it
-    reflects, np.roll by order on the azimuth) onto the other half."""
-    n, pivots = m // 2 - 1, [2 * ((g & -g).bit_length() - 1) for g in flips]
-    polar = math.prod(order - order // 2 if i in pivots else order for i in range(m - 2))
-    shape = [order] * (m - 2) + [wv.size // polar * (1 + (m - 2 in pivots))]
-    region = [slice(k - k // 2) if i in pivots else slice(None) for i, k in enumerate(shape)]
-    out = np.empty(shape)
-    out[tuple(region)] = wv.reshape(out[tuple(region)].shape)
-    for g, axis in zip(flips, pivots):
-        src, dst, k = list(region), list(region), shape[axis]
-        src[axis], dst[axis], region[axis] = slice(k // 2), slice(k - k // 2, k), slice(None)
-        out[tuple(src)] /= 2
-        mirror = np.flip(out[tuple(src)], [2 * j + i for j in range(n) if g >> j & 1 for i in (0, 1)])
-        out[tuple(dst)] = np.roll(mirror, order, -1) if g >> n & 1 else mirror
-    return out.reshape(-1)
-
-
 def _tail(c: np.ndarray) -> float:
     """Error of a factor rule exact to degree 2K + 1, from its discrete coefficients c_0 .. c_K. If the top three
     windows of w = 2 (one parity) or 4 degrees (an oscillating decay) fall at a steady rate, the top one is carried
@@ -286,37 +267,56 @@ def _tail(c: np.ndarray) -> float:
     return max(a[:2], default=0.0)
 
 
-def _error_estimate(wv: np.ndarray, m: int, order: int) -> float:
-    """Error of the product rule from its weighted node values wv, per polar node a row, by null rules on its own
-    nodes (Berntsen & Espelid, ACM TOMS 17, 1991) on each factor's marginal of wv: orthonormal Gegenbauer
-    coefficients for a polar factor; Fourier modes below order for the azimuth, counted twice as modes +-2*order
-    alias onto 0 (mode order's cosine vanishes at the half-offset nodes; a collapsed pass's one-node rows have none).
-    Plus a floor of _ROUNDING_ULPS ulps of sum |wv|."""
-    grid = wv.reshape(-1, wv.size // order ** (m - 2))  # rows: the polar nodes, lexicographic; columns: the azimuth
-    polar = np.einsum("ij->i", grid).reshape((order,) * (m - 2))
-    est = sum(_tail(_gegenbauer_rule(order, (m - 3 - d) / 2.0)[2] @ np.einsum(polar, [*range(m - 2)], [d]))
-              for d in range(m - 2))
-    est += 2 * _tail(np.fft.rfft(np.einsum("ij->j", grid))[:order])
-    return est + _ROUNDING_ULPS * math.ulp(1.0) * float(np.sum(np.abs(wv)))
+def _marginals(polar: np.ndarray, az: np.ndarray, order: int, flips: tuple) -> list:
+    """Each factor's marginals (k, nodes) of k integrals on the base grid, from their weighted values on the domain of
+    flips summed along each azimuth row, polar (k, *domain's polar factors), and over the rows, az: a flip moving a
+    factor halves each share between its node and the mirror node, reversed or the azimuth turned by order (the
+    field contract makes the share of a pivot's x = 0 slice, which the fold keeps whole, symmetric already)."""
+    out = [polar.sum(tuple(i for i in range(1, polar.ndim) if i != d)) for d in range(1, polar.ndim)] + [az]
+    for d, u in enumerate(out):
+        if any(g >> d // 2 & 1 for g in flips):
+            x = np.concatenate((u, np.zeros((len(u), order * (1 + (u is az)) - u.shape[1]))), 1)
+            out[d] = (x + (np.roll(x, order, 1) if u is az else x[:, ::-1])) / 2
+    return out
+
+
+def _error_estimate(polar: np.ndarray, az: np.ndarray, total: np.ndarray, order: int, flips: tuple) -> list:
+    """Errors of the product rule for k integrals from their sums on the domain of flips (_marginals; total, sum |w v|
+    of each), by null rules on its own nodes (Berntsen & Espelid, ACM TOMS 17, 1991) on each factor's marginal: a
+    polar factor's orthonormal Gegenbauer coefficients; the azimuth's Fourier modes below order, counted twice as
+    +-2*order alias onto 0 (mode order vanishes at the half-offset nodes), plus _ROUNDING_ULPS ulps of total."""
+    *factors, az = _marginals(polar, az, order, flips)
+    return [sum(_tail(_gegenbauer_rule(order, (len(factors) - 1 - d) / 2.0)[2] @ u[i]) for d, u in enumerate(factors))
+            + 2 * _tail(np.fft.rfft(az[i])[:order]) + _ROUNDING_ULPS * math.ulp(1.0) * t for i, t in enumerate(total)]
 
 
 def _integral(spec: SurfaceSpec, q: QuadratureSpec, at, marked: bool):
-    """Weighted sums of k per-node integrands and their error estimates, from one pass. at(nodes, sl) gives
-    a chunk's k integrands and its scan outputs (a tuple of arrays, or None). Each integrand has its own
-    per-chunk np.dot, the chunks' sums are added by math.fsum, and _error_estimate reads its weighted node
-    values. Returns the results and the scan outputs concatenated in chunk order (or None)."""
-    nodes = _nodes(spec, q, marked)
+    """Results of k per-node integrands and the scan outputs in chunk order (or None), from one pass: at(nodes, sl)
+    gives a chunk's k integrands and scan outputs (a tuple of arrays, or None). Each integrand's chunk sums come from
+    np.dot and add by math.fsum; _error_estimate reads its sums per domain row, per azimuth node and of |w v|."""
+    nodes, order = _nodes(spec, q, marked), q.order
+    shape = [order - order // 2 if i % 2 == 0 and any(g & -g == 1 << i // 2 for g in nodes.flips) else order
+             for i in range(spec.m - 2)]  # the domain's polar factors: a flip halves its lowest pair's first
+    naz = len(nodes.wts) // math.prod(shape)
+    w, ones = nodes.wts[::naz], np.ones(naz)  # a node's weight is its row's: the azimuth weights are all equal
+    sums = []  # (k, ...) each: the sums of v per domain row, of w v per azimuth node, of |w v|
 
     def job(sl):
-        vals, out = at(nodes, sl)
-        return [(float(np.dot(v, nodes.wts[sl])), v * nodes.wts[sl]) for v in vals], out
+        (vals, out), wts, (first, lead) = at(nodes, sl), nodes.wts[sl], divmod(sl.start, naz)
+        span = -(-(lead + len(wts)) // naz)  # the rows that the chunk reaches into, zero-padded to whole rows
+        sums[:] = sums or [np.zeros((len(vals), size)) for size in (len(w), naz, 1)]
+        for i, v in enumerate(vals):
+            grid = (np.concatenate((np.zeros(lead), v, np.zeros(span * naz - lead - len(v)))) if lead or
+                    span * naz > len(v) else v).reshape(span, naz)
+            sums[0][i, first:first + span] += np.dot(grid, ones)
+            sums[1][i] += np.dot(w[first:first + span], grid)
+            sums[2][i] += np.dot(np.abs(v), wts)
+        return [float(np.dot(v, wts)) for v in vals], out
 
-    parts, outs = zip(*nodes.map(job))
-    results = tuple(IntegralResult(math.fsum(s), _error_estimate(_unfold(np.concatenate(wv), spec.m, q.order,
-                                                                          nodes.flips), spec.m, q.order),
-                                   grid_nodes(spec.m, q.order)) for s, wv in (zip(*p) for p in zip(*parts)))
-    scanned = None if outs[0] is None else tuple(np.concatenate(k) for k in zip(*outs))
-    return results, scanned
+    dots, outs = zip(*nodes.map(job))
+    estimates = _error_estimate((sums[0] * w).reshape(-1, *shape), sums[1], sums[2][:, 0], order, nodes.flips)
+    results = tuple(IntegralResult(math.fsum(s), e, grid_nodes(spec.m, order)) for s, e in zip(zip(*dots), estimates))
+    return results, None if outs[0] is None else tuple(np.concatenate(k) for k in zip(*outs))
 
 
 def _boundary(spec: SurfaceSpec, q: QuadratureSpec, fields: tuple, scan=None):

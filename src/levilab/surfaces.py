@@ -502,12 +502,12 @@ def radial_roots(spec: SurfaceSpec, dirs) -> tuple[np.ndarray, np.ndarray]:
     if np.any(np.abs(norms - 1.0) > 1e-9):
         dirs = dirs / norms[:, None]
 
-    fc = float(eval_values(swept_family(spec), center[None, :])[0])  # the bracket starts from the swept ray's value
+    along = spec.ray(dirs)  # every evaluation takes every ray: a stopped ray's rho, f and slope stay put
+    a = along.args[0] if getattr(along, "func", None) is horner else None  # a polynomial family's coefficients
+    fc = float(a[0, 0] if a is not None else eval_values(swept_family(spec), center[None, :])[0])  # the swept f(center)
     if fc >= 0:
         raise StarShapeError(f"defining function is nonnegative ({fc!r}) at the star center")
 
-    along = spec.ray(dirs)  # every evaluation takes every ray: a stopped ray's rho, f and slope stay put
-    a = along.args[0] if getattr(along, "func", None) is horner else None  # a polynomial family's coefficients
     if a is not None and len(a) == 3 and np.all(a[2] > 0):
         # a0 < 0 < a2: the discriminant exceeds a1^2, and each form divides by a positive number
         s = np.sqrt(a[1] * a[1] - 4.0 * a[0] * a[2])

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -415,9 +416,11 @@ class TestFlipFold:
         for flips, rows in (((1, 2), False), ((3,), False), ((1,), True), ((2,), False), ((5, 2), False),
                             ((1, 6), False), ((1, 2), True))
         if max(flips) < 1 << (m // 2) and not (rows and any(g >> (m // 2 - 1) & 1 for g in flips))])
-    def test_unfold_gives_the_base_grids_weighted_values(self, m, order, flips, rows):
-        # a function that every flip of the group keeps (a polynomial in monomials even in the flipped pairs) has
-        # on the base grid the weighted values that _unfold mirrors back from the domain, to a few ulps
+    @pytest.mark.parametrize("chunk", [qd.CHUNK, 37])  # 37: chunks that start and end inside azimuth rows
+    def test_the_domain_read_marginals_are_the_base_grids(self, m, order, flips, rows, chunk, monkeypatch):
+        # a function that every flip of the group keeps (a polynomial in monomials even in the flipped pairs): each
+        # factor's marginal that _integral's per-chunk sums on the domain give (_marginals) is the marginal of its
+        # weighted values on the base grid, to a few ulps of the largest entry of the marginal of their magnitudes
         group = {0}
         for g in flips:
             group |= {h ^ g for h in group}
@@ -432,8 +435,20 @@ class TestFlipFold:
         halves = tuple(2 * ((g & -g).bit_length() - 1) for g in flips)
         dirs, wts = qd.sphere_grid(m, order, 0 if rows else None, halves)
         base, base_wts = qd.sphere_grid(m, order, 0 if rows else None)
-        got, want = qd._unfold(fn(dirs) * wts, m, order, flips), fn(base) * base_wts
-        assert np.max(np.abs(got - want)) <= 16 * np.finfo(float).eps * np.max(np.abs(want))
+        nodes = qd._Nodes(np.zeros(m), dirs, wts, np.ones(len(wts)), np.ones(len(wts)), flips)
+        sums, estimate = [], qd._error_estimate
+        monkeypatch.setattr(qd, "_nodes", lambda spec, q, marked: nodes)
+        monkeypatch.setattr(qd, "_error_estimate", lambda *args: sums.append(args) or estimate(*args))
+        monkeypatch.setattr(qd, "CHUNK", chunk)
+        qd._integral(types.SimpleNamespace(m=m), qd.QuadratureSpec(order=order),
+                     lambda nodes, sl: ((fn(nodes.dirs[sl]),), None), True)
+        (polar, az, total, _, _), = sums
+        want = fn(base) * base_wts
+        assert total[0] == pytest.approx(np.abs(want).sum(), rel=1e-14)
+        for d, (got,) in enumerate(qd._marginals(polar, az, order, flips)):
+            wanted, scale = (np.einsum(a.reshape((order,) * (m - 2) + (-1,)), [*range(m - 1)], [d])
+                             for a in (want, np.abs(want)))
+            assert np.max(np.abs(got - wanted)) <= 8 * np.finfo(float).eps * np.max(scale), d
 
     def test_a_group_forced_wrong_fails_loudly(self, monkeypatch):
         # the quadric's z_1 z_2 term breaks the single flips: a check of each flip's image raises, caches nothing

@@ -596,6 +596,26 @@ class TestFlipFold:
                 assert abs(getattr(got, side) - getattr(want, side)) <= 1e-13 * abs(getattr(want, side)), (suite, j)
         qd.clear_root_cache()
 
+    @pytest.mark.parametrize("name", sorted(FOLDED))
+    def test_a_folded_estimate_equals_the_full_paths(self, name, monkeypatch):
+        # the estimate read from the domain's sums is the one the full grid's node values give, to 1e-9, bar rounding:
+        # the full grid's values at a flip's images differ from the domain's by rounding, which a tail may carry to
+        # degree 2K + 2, so an estimate may also move by 64 ulps of the largest sum |w v| that the suites integrate
+        make, q = FOLDED[name]
+        spec, totals, estimate = make(), [], qd._error_estimate
+        qd.clear_root_cache()
+        monkeypatch.setattr(qd, "_error_estimate", lambda *args: totals.extend(args[2]) or estimate(*args))
+        folded = _reports(spec, q)
+        monkeypatch.setattr(qd, "_error_estimate", estimate)
+        _full_path(monkeypatch, spec)
+        rounding = 64 * np.finfo(float).eps * max(totals)
+        for (suite, j, got), (_, _, want) in zip(folded, _reports(spec, q), strict=True):
+            pairs = [(got.quadrature["error_estimate"], want.quadrature["error_estimate"])]
+            pairs += [(got.details[k], want.details[k]) for k in ("gradient_flux_rel_bound",) if k in (want.details or {})]
+            for a, b in pairs:
+                assert abs(a - b) <= 1e-9 * b + rounding, (suite, j, a, b)
+        qd.clear_root_cache()
+
     @pytest.mark.parametrize("name", ["ellipsoid_o32", "quadric_o32", "sphere_n2_o7", "dirichlet_n2_o7"])
     def test_the_first_nonpositive_node_is_the_full_paths(self, name, monkeypatch):
         # K_j forced to -1 where |x_1| > 0.5, a set that every flip and turn of the group keeps: the fold's domain
