@@ -194,6 +194,7 @@ class _Nodes(NamedTuple):
     rho: np.ndarray
     slope: np.ndarray
     flips: tuple = ()
+    halves: tuple = ()  # the factor that each flip halves: the first of its lowest pair's (pair n's is the azimuth)
 
     def points(self, sl: slice, r: np.ndarray) -> np.ndarray:
         """center + r * dirs[sl], (B, m) in the coordinate-major memory of the directions."""
@@ -226,10 +227,10 @@ def _nodes(spec: SurfaceSpec, q: QuadratureSpec, marked: bool = False) -> _Nodes
     pivots = sum({g & -g for g in swept.flip_group})  # the group's elements' lowest pairs
     # its reduced echelon basis: per pivot, the one flip holding no other pivot, bar the flip of z_{n+1} on rows
     flips = tuple(g for g in swept.flip_group if marked and g & pivots == g & -g and g not in (0, rows << spec.n))
-    halves = tuple(2 * ((g & -g).bit_length() - 1) for g in flips)  # pair n's factor 2n is the azimuth
+    halves = tuple(2 * ((g & -g).bit_length() - 1) for g in flips)
     # the full grid under its two-argument cache key, which set-up and the public callers share: one copy of it
     dirs, wts = sphere_grid(m, q.order, 0 if rows else None, halves) if rows or flips else sphere_grid(m, q.order)
-    nodes = _Nodes(spec.star_center, dirs, wts, None, None, flips)
+    nodes = _Nodes(spec.star_center, dirs, wts, None, None, flips, halves)
 
     def solve(d):  # the roots along the rays d, one radial_roots call per CHUNK slice
         parts = [radial_roots(swept, d[i:i + CHUNK]) for i in range(0, len(d), CHUNK)]
@@ -295,8 +296,7 @@ def _integral(spec: SurfaceSpec, q: QuadratureSpec, at, marked: bool):
     gives a chunk's k integrands and scan outputs (a tuple of arrays, or None). Each integrand's chunk sums come from
     np.dot and add by math.fsum; _error_estimate reads its sums per domain row, per azimuth node and of |w v|."""
     nodes, order = _nodes(spec, q, marked), q.order
-    shape = [order - order // 2 if i % 2 == 0 and any(g & -g == 1 << i // 2 for g in nodes.flips) else order
-             for i in range(spec.m - 2)]  # the domain's polar factors: a flip halves its lowest pair's first
+    shape = [order - order // 2 if i in nodes.halves else order for i in range(spec.m - 2)]  # the domain's polar nodes
     naz = len(nodes.wts) // math.prod(shape)
     w, ones = nodes.wts[::naz], np.ones(naz)  # a node's weight is its row's: the azimuth weights are all equal
     sums = []  # (k, ...) each: the sums of v per domain row, of w v per azimuth node, of |w v|

@@ -435,7 +435,7 @@ class TestFlipFold:
         halves = tuple(2 * ((g & -g).bit_length() - 1) for g in flips)
         dirs, wts = qd.sphere_grid(m, order, 0 if rows else None, halves)
         base, base_wts = qd.sphere_grid(m, order, 0 if rows else None)
-        nodes = qd._Nodes(np.zeros(m), dirs, wts, np.ones(len(wts)), np.ones(len(wts)), flips)
+        nodes = qd._Nodes(np.zeros(m), dirs, wts, np.ones(len(wts)), np.ones(len(wts)), flips, halves)
         sums, estimate = [], qd._error_estimate
         monkeypatch.setattr(qd, "_nodes", lambda spec, q, marked: nodes)
         monkeypatch.setattr(qd, "_error_estimate", lambda *args: sums.append(args) or estimate(*args))
