@@ -270,9 +270,9 @@ def _tail(c: np.ndarray) -> float:
 
 def _marginals(polar: np.ndarray, az: np.ndarray, order: int, flips: tuple) -> list:
     """Each factor's marginals (k, nodes) of k integrals on the base grid, from their weighted values on the domain of
-    flips summed along each azimuth row, polar (k, *domain's polar factors), and over the rows, az: a flip moving a
-    factor halves each share between its node and the mirror node, reversed or the azimuth turned by order (the
-    field contract makes the share of a pivot's x = 0 slice, which the fold keeps whole, symmetric already)."""
+    flips summed along each azimuth row, polar (k, *domain's polar factors), and over the rows, az. A factor a flip
+    moves is zero-padded if halved and symmetrized, half of each share to the mirror node (reversed, or turned by order
+    on the azimuth); the field contract makes the share of a pivot's x = 0 slice, kept whole, symmetric already."""
     out = [polar.sum(tuple(i for i in range(1, polar.ndim) if i != d)) for d in range(1, polar.ndim)] + [az]
     for d, u in enumerate(out):
         if any(g >> d // 2 & 1 for g in flips):
