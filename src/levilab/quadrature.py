@@ -19,9 +19,10 @@ chunks. The roots are cached per zero set (an ExpReparam reads its base's).
 has one pass, reached through `surface_integral` (a field or a tuple of
 fields, plus an optional scan) and `scan_boundary`: each chunk builds one
 FrameBatch, every integrand and the scan read it, and it is dropped before the
-next chunk. A suite asks for all its boundary quantities in one call. A scan
-returns what its function returns, concatenated in node order; a caller that
-wants the boundary points scans `fr.points`.
+next chunk. A suite asks for all its boundary quantities in one call, `volume`
+among them, integrated per solid angle (rho^m / m). A scan returns what its
+function returns, an array or a tuple of arrays, concatenated in node order; a
+caller that wants the boundary points scans `fr.points`.
 
 Orbit collapse and flip folding: a pass whose fields and scan are all marked
 `invariant` (volume's integrand always is) reads functions of the geometry that
@@ -204,6 +205,15 @@ class _Nodes(NamedTuple):
         """fn(slice) over the fixed CHUNK slices of the nodes, results in node order."""
         return [fn(slice(i, i + CHUNK)) for i in range(0, len(self.dirs), CHUNK)]
 
+    def cone(self, sl: slice) -> np.ndarray:
+        """rho^m / m on the rays of sl: the enclosed volume per solid angle, volume's integrand."""
+        return self.rho[sl] ** self.dirs.shape[1] / self.dirs.shape[1]
+
+
+def _joined(parts: list):
+    """Per-chunk outputs in node order, keeping their structure: a tuple of arrays gives a tuple of concatenations."""
+    return tuple(map(np.concatenate, zip(*parts))) if isinstance(parts[0], tuple) else np.concatenate(parts)
+
 
 # swept family (an ExpReparam's innermost base, whose roots its reparametrisations share bit for bit) -> {(order,
 # collapsed, flips): (rho, slope)}: every pass over one zero set on one node set reads the same roots, dropped with it
@@ -316,44 +326,38 @@ def _integral(spec: SurfaceSpec, q: QuadratureSpec, at, marked: bool):
     dots, outs = zip(*nodes.map(job))
     estimates = _error_estimate((sums[0] * w).reshape(-1, *shape), sums[1], sums[2][:, 0], order, nodes.flips)
     results = tuple(IntegralResult(math.fsum(s), e, grid_nodes(spec.m, order)) for s, e in zip(zip(*dots), estimates))
-    return results, None if outs[0] is None else tuple(np.concatenate(k) for k in zip(*outs))
-
-
-def _boundary(spec: SurfaceSpec, q: QuadratureSpec, fields: tuple, scan=None):
-    """The one boundary pass: each chunk builds one FrameBatch. Every field (times
-    the surface Jacobian) reads it, and so does scan. Returns the field results
-    and what scan_boundary returns, or None."""
-    m = spec.m
-
-    def at(nodes, sl):
-        frames = FrameBatch.at_points(spec, nodes.points(sl, nodes.rho[sl]))
-        jac = nodes.rho[sl] ** (m - 1) * (2.0 * frames.pgrad_norm) / nodes.slope[sl]
-        vals = tuple(np.asarray(f(frames), dtype=float) * jac for f in fields)
-        out = None if scan is None else scan(frames)
-        return vals, out if out is None or isinstance(out, tuple) else (out,)
-
-    marked = all(getattr(f, "orbit_invariant", False) for f in (*fields, scan) if f is not None)
-    results, scanned = _integral(spec, q, at, marked)
-    return results, scanned[0] if scanned is not None and len(scanned) == 1 else scanned
+    return results, None if outs[0] is None else _joined(outs)
 
 
 def surface_integral(spec: SurfaceSpec, field, q: QuadratureSpec, scan=None):
     """Integral of a boundary scalar over the surface; field maps a FrameBatch to one value per point.
 
-    A tuple of fields gives a tuple of IntegralResult from one boundary pass,
-    each equal to its single-field call. With scan=fn the call returns
-    (result, scan_boundary(spec, q, fn)), the scan read from that same pass:
-    only what fn returns. Where the fields and scan are all marked `invariant`,
-    the pass may collapse to one node per azimuth row and fold by flips (see the module docstring).
+    The one boundary pass: each chunk builds one FrameBatch, which every field (times the surface Jacobian) and
+    scan read. A tuple of fields gives a tuple of IntegralResult, each equal to its single-field call; `volume`
+    may be one, integrated per solid angle (nodes.cone) and equal to volume(spec, q) where every field is marked
+    `invariant` (beside an unmarked one the pass reads the full grid, and the volume may move in its last bits).
+    With scan=fn the call returns (result, scan_boundary(spec, q, fn)), the scan read from that same pass: only
+    what fn returns. Where the fields and scan are all marked `invariant`, the pass may collapse to one node per
+    azimuth row and fold by flips (see the module docstring).
     """
-    results, scanned = _boundary(spec, q, field if isinstance(field, tuple) else (field,), scan)
+    fields, m = field if isinstance(field, tuple) else (field,), spec.m
+
+    def at(nodes, sl):
+        frames = FrameBatch.at_points(spec, nodes.points(sl, nodes.rho[sl]))
+        jac = nodes.rho[sl] ** (m - 1) * (2.0 * frames.pgrad_norm) / nodes.slope[sl]
+        vals = tuple(nodes.cone(sl) if f is volume else np.asarray(f(frames), dtype=float) * jac for f in fields)
+        return vals, None if scan is None else scan(frames)
+
+    marked = all(getattr(f, "orbit_invariant", False) for f in (*fields, scan) if f is not None)
+    results, scanned = _integral(spec, q, at, marked)
     result = results if isinstance(field, tuple) else results[0]
     return result if scan is None else (result, scanned)
 
 
+@invariant
 def volume(spec: SurfaceSpec, q: QuadratureSpec) -> IntegralResult:
-    """Lebesgue measure of the enclosed domain via the radial formula."""
-    return _integral(spec, q, lambda nodes, sl: ((nodes.rho[sl] ** spec.m / spec.m,), None), True)[0][0]
+    """Lebesgue measure of the enclosed domain by the radial formula, from a pass with no frames."""
+    return _integral(spec, q, lambda nodes, sl: ((nodes.cone(sl),), None), True)[0][0]
 
 
 def bulk_integral(spec: SurfaceSpec, field, q: QuadratureSpec) -> IntegralResult:
@@ -381,22 +385,22 @@ def bulk_integral(spec: SurfaceSpec, field, q: QuadratureSpec) -> IntegralResult
 def scan_boundary(spec: SurfaceSpec, q: QuadratureSpec, fn):
     """Apply fn(FrameBatch) -> array or tuple of arrays over every boundary node.
 
-    Returns the concatenated per-node outputs in fixed node order (scan
+    Returns what fn returns, an array or a tuple (a 1-tuple too) of arrays, concatenated in fixed node order (scan
     fr.points for the boundary points), one per domain node if fn is marked and the pass folds; used
     for node sweeps (extrema, defects) that are not integrals.
     """
-    return _boundary(spec, q, (), fn)[1]
+    return surface_integral(spec, (), q, fn)[1]
 
 
 def scan_bulk(spec: SurfaceSpec, q: QuadratureSpec, fn):
     """Apply fn(points) over an interior sample: _BULK_SHELLS radial shells of the
-    direction grid, strictly inside the boundary. Returns concatenated outputs,
-    one per domain node and shell if fn is marked `invariant` and the pass folds."""
+    direction grid, strictly inside the boundary. Returns what fn returns, joined as scan_boundary joins, shell
+    after shell, one per domain node and shell if fn is marked `invariant` and the pass folds."""
     nodes = _nodes(spec, q, getattr(fn, "orbit_invariant", False))
     outs = []
     for fr in (np.arange(1, _BULK_SHELLS + 1) - 0.5) / _BULK_SHELLS:
-        outs.extend(nodes.map(lambda sl: np.asarray(fn(nodes.points(sl, nodes.rho[sl] * fr)))))
-    return np.concatenate(outs)
+        outs.extend(nodes.map(lambda sl: fn(nodes.points(sl, nodes.rho[sl] * fr))))
+    return _joined(outs)
 
 
 def clear_root_cache() -> None:

@@ -4,10 +4,10 @@ identity, the constant-curvature chain, and the Dirichlet-solution chain.
 Each operation runs the relevant quadratures, compares the two sides at an
 explicit tolerance, and returns a machine-readable VerificationReport whose
 JSON form is byte-stable for fixed inputs. Each operation makes one boundary
-pass: its boundary integrals and node scans come from one surface_integral
-(or scan_boundary) call, so each chunk's frames are built once per order. A
-bulk side on a quadratic (constant H) is sigma_{j+1}(H) times the volume pass,
-with no interior node; other families layer Gauss nodes along each ray.
+pass: its boundary integrals, |Omega| (the field qd.volume) and node scans come
+from one surface_integral (or scan_boundary) call, so each chunk's frames are
+built once per order. A bulk side on a quadratic (constant H) is sigma_{j+1}(H)
+times that |Omega|, with no interior node; others layer Gauss nodes on each ray.
 Identities are equal when rel_err <= tol. One rule decides every inequality
 (isoperimetric, Alexandrov, Dirichlet chain, Newton sweep) on its margin: equal
 when equality is possible and |margin| <= slack, inequality_holds when margin
@@ -124,14 +124,13 @@ def _mixed_field(spec: sf.SurfaceSpec, fn, j: int):
     return qd.invariant(lambda pts: fn(sf.eval_mixed(spec, pts), j + 1))
 
 
-def _bulk_sigma(spec: sf.SurfaceSpec, j: int, q: qd.QuadratureSpec, vol: qd.IntegralResult | None = None):
-    """Bulk integral of sigma_{j+1}(H): for a quadratic's constant H exactly sigma_{j+1}(H) times the volume
-    pass vol (run when None), estimate scaled by |sigma|; any other f by bulk_integral's radial layering."""
+def _bulk_sigma(spec: sf.SurfaceSpec, j: int, q: qd.QuadratureSpec, vol: qd.IntegralResult):
+    """Bulk integral of sigma_{j+1}(H): for a quadratic's constant H exactly sigma_{j+1}(H) times vol, the caller's
+    volume, estimate scaled by |sigma|; any other f by bulk_integral's radial layering, which ignores vol."""
     constant = spec.poly.constant_hessians(1) if hasattr(spec, "poly") else None
     if constant is None:
         return qd.bulk_integral(spec, _mixed_field(spec, sigma_batch, j), q)
     c = float(sigma_batch(constant[0], j + 1)[0])
-    vol = qd.volume(spec, q) if vol is None else vol
     return qd.IntegralResult(c * vol.value, abs(c) * vol.error_estimate, vol.nodes_used)
 
 
@@ -209,12 +208,12 @@ def verify_integral_formula(
 ) -> VerificationReport:
     """Bulk integral of sigma_{j+1} of the mixed Hessian against the weighted
     curvature flux; an exact identity for every defining function. A quadratic's
-    bulk side is sigma_{j+1}(H)|Omega| from one volume pass."""
+    bulk side is sigma_{j+1}(H)|Omega|, |Omega| read by the flux's boundary pass."""
     _check_j(spec, j)
     fspec = resolve_defining_function(spec, f_choice)
     n = fspec.n
-    lhs_r = _bulk_sigma(fspec, j, q)
-    rhs_r = qd.surface_integral(fspec, _levi_flux_field(j), q)
+    rhs_r, vol_r = qd.surface_integral(fspec, (_levi_flux_field(j), qd.volume), q)
+    lhs_r = _bulk_sigma(fspec, j, q, vol_r)
     coef = math.comb(n + 1, j + 1) / (2 * (n + 1))
     lhs, rhs = lhs_r.value, coef * rhs_r.value
     return _report(fspec, _quad_meta(q, lhs_r, rhs_r), lhs, rhs, _identity_verdict(lhs, rhs, tol),
@@ -235,8 +234,7 @@ def isoperimetric_ratio(
     _check_j(spec, j)
     n = spec.n
     unmet_scan = qd.invariant(lambda fr: _nonpositive_levi(fr, j))
-    lhs_r, unmet = qd.surface_integral(spec, _inv_levi_field(j), q, scan=unmet_scan)
-    vol_r = qd.volume(spec, q)
+    (lhs_r, vol_r), unmet = qd.surface_integral(spec, (_inv_levi_field(j), qd.volume), q, scan=unmet_scan)
     lhs, rhs = lhs_r.value, 2 * (n + 1) * vol_r.value
     ratio = lhs / rhs
     verdict = _levi_unmet(*unmet) or _inequality_verdict(ratio - 1.0, tol, tol)
@@ -274,9 +272,8 @@ def alexandrov_check(
     """
     _check_j(spec, j)
     n = spec.n
-    area_r, (k_vals, h_vals) = qd.surface_integral(
-        spec, _ones, q, scan=qd.invariant(lambda fr: (fr.levi(j), cv.mean_curvature(fr))))
-    vol_r = qd.volume(spec, q)
+    (area_r, vol_r), (k_vals, h_vals) = qd.surface_integral(
+        spec, (_ones, qd.volume), q, scan=qd.invariant(lambda fr: (fr.levi(j), cv.mean_curvature(fr))))
     k_lo, k_hi = float(np.min(k_vals)), float(np.max(k_vals))
     defect = k_hi - k_lo
     k_scale = max(abs(k_lo), abs(k_hi), 1e-300)
@@ -313,7 +310,7 @@ def dirichlet_chain(
 ) -> VerificationReport:
     """Chain of estimates for the unit-trace quadratic on an ellipsoid.
 
-    (1) bulk sigma_{j+1}(H)|Omega|, read from the volume pass of (2), against
+    (1) bulk sigma_{j+1}(H)|Omega|, |Omega| read by the boundary pass of (2), against
     its symmetric-function bound, equality exactly when the constant Hessian is
     a multiple of the identity; (2) the gradient flux equals twice the volume,
     up to FLUX_TOL * 2|Omega| plus the error estimates of the flux and of twice
@@ -325,19 +322,17 @@ def dirichlet_chain(
     dspec = sf.DirichletQuadratic(axes)
     _check_j(dspec, j)
     n = dspec.n
-    vol_r = qd.volume(dspec, q)
-    lhs1_r = _bulk_sigma(dspec, j, q, vol_r)
-    rhs1 = math.comb(n + 1, j + 1) * vol_r.value / (n + 1) ** (j + 1)
-    margin1 = rhs1 - lhs1_r.value
-
     diag = dspec.hessian_diagonal()
     proportional = float(np.max(diag) - np.min(diag)) <= 1e-12 * float(np.max(diag))
-    # one pass, one K_j per chunk for the flux and K^{-1/j}; the pointwise product is read when proportional
-    (pg_r, flux_w_r, inv_r), (dev, *unmet) = qd.surface_integral(
-        dspec, (_pgrad, _levi_flux_field(j), _inv_levi_field(j)), q,
+    # one pass, one K_j per chunk for the flux and K^{-1/j}, and the volume; the pointwise product when proportional
+    (vol_r, pg_r, flux_w_r, inv_r), (dev, *unmet) = qd.surface_integral(
+        dspec, (qd.volume, _pgrad, _levi_flux_field(j), _inv_levi_field(j)), q,
         scan=qd.invariant(lambda fr: (np.abs(np.maximum(fr.levi(j), 0.0) ** (1.0 / j) * (n + 1) * fr.pgrad_norm - 1.0),
                                       *_nonpositive_levi(fr, j))),
     )
+    lhs1_r = _bulk_sigma(dspec, j, q, vol_r)
+    rhs1 = math.comb(n + 1, j + 1) * vol_r.value / (n + 1) ** (j + 1)
+    margin1 = rhs1 - lhs1_r.value
     gradc_dev = float(np.max(dev)) if proportional else None
     flux_scale = max(abs(2 * vol_r.value), 1e-300)
     flux_rel = abs(pg_r.value - 2 * vol_r.value) / flux_scale

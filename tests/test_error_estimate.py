@@ -116,8 +116,9 @@ def _cases():
          (unit_sphere_area(4) * 8.0, unit_ball_volume(4) * 16.0)),
         ("exp_ellipsoid_n1:bulk_sigma2", BULK_ORDERS,
          lambda q: (qd.bulk_integral(exp_ell, vf._mixed_field(exp_ell, sigma_batch, 1), q),), (h[0] * h[1] * vol,)),
-        ("ellipsoid_n1:bulk_sigma2", BULK_ORDERS, lambda q: (vf._bulk_sigma(ell, 1, q),), (h[0] * h[1] * vol,)),
-        ("sphere_n2:bulk_sigma3", N2_ORDERS, lambda q: (vf._bulk_sigma(sphere2, 2, q),),
+        ("ellipsoid_n1:bulk_sigma2", BULK_ORDERS, lambda q: (vf._bulk_sigma(ell, 1, q, qd.volume(ell, q)),),
+         (h[0] * h[1] * vol,)),
+        ("sphere_n2:bulk_sigma3", N2_ORDERS, lambda q: (vf._bulk_sigma(sphere2, 2, q, qd.volume(sphere2, q)),),
          (unit_ball_volume(6) * SPHERE_N2_RADIUS**6,)),
         ("dirichlet_n2:gradient_flux,volume", N2_ORDERS,
          lambda q: (qd.surface_integral(dirichlet2, vf._pgrad, q), qd.volume(dirichlet2, q)),
@@ -211,7 +212,8 @@ def test_n2_dirichlet_gradient_flux_bound():
 def test_closed_form_bulk_estimate_on_the_n2_sphere():
     # sigma_3(I)|B| from the volume pass, whose estimate is at rounding level; radial layering at order 7
     # read its radial null rule's coefficient of t^5 as error, 7.2e-3 relative though the value was exact
-    r = vf._bulk_sigma(sf.Sphere(SPHERE_N2_RADIUS, n=2), 2, qd.QuadratureSpec(order=7))
+    sphere, q = sf.Sphere(SPHERE_N2_RADIUS, n=2), qd.QuadratureSpec(order=7)
+    r = vf._bulk_sigma(sphere, 2, q, qd.volume(sphere, q))
     assert r.error_estimate < 1e-10 * r.value
 
 

@@ -280,11 +280,10 @@ class TestClosedFormBulk:
             q = qd.QuadratureSpec(order=order)
             vol = qd.volume(spec, q)
             for j in range(1, spec.n + 1):
-                closed = vf._bulk_sigma(spec, j, q)
+                closed = vf._bulk_sigma(spec, j, q, vol)
                 layered = qd.bulk_integral(spec, vf._mixed_field(spec, sigma_batch, j), q)
                 assert closed.value == pytest.approx(layered.value, rel=1e-13, abs=0), (order, j)
                 assert closed.nodes_used == layered.nodes_used == vol.nodes_used
-                assert vf._bulk_sigma(spec, j, q, vol) == closed  # the volume pass a caller hands in
 
     def test_radial_layering_only_where_h_varies(self, monkeypatch):
         def forbidden(spec, field, q):
@@ -413,6 +412,28 @@ class TestOneBoundaryPass:
             frame_calls.clear()
             run()
             assert len(frame_calls) == chunks, name
+
+    @pytest.mark.parametrize("name,passes", [
+        ("isoperimetric", 1), ("alexandrov", 1), ("minkowski", 1), ("dirichlet", 1), ("integral_formula", 1),
+        ("integral_formula_dirichlet", 1), ("integral_formula_exp", 2), ("integral_formula_quartic", 2)])
+    def test_one_quadrature_pass_per_suite(self, name, passes, monkeypatch):
+        # |Omega| is a field of the suite's boundary pass; only a bulk side that varies adds its radial pass
+        ell = sf.Ellipsoid([1.0, 1.3, 0.8, 1.1])
+        run = {
+            "isoperimetric": lambda: vf.isoperimetric_ratio(ell, 1, Q7),
+            "alexandrov": lambda: vf.alexandrov_check(ell, 1, Q7),
+            "minkowski": lambda: vf.minkowski_residual(ell, Q7),
+            "dirichlet": lambda: vf.dirichlet_chain([1.0, 1.0, 1.0, 2.0], 1, Q7),
+            "integral_formula": lambda: vf.verify_integral_formula(sf.Sphere(1.5, n=2), 2, Q7),
+            "integral_formula_dirichlet": lambda: vf.verify_integral_formula(
+                sf.Ellipsoid([1.0, 1.0, 1.0, 2.0]), 1, Q7, f_choice="dirichlet"),
+            "integral_formula_exp": lambda: vf.verify_integral_formula(ell, 1, Q7, f_choice="exp"),
+            "integral_formula_quartic": lambda: vf.verify_integral_formula(sf.UserPolynomial(1, QUARTIC_N1), 1, Q7),
+        }[name]
+        calls, inner = [], qd._integral
+        monkeypatch.setattr(qd, "_integral", lambda *args: calls.append(args[0]) or inner(*args))
+        run()
+        assert len(calls) == passes
 
     def test_dirichlet_computes_each_levi_once_per_frame_batch(self, monkeypatch):
         seen = []  # the batches themselves, so no id is reused
